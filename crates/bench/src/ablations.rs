@@ -18,7 +18,7 @@
 
 use crate::engine::Engine;
 use crate::figs::mean;
-use crate::serve::{session_tour, ServeConfig};
+use crate::serve::session_tour;
 use crate::{Scale, Table};
 use mar_buffer::{AllocationStrategy, MotionAwarePrefetcher};
 use mar_core::bufsim::{run_buffer_sim, BufferSimConfig};
@@ -355,23 +355,16 @@ pub fn abl_store_with(engine: &Engine, scale: &Scale) -> Table {
                 .expect("reopen page file");
             let server =
                 Server::from_core(ServerCore::from_parts(Arc::clone(&data), Arc::new(index)));
-            let cfg = ServeConfig {
-                sessions: 4,
-                ticks: scale.ticks,
-                objects: scale.objects_default,
-                levels: scale.levels,
-                frame_frac: 0.1,
-                jobs: 1,
-                tour_seed: seed,
-            };
-            let tours: Vec<_> = (0..cfg.sessions)
-                .map(|k| session_tour(&cfg, scene.config.space, k))
+            const SESSIONS: usize = 4;
+            const FRAME_FRAC: f64 = 0.1;
+            let tours: Vec<_> = (0..SESSIONS)
+                .map(|k| session_tour(scene.config.space, scale.ticks, seed, k))
                 .collect();
-            let sessions: Vec<u64> = (0..cfg.sessions).map(|_| server.connect()).collect();
-            for tick in 0..cfg.ticks {
+            let sessions: Vec<u64> = (0..SESSIONS).map(|_| server.connect()).collect();
+            for tick in 0..scale.ticks {
                 for (k, &c) in sessions.iter().enumerate() {
                     let s = &tours[k].samples[tick];
-                    let frame = frame_at(&scene.config.space, &s.pos, cfg.frame_frac);
+                    let frame = frame_at(&scene.config.space, &s.pos, FRAME_FRAC);
                     let q = [QueryRegion {
                         region: frame,
                         band: LinearSpeedMap.band_for(s.speed),

@@ -18,6 +18,8 @@
 //! the FNV-1a transcript fingerprint for cross-process comparison.
 
 use mar_bench::chaos::{run_chaos_backend, ChaosConfig, ChaosReport};
+use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::engine::default_jobs;
 use mar_bench::serve::{fnv1a64, ServeBackend};
 
 struct Options {
@@ -27,50 +29,23 @@ struct Options {
     out_dir: String,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+const USAGE: &str = "usage: chaos [--smoke] [--paged] [--jobs N] [--out-dir DIR]";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         paged: false,
         jobs: default_jobs(),
         out_dir: ".".to_string(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
             "--paged" => opts.paged = true,
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--jobs needs a value".to_string())?;
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            "--out-dir" => {
-                opts.out_dir = it
-                    .next()
-                    .ok_or_else(|| "--out-dir needs a value".to_string())?
-                    .clone();
-            }
-            _ if a.starts_with("--jobs=") => {
-                let v = &a["--jobs=".len()..];
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            _ if a.starts_with("--out-dir=") => {
-                opts.out_dir = a["--out-dir=".len()..].to_string();
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: chaos [--smoke] [--paged] [--jobs N] [--out-dir DIR]"
-                ))
-            }
+            "--jobs" => opts.jobs = args.parse("number")?,
+            "--out-dir" => opts.out_dir = args.value()?.to_string(),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(opts)
@@ -119,13 +94,7 @@ fn write_chaos_json(path: &str, mode: &str, jobs: usize, r: &ChaosReport) -> std
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let mode = if opts.smoke { "smoke" } else { "full" };
     let cfg = if opts.smoke {
         ChaosConfig::smoke(opts.jobs)

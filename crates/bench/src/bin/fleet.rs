@@ -19,6 +19,8 @@
 //! for cross-process comparison. Throughput and the p50/p99 latencies are
 //! wall-clock measurements and vary run to run.
 
+use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::engine::default_jobs;
 use mar_bench::fleet::{run_fleet, FleetBenchConfig, FleetReport};
 use mar_bench::serve::fnv1a64;
 
@@ -28,48 +30,21 @@ struct Options {
     out_dir: String,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+const USAGE: &str = "usage: fleet [--smoke] [--jobs N] [--out-dir DIR]";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         jobs: default_jobs(),
         out_dir: ".".to_string(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--jobs needs a value".to_string())?;
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            "--out-dir" => {
-                opts.out_dir = it
-                    .next()
-                    .ok_or_else(|| "--out-dir needs a value".to_string())?
-                    .clone();
-            }
-            _ if a.starts_with("--jobs=") => {
-                let v = &a["--jobs=".len()..];
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            _ if a.starts_with("--out-dir=") => {
-                opts.out_dir = a["--out-dir=".len()..].to_string();
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: fleet [--smoke] [--jobs N] [--out-dir DIR]"
-                ))
-            }
+            "--jobs" => opts.jobs = args.parse("number")?,
+            "--out-dir" => opts.out_dir = args.value()?.to_string(),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(opts)
@@ -125,13 +100,7 @@ fn write_fleet_json(path: &str, mode: &str, jobs: usize, r: &FleetReport) -> std
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let mode = if opts.smoke { "smoke" } else { "full" };
     let cfg = if opts.smoke {
         FleetBenchConfig::smoke(opts.jobs)

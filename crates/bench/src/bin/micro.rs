@@ -21,8 +21,9 @@
 //! `"mode": "smoke"` in both files.
 
 use criterion::{black_box, Criterion, Measurement};
+use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::figs;
-use mar_bench::serve::{session_tour, ServeConfig};
+use mar_bench::serve::session_tour;
 use mar_bench::{Scale, Table};
 use mar_core::{
     CachePolicy, LinearSpeedMap, QueryRegion, SceneIndexData, Server, ServerCore,
@@ -54,40 +55,21 @@ struct Options {
     gate: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+const USAGE: &str = "usage: micro [--smoke] [--out-dir DIR] [--gate BASELINE.json]";
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         out_dir: ".".to_string(),
         gate: None,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
-            "--out-dir" => {
-                opts.out_dir = it
-                    .next()
-                    .ok_or_else(|| "--out-dir needs a value".to_string())?
-                    .clone();
-            }
-            "--gate" => {
-                opts.gate = Some(
-                    it.next()
-                        .ok_or_else(|| "--gate needs a baseline path".to_string())?
-                        .clone(),
-                );
-            }
-            _ if a.starts_with("--out-dir=") => {
-                opts.out_dir = a["--out-dir=".len()..].to_string();
-            }
-            _ if a.starts_with("--gate=") => {
-                opts.gate = Some(a["--gate=".len()..].to_string());
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: micro [--smoke] [--out-dir DIR] [--gate BASELINE.json]"
-                ))
-            }
+            "--out-dir" => opts.out_dir = args.value()?.to_string(),
+            "--gate" => opts.gate = Some(args.value()?.to_string()),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(opts)
@@ -380,17 +362,10 @@ fn bench_io(
     // Tour hit ratio: replay the serving tours through a starved pool
     // under each policy. One deterministic replay per policy — the ratio
     // is exact, not sampled; the wall time rides along as `mean_ns`.
-    let tour_cfg = ServeConfig {
-        sessions: 4,
-        ticks: ms.io_ticks,
-        objects: ms.objects,
-        levels: ms.levels,
-        frame_frac: 0.1,
-        jobs: 1,
-        tour_seed: 901,
-    };
-    let tours: Vec<_> = (0..tour_cfg.sessions)
-        .map(|k| session_tour(&tour_cfg, scene.config.space, k))
+    const TOUR_SESSIONS: usize = 4;
+    const TOUR_FRAME_FRAC: f64 = 0.1;
+    let tours: Vec<_> = (0..TOUR_SESSIONS)
+        .map(|k| session_tour(scene.config.space, ms.io_ticks, 901, k))
         .collect();
     let mut ratios = Vec::new();
     for (name, policy) in [
@@ -399,13 +374,13 @@ fn bench_io(
     ] {
         let index = open(IO_TOUR_BUDGET, policy);
         let server = Server::from_core(ServerCore::from_parts(data.clone(), Arc::new(index)));
-        let sessions: Vec<u64> = (0..tour_cfg.sessions).map(|_| server.connect()).collect();
+        let sessions: Vec<u64> = (0..TOUR_SESSIONS).map(|_| server.connect()).collect();
         // mar-lint: allow(D003) — wall-time measurement is this harness's job
         let t0 = std::time::Instant::now();
-        for tick in 0..tour_cfg.ticks {
+        for tick in 0..ms.io_ticks {
             for (k, &c) in sessions.iter().enumerate() {
                 let s = &tours[k].samples[tick];
-                let frame = frame_at(&scene.config.space, &s.pos, tour_cfg.frame_frac);
+                let frame = frame_at(&scene.config.space, &s.pos, TOUR_FRAME_FRAC);
                 let q = [QueryRegion {
                     region: frame,
                     band: LinearSpeedMap.band_for(s.speed),
@@ -440,7 +415,7 @@ fn bench_io(
                 max_ns: ns,
                 iters: 1,
             },
-            ops_per_iter: (tour_cfg.sessions * tour_cfg.ticks) as u64,
+            ops_per_iter: (TOUR_SESSIONS * ms.io_ticks) as u64,
             hit_ratio: Some(ratio),
         });
         eprintln!(
@@ -661,13 +636,7 @@ fn write_reproduce_json(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let mode = if opts.smoke { "smoke" } else { "full" };
     let ms = if opts.smoke {
         MicroScale::smoke()

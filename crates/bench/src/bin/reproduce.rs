@@ -20,6 +20,7 @@
 //! tables), or group (`fig9`, `fig13`, `abl`). Unknown selectors are an
 //! error, not a silent no-op.
 
+use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::engine::Engine;
 use mar_bench::{ablations, figs, Scale, Table};
 use mar_workload::Placement;
@@ -187,39 +188,22 @@ struct Options {
     selectors: Vec<String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         paper: false,
         ablations: false,
         jobs: None,
         selectors: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--paper" => opts.paper = true,
             "--ablations" => opts.ablations = true,
             "--serial" => opts.jobs = Some(1),
-            "--jobs" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| "--jobs needs a value".to_string())?;
-                opts.jobs = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("--jobs: not a number: {n}"))?
-                        .max(1),
-                );
-            }
-            _ if a.starts_with("--jobs=") => {
-                let n = &a["--jobs=".len()..];
-                opts.jobs = Some(
-                    n.parse::<usize>()
-                        .map_err(|_| format!("--jobs: not a number: {n}"))?
-                        .max(1),
-                );
-            }
-            _ if a.starts_with("--") => return Err(format!("unknown flag: {a}")),
-            _ => opts.selectors.push(a.clone()),
+            "--jobs" => opts.jobs = Some(args.parse::<usize>("number")?.max(1)),
+            _ if flag.starts_with("--") => return Err(args.unknown()),
+            _ => opts.selectors.push(flag.to_string()),
         }
     }
     Ok(opts)
@@ -227,13 +211,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("reproduce: {e}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, &usage()));
 
     // Resolve selectors to experiments — every selector must match
     // something, and an unmatched one is an error (a bare `fig1` used to

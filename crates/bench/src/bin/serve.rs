@@ -19,6 +19,8 @@
 //! seconds; its numbers are not meaningful measurements and are flagged
 //! as `"mode": "smoke"`.
 
+use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::engine::default_jobs;
 use mar_bench::serve::{fnv1a64, run_serve, ServeConfig, ServeReport};
 
 struct Options {
@@ -27,48 +29,21 @@ struct Options {
     out_dir: String,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+const USAGE: &str = "usage: serve [--smoke] [--jobs N] [--out-dir DIR]";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         jobs: default_jobs(),
         out_dir: ".".to_string(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--jobs needs a value".to_string())?;
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            "--out-dir" => {
-                opts.out_dir = it
-                    .next()
-                    .ok_or_else(|| "--out-dir needs a value".to_string())?
-                    .clone();
-            }
-            _ if a.starts_with("--jobs=") => {
-                let v = &a["--jobs=".len()..];
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            _ if a.starts_with("--out-dir=") => {
-                opts.out_dir = a["--out-dir=".len()..].to_string();
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: serve [--smoke] [--jobs N] [--out-dir DIR]"
-                ))
-            }
+            "--jobs" => opts.jobs = args.parse("number")?,
+            "--out-dir" => opts.out_dir = args.value()?.to_string(),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(opts)
@@ -108,13 +83,7 @@ fn write_serve_json(path: &str, mode: &str, jobs: usize, r: &ServeReport) -> std
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let mode = if opts.smoke { "smoke" } else { "full" };
     let cfg = if opts.smoke {
         ServeConfig::smoke(opts.jobs)

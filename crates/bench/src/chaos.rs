@@ -23,15 +23,13 @@
 //! never enters the transcript.
 
 use crate::engine::Engine;
-use crate::serve::{fnv1a64, ServeBackend};
-use crate::{figs, Scale};
+use crate::serve::{fnv1a64, serve_scene, session_tour, ServeBackend};
 use mar_core::{
-    LinearSpeedMap, ResilienceMetrics, ResilientClient, ResilientPolicy, SceneIndexData, Server,
-    ServerCore, SmoothedSpeed, SpeedResolutionMap, WaveletIndex,
+    LinearSpeedMap, ResilienceMetrics, ResilientClient, ResilientPolicy, Server, SmoothedSpeed,
+    SpeedResolutionMap,
 };
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
-use mar_workload::{frame_at, pedestrian_tour, tram_tour, Placement, TourConfig};
-use std::sync::Arc;
+use mar_workload::frame_at;
 
 /// One fault-grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,29 +220,15 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
         matches!(cfg.grid.first(), Some(p) if p.loss == 0.0 && p.drop_every == 0),
         "grid point 0 must be the fault-free reference"
     );
-    let mut scale = Scale::quick();
-    scale.objects_default = cfg.objects;
-    scale.levels = cfg.levels;
-    let scene = figs::build_scene(&scale, cfg.objects, Placement::Uniform);
+    let scene = serve_scene(cfg.objects, cfg.levels);
     // One immutable core shared by every grid point's fresh server: only
     // session (filter) state must not leak between grid points, and that
     // lives in the `Server`, not the core.
-    let core = match backend {
-        ServeBackend::Ram => {
-            let data = Arc::new(SceneIndexData::build(&scene));
-            let index = Arc::new(WaveletIndex::build_jobs(&data, cfg.jobs));
-            ServerCore::from_parts(data, index)
-        }
-        ServeBackend::Paged {
-            path,
-            budget_bytes,
-            policy,
-        } => ServerCore::new_paged(&scene, path, *budget_bytes, *policy)
-            // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
-            .expect("chaos: cannot build the page-file backend"),
-    };
+    let core = backend
+        .build_core(&scene, cfg.jobs)
+        // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
+        .expect("chaos: cannot build the page-file backend");
     let engine = Engine::new(cfg.jobs);
-    let speeds = [0.1, 0.3, 0.5, 0.7, 0.9];
 
     let mut transcript = String::from(
         "loss_pct,drop_every,session,tick,coeffs,new_objects,bytes,io,retries,drops,level,time_s\n",
@@ -268,17 +252,7 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
             (0..cfg.sessions).collect(),
             || (),
             |_, &k| {
-                let tc = TourConfig::new(
-                    scene.config.space,
-                    cfg.ticks,
-                    cfg.tour_seed + k as u64,
-                    speeds[k % speeds.len()],
-                );
-                let tour = if k % 2 == 0 {
-                    tram_tour(&tc)
-                } else {
-                    pedestrian_tour(&tc)
-                };
+                let tour = session_tour(scene.config.space, cfg.ticks, cfg.tour_seed, k);
                 // The fault stream is keyed by the client index k, not the
                 // server-minted session id: the connect order under
                 // concurrency must be unobservable.
@@ -344,6 +318,7 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                 let band = LinearSpeedMap.band_for(final_speed);
                 let (want, _) = server.query_stateless(&final_frame, band);
                 let sent = server
+                    .sessions()
                     .session_sent_set(client.session())
                     // mar-lint: allow(D004) — the client's session is live by construction
                     .expect("chaos session is live");
@@ -404,9 +379,13 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                 // mar-lint: allow(D004) — each worker's final session is live until this teardown
                 .expect("chaos session vanished");
         }
-        assert_eq!(server.session_count(), 0, "all chaos sessions disconnected");
         assert_eq!(
-            server.resident_filter_entries(),
+            server.sessions().session_count(),
+            0,
+            "all chaos sessions disconnected"
+        );
+        assert_eq!(
+            server.sessions().resident_filter_entries(),
             0,
             "disconnect must release filter state"
         );

@@ -107,6 +107,12 @@ impl SceneCache {
     }
 }
 
+/// The default worker count (`--jobs`): every core
+/// [`std::thread::available_parallelism`] reports.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The sweep engine: a worker count plus the scene cache shared by every
 /// figure run through it.
 #[derive(Debug, Default)]
@@ -130,14 +136,9 @@ impl Engine {
         Self::new(1)
     }
 
-    /// An engine sized to the machine:
-    /// [`std::thread::available_parallelism`] workers.
+    /// An engine sized to the machine: [`default_jobs`] workers.
     pub fn auto() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Self::new(default_jobs())
     }
 
     /// The configured worker count.

@@ -21,14 +21,13 @@
 //! enters the transcript.
 
 use crate::engine::Engine;
-use crate::serve::fnv1a64;
-use crate::{figs, Scale};
+use crate::serve::{fnv1a64, per_sec, quantile_ns, serve_scene, session_tour};
 use mar_core::{
     FleetConfig, FleetHealth, FleetServer, FramePlanner, LinearSpeedMap, SceneIndexData,
     SmoothedSpeed, SpeedResolutionMap,
 };
 use mar_link::ShardOutagePlan;
-use mar_workload::{frame_at, pedestrian_tour, tram_tour, Placement, TourConfig};
+use mar_workload::frame_at;
 use std::sync::Arc;
 
 /// One fleet-grid point: a replica policy plus an outage schedule.
@@ -198,22 +197,12 @@ impl FleetPointReport {
 
     /// Tick queries per wall second.
     pub fn queries_per_sec(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.queries as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
+        per_sec(self.queries, self.elapsed_s)
     }
 
     /// The `q`-quantile (`0.0..=1.0`) of per-query wall latency, in ns.
     pub fn latency_ns(&self, q: f64) -> u64 {
-        if self.latencies_ns.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_ns.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        quantile_ns(&self.latencies_ns, q)
     }
 }
 
@@ -273,14 +262,10 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
         matches!(cfg.grid.first(), Some(p) if p.period == 0),
         "grid point 0 must be the outage-free reference"
     );
-    let mut scale = Scale::quick();
-    scale.objects_default = cfg.objects;
-    scale.levels = cfg.levels;
-    let scene = figs::build_scene(&scale, cfg.objects, Placement::Uniform);
+    let scene = serve_scene(cfg.objects, cfg.levels);
     let space = scene.config.space;
     let data = Arc::new(SceneIndexData::build(&scene));
     let engine = Engine::new(cfg.jobs);
-    let speeds = [0.1, 0.3, 0.5, 0.7, 0.9];
     let shards = cfg.shards();
 
     let mut transcript = String::from(FLEET_TRANSCRIPT_HEADER);
@@ -311,17 +296,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
             (0..cfg.sessions).collect(),
             || (),
             |_, &k| {
-                let tc = TourConfig::new(
-                    space,
-                    cfg.ticks,
-                    cfg.tour_seed + k as u64,
-                    speeds[k % speeds.len()],
-                );
-                let tour = if k % 2 == 0 {
-                    tram_tour(&tc)
-                } else {
-                    pedestrian_tour(&tc)
-                };
+                let tour = session_tour(space, cfg.ticks, cfg.tour_seed, k);
                 let session = fleet.connect();
                 let mut planner = FramePlanner::new();
                 let mut smooth = SmoothedSpeed::default();
@@ -432,7 +407,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 // The invariant's object: the resident set over the final
                 // frame at the final band.
                 let (want, _) = fleet.query_stateless(&final_frame, band);
-                let sent = fleet
+                let sent = fleet.sessions()
                     .session_sent_set(session)
                     // mar-lint: allow(D004) — the worker's session is live until teardown
                     .expect("fleet session is live");
@@ -494,9 +469,13 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 // mar-lint: allow(D004) — each worker's session is live until this teardown
                 .expect("fleet session vanished");
         }
-        assert_eq!(fleet.session_count(), 0, "all fleet sessions disconnected");
         assert_eq!(
-            fleet.resident_filter_entries(),
+            fleet.sessions().session_count(),
+            0,
+            "all fleet sessions disconnected"
+        );
+        assert_eq!(
+            fleet.sessions().resident_filter_entries(),
             0,
             "disconnect must release filter state"
         );

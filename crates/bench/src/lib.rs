@@ -14,6 +14,7 @@
 
 pub mod ablations;
 pub mod chaos;
+pub mod cli;
 pub mod engine;
 pub mod figs;
 pub mod fleet;

@@ -21,7 +21,7 @@ use crate::engine::Engine;
 use crate::{figs, Scale};
 use mar_core::{
     CachePolicy, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, SceneIndexData, Server,
-    ServerCore, SmoothedSpeed, SpeedResolutionMap, WaveletIndex,
+    ServerCore, SmoothedSpeed, SpeedResolutionMap, StoreError, WaveletIndex,
 };
 use mar_link::LinkConfig;
 use mar_workload::{frame_at, pedestrian_tour, tram_tour, Placement, Scene, Tour, TourConfig};
@@ -100,22 +100,24 @@ pub fn transcript_row(
 /// `TOUR_SPEEDS[k % TOUR_SPEEDS.len()]`).
 pub const TOUR_SPEEDS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
-/// The scene every serve replay (in-process or wire) is served from:
-/// quick-scale parameters with the config's object/level overrides.
-pub fn serve_scene(cfg: &ServeConfig) -> Scene {
+/// The scene every serving harness (serve, chaos, fleet, in-process or
+/// wire) is served from: quick-scale parameters with the harness config's
+/// object/level overrides, uniformly placed.
+pub fn serve_scene(objects: usize, levels: usize) -> Scene {
     let mut scale = Scale::quick();
-    scale.objects_default = cfg.objects;
-    scale.levels = cfg.levels;
-    figs::build_scene(&scale, cfg.objects, Placement::Uniform)
+    scale.objects_default = objects;
+    scale.levels = levels;
+    figs::build_scene(&scale, objects, Placement::Uniform)
 }
 
-/// Session `k`'s tour under `cfg`: alternating tram/pedestrian kinds over
-/// the deterministic speed spread, seeded `tour_seed + k`.
-pub fn session_tour(cfg: &ServeConfig, space: mar_geom::Rect2, k: usize) -> Tour {
+/// Session `k`'s `ticks`-long tour over `space`: alternating
+/// tram/pedestrian kinds over the deterministic speed spread, seeded
+/// `tour_seed + k`.
+pub fn session_tour(space: mar_geom::Rect2, ticks: usize, tour_seed: u64, k: usize) -> Tour {
     let tc = TourConfig::new(
         space,
-        cfg.ticks,
-        cfg.tour_seed + k as u64,
+        ticks,
+        tour_seed + k as u64,
         TOUR_SPEEDS[k % TOUR_SPEEDS.len()],
     );
     if k.is_multiple_of(2) {
@@ -176,6 +178,47 @@ pub enum ServeBackend {
     },
 }
 
+impl ServeBackend {
+    /// Builds the immutable serving core for `scene` on this backend; the
+    /// in-RAM index bulk-load fans out over `jobs` workers, the paged one
+    /// writes (then serves) its page file.
+    pub fn build_core(&self, scene: &Scene, jobs: usize) -> Result<ServerCore, StoreError> {
+        match self {
+            Self::Ram => {
+                let data = SceneIndexData::build(scene);
+                let index = WaveletIndex::build_jobs(&data, jobs);
+                Ok(ServerCore::from_parts(Arc::new(data), Arc::new(index)))
+            }
+            Self::Paged {
+                path,
+                budget_bytes,
+                policy,
+            } => ServerCore::new_paged(scene, path, *budget_bytes, *policy),
+        }
+    }
+}
+
+/// `count` events per wall-clock second (`0` before any time has passed).
+pub fn per_sec(count: u64, elapsed_s: f64) -> f64 {
+    if elapsed_s > 0.0 {
+        count as f64 / elapsed_s
+    } else {
+        0.0
+    }
+}
+
+/// The `q`-quantile (`0.0..=1.0`, nearest rank) of wall-clock samples in
+/// nanoseconds; `0` when there are none.
+pub fn quantile_ns(samples: &[u64], q: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    sorted[idx]
+}
+
 /// What one serve run produced.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -211,22 +254,12 @@ pub struct ServeReport {
 impl ServeReport {
     /// Queries per second of wall-clock replay time.
     pub fn queries_per_sec(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.queries as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
+        per_sec(self.queries, self.elapsed_s)
     }
 
     /// The `q`-quantile (0..=1) of per-tick batch latency, in nanoseconds.
     pub fn tick_latency_ns(&self, q: f64) -> u64 {
-        if self.tick_ns.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.tick_ns.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        quantile_ns(&self.tick_ns, q)
     }
 }
 
@@ -242,25 +275,12 @@ pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
 /// out-of-core path answers byte-identically and only the wall-clock and
 /// cache-statistics fields differ.
 pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeReport {
-    let scene = serve_scene(cfg);
-    let server = match backend {
-        ServeBackend::Ram => {
-            let data = SceneIndexData::build(&scene);
-            // The index bulk-load itself fans out across the same worker budget.
-            let index = WaveletIndex::build_jobs(&data, cfg.jobs);
-            Server::from_core(ServerCore::from_parts(Arc::new(data), Arc::new(index)))
-        }
-        ServeBackend::Paged {
-            path,
-            budget_bytes,
-            policy,
-        } => {
-            let core = ServerCore::new_paged(&scene, path, *budget_bytes, *policy)
-                // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
-                .expect("serve: cannot build the page-file backend");
-            Server::from_core(core)
-        }
-    };
+    let scene = serve_scene(cfg.objects, cfg.levels);
+    let core = backend
+        .build_core(&scene, cfg.jobs)
+        // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
+        .expect("serve: cannot build the page-file backend");
+    let server = Server::from_core(core);
     let link = LinkConfig::paper();
 
     // Sessions connect serially in id order, each with its own tour:
@@ -271,7 +291,7 @@ pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeRepo
                 session: server.connect(),
                 planner: FramePlanner::new(),
                 smooth: SmoothedSpeed::default(),
-                tour: session_tour(cfg, scene.config.space, k),
+                tour: session_tour(scene.config.space, cfg.ticks, cfg.tour_seed, k),
             })
         })
         .collect();
@@ -347,9 +367,13 @@ pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeRepo
             // mar-lint: allow(D004) — sessions 0..N were minted by the bulk connect above
             .expect("serve session vanished");
     }
-    assert_eq!(server.session_count(), 0, "all sessions disconnected");
     assert_eq!(
-        server.resident_filter_entries(),
+        server.sessions().session_count(),
+        0,
+        "all sessions disconnected"
+    );
+    assert_eq!(
+        server.sessions().resident_filter_entries(),
         0,
         "disconnect must release filter state"
     );

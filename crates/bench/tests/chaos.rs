@@ -5,6 +5,12 @@
 use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::serve::fnv1a64;
 
+/// The smoke transcript's FNV-1a fingerprint, pinned like
+/// `SMOKE_TRANSCRIPT_FNV64` in `tests/serve.rs`: any byte of drift in the
+/// fault schedule, the resilient protocol or the session filter fails
+/// loudly instead of silently shifting `BENCH_chaos.json`.
+const CHAOS_SMOKE_TRANSCRIPT_FNV64: u64 = 0x67d5_a7d0_39c1_fea8;
+
 #[test]
 fn chaos_transcript_is_byte_identical_jobs_1_vs_4() {
     let serial = run_chaos(&ChaosConfig::smoke(1));
@@ -13,7 +19,11 @@ fn chaos_transcript_is_byte_identical_jobs_1_vs_4() {
         serial.transcript, parallel.transcript,
         "chaos transcript differs between --jobs 1 and --jobs 4"
     );
-    assert_eq!(fnv1a64(&serial.transcript), fnv1a64(&parallel.transcript));
+    assert_eq!(
+        fnv1a64(&serial.transcript),
+        CHAOS_SMOKE_TRANSCRIPT_FNV64,
+        "the chaos smoke transcript fingerprint moved — if intentional, repin"
+    );
     // Every aggregate and every per-session fingerprint must agree too.
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {

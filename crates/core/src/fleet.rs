@@ -19,7 +19,8 @@
 //! coefficient because the sub-rect lies inside that shard's inflated
 //! tile. The union of per-shard answers is therefore **exactly** the
 //! unsharded answer; cross-shard halo duplicates are suppressed by the
-//! per-session sent-filter, which replays shard answers in shard order.
+//! per-session sent-filter ([`crate::session`]), which replays shard
+//! answers in shard order.
 //! The halo is also what makes *degraded* service real: a dead tile's
 //! boundary coefficients genuinely exist on its neighbours.
 //!
@@ -44,20 +45,19 @@
 //! Recovery is re-admission by value: the next tick whose health mask has
 //! the bit clear routes to the primary again — nothing to rebuild,
 //! because shard state is immutable and session filters live in the
-//! fleet, not the shard.
+//! fleet's [`Sessions`] table (the same one `Server` holds — tokens,
+//! `resume` and the typed `SessionError` included), not in the shards.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
-use crate::server::{QueryResult, ServerCore, SESSION_STRIPES};
+use crate::server::{QueryResult, ServerCore};
+use crate::session::{SessionError, Sessions};
 use mar_geom::{BlockId, GridSpec, Point2, Rect2};
 use mar_mesh::ResolutionBand;
-// mar-lint: allow(D001) — `HashSet` here backs the membership-only fleet
-// session filters below; their iteration order is never observed.
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Typed failure of the fleet tier.
+/// Typed failure of building a fleet (per-session failures are the shared
+/// [`SessionError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
     /// The shard grid must have between 1 and 64 shards (health is a
@@ -68,8 +68,6 @@ pub enum FleetError {
         /// Requested shard rows.
         ny: u32,
     },
-    /// The session id is not (or no longer) connected to the fleet.
-    UnknownSession(u64),
     /// Building a paged shard backend failed (store I/O).
     Store(String),
 }
@@ -80,7 +78,6 @@ impl std::fmt::Display for FleetError {
             Self::BadShardGrid { nx, ny } => {
                 write!(f, "shard grid {nx}x{ny} must have 1..=64 shards")
             }
-            Self::UnknownSession(id) => write!(f, "unknown or disconnected fleet session {id}"),
             Self::Store(e) => write!(f, "shard store backend: {e}"),
         }
     }
@@ -389,24 +386,6 @@ struct Shard {
     coeffs: usize,
 }
 
-#[derive(Debug, Default)]
-struct FleetSession {
-    // Membership-only sets (same discipline as `server::Session`): tested
-    // per hit, never iterated — this one filter is shared by primary,
-    // replica and neighbour answers, which is exactly why failover never
-    // re-sends and why cross-shard halo duplicates collapse.
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent: HashSet<CoeffRef>,
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent_base: HashSet<u32>,
-}
-
-impl FleetSession {
-    fn filter_entries(&self) -> usize {
-        self.sent.len() + self.sent_base.len()
-    }
-}
-
 /// What one fleet window query produced, beyond the payload accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetQueryResult {
@@ -427,10 +406,11 @@ pub struct FleetQueryResult {
     pub complete: bool,
 }
 
-/// The sharded serving tier: shard cores + the fleet's own striped
-/// session layer. All entry points take `&self` (DESIGN.md §10); the
-/// per-session filter lives here — above the shards — so failover between
-/// primary, replica and neighbours is invisible to dedup accounting.
+/// The sharded serving tier: shard cores under one [`Sessions`] table.
+/// All entry points take `&self` (DESIGN.md §10); a session's one filter
+/// sits above the shards and is shared by primary, replica and neighbour
+/// answers, which is why failover never re-sends and why cross-shard halo
+/// duplicates collapse.
 #[derive(Debug)]
 pub struct FleetServer {
     map: ShardMap,
@@ -438,12 +418,7 @@ pub struct FleetServer {
     has_core: Vec<bool>,
     has_replica: Vec<bool>,
     degrade_step: f64,
-    /// Fleet session filters, striped like `Server`'s sessions. The field
-    /// name is load-bearing for the D006 lock-order graph: `fleet_stripes`
-    /// sits between the bench sims and the pager leaf (DESIGN.md §13.1)
-    /// and must never be confused with `Server::stripes`.
-    fleet_stripes: [Mutex<BTreeMap<u64, FleetSession>>; SESSION_STRIPES],
-    next_session: AtomicU64,
+    sessions: Sessions,
 }
 
 impl FleetServer {
@@ -518,8 +493,7 @@ impl FleetServer {
             has_core,
             has_replica,
             degrade_step: cfg.degrade_step,
-            fleet_stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            next_session: AtomicU64::new(0),
+            sessions: Sessions::new(),
         })
     }
 
@@ -553,34 +527,21 @@ impl FleetServer {
         }
     }
 
-    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, FleetSession>> {
-        &self.fleet_stripes[(session % SESSION_STRIPES as u64) as usize]
+    /// The session table: tokens, `resume`, and every per-session look-up
+    /// — the same calls [`crate::Server::sessions`] answers.
+    pub fn sessions(&self) -> &Sessions {
+        &self.sessions
     }
 
-    /// Opens a fleet session (ids are handed out in call order).
+    /// Opens a fleet session; returns its id (handed out in call order).
     pub fn connect(&self) -> u64 {
-        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.stripe(id)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned")
-            .insert(id, FleetSession::default());
-        id
+        self.sessions.connect_with_token().0
     }
 
-    /// Drops a fleet session, releasing its filter state and its heat
-    /// contribution on every shard pager.
-    pub fn disconnect(&self, session: u64) -> Result<(), FleetError> {
-        {
-            let mut stripe = self
-                .stripe(session)
-                .lock()
-                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                .expect("fleet stripe poisoned");
-            stripe
-                .remove(&session)
-                .ok_or(FleetError::UnknownSession(session))?;
-        }
+    /// Drops a fleet session: its filter state, its resume token, and its
+    /// heat contribution on every shard pager.
+    pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
+        self.sessions.disconnect(session)?;
         for shard in &self.shards {
             if let Some(core) = &shard.core {
                 core.index().forget_motion(session);
@@ -591,66 +552,45 @@ impl FleetServer {
 
     /// Executes one window query for a session under the given health
     /// word: route → scatter over shard cores → gather through the
-    /// session filter in task order. Merging is deterministic because the
-    /// task list is (owner, neighbour)-ordered and the filter replay is
-    /// sequential — concurrency lives *across* sessions, exactly as in
-    /// the unsharded server.
+    /// session filter in task order, all under the session's stripe.
+    /// Merging is deterministic because the task list is (owner,
+    /// neighbour)-ordered and the filter replay is sequential —
+    /// concurrency lives *across* sessions, exactly as in the unsharded
+    /// server.
     pub fn query(
         &self,
         session: u64,
         health: FleetHealth,
         window: &Rect2,
         band: ResolutionBand,
-    ) -> Result<FleetQueryResult, FleetError> {
+    ) -> Result<FleetQueryResult, SessionError> {
         let plan = self.router().plan(health, window, band);
-        let mut stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned");
-        let sess = stripe
-            .get_mut(&session)
-            .ok_or(FleetError::UnknownSession(session))?;
-        let mut result = QueryResult::default();
-        let mut replica_promotions = 0u32;
-        for task in &plan.tasks {
-            let Some(shard) = self.shards.get(task.shard as usize) else {
-                continue;
-            };
-            let core = match task.role {
-                ShardRole::Replica => shard.replica.as_ref(),
-                ShardRole::Primary | ShardRole::NeighborDegraded => shard.core.as_ref(),
-            };
-            let Some(core) = core else {
+        let is_promotion = |t: &&ShardTask| t.role == ShardRole::Replica;
+        let promotions = plan.tasks.iter().filter(is_promotion).count();
+        let result = self.sessions.with(session, |filter| {
+            let mut result = QueryResult::default();
+            for task in &plan.tasks {
+                let shard = &self.shards[task.shard as usize];
+                let core = match task.role {
+                    ShardRole::Replica => shard.replica.as_ref(),
+                    ShardRole::Primary | ShardRole::NeighborDegraded => shard.core.as_ref(),
+                };
                 // An empty tile serves every query vacuously.
-                if task.role == ShardRole::Replica {
-                    replica_promotions += 1;
-                }
-                continue;
-            };
-            if task.role == ShardRole::Replica {
-                replica_promotions += 1;
+                let Some(core) = core else { continue };
+                // Feed the shard pager's heat field (no-op in RAM).
+                core.index().observe_motion(session, task.window.center());
+                let (hits, io) = core.query_stateless(&task.window, task.band);
+                result.io += io;
+                // A newly sent coefficient touches its payload page on the
+                // shard that produced the hit (halo copies live on several).
+                filter.admit(core.data(), core.index(), &hits, &mut result);
             }
-            // Feed the shard pager's heat field (no-op in RAM).
-            core.index().observe_motion(session, task.window.center());
-            let (hits, io) = core.query_stateless(&task.window, task.band);
-            result.io += io;
-            for id in hits {
-                if sess.sent.insert(id) {
-                    core.index().touch_payload(id);
-                    result.coeffs += 1;
-                    result.bytes += core.data().coeff_bytes;
-                    if sess.sent_base.insert(id.object) {
-                        result.new_objects += 1;
-                        result.bytes += core.data().base_bytes[id.object as usize];
-                    }
-                }
-            }
-        }
+            result
+        })?;
         Ok(FleetQueryResult {
             result,
             tasks: plan.tasks.len() as u32,
-            replica_promotions,
+            replica_promotions: promotions as u32,
             degraded_subqueries: plan.degraded_subqueries,
             unserved_subqueries: plan.unserved_subqueries,
             complete: plan.complete(),
@@ -674,47 +614,6 @@ impl FleetServer {
         ids.sort_unstable();
         ids.dedup();
         (ids, io)
-    }
-
-    /// A sorted snapshot of every coefficient the fleet session has been
-    /// sent (the chaos/fleet fingerprint object).
-    pub fn session_sent_set(&self, session: u64) -> Result<Vec<CoeffRef>, FleetError> {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned");
-        let sess = stripe
-            .get(&session)
-            .ok_or(FleetError::UnknownSession(session))?;
-        let mut refs: Vec<CoeffRef> = sess.sent.iter().copied().collect();
-        refs.sort_unstable();
-        Ok(refs)
-    }
-
-    /// Number of connected fleet sessions.
-    pub fn session_count(&self) -> usize {
-        self.fleet_stripes
-            .iter()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .map(|s| s.lock().expect("fleet stripe poisoned").len())
-            .sum()
-    }
-
-    /// Total resident filter entries across connected sessions — must
-    /// return to zero at teardown.
-    pub fn resident_filter_entries(&self) -> usize {
-        self.fleet_stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("fleet stripe poisoned")
-                    .values()
-                    .map(FleetSession::filter_entries)
-                    .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -807,14 +706,32 @@ mod tests {
             assert!((fr.result.bytes - sr.bytes).abs() < 1e-6 * sr.bytes.max(1.0));
         }
         assert_eq!(
-            f.session_sent_set(fs).unwrap(),
-            server.session_sent_set(ss).unwrap(),
+            f.sessions().session_sent_set(fs).unwrap(),
+            server.sessions().session_sent_set(ss).unwrap(),
             "resident sets must be identical"
         );
         f.disconnect(fs).unwrap();
+        assert_eq!(f.sessions().session_count(), 0);
+        assert_eq!(f.sessions().resident_filter_entries(), 0);
+
+        // A 1×1 all-up fleet routes every window to its one shard as one
+        // task, so it replays the *same* hit sequence through the same
+        // filter code: the whole `QueryResult` — the f64 byte total and
+        // the logical io included — equals `Server::query`'s exactly.
+        let (one, _, _) = fleet(1, 1, false);
+        let os = one.connect();
         server.disconnect(ss).unwrap();
-        assert_eq!(f.session_count(), 0);
-        assert_eq!(f.resident_filter_entries(), 0);
+        let ss = server.connect();
+        for q in windows(&space) {
+            let band = ResolutionBand::new(0.2, 1.0);
+            let fr = one.query(os, FleetHealth::all_up(), &q, band).unwrap();
+            let sr = server
+                .query(ss, &[crate::QueryRegion { region: q, band }])
+                .unwrap();
+            assert_eq!((fr.tasks, fr.complete), (1, true));
+            assert_eq!(fr.result, sr, "a 1x1 fleet is the plain server");
+            assert_eq!(fr.result.bytes.to_bits(), sr.bytes.to_bits());
+        }
     }
 
     #[test]
@@ -835,8 +752,8 @@ mod tests {
             assert_eq!(ra.result.coeffs, rb.result.coeffs, "window {i}");
         }
         assert_eq!(
-            f.session_sent_set(a).unwrap(),
-            g.session_sent_set(b).unwrap(),
+            f.sessions().session_sent_set(a).unwrap(),
+            g.sessions().session_sent_set(b).unwrap(),
             "promoted replicas must serve the exact fault-free sets"
         );
     }
@@ -875,8 +792,8 @@ mod tests {
             assert!(r.complete);
         }
         assert_eq!(
-            f.session_sent_set(a).unwrap(),
-            g.session_sent_set(b).unwrap(),
+            f.sessions().session_sent_set(a).unwrap(),
+            g.sessions().session_sent_set(b).unwrap(),
             "post-recovery resident set must equal the fault-free run"
         );
     }
@@ -946,14 +863,14 @@ mod tests {
         assert_eq!(
             f.query(99, FleetHealth::all_up(), &q, ResolutionBand::FULL)
                 .err(),
-            Some(FleetError::UnknownSession(99))
+            Some(SessionError::UnknownSession(99))
         );
-        assert_eq!(f.disconnect(99), Err(FleetError::UnknownSession(99)));
+        assert_eq!(f.disconnect(99), Err(SessionError::UnknownSession(99)));
         assert_eq!(
-            f.session_sent_set(99).err(),
-            Some(FleetError::UnknownSession(99))
+            f.sessions().session_sent_set(99).err(),
+            Some(SessionError::UnknownSession(99))
         );
-        assert_eq!(f.session_count(), 0);
+        assert_eq!(f.sessions().session_count(), 0);
     }
 
     #[test]
@@ -991,8 +908,8 @@ mod tests {
             assert_eq!(ra.result.new_objects, rb.result.new_objects);
         }
         assert_eq!(
-            ram.session_sent_set(a).unwrap(),
-            paged.session_sent_set(b).unwrap(),
+            ram.sessions().session_sent_set(a).unwrap(),
+            paged.sessions().session_sent_set(b).unwrap(),
             "paged shard answers must be byte-identical to RAM"
         );
         ram.disconnect(a).unwrap();

@@ -16,8 +16,10 @@
 //!   pages and coefficient records serialized into one checksummed page
 //!   file, read back through `mar-store`'s motion-aware buffer pool with
 //!   byte-identical query answers (DESIGN.md §15).
-//! * [`server`] — the data server: scene + index + per-client sessions
-//!   that filter out already-transmitted data (§IV's server-side filter).
+//! * [`session`] — the one session layer: per-client sent-filters that
+//!   drop already-transmitted data (§IV's server-side filter), resume
+//!   tokens, and the striped table both serving tiers hold.
+//! * [`server`] — the data server: scene + index behind that table.
 //! * [`retrieval`] — Algorithm 1, the incremental motion-aware client
 //!   (Figs. 8–9).
 //! * [`resilient`] — Algorithm 1 hardened for a faulty link: retry with
@@ -31,7 +33,8 @@
 //! * [`fleet`] — the sharded serving tier: spatial partitioning of the
 //!   scene over independent shard cores, a stateless scatter-gather
 //!   router, and shard failover (replica promotion / degraded neighbour
-//!   service) under a health bitmask (DESIGN.md §16).
+//!   service) under a health bitmask, behind the same session table
+//!   (DESIGN.md §16).
 //! * [`metrics`] — the measured quantities every experiment reports.
 
 #![forbid(unsafe_code)]
@@ -47,6 +50,7 @@ pub mod paged;
 pub mod resilient;
 pub mod retrieval;
 pub mod server;
+pub mod session;
 pub mod speedmap;
 pub mod store;
 pub mod system;
@@ -66,8 +70,7 @@ pub use resilient::{
     ProtocolError, ResilienceMetrics, ResilientClient, ResilientPolicy, ResilientTick,
 };
 pub use retrieval::{FramePlanner, IncrementalClient};
-pub use server::{
-    QueryRegion, QueryResult, ResumeInfo, Server, ServerCore, SessionError, SESSION_STRIPES,
-};
+pub use server::{QueryRegion, QueryResult, Server, ServerCore};
+pub use session::{ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};
 pub use speedmap::{LinearSpeedMap, SmoothedSpeed, SpeedResolutionMap, SteppedSpeedMap};
 pub use store::{open_store, write_store, write_store_with, StoreMeta, StoredRecord};

@@ -10,7 +10,7 @@
 //!   exactly-once safe; each attempt consumes a fresh fault-schedule slot.
 //! * **Session drop** → *resume, don't restart*. The transport dies but
 //!   the server-side session (and its sent-filter) does not:
-//!   [`Server::resume`] reattaches by token and nothing already delivered
+//!   [`Sessions::resume`](crate::Sessions::resume) reattaches by token and nothing already delivered
 //!   is re-sent. Only if the server no longer knows the token does the
 //!   client [`Server::connect`] fresh and reset its planner (everything
 //!   must be refetched — the new session's filter is empty).
@@ -26,7 +26,8 @@
 //! deterministic for a fixed fault seed.
 
 use crate::retrieval::FramePlanner;
-use crate::server::{QueryResult, Server, SessionError};
+use crate::server::{QueryResult, Server};
+use crate::session::SessionError;
 use crate::speedmap::SpeedResolutionMap;
 use mar_geom::Rect2;
 use mar_link::{splitmix64, u01, FaultyLink, LinkError, SimClock};
@@ -133,7 +134,7 @@ pub struct ResilientTick {
     pub retries: u32,
     /// Transport drops survived this tick.
     pub drops: u32,
-    /// Whether any drop was healed by `Server::resume` (filter retained).
+    /// Whether any drop was healed by `Sessions::resume` (filter retained).
     pub resumed: bool,
     /// Degradation level in force when the query was issued.
     pub degrade_level: u32,
@@ -212,7 +213,7 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
     }
 
     /// The unguessable resume token for the current session (what the
-    /// client presents to [`Server::resume`] after a transport drop).
+    /// client presents to [`Sessions::resume`](crate::Sessions::resume) after a transport drop).
     pub fn token(&self) -> u64 {
         self.token
     }
@@ -348,7 +349,7 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
                     outcome.drops += 1;
                     self.metrics.drops += 1;
                     self.clock.advance(self.link.reconnect_time());
-                    match server.resume(self.token) {
+                    match server.sessions().resume(self.token) {
                         Ok(_) => {
                             // Filter retained server-side: nothing already
                             // delivered will be re-sent.
@@ -450,8 +451,8 @@ mod tests {
         let mut free = client(&srv2, FaultConfig::none(1), 3);
         sweep(&mut free, &srv2, 25);
         assert_eq!(
-            srv.session_sent_set(res.session()).unwrap(),
-            srv2.session_sent_set(free.session()).unwrap(),
+            srv.sessions().session_sent_set(res.session()).unwrap(),
+            srv2.sessions().session_sent_set(free.session()).unwrap(),
             "request loss must never change what gets delivered"
         );
         let _ = outs;
@@ -472,8 +473,8 @@ mod tests {
         let mut free = client(&srv2, FaultConfig::none(1), 0);
         sweep(&mut free, &srv2, 30);
         assert_eq!(
-            srv.session_sent_set(res.session()).unwrap(),
-            srv2.session_sent_set(free.session()).unwrap()
+            srv.sessions().session_sent_set(res.session()).unwrap(),
+            srv2.sessions().session_sent_set(free.session()).unwrap()
         );
     }
 
@@ -502,7 +503,10 @@ mod tests {
         // scene to show the fresh session really refetches from scratch.
         let world = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([1000.0, 1000.0]));
         res.finish(&srv, world, 0.0).expect("finish terminates");
-        assert!(srv.session_sent(res.session()) > 0, "refetched after reset");
+        assert!(
+            srv.sessions().session_sent(res.session()) > 0,
+            "refetched after reset"
+        );
     }
 
     #[test]
@@ -549,7 +553,7 @@ mod tests {
         // resident.
         let band = LinearSpeedMap.band_for(0.5);
         let (want, _) = srv.query_stateless(&last, band);
-        let sent = srv.session_sent_set(res.session()).unwrap();
+        let sent = srv.sessions().session_sent_set(res.session()).unwrap();
         for id in want {
             assert!(
                 sent.binary_search(&id).is_ok(),

@@ -1,16 +1,8 @@
-//! The data server: scene + wavelet index + per-client sessions.
-//!
-//! §IV: "After retrieving the results for all the sub-queries, the server
-//! filters the results to avoid transmitting the data that is already
-//! available at the client." Each session remembers which coefficients
-//! (and which objects' base meshes) a client has already received; query
-//! results are filtered against that set before they are costed.
-//!
-//! # Concurrency model (DESIGN.md §10)
+//! The data server: scene + wavelet index behind one session table.
 //!
 //! The server is split into two layers so many clients can be served at
 //! once (the paper's §III setting — "serving heavy traffic" of continuous
-//! window queries):
+//! window queries; DESIGN.md §10):
 //!
 //! * [`ServerCore`] — the shared **immutable** half: `Arc<SceneIndexData>`
 //!   plus `Arc<WaveletIndex>` (which carries the prebuilt `sorted_w`
@@ -18,141 +10,22 @@
 //!   `&self` and is lock-free; index searches allocate nothing (the
 //!   traversal stack is a thread-local scratch buffer in `mar-rtree`) and
 //!   tally I/O through a relaxed atomic.
-//! * per-session state, **striped**: sessions are sharded into
-//!   [`SESSION_STRIPES`] independent `Mutex<BTreeMap<..>>` shards by
-//!   `session_id % SESSION_STRIPES`, so concurrent clients only contend
-//!   when they hash to the same stripe — never on one global map.
+//! * [`Sessions`] — the per-client sent-filters and resume tokens
+//!   ([`crate::session`]), reached through [`Server::sessions`]. The
+//!   server owns no session state of its own: its entry points descend
+//!   the index and replay the hits through the session's filter.
 //!
-//! `query`/`fetch_block` therefore take `&self`: a `&Server` can be shared
-//! across scoped threads and each client's queries run concurrently.
-//! Determinism is preserved because a session's filter state depends only
-//! on that session's own query history (pinned by
-//! `crates/core/tests/server_concurrent.rs`).
+//! `query`/`fetch_block` take `&self`: a `&Server` can be shared across
+//! scoped threads and each client's queries run concurrently.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
+use crate::session::{SessionError, Sessions};
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 use mar_workload::Scene;
-// mar-lint: allow(D001) — `HashSet` here backs the membership-only session
-// filters below; their iteration order is never observed.
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Number of session shards. A fixed power of two keeps `id % N` cheap and
-/// the shard choice deterministic; 16 stripes already make same-stripe
-/// contention rare for the client counts the serve harness replays.
-pub const SESSION_STRIPES: usize = 16;
-
-/// Typed failure of a per-session server entry point. Unknown or
-/// already-disconnected session ids are a *client protocol* condition (a
-/// stale token after a crash, a double disconnect), not a server bug, so
-/// they surface as values instead of panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionError {
-    /// The session id is not (or no longer) connected.
-    UnknownSession(u64),
-    /// The resume token does not name any connected session. The token is
-    /// echoed verbatim — the server never reveals which session id (if
-    /// any) a rejected token would have mapped to.
-    UnknownToken(u64),
-}
-
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownSession(id) => write!(f, "unknown or disconnected session id {id}"),
-            Self::UnknownToken(tok) => write!(f, "unknown resume token {tok:#018x}"),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
-/// Tokens are minted strictly above this floor, so a token can never
-/// collide with a raw sequential session id (which would need 2^32
-/// connects to reach the floor) — `resume` with a session id is
-/// structurally guaranteed to fail, not just overwhelmingly likely to.
-const TOKEN_FLOOR: u64 = 1 << 32;
-
-/// `splitmix64`'s finalizing mix — the same discipline `mar_link::fault`
-/// uses for its fault schedule. Used only to *expand a seed into a
-/// SipHash key*, never to mint a token directly: the mix is a public
-/// bijection, so a token minted as `mix64(seed ^ mix64(id))` would leak
-/// the seed to any client that inverts its own `(id, token)` pair.
-fn mix64(x: u64) -> u64 {
-    let z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn sipround(v: &mut [u64; 4]) {
-    v[0] = v[0].wrapping_add(v[1]);
-    v[1] = v[1].rotate_left(13) ^ v[0];
-    v[0] = v[0].rotate_left(32);
-    v[2] = v[2].wrapping_add(v[3]);
-    v[3] = v[3].rotate_left(16) ^ v[2];
-    v[0] = v[0].wrapping_add(v[3]);
-    v[3] = v[3].rotate_left(21) ^ v[0];
-    v[2] = v[2].wrapping_add(v[1]);
-    v[1] = v[1].rotate_left(17) ^ v[2];
-    v[2] = v[2].rotate_left(32);
-}
-
-/// SipHash-2-4 of one 64-bit word under a 128-bit key — a keyed PRF, not
-/// a bijection: a peer holding any number of `(input, output)` pairs
-/// cannot recover the key or predict other outputs. This is what makes
-/// resume tokens capabilities rather than obfuscated session ids.
-fn siphash24(k0: u64, k1: u64, msg: u64) -> u64 {
-    let mut v = [
-        k0 ^ 0x736f_6d65_7073_6575,
-        k1 ^ 0x646f_7261_6e64_6f6d,
-        k0 ^ 0x6c79_6765_6e65_7261,
-        k1 ^ 0x7465_6462_7974_6573,
-    ];
-    // One full 8-byte block.
-    v[3] ^= msg;
-    sipround(&mut v);
-    sipround(&mut v);
-    v[0] ^= msg;
-    // Finalisation block: message length (8) in the top byte.
-    let b = 8u64 << 56;
-    v[3] ^= b;
-    sipround(&mut v);
-    sipround(&mut v);
-    v[0] ^= b;
-    v[2] ^= 0xff;
-    for _ in 0..4 {
-        sipround(&mut v);
-    }
-    v[0] ^ v[1] ^ v[2] ^ v[3]
-}
-
-/// One word of per-process entropy for the default token key. Tokens are
-/// security capabilities, not results: they never enter a transcript,
-/// fingerprint, or metric, so they are the one place the repo's
-/// determinism discipline (DESIGN.md §5) deliberately does not apply.
-fn entropy_word(tag: u64) -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    // mar-lint: allow(D003) — token-key entropy is nondeterministic on purpose; tokens never enter any result
-    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
-    h.write_u64(tag);
-    h.finish()
-}
-
-/// What [`Server::resume`] reattached: how much server-side filter state
-/// survived the transport drop, i.e. how much data will *not* be re-sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeInfo {
-    /// The resumed session id (unchanged — the token named it).
-    pub session: u64,
-    /// Coefficients the server still knows this client holds.
-    pub retained_coeffs: usize,
-    /// Objects whose base mesh the server still knows this client holds.
-    pub retained_objects: usize,
-}
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One sub-query: a region and the resolution band needed inside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,57 +47,6 @@ pub struct QueryResult {
     pub bytes: f64,
     /// Index node accesses.
     pub io: u64,
-}
-
-#[derive(Debug, Default)]
-struct Session {
-    // Membership-only sets on the per-query hot path: every coefficient hit
-    // is tested against them, they are never iterated, so O(1) hashing is
-    // safe and worthwhile here.
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent: HashSet<CoeffRef>,
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent_base: HashSet<u32>,
-    /// The resume capability minted at connect time; `disconnect` uses it
-    /// to release the token-map entry.
-    token: u64,
-}
-
-impl Session {
-    /// Resident filter entries (coefficients + base-mesh markers) — the
-    /// state `disconnect` must release.
-    fn filter_entries(&self) -> usize {
-        self.sent.len() + self.sent_base.len()
-    }
-}
-
-/// Replays one window's hit list (in index search order) through a
-/// session's sent-filter, accumulating the transmission accounting. Both
-/// query paths route here so a batched and a scalar execution of the same
-/// sub-queries produce bit-identical [`QueryResult`]s.
-///
-/// Every *newly transmitted* coefficient touches its payload page through
-/// the index — a no-op in RAM, a buffer-pool read (and physical-I/O tally
-/// on a miss) on the disk-backed backend. The touch never changes the
-/// result, so RAM and paged transcripts stay byte-identical.
-fn apply_hits(
-    sess: &mut Session,
-    data: &SceneIndexData,
-    index: &WaveletIndex,
-    hits: &[CoeffRef],
-    out: &mut QueryResult,
-) {
-    for &id in hits {
-        if sess.sent.insert(id) {
-            index.touch_payload(id);
-            out.coeffs += 1;
-            out.bytes += data.coeff_bytes;
-            if sess.sent_base.insert(id.object) {
-                out.new_objects += 1;
-                out.bytes += data.base_bytes[id.object as usize];
-            }
-        }
-    }
 }
 
 /// The shared immutable half of the server: scene-derived index data plus
@@ -305,26 +127,13 @@ impl ServerCore {
     }
 }
 
-/// The server: a shared [`ServerCore`] plus striped per-session state.
+/// The server: a shared [`ServerCore`] plus the [`Sessions`] table.
 /// All entry points take `&self`; a `&Server` is safe to share across
 /// client threads.
 #[derive(Debug)]
 pub struct Server {
     core: ServerCore,
-    stripes: [Mutex<BTreeMap<u64, Session>>; SESSION_STRIPES],
-    next_session: AtomicU64,
-    /// 128-bit SipHash key minting resume tokens. Never derivable from
-    /// any number of observed `(session, token)` pairs — SipHash is a
-    /// PRF, unlike the invertible splitmix mix a client could run
-    /// backwards on its own handshake to recover the seed.
-    token_key: (u64, u64),
-    /// Monotone nonce feeding the token PRF (not the session id: the
-    /// nonce advances past skipped candidates, so tokens are not even a
-    /// per-key function of the id).
-    token_nonce: AtomicU64,
-    /// Live resume capabilities: token → session id. `resume` is a map
-    /// lookup, not an inversion — the server stores what it minted.
-    tokens: Mutex<BTreeMap<u64, u64>>,
+    sessions: Sessions,
 }
 
 impl Server {
@@ -333,41 +142,35 @@ impl Server {
         Self::from_core(ServerCore::new(scene))
     }
 
-    /// Builds the session layer over an existing shared core. The resume
-    /// token key is drawn from per-process entropy, so every server
-    /// instance mints its own unpredictable token stream — there is no
-    /// public default a wire peer could use to mint tokens offline.
+    /// Builds the session layer over an existing shared core, with resume
+    /// tokens keyed from per-process entropy ([`Sessions::new`]).
     pub fn from_core(core: ServerCore) -> Self {
-        Self::with_key(core, (entropy_word(1), entropy_word(2)))
+        Self {
+            core,
+            sessions: Sessions::new(),
+        }
     }
 
     /// Builds the session layer over an existing shared core with a
-    /// deterministic resume-token key expanded from `token_seed`
-    /// (`mar-served --token-seed`). Tokens are then reproducible across
-    /// runs for debugging; they stay unforgeable as long as the seed is
-    /// secret, because the PRF key cannot be recovered from observed
-    /// tokens. A deployment that does not need reproducible tokens should
-    /// prefer [`Server::from_core`]'s entropy key.
+    /// deterministic resume-token key ([`Sessions::seeded`]). A deployment
+    /// that does not need reproducible tokens should prefer
+    /// [`Server::from_core`]'s entropy key.
     pub fn from_core_seeded(core: ServerCore, token_seed: u64) -> Self {
-        let k0 = mix64(token_seed ^ 0x6d61_725f_7365_7276); // "mar_serv"
-        let k1 = mix64(token_seed ^ 0x746f_6b65_6e5f_6b31); // "token_k1"
-        Self::with_key(core, (k0, k1))
-    }
-
-    fn with_key(core: ServerCore, token_key: (u64, u64)) -> Self {
         Self {
             core,
-            stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            next_session: AtomicU64::new(0),
-            token_key,
-            token_nonce: AtomicU64::new(0),
-            tokens: Mutex::new(BTreeMap::new()),
+            sessions: Sessions::seeded(token_seed),
         }
     }
 
     /// The shared immutable core.
     pub fn core(&self) -> &ServerCore {
         &self.core
+    }
+
+    /// The session table: tokens, `resume`, and every per-session look-up
+    /// (`session_sent_set`, `session_count`, `resident_filter_entries`, …).
+    pub fn sessions(&self) -> &Sessions {
+        &self.sessions
     }
 
     /// The scene-derived index data.
@@ -380,138 +183,25 @@ impl Server {
         self.core.index()
     }
 
-    /// The stripe holding `session`'s filter state.
-    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, Session>> {
-        &self.stripes[(session % SESSION_STRIPES as u64) as usize]
-    }
-
-    /// Opens a client session; returns its id. Ids are handed out in call
-    /// order, so a program that connects sessions deterministically gets
-    /// deterministic ids.
+    /// Opens a client session; returns its id (handed out in call order).
     pub fn connect(&self) -> u64 {
         self.connect_with_token().0
     }
 
-    /// Opens a client session; returns `(id, resume token)`. This is what
-    /// wire endpoints use: the token is minted and registered atomically
-    /// with the session, so there is no window where a connected session
-    /// has no capability.
+    /// Opens a client session; returns `(id, resume token)` — what wire
+    /// endpoints use ([`Sessions::connect_with_token`]).
     pub fn connect_with_token(&self) -> (u64, u64) {
-        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let token = {
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            let mut tokens = self.tokens.lock().expect("token map poisoned");
-            loop {
-                let nonce = self.token_nonce.fetch_add(1, Ordering::Relaxed);
-                let candidate = siphash24(self.token_key.0, self.token_key.1, nonce);
-                // Skip the (astronomically rare) candidates that could be
-                // mistaken for a session id or collide with a live token.
-                if candidate < TOKEN_FLOOR || tokens.contains_key(&candidate) {
-                    continue;
-                }
-                tokens.insert(candidate, id);
-                break candidate;
-            }
-        };
-        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-        let mut stripe = self.stripe(id).lock().expect("session stripe poisoned");
-        stripe.insert(
-            id,
-            Session {
-                token,
-                ..Session::default()
-            },
-        );
-        (id, token)
+        self.sessions.connect_with_token()
     }
 
-    /// Drops a session (client disconnected), releasing its sent-filter
-    /// state with it — long-running serve workloads must not accumulate
-    /// filters for clients that are gone (pinned by
-    /// `disconnect_releases_filter_state`). Disconnecting an unknown or
-    /// already-disconnected id is a typed error, so a double disconnect
-    /// cannot silently pass for a real teardown.
+    /// Drops a session (client disconnected): its filter state, its
+    /// resume token ([`Sessions::disconnect`]) and its heat contribution —
+    /// a gone client must not keep pages warm (no-op on the in-RAM
+    /// backend).
     pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
-        let sess = {
-            let mut stripe = self
-                .stripe(session)
-                .lock()
-                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                .expect("session stripe poisoned");
-            stripe
-                .remove(&session)
-                .ok_or(SessionError::UnknownSession(session))?
-        };
-        // Retire the capability with the session, so a stale token can
-        // never resume a future session that happens to reuse state.
-        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-        let mut tokens = self.tokens.lock().expect("token map poisoned");
-        tokens.remove(&sess.token);
-        drop(tokens);
-        // And its heat contribution: a gone client must not keep pages
-        // warm (no-op on the in-RAM backend).
+        self.sessions.disconnect(session)?;
         self.core.index().forget_motion(session);
         Ok(())
-    }
-
-    /// The resume token minted for a *connected* session — a lookup of
-    /// server-side state, not a derivation. There is no public function
-    /// from session ids to tokens: tokens come from a keyed PRF over a
-    /// private nonce stream, so observing any number of `(id, token)`
-    /// pairs (every client sees its own in `WELCOME`) reveals nothing
-    /// about any other session's token. An unknown or disconnected id is
-    /// a typed [`SessionError`].
-    pub fn session_token(&self, session: u64) -> Result<u64, SessionError> {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        stripe
-            .get(&session)
-            .map(|sess| sess.token)
-            .ok_or(SessionError::UnknownSession(session))
-    }
-
-    /// Reattaches a client to its session after a *transport* drop (the
-    /// wireless link died; the server-side session state did not). The
-    /// caller presents the resume **token** it was handed at connect time
-    /// ([`session_token`]) — *not* the raw session id, which is sequential
-    /// and therefore guessable by any other wire peer. The token is looked
-    /// up in the server's capability map; if it names a session the server
-    /// still holds, the client resumes with its sent-filter intact —
-    /// nothing already delivered is ever re-sent — and learns how much
-    /// state was retained. Any other token (stale, forged, or a raw
-    /// session id — tokens are minted above 2^32, so ids can never alias
-    /// them) is a typed [`SessionError`] echoing only the token itself;
-    /// the client must [`connect`] fresh and refetch from scratch.
-    ///
-    /// [`connect`]: Server::connect
-    /// [`session_token`]: Server::session_token
-    pub fn resume(&self, token: u64) -> Result<ResumeInfo, SessionError> {
-        let session = {
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            let tokens = self.tokens.lock().expect("token map poisoned");
-            tokens
-                .get(&token)
-                .copied()
-                .ok_or(SessionError::UnknownToken(token))?
-        };
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        stripe
-            .get(&session)
-            .map(|sess| ResumeInfo {
-                session,
-                retained_coeffs: sess.sent.len(),
-                retained_objects: sess.sent_base.len(),
-            })
-            // A disconnect can race between the two locks; the answer is
-            // the same either way — the capability no longer resumes.
-            .ok_or(SessionError::UnknownToken(token))
     }
 
     /// Executes a batch of sub-queries for a session, filtering out data
@@ -526,44 +216,37 @@ impl Server {
     /// so the accounting (including the floating-point byte total) is
     /// bit-identical to the scalar path.
     ///
-    /// Holds only the session's stripe lock: the index walk itself is a
-    /// lock-free `&self` read of the shared core.
+    /// Holds only the session's stripe lock (across the descent): the
+    /// index walk itself is a lock-free `&self` read of the shared core.
     ///
-    /// An unknown or disconnected session id is a typed
-    /// [`SessionError`] — the server never mints filter state for a
-    /// session it did not hand out.
+    /// An unknown or disconnected session id is a typed [`SessionError`].
     pub fn query(
         &self,
         session: u64,
         regions: &[QueryRegion],
     ) -> Result<QueryResult, SessionError> {
-        let mut stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        let sess = stripe
-            .get_mut(&session)
-            .ok_or(SessionError::UnknownSession(session))?;
         let index = self.core.index();
         let data = self.core.data();
-        // The session's predicted motion (Eq. 2) feeds the buffer pool's
-        // heat field: the first sub-query window's centre is the client's
-        // position this tick. (No-op on the in-RAM backend; only the
-        // stripe → pager lock edge of DESIGN.md §13 is taken.)
-        if let Some(q) = regions.first() {
-            index.observe_motion(session, q.region.center());
-        }
-        let queries: Vec<(Rect2, ResolutionBand)> =
-            regions.iter().map(|q| (q.region, q.band)).collect();
-        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-        let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
-        let mut result = QueryResult::default();
-        for window_hits in &hits {
-            apply_hits(sess, data, index, window_hits, &mut result);
-        }
-        result.io = accesses.logical_total();
-        Ok(result)
+        self.sessions.with(session, |filter| {
+            // The session's predicted motion (Eq. 2) feeds the buffer
+            // pool's heat field: the first sub-query window's centre is
+            // the client's position this tick. (No-op on the in-RAM
+            // backend; only the stripe → pager lock edge of DESIGN.md §13
+            // is taken.)
+            if let Some(q) = regions.first() {
+                index.observe_motion(session, q.region.center());
+            }
+            let queries: Vec<(Rect2, ResolutionBand)> =
+                regions.iter().map(|q| (q.region, q.band)).collect();
+            let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
+            let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
+            let mut result = QueryResult::default();
+            for window_hits in &hits {
+                filter.admit(data, index, window_hits, &mut result);
+            }
+            result.io = accesses.logical_total();
+            result
+        })
     }
 
     /// Executes every session's sub-queries as **one** cross-session group
@@ -590,72 +273,45 @@ impl Server {
         &self,
         batch: &[(u64, &[QueryRegion])],
     ) -> (Vec<Result<QueryResult, SessionError>>, u64) {
-        // Admission: one stripe lock at a time, released before the walk.
-        let known: Vec<bool> = batch
-            .iter()
-            .map(|&(session, _)| {
-                self.stripe(session)
-                    .lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("session stripe poisoned")
-                    .contains_key(&session)
-            })
-            .collect();
-        // Feed each admitted session's window centre into the pool's heat
-        // field before the descent reads any pages (no locks held here).
-        for (s, &(session, regions)) in batch.iter().enumerate() {
-            if known[s] {
-                if let Some(q) = regions.first() {
-                    self.core.index().observe_motion(session, q.region.center());
-                }
-            }
-        }
-        // One lock-free grouped descent over every admitted session's
-        // windows; `ranges[s]` is session slot s's window span.
-        let mut queries: Vec<(Rect2, ResolutionBand)> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
-        for (s, &(_, regions)) in batch.iter().enumerate() {
-            let start = queries.len();
-            if known[s] {
-                queries.extend(regions.iter().map(|q| (q.region, q.band)));
-            }
-            ranges.push((start, queries.len()));
-        }
-        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-        let accesses = self
-            .core
-            .index()
-            .for_each_batch(&queries, |w, id| hits[w].push(id));
-        // Demultiplex: apply each session's filter in caller order.
         let data = self.core.data();
         let index = self.core.index();
-        let mut out = Vec::with_capacity(batch.len());
-        for (s, &(session, _)) in batch.iter().enumerate() {
-            if !known[s] {
-                out.push(Err(SessionError::UnknownSession(session)));
-                continue;
-            }
-            let (start, end) = ranges[s];
-            let mut stripe = self
-                .stripe(session)
-                .lock()
-                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                .expect("session stripe poisoned");
-            let Some(sess) = stripe.get_mut(&session) else {
-                // Disconnected between admission and apply.
-                out.push(Err(SessionError::UnknownSession(session)));
-                continue;
-            };
-            let mut result = QueryResult::default();
-            for (h, &io) in hits[start..end]
-                .iter()
-                .zip(&accesses.per_window[start..end])
-            {
-                apply_hits(sess, data, index, h, &mut result);
-                result.io += io;
-            }
-            out.push(Ok(result));
+        // Admission, one stripe lock at a time and released before the
+        // walk: an admitted session feeds its window centre into the pool's
+        // heat field (before the descent reads any pages) and appends its
+        // windows; `spans[s]` is slot s's window span.
+        let mut queries: Vec<(Rect2, ResolutionBand)> = Vec::new();
+        let mut spans: Vec<Option<Range<usize>>> = Vec::with_capacity(batch.len());
+        for &(session, regions) in batch {
+            let admitted = self.sessions.with(session, |_| ()).is_ok();
+            spans.push(admitted.then(|| {
+                if let Some(q) = regions.first() {
+                    index.observe_motion(session, q.region.center());
+                }
+                let start = queries.len();
+                queries.extend(regions.iter().map(|q| (q.region, q.band)));
+                start..queries.len()
+            }));
         }
+        // One lock-free grouped descent over every admitted window.
+        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
+        let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
+        // Demultiplex: apply each session's filter in caller order; a
+        // session that disconnected since admission fails here.
+        let out = batch
+            .iter()
+            .zip(spans)
+            .map(|(&(session, _), span)| {
+                let span = span.ok_or(SessionError::UnknownSession(session))?;
+                self.sessions.with(session, |filter| {
+                    let mut result = QueryResult::default();
+                    for (h, &io) in hits[span.clone()].iter().zip(&accesses.per_window[span]) {
+                        filter.admit(data, index, h, &mut result);
+                        result.io += io;
+                    }
+                    result
+                })
+            })
+            .collect();
         (out, accesses.unique)
     }
 
@@ -688,66 +344,12 @@ impl Server {
     pub fn block_bytes_stateless(&self, block: &Rect2, band: ResolutionBand) -> (f64, u64) {
         self.core.block_bytes_stateless(block, band)
     }
-
-    /// A sorted snapshot of every coefficient the session has been sent —
-    /// the client's resident set as the server knows it. Sorting makes the
-    /// snapshot deterministic even though the filter itself is a
-    /// membership-only hash set; the chaos harness fingerprints this to
-    /// prove faulty runs converge to the fault-free resident set.
-    pub fn session_sent_set(&self, session: u64) -> Result<Vec<CoeffRef>, SessionError> {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        let sess = stripe
-            .get(&session)
-            .ok_or(SessionError::UnknownSession(session))?;
-        let mut refs: Vec<CoeffRef> = sess.sent.iter().copied().collect();
-        refs.sort_unstable();
-        Ok(refs)
-    }
-
-    /// How many coefficients a session has been sent.
-    pub fn session_sent(&self, session: u64) -> usize {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        stripe.get(&session).map(|s| s.sent.len()).unwrap_or(0)
-    }
-
-    /// Number of currently connected sessions, across all stripes.
-    pub fn session_count(&self) -> usize {
-        self.stripes
-            .iter()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .map(|s| s.lock().expect("session stripe poisoned").len())
-            .sum()
-    }
-
-    /// Total resident filter entries (sent coefficients + sent base-mesh
-    /// markers) across every connected session — the quantity that must
-    /// return to zero when all clients disconnect.
-    pub fn resident_filter_entries(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("session stripe poisoned")
-                    .values()
-                    .map(Session::filter_entries)
-                    .sum::<usize>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{mix64, SESSION_STRIPES};
     use mar_geom::Point2;
     use mar_workload::{Scene, SceneConfig};
 
@@ -911,9 +513,9 @@ mod tests {
         let s = server();
         let c = s.connect();
         s.query(c, &[whole()]).unwrap();
-        assert!(s.session_sent(c) > 0);
+        assert!(s.sessions().session_sent(c) > 0);
         s.disconnect(c).unwrap();
-        assert_eq!(s.session_sent(c), 0);
+        assert_eq!(s.sessions().session_sent(c), 0);
     }
 
     #[test]
@@ -922,20 +524,20 @@ mod tests {
         // footprint must be bounded by the *connected* sessions, not by
         // the total ever served.
         let s = server();
-        assert_eq!(s.resident_filter_entries(), 0);
+        assert_eq!(s.sessions().resident_filter_entries(), 0);
         for round in 0..50 {
             let c = s.connect();
             let r = s.query(c, &[whole()]).unwrap();
             assert!(r.coeffs > 0, "round {round} fetched data");
-            assert!(s.resident_filter_entries() > 0);
+            assert!(s.sessions().resident_filter_entries() > 0);
             s.disconnect(c).unwrap();
             assert_eq!(
-                s.resident_filter_entries(),
+                s.sessions().resident_filter_entries(),
                 0,
                 "round {round} left filter state behind"
             );
         }
-        assert_eq!(s.session_count(), 0);
+        assert_eq!(s.sessions().session_count(), 0);
     }
 
     #[test]
@@ -946,7 +548,7 @@ mod tests {
             .collect();
         // Ids are sequential, so consecutive sessions cover every stripe.
         assert_eq!(ids, (0..SESSION_STRIPES as u64 * 2).collect::<Vec<_>>());
-        assert_eq!(s.session_count(), SESSION_STRIPES * 2);
+        assert_eq!(s.sessions().session_count(), SESSION_STRIPES * 2);
     }
 
     #[test]
@@ -962,27 +564,27 @@ mod tests {
             Err(SessionError::UnknownSession(42))
         );
         assert_eq!(s.disconnect(42), Err(SessionError::UnknownSession(42)));
-        assert_eq!(s.resume(42), Err(SessionError::UnknownToken(42)));
+        assert_eq!(s.sessions().resume(42), Err(SessionError::UnknownToken(42)));
         assert_eq!(
-            s.session_sent_set(42),
+            s.sessions().session_sent_set(42),
             Err(SessionError::UnknownSession(42))
         );
         // No state was minted along the way.
-        assert_eq!(s.session_count(), 0);
-        assert_eq!(s.resident_filter_entries(), 0);
+        assert_eq!(s.sessions().session_count(), 0);
+        assert_eq!(s.sessions().resident_filter_entries(), 0);
     }
 
     #[test]
     fn resume_retains_the_sent_filter() {
         let s = server();
         let c = s.connect();
-        let token = s.session_token(c).unwrap();
+        let token = s.sessions().session_token(c).unwrap();
         let r = s.query(c, &[whole()]).unwrap();
         assert!(r.coeffs > 0);
         // A transport drop does not touch server state: resuming by token
         // reports the retained filter, and a repeat query still sends
         // nothing new.
-        let info = s.resume(token).unwrap();
+        let info = s.sessions().resume(token).unwrap();
         assert_eq!(info.session, c);
         assert_eq!(info.retained_coeffs, r.coeffs);
         assert_eq!(info.retained_objects, r.new_objects);
@@ -990,9 +592,12 @@ mod tests {
         assert_eq!(again.coeffs, 0, "resume must not cause re-sends");
         // After a real disconnect the token is gone for good.
         s.disconnect(c).unwrap();
-        assert_eq!(s.resume(token), Err(SessionError::UnknownToken(token)));
         assert_eq!(
-            s.session_token(c),
+            s.sessions().resume(token),
+            Err(SessionError::UnknownToken(token))
+        );
+        assert_eq!(
+            s.sessions().session_token(c),
             Err(SessionError::UnknownSession(c)),
             "a disconnected session has no token to look up"
         );
@@ -1015,16 +620,16 @@ mod tests {
         s.query(b, &[whole()]).unwrap();
         for id in [a, b] {
             assert_eq!(
-                s.resume(id),
+                s.sessions().resume(id),
                 Err(SessionError::UnknownToken(id)),
                 "a raw session id must not act as a resume token"
             );
         }
         // The real tokens still work, and each names only its own session.
-        let ta = s.session_token(a).unwrap();
-        let tb = s.session_token(b).unwrap();
-        assert_eq!(s.resume(ta).unwrap().session, a);
-        assert_eq!(s.resume(tb).unwrap().session, b);
+        let ta = s.sessions().session_token(a).unwrap();
+        let tb = s.sessions().session_token(b).unwrap();
+        assert_eq!(s.sessions().resume(ta).unwrap().session, a);
+        assert_eq!(s.sessions().resume(tb).unwrap().session, b);
         assert_ne!(ta, tb);
     }
 
@@ -1056,7 +661,7 @@ mod tests {
                 "tokens stay above the floor so sequential ids can never alias them"
             );
             assert_ne!(t1, id1, "token must not echo the id");
-            assert_eq!(s1.session_token(id1), Ok(t1), "lookup is stable");
+            assert_eq!(s1.sessions().session_token(id1), Ok(t1), "lookup is stable");
         }
     }
 
@@ -1123,8 +728,8 @@ mod tests {
         assert_ne!(ta, tb, "default token keys are per-instance entropy");
         assert!(ta >= (1u64 << 32) && tb >= (1u64 << 32));
         // Each server resumes only its own capability.
-        assert!(a.resume(ta).is_ok());
-        assert_eq!(a.resume(tb), Err(SessionError::UnknownToken(tb)));
+        assert!(a.sessions().resume(ta).is_ok());
+        assert_eq!(a.sessions().resume(tb), Err(SessionError::UnknownToken(tb)));
     }
 
     #[test]
@@ -1132,7 +737,7 @@ mod tests {
         let s = server();
         let c = s.connect();
         let r = s.query(c, &[whole()]).unwrap();
-        let set = s.session_sent_set(c).unwrap();
+        let set = s.sessions().session_sent_set(c).unwrap();
         assert_eq!(set.len(), r.coeffs);
         assert!(set.windows(2).all(|w| w[0] < w[1]), "sorted and deduped");
     }

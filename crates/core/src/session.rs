@@ -1,0 +1,411 @@
+//! The one session layer, held unchanged by both serving tiers
+//! ([`crate::Server`], [`crate::FleetServer`]).
+//!
+//! §IV: "After retrieving the results for all the sub-queries, the server
+//! filters the results to avoid transmitting the data that is already
+//! available at the client." A [`SentFilter`] remembers which coefficients
+//! (and which objects' base meshes) one client has already received;
+//! [`Sessions`] is the table of them, plus their resume tokens.
+//!
+//! Concurrency (DESIGN.md §10): sessions are sharded into
+//! [`SESSION_STRIPES`] independent `Mutex<BTreeMap<..>>` stripes by
+//! `session_id % SESSION_STRIPES`, so concurrent clients only contend
+//! when they hash to the same stripe — never on one global map. A
+//! session's filter depends only on that session's own query history, so
+//! how sessions interleave is unobservable (pinned by
+//! `crates/core/tests/server_concurrent.rs`).
+
+use crate::coeff::{CoeffRef, SceneIndexData};
+use crate::index::WaveletIndex;
+use crate::server::QueryResult;
+// mar-lint: allow(D001) — `HashSet` here backs the membership-only session
+// filters below; their iteration order is never observed.
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// Number of session shards. A fixed power of two keeps `id % N` cheap and
+/// the shard choice deterministic; 16 stripes already make same-stripe
+/// contention rare for the client counts the serve harness replays.
+pub const SESSION_STRIPES: usize = 16;
+
+/// Typed failure of a per-session entry point. Unknown or
+/// already-disconnected session ids are a *client protocol* condition (a
+/// stale token after a crash, a double disconnect), not a server bug, so
+/// they surface as values instead of panics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionError {
+    /// The session id is not (or no longer) connected.
+    UnknownSession(u64),
+    /// The resume token does not name any connected session. The token is
+    /// echoed verbatim — the server never reveals which session id (if
+    /// any) a rejected token would have mapped to.
+    UnknownToken(u64),
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::UnknownSession(id) => write!(f, "unknown or disconnected session id {id}"),
+            Self::UnknownToken(tok) => write!(f, "unknown resume token {tok:#018x}"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+/// Tokens are minted strictly above this floor, so a token can never
+/// collide with a raw sequential session id (which would need 2^32
+/// connects to reach the floor) — `resume` with a session id is
+/// structurally guaranteed to fail, not just overwhelmingly likely to.
+const TOKEN_FLOOR: u64 = 1 << 32;
+
+/// `splitmix64`'s finalizing mix — the same discipline `mar_link::fault`
+/// uses for its fault schedule. Used only to *expand a seed into a
+/// SipHash key*, never to mint a token directly: the mix is a public
+/// bijection, so a token minted as `mix64(seed ^ mix64(id))` would leak
+/// the seed to any client that inverts its own `(id, token)` pair.
+pub(crate) fn mix64(x: u64) -> u64 {
+    let z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn sipround(v: &mut [u64; 4]) {
+    v[0] = v[0].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(13) ^ v[0];
+    v[0] = v[0].rotate_left(32);
+    v[2] = v[2].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(16) ^ v[2];
+    v[0] = v[0].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(21) ^ v[0];
+    v[2] = v[2].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(17) ^ v[2];
+    v[2] = v[2].rotate_left(32);
+}
+
+/// SipHash-2-4 of one 64-bit word under a 128-bit key — a keyed PRF, not
+/// a bijection: a peer holding any number of `(input, output)` pairs
+/// cannot recover the key or predict other outputs. This is what makes
+/// resume tokens capabilities rather than obfuscated session ids.
+fn siphash24(k0: u64, k1: u64, msg: u64) -> u64 {
+    let mut v = [
+        k0 ^ 0x736f_6d65_7073_6575,
+        k1 ^ 0x646f_7261_6e64_6f6d,
+        k0 ^ 0x6c79_6765_6e65_7261,
+        k1 ^ 0x7465_6462_7974_6573,
+    ];
+    // One full 8-byte block.
+    v[3] ^= msg;
+    sipround(&mut v);
+    sipround(&mut v);
+    v[0] ^= msg;
+    // Finalisation block: message length (8) in the top byte.
+    let b = 8u64 << 56;
+    v[3] ^= b;
+    sipround(&mut v);
+    sipround(&mut v);
+    v[0] ^= b;
+    v[2] ^= 0xff;
+    for _ in 0..4 {
+        sipround(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+/// One word of per-process entropy for the default token key. Tokens are
+/// security capabilities, not results: they never enter a transcript,
+/// fingerprint, or metric, so they are the one place the repo's
+/// determinism discipline (DESIGN.md §5) deliberately does not apply.
+fn entropy_word(tag: u64) -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    // mar-lint: allow(D003) — token-key entropy is nondeterministic on purpose; tokens never enter any result
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    h.write_u64(tag);
+    h.finish()
+}
+
+/// What [`Sessions::resume`] reattached: how much server-side filter state
+/// survived the transport drop, i.e. how much data will *not* be re-sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResumeInfo {
+    /// The resumed session id (unchanged — the token named it).
+    pub session: u64,
+    /// Coefficients the server still knows this client holds.
+    pub retained_coeffs: usize,
+    /// Objects whose base mesh the server still knows this client holds.
+    pub retained_objects: usize,
+}
+
+/// One session's state: what the client has been sent, plus the resume
+/// capability minted for it at connect time.
+#[derive(Debug, Default)]
+pub struct SentFilter {
+    // Membership-only sets on the per-query hot path: every coefficient hit
+    // is tested against them, they are never iterated, so O(1) hashing is
+    // safe and worthwhile here.
+    // mar-lint: allow(D001) — membership-only; iteration order never observed
+    sent: HashSet<CoeffRef>,
+    // mar-lint: allow(D001) — membership-only; iteration order never observed
+    sent_base: HashSet<u32>,
+    token: u64,
+}
+
+impl SentFilter {
+    /// Replays one hit list (in index search order) through the filter,
+    /// accumulating the transmission accounting into `out`. Every query
+    /// path of both tiers routes here, so batched, scalar and sharded
+    /// executions of the same sub-queries produce bit-identical
+    /// [`QueryResult`]s (the `f64` byte total included).
+    ///
+    /// `data` and `index` are those of the core that *produced* `hits`
+    /// (for the fleet: the answering shard). Every *newly transmitted*
+    /// coefficient touches its payload page through that index — a no-op
+    /// in RAM, a buffer-pool read (and physical-I/O tally on a miss) on
+    /// the disk-backed backend. The touch never changes the result, so RAM
+    /// and paged transcripts stay byte-identical.
+    pub fn admit(
+        &mut self,
+        data: &SceneIndexData,
+        index: &WaveletIndex,
+        hits: &[CoeffRef],
+        out: &mut QueryResult,
+    ) {
+        for &id in hits {
+            if self.sent.insert(id) {
+                index.touch_payload(id);
+                out.coeffs += 1;
+                out.bytes += data.coeff_bytes;
+                if self.sent_base.insert(id.object) {
+                    out.new_objects += 1;
+                    out.bytes += data.base_bytes[id.object as usize];
+                }
+            }
+        }
+    }
+}
+
+/// The striped session table: every connected session's [`SentFilter`],
+/// keyed by session id, plus the live resume-token map.
+#[derive(Debug)]
+pub struct Sessions {
+    stripes: [Mutex<BTreeMap<u64, SentFilter>>; SESSION_STRIPES],
+    next_session: AtomicU64,
+    /// 128-bit SipHash key minting resume tokens. Never derivable from
+    /// any number of observed `(session, token)` pairs — SipHash is a
+    /// PRF, unlike the invertible splitmix mix a client could run
+    /// backwards on its own handshake to recover the seed.
+    token_key: (u64, u64),
+    /// Monotone nonce feeding the token PRF (not the session id: the
+    /// nonce advances past skipped candidates, so tokens are not even a
+    /// per-key function of the id).
+    token_nonce: AtomicU64,
+    /// Live resume capabilities: token → session id. `resume` is a map
+    /// lookup, not an inversion — the server stores what it minted.
+    tokens: Mutex<BTreeMap<u64, u64>>,
+}
+
+impl Default for Sessions {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sessions {
+    /// An empty table whose resume-token key is drawn from per-process
+    /// entropy, so every instance mints its own unpredictable token
+    /// stream — there is no public default a wire peer could use to mint
+    /// tokens offline.
+    pub fn new() -> Self {
+        Self::with_key((entropy_word(1), entropy_word(2)))
+    }
+
+    /// An empty table with a deterministic resume-token key expanded from
+    /// `token_seed` (`mar-served --token-seed`). Tokens are then
+    /// reproducible across runs for debugging; they stay unforgeable as
+    /// long as the seed is secret, because the PRF key cannot be
+    /// recovered from observed tokens.
+    pub fn seeded(token_seed: u64) -> Self {
+        let k0 = mix64(token_seed ^ 0x6d61_725f_7365_7276); // "mar_serv"
+        let k1 = mix64(token_seed ^ 0x746f_6b65_6e5f_6b31); // "token_k1"
+        Self::with_key((k0, k1))
+    }
+
+    fn with_key(token_key: (u64, u64)) -> Self {
+        Self {
+            stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
+            next_session: AtomicU64::new(0),
+            token_key,
+            token_nonce: AtomicU64::new(0),
+            tokens: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The stripe holding `session`'s filter state.
+    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, SentFilter>> {
+        &self.stripes[(session % SESSION_STRIPES as u64) as usize]
+    }
+
+    /// Opens a session; returns `(id, resume token)`. Ids are handed out
+    /// in call order, so a program that connects sessions
+    /// deterministically gets deterministic ids. The token is minted and
+    /// registered atomically with the session, so there is no window
+    /// where a connected session has no capability.
+    pub fn connect_with_token(&self) -> (u64, u64) {
+        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
+        let token = {
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            let mut tokens = self.tokens.lock().expect("token map poisoned");
+            loop {
+                let nonce = self.token_nonce.fetch_add(1, Ordering::Relaxed);
+                let candidate = siphash24(self.token_key.0, self.token_key.1, nonce);
+                // Skip the (astronomically rare) candidates that could be
+                // mistaken for a session id or collide with a live token.
+                if candidate < TOKEN_FLOOR || tokens.contains_key(&candidate) {
+                    continue;
+                }
+                tokens.insert(candidate, id);
+                break candidate;
+            }
+        };
+        let filter = SentFilter {
+            token,
+            ..SentFilter::default()
+        };
+        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+        let mut stripe = self.stripe(id).lock().expect("session stripe poisoned");
+        stripe.insert(id, filter);
+        (id, token)
+    }
+
+    /// Drops a session, releasing its sent-filter state and retiring its
+    /// token — long-running serve workloads must not accumulate filters
+    /// for clients that are gone (pinned by
+    /// `disconnect_releases_filter_state`), and a stale token must never
+    /// resume a later session. Disconnecting an unknown or
+    /// already-disconnected id is a typed error, so a double disconnect
+    /// cannot silently pass for a real teardown.
+    pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
+        let filter = {
+            let mut stripe = self
+                .stripe(session)
+                .lock()
+                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+                .expect("session stripe poisoned");
+            stripe
+                .remove(&session)
+                .ok_or(SessionError::UnknownSession(session))?
+        };
+        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+        let mut tokens = self.tokens.lock().expect("token map poisoned");
+        tokens.remove(&filter.token);
+        Ok(())
+    }
+
+    /// Runs `f` on `session`'s filter while holding that session's stripe
+    /// lock — the one way in to per-session state. Query paths descend
+    /// the index inside `f`, so a session's filter cannot change between
+    /// its descent and its accounting. An unknown or disconnected session
+    /// id is a typed [`SessionError`]: the table never mints filter state
+    /// for a session it did not hand out.
+    pub fn with<R>(
+        &self,
+        session: u64,
+        f: impl FnOnce(&mut SentFilter) -> R,
+    ) -> Result<R, SessionError> {
+        let mut stripe = self
+            .stripe(session)
+            .lock()
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            .expect("session stripe poisoned");
+        stripe
+            .get_mut(&session)
+            .map(f)
+            .ok_or(SessionError::UnknownSession(session))
+    }
+
+    /// The resume token minted for a *connected* session — a lookup of
+    /// server-side state, not a derivation. There is no public function
+    /// from session ids to tokens: tokens come from a keyed PRF over a
+    /// private nonce stream, so observing any number of `(id, token)`
+    /// pairs (every client sees its own in `WELCOME`) reveals nothing
+    /// about any other session's token.
+    pub fn session_token(&self, session: u64) -> Result<u64, SessionError> {
+        self.with(session, |f| f.token)
+    }
+
+    /// Reattaches a client to its session after a *transport* drop (the
+    /// wireless link died; the server-side session state did not). The
+    /// caller presents the resume **token** it was handed at connect time
+    /// — *not* the raw session id, which is sequential and therefore
+    /// guessable by any other wire peer. If the token names a session the
+    /// table still holds, the client resumes with its sent-filter intact
+    /// — nothing already delivered is ever re-sent — and learns how much
+    /// state was retained. Any other token (stale, forged, or a raw
+    /// session id — tokens are minted above 2^32, so ids can never alias
+    /// them) is a typed [`SessionError`] echoing only the token itself;
+    /// the client must connect fresh and refetch from scratch.
+    pub fn resume(&self, token: u64) -> Result<ResumeInfo, SessionError> {
+        let session = {
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            let tokens = self.tokens.lock().expect("token map poisoned");
+            tokens
+                .get(&token)
+                .copied()
+                .ok_or(SessionError::UnknownToken(token))?
+        };
+        self.with(session, |f| ResumeInfo {
+            session,
+            retained_coeffs: f.sent.len(),
+            retained_objects: f.sent_base.len(),
+        })
+        // A disconnect can race between the two locks; the answer is the
+        // same either way — the capability no longer resumes.
+        .map_err(|_| SessionError::UnknownToken(token))
+    }
+
+    /// A sorted snapshot of every coefficient the session has been sent —
+    /// the client's resident set as the server knows it. Sorting makes the
+    /// snapshot deterministic even though the filter itself is a
+    /// membership-only hash set; the chaos and fleet harnesses fingerprint
+    /// this to prove faulty runs converge to the fault-free resident set.
+    pub fn session_sent_set(&self, session: u64) -> Result<Vec<CoeffRef>, SessionError> {
+        self.with(session, |f| {
+            let mut refs: Vec<CoeffRef> = f.sent.iter().copied().collect();
+            refs.sort_unstable();
+            refs
+        })
+    }
+
+    /// How many coefficients a session has been sent (0 when unknown).
+    pub fn session_sent(&self, session: u64) -> usize {
+        self.with(session, |f| f.sent.len()).unwrap_or(0)
+    }
+
+    /// Number of currently connected sessions, across all stripes.
+    pub fn session_count(&self) -> usize {
+        self.stripes
+            .iter()
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            .map(|s| s.lock().expect("session stripe poisoned").len())
+            .sum()
+    }
+
+    /// Total resident filter entries (sent coefficients + sent base-mesh
+    /// markers) across every connected session — the quantity that must
+    /// return to zero when all clients disconnect.
+    pub fn resident_filter_entries(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| {
+                s.lock()
+                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+                    .expect("session stripe poisoned")
+                    .values()
+                    .map(|f| f.sent.len() + f.sent_base.len())
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+}

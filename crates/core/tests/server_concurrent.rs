@@ -4,19 +4,27 @@
 //! a fresh server. Session filter state is keyed per session, the index
 //! is immutable and shared, so interleaving must be unobservable.
 
-use mar_core::{IncrementalClient, LinearSpeedMap, QueryRegion, QueryResult, Server, SessionError};
+use mar_core::{
+    FleetConfig, FleetHealth, FleetServer, IncrementalClient, LinearSpeedMap, QueryRegion,
+    QueryResult, SceneIndexData, Server, SessionError, SpeedResolutionMap,
+};
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_workload::{Scene, SceneConfig};
+use std::sync::Arc;
 
 const SESSIONS: usize = 8;
 const TICKS: usize = 25;
 
-fn server() -> Server {
+fn scene() -> Scene {
     let mut cfg = SceneConfig::paper(24, 33);
     cfg.levels = 3;
     cfg.target_bytes = 1_000_000.0;
-    Server::new(&Scene::generate(cfg))
+    Scene::generate(cfg)
+}
+
+fn server() -> Server {
+    Server::new(&scene())
 }
 
 /// Session `k`'s deterministic tour: a diagonal drift across the space,
@@ -98,9 +106,9 @@ fn concurrent_churn_leaves_no_filter_state() {
             });
         }
     });
-    assert_eq!(srv.session_count(), 0);
+    assert_eq!(srv.sessions().session_count(), 0);
     assert_eq!(
-        srv.resident_filter_entries(),
+        srv.sessions().resident_filter_entries(),
         0,
         "disconnect must release per-session filter state"
     );
@@ -115,7 +123,7 @@ fn stale_session_ids_error_instead_of_panicking() {
     let live = srv.connect();
     // The token must be fetched while the session is live; after the
     // disconnect both the session and its capability are gone.
-    let stale_token = srv.session_token(live).expect("session is live");
+    let stale_token = srv.sessions().session_token(live).expect("session is live");
     srv.disconnect(live).expect("just connected");
     let stale = live;
     let region = QueryRegion {
@@ -135,21 +143,25 @@ fn stale_session_ids_error_instead_of_panicking() {
         Err(SessionError::UnknownSession(stale))
     );
     assert_eq!(
-        srv.session_token(stale),
+        srv.sessions().session_token(stale),
         Err(SessionError::UnknownSession(stale)),
         "a disconnected session has no token to look up"
     );
     assert_eq!(
-        srv.resume(stale_token),
+        srv.sessions().resume(stale_token),
         Err(SessionError::UnknownToken(stale_token))
     );
     assert_eq!(
-        srv.resume(stale),
+        srv.sessions().resume(stale),
         Err(SessionError::UnknownToken(stale)),
         "a raw session id is not a resume token"
     );
-    assert_eq!(srv.session_count(), 0, "error paths must not mint sessions");
-    assert_eq!(srv.resident_filter_entries(), 0);
+    assert_eq!(
+        srv.sessions().session_count(),
+        0,
+        "error paths must not mint sessions"
+    );
+    assert_eq!(srv.sessions().resident_filter_entries(), 0);
     // The errors carry the offending id/token and render them.
     let msg = SessionError::UnknownSession(stale).to_string();
     assert!(msg.contains(&stale.to_string()));
@@ -174,11 +186,15 @@ fn concurrent_resume_and_query_agree_with_serial() {
                             let r = client.tick(srv, frame(k, t), speed(k, t));
                             // Simulated drop + resume between every tick.
                             let token = srv
+                                .sessions()
                                 .session_token(client.session())
                                 .expect("session is live");
-                            let info = srv.resume(token).expect("session is live");
+                            let info = srv.sessions().resume(token).expect("session is live");
                             assert_eq!(info.session, client.session());
-                            assert_eq!(info.retained_coeffs, srv.session_sent(client.session()));
+                            assert_eq!(
+                                info.retained_coeffs,
+                                srv.sessions().session_sent(client.session())
+                            );
                             r
                         })
                         .collect()
@@ -191,7 +207,7 @@ fn concurrent_resume_and_query_agree_with_serial() {
             .collect()
     });
     assert_eq!(
-        srv.session_count(),
+        srv.sessions().session_count(),
         SESSIONS,
         "resume must not mint sessions"
     );
@@ -202,4 +218,57 @@ fn concurrent_resume_and_query_agree_with_serial() {
         assert_eq!(&want, got, "session {k}: resume changed what was sent");
         assert!(want.iter().map(|r| r.coeffs).sum::<usize>() > 0, "vacuous");
     }
+}
+
+/// Drives one fleet session for `TICKS` ticks under a rotating dead shard
+/// (health is a per-call value, so each session brings its own) and
+/// returns its per-tick results.
+fn drive_fleet(fleet: &FleetServer, k: usize) -> Vec<QueryResult> {
+    let session = fleet.connect();
+    (0..TICKS)
+        .map(|t| {
+            let health = FleetHealth::all_up().with_down(((k + t) % 8) as u32);
+            let band = LinearSpeedMap.band_for(speed(k, t));
+            fleet
+                .query(session, health, &frame(k, t), band)
+                .expect("fleet session is live")
+                .result
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_fleet_sessions_match_serial_replay() {
+    // The fleet variant of the contract above: the same `Sessions` table
+    // sits under the scatter-gather tier, so 8 sessions driven from 8
+    // threads — through replica promotions — see what a serial replay sees.
+    let sc = scene();
+    let data = Arc::new(SceneIndexData::build(&sc));
+    let build = || {
+        FleetServer::build(&data, sc.config.space, &FleetConfig::ram(4, 2, true))
+            .expect("fleet builds")
+    };
+    let reference: Vec<Vec<QueryResult>> = {
+        let fleet = build();
+        (0..SESSIONS).map(|k| drive_fleet(&fleet, k)).collect()
+    };
+    let fleet = build();
+    let concurrent: Vec<Vec<QueryResult>> = std::thread::scope(|scope| {
+        let fleet = &fleet;
+        let handles: Vec<_> = (0..SESSIONS)
+            .map(|k| scope.spawn(move || drive_fleet(fleet, k)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet session thread panicked"))
+            .collect()
+    });
+    for (k, (want, got)) in reference.iter().zip(&concurrent).enumerate() {
+        assert_eq!(
+            want, got,
+            "fleet session {k}: concurrent results differ from serial replay"
+        );
+        assert!(got.iter().map(|r| r.coeffs).sum::<usize>() > 0, "vacuous");
+    }
+    assert_eq!(fleet.sessions().session_count(), SESSIONS);
 }

@@ -34,7 +34,6 @@ mod bulk;
 mod counters;
 mod delete;
 mod insert;
-mod knn;
 mod node;
 mod pages;
 mod query;

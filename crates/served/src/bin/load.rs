@@ -15,12 +15,14 @@
 //! session's outbox over the cap and asserts the daemon answers with a
 //! typed `OVERLOAD` (and recovers after credit returns).
 
+use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::serve::{fnv1a64, run_serve, ServeConfig};
 use mar_core::QueryRegion;
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 use mar_served::{run_wire_replay_pipelined, QueryReply, ReplayReport, WireClient};
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
 
 struct Options {
     smoke: bool,
@@ -32,7 +34,10 @@ struct Options {
     pipeline: usize,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+const USAGE: &str = "usage: mar-load (--addr HOST:PORT | --port-file PATH) [--smoke|--full] \
+                     [--check] [--saturate] [--pipeline N] [--out-dir DIR]";
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         addr: None,
@@ -42,36 +47,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         out_dir: ".".to_string(),
         pipeline: 1,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-                .cloned()
-        };
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
             "--full" => opts.smoke = false,
             "--check" => opts.check = true,
             "--saturate" => opts.saturate = true,
-            "--addr" => opts.addr = Some(value("--addr")?),
-            "--port-file" => opts.port_file = Some(value("--port-file")?),
-            "--out-dir" => opts.out_dir = value("--out-dir")?,
-            "--pipeline" => {
-                let v = value("--pipeline")?;
-                opts.pipeline = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--pipeline needs a positive integer, got {v}"))?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: mar-load (--addr HOST:PORT | \
-                     --port-file PATH) [--smoke|--full] [--check] [--saturate] \
-                     [--pipeline N] [--out-dir DIR]"
-                ))
-            }
+            "--addr" => opts.addr = Some(args.value()?.to_string()),
+            "--port-file" => opts.port_file = Some(args.value()?.to_string()),
+            "--out-dir" => opts.out_dir = args.value()?.to_string(),
+            "--pipeline" => opts.pipeline = args.parse::<NonZeroUsize>("positive integer")?.get(),
+            _ => return Err(args.unknown()),
         }
     }
     Ok(opts)
@@ -194,13 +181,7 @@ fn write_wire_json(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let addr = match resolve_addr(&opts) {
         Ok(a) => a,
         Err(e) => {
@@ -262,7 +243,9 @@ fn main() {
     };
 
     let overload = if opts.saturate {
-        let space = mar_bench::serve::serve_scene(&cfg).config.space;
+        let space = mar_bench::serve::serve_scene(cfg.objects, cfg.levels)
+            .config
+            .space;
         match prove_overload(addr, space) {
             Ok((outstanding, cap)) => {
                 eprintln!(

@@ -21,11 +21,13 @@
 //! Responses are byte-identical to the in-RAM build (DESIGN.md §15), so
 //! `mar-load --check` passes against either backend.
 
-use mar_bench::serve::{serve_scene, ServeConfig};
-use mar_core::{CachePolicy, SceneIndexData, Server, ServerCore, WaveletIndex};
+use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::engine::default_jobs;
+use mar_bench::serve::{serve_scene, ServeBackend, ServeConfig};
+use mar_core::{CachePolicy, Server};
 use mar_served::{spawn_daemon, DaemonConfig, DEFAULT_OUTBOX_CAP};
 use std::net::TcpListener;
-use std::path::Path;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 struct Options {
@@ -44,11 +46,11 @@ struct Options {
     cache_mb: usize,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+const USAGE: &str = "usage: mar-served [--smoke|--full] [--jobs N] [--port P] [--port-file PATH] \
+                     [--outbox-cap BYTES] [--max-conns N] [--token-seed N] [--store PATH] \
+                     [--cache-mb N]";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options {
         smoke: false,
         jobs: default_jobs(),
@@ -60,82 +62,33 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         store: None,
         cache_mb: 64,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-                .cloned()
-        };
-        match a.as_str() {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next_flag()? {
+        match flag {
             "--smoke" => opts.smoke = true,
             "--full" => opts.smoke = false,
-            "--jobs" => {
-                let v = value("--jobs")?;
-                opts.jobs = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {v}"))?;
-            }
-            "--port" => {
-                let v = value("--port")?;
-                opts.port = v.parse().map_err(|_| format!("--port: not a port: {v}"))?;
-            }
-            "--port-file" => opts.port_file = Some(value("--port-file")?),
-            "--outbox-cap" => {
-                let v = value("--outbox-cap")?;
-                opts.outbox_cap = v
-                    .parse()
-                    .map_err(|_| format!("--outbox-cap: not a number: {v}"))?;
-            }
-            "--max-conns" => {
-                let v = value("--max-conns")?;
-                opts.max_conns = Some(
-                    v.parse()
-                        .map_err(|_| format!("--max-conns: not a number: {v}"))?,
-                );
-            }
-            "--token-seed" => {
-                let v = value("--token-seed")?;
-                opts.token_seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("--token-seed: not a u64: {v}"))?,
-                );
-            }
-            "--store" => opts.store = Some(value("--store")?),
-            "--cache-mb" => {
-                let v = value("--cache-mb")?;
-                let mb: usize = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb: not a number: {v}"))?;
-                if mb == 0 {
-                    return Err("--cache-mb: must be at least 1".to_string());
-                }
-                opts.cache_mb = mb;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other}\nusage: mar-served [--smoke|--full] [--jobs N] \
-                     [--port P] [--port-file PATH] [--outbox-cap BYTES] [--max-conns N] \
-                     [--token-seed N] [--store PATH] [--cache-mb N]"
-                ))
-            }
+            "--jobs" => opts.jobs = args.parse("number")?,
+            "--port" => opts.port = args.parse("port")?,
+            "--port-file" => opts.port_file = Some(args.value()?.to_string()),
+            "--outbox-cap" => opts.outbox_cap = args.parse("number")?,
+            "--max-conns" => opts.max_conns = Some(args.parse("number")?),
+            "--token-seed" => opts.token_seed = Some(args.parse("u64")?),
+            "--store" => opts.store = Some(args.value()?.to_string()),
+            "--cache-mb" => opts.cache_mb = args.parse::<NonZeroUsize>("positive number")?.get(),
+            _ => return Err(args.unknown()),
         }
     }
     if opts.store.is_none() && opts.cache_mb != 64 {
-        return Err("--cache-mb only makes sense with --store".to_string());
+        return Err(CliError::Invalid(
+            "--cache-mb only makes sense with --store".to_string(),
+        ));
     }
     Ok(opts)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
     let cfg = if opts.smoke {
         ServeConfig::smoke(opts.jobs)
     } else {
@@ -146,30 +99,26 @@ fn main() {
         "mar-served: building scene ({} objects, {} levels) and index (jobs={})",
         cfg.objects, cfg.levels, cfg.jobs
     );
-    let scene = serve_scene(&cfg);
-    let core = match &opts.store {
-        None => {
-            let data = SceneIndexData::build(&scene);
-            let index = WaveletIndex::build_jobs(&data, cfg.jobs);
-            ServerCore::from_parts(Arc::new(data), Arc::new(index))
-        }
+    let scene = serve_scene(cfg.objects, cfg.levels);
+    let backend = match &opts.store {
+        None => ServeBackend::Ram,
         Some(path) => {
-            let budget = opts.cache_mb << 20;
-            match ServerCore::new_paged(&scene, Path::new(path), budget, CachePolicy::MotionAware) {
-                Ok(core) => {
-                    eprintln!(
-                        "mar-served: out-of-core — store {path}, pool {} MiB, motion-aware eviction",
-                        opts.cache_mb
-                    );
-                    core
-                }
-                Err(e) => {
-                    eprintln!("mar-served: cannot build page store at {path}: {e}");
-                    std::process::exit(1);
-                }
+            eprintln!(
+                "mar-served: out-of-core — store {path}, pool {} MiB, motion-aware eviction",
+                opts.cache_mb
+            );
+            ServeBackend::Paged {
+                path: path.into(),
+                budget_bytes: opts.cache_mb << 20,
+                policy: CachePolicy::MotionAware,
             }
         }
     };
+    let core = backend.build_core(&scene, cfg.jobs).unwrap_or_else(|e| {
+        let path = opts.store.as_deref().unwrap_or_default();
+        eprintln!("mar-served: cannot build page store at {path}: {e}");
+        std::process::exit(1);
+    });
     let server = Arc::new(match opts.token_seed {
         // Entropy-keyed tokens by default: there is no public key an
         // attacker could use to mint another session's token.

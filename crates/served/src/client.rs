@@ -8,7 +8,9 @@
 //! byte-for-byte fingerprint comparison against the in-process harness.
 
 use crate::codec::{read_frame, write_frame, ErrCode, Frame, WireError, PROTOCOL_VERSION};
-use mar_bench::serve::{serve_scene, session_tour, transcript_row, ServeConfig, TRANSCRIPT_HEADER};
+use mar_bench::serve::{
+    per_sec, quantile_ns, serve_scene, session_tour, transcript_row, ServeConfig, TRANSCRIPT_HEADER,
+};
 use mar_core::{FramePlanner, LinearSpeedMap, QueryRegion, SmoothedSpeed, SpeedResolutionMap};
 use mar_link::LinkConfig;
 use mar_workload::{frame_at, Tour};
@@ -317,23 +319,13 @@ pub struct ReplayReport {
 impl ReplayReport {
     /// Queries per second of wall-clock replay time.
     pub fn queries_per_sec(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.queries as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
+        per_sec(self.queries, self.elapsed_s)
     }
 
     /// The `q`-quantile (0..=1) of per-query round-trip latency, in
     /// nanoseconds.
     pub fn frame_latency_ns(&self, q: f64) -> u64 {
-        if self.frame_ns.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.frame_ns.clone();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        quantile_ns(&self.frame_ns, q)
     }
 }
 
@@ -394,7 +386,7 @@ pub fn run_wire_replay_pipelined(
     depth: usize,
 ) -> Result<ReplayReport, ClientError> {
     let depth = depth.clamp(1, cfg.sessions.max(1));
-    let scene = serve_scene(cfg);
+    let scene = serve_scene(cfg.objects, cfg.levels);
     let space = scene.config.space;
     let link = LinkConfig::paper();
     let map = LinearSpeedMap;
@@ -405,7 +397,7 @@ pub fn run_wire_replay_pipelined(
             client: WireClient::connect(addr)?,
             planner: FramePlanner::new(),
             smooth: SmoothedSpeed::default(),
-            tour: session_tour(cfg, space, k),
+            tour: session_tour(space, cfg.ticks, cfg.tour_seed, k),
         });
     }
 

@@ -309,7 +309,7 @@ impl Conn<'_> {
                     self.error(ErrCode::AlreadyConnected, 0);
                     return true;
                 }
-                match server.resume(token) {
+                match server.sessions().resume(token) {
                     Ok(info) => {
                         // Attachment is exclusive and the ledger survives
                         // the reconnect: RESUME binds this connection to

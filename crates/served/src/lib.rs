@@ -12,7 +12,7 @@
 //!   credit-based per-session backpressure (a saturated outbox returns a
 //!   typed `OVERLOAD` frame instead of queueing unboundedly) and session
 //!   resumption via the unguessable resume tokens of
-//!   [`mar_core::Server::session_token`].
+//!   [`mar_core::Sessions::session_token`].
 //! * [`client`] — `mar-load`: a wire client replaying the exact
 //!   `mar-bench serve` workload tours against a live daemon. Its loopback
 //!   transcript is byte-identical to the in-process harness for the same

@@ -28,7 +28,7 @@ fn tiny_cfg() -> ServeConfig {
 /// Boots a daemon serving the scene for `cfg` on an ephemeral loopback
 /// port; the daemon exits after `max_conns` connections.
 fn boot(cfg: &ServeConfig, daemon_cfg: DaemonConfig) -> (DaemonHandle, Arc<Server>) {
-    let scene = serve_scene(cfg);
+    let scene = serve_scene(cfg.objects, cfg.levels);
     let data = SceneIndexData::build(&scene);
     let index = WaveletIndex::build_jobs(&data, 1);
     let server = Arc::new(Server::from_core(ServerCore::from_parts(
@@ -42,7 +42,7 @@ fn boot(cfg: &ServeConfig, daemon_cfg: DaemonConfig) -> (DaemonHandle, Arc<Serve
 
 fn whole_space_full(cfg: &ServeConfig) -> Vec<QueryRegion> {
     vec![QueryRegion {
-        region: serve_scene(cfg).config.space,
+        region: serve_scene(cfg.objects, cfg.levels).config.space,
         band: ResolutionBand::FULL,
     }]
 }
@@ -98,8 +98,8 @@ fn wire_transcript_is_byte_identical_to_in_process() {
     assert_eq!(stats.overloads, 0, "an acking replay is never refused");
     assert_eq!(stats.errors, 0);
     // BYE released every session.
-    assert_eq!(server.session_count(), 0);
-    assert_eq!(server.resident_filter_entries(), 0);
+    assert_eq!(server.sessions().session_count(), 0);
+    assert_eq!(server.sessions().resident_filter_entries(), 0);
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn pipelined_replay_transcript_is_depth_invariant() {
         assert_eq!(wire.pipeline, depth.min(cfg.sessions));
         assert_eq!(stats.overloads, 0, "pipelined replay must never be refused");
         assert_eq!(stats.errors, 0);
-        assert_eq!(server.session_count(), 0);
+        assert_eq!(server.sessions().session_count(), 0);
     }
 }
 
@@ -157,7 +157,7 @@ fn resume_over_the_wire_requires_the_token_not_the_session_id() {
     };
     assert!(first.bytes > 0.0);
     drop(client); // transport drop, not BYE: the session stays live
-    assert_eq!(server.session_count(), 1);
+    assert_eq!(server.sessions().session_count(), 1);
 
     // ISSUE 6 regression: the raw sequential session id must NOT work as
     // a resume token on the wire.
@@ -183,7 +183,11 @@ fn resume_over_the_wire_requires_the_token_not_the_session_id() {
         other => panic!("requery refused: {other:?}"),
     }
     resumed.bye().expect("bye");
-    assert_eq!(server.session_count(), 0, "BYE released the session");
+    assert_eq!(
+        server.sessions().session_count(),
+        0,
+        "BYE released the session"
+    );
 
     // A token for a never-minted session is refused too.
     match WireClient::resume(addr, 0x1234_5678_9abc_def0) {
@@ -250,7 +254,7 @@ fn overload_ledger_survives_transport_drop_and_resume() {
         other => panic!("still refused after full ack: {other:?}"),
     }
     resumed.bye().expect("bye");
-    assert_eq!(server.session_count(), 0);
+    assert_eq!(server.sessions().session_count(), 0);
     drop(handle);
 }
 
@@ -299,7 +303,7 @@ fn resume_is_refused_while_the_session_is_attached() {
         }) => {}
         other => panic!("BYE must kill the token, got {other:?}"),
     }
-    assert_eq!(server.session_count(), 0);
+    assert_eq!(server.sessions().session_count(), 0);
     drop(handle);
 }
 
@@ -351,7 +355,7 @@ fn saturated_outbox_returns_typed_overload_and_recovers_on_ack() {
 
     let stats = handle.join();
     assert_eq!(stats.overloads, 1);
-    assert_eq!(server.session_count(), 0);
+    assert_eq!(server.sessions().session_count(), 0);
 }
 
 #[test]
@@ -431,7 +435,7 @@ fn malformed_frames_get_typed_errors_and_the_daemon_survives() {
     client.bye().expect("bye");
 
     handle.join();
-    assert_eq!(server.session_count(), 0, "no session leaked");
+    assert_eq!(server.sessions().session_count(), 0, "no session leaked");
 }
 
 #[test]
@@ -502,8 +506,12 @@ fn concurrent_connect_resume_bye_interleavings_do_not_wedge() {
     for t in drivers {
         t.join().expect("driver panicked");
     }
-    assert_eq!(server.session_count(), 0, "every session was released");
-    assert_eq!(server.resident_filter_entries(), 0);
+    assert_eq!(
+        server.sessions().session_count(),
+        0,
+        "every session was released"
+    );
+    assert_eq!(server.sessions().resident_filter_entries(), 0);
     drop(handle);
 }
 
@@ -532,7 +540,7 @@ fn query_before_hello_is_refused_not_minted() {
     drop(reader);
     handle.join();
     assert_eq!(
-        server.session_count(),
+        server.sessions().session_count(),
         0,
         "error paths must not mint sessions"
     );

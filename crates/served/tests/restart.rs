@@ -87,7 +87,7 @@ fn resume_when_free(
 #[test]
 fn daemon_restart_over_the_same_store_and_token_seed() {
     let cfg = tiny_cfg();
-    let scene = serve_scene(&cfg);
+    let scene = serve_scene(cfg.objects, cfg.levels);
     let space = scene.config.space;
     let data = Arc::new(SceneIndexData::build(&scene));
 
@@ -133,7 +133,7 @@ fn daemon_restart_over_the_same_store_and_token_seed() {
     let stats1 = handle1.join(); // EOF observed → max_conns reached → daemon exits
     assert_eq!(stats1.connections, 1);
     assert_eq!(
-        server1.session_count(),
+        server1.sessions().session_count(),
         1,
         "transport death alone never kills the session"
     );
@@ -204,16 +204,24 @@ fn daemon_restart_over_the_same_store_and_token_seed() {
             .expect("reference query");
     }
     assert_eq!(
-        server2.session_sent_set(session).expect("live session"),
+        server2
+            .sessions()
+            .session_sent_set(session)
+            .expect("live session"),
         reference
+            .sessions()
             .session_sent_set(ref_session)
             .expect("live reference"),
         "post-restart resident set must equal the uninterrupted run's"
     );
 
     resumed.bye().expect("bye");
-    assert_eq!(server2.session_count(), 0, "BYE released the session");
-    assert_eq!(server2.resident_filter_entries(), 0);
+    assert_eq!(
+        server2.sessions().session_count(),
+        0,
+        "BYE released the session"
+    );
+    assert_eq!(server2.sessions().resident_filter_entries(), 0);
     drop(handle2);
     let _ = std::fs::remove_file(&store);
 }

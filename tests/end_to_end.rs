@@ -182,6 +182,6 @@ fn disconnect_frees_session_state_under_churn() {
         server
             .disconnect(session)
             .expect("session was connected above");
-        assert_eq!(server.session_sent(session), 0);
+        assert_eq!(server.sessions().session_sent(session), 0);
     }
 }
