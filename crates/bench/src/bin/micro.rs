@@ -26,8 +26,8 @@ use mar_bench::figs;
 use mar_bench::serve::session_tour;
 use mar_bench::{Scale, Table};
 use mar_core::{
-    CachePolicy, LinearSpeedMap, QueryRegion, SceneIndexData, Server, ServerCore,
-    SpeedResolutionMap, WaveletIndex,
+    CachePolicy, LinearSpeedMap, QueryRegion, QueryResult, SceneIndexData, SentFilter, Server,
+    ServerCore, SpeedResolutionMap, WaveletIndex,
 };
 use mar_geom::{Point2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -277,6 +277,54 @@ fn bench_window_query_batch(
     group.finish();
 }
 
+/// The session filter alone (`session_filter` group): the hit list of one
+/// full-band frame replayed through [`SentFilter::admit`], per coefficient.
+/// `admit_cold` admits it into an empty filter (every hit is new: block
+/// allocation, bit sets and the transmission accounting — what a fresh
+/// session's first frame costs); `admit_warm` admits it again into the
+/// same filter (every hit is a look-up that sends nothing — the
+/// steady-state cost of a touring client's overlapping frames).
+fn bench_session_filter(
+    c: &mut Criterion,
+    ms: &MicroScale,
+    scene: &Scene,
+    data: &SceneIndexData,
+    index: &WaveletIndex,
+    entries: &mut Vec<Entry>,
+) {
+    let space = scene.config.space;
+    let frame = frame_at(&space, &space.center(), 0.25);
+    let (hits, _) = index.query(&frame, ResolutionBand::FULL);
+    let mut group = c.benchmark_group("session_filter");
+    group
+        .sample_size(ms.sample_size)
+        .measurement_time(ms.measurement)
+        .warm_up_time(ms.warm_up);
+    let mut warm = SentFilter::default();
+    warm.admit(data, index, &hits, &mut QueryResult::default());
+    let admit = |filter: &mut SentFilter| {
+        let mut out = QueryResult::default();
+        filter.admit(data, index, black_box(&hits), &mut out);
+        out
+    };
+    let cold = group.bench_function_measured("admit_cold", |b| {
+        b.iter(|| admit(&mut SentFilter::default()))
+    });
+    let warm = group.bench_function_measured("admit_warm", |b| b.iter(|| admit(&mut warm)));
+    for (name, m) in [("admit_cold", cold), ("admit_warm", warm)] {
+        if let Some(m) = m {
+            entries.push(Entry {
+                group: "session_filter",
+                name: name.into(),
+                m,
+                ops_per_iter: hits.len().max(1) as u64,
+                hit_ratio: None,
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Byte budget of the `io` tour-workload pool: small enough that the
 /// eviction policy matters, large enough that a policy can actually keep
 /// a working set (8 pages).
@@ -511,16 +559,17 @@ fn parse_baseline(path: &str) -> Result<Vec<(String, String, f64)>, String> {
     Ok(out)
 }
 
-/// The CI perf smoke gate: every `window_query` and `io` point measured
-/// in this run must stay within `3x` of the committed baseline's
-/// `per_op_ns`. The factor is deliberately generous — the smoke scene is
-/// far smaller than the committed full-scale scene and CI machines are
-/// noisy, so the gate only fires on order-of-magnitude regressions (e.g.
-/// the batched kernel accidentally losing its vectorised inner loop, or
-/// the pool read path growing a copy), never on jitter. Points present on
+/// The CI perf smoke gate: every `window_query`, `io` and
+/// `session_filter` point measured in this run must stay within `3x` of
+/// the committed baseline's `per_op_ns`. The factor is deliberately
+/// generous — the smoke scene is far smaller than the committed
+/// full-scale scene and CI machines are noisy, so the gate only fires on
+/// order-of-magnitude regressions (e.g. the batched kernel accidentally
+/// losing its vectorised inner loop, or the pool read path growing a
+/// copy), never on jitter. Points present on
 /// only one side are skipped, so adding or retiring a point never breaks
-/// the gate — and a committed snapshot that predates the `io` group skips
-/// that whole group gracefully instead of failing. Hit-ratio tour points
+/// the gate — and a committed snapshot that predates a group skips that
+/// whole group gracefully instead of failing. Hit-ratio tour points
 /// are excluded: they are single-shot replays whose wall time is not a
 /// stable signal (the ratio itself is what they report).
 fn run_gate(gate_path: &str, entries: &[Entry]) -> Result<usize, String> {
@@ -528,7 +577,7 @@ fn run_gate(gate_path: &str, entries: &[Entry]) -> Result<usize, String> {
     let baseline = parse_baseline(gate_path)?;
     let mut checked = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for grp in ["window_query", "io"] {
+    for grp in ["window_query", "io", "session_filter"] {
         if !baseline.iter().any(|(g, _, _)| g == grp) {
             eprintln!("micro: gate: {gate_path} predates the '{grp}' group; skipping it");
             continue;
@@ -660,6 +709,7 @@ fn main() {
     bench_index_build(&mut c, &ms, &data, &mut entries);
     bench_window_queries(&mut c, &ms, &scene, &index, &mut entries);
     bench_window_query_batch(&mut c, &ms, &scene, &index, &mut entries);
+    bench_session_filter(&mut c, &ms, &scene, &data, &index, &mut entries);
     bench_io(&mut c, &ms, &scene, &data, &opts.out_dir, &mut entries);
 
     eprintln!("\nbench group: end_to_end");
@@ -682,7 +732,7 @@ fn main() {
     if let Some(gate_path) = &opts.gate {
         match run_gate(gate_path, &entries) {
             Ok(checked) => eprintln!(
-                "micro: perf gate passed ({checked} window_query/io points within 3x of {gate_path})"
+                "micro: perf gate passed ({checked} gated points within 3x of {gate_path})"
             ),
             Err(e) => {
                 eprintln!("micro: {e}");

@@ -49,6 +49,12 @@ pub struct SceneIndexData {
     pub base_bytes: Vec<f64>,
     /// Wire bytes of each object at full resolution.
     pub object_bytes: Vec<f64>,
+    /// Number of coefficients of each object: `CoeffRef::coeff` of object
+    /// `o` ranges over `0..coeff_counts[o]`. Sizes (and bounds) the
+    /// per-object bitmaps of [`crate::SentFilter`]. Scene-wide even in a
+    /// fleet shard's data, whose `records` are a subset but whose ids stay
+    /// global.
+    pub coeff_counts: Vec<u32>,
     /// Every coefficient magnitude, sorted ascending (`total_cmp`).
     /// Computed once at build time so the per-run planning closures in the
     /// system and buffer simulations (`bytes_per_block`) can
@@ -64,6 +70,7 @@ impl SceneIndexData {
         let mut footprints = Vec::with_capacity(scene.objects.len());
         let mut base_bytes = Vec::with_capacity(scene.objects.len());
         let mut object_bytes = Vec::with_capacity(scene.objects.len());
+        let mut coeff_counts = Vec::with_capacity(scene.objects.len());
         for obj in &scene.objects {
             let supports = compute_support_regions(&obj.mesh);
             for (ci, (c, s)) in obj.mesh.coeffs.iter().zip(&supports).enumerate() {
@@ -96,6 +103,7 @@ impl SceneIndexData {
             footprints.push(obj.footprint());
             base_bytes.push(scene.size_model.base_bytes(&obj.mesh));
             object_bytes.push(scene.size_model.object_bytes(&obj.mesh));
+            coeff_counts.push(obj.mesh.coeffs.len() as u32);
         }
         let mut sorted_w: Vec<f64> = records.iter().map(|r| r.w).collect();
         sorted_w.sort_by(f64::total_cmp);
@@ -105,6 +113,7 @@ impl SceneIndexData {
             coeff_bytes: scene.size_model.coeff_bytes,
             base_bytes,
             object_bytes,
+            coeff_counts,
             sorted_w,
         }
     }
@@ -139,6 +148,16 @@ mod tests {
         let data = SceneIndexData::build(&scene);
         assert_eq!(data.len(), scene.total_coeffs());
         assert_eq!(data.footprints.len(), 4);
+        // Per-object counts bound every id: record k of object o is
+        // `CoeffRef { object: o, coeff: k }` with `k < coeff_counts[o]`.
+        assert_eq!(data.coeff_counts.len(), 4);
+        assert_eq!(
+            data.coeff_counts.iter().map(|&n| n as usize).sum::<usize>(),
+            data.len()
+        );
+        for r in &data.records {
+            assert!(r.id.coeff < data.coeff_counts[r.id.object as usize]);
+        }
     }
 
     #[test]

@@ -460,6 +460,7 @@ impl FleetServer {
                 coeff_bytes: data.coeff_bytes,
                 base_bytes: data.base_bytes.clone(),
                 object_bytes: data.object_bytes.clone(),
+                coeff_counts: data.coeff_counts.clone(),
                 sorted_w,
             });
             let index = WaveletIndex::build(&shard_data);
@@ -579,11 +580,9 @@ impl FleetServer {
                 let Some(core) = core else { continue };
                 // Feed the shard pager's heat field (no-op in RAM).
                 core.index().observe_motion(session, task.window.center());
-                let (hits, io) = core.query_stateless(&task.window, task.band);
-                result.io += io;
                 // A newly sent coefficient touches its payload page on the
                 // shard that produced the hit (halo copies live on several).
-                filter.admit(core.data(), core.index(), &hits, &mut result);
+                core.admit_window(filter, &task.window, task.band, &mut result);
             }
             result
         })?;

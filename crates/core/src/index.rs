@@ -19,7 +19,15 @@ use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
 use mar_rtree::{BatchAccesses, IoSnapshot, RTree, RTreeConfig};
 use mar_store::{CachePolicy, PageCacheStats, StoreError};
+use std::cell::Cell;
 use std::path::Path;
+
+thread_local! {
+    /// Reusable buffer for the lifted windows of one batched descent —
+    /// taken, cleared and put back like `mar-rtree`'s traversal stacks, so
+    /// steady-state batches allocate nothing.
+    static WINDOWS: Cell<Vec<Rect3>> = const { Cell::new(Vec::new()) };
+}
 
 /// Where the index's nodes live: the flat in-RAM arena, or a page file
 /// read through the motion-aware buffer pool. Both backends run the same
@@ -167,16 +175,38 @@ impl WaveletIndex {
     pub fn for_each_batch(
         &self,
         queries: &[(Rect2, ResolutionBand)],
-        mut visit: impl FnMut(usize, CoeffRef),
+        visit: impl FnMut(usize, CoeffRef),
     ) -> BatchAccesses {
-        let windows: Vec<Rect3> = queries
-            .iter()
-            .map(|(region, band)| region.lift(band.w_min, band.w_max))
-            .collect();
-        match &self.backend {
-            Backend::Ram(tree) => tree.search_batch(&windows, |q, _, id| visit(q, *id)),
-            Backend::Paged(p) => p.for_each_batch(&windows, visit),
-        }
+        let mut per_window = vec![0u64; queries.len()];
+        let unique = self.for_each_batch_into(queries, &mut per_window, visit);
+        BatchAccesses { per_window, unique }
+    }
+
+    /// [`WaveletIndex::for_each_batch`] into a caller-owned tally — what
+    /// the server's query paths call with a reused buffer: `per_window`
+    /// (one slot per query) is overwritten with the logical accesses and
+    /// the unique physical visits are returned.
+    pub fn for_each_batch_into(
+        &self,
+        queries: &[(Rect2, ResolutionBand)],
+        per_window: &mut [u64],
+        mut visit: impl FnMut(usize, CoeffRef),
+    ) -> u64 {
+        let mut windows = WINDOWS.take();
+        windows.clear();
+        windows.extend(
+            queries
+                .iter()
+                .map(|(region, band)| region.lift(band.w_min, band.w_max)),
+        );
+        let unique = match &self.backend {
+            Backend::Ram(tree) => {
+                tree.search_batch_into(&windows, per_window, |q, _, id| visit(q, *id))
+            }
+            Backend::Paged(p) => p.for_each_batch_into(&windows, per_window, visit),
+        };
+        WINDOWS.set(windows);
+        unique
     }
 
     /// Executes `Q(R, w_max, w_min)`: every coefficient whose support

@@ -6,7 +6,7 @@
 //! the scalar descent mirrors [`mar_rtree::RTree::search`] (per-entry
 //! closed-interval tests, children pushed in ascending entry order, LIFO
 //! pops) and the grouped descent mirrors
-//! [`mar_rtree::RTree::search_batch`] loop for loop — same `(node,
+//! [`mar_rtree::RTree::search_batch_into`] loop for loop — same `(node,
 //! window-bitmask)` stack, same per-set-bit logical attribution, same
 //! 64-wide child-mask transpose. Hit sets, visit order and access counts
 //! cannot drift from the RAM path because the algorithms are the same;
@@ -30,7 +30,7 @@ use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
 use mar_buffer::MotionHeat;
 use mar_geom::{Point2, Rect3};
-use mar_rtree::{BatchAccesses, IoCounters, IoKind, IoSnapshot, NodePage, PagedNodeKind};
+use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PagedNodeKind};
 use mar_store::{CachePolicy, PageCache, PageCacheStats, StoreError};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -223,23 +223,27 @@ impl PagedIndex {
     }
 
     /// Grouped multi-window search, mirroring
-    /// [`mar_rtree::RTree::search_batch`]: per-window hit sets, visit
+    /// [`mar_rtree::RTree::search_batch_into`]: per-window hit sets, visit
     /// order and logical accesses equal the scalar path; nodes shared by
-    /// several windows of a 64-wide group are fetched once.
-    pub fn for_each_batch(
+    /// several windows of a 64-wide group are fetched once. `per_window`
+    /// (one slot per window) is overwritten with the logical accesses; the
+    /// unique visits are returned.
+    pub fn for_each_batch_into(
         &self,
         windows: &[Rect3],
+        per_window: &mut [u64],
         mut visit: impl FnMut(usize, CoeffRef),
-    ) -> BatchAccesses {
-        let mut per_window = vec![0u64; windows.len()];
+    ) -> u64 {
+        assert_eq!(per_window.len(), windows.len(), "one tally per window");
+        per_window.fill(0);
         let mut unique = 0u64;
         for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
-            unique += self.search_group(chunk, chunk_idx * 64, &mut per_window, &mut visit);
+            unique += self.search_group(chunk, chunk_idx * 64, per_window, &mut visit);
         }
         let total: u64 = per_window.iter().sum();
         self.io.add(IoKind::Logical, total);
         self.io.add(IoKind::Unique, unique);
-        BatchAccesses { per_window, unique }
+        unique
     }
 
     /// One ≤64-window group descent; returns the physical node visits.
@@ -366,6 +370,7 @@ mod tests {
     use crate::store::write_store;
     use mar_geom::{Point2, Rect2};
     use mar_mesh::ResolutionBand;
+    use mar_rtree::BatchAccesses;
     use mar_workload::{Scene, SceneConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -458,8 +463,12 @@ mod tests {
             .expect("ram")
             .search_batch(&ws, |q, _, id| ram_hits[q].push(*id));
         let mut paged_hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); ws.len()];
-        let paged_acc = paged.for_each_batch(&ws, |q, id| paged_hits[q].push(id));
+        // Stale tallies must be overwritten, not added to.
+        let mut per_window = vec![7u64; ws.len()];
+        let unique =
+            paged.for_each_batch_into(&ws, &mut per_window, |q, id| paged_hits[q].push(id));
         assert_eq!(paged_hits, ram_hits, "per-window hit order");
+        let paged_acc = BatchAccesses { per_window, unique };
         assert_eq!(paged_acc, ram_acc, "per-window logical + unique accesses");
     }
 

@@ -8,7 +8,8 @@
 //!   plus `Arc<WaveletIndex>` (which carries the prebuilt `sorted_w`
 //!   magnitude distribution inside the data). Every read path takes
 //!   `&self` and is lock-free; index searches allocate nothing (the
-//!   traversal stack is a thread-local scratch buffer in `mar-rtree`) and
+//!   traversal stack is a thread-local scratch buffer in `mar-rtree`, the
+//!   query paths' window and hit buffers are one here — `Scratch`) and
 //!   tally I/O through a relaxed atomic.
 //! * [`Sessions`] — the per-client sent-filters and resume tokens
 //!   ([`crate::session`]), reached through [`Server::sessions`]. The
@@ -20,12 +21,59 @@
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
-use crate::session::{SessionError, Sessions};
+use crate::session::{SentFilter, SessionError, Sessions};
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 use mar_workload::Scene;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Per-thread buffers of the buffered query paths: taken for one call,
+/// cleared, and put back grown — the idiom of `mar-rtree`'s traversal
+/// stacks — so a steady-state query allocates nothing. Never held across
+/// calls, and not a lock: a query issued while the buffers are out simply
+/// starts from empty ones.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The windows of one grouped descent.
+    queries: Vec<(Rect2, ResolutionBand)>,
+    /// `hits[w]`: window `w`'s hits in search order. Lists beyond
+    /// `queries.len()` are stale capacity.
+    hits: Vec<Vec<CoeffRef>>,
+    /// `per_window[w]`: window `w`'s logical node accesses.
+    per_window: Vec<u64>,
+    /// `query_batch` only: each batch slot's span of `queries`.
+    spans: Vec<Option<Range<usize>>>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            queries: Vec::new(),
+            hits: Vec::new(),
+            per_window: Vec::new(),
+            spans: Vec::new(),
+        })
+    };
+}
+
+impl Scratch {
+    /// One grouped descent over `self.queries`, filling `hits` and
+    /// `per_window`; returns the unique physical node visits.
+    fn descend(&mut self, index: &WaveletIndex) -> u64 {
+        let n = self.queries.len();
+        if self.hits.len() < n {
+            self.hits.resize_with(n, Vec::new);
+        }
+        self.hits[..n].iter_mut().for_each(Vec::clear);
+        self.per_window.resize(n, 0);
+        let hits = &mut self.hits;
+        index.for_each_batch_into(&self.queries, &mut self.per_window, |w, id| {
+            hits[w].push(id)
+        })
+    }
+}
 
 /// One sub-query: a region and the resolution band needed inside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,6 +164,41 @@ impl ServerCore {
     /// A stateless query (no session filtering): the raw index answer.
     pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
         self.index.query(region, band)
+    }
+
+    /// One window through the scalar descent and `filter`, accumulated
+    /// into `out` (`io` included): the single-region path of
+    /// [`Server::query`] and the per-task step of
+    /// [`crate::FleetServer::query`]. Visit order and logical `io` equal
+    /// the 1-window batch's ([`WaveletIndex::for_each_batch`]'s contract),
+    /// so the result is bit-identical to the buffered path's.
+    pub(crate) fn admit_window(
+        &self,
+        filter: &mut SentFilter,
+        region: &Rect2,
+        band: ResolutionBand,
+        out: &mut QueryResult,
+    ) {
+        let (data, index) = (self.data(), self.index());
+        if index.is_paged() {
+            // A payload touch in mid-descent would reorder the pool's page
+            // reads, and with them every cache statistic (`abl_store.csv`
+            // is pinned byte for byte): descend first, then admit.
+            let mut scratch = SCRATCH.take();
+            if scratch.hits.is_empty() {
+                scratch.hits.push(Vec::new());
+            }
+            let hits = &mut scratch.hits[0];
+            hits.clear();
+            out.io += index.for_each(region, band, |id| hits.push(id));
+            filter.admit(data, index, hits, out);
+            SCRATCH.set(scratch);
+        } else {
+            // In RAM the touch is a no-op: hits stream straight into the
+            // filter, with no hit list in between.
+            let io = index.for_each(region, band, |id| filter.admit_one(data, index, id, out));
+            out.io += io;
+        }
     }
 
     /// Stateless byte size of a block at a band (planning/estimation).
@@ -214,7 +297,10 @@ impl Server {
     /// one-window-at-a-time walk would have counted. The per-window hit
     /// lists are replayed through the session filter in sub-query order,
     /// so the accounting (including the floating-point byte total) is
-    /// bit-identical to the scalar path.
+    /// bit-identical to the scalar path — which a single-region query
+    /// (every [`Server::fetch_block`]) takes directly
+    /// (`ServerCore::admit_window`). Neither path allocates in steady
+    /// state: windows and hits live in per-thread reuse buffers.
     ///
     /// Holds only the session's stripe lock (across the descent): the
     /// index walk itself is a lock-free `&self` read of the shared core.
@@ -236,15 +322,23 @@ impl Server {
             if let Some(q) = regions.first() {
                 index.observe_motion(session, q.region.center());
             }
-            let queries: Vec<(Rect2, ResolutionBand)> =
-                regions.iter().map(|q| (q.region, q.band)).collect();
-            let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-            let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
             let mut result = QueryResult::default();
-            for window_hits in &hits {
-                filter.admit(data, index, window_hits, &mut result);
+            if let [q] = regions {
+                self.core
+                    .admit_window(filter, &q.region, q.band, &mut result);
+                return result;
             }
-            result.io = accesses.logical_total();
+            let mut scratch = SCRATCH.take();
+            scratch.queries.clear();
+            scratch
+                .queries
+                .extend(regions.iter().map(|q| (q.region, q.band)));
+            scratch.descend(index);
+            for (hits, &io) in scratch.hits.iter().zip(&scratch.per_window) {
+                filter.admit(data, index, hits, &mut result);
+                result.io += io;
+            }
+            SCRATCH.set(scratch);
             result
         })
     }
@@ -275,44 +369,49 @@ impl Server {
     ) -> (Vec<Result<QueryResult, SessionError>>, u64) {
         let data = self.core.data();
         let index = self.core.index();
+        let mut scratch = SCRATCH.take();
+        scratch.queries.clear();
+        scratch.spans.clear();
         // Admission, one stripe lock at a time and released before the
         // walk: an admitted session feeds its window centre into the pool's
         // heat field (before the descent reads any pages) and appends its
         // windows; `spans[s]` is slot s's window span.
-        let mut queries: Vec<(Rect2, ResolutionBand)> = Vec::new();
-        let mut spans: Vec<Option<Range<usize>>> = Vec::with_capacity(batch.len());
         for &(session, regions) in batch {
             let admitted = self.sessions.with(session, |_| ()).is_ok();
-            spans.push(admitted.then(|| {
+            let span = admitted.then(|| {
                 if let Some(q) = regions.first() {
                     index.observe_motion(session, q.region.center());
                 }
-                let start = queries.len();
-                queries.extend(regions.iter().map(|q| (q.region, q.band)));
-                start..queries.len()
-            }));
+                let start = scratch.queries.len();
+                scratch
+                    .queries
+                    .extend(regions.iter().map(|q| (q.region, q.band)));
+                start..scratch.queries.len()
+            });
+            scratch.spans.push(span);
         }
         // One lock-free grouped descent over every admitted window.
-        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-        let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
+        let unique = scratch.descend(index);
         // Demultiplex: apply each session's filter in caller order; a
         // session that disconnected since admission fails here.
         let out = batch
             .iter()
-            .zip(spans)
+            .zip(&scratch.spans)
             .map(|(&(session, _), span)| {
-                let span = span.ok_or(SessionError::UnknownSession(session))?;
+                let span = span.clone().ok_or(SessionError::UnknownSession(session))?;
                 self.sessions.with(session, |filter| {
                     let mut result = QueryResult::default();
-                    for (h, &io) in hits[span.clone()].iter().zip(&accesses.per_window[span]) {
-                        filter.admit(data, index, h, &mut result);
+                    let ios = &scratch.per_window[span.clone()];
+                    for (hits, &io) in scratch.hits[span].iter().zip(ios) {
+                        filter.admit(data, index, hits, &mut result);
                         result.io += io;
                     }
                     result
                 })
             })
             .collect();
-        (out, accesses.unique)
+        SCRATCH.set(scratch);
+        (out, unique)
     }
 
     /// A stateless query (no session filtering): the raw index answer.

@@ -18,9 +18,8 @@
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
 use crate::server::QueryResult;
-// mar-lint: allow(D001) — `HashSet` here backs the membership-only session
-// filters below; their iteration order is never observed.
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -140,22 +139,35 @@ pub struct ResumeInfo {
 
 /// One session's state: what the client has been sent, plus the resume
 /// capability minted for it at connect time.
+///
+/// The sent set is one bitmap per object, bit `k` of object `o` standing
+/// for `CoeffRef { object: o, coeff: k }`. An object's word block is
+/// carved off the end of one shared word arena on the object's first hit,
+/// sized once from the scene's [`SceneIndexData::coeff_counts`], so a
+/// filter costs one bit per coefficient of the objects the client has
+/// *touched* — and "the block exists" is exactly "the base mesh has been
+/// sent". Testing and setting a bit hashes nothing and, once the block
+/// exists, allocates nothing; dropping a filter frees two vectors however
+/// many objects it saw.
 #[derive(Debug, Default)]
 pub struct SentFilter {
-    // Membership-only sets on the per-query hot path: every coefficient hit
-    // is tested against them, they are never iterated, so O(1) hashing is
-    // safe and worthwhile here.
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent: HashSet<CoeffRef>,
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent_base: HashSet<u32>,
+    /// Indexed by object id: where the object's block sits in `words`.
+    /// An empty range means the object is unsent.
+    blocks: Vec<Range<usize>>,
+    /// Every block, in first-hit order.
+    words: Vec<u64>,
+    /// Set bits across all blocks.
+    coeffs: usize,
+    /// Non-empty blocks.
+    objects: usize,
     token: u64,
 }
 
 impl SentFilter {
     /// Replays one hit list (in index search order) through the filter,
     /// accumulating the transmission accounting into `out`. Every query
-    /// path of both tiers routes here, so batched, scalar and sharded
+    /// path of both tiers routes here (or, hit by hit, through
+    /// [`SentFilter::admit_one`]), so batched, scalar and sharded
     /// executions of the same sub-queries produce bit-identical
     /// [`QueryResult`]s (the `f64` byte total included).
     ///
@@ -173,16 +185,82 @@ impl SentFilter {
         out: &mut QueryResult,
     ) {
         for &id in hits {
-            if self.sent.insert(id) {
-                index.touch_payload(id);
-                out.coeffs += 1;
-                out.bytes += data.coeff_bytes;
-                if self.sent_base.insert(id.object) {
-                    out.new_objects += 1;
-                    out.bytes += data.base_bytes[id.object as usize];
+            self.admit_one(data, index, id, out);
+        }
+    }
+
+    /// [`SentFilter::admit`] for a single hit — what a scalar descent
+    /// streams its hits into, with no hit list in between.
+    ///
+    /// An id outside the scene (`object` or `coeff` beyond
+    /// [`SceneIndexData::coeff_counts`]; only a store/scene mismatch can
+    /// produce one) is skipped: it is never sent, never accounted, and
+    /// never grows the filter.
+    #[inline]
+    pub fn admit_one(
+        &mut self,
+        data: &SceneIndexData,
+        index: &WaveletIndex,
+        id: CoeffRef,
+        out: &mut QueryResult,
+    ) {
+        let object = id.object as usize;
+        let Some(&count) = data.coeff_counts.get(object) else {
+            return;
+        };
+        if id.coeff >= count {
+            return;
+        }
+        if self.blocks.len() <= object {
+            self.blocks.resize(data.coeff_counts.len(), 0..0);
+        }
+        let new_object = self.blocks[object].is_empty();
+        if new_object {
+            let start = self.words.len();
+            self.words.resize(start + (count as usize).div_ceil(64), 0);
+            self.blocks[object] = start..self.words.len();
+        }
+        let block = &self.blocks[object];
+        let w = id.coeff as usize / 64;
+        // A block sized from a smaller scene than `data` stays as it is.
+        if w >= block.len() {
+            return;
+        }
+        let word = &mut self.words[block.start + w];
+        let bit = 1u64 << (id.coeff % 64);
+        if *word & bit != 0 {
+            return;
+        }
+        *word |= bit;
+        self.coeffs += 1;
+        index.touch_payload(id);
+        out.coeffs += 1;
+        out.bytes += data.coeff_bytes;
+        if new_object {
+            self.objects += 1;
+            out.new_objects += 1;
+            if let Some(&base) = data.base_bytes.get(object) {
+                out.bytes += base;
+            }
+        }
+    }
+
+    /// Every coefficient sent so far, ascending by `(object, coeff)`.
+    fn sent_set(&self) -> Vec<CoeffRef> {
+        let mut refs = Vec::with_capacity(self.coeffs);
+        for (object, block) in self.blocks.iter().enumerate() {
+            for (w, &word) in self.words[block.clone()].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    refs.push(CoeffRef {
+                        object: object as u32,
+                        coeff: (w * 64) as u32 + bits.trailing_zeros(),
+                    });
+                    bits &= bits - 1;
                 }
             }
         }
+        refs
     }
 }
 
@@ -357,8 +435,8 @@ impl Sessions {
         };
         self.with(session, |f| ResumeInfo {
             session,
-            retained_coeffs: f.sent.len(),
-            retained_objects: f.sent_base.len(),
+            retained_coeffs: f.coeffs,
+            retained_objects: f.objects,
         })
         // A disconnect can race between the two locks; the answer is the
         // same either way — the capability no longer resumes.
@@ -366,21 +444,17 @@ impl Sessions {
     }
 
     /// A sorted snapshot of every coefficient the session has been sent —
-    /// the client's resident set as the server knows it. Sorting makes the
-    /// snapshot deterministic even though the filter itself is a
-    /// membership-only hash set; the chaos and fleet harnesses fingerprint
-    /// this to prove faulty runs converge to the fault-free resident set.
+    /// the client's resident set as the server knows it (the bitmaps are
+    /// walked in id order, so the snapshot is born sorted). The chaos and
+    /// fleet harnesses fingerprint this to prove faulty runs converge to
+    /// the fault-free resident set.
     pub fn session_sent_set(&self, session: u64) -> Result<Vec<CoeffRef>, SessionError> {
-        self.with(session, |f| {
-            let mut refs: Vec<CoeffRef> = f.sent.iter().copied().collect();
-            refs.sort_unstable();
-            refs
-        })
+        self.with(session, |f| f.sent_set())
     }
 
     /// How many coefficients a session has been sent (0 when unknown).
     pub fn session_sent(&self, session: u64) -> usize {
-        self.with(session, |f| f.sent.len()).unwrap_or(0)
+        self.with(session, |f| f.coeffs).unwrap_or(0)
     }
 
     /// Number of currently connected sessions, across all stripes.
@@ -403,9 +477,72 @@ impl Sessions {
                     // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
                     .expect("session stripe poisoned")
                     .values()
-                    .map(|f| f.sent.len() + f.sent_base.len())
+                    .map(|f| f.coeffs + f.objects)
                     .sum::<usize>()
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mar_workload::{Scene, SceneConfig};
+
+    fn scene_data() -> SceneIndexData {
+        let mut cfg = SceneConfig::paper(3, 13);
+        cfg.levels = 2;
+        cfg.target_bytes = 100_000.0;
+        SceneIndexData::build(&Scene::generate(cfg))
+    }
+
+    #[test]
+    fn ids_outside_the_scene_are_skipped_without_growing_the_filter() {
+        // Regression: `admit` indexed `base_bytes[id.object]` unchecked, so
+        // an id from a store that does not match the scene panicked — and a
+        // bitmap sized from `id.coeff` would have grown to whatever the id
+        // said.
+        let data = scene_data();
+        let index = WaveletIndex::build(&data);
+        let objects = data.coeff_counts.len() as u32;
+        let last = CoeffRef {
+            object: objects - 1,
+            coeff: data.coeff_counts[objects as usize - 1] - 1,
+        };
+        let hits = [
+            CoeffRef {
+                object: objects,
+                coeff: 0,
+            },
+            CoeffRef {
+                object: u32::MAX,
+                coeff: u32::MAX,
+            },
+            CoeffRef {
+                object: 0,
+                coeff: data.coeff_counts[0],
+            },
+            CoeffRef {
+                object: 1,
+                coeff: u32::MAX,
+            },
+            last,
+        ];
+        let mut filter = SentFilter::default();
+        let mut out = QueryResult::default();
+        filter.admit(&data, &index, &hits, &mut out);
+        // Only the one in-range id was sent; objects 0 and 1 saw nothing
+        // but out-of-range coefficients, so they hold no block.
+        assert_eq!((out.coeffs, out.new_objects), (1, 1));
+        assert_eq!(
+            out.bytes.to_bits(),
+            (data.coeff_bytes + data.base_bytes[last.object as usize]).to_bits()
+        );
+        assert_eq!(filter.sent_set(), vec![last]);
+        assert_eq!((filter.coeffs, filter.objects), (1, 1));
+        assert_eq!(filter.blocks.len(), objects as usize);
+        assert!(filter.blocks[0].is_empty() && filter.blocks[1].is_empty());
+        let words = (data.coeff_counts[last.object as usize] as usize).div_ceil(64);
+        assert_eq!(filter.words.len(), words, "one block, sized from the scene");
     }
 }

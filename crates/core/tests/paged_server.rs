@@ -131,6 +131,49 @@ fn paged_batch_query_matches_scalar_across_backends() {
 }
 
 #[test]
+fn single_region_query_matches_one_window_batch_on_both_backends() {
+    // A one-region `query` / `fetch_block` takes the scalar descent (in RAM
+    // streaming hits straight into the filter); `query_batch` of the same
+    // region takes the grouped descent and the buffered replay. Every
+    // result — `io` included — must agree, and the two backends with each
+    // other.
+    let sc = scene();
+    let path = tmp("single.pages");
+    let paged =
+        ServerCore::new_paged(&sc, &path, 4 * 4096, CachePolicy::MotionAware).expect("paged core");
+    let mut logs = Vec::new();
+    for core in [ServerCore::new(&sc), paged] {
+        let scalar = Server::from_core(core.clone());
+        let batched = Server::from_core(core);
+        let (a, b) = (scalar.connect(), batched.connect());
+        let mut log = Vec::new();
+        for tick in 0..10 {
+            // Each tick: the wide band-limited window, then the narrow
+            // full-band one inside it (partly already sent).
+            for q in tour(1, tick).into_iter().rev() {
+                let want = if tick % 2 == 0 {
+                    scalar.query(a, &[q]).expect("query")
+                } else {
+                    scalar.fetch_block(a, &q.region, q.band).expect("fetch")
+                };
+                assert!(want.io > 0);
+                let regions = [q];
+                let (got, _) = batched.query_batch(&[(b, &regions)]);
+                assert_eq!(got[0], Ok(want), "tick {tick}");
+                log.push(want);
+            }
+        }
+        assert!(log.iter().any(|r| r.coeffs > 0), "not vacuous");
+        assert_eq!(
+            scalar.sessions().session_sent_set(a),
+            batched.sessions().session_sent_set(b)
+        );
+        logs.push(log);
+    }
+    assert_eq!(logs[0], logs[1], "RAM and paged agree");
+}
+
+#[test]
 fn disconnect_clears_motion_state() {
     let sc = scene();
     let path = tmp("motion.pages");

@@ -118,17 +118,33 @@ impl<const N: usize, T> RTree<N, T> {
     pub fn search_batch<'a>(
         &'a self,
         windows: &[Rect<N>],
-        mut visit: impl FnMut(usize, Rect<N>, &'a T),
+        visit: impl FnMut(usize, Rect<N>, &'a T),
     ) -> BatchAccesses {
         let mut per_window = vec![0u64; windows.len()];
+        let unique = self.search_batch_into(windows, &mut per_window, visit);
+        BatchAccesses { per_window, unique }
+    }
+
+    /// [`RTree::search_batch`] into a caller-owned tally, for callers that
+    /// reuse one buffer across searches: `per_window[w]` is overwritten
+    /// with window `w`'s logical accesses (`per_window.len()` must equal
+    /// `windows.len()`), and the unique physical visits are returned.
+    pub fn search_batch_into<'a>(
+        &'a self,
+        windows: &[Rect<N>],
+        per_window: &mut [u64],
+        mut visit: impl FnMut(usize, Rect<N>, &'a T),
+    ) -> u64 {
+        assert_eq!(per_window.len(), windows.len(), "one tally per window");
+        per_window.fill(0);
         let mut unique = 0u64;
         for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
-            unique += self.search_group(chunk, chunk_idx * 64, &mut per_window, &mut visit);
+            unique += self.search_group(chunk, chunk_idx * 64, per_window, &mut visit);
         }
         let total: u64 = per_window.iter().sum();
         self.io.add(IoKind::Logical, total);
         self.io.add(IoKind::Unique, unique);
-        BatchAccesses { per_window, unique }
+        unique
     }
 
     /// One ≤64-window group descent; returns the physical node visits.

@@ -7,7 +7,7 @@
 //! daemon and builds the same transcript, so wire-layer correctness is a
 //! byte-for-byte fingerprint comparison against the in-process harness.
 
-use crate::codec::{read_frame, write_frame, ErrCode, Frame, WireError, PROTOCOL_VERSION};
+use crate::codec::{read_frame_len, write_frame, ErrCode, Frame, WireError, PROTOCOL_VERSION};
 use mar_bench::serve::{
     per_sec, quantile_ns, serve_scene, session_tour, transcript_row, ServeConfig, TRANSCRIPT_HEADER,
 };
@@ -199,14 +199,9 @@ impl WireClient {
     /// Receives one raw frame; a close here is [`ClientError::ServerClosed`]
     /// and a server `ERROR` frame surfaces as [`ClientError::Server`].
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
-        match read_frame(&mut self.reader)? {
-            Some(frame) => {
-                // Frame length on the wire: 4-byte prefix + payload. The
-                // cheap way to recover it is to re-encode — frames are
-                // tiny and the codec is deterministic.
-                if let Ok(buf) = crate::codec::encode(&frame) {
-                    self.wire_bytes += buf.len() as u64;
-                }
+        match read_frame_len(&mut self.reader)? {
+            Some((frame, len)) => {
+                self.wire_bytes += len;
                 if let Frame::Error { code, detail } = frame {
                     return Err(ClientError::Server {
                         code: ErrCode::from_u8(code),

@@ -568,6 +568,13 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<Fill> {
 /// Reads one frame. `Ok(None)` is a clean close at a frame boundary;
 /// every malformed or truncated input is a typed [`WireError`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
+    Ok(read_frame_len(r)?.map(|(frame, _)| frame))
+}
+
+/// [`read_frame`] plus the bytes the frame took off the wire (4-byte
+/// length prefix + payload) — what [`write_frame`] returned at the sending
+/// end, read off the prefix instead of recovered by re-encoding.
+pub fn read_frame_len<R: Read>(r: &mut R) -> Result<Option<(Frame, u64)>, WireError> {
     let mut prefix = [0u8; 4];
     match fill(r, &mut prefix)? {
         Fill::Eof => return Ok(None),
@@ -598,7 +605,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
             })
         }
     }
-    Ok(Some(decode(&payload)?))
+    Ok(Some((decode(&payload)?, 4 + u64::from(len))))
 }
 
 /// Encodes and writes one frame; returns the bytes put on the wire.

@@ -30,7 +30,7 @@ pub use client::{
     WireResult,
 };
 pub use codec::{
-    decode, encode, read_frame, write_frame, DecodeError, ErrCode, Frame, WireError, MAX_PAYLOAD,
-    PROTOCOL_VERSION,
+    decode, encode, read_frame, read_frame_len, write_frame, DecodeError, ErrCode, Frame,
+    WireError, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use daemon::{spawn_daemon, DaemonConfig, DaemonHandle, DaemonStats, DEFAULT_OUTBOX_CAP};

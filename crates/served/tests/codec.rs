@@ -6,7 +6,8 @@ use mar_core::QueryRegion;
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_served::{
-    decode, encode, read_frame, DecodeError, Frame, WireError, MAX_PAYLOAD, PROTOCOL_VERSION,
+    decode, encode, read_frame, read_frame_len, DecodeError, Frame, WireError, MAX_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -83,9 +84,13 @@ fn every_frame_round_trips_exactly() {
         let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
         assert_eq!(len, buf.len() - 4, "length prefix covers the payload");
         assert_eq!(decode(&buf[4..]), Ok(frame.clone()), "{}", frame.name());
-        // And through the stream reader.
+        // And through the stream reader, which reports the wire length
+        // (prefix included) the writer put there.
         let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), Some(frame));
+        assert_eq!(
+            read_frame_len(&mut cursor).unwrap(),
+            Some((frame, buf.len() as u64))
+        );
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF after");
     }
 }

@@ -103,6 +103,51 @@ fn wire_transcript_is_byte_identical_to_in_process() {
 }
 
 #[test]
+fn wire_bytes_counts_every_frame_in_both_directions() {
+    // The received half comes off each frame's length prefix; it must be
+    // what re-encoding the frame would have said (the codec is canonical).
+    let cfg = tiny_cfg();
+    let (handle, _server) = boot(
+        &cfg,
+        DaemonConfig {
+            max_conns: Some(1),
+            ..DaemonConfig::default()
+        },
+    );
+    let mut client = WireClient::connect(handle.addr).expect("handshake");
+    let regions = whole_space_full(&cfg);
+    let QueryReply::Served(r) = client.query(&regions).expect("query") else {
+        panic!("an acking client is never refused");
+    };
+    assert!(r.bytes > 0.0, "the first frame sends data, so it is acked");
+    let frames = [
+        Frame::Hello {
+            version: mar_served::PROTOCOL_VERSION,
+        },
+        Frame::Welcome {
+            session: client.session(),
+            token: client.token(),
+        },
+        Frame::Query { regions },
+        Frame::Result {
+            coeffs: r.coeffs,
+            new_objects: r.new_objects,
+            bytes: r.bytes,
+            io: r.io,
+        },
+        Frame::Ack { bytes: r.bytes },
+        Frame::Bye,
+        Frame::Bye,
+    ];
+    let want: u64 = frames
+        .iter()
+        .map(|f| mar_served::encode(f).expect("small frame").len() as u64)
+        .sum();
+    assert_eq!(client.bye().expect("bye"), want);
+    handle.join();
+}
+
+#[test]
 fn pipelined_replay_transcript_is_depth_invariant() {
     // The FIFO pipeline drains replies in issue order, so every depth —
     // including depths beyond the session count, which clamp — must
