@@ -25,11 +25,12 @@ use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::figs;
 use mar_bench::serve::session_tour;
 use mar_bench::{Scale, Table};
+use mar_buffer::MotionHeat;
 use mar_core::{
     CachePolicy, LinearSpeedMap, QueryRegion, QueryResult, SceneIndexData, SentFilter, Server,
     ServerCore, SpeedResolutionMap, WaveletIndex,
 };
-use mar_geom::{Point2, Rect3};
+use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
 use mar_rtree::{RTree, RTreeConfig, Variant};
 use mar_workload::{frame_at, Placement, Scene};
@@ -120,12 +121,16 @@ fn index_items(data: &SceneIndexData) -> Vec<(Rect3, mar_core::CoeffRef)> {
 
 /// An evenly spaced `k × k` grid of query centers inside the space.
 fn query_centers(scene: &Scene, k: usize) -> Vec<Point2> {
-    let space = scene.config.space;
-    let mut out = Vec::with_capacity(k * k);
-    for iy in 0..k {
-        for ix in 0..k {
-            let fx = (ix as f64 + 0.5) / k as f64;
-            let fy = (iy as f64 + 0.5) / k as f64;
+    query_centers_grid(&scene.config.space, k, k)
+}
+
+/// An evenly spaced `nx × ny` grid of points inside `space`, row-major.
+fn query_centers_grid(space: &Rect2, nx: usize, ny: usize) -> Vec<Point2> {
+    let mut out = Vec::with_capacity(nx * ny);
+    for iy in 0..ny {
+        for ix in 0..nx {
+            let fx = (ix as f64 + 0.5) / nx as f64;
+            let fy = (iy as f64 + 0.5) / ny as f64;
             out.push(Point2::new([
                 space.lo[0] + fx * space.extent(0),
                 space.lo[1] + fy * space.extent(1),
@@ -330,8 +335,15 @@ fn bench_session_filter(
 /// a working set (8 pages).
 const IO_TOUR_BUDGET: usize = 8 * 4096;
 
+/// Sessions and candidate pages of the `io/victim_rank` point: the
+/// serving benchmark's `paged_tour` shape (32 live sessions; a
+/// 1 199-page pool ranks its unprotected quarter, 299 pages, per fault).
+const RANK_SESSIONS: usize = 32;
+const RANK_GRID: (usize, usize) = (23, 13);
+
 /// The out-of-core read path (`io` group): cold and warm page reads
-/// through the buffer pool, then the tour-workload hit ratio of the
+/// through the buffer pool, the motion-aware victim ranking (ns per
+/// ranked candidate), then the tour-workload hit ratio of the
 /// motion-aware eviction policy against plain LRU at the same byte
 /// budget. The page file is built in `--out-dir` so CI exercises the
 /// store writer on every run.
@@ -402,6 +414,38 @@ fn bench_io(
             name: "page_read_warm".into(),
             m,
             ops_per_iter: windows.len() as u64,
+            hit_ratio: None,
+        });
+    }
+    // Victim ranking: one motion-aware eviction scan — every candidate's
+    // Eq. 2 heat against every session — without the pool around it.
+    // Sessions have walked their tours, so allocations are skewed the way
+    // a live server's are; candidates are leaf-sized regions tiling
+    // the scene, so near, far, diagonal and containing cases all occur.
+    let space = scene.config.space;
+    let mut heat = MotionHeat::server_default((space.extent(0) + space.extent(1)) / 8.0);
+    for k in 0..RANK_SESSIONS {
+        for s in &session_tour(space, ms.io_ticks, 901, k).samples {
+            heat.observe(k as u64, s.pos);
+        }
+    }
+    let candidates: Vec<Rect2> = query_centers_grid(&space, RANK_GRID.0, RANK_GRID.1)
+        .iter()
+        .map(|p| frame_at(&space, p, 0.02))
+        .collect();
+    if let Some(m) = group.bench_function_measured("victim_rank", |b| {
+        b.iter(|| {
+            black_box(&candidates)
+                .iter()
+                .map(|r| heat.heat_rect(r))
+                .fold(f64::INFINITY, f64::min)
+        })
+    }) {
+        entries.push(Entry {
+            group: "io",
+            name: "victim_rank".into(),
+            m,
+            ops_per_iter: candidates.len() as u64,
             hit_ratio: None,
         });
     }

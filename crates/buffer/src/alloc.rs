@@ -24,35 +24,44 @@ use crate::residence::optimal_split;
 /// assert!(alloc[0] > alloc[1] + alloc[2] + alloc[3]);
 /// ```
 pub fn allocate_directions(total: usize, probs: &[f64]) -> Vec<usize> {
+    let mut out = vec![0usize; probs.len()];
+    allocate_directions_into(total, probs, &mut out);
+    out
+}
+
+/// [`allocate_directions`] into a caller-owned slice (one slot per
+/// direction, overwritten): the same allocation without touching the
+/// heap, for callers that refresh it per query.
+pub fn allocate_directions_into(total: usize, probs: &[f64], out: &mut [usize]) {
     assert!(!probs.is_empty(), "need at least one direction");
     assert!(
         probs.iter().all(|p| *p >= 0.0 && p.is_finite()),
         "probabilities must be non-negative and finite"
     );
-    let mut out = vec![0usize; probs.len()];
-    let idx: Vec<usize> = (0..probs.len()).collect();
-    recurse(total, probs, &idx, &mut out);
+    assert_eq!(out.len(), probs.len(), "one slot per direction");
+    recurse(total, probs, out);
     debug_assert_eq!(out.iter().sum::<usize>(), total);
-    out
 }
 
-fn recurse(total: usize, probs: &[f64], group: &[usize], out: &mut [usize]) {
-    match group.len() {
+/// Splits `total` over the directions `probs` covers; the halves of a
+/// group are contiguous, so the recursion narrows both slices in step.
+fn recurse(total: usize, probs: &[f64], out: &mut [usize]) {
+    match probs.len() {
         0 => {}
-        1 => out[group[0]] = total,
-        _ => {
-            let mid = group.len() / 2;
-            let (left, right) = group.split_at(mid);
-            let p_l: f64 = left.iter().map(|&i| probs[i]).sum();
-            let p_r: f64 = right.iter().map(|&i| probs[i]).sum();
+        1 => out[0] = total,
+        n => {
+            let (left, right) = probs.split_at(n / 2);
+            let (out_l, out_r) = out.split_at_mut(n / 2);
+            let p_l: f64 = left.iter().sum();
+            let p_r: f64 = right.iter().sum();
             let (n_l, n_r) = if p_l + p_r <= 0.0 {
                 // No information: split evenly.
                 (total / 2, total - total / 2)
             } else {
                 optimal_split(total, p_l, p_r)
             };
-            recurse(n_l, probs, left, out);
-            recurse(n_r, probs, right, out);
+            recurse(n_l, left, out_l);
+            recurse(n_r, right, out_r);
         }
     }
 }

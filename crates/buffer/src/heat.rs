@@ -4,36 +4,39 @@
 //! single client is predicted to move into. [`MotionHeat`] is the same
 //! idea promoted to the server: each connected session contributes its
 //! own Eq. 2 allocation (smoothed direction probabilities →
-//! [`allocate_directions`]), and a page's *heat* is the sum over
+//! [`allocate_directions_into`]), and a page's *heat* is the sum over
 //! sessions of the allocation weight in the sector that page lies in,
 //! attenuated by distance. The server's `PageCache` (mar-store) ranks
 //! admission and eviction by this heat, so pages in front of moving
 //! clients outlive pages behind them.
 //!
-//! Determinism: sessions live in a `BTreeMap`, so `heat_at` sums
-//! contributions in session-id order; direction smoothing is a fixed
-//! exponential moving average of sector votes with no time source.
+//! Layout: the pool ranks every eviction candidate against every
+//! session while the pager mutex is held, so [`MotionHeat::heat_rect`]
+//! is the innermost loop of the paged backend. Sessions therefore live
+//! in one dense table — ids ascending, positions contiguous, the `k`
+//! allocation weights of a session stored as the `f64`s the formula
+//! multiplies by — and a heat is one straight pass over it: clamp,
+//! subtract, classify the sector, `sqrt`, divide, add. A steady-state
+//! [`MotionHeat::observe`] rewrites its session's row in place and
+//! allocates nothing.
+//!
+//! Determinism: rows are in session-id order and contributions are
+//! added one by one in that order, so a heat is the same sequence of
+//! IEEE operations — and the same bits — whatever order the sessions
+//! connected in; direction smoothing is a fixed exponential moving
+//! average of sector votes with no time source.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 use mar_geom::{Point2, Rect2, SectorPartition, Vector};
 
-use crate::alloc::allocate_directions;
+use crate::alloc::allocate_directions_into;
 
 /// Weight a fresh movement observation carries against a session's
 /// smoothed direction distribution. High enough to track a tour's turns
 /// within a few ticks, low enough that one jittered step does not flip
 /// the allocation.
 const DIRECTION_ALPHA: f64 = 0.5;
-
-#[derive(Debug, Clone)]
-struct SessionMotion {
-    pos: Point2,
-    /// Smoothed probability per sector (sums to 1).
-    probs: Vec<f64>,
-    /// Eq. 2 allocation of the nominal budget across the sectors.
-    alloc: Vec<usize>,
-}
 
 /// Aggregated per-session motion state mapping any point in the scene to
 /// a scalar heat.
@@ -46,7 +49,18 @@ pub struct MotionHeat {
     alloc_total: usize,
     /// Distance (in scene units) at which a contribution halves.
     scale: f64,
-    sessions: BTreeMap<u64, SessionMotion>,
+    /// Tracked session ids, ascending. Row `i` of each table below
+    /// belongs to `ids[i]`.
+    ids: Vec<u64>,
+    /// Last observed position per session.
+    pos: Vec<Point2>,
+    /// Smoothed probability per sector (sums to 1), `k` per session.
+    probs: Vec<f64>,
+    /// Eq. 2 allocation of the nominal budget across the sectors, `k`
+    /// per session, as the weights [`Self::heat_rect`] reads.
+    alloc: Vec<f64>,
+    /// The `k` block counts of the allocation being refreshed.
+    counts: Vec<usize>,
 }
 
 impl MotionHeat {
@@ -59,7 +73,11 @@ impl MotionHeat {
             partition: SectorPartition::axis_centered(k),
             alloc_total,
             scale,
-            sessions: BTreeMap::new(),
+            ids: Vec::new(),
+            pos: Vec::new(),
+            probs: Vec::new(),
+            alloc: Vec::new(),
+            counts: vec![0; k],
         }
     }
 
@@ -75,48 +93,87 @@ impl MotionHeat {
     /// the session's Eq. 2 allocation.
     pub fn observe(&mut self, session: u64, pos: Point2) {
         let k = self.partition.k();
-        match self.sessions.get_mut(&session) {
-            None => {
-                let probs = vec![1.0 / k as f64; k];
-                let alloc = allocate_directions(self.alloc_total, &probs);
-                self.sessions
-                    .insert(session, SessionMotion { pos, probs, alloc });
+        match self.ids.binary_search(&session) {
+            Err(row) => {
+                self.ids.insert(row, session);
+                self.pos.insert(row, pos);
+                let at = row * k;
+                self.probs
+                    .splice(at..at, std::iter::repeat_n(1.0 / k as f64, k));
+                self.alloc.splice(at..at, std::iter::repeat_n(0.0, k));
+                self.refresh_alloc(row);
             }
-            Some(m) => {
-                let delta = pos - m.pos;
-                m.pos = pos;
+            Ok(row) => {
+                let delta = pos - self.pos[row];
+                self.pos[row] = pos;
                 // A stationary tick carries no direction information.
                 if let Some(s) = self.partition.sector_of(&delta) {
-                    for p in m.probs.iter_mut() {
+                    let span = self.row_span(row);
+                    let probs = &mut self.probs[span];
+                    for p in probs.iter_mut() {
                         *p *= 1.0 - DIRECTION_ALPHA;
                     }
-                    m.probs[s] += DIRECTION_ALPHA;
-                    m.alloc = allocate_directions(self.alloc_total, &m.probs);
+                    probs[s] += DIRECTION_ALPHA;
+                    self.refresh_alloc(row);
                 }
             }
         }
     }
 
+    /// Where row `row`'s `k` entries sit in `probs` and `alloc`.
+    fn row_span(&self, row: usize) -> Range<usize> {
+        let k = self.partition.k();
+        row * k..(row + 1) * k
+    }
+
+    /// Recomputes row `row`'s Eq. 2 allocation from its probabilities.
+    fn refresh_alloc(&mut self, row: usize) {
+        let span = self.row_span(row);
+        allocate_directions_into(
+            self.alloc_total,
+            &self.probs[span.clone()],
+            &mut self.counts,
+        );
+        for (weight, &blocks) in self.alloc[span].iter_mut().zip(&self.counts) {
+            *weight = blocks as f64;
+        }
+    }
+
     /// Drops `session`'s contribution (client disconnected).
     pub fn forget(&mut self, session: u64) {
-        self.sessions.remove(&session);
+        if let Ok(row) = self.ids.binary_search(&session) {
+            let span = self.row_span(row);
+            self.ids.remove(row);
+            self.pos.remove(row);
+            self.probs.drain(span.clone());
+            self.alloc.drain(span);
+        }
     }
 
     /// Tracked sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.ids.len()
     }
 
-    /// One session's contribution for an offset `v` from its position:
-    /// the Eq. 2 allocation weight of `v`'s sector, attenuated by
-    /// distance. A zero offset (no sector) counts the full nominal
-    /// budget — as hot as a contribution can be.
-    fn contribution(&self, m: &SessionMotion, v: Vector<2>) -> f64 {
-        let weight = match self.partition.sector_of(&v) {
-            Some(s) => m.alloc[s] as f64,
-            None => self.alloc_total as f64,
-        };
-        weight / (1.0 + v.norm() / self.scale)
+    /// The sum, in session-id order, of each session's contribution for
+    /// the offset `offset(pos)` from its position: the Eq. 2 allocation
+    /// weight of the offset's sector, attenuated by distance. A zero
+    /// offset (no sector) counts the full nominal budget — as hot as a
+    /// contribution can be.
+    fn sum_contributions(&self, offset: impl Fn(&Point2) -> Vector<2>) -> f64 {
+        let full = self.alloc_total as f64;
+        self.pos
+            .iter()
+            .zip(self.alloc.chunks_exact(self.partition.k()))
+            .map(|(pos, alloc)| {
+                let v = offset(pos);
+                let weight = match self.partition.sector_of(&v) {
+                    Some(s) => alloc[s],
+                    None => full,
+                };
+                weight / (1.0 + v.norm() / self.scale)
+            })
+            .sum()
     }
 
     /// Heat at `center`: the sum over sessions of the Eq. 2 allocation
@@ -124,10 +181,7 @@ impl MotionHeat {
     /// by distance. A point exactly at a session's position (no sector)
     /// counts the full nominal budget — it is as hot as a page can be.
     pub fn heat_at(&self, center: Point2) -> f64 {
-        self.sessions
-            .values()
-            .map(|m| self.contribution(m, center - m.pos))
-            .sum()
+        self.sum_contributions(|pos| center - *pos)
     }
 
     /// Heat of an axis-aligned region: each session contributes the heat
@@ -139,25 +193,162 @@ impl MotionHeat {
     /// leaf-sized regions the nearest point is effectively the center and
     /// the ranking stays directional.
     pub fn heat_rect(&self, rect: &Rect2) -> f64 {
-        self.sessions
-            .values()
-            .map(|m| {
-                let nearest = Point2::new([
-                    m.pos[0].clamp(rect.lo[0], rect.hi[0]),
-                    m.pos[1].clamp(rect.lo[1], rect.hi[1]),
-                ]);
-                self.contribution(m, nearest - m.pos)
-            })
-            .sum()
+        self.sum_contributions(|pos| {
+            let nearest = Point2::new([
+                pos[0].clamp(rect.lo[0], rect.hi[0]),
+                pos[1].clamp(rect.lo[1], rect.hi[1]),
+            ]);
+            nearest - *pos
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::allocate_directions;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::f64::consts::TAU;
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new([x, y])
+    }
+
+    /// The heat field as it was before the dense table: a `BTreeMap` of
+    /// per-session `Vec`s, the allocation kept as block counts, and the
+    /// sector taken from `atan2`. [`MotionHeat`] must reproduce its heats
+    /// bit for bit.
+    struct Oracle {
+        k: usize,
+        alloc_total: usize,
+        scale: f64,
+        sessions: BTreeMap<u64, (Point2, Vec<f64>, Vec<usize>)>,
+    }
+
+    /// `SectorPartition::axis_centered(k).sector_of(v)` by its `atan2`
+    /// definition.
+    fn angle_sector(k: usize, v: &Vector<2>) -> Option<usize> {
+        let offset = (-TAU / (2.0 * k as f64)).rem_euclid(TAU);
+        let rel = (v.angle()? - offset).rem_euclid(TAU);
+        Some(((rel / (TAU / k as f64)) as usize).min(k - 1))
+    }
+
+    impl Oracle {
+        fn new(k: usize, alloc_total: usize, scale: f64) -> Self {
+            Self {
+                k,
+                alloc_total,
+                scale,
+                sessions: BTreeMap::new(),
+            }
+        }
+
+        fn observe(&mut self, session: u64, pos: Point2) {
+            let k = self.k;
+            match self.sessions.get_mut(&session) {
+                None => {
+                    let probs = vec![1.0 / k as f64; k];
+                    let alloc = allocate_directions(self.alloc_total, &probs);
+                    self.sessions.insert(session, (pos, probs, alloc));
+                }
+                Some(m) => {
+                    let delta = pos - m.0;
+                    m.0 = pos;
+                    if let Some(s) = angle_sector(k, &delta) {
+                        for p in m.1.iter_mut() {
+                            *p *= 1.0 - DIRECTION_ALPHA;
+                        }
+                        m.1[s] += DIRECTION_ALPHA;
+                        m.2 = allocate_directions(self.alloc_total, &m.1);
+                    }
+                }
+            }
+        }
+
+        fn forget(&mut self, session: u64) {
+            self.sessions.remove(&session);
+        }
+
+        fn contribution(&self, alloc: &[usize], v: Vector<2>) -> f64 {
+            let weight = match angle_sector(self.k, &v) {
+                Some(s) => alloc[s] as f64,
+                None => self.alloc_total as f64,
+            };
+            weight / (1.0 + v.norm() / self.scale)
+        }
+
+        fn heat_at(&self, center: Point2) -> f64 {
+            self.sessions
+                .values()
+                .map(|(pos, _, alloc)| self.contribution(alloc, center - *pos))
+                .sum()
+        }
+
+        fn heat_rect(&self, rect: &Rect2) -> f64 {
+            self.sessions
+                .values()
+                .map(|(pos, _, alloc)| {
+                    let nearest = Point2::new([
+                        pos[0].clamp(rect.lo[0], rect.hi[0]),
+                        pos[1].clamp(rect.lo[1], rect.hi[1]),
+                    ]);
+                    self.contribution(alloc, nearest - *pos)
+                })
+                .sum()
+        }
+    }
+
+    proptest! {
+        /// After any observe/forget sequence the dense table's heats are
+        /// the oracle's, bit for bit, for point probes and for rects that
+        /// contain sessions, are degenerate, sit exactly on a session, lie
+        /// diagonally off one, or are far away.
+        #[test]
+        fn heats_equal_the_btreemap_oracle_bit_for_bit(
+            k_pick in 0usize..3,
+            ops in prop::collection::vec(
+                (0u64..9, 0u32..8, -40i32..40, -40i32..40), 1..80),
+            rects in prop::collection::vec(
+                (-60.0f64..60.0, -60.0f64..60.0, 0.0f64..30.0, 0.0f64..30.0), 1..12),
+        ) {
+            let k = [4usize, 4, 6][k_pick];
+            let mut dense = MotionHeat::new(k, 64, 12.5);
+            let mut oracle = Oracle::new(k, 64, 12.5);
+            for (step, &(session, kind, x, y)) in ops.iter().enumerate() {
+                // Integer-lattice positions make stationary ticks, exact
+                // diagonals and axis moves all common.
+                let pos = p(x as f64 * 0.5, y as f64 * 0.5);
+                if kind == 0 {
+                    dense.forget(session);
+                    oracle.forget(session);
+                } else {
+                    dense.observe(session, pos);
+                    oracle.observe(session, pos);
+                }
+                prop_assert_eq!(dense.session_count(), oracle.sessions.len());
+                let mut probes: Vec<Rect2> = rects
+                    .iter()
+                    .map(|&(x, y, w, h)| Rect2::new(p(x, y), p(x + w, y + h)))
+                    .collect();
+                probes.push(Rect2::new(p(-1e4, -1e4), p(1e4, 1e4))); // contains all
+                probes.push(Rect2::new(pos, pos)); // degenerate, on a session
+                probes.push(Rect2::new(pos + Vector::new([3.0, 3.0]), pos + Vector::new([5.0, 5.0])));
+                probes.push(Rect2::new(p(9e5, -9e5), p(9.1e5, -8.9e5))); // far
+                for r in &probes {
+                    prop_assert_eq!(
+                        dense.heat_rect(r).to_bits(),
+                        oracle.heat_rect(r).to_bits(),
+                        "heat_rect({:?}) after step {}", r, step
+                    );
+                    prop_assert_eq!(
+                        dense.heat_at(r.lo).to_bits(),
+                        oracle.heat_at(r.lo).to_bits(),
+                        "heat_at({:?}) after step {}", r.lo, step
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -230,7 +421,7 @@ mod tests {
     #[test]
     fn heat_is_session_order_invariant() {
         // Two fields fed the same observations in different interleavings
-        // agree everywhere (summation runs in BTreeMap session order).
+        // agree everywhere (summation runs in session-id order).
         let mut a = MotionHeat::server_default(10.0);
         let mut b = MotionHeat::server_default(10.0);
         let obs = [(1u64, 0.0), (2u64, 5.0), (1u64, 1.0), (2u64, 4.0)];

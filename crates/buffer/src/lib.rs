@@ -43,7 +43,7 @@ pub mod multires;
 pub mod prefetch;
 pub mod residence;
 
-pub use alloc::{allocate_directions, best_ordering_allocation};
+pub use alloc::{allocate_directions, allocate_directions_into, best_ordering_allocation};
 pub use block::{BlockCache, CacheStats};
 pub use heat::MotionHeat;
 pub use lru::LruCache;

@@ -36,7 +36,9 @@ thread_local! {
 #[derive(Debug)]
 enum Backend {
     Ram(RTree<3, CoeffRef>),
-    Paged(PagedIndex),
+    /// Boxed: the pager (pool, heat field, heat memo) is several times
+    /// the size of the RAM tree's handle.
+    Paged(Box<PagedIndex>),
 }
 
 /// The support-region index.
@@ -98,7 +100,7 @@ impl WaveletIndex {
         policy: CachePolicy,
     ) -> Result<Self, StoreError> {
         Ok(Self {
-            backend: Backend::Paged(PagedIndex::open(path, budget_bytes, policy)?),
+            backend: Backend::Paged(Box::new(PagedIndex::open(path, budget_bytes, policy)?)),
         })
     }
 

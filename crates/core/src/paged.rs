@@ -20,11 +20,27 @@
 //!
 //! # Locking (DESIGN.md §13)
 //!
-//! The pager mutex (pool + heat field) is a **leaf** lock: no code
-//! holding it acquires any other lock, so the `session stripe → pager`
-//! edge the server adds keeps the global lock-order graph acyclic. Each
-//! page fetch locks and releases the pager — page payloads come back as
-//! shared `Arc`s, so decoding happens outside the critical section.
+//! The pager mutex (pool + heat field + heat memo) is a **leaf** lock:
+//! no code holding it acquires any other lock, so the `session stripe →
+//! pager` edge the server adds keeps the global lock-order graph acyclic.
+//! Each page fetch locks and releases the pager.
+//!
+//! *Under* the mutex: the pool look-up; on a miss the checksummed page
+//! read, and — only when a motion-aware pool is full — the victim scan,
+//! which ranks the unprotected quarter of the pool by Eq. 2 heat. A
+//! heat is computed at most once per page per *motion epoch* (the span
+//! between two `observe_motion` / `forget_motion` calls): the pager
+//! memoises it, so the second and later faults of a query rank their
+//! candidates with array reads. One heat costs a pass over the sessions
+//! with no trigonometry and no allocation (DESIGN.md §15.3); a session's
+//! Eq. 2 allocation is refreshed under the mutex too, in place.
+//!
+//! *Outside* it: page payloads come back as shared `Arc`s, so node
+//! parsing, window tests and record decoding never hold the lock — and
+//! neither does the panic on a corrupt page: a failed read leaves the
+//! pool consistent (only its look-up counter moved), the guard is
+//! released first, and the panic then unwinds the one query that hit
+//! the bad page without poisoning the pager for every other session.
 
 use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
@@ -41,6 +57,12 @@ use std::sync::{Arc, Mutex};
 struct Pager {
     cache: PageCache,
     heat: MotionHeat,
+    /// Counts changes to `heat`; starts at 1 so a zeroed memo entry is
+    /// never current.
+    heat_epoch: u64,
+    /// Per data page: the epoch its heat was last computed in, and that
+    /// heat. An entry is valid while its epoch equals `heat_epoch`.
+    heat_memo: Vec<(u64, f64)>,
 }
 
 /// The disk-backed wavelet index backend.
@@ -69,7 +91,12 @@ impl PagedIndex {
             .unwrap_or(1.0);
         let heat = MotionHeat::server_default(scale);
         Ok(Self {
-            pager: Mutex::new(Pager { cache, heat }),
+            pager: Mutex::new(Pager {
+                cache,
+                heat,
+                heat_epoch: 1,
+                heat_memo: vec![(0, 0.0); meta.regions.len()],
+            }),
             meta,
             file_pages,
             io: IoCounters::new(),
@@ -135,12 +162,16 @@ impl PagedIndex {
     /// field turns the per-session movement history into the Eq. 2
     /// k-direction allocation the pool's victim ranking consults.
     pub fn observe_motion(&self, session: u64, pos: Point2) {
-        self.lock_pager().heat.observe(session, pos);
+        let mut pager = self.lock_pager();
+        pager.heat.observe(session, pos);
+        pager.heat_epoch += 1;
     }
 
     /// Drops `session`'s contribution to the heat field.
     pub fn forget_motion(&self, session: u64) {
-        self.lock_pager().heat.forget(session);
+        let mut pager = self.lock_pager();
+        pager.heat.forget(session);
+        pager.heat_epoch += 1;
     }
 
     /// Sessions currently contributing heat.
@@ -154,26 +185,44 @@ impl PagedIndex {
     }
 
     /// Fetches one page through the pool, tallying a physical access on
-    /// a miss. The heat of a candidate page is the Eq. 2 heat at the
-    /// centre of its ground-plane region.
+    /// a miss. The heat of a candidate page is the Eq. 2 heat of its
+    /// ground-plane region, memoised per motion epoch.
     fn page(&self, page: u32) -> Arc<Vec<u8>> {
-        let mut pager = self.lock_pager();
-        let Pager { cache, heat } = &mut *pager;
-        let regions = &self.meta.regions;
-        // A page is as hot as the hottest predicted point its region
-        // covers: root and upper internal pages contain every session and
-        // stay resident; leaf and coefficient pages rank directionally.
-        // The page being faulted is serving a live query, so it ranks
-        // maximally — admission can displace the coldest resident but a
-        // mid-run payload page is never served without being cached.
-        let rank = move |p: u32| {
-            if p == page {
-                return f64::INFINITY;
-            }
-            regions.get(p as usize).map_or(0.0, |r| heat.heat_rect(r))
+        let read = {
+            let mut pager = self.lock_pager();
+            let Pager {
+                cache,
+                heat,
+                heat_epoch,
+                heat_memo,
+            } = &mut *pager;
+            let epoch = *heat_epoch;
+            let regions = &self.meta.regions;
+            // A page is as hot as the hottest predicted point its region
+            // covers: root and upper internal pages contain every session
+            // and stay resident; leaf and coefficient pages rank
+            // directionally. The page being faulted is serving a live
+            // query, so it ranks maximally — admission can displace the
+            // coldest resident but a mid-run payload page is never served
+            // without being cached.
+            let mut rank = |p: u32| {
+                if p == page {
+                    return f64::INFINITY;
+                }
+                let p = p as usize;
+                let (Some(region), Some(memo)) = (regions.get(p), heat_memo.get_mut(p)) else {
+                    return 0.0;
+                };
+                if memo.0 != epoch {
+                    *memo = (epoch, heat.heat_rect(region));
+                }
+                memo.1
+            };
+            cache.read_with_heat(page, &mut rank)
         };
-        let (data, hit) = cache
-            .read_with_heat(page, &rank)
+        // The guard is gone: a corrupt page panics this query only, and
+        // the pool it leaves behind is consistent.
+        let (data, hit) = read
             // mar-lint: allow(D004) — the store was validated at open; a failed page read here is unrecoverable corruption
             .expect("store page read failed");
         if !hit {
@@ -368,9 +417,10 @@ mod tests {
     use crate::coeff::SceneIndexData;
     use crate::index::WaveletIndex;
     use crate::store::write_store;
-    use mar_geom::{Point2, Rect2};
+    use mar_geom::{Point2, Rect2, Vector};
     use mar_mesh::ResolutionBand;
     use mar_rtree::BatchAccesses;
+    use mar_store::TraceEvent;
     use mar_workload::{Scene, SceneConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -420,13 +470,37 @@ mod tests {
         budget_pages: usize,
         policy: CachePolicy,
     ) -> (PagedIndex, WaveletIndex, SceneIndexData) {
+        let (paged, ram, d, _) = open_small_at(name, budget_pages, policy);
+        (paged, ram, d)
+    }
+
+    /// [`open_small`] plus the path of the store file it wrote.
+    fn open_small_at(
+        name: &str,
+        budget_pages: usize,
+        policy: CachePolicy,
+    ) -> (PagedIndex, WaveletIndex, SceneIndexData, PathBuf) {
         let d = data();
         let ram = WaveletIndex::build(&d);
         let path = tmp(name);
         write_store(&path, &d).expect("write");
         let paged =
             PagedIndex::open(&path, budget_pages * mar_store::PAGE_SIZE, policy).expect("open");
-        (paged, ram, d)
+        (paged, ram, d, path)
+    }
+
+    /// The pages evicted since the last call, in order.
+    fn take_evictions(paged: &PagedIndex) -> Vec<u32> {
+        paged
+            .lock_pager()
+            .cache
+            .take_trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Evict(p) => Some(*p),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -518,5 +592,193 @@ mod tests {
         paged.forget_motion(7);
         assert_eq!(paged.motion_sessions(), 0);
         assert!(paged.validate().is_ok());
+    }
+
+    /// Eviction decisions are a pure function of the heats, so a heat
+    /// kernel that changes one bit somewhere it matters shows up here:
+    /// the goldens were captured on the commit before the dense heat
+    /// table, the `atan2`-free sector test and the per-epoch memo (PR 14).
+    /// An 8-page pool ranks its two least-recent pages on every fault,
+    /// and the same tour under `CachePolicy::Lru` faults 151 times, not
+    /// 135 — the trace depends on the heats.
+    #[test]
+    fn two_session_tour_reproduces_the_pre_memo_decisions() {
+        const EVICTED: [u32; 127] = [
+            2, 72, 71, 70, 69, 68, 67, 30, 29, 2, 72, 71, 70, 68, 67, 69, 30, 29, 2, 72, 71, 70,
+            68, 67, 69, 30, 29, 2, 72, 71, 70, 68, 67, 69, 30, 2, 29, 72, 71, 70, 68, 67, 69, 30,
+            4, 72, 71, 70, 69, 0, 2, 30, 1, 20, 18, 17, 0, 2, 30, 29, 20, 18, 17, 2, 30, 29, 1, 20,
+            19, 18, 17, 2, 30, 29, 1, 20, 19, 18, 17, 2, 30, 29, 1, 20, 19, 18, 17, 3, 47, 46, 45,
+            1, 21, 20, 19, 18, 17, 91, 89, 88, 90, 3, 54, 48, 47, 46, 45, 1, 21, 20, 19, 18, 17,
+            91, 90, 88, 0, 3, 56, 55, 54, 53, 48, 47, 46, 45, 1,
+        ];
+        let (paged, _, _) = open_small("golden.pages", 8, CachePolicy::MotionAware);
+        paged.lock_pager().cache.set_trace(true);
+        let half = Vector::new([60.0, 60.0]);
+        for t in 0..40u32 {
+            let f = t as f64 / 39.0;
+            if t == 30 {
+                paged.forget_motion(2);
+            }
+            let tour = [
+                (1u64, [100.0 + 800.0 * f, 300.0 + 100.0 * f]),
+                (2u64, [900.0 - 800.0 * f, 700.0 - 200.0 * f]),
+            ];
+            for (session, at) in tour {
+                if session == 2 && t >= 30 {
+                    continue;
+                }
+                let pos = Point2::new(at);
+                paged.observe_motion(session, pos);
+                let window = Rect2::new(pos - half, pos + half).lift(0.0, 1.0);
+                let mut hits = Vec::new();
+                paged.for_each(&window, |id| hits.push(id));
+                for id in hits.iter().step_by(7).take(6) {
+                    paged.touch_payload(*id);
+                }
+            }
+        }
+        assert_eq!(take_evictions(&paged), EVICTED);
+        assert_eq!(
+            paged.cache_stats(),
+            PageCacheStats {
+                lookups: 376,
+                hits: 241,
+                faults: 135,
+                evictions: 127,
+                bypasses: 0,
+            }
+        );
+        assert_eq!(
+            paged.io_snapshot(),
+            IoSnapshot {
+                logical: 359,
+                unique: 359,
+                physical: 135,
+            }
+        );
+    }
+
+    /// A memoised heat must not outlive the motion it was computed from:
+    /// with the pool's two ranked candidates being coefficient pages A
+    /// and B, a session sitting on A makes B the victim; once the session
+    /// has moved onto B the very next fault must evict A, and once it has
+    /// disconnected the next one falls back to recency — although both
+    /// pages' heats were memoised before each change.
+    #[test]
+    fn moving_or_forgetting_a_session_invalidates_memoised_heats() {
+        let (paged, _, d) = open_small("stale.pages", 8, CachePolicy::MotionAware);
+        let meta = paged.meta().clone();
+        let coeff_pages: Vec<u32> = (meta.node_pages..meta.data_pages()).collect();
+        let region = |p: u32| meta.regions[p as usize];
+        let id_on = |p: u32| d.records[((p - meta.node_pages) * meta.records_per_page) as usize].id;
+        let touch = |p: u32| paged.touch_payload(id_on(p));
+        let resident = |p: u32| paged.lock_pager().cache.contains(p);
+
+        // A, B: two coefficient pages neither of whose regions reaches the
+        // other's centre; fillers: pages that cover neither centre, so a
+        // session standing on A or B heats that page strictly most.
+        let a = coeff_pages[0];
+        let at_a = region(a).center();
+        let b = *coeff_pages
+            .iter()
+            .find(|&&p| {
+                !region(p).contains_point(&at_a) && !region(a).contains_point(&region(p).center())
+            })
+            .expect("a coefficient page away from A");
+        let at_b = region(b).center();
+        let fillers: Vec<u32> = coeff_pages
+            .iter()
+            .copied()
+            .filter(|&p| {
+                p != a
+                    && p != b
+                    && !region(p).contains_point(&at_a)
+                    && !region(p).contains_point(&at_b)
+            })
+            .collect();
+        assert!(fillers.len() >= 9, "scene too small: {fillers:?}");
+        let (fill, fresh) = fillers.split_at(6);
+
+        // Pool (8 pages, least recent first): A, B, six fillers.
+        touch(a);
+        touch(b);
+        fill.iter().for_each(|&p| touch(p));
+        paged.lock_pager().cache.set_trace(true);
+
+        // Session on A: B is the colder candidate. Memoises both heats.
+        paged.observe_motion(1, at_a);
+        touch(fresh[0]);
+        assert_eq!(take_evictions(&paged), [b]);
+
+        // Restore "A, B least recent" without a motion change: A (hit),
+        // B (faults over one of the two oldest fillers), then re-touch
+        // every other resident page.
+        touch(a);
+        touch(b);
+        for &p in fill.iter().chain(&fresh[..1]) {
+            if resident(p) {
+                touch(p);
+            }
+        }
+        assert_eq!(take_evictions(&paged).len(), 1);
+        assert!(resident(a) && resident(b));
+
+        // The session moves onto B. The stale memo says "A hot, B cold".
+        paged.observe_motion(1, at_b);
+        touch(fresh[1]);
+        assert_eq!(
+            take_evictions(&paged),
+            [a],
+            "observe_motion must drop the memo"
+        );
+
+        // B is now least recent and memoised as maximally hot. With the
+        // session gone every heat ties, so recency picks B.
+        paged.forget_motion(1);
+        touch(fresh[2]);
+        assert_eq!(
+            take_evictions(&paged),
+            [b],
+            "forget_motion must drop the memo"
+        );
+    }
+
+    /// One corrupt page must cost one query, not the server: the panic
+    /// happens after the pager guard is dropped, so the mutex is not
+    /// poisoned and every other session keeps being served.
+    #[test]
+    fn a_corrupt_page_panics_one_query_without_poisoning_the_pager() {
+        let (paged, _, d, path) = open_small_at("corrupt.pages", 8, CachePolicy::MotionAware);
+        // Flip one payload byte of the last coefficient page on disk, after
+        // the open-time validation and before anything has read it.
+        let bad_page = paged.meta().data_pages() - 1;
+        let bad_id = d.records.last().expect("records").id;
+        let offset = mar_store::PAGE_SIZE as u64 * (1 + bad_page as u64) + 17;
+        let mut bytes = std::fs::read(&path).expect("read store");
+        bytes[offset as usize] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("rewrite store");
+
+        let before = paged.cache_stats();
+        std::thread::scope(|s| {
+            let victim = s.spawn(|| paged.touch_payload(bad_id));
+            assert!(
+                victim.join().is_err(),
+                "a bad checksum must panic the query"
+            );
+        });
+        let after = paged.cache_stats();
+        assert_eq!(after.lookups, before.lookups + 1);
+        assert_eq!(
+            after.faults, before.faults,
+            "the failed read admitted nothing"
+        );
+        std::thread::scope(|s| {
+            let survivor = s.spawn(|| {
+                paged.observe_motion(9, Point2::new([500.0, 500.0]));
+                paged.for_each(&windows()[0], |_| {})
+            });
+            assert!(survivor.join().expect("other sessions keep working") > 0);
+        });
+        assert_eq!(paged.motion_sessions(), 1);
     }
 }

@@ -11,6 +11,15 @@
 //! [`SectorPartition`] implements that assignment. The default orientation
 //! places sector boundaries on the diagonals (so with `k = 4` the sectors
 //! are "east", "north", "west", "south"), matching the paper's figure.
+//!
+//! [`SectorPartition::sector_of`] is on the server's victim-ranking path
+//! (one call per resident-page candidate per session, DESIGN.md §15.3),
+//! so the compass partition classifies by comparing `|x|` with `|y|`
+//! instead of calling `atan2`. The comparison is only trusted outside a
+//! guard band around the diagonals that is seven orders of magnitude
+//! wider than the angle path's rounding error; inside it, and for every
+//! other partition, the angle path decides — so the two agree on every
+//! input, not merely on almost every one.
 
 use crate::{BlockId, GridSpec, Point2, Vec2};
 use std::collections::BTreeMap;
@@ -23,7 +32,17 @@ pub struct SectorPartition {
     k: usize,
     /// Angle (radians, CCW from +x) of the boundary that *starts* sector 0.
     offset: f64,
+    /// True for the axis-centred `k = 4` partition, whose sectors
+    /// [`Self::sector_of`] can tell apart without trigonometry.
+    compass: bool,
 }
+
+/// Relative half-width of the band around the diagonals in which the
+/// compass fast path defers to the angle path: `| |x|−|y| |` must exceed
+/// this fraction of `|x|+|y|`. The direction is then at least ~1e-9 rad
+/// from a sector boundary, while `atan2`, the offset subtraction,
+/// `rem_euclid` and the division are together good to ~1e-15 rad.
+const COMPASS_GUARD: f64 = 1e-9;
 
 impl SectorPartition {
     /// Creates a partition with `k` sectors whose first boundary lies at
@@ -33,9 +52,11 @@ impl SectorPartition {
     /// Panics if `k == 0`.
     pub fn new(k: usize, offset: f64) -> Self {
         assert!(k > 0, "need at least one sector");
+        let offset = offset.rem_euclid(TAU);
         Self {
             k,
-            offset: offset.rem_euclid(TAU),
+            offset,
+            compass: k == 4 && offset == (-TAU / 8.0).rem_euclid(TAU),
         }
     }
 
@@ -59,6 +80,36 @@ impl SectorPartition {
 
     /// The sector containing direction `v`, or `None` for the zero vector.
     pub fn sector_of(&self, v: &Vec2) -> Option<usize> {
+        if self.compass {
+            // `Vec2::angle`'s zero-vector rule, checked first so the two
+            // paths agree on it too. A NaN or infinite component fails
+            // the guard comparison and falls through to the angle path.
+            if v.norm_sq() <= f64::EPSILON * f64::EPSILON {
+                return None;
+            }
+            let (x, y) = (v[0], v[1]);
+            let (ax, ay) = (x.abs(), y.abs());
+            if (ax - ay).abs() > COMPASS_GUARD * (ax + ay) {
+                return Some(if ax > ay {
+                    if x > 0.0 {
+                        0 // east
+                    } else {
+                        2 // west
+                    }
+                } else if y > 0.0 {
+                    1 // north
+                } else {
+                    3 // south
+                });
+            }
+        }
+        self.sector_of_by_angle(v)
+    }
+
+    /// [`Self::sector_of`] through `atan2`: the definition, the path every
+    /// non-compass partition takes, and the reference the compass fast
+    /// path is tested against.
+    fn sector_of_by_angle(&self, v: &Vec2) -> Option<usize> {
         let angle = v.angle()?;
         let rel = (angle - self.offset).rem_euclid(TAU);
         Some(((rel / self.sector_width()) as usize).min(self.k - 1))
@@ -207,6 +258,98 @@ mod tests {
         let assigned = p.assign_blocks(&g, &center, &blocks, 1e-9);
         assert_eq!(assigned[&BlockId::new(7, 5)], 0);
         assert_eq!(assigned[&BlockId::new(9, 5)], 0);
+    }
+
+    /// `(x, y)` under every sign combination, and with the axes swapped,
+    /// must classify on the compass partition exactly as the `atan2`
+    /// reference does.
+    fn assert_matches_reference(x: f64, y: f64) {
+        let compass = SectorPartition::axis_centered(4);
+        assert!(compass.compass);
+        for (sx, sy) in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)] {
+            for v in [Vec2::new([sx * x, sy * y]), Vec2::new([sy * y, sx * x])] {
+                assert_eq!(
+                    compass.sector_of(&v),
+                    compass.sector_of_by_angle(&v),
+                    "compass fast path disagrees with atan2 on {v:?}"
+                );
+            }
+        }
+    }
+
+    /// `a` moved `n` representable values up (`n > 0`) or down.
+    fn step_ulps(a: f64, n: i64) -> f64 {
+        f64::from_bits((a.to_bits() as i64 + n) as u64)
+    }
+
+    #[test]
+    fn only_the_axis_centered_four_is_compass() {
+        assert!(SectorPartition::new(4, -TAU / 8.0).compass);
+        assert!(!SectorPartition::new(4, 0.0).compass);
+        assert!(!SectorPartition::axis_centered(8).compass);
+        assert!(!SectorPartition::axis_centered(2).compass);
+    }
+
+    #[test]
+    fn compass_matches_atan2_on_and_around_the_diagonals() {
+        for a in [1.0, 0.1, 3.7e-6, 55.0, 1e9, 1e150, f64::MIN_POSITIVE * 1e20] {
+            assert_matches_reference(a, a);
+            for n in 1..=4 {
+                assert_matches_reference(a, step_ulps(a, n));
+                assert_matches_reference(a, step_ulps(a, -n));
+            }
+            // Either side of the guard band's own edge.
+            for rel in [0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 4e-9, 1e-6] {
+                assert_matches_reference(a, a * (1.0 + rel));
+                assert_matches_reference(a, a * (1.0 - rel));
+            }
+        }
+    }
+
+    #[test]
+    fn compass_matches_atan2_on_degenerate_vectors() {
+        let tiny = [
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::EPSILON / 2.0,
+            f64::EPSILON / std::f64::consts::SQRT_2,
+            f64::EPSILON,
+            f64::EPSILON * 1.5,
+        ];
+        for x in tiny {
+            for y in tiny {
+                assert_matches_reference(x, y);
+            }
+            assert_matches_reference(x, 1.0);
+        }
+        for (x, y) in [
+            (f64::INFINITY, 1.0),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NAN, 1.0),
+            (f64::MAX, f64::MAX),
+            (f64::MAX, 1.0),
+        ] {
+            assert_matches_reference(x, y);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn compass_matches_atan2_on_random_vectors(
+            x in -1000.0f64..1000.0,
+            y in -1000.0f64..1000.0,
+            exp in -40i32..40,
+            ulps in -4i64..5,
+        ) {
+            assert_matches_reference(x, y);
+            // The same direction at another magnitude, and a near-diagonal
+            // neighbour of it a few representable values off.
+            let s = 2f64.powi(exp);
+            assert_matches_reference(x * s, y * s);
+            assert_matches_reference(x * s, step_ulps(x * s, ulps));
+        }
     }
 
     #[test]

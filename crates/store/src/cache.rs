@@ -26,6 +26,16 @@
 //! `heat(new) < heat(victim)` never fires), which is what makes the
 //! ablation a controlled comparison.
 //!
+//! Cost: the pool never computes a heat itself. On a fault into a full
+//! motion-aware pool it asks the caller's `FnMut(u32) -> f64` once per
+//! candidate of the unprotected quarter (a quarter of the pool per
+//! eviction), then for the faulted page and the chosen victim; hits,
+//! LRU pools and pools with room never call it. Because the closure may
+//! keep state, a caller whose heats are expensive memoises them — the
+//! paged backend keeps one `(motion epoch, heat)` slot per page
+//! (mar-core `paged.rs`, DESIGN.md §15.2) — and the pool stays
+//! oblivious: a decision depends only on the values returned.
+//!
 //! Determinism: entries live in a `BTreeMap` keyed by page id, victim
 //! scans iterate in key order, floats compare via `total_cmp`, and the
 //! recency side index is a [`RecencyIndex`] — identical read sequences
@@ -182,16 +192,18 @@ impl PageCache {
     /// Reads `page` under a uniform heat function (policy degenerates to
     /// LRU). Returns the payload and whether it was a pool hit.
     pub fn read(&mut self, page: u32) -> Result<(Arc<Vec<u8>>, bool), StoreError> {
-        self.read_with_heat(page, &|_| 0.0)
+        self.read_with_heat(page, &mut |_| 0.0)
     }
 
     /// Reads `page`, ranking admission/eviction by `heat` (higher =
     /// hotter = more worth keeping). Returns the payload and whether it
-    /// was a pool hit.
+    /// was a pool hit. `heat` may keep state (see the module docs on
+    /// cost) but must return the same value for the same page throughout
+    /// one call.
     pub fn read_with_heat(
         &mut self,
         page: u32,
-        heat: &dyn Fn(u32) -> f64,
+        heat: &mut dyn FnMut(u32) -> f64,
     ) -> Result<(Arc<Vec<u8>>, bool), StoreError> {
         self.stats.lookups += 1;
         if let Some(res) = self.entries.get_mut(&page) {
@@ -322,13 +334,13 @@ mod tests {
             CachePolicy::MotionAware,
         );
         // Pages 0 and 1 are hot; 2 and 3 are a cold scan.
-        let heat = |p: u32| if p < 2 { 10.0 } else { 0.0 };
+        let mut heat = |p: u32| if p < 2 { 10.0 } else { 0.0 };
         c.set_trace(true);
-        c.read_with_heat(0, &heat).unwrap();
-        c.read_with_heat(1, &heat).unwrap();
-        c.read_with_heat(2, &heat).unwrap(); // cold → bypass
-        c.read_with_heat(3, &heat).unwrap(); // cold → bypass
-        let (_, hit) = c.read_with_heat(0, &heat).unwrap();
+        c.read_with_heat(0, &mut heat).unwrap();
+        c.read_with_heat(1, &mut heat).unwrap();
+        c.read_with_heat(2, &mut heat).unwrap(); // cold → bypass
+        c.read_with_heat(3, &mut heat).unwrap(); // cold → bypass
+        let (_, hit) = c.read_with_heat(0, &mut heat).unwrap();
         assert!(hit, "hot page survived the scan");
         assert_eq!(
             c.take_trace(),

@@ -101,7 +101,7 @@ fn run_and_check(
     reads: &[u32],
     heats: &[f64],
 ) -> Result<Vec<TraceEvent>, TestCaseError> {
-    let heat = |p: u32| heats[p as usize];
+    let mut heat = |p: u32| heats[p as usize];
     let file = PageFile::open(path).expect("open for cache");
     let mut raw = PageFile::open(path).expect("open raw");
     let mut cache = PageCache::new(file, cap * PAGE_SIZE, policy);
@@ -109,7 +109,7 @@ fn run_and_check(
     let mut model = Model::new(policy, cache.capacity_pages());
     let mut trace = Vec::new();
     for &p in reads {
-        let (got, hit) = cache.read_with_heat(p, &heat).expect("cache read");
+        let (got, hit) = cache.read_with_heat(p, &mut heat).expect("cache read");
         let want = raw.read_page_vec(p).expect("raw read");
         prop_assert_eq!(got.as_slice(), want.as_slice(), "bytes of page {}", p);
         let expected = model.read(p, &heat);
