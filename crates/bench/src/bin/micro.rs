@@ -37,6 +37,13 @@ use mar_workload::{frame_at, Placement, Scene};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The wire codec, compiled into this binary from `mar-served`'s source:
+/// `mar-served` depends on `mar-bench` (it replays the serve workload),
+/// so the `wire` group cannot reach the codec as a dependency.
+#[allow(dead_code)]
+#[path = "../../../served/src/codec.rs"]
+mod codec;
+
 /// One serialised benchmark entry.
 struct Entry {
     group: &'static str,
@@ -330,6 +337,78 @@ fn bench_session_filter(
     group.finish();
 }
 
+/// The wire codec alone (`wire` group), on the buffers a connection
+/// reuses: `encode_query` appends a two-region `QUERY` (a tour tick's
+/// plan) to a cleared output buffer, `encode_result` a `RESULT`;
+/// `frame_reader_burst8` takes a pipelined burst of eight such `QUERY`s
+/// out of one `read` — per frame, the region `Vec` of each included.
+fn bench_wire(c: &mut Criterion, ms: &MicroScale, scene: &Scene, entries: &mut Vec<Entry>) {
+    let space = scene.config.space;
+    let band = ResolutionBand::FULL;
+    let regions = [0.1, 0.12].map(|frac| QueryRegion {
+        region: frame_at(&space, &space.center(), frac),
+        band,
+    });
+    let result = codec::Frame::Result {
+        coeffs: 2,
+        new_objects: 1,
+        bytes: 1234.5,
+        io: 9,
+    };
+    let mut burst = Vec::new();
+    for _ in 0..8 {
+        // mar-lint: allow(D004) — a two-region QUERY is far below the payload cap
+        codec::encode_query_into(&regions, &mut burst).expect("micro: tour-sized QUERY fits");
+    }
+
+    let mut group = c.benchmark_group("wire");
+    group
+        .sample_size(ms.sample_size)
+        .measurement_time(ms.measurement)
+        .warm_up_time(ms.warm_up);
+    let mut out = Vec::new();
+    let encode_query = group.bench_function_measured("encode_query", |b| {
+        b.iter(|| {
+            out.clear();
+            codec::encode_query_into(black_box(&regions), &mut out)
+        })
+    });
+    let encode_result = group.bench_function_measured("encode_result", |b| {
+        b.iter(|| {
+            out.clear();
+            codec::encode_into(black_box(&result), &mut out)
+        })
+    });
+    let mut reader = codec::FrameReader::new();
+    let burst8 = group.bench_function_measured("frame_reader_burst8", |b| {
+        b.iter(|| {
+            let read = reader.fill(&mut black_box(&burst[..]));
+            let mut frames = 0;
+            while let Ok(Some(frame)) = reader.next_frame() {
+                black_box(frame);
+                frames += 1;
+            }
+            (read.ok(), frames)
+        })
+    });
+    for (name, m, ops_per_iter) in [
+        ("encode_query", encode_query, 1),
+        ("encode_result", encode_result, 1),
+        ("frame_reader_burst8", burst8, 8),
+    ] {
+        if let Some(m) = m {
+            entries.push(Entry {
+                group: "wire",
+                name: name.into(),
+                m,
+                ops_per_iter,
+                hit_ratio: None,
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Byte budget of the `io` tour-workload pool: small enough that the
 /// eviction policy matters, large enough that a policy can actually keep
 /// a working set (8 pages).
@@ -603,8 +682,8 @@ fn parse_baseline(path: &str) -> Result<Vec<(String, String, f64)>, String> {
     Ok(out)
 }
 
-/// The CI perf smoke gate: every `window_query`, `io` and
-/// `session_filter` point measured in this run must stay within `3x` of
+/// The CI perf smoke gate: every `window_query`, `io`, `session_filter`
+/// and `wire` point measured in this run must stay within `3x` of
 /// the committed baseline's `per_op_ns`. The factor is deliberately
 /// generous — the smoke scene is far smaller than the committed
 /// full-scale scene and CI machines are noisy, so the gate only fires on
@@ -621,7 +700,7 @@ fn run_gate(gate_path: &str, entries: &[Entry]) -> Result<usize, String> {
     let baseline = parse_baseline(gate_path)?;
     let mut checked = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    for grp in ["window_query", "io", "session_filter"] {
+    for grp in ["window_query", "io", "session_filter", "wire"] {
         if !baseline.iter().any(|(g, _, _)| g == grp) {
             eprintln!("micro: gate: {gate_path} predates the '{grp}' group; skipping it");
             continue;
@@ -754,6 +833,7 @@ fn main() {
     bench_window_queries(&mut c, &ms, &scene, &index, &mut entries);
     bench_window_query_batch(&mut c, &ms, &scene, &index, &mut entries);
     bench_session_filter(&mut c, &ms, &scene, &data, &index, &mut entries);
+    bench_wire(&mut c, &ms, &scene, &mut entries);
     bench_io(&mut c, &ms, &scene, &data, &opts.out_dir, &mut entries);
 
     eprintln!("\nbench group: end_to_end");

@@ -165,7 +165,14 @@ fn main() {
 
     let stats = handle.join();
     eprintln!(
-        "mar-served: done — {} conns, {} frames in, {} frames out, {} overloads, {} errors",
-        stats.connections, stats.frames_in, stats.frames_out, stats.overloads, stats.errors
+        "mar-served: done — {} conns, {} frames in, {} frames out, {} overloads, {} errors, \
+         {} socket_reads, {} socket_writes",
+        stats.connections,
+        stats.frames_in,
+        stats.frames_out,
+        stats.overloads,
+        stats.errors,
+        stats.socket_reads,
+        stats.socket_writes
     );
 }

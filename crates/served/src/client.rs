@@ -2,12 +2,19 @@
 //!
 //! [`WireClient`] is the protocol-level client: connect/resume handshake,
 //! query with automatic credit `ACK`, and raw frame access for protocol
-//! tests. [`run_wire_replay`] drives the exact `mar-bench serve` workload
+//! tests. It follows the daemon's I/O rule (DESIGN.md §12.3):
+//! [`WireClient::send_query`] and the automatic `ACK` only *queue* bytes,
+//! and the queue goes out in one `write` when [`WireClient::recv`] is
+//! about to block (or on [`WireClient::flush`], `bye`, drop) — so a
+//! pipelined client pays one write and one read per burst, in unchanged
+//! stream order. [`run_wire_replay`] drives the exact `mar-bench serve` workload
 //! (same scene, same tours, same Algorithm 1 planning) against a live
 //! daemon and builds the same transcript, so wire-layer correctness is a
 //! byte-for-byte fingerprint comparison against the in-process harness.
 
-use crate::codec::{read_frame_len, write_frame, ErrCode, Frame, WireError, PROTOCOL_VERSION};
+use crate::codec::{
+    encode_into, encode_query_into, ErrCode, Frame, FrameReader, WireError, PROTOCOL_VERSION,
+};
 use mar_bench::serve::{
     per_sec, quantile_ns, serve_scene, session_tour, transcript_row, ServeConfig, TRANSCRIPT_HEADER,
 };
@@ -15,7 +22,7 @@ use mar_core::{FramePlanner, LinearSpeedMap, QueryRegion, SmoothedSpeed, SpeedRe
 use mar_link::LinkConfig;
 use mar_workload::{frame_at, Tour};
 use std::fmt;
-use std::io::BufReader;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 
 /// A client-side protocol failure.
@@ -111,31 +118,32 @@ pub enum QueryReply {
 /// A protocol-level connection to a `mar-served` daemon.
 #[derive(Debug)]
 pub struct WireClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    reader: FrameReader,
+    /// Encoded frames queued for the next [`WireClient::flush`].
+    out: Vec<u8>,
     session: u64,
     token: u64,
     wire_bytes: u64,
 }
 
 impl WireClient {
-    fn open(addr: SocketAddr) -> Result<(BufReader<TcpStream>, TcpStream), ClientError> {
+    fn open(addr: SocketAddr, token: u64) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok((BufReader::new(stream), writer))
+        Ok(Self {
+            stream,
+            reader: FrameReader::new(),
+            out: Vec::new(),
+            session: 0,
+            token,
+            wire_bytes: 0,
+        })
     }
 
     /// Connects and runs the `HELLO`/`WELCOME` handshake.
     pub fn connect(addr: SocketAddr) -> Result<Self, ClientError> {
-        let (reader, writer) = Self::open(addr)?;
-        let mut client = Self {
-            reader,
-            writer,
-            session: 0,
-            token: 0,
-            wire_bytes: 0,
-        };
+        let mut client = Self::open(addr, 0)?;
         client.send(&Frame::Hello {
             version: PROTOCOL_VERSION,
         })?;
@@ -152,14 +160,7 @@ impl WireClient {
     /// Opens a fresh connection and re-attaches to a live session via
     /// `RESUME`. Returns the client plus the server's retained counts.
     pub fn resume(addr: SocketAddr, token: u64) -> Result<(Self, u64, u64), ClientError> {
-        let (reader, writer) = Self::open(addr)?;
-        let mut client = Self {
-            reader,
-            writer,
-            session: 0,
-            token,
-            wire_bytes: 0,
-        };
+        let mut client = Self::open(addr, token)?;
         client.send(&Frame::Resume { token })?;
         match client.recv()? {
             Frame::Resumed {
@@ -185,34 +186,61 @@ impl WireClient {
     }
 
     /// Total bytes this client has put on / taken off the wire
-    /// (length prefixes included).
+    /// (length prefixes included; queued frames count when queued).
     pub fn wire_bytes(&self) -> u64 {
         self.wire_bytes
     }
 
-    /// Sends one raw frame (protocol tests drive refusal paths with this).
-    pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        self.wire_bytes += write_frame(&mut self.writer, frame)?;
+    /// Queues one frame behind whatever is already queued.
+    fn queue(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        self.wire_bytes += encode_into(frame, &mut self.out).map_err(WireError::from)? as u64;
         Ok(())
+    }
+
+    /// Writes everything queued to the socket in one `write`, in queue
+    /// order. [`WireClient::recv`] does this by itself before it blocks;
+    /// call it to put a `send_query` on the wire *now* — a caller keeping
+    /// queries in flight on several connections must, or the others idle.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        Ok(written?)
+    }
+
+    /// Sends one raw frame at once, after anything queued (protocol tests
+    /// drive refusal paths with this).
+    pub fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        self.queue(frame)?;
+        self.flush()
     }
 
     /// Receives one raw frame; a close here is [`ClientError::ServerClosed`]
     /// and a server `ERROR` frame surfaces as [`ClientError::Server`].
+    /// Touches the socket only when no whole frame is buffered, and then
+    /// flushes first: the reply may be to a frame still queued.
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
-        match read_frame_len(&mut self.reader)? {
-            Some((frame, len)) => {
-                self.wire_bytes += len;
-                if let Frame::Error { code, detail } = frame {
-                    return Err(ClientError::Server {
-                        code: ErrCode::from_u8(code),
-                        raw_code: code,
-                        detail,
-                    });
-                }
-                Ok(frame)
+        let (frame, len) = loop {
+            if let Some(next) = self.reader.next_frame().map_err(WireError::from)? {
+                break next;
             }
-            None => Err(ClientError::ServerClosed),
+            self.flush()?;
+            if self.reader.fill(&mut self.stream)? == 0 {
+                self.reader.end_of_stream()?;
+                return Err(ClientError::ServerClosed);
+            }
+        };
+        self.wire_bytes += len;
+        if let Frame::Error { code, detail } = frame {
+            return Err(ClientError::Server {
+                code: ErrCode::from_u8(code),
+                raw_code: code,
+                detail,
+            });
         }
+        Ok(frame)
     }
 
     /// One `QUERY` round-trip. A `RESULT` is acked immediately (full
@@ -223,17 +251,19 @@ impl WireClient {
         self.recv_result()
     }
 
-    /// Sends a `QUERY` without waiting for the reply — the issue half of
-    /// a pipelined exchange. Pair with [`WireClient::recv_result`].
+    /// Queues a `QUERY` without waiting for the reply — the issue half of
+    /// a pipelined exchange. Pair with [`WireClient::recv_result`], which
+    /// flushes the queue when it has to wait.
     pub fn send_query(&mut self, regions: &[QueryRegion]) -> Result<(), ClientError> {
-        self.send(&Frame::Query {
-            regions: regions.to_vec(),
-        })
+        let wire = encode_query_into(regions, &mut self.out).map_err(WireError::from)?;
+        self.wire_bytes += wire as u64;
+        Ok(())
     }
 
     /// Receives the reply to an in-flight `QUERY` issued with
-    /// [`WireClient::send_query`]; a `RESULT` is acked immediately (full
-    /// credit return), exactly as [`WireClient::query`] does.
+    /// [`WireClient::send_query`]; the `ACK` of a `RESULT` (full credit
+    /// return) is queued ahead of the session's next `QUERY`, exactly as
+    /// [`WireClient::query`] does.
     pub fn recv_result(&mut self) -> Result<QueryReply, ClientError> {
         match self.recv()? {
             Frame::Result {
@@ -243,7 +273,7 @@ impl WireClient {
                 io,
             } => {
                 if bytes > 0.0 {
-                    self.send(&Frame::Ack { bytes })?;
+                    self.queue(&Frame::Ack { bytes })?;
                 }
                 Ok(QueryReply::Served(WireResult {
                     coeffs,
@@ -265,6 +295,14 @@ impl WireClient {
             Frame::Bye => Ok(self.wire_bytes),
             other => Err(unexpected("BYE", &other)),
         }
+    }
+}
+
+/// A dropped client still returns its credit: the last `ACK` may be
+/// queued, and the session outlives the connection (`RESUME`).
+impl Drop for WireClient {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -477,6 +515,9 @@ pub fn run_wire_replay_pipelined(
             // mar-lint: allow(D003) — per-query latency for the report only
             let sent = std::time::Instant::now();
             s.client.send_query(&regions)?;
+            // In-flight queries sit on distinct connections: each must be
+            // on the wire before the next is planned, or nothing overlaps.
+            s.client.flush()?;
             pending.push_back(InFlight {
                 k,
                 tick,

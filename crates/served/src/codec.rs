@@ -14,12 +14,19 @@
 //! an adversarial NaN or inverted rectangle must travel as-is and fall
 //! out of the index as an empty result, not trip a debug assertion in
 //! the server.
+//!
+//! Framing does not allocate per frame: [`encode_into`] appends to a
+//! caller-owned buffer whose size it knows from the opcode, and
+//! [`FrameReader`] decodes whole frames in place out of one reusable
+//! input buffer that grows only as bytes actually arrive. Both ends of a
+//! connection run on that pair (DESIGN.md §12.2 "flush before you
+//! block"); [`read_frame`] stays as the unbuffered one-frame helper.
 
 use mar_core::QueryRegion;
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Protocol version carried by `HELLO`. A daemon rejects other versions
 /// with `ERROR(BadVersion)`.
@@ -322,67 +329,116 @@ fn put_region(buf: &mut Vec<u8>, region: &Rect2, band: &ResolutionBand) {
     put_f64(buf, band.w_max);
 }
 
+/// Bytes of `frame`'s payload (opcode + body) — known from the opcode
+/// alone, so the encoder reserves once and checks the cap before writing.
+fn payload_len(frame: &Frame) -> usize {
+    1 + match frame {
+        Frame::Hello { .. } => 4,
+        Frame::Welcome { .. } | Frame::Overload { .. } => 16,
+        Frame::Query { regions } => query_body_len(regions.len()),
+        Frame::Block { .. } => REGION_BYTES,
+        Frame::Result { .. } => 32,
+        Frame::Resume { .. } | Frame::Ack { .. } => 8,
+        Frame::Resumed { .. } => 24,
+        Frame::Error { .. } => 9,
+        Frame::Bye => 0,
+    }
+}
+
+fn query_body_len(regions: usize) -> usize {
+    4 + regions * REGION_BYTES
+}
+
+/// A `QUERY` body; the count fits `u32` because [`put_header`] has
+/// already held the payload to [`MAX_PAYLOAD`].
+fn put_query_body(out: &mut Vec<u8>, regions: &[QueryRegion]) {
+    put_u32(out, regions.len() as u32);
+    for q in regions {
+        put_region(out, &q.region, &q.band);
+    }
+}
+
+/// Appends the length prefix and opcode of a `payload`-byte frame after
+/// one `reserve`; `out` is untouched when the payload exceeds the cap.
+fn put_header(out: &mut Vec<u8>, payload: usize, opcode: u8) -> Result<usize, DecodeError> {
+    if payload > MAX_PAYLOAD as usize {
+        return Err(DecodeError::Oversized {
+            len: u32::try_from(payload).unwrap_or(u32::MAX),
+            max: MAX_PAYLOAD,
+        });
+    }
+    out.reserve(4 + payload);
+    put_u32(out, payload as u32);
+    out.push(opcode);
+    Ok(4 + payload)
+}
+
 /// Encodes a frame, length prefix included. Fails only when the payload
 /// would exceed [`MAX_PAYLOAD`] (a `QUERY` with tens of thousands of
 /// regions — Algorithm 1 plans at most a handful).
 pub fn encode(frame: &Frame) -> Result<Vec<u8>, DecodeError> {
-    let mut buf = vec![0u8; 4]; // length prefix back-patched below
-    buf.push(frame.opcode());
+    let mut buf = Vec::with_capacity(4 + payload_len(frame).min(MAX_PAYLOAD as usize));
+    encode_into(frame, &mut buf)?;
+    Ok(buf)
+}
+
+/// Appends `frame`, length prefix included, to `out` and returns the bytes
+/// appended — [`encode`] without the allocation, for a caller that queues
+/// several frames into one socket write. On `Oversized`, `out` is
+/// untouched.
+pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) -> Result<usize, DecodeError> {
+    let wire = put_header(out, payload_len(frame), frame.opcode())?;
     match frame {
-        Frame::Hello { version } => put_u32(&mut buf, *version),
+        Frame::Hello { version } => put_u32(out, *version),
         Frame::Welcome { session, token } => {
-            put_u64(&mut buf, *session);
-            put_u64(&mut buf, *token);
+            put_u64(out, *session);
+            put_u64(out, *token);
         }
-        Frame::Query { regions } => {
-            put_u32(&mut buf, regions.len() as u32);
-            for q in regions {
-                put_region(&mut buf, &q.region, &q.band);
-            }
-        }
-        Frame::Block { region, band } => put_region(&mut buf, region, band),
+        Frame::Query { regions } => put_query_body(out, regions),
+        Frame::Block { region, band } => put_region(out, region, band),
         Frame::Result {
             coeffs,
             new_objects,
             bytes,
             io,
         } => {
-            put_u64(&mut buf, *coeffs);
-            put_u64(&mut buf, *new_objects);
-            put_f64(&mut buf, *bytes);
-            put_u64(&mut buf, *io);
+            put_u64(out, *coeffs);
+            put_u64(out, *new_objects);
+            put_f64(out, *bytes);
+            put_u64(out, *io);
         }
-        Frame::Resume { token } => put_u64(&mut buf, *token),
+        Frame::Resume { token } => put_u64(out, *token),
         Frame::Resumed {
             session,
             retained_coeffs,
             retained_objects,
         } => {
-            put_u64(&mut buf, *session);
-            put_u64(&mut buf, *retained_coeffs);
-            put_u64(&mut buf, *retained_objects);
+            put_u64(out, *session);
+            put_u64(out, *retained_coeffs);
+            put_u64(out, *retained_objects);
         }
-        Frame::Ack { bytes } => put_f64(&mut buf, *bytes),
+        Frame::Ack { bytes } => put_f64(out, *bytes),
         Frame::Overload { outstanding, cap } => {
-            put_f64(&mut buf, *outstanding);
-            put_f64(&mut buf, *cap);
+            put_f64(out, *outstanding);
+            put_f64(out, *cap);
         }
         Frame::Error { code, detail } => {
-            buf.push(*code);
-            put_u64(&mut buf, *detail);
+            out.push(*code);
+            put_u64(out, *detail);
         }
         Frame::Bye => {}
     }
-    let payload = buf.len() - 4;
-    if payload > MAX_PAYLOAD as usize {
-        return Err(DecodeError::Oversized {
-            len: payload as u32,
-            max: MAX_PAYLOAD,
-        });
-    }
-    let len = (payload as u32).to_le_bytes();
-    buf[..4].copy_from_slice(&len);
-    Ok(buf)
+    Ok(wire)
+}
+
+/// [`encode_into`] for `Frame::Query { regions }` straight from a slice,
+/// so the sender need not clone its plan into a `Frame` to put it on the
+/// wire.
+pub fn encode_query_into(regions: &[QueryRegion], out: &mut Vec<u8>) -> Result<usize, DecodeError> {
+    // 3 = `Frame::Query`'s opcode.
+    let wire = put_header(out, 1 + query_body_len(regions.len()), 3)?;
+    put_query_body(out, regions);
+    Ok(wire)
 }
 
 // ---------------------------------------------------------------------------
@@ -542,76 +598,158 @@ pub fn decode(payload: &[u8]) -> Result<Frame, DecodeError> {
 // Stream I/O
 // ---------------------------------------------------------------------------
 
-enum Fill {
-    Full,
-    Eof,
-    Partial,
+/// A [`FrameReader`]'s initial buffer, hence the most one
+/// [`FrameReader::fill`] reads until a larger frame has grown it: a
+/// pipelined burst of tour-sized frames fits many times over.
+pub const READ_CHUNK: usize = 8 << 10;
+
+/// The payload length a length prefix claims, or why no frame can follow
+/// it: a payload needs at least an opcode and at most [`MAX_PAYLOAD`].
+fn checked_len(prefix: [u8; 4]) -> Result<usize, DecodeError> {
+    match u32::from_le_bytes(prefix) {
+        0 => Err(DecodeError::EmptyPayload),
+        len if len > MAX_PAYLOAD => Err(DecodeError::Oversized {
+            len,
+            max: MAX_PAYLOAD,
+        }),
+        len => Ok(len as usize),
+    }
 }
 
-/// Fills `buf` from `r`; distinguishes "EOF before any byte" from "EOF
-/// mid-buffer" — the former is a clean close at a frame boundary.
-fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<Fill> {
+/// The buffered frame reader both ends of a connection run on: one
+/// reusable input buffer, whole frames decoded in place.
+///
+/// [`FrameReader::next_frame`] never touches the socket, so a caller can
+/// drain every frame a single `read` delivered — and knows, when it
+/// returns `None`, that its next read may block (the moment to flush
+/// queued output). The buffer grows only to hold bytes that have actually
+/// arrived: a hostile length prefix costs its sender nothing but a typed
+/// error.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// Storage; `buf[head..tail]` holds the bytes not yet decoded.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl FrameReader {
+    /// An empty reader; the buffer is allocated by the first `fill`.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bytes of buffer currently held: [`READ_CHUNK`] until a partial
+    /// frame outgrows it, never more than [`MAX_PAYLOAD`] + `READ_CHUNK`.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Decodes the next *whole* buffered frame and the bytes it took off
+    /// the wire; `Ok(None)` means more input is needed. A zero or
+    /// oversized prefix is rejected as soon as its four bytes are in and
+    /// leaves the stream unusable; any other decode error consumes the
+    /// frame, so after `UnknownOpcode` the stream is still in sync.
+    pub fn next_frame(&mut self) -> Result<Option<(Frame, u64)>, DecodeError> {
+        let Some(p) = self.buf[self.head..self.tail].get(..4) else {
+            return Ok(None);
+        };
+        let len = checked_len([p[0], p[1], p[2], p[3]])?;
+        let start = self.head + 4;
+        if self.tail - start < len {
+            return Ok(None);
+        }
+        self.head = start + len;
+        let frame = decode(&self.buf[start..self.head])?;
+        Ok(Some((frame, 4 + len as u64)))
+    }
+
+    /// One `read` from `r` into the buffer's spare room (compacting
+    /// first); returns the bytes read, `0` at end of stream. Call it once
+    /// [`FrameReader::next_frame`] has returned `None`. The buffer
+    /// doubles only when a partial frame fills it — never past
+    /// [`MAX_PAYLOAD`] plus one read chunk, which always holds a whole
+    /// frame.
+    pub fn fill<R: Read>(&mut self, r: &mut R) -> std::io::Result<usize> {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.tail == self.buf.len() {
+            let grown = (2 * self.buf.len()).clamp(READ_CHUNK, MAX_PAYLOAD as usize + READ_CHUNK);
+            self.buf.resize(grown, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.tail..]) {
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// What the stream ending *now* means: `Ok` at a frame boundary (a
+    /// clean close), `Disconnected` when part of a frame is buffered.
+    pub fn end_of_stream(&self) -> Result<(), WireError> {
+        match self.tail - self.head {
+            0 => Ok(()),
+            1..=3 => Err(WireError::Disconnected {
+                context: "length prefix",
+            }),
+            _ => Err(WireError::Disconnected {
+                context: "frame payload",
+            }),
+        }
+    }
+}
+
+/// Reads into `buf` until it is full or the stream ends; returns the
+/// bytes read, so the caller can tell "EOF before any byte" (a clean
+/// close at a frame boundary) from "EOF mid-buffer".
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Ok(if got == 0 { Fill::Eof } else { Fill::Partial });
-            }
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(Fill::Full)
+    Ok(got)
 }
 
-/// Reads one frame. `Ok(None)` is a clean close at a frame boundary;
-/// every malformed or truncated input is a typed [`WireError`].
+/// Reads one frame, unbuffered: exactly the frame's bytes are consumed
+/// from `r`. `Ok(None)` is a clean close at a frame boundary; every
+/// malformed or truncated input is a typed [`WireError`]. Connections run
+/// on [`FrameReader`]; this is the one-frame helper for raw-socket tests.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, WireError> {
     Ok(read_frame_len(r)?.map(|(frame, _)| frame))
 }
 
 /// [`read_frame`] plus the bytes the frame took off the wire (4-byte
-/// length prefix + payload) — what [`write_frame`] returned at the sending
-/// end, read off the prefix instead of recovered by re-encoding.
+/// length prefix + payload), read off the prefix instead of recovered by
+/// re-encoding.
 pub fn read_frame_len<R: Read>(r: &mut R) -> Result<Option<(Frame, u64)>, WireError> {
     let mut prefix = [0u8; 4];
-    match fill(r, &mut prefix)? {
-        Fill::Eof => return Ok(None),
-        Fill::Partial => {
+    match read_full(r, &mut prefix)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => {
             return Err(WireError::Disconnected {
                 context: "length prefix",
             })
         }
-        Fill::Full => {}
     }
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 {
-        return Err(DecodeError::EmptyPayload.into());
+    let mut payload = vec![0u8; checked_len(prefix)?];
+    if read_full(r, &mut payload)? < payload.len() {
+        return Err(WireError::Disconnected {
+            context: "frame payload",
+        });
     }
-    if len > MAX_PAYLOAD {
-        return Err(DecodeError::Oversized {
-            len,
-            max: MAX_PAYLOAD,
-        }
-        .into());
-    }
-    let mut payload = vec![0u8; len as usize];
-    match fill(r, &mut payload)? {
-        Fill::Full => {}
-        Fill::Eof | Fill::Partial => {
-            return Err(WireError::Disconnected {
-                context: "frame payload",
-            })
-        }
-    }
-    Ok(Some((decode(&payload)?, 4 + u64::from(len))))
-}
-
-/// Encodes and writes one frame; returns the bytes put on the wire.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<u64, WireError> {
-    let buf = encode(frame)?;
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(buf.len() as u64)
+    Ok(Some((decode(&payload)?, 4 + payload.len() as u64)))
 }

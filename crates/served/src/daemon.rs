@@ -24,12 +24,21 @@
 //! `RESUME` for it — even with the valid token — is refused with
 //! `ERROR(SessionBusy)`, so two connections can never interleave frames
 //! against one filter/ledger.
+//!
+//! **Flush before you block.** A connection thread handles every whole
+//! frame its last `read` delivered, appending the replies to one output
+//! buffer, and writes that buffer out in a single `write` immediately
+//! before a `read` that can block — so a peer with *n* requests in
+//! flight costs one read, one write and one wake-up per burst instead of
+//! per frame, and an idle round trip (n = 1) is unchanged. The byte
+//! stream is the same as one write per frame; only its segmentation
+//! differs. A failed write ends the connection at once (DESIGN.md §12.2).
 
-use crate::codec::{read_frame, write_frame, DecodeError, ErrCode, Frame, WireError};
+use crate::codec::{encode_into, DecodeError, ErrCode, Frame, FrameReader};
 use mar_core::{Server, SessionError};
 use std::collections::BTreeMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -70,6 +79,11 @@ pub struct DaemonStats {
     pub overloads: u64,
     /// `ERROR` frames issued.
     pub errors: u64,
+    /// `read` calls made on client sockets.
+    pub socket_reads: u64,
+    /// `write` calls made on client sockets; `frames_out / socket_writes`
+    /// is the reply batching pipelined clients got.
+    pub socket_writes: u64,
 }
 
 impl DaemonStats {
@@ -78,6 +92,8 @@ impl DaemonStats {
         self.frames_out += conn.frames_out;
         self.overloads += conn.overloads;
         self.errors += conn.errors;
+        self.socket_reads += conn.socket_reads;
+        self.socket_writes += conn.socket_writes;
     }
 }
 
@@ -158,7 +174,12 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
         let cap = cfg.outbox_cap;
         let spawned = std::thread::Builder::new()
             .name(format!("mar-served-conn-{}", stats.connections))
-            .spawn(move || serve_conn(&server, &ledgers_for_conn, stream, cap));
+            .spawn(move || {
+                // Request/response protocol: without NODELAY every reply
+                // would sit out a delayed-ack window.
+                let _ = stream.set_nodelay(true);
+                serve_conn(&server, &ledgers_for_conn, &stream, &stream, cap)
+            });
         if let Ok(h) = spawned {
             workers.push(h);
         }
@@ -174,52 +195,70 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
     stats
 }
 
-/// Per-connection protocol state machine. Returns this connection's
-/// share of the daemon stats; every exit path leaves the shared server
-/// consistent (a dropped connection keeps its session resumable, and
-/// detaches it so a later `RESUME` can bind).
-fn serve_conn(server: &Server, ledgers: &Ledgers, stream: TcpStream, cap: f64) -> DaemonStats {
+/// Per-connection protocol state machine over any byte transport (a
+/// `TcpStream`'s two halves in the daemon, a scripted one in tests).
+/// Returns this connection's share of the daemon stats; every exit path
+/// leaves the shared server consistent (a dropped connection keeps its
+/// session resumable, and detaches it so a later `RESUME` can bind).
+fn serve_conn<R: Read, W: Write>(
+    server: &Server,
+    ledgers: &Ledgers,
+    mut input: R,
+    output: W,
+    cap: f64,
+) -> DaemonStats {
     let mut stats = DaemonStats::default();
-    // Request/response protocol: without NODELAY every reply would sit
-    // out a delayed-ack window.
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return stats;
-    };
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new();
     let mut conn = Conn {
-        writer: write_half,
+        output,
+        out: Vec::new(),
+        queued: 0,
         session: None,
         ledgers,
         cap,
         stats: &mut stats,
     };
-    loop {
-        match read_frame(&mut reader) {
-            // Clean close at a frame boundary: the session (if any)
-            // stays live for RESUME on a later connection.
-            Ok(None) => break,
-            Ok(Some(frame)) => {
-                conn.stats.frames_in += 1;
-                if !conn.handle(server, frame) {
-                    break;
+    'conn: loop {
+        // Everything the last read delivered, replies queued in `out`.
+        loop {
+            match reader.next_frame() {
+                Ok(Some((frame, _))) => {
+                    conn.stats.frames_in += 1;
+                    if !conn.handle(server, frame) {
+                        break 'conn;
+                    }
+                }
+                Ok(None) => break,
+                // The framing is still intact after an unknown opcode
+                // (the length prefix was honoured), so report and keep
+                // serving.
+                Err(DecodeError::UnknownOpcode(op)) => {
+                    conn.error(ErrCode::UnknownOpcode, u64::from(op));
+                }
+                // Any other decode failure means the stream can no longer
+                // be re-synchronised: report best-effort and close.
+                Err(e) => {
+                    conn.error(ErrCode::Malformed, decode_detail(&e));
+                    break 'conn;
                 }
             }
-            // The framing is still intact after an unknown opcode (the
-            // length prefix was honoured), so report and keep serving.
-            Err(WireError::Decode(DecodeError::UnknownOpcode(op))) => {
-                conn.error(ErrCode::UnknownOpcode, u64::from(op));
-            }
-            // Any other decode failure means the stream can no longer be
-            // re-synchronised: report best-effort and close.
-            Err(WireError::Decode(e)) => {
-                conn.error(ErrCode::Malformed, decode_detail(&e));
-                break;
-            }
-            // Transport failure or mid-frame disconnect: nothing to send.
-            Err(WireError::Io(_) | WireError::Disconnected { .. }) => break,
+        }
+        // About to block: the peer must have every reply first. A peer
+        // that can no longer hear them gets no further queries executed —
+        // they would mark coefficients as sent to nobody.
+        if conn.flush().is_err() {
+            break;
+        }
+        conn.stats.socket_reads += 1;
+        match reader.fill(&mut input) {
+            // Close (clean or mid-frame) or transport failure: nothing to
+            // send; the session (if any) stays live for RESUME.
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
     }
+    // The BYE echo / best-effort ERROR(Malformed) of a closing connection.
+    let _ = conn.flush();
     // Transport drop without BYE: detach so a later RESUME can bind, but
     // keep the ledger entry — the unacked credit must survive the
     // reconnect (dropping the socket is not a way to zero one's debt).
@@ -243,21 +282,39 @@ fn decode_detail(e: &DecodeError) -> u64 {
     }
 }
 
-struct Conn<'a> {
-    writer: TcpStream,
+struct Conn<'a, W> {
+    output: W,
+    /// Encoded replies not yet written, and how many frames they are.
+    out: Vec<u8>,
+    queued: u64,
     session: Option<u64>,
     ledgers: &'a Ledgers,
     cap: f64,
     stats: &'a mut DaemonStats,
 }
 
-impl Conn<'_> {
-    /// Sends `frame`; a send failure is treated like a disconnect (the
-    /// read loop will observe it next iteration at the latest).
+impl<W: Write> Conn<'_, W> {
+    /// Queues `frame` for the next [`Conn::flush`].
     fn send(&mut self, frame: &Frame) {
-        if write_frame(&mut self.writer, frame).is_ok() {
-            self.stats.frames_out += 1;
+        if encode_into(frame, &mut self.out).is_ok() {
+            self.queued += 1;
         }
+    }
+
+    /// Writes every queued reply in one `write`; frames count as sent
+    /// only once the transport took them.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.stats.socket_writes += 1;
+        let written = self.output.write_all(&self.out);
+        self.out.clear();
+        if written.is_ok() {
+            self.stats.frames_out += self.queued;
+        }
+        self.queued = 0;
+        written
     }
 
     fn error(&mut self, code: ErrCode, detail: u64) {
@@ -451,5 +508,300 @@ impl Conn<'_> {
             return false;
         }
         true
+    }
+}
+
+/// The connection loop on a scripted in-memory transport: no sockets, no
+/// timing. Every run also checks the flush-before-block invariant — the
+/// transport asserts, each time `read` is entered, that every whole
+/// request delivered so far already has its reply written.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{encode, PROTOCOL_VERSION};
+    use mar_bench::serve::serve_scene;
+    use mar_core::{QueryRegion, SceneIndexData, ServerCore, WaveletIndex};
+    use mar_geom::{Point2, Rect2};
+    use mar_mesh::ResolutionBand;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+    use std::sync::OnceLock;
+
+    const ACK: u8 = 8;
+
+    /// A fresh server (session ids restart at 0, tokens are seeded) over
+    /// one shared tiny scene, so two runs of a script answer byte-equal.
+    fn fresh_server() -> (Server, Rect2) {
+        static CORE: OnceLock<(ServerCore, Rect2)> = OnceLock::new();
+        let (core, space) = CORE.get_or_init(|| {
+            let scene = serve_scene(8, 2);
+            let data = SceneIndexData::build(&scene);
+            let index = WaveletIndex::build_jobs(&data, 1);
+            let core = ServerCore::from_parts(Arc::new(data), Arc::new(index));
+            (core, scene.config.space)
+        });
+        (Server::from_core_seeded(core.clone(), 7), *space)
+    }
+
+    /// The `i`-th of a row of overlapping windows sliding across `space`.
+    fn window(space: &Rect2, i: usize) -> Rect2 {
+        let w = (space.hi[0] - space.lo[0]) / 6.0;
+        let x = space.lo[0] + w * 0.5 * (i % 10) as f64;
+        Rect2 {
+            lo: Point2::new([x, space.lo[1]]),
+            hi: Point2::new([x + w, space.hi[1]]),
+        }
+    }
+
+    fn query(space: &Rect2, i: usize) -> Frame {
+        Frame::Query {
+            regions: vec![QueryRegion {
+                region: window(space, i),
+                band: ResolutionBand::FULL,
+            }],
+        }
+    }
+
+    fn hello() -> Frame {
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+        }
+    }
+
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        frames
+            .iter()
+            .flat_map(|f| encode(f).expect("test frames fit"))
+            .collect()
+    }
+
+    /// Opcodes of the whole frames at the front of `bytes`.
+    fn opcodes(bytes: &[u8]) -> Vec<u8> {
+        let mut ops = Vec::new();
+        let mut rest = bytes;
+        while let Some(p) = rest.get(..4) {
+            let len = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
+            let Some(payload) = rest.get(4..4 + len) else {
+                break;
+            };
+            ops.push(payload[0]);
+            rest = &rest[4 + len..];
+        }
+        ops
+    }
+
+    #[derive(Default)]
+    struct Wire {
+        /// What each successive `read` delivers (never empty chunks).
+        chunks: VecDeque<Vec<u8>>,
+        delivered: Vec<u8>,
+        written: Vec<u8>,
+        /// Size of each `write` the daemon made.
+        writes: Vec<usize>,
+        write_fails: bool,
+    }
+
+    #[derive(Clone, Default)]
+    struct Transport(Rc<RefCell<Wire>>);
+
+    impl Read for Transport {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let mut w = self.0.borrow_mut();
+            // In these scripts every request but ACK draws exactly one reply.
+            let owed = opcodes(&w.delivered)
+                .iter()
+                .filter(|&&op| op != ACK)
+                .count();
+            assert_eq!(
+                opcodes(&w.written).len(),
+                owed,
+                "read entered with replies still queued (or sent early)"
+            );
+            let Some(mut chunk) = w.chunks.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                w.chunks.push_front(chunk.split_off(n));
+            }
+            w.delivered.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+    }
+
+    impl Write for Transport {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut w = self.0.borrow_mut();
+            if w.write_fails {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            w.written.extend_from_slice(buf);
+            w.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `chunks` on a fresh server; returns what the daemon wrote.
+    fn run(chunks: Vec<Vec<u8>>, cap: f64) -> (Wire, DaemonStats) {
+        let (server, _) = fresh_server();
+        let ledgers = Ledgers::default();
+        let transport = Transport::default();
+        transport.0.borrow_mut().chunks = chunks.into();
+        let stats = serve_conn(&server, &ledgers, transport.clone(), transport.clone(), cap);
+        (transport.0.take(), stats)
+    }
+
+    #[test]
+    fn a_burst_delivered_in_one_read_is_answered_in_one_write() {
+        let (reference, space) = fresh_server();
+        let mut script = vec![hello()];
+        script.extend((0..8).map(|i| query(&space, i)));
+
+        // Today's wire: one `encode` per reply, in request order.
+        let (session, token) = reference.connect_with_token();
+        let mut expected = vec![Frame::Welcome { session, token }];
+        for frame in &script[1..] {
+            let Frame::Query { regions } = frame else {
+                unreachable!()
+            };
+            let r = reference.query(session, regions).expect("live session");
+            expected.push(Frame::Result {
+                coeffs: r.coeffs as u64,
+                new_objects: r.new_objects as u64,
+                bytes: r.bytes,
+                io: r.io,
+            });
+        }
+
+        let (w, stats) = run(vec![wire(&script)], f64::INFINITY);
+        assert_eq!(w.written, wire(&expected));
+        assert_eq!(w.writes.len(), 1, "WELCOME + 8 RESULTs in one write");
+        assert!(opcodes(&w.written).len() == 9 && stats.frames_out == 9);
+        assert_eq!((stats.frames_in, stats.socket_writes), (9, 1));
+        assert_eq!(stats.socket_reads, 2, "the burst, then EOF");
+    }
+
+    #[test]
+    fn a_frame_split_at_any_offset_is_answered_once_it_completes() {
+        let (_, space) = fresh_server();
+        let q = wire(&[query(&space, 3)]);
+        let (whole, _) = run(vec![wire(&[hello()]), q.clone()], f64::INFINITY);
+        assert_eq!(opcodes(&whole.written), [2, 5]);
+        for cut in 1..q.len() {
+            // The transport's read-entry assertion is the "no reply before
+            // the frame completes" half of this test.
+            let chunks = vec![wire(&[hello()]), q[..cut].to_vec(), q[cut..].to_vec()];
+            let (split, stats) = run(chunks, f64::INFINITY);
+            assert_eq!(split.written, whole.written, "cut at {cut}");
+            assert_eq!(split.writes.len(), 2, "cut at {cut}");
+            assert_eq!(stats.socket_reads, 4, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_failed_write_ends_the_connection_before_the_next_burst() {
+        let (server, space) = fresh_server();
+        let queries: Vec<Frame> = (0..8).map(|i| query(&space, i)).collect();
+        let mut first = vec![hello()];
+        first.extend_from_slice(&queries[..3]);
+
+        let (reference, _) = fresh_server();
+        let session = reference.connect();
+        let mut unacked = 0.0;
+        for frame in &queries[..3] {
+            let Frame::Query { regions } = frame else {
+                unreachable!()
+            };
+            unacked += reference.query(session, regions).expect("live").bytes;
+        }
+
+        let ledgers = Ledgers::default();
+        let transport = Transport::default();
+        {
+            let mut w = transport.0.borrow_mut();
+            w.chunks = vec![wire(&first), wire(&queries[3..])].into();
+            w.write_fails = true;
+        }
+        let stats = serve_conn(
+            &server,
+            &ledgers,
+            transport.clone(),
+            transport.clone(),
+            f64::INFINITY,
+        );
+
+        let w = transport.0.take();
+        assert_eq!(w.chunks.len(), 1, "the second burst was never read");
+        assert_eq!((stats.frames_in, stats.frames_out), (4, 0));
+        // Only the first burst reached the session filter …
+        assert_eq!(
+            server.sessions().session_sent(session),
+            reference.sessions().session_sent(session)
+        );
+        // … and the session is as after any transport drop: live,
+        // detached, its unacked credit still on the ledger.
+        assert_eq!(server.sessions().session_count(), 1);
+        let ws = ledgers.lock().expect("ledger")[&session];
+        assert!(!ws.attached);
+        assert_eq!(ws.outstanding, unacked);
+        assert!(unacked > 0.0, "the comparison is not vacuous");
+    }
+
+    /// One post-`HELLO` request of a generated script.
+    fn request(space: Rect2) -> impl Strategy<Value = Frame> {
+        prop_oneof![
+            4 => (0usize..10).prop_map(move |i| query(&space, i)),
+            1 => (0usize..10).prop_map(move |i| Frame::Block {
+                region: window(&space, i),
+                band: ResolutionBand::FULL,
+            }),
+            2 => (0.0f64..4096.0).prop_map(|bytes| Frame::Ack { bytes }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// However the transport chunks a valid script, the reply stream
+        /// is the unchunked one — OVERLOAD refusals (the cap is small
+        /// enough to bite) included.
+        #[test]
+        fn replies_do_not_depend_on_how_the_script_is_chunked(
+            requests in prop::collection::vec(request(fresh_server().1), 0..24),
+            bye in 0u8..2,
+            cuts in prop::collection::vec(1usize..160, 1..12),
+        ) {
+            let mut script = vec![hello()];
+            script.extend(requests);
+            if bye == 1 {
+                script.push(Frame::Bye);
+            }
+            let bytes = wire(&script);
+            let mut chunks = Vec::new();
+            let mut rest = bytes.as_slice();
+            for cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at((*cut).min(rest.len()));
+                chunks.push(chunk.to_vec());
+                rest = tail;
+            }
+            let cap = 2048.0;
+            let (whole, whole_stats) = run(vec![bytes.clone()], cap);
+            let (chunked, stats) = run(chunks, cap);
+            prop_assert_eq!(&chunked.written, &whole.written);
+            prop_assert_eq!(whole.writes.len(), 1);
+            prop_assert_eq!(stats.frames_in, script.len() as u64);
+            prop_assert_eq!(stats.frames_out, whole_stats.frames_out);
+            prop_assert_eq!(stats.overloads, whole_stats.overloads);
+        }
     }
 }

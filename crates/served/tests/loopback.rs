@@ -177,6 +177,107 @@ fn pipelined_replay_transcript_is_depth_invariant() {
     }
 }
 
+/// `n` overlapping full-resolution windows sliding across the scene.
+fn sliding_windows(cfg: &ServeConfig, n: usize) -> Vec<Vec<QueryRegion>> {
+    let space = serve_scene(cfg.objects, cfg.levels).config.space;
+    let step = (space.hi[0] - space.lo[0]) / (n + 1) as f64;
+    (0..n)
+        .map(|i| {
+            let mut region = space;
+            region.lo[0] = space.lo[0] + step * i as f64;
+            region.hi[0] = region.lo[0] + 2.0 * step;
+            vec![QueryRegion {
+                region,
+                band: ResolutionBand::FULL,
+            }]
+        })
+        .collect()
+}
+
+#[test]
+fn a_pipelined_client_gets_the_synchronous_replies_in_fewer_socket_writes() {
+    let cfg = tiny_cfg();
+    let windows = sliding_windows(&cfg, 8);
+    // Eight full-resolution payloads in flight on one session: lift the
+    // cap, admission is not what this test is about.
+    let one_conn = DaemonConfig {
+        outbox_cap: f64::INFINITY,
+        max_conns: Some(1),
+    };
+
+    // Depth 1: every reply is written by itself, before the daemon blocks.
+    let (handle, _server) = boot(&cfg, one_conn);
+    let mut client = WireClient::connect(handle.addr).expect("handshake");
+    let synchronous: Vec<QueryReply> = windows
+        .iter()
+        .map(|w| client.query(w).expect("query"))
+        .collect();
+    client.bye().expect("bye");
+    let stats = handle.join();
+    assert_eq!(stats.frames_out, 10, "WELCOME + 8 RESULTs + BYE");
+    assert_eq!(stats.socket_writes, stats.frames_out);
+    assert!(synchronous
+        .iter()
+        .any(|r| matches!(r, QueryReply::Served(r) if r.bytes > 0.0)));
+
+    // Depth 8: the queries only queue until `recv_result` has to wait, go
+    // out in one write, and come back the same — in one write.
+    let (handle, _server) = boot(&cfg, one_conn);
+    let mut client = WireClient::connect(handle.addr).expect("handshake");
+    for w in &windows {
+        client.send_query(w).expect("queue");
+    }
+    let pipelined: Vec<QueryReply> = windows
+        .iter()
+        .map(|_| client.recv_result().expect("reply"))
+        .collect();
+    client.bye().expect("bye");
+    let stats = handle.join();
+    assert_eq!(pipelined, synchronous);
+    assert_eq!(
+        (stats.frames_out, stats.errors, stats.overloads),
+        (10, 0, 0)
+    );
+    assert!(
+        stats.socket_writes < stats.frames_out && stats.socket_reads < stats.frames_in,
+        "a burst must share socket calls: {stats:?}"
+    );
+}
+
+#[test]
+fn a_client_dropped_after_query_has_returned_its_credit() {
+    // `query` leaves its ACK queued for the next QUERY to carry; a client
+    // dropped before there is one must still flush it, or the session
+    // would come back from RESUME in debt. A cap below one payload makes
+    // the ledger observable: any unacked byte refuses the next query.
+    let cfg = tiny_cfg();
+    let (handle, _server) = boot(
+        &cfg,
+        DaemonConfig {
+            outbox_cap: 1.0,
+            max_conns: None,
+        },
+    );
+    let whole = whole_space_full(&cfg);
+    let mut client = WireClient::connect(handle.addr).expect("handshake");
+    let token = client.token();
+    match client.query(&whole).expect("query") {
+        QueryReply::Served(r) => assert!(r.bytes > 1.0, "the payload exceeds the cap"),
+        other => panic!("a fresh session is admitted: {other:?}"),
+    }
+    drop(client);
+
+    let (mut client, _, _) = resume_when_free(handle.addr, token).expect("resume");
+    match client.query(&whole).expect("query after resume") {
+        QueryReply::Served(r) => assert_eq!(r.bytes, 0.0, "the filter was retained"),
+        other => panic!("the dropped client's ACK never arrived: {other:?}"),
+    }
+    client.bye().expect("bye");
+    // Serve-forever daemon (a RESUME retry costs a connection): drop the
+    // handle instead of joining.
+    drop(handle);
+}
+
 #[test]
 fn resume_over_the_wire_requires_the_token_not_the_session_id() {
     let cfg = tiny_cfg();
