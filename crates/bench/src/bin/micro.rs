@@ -37,9 +37,11 @@ use mar_workload::{frame_at, Placement, Scene};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The wire codec, compiled into this binary from `mar-served`'s source:
-/// `mar-served` depends on `mar-bench` (it replays the serve workload),
-/// so the `wire` group cannot reach the codec as a dependency.
+// The wire codec, compiled into this binary from `mar-served`'s source:
+// `mar-served` depends on `mar-bench` (it replays the serve workload),
+// so the `wire` group cannot reach the codec as a dependency. (A plain
+// comment: an outer doc comment here would be merged with codec.rs's
+// own module docs and its intra-doc links resolved in this file's scope.)
 #[allow(dead_code)]
 #[path = "../../../served/src/codec.rs"]
 mod codec;

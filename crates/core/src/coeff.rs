@@ -1,6 +1,6 @@
 //! Scene-wide coefficient records: the unit of indexing and transmission.
 
-use mar_geom::{Point2, Rect2, Rect3};
+use mar_geom::{Point2, Rect2};
 use mar_mesh::support::compute_support_regions;
 use mar_workload::Scene;
 
@@ -24,9 +24,6 @@ pub struct CoeffRecord {
     pub level: u8,
     /// Ground-plane MBR of the coefficient's support region (§VI-A).
     pub support_xy: Rect2,
-    /// Full 3-D MBB of the support region — what the paper's complete
-    /// 4-D (`x-y-z-w`) design indexes.
-    pub support_xyz: Rect3,
     /// Ground-plane position of the coefficient's vertex (what the naive
     /// point index stores).
     pub vertex_xy: Point2,
@@ -92,7 +89,6 @@ impl SceneIndexData {
                     w: c.w,
                     level: c.level,
                     support_xy: s.mbr_xy(),
-                    support_xyz: s.mbb,
                     vertex_xy: Point2::new([v[0], v[1]]),
                     ring_xy: Rect2::from_corners(
                         Point2::new([lo[0], lo[1]]),

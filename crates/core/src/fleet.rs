@@ -198,9 +198,11 @@ impl FleetHealth {
         self.0.count_ones()
     }
 
-    /// This health with shard `s` additionally down.
+    /// This health with shard `s` additionally down. The mask holds
+    /// shards `0..64`; a shard outside it is unchanged (never down, the
+    /// same rule as [`FleetHealth::is_down`]).
     pub fn with_down(self, s: u32) -> Self {
-        Self(self.0 | (1u64 << (s % 64)))
+        Self(self.0 | 1u64.checked_shl(s).unwrap_or(0))
     }
 }
 
@@ -923,6 +925,10 @@ mod tests {
         assert!(!h.is_down(0) && !h.is_down(2) && !h.is_down(63));
         assert_eq!(h.down_count(), 2);
         assert_eq!(h.with_down(0).down_mask(), 0b1011);
+        assert!(h.with_down(63).is_down(63));
+        // Out of range: no shard goes down — in particular not `s % 64`.
+        assert_eq!(h.with_down(64), h);
+        assert_eq!(h.with_down(u32::MAX), h);
         assert_eq!(FleetHealth::all_up().down_count(), 0);
     }
 }

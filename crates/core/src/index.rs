@@ -12,12 +12,17 @@
 //! any detail inside `R` intersects the lifted window — no neighbour
 //! chasing, no second pass, and by the §VI-B minimality argument nothing
 //! retrieved can be dropped without losing detail inside `R`.
+//!
+//! That search is written once, in `mar-rtree` ([`mar_rtree::search`],
+//! grouped: [`mar_rtree::search_batch_into`]), over a
+//! [`mar_rtree::NodeSource`]; [`WaveletIndex`] hands it the in-RAM arena
+//! or the page store behind a buffer pool ([`PagedIndex`]).
 
 use crate::coeff::{CoeffRef, SceneIndexData};
-use crate::paged::PagedIndex;
+use crate::paged::{coeff_ref, PagedIndex};
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
-use mar_rtree::{BatchAccesses, IoSnapshot, RTree, RTreeConfig};
+use mar_rtree::{search, search_batch_into, BatchAccesses, IoSnapshot, RTree, RTreeConfig};
 use mar_store::{CachePolicy, PageCacheStats, StoreError};
 use std::cell::Cell;
 use std::path::Path;
@@ -30,9 +35,9 @@ thread_local! {
 }
 
 /// Where the index's nodes live: the flat in-RAM arena, or a page file
-/// read through the motion-aware buffer pool. Both backends run the same
-/// descent algorithms, so query answers are byte-identical (pinned by
-/// `crates/core/src/paged.rs` and the serve fingerprint tests).
+/// read through the motion-aware buffer pool. Every query below hands
+/// one of the two to the same walk, so answers, hit order and access
+/// counts are byte-identical: the code is shared, not mirrored.
 #[derive(Debug)]
 enum Backend {
     Ram(RTree<3, CoeffRef>),
@@ -162,8 +167,8 @@ impl WaveletIndex {
     ) -> u64 {
         let window: Rect3 = region.lift(band.w_min, band.w_max);
         match &self.backend {
-            Backend::Ram(tree) => tree.search(&window, |_, id| visit(*id)),
-            Backend::Paged(p) => p.for_each(&window, visit),
+            Backend::Ram(tree) => search(tree, &window, |leaf, i| visit(*leaf.item(i))),
+            Backend::Paged(p) => search(&p.nodes(), &window, |leaf, i| visit(coeff_ref(leaf, i))),
         }
     }
 
@@ -202,10 +207,14 @@ impl WaveletIndex {
                 .map(|(region, band)| region.lift(band.w_min, band.w_max)),
         );
         let unique = match &self.backend {
-            Backend::Ram(tree) => {
-                tree.search_batch_into(&windows, per_window, |q, _, id| visit(q, *id))
+            Backend::Ram(tree) => search_batch_into(tree, &windows, per_window, |q, leaf, i| {
+                visit(q, *leaf.item(i))
+            }),
+            Backend::Paged(p) => {
+                search_batch_into(&p.nodes(), &windows, per_window, |q, leaf, i| {
+                    visit(q, coeff_ref(leaf, i))
+                })
             }
-            Backend::Paged(p) => p.for_each_batch_into(&windows, per_window, visit),
         };
         WINDOWS.set(windows);
         unique
@@ -223,24 +232,22 @@ impl WaveletIndex {
     /// Counts the coefficients `Q(R, w_max, w_min)` would return without
     /// materialising them. Returns the count and the node accesses.
     ///
-    /// Uses [`RTree::count_in`], the popcount fast path: the same descent
-    /// and the same pruning kernel as [`WaveletIndex::for_each`] (so the
-    /// I/O tally is identical), but leaf matches are counted straight off
-    /// the test bitmask instead of being replayed one hit at a time.
+    /// In RAM this is [`RTree::count_in`], the popcount fast path: the
+    /// nodes and pruning kernel of [`WaveletIndex::for_each`] (so the I/O
+    /// tally is identical), but leaf matches are counted straight off the
+    /// test bitmask. The paged backend counts the walk's hits.
     pub fn count_in(&self, region: &Rect2, band: ResolutionBand) -> (usize, u64) {
-        let window: Rect3 = region.lift(band.w_min, band.w_max);
-        match &self.backend {
-            Backend::Ram(tree) => tree.count_in(&window),
-            Backend::Paged(p) => p.count_in(&window),
+        if let Backend::Ram(tree) = &self.backend {
+            return tree.count_in(&region.lift(band.w_min, band.w_max));
         }
+        let mut hits = 0usize;
+        let io = self.for_each(region, band, |_| hits += 1);
+        (hits, io)
     }
 
     /// Cumulative I/O across queries (see [`mar_rtree::RTree::io_count`]).
     pub fn io_count(&self) -> u64 {
-        match &self.backend {
-            Backend::Ram(tree) => tree.io_count(),
-            Backend::Paged(p) => p.io_count(),
-        }
+        self.io_snapshot().logical
     }
 
     /// Snapshot of the logical / unique / physical access counters. The
@@ -375,154 +382,5 @@ mod tests {
         let w = Rect2::new(Point2::new([-500.0, -500.0]), Point2::new([-400.0, -400.0]));
         let (got, _) = idx.query(&w, ResolutionBand::FULL);
         assert!(got.is_empty());
-    }
-}
-
-/// The paper's complete §VI-B design: a **4-D** R*-tree over
-/// `(x, y, z, w)` — the full 3-D MBB of each support region plus the
-/// coefficient magnitude. The evaluation projects to `x-y-w` (see
-/// [`WaveletIndex`]) because the experimental data space is a ground
-/// plane; this variant serves true volumetric view frusta (a client
-/// looking *up* at a building's interior needs the z extent).
-#[derive(Debug)]
-pub struct WaveletIndex4 {
-    tree: RTree<4, CoeffRef>,
-}
-
-impl WaveletIndex4 {
-    /// Bulk-loads the 4-D index with the paper's page geometry.
-    pub fn build(data: &crate::coeff::SceneIndexData) -> Self {
-        Self::build_with(data, RTreeConfig::paper())
-    }
-
-    /// Bulk-loads with a custom tree configuration.
-    pub fn build_with(data: &crate::coeff::SceneIndexData, config: RTreeConfig) -> Self {
-        let items: Vec<(mar_geom::Rect4, CoeffRef)> = data
-            .records
-            .iter()
-            .map(|r| (r.support_xyz.lift(r.w, r.w), r.id))
-            .collect();
-        Self {
-            tree: RTree::bulk_load(config, items),
-        }
-    }
-
-    /// Number of indexed coefficients.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Executes `Q(R, w_max, w_min)` over a 3-D region of interest.
-    pub fn query(&self, region: &mar_geom::Rect3, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
-        let window: mar_geom::Rect4 = region.lift(band.w_min, band.w_max);
-        let mut hits = Vec::new();
-        let io = self.tree.search(&window, |_, id| hits.push(*id));
-        (hits, io)
-    }
-
-    /// Validates the underlying tree (tests).
-    pub fn validate(&self) -> Result<(), String> {
-        self.tree.validate()
-    }
-}
-
-#[cfg(test)]
-mod tests4 {
-    use super::*;
-    use crate::coeff::SceneIndexData;
-    use mar_geom::{Point3, Rect3};
-    use mar_workload::{Scene, SceneConfig};
-
-    fn data() -> SceneIndexData {
-        let mut cfg = SceneConfig::paper(6, 5);
-        cfg.levels = 3;
-        cfg.target_bytes = 1_000_000.0;
-        SceneIndexData::build(&Scene::generate(cfg))
-    }
-
-    #[test]
-    fn four_d_index_matches_bruteforce() {
-        let d = data();
-        let idx = WaveletIndex4::build(&d);
-        idx.validate().expect("valid tree");
-        assert_eq!(idx.len(), d.len());
-        let regions = [
-            Rect3::new(
-                Point3::new([0.0, 0.0, 0.0]),
-                Point3::new([1000.0, 1000.0, 100.0]),
-            ),
-            Rect3::new(
-                Point3::new([200.0, 200.0, 5.0]),
-                Point3::new([600.0, 500.0, 20.0]),
-            ),
-        ];
-        for region in &regions {
-            for band in [ResolutionBand::FULL, ResolutionBand::new(0.4, 1.0)] {
-                let (mut got, _) = idx.query(region, band);
-                got.sort_unstable();
-                let mut expect: Vec<CoeffRef> = d
-                    .records
-                    .iter()
-                    .filter(|r| r.support_xyz.intersects(region) && band.contains(r.w))
-                    .map(|r| r.id)
-                    .collect();
-                expect.sort_unstable();
-                assert_eq!(got, expect, "region {region:?} band {band:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn z_slab_filters_tall_objects() {
-        // A thin slab near the ground excludes coefficients whose support
-        // sits higher up a building — the capability the 3-D projection
-        // cannot offer.
-        let d = data();
-        let idx = WaveletIndex4::build(&d);
-        let ground = Rect3::new(
-            Point3::new([0.0, 0.0, 0.0]),
-            Point3::new([1000.0, 1000.0, 3.0]),
-        );
-        let everything = Rect3::new(
-            Point3::new([0.0, 0.0, -100.0]),
-            Point3::new([1000.0, 1000.0, 100.0]),
-        );
-        let (g, _) = idx.query(&ground, ResolutionBand::FULL);
-        let (all, _) = idx.query(&everything, ResolutionBand::FULL);
-        assert!(
-            g.len() < all.len(),
-            "ground slab {} vs all {}",
-            g.len(),
-            all.len()
-        );
-        assert_eq!(all.len(), d.len());
-    }
-
-    #[test]
-    fn projection_is_superset_of_slab_queries() {
-        // The 2-D (x-y-w) index answers the projected query; the 4-D index
-        // restricted to the full z range must agree with it exactly.
-        let d = data();
-        let idx3 = crate::index::WaveletIndex::build(&d);
-        let idx4 = WaveletIndex4::build(&d);
-        let xy = mar_geom::Rect2::new(
-            mar_geom::Point2::new([100.0, 100.0]),
-            mar_geom::Point2::new([700.0, 700.0]),
-        );
-        let xyz = Rect3::new(
-            Point3::new([100.0, 100.0, -1e6]),
-            Point3::new([700.0, 700.0, 1e6]),
-        );
-        let band = ResolutionBand::new(0.2, 1.0);
-        let (mut a, _) = idx3.query(&xy, band);
-        let (mut b, _) = idx4.query(&xyz, band);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 }

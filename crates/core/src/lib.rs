@@ -60,7 +60,7 @@ pub use fleet::{
     FleetBackend, FleetConfig, FleetError, FleetHealth, FleetQueryResult, FleetServer, RoutePlan,
     Router, ShardMap, ShardRole, ShardTask,
 };
-pub use index::{WaveletIndex, WaveletIndex4};
+pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};
 pub use mar_store::{CachePolicy, PageCacheStats, StoreError};
 pub use metrics::{BufferMetrics, RetrievalMetrics, SystemMetrics};

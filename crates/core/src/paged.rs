@@ -2,16 +2,17 @@
 //! read through a motion-aware buffer pool (DESIGN.md §15).
 //!
 //! [`PagedIndex`] answers exactly the queries the in-RAM
-//! [`crate::index::WaveletIndex`] answers, with byte-identical results:
-//! the scalar descent mirrors [`mar_rtree::RTree::search`] (per-entry
-//! closed-interval tests, children pushed in ascending entry order, LIFO
-//! pops) and the grouped descent mirrors
-//! [`mar_rtree::RTree::search_batch_into`] loop for loop — same `(node,
-//! window-bitmask)` stack, same per-set-bit logical attribution, same
-//! 64-wide child-mask transpose. Hit sets, visit order and access counts
-//! cannot drift from the RAM path because the algorithms are the same;
-//! only the node fetch differs (a [`PageCache`] read instead of an arena
-//! index).
+//! [`crate::index::WaveletIndex`] answers, with byte-identical results,
+//! and it does so without a descent of its own: `PagedIndex::nodes`
+//! presents the store's node pages as a [`mar_rtree::PageSource`], and
+//! the one window walk of `mar-rtree` ([`mar_rtree::search`],
+//! [`mar_rtree::search_batch_into`]) runs over it — the same functions
+//! the arena runs under. What this module supplies is the node fetch (a
+//! [`PageCache`] read, validated on every fetch) and the 8-byte
+//! [`CoeffRef`] decode (`coeff_ref`); hit sets, visit order and access
+//! counts cannot drift from the RAM path because the code is shared, not
+//! mirrored. One fetch per node visit, in visit order, is also what makes
+//! the pool's page-read sequence a function of the queries alone.
 //!
 //! I/O accounting extends the paper's metric with one new axis: logical
 //! and unique node accesses tally exactly as in RAM, and every pool
@@ -36,20 +37,33 @@
 //! Eq. 2 allocation is refreshed under the mutex too, in place.
 //!
 //! *Outside* it: page payloads come back as shared `Arc`s, so node
-//! parsing, window tests and record decoding never hold the lock — and
-//! neither does the panic on a corrupt page: a failed read leaves the
-//! pool consistent (only its look-up counter moved), the guard is
-//! released first, and the panic then unwinds the one query that hit
-//! the bad page without poisoning the pager for every other session.
+//! parsing, the walk's window tests and record decoding never hold the
+//! lock — and neither does the panic on a corrupt page: a failed read
+//! leaves the pool consistent (only its look-up counter moved), the
+//! guard is released first, and the panic then unwinds the one query
+//! that hit the bad page without poisoning the pager for every other
+//! session.
 
 use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
 use mar_buffer::MotionHeat;
-use mar_geom::{Point2, Rect3};
-use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PagedNodeKind};
+use mar_geom::Point2;
+use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PageSource};
 use mar_store::{CachePolicy, PageCache, PageCacheStats, StoreError};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// A tree node page as the pool hands it out.
+pub(crate) type PooledNode = NodePage<Arc<Vec<u8>>, 3>;
+
+/// Leaf entry `i` of a node page: its 8-byte [`CoeffRef`].
+pub(crate) fn coeff_ref(leaf: &PooledNode, i: usize) -> CoeffRef {
+    let b = leaf.item_bytes(i);
+    CoeffRef {
+        object: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+        coeff: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+    }
+}
 
 /// The mutable half of the backend: the bounded pool plus the Eq. 2 heat
 /// field its victim ranking consults.
@@ -128,29 +142,14 @@ impl PagedIndex {
         crate::store::store_file_bytes(self.file_pages)
     }
 
-    /// The pool's eviction policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.lock_pager().cache.policy()
-    }
-
     /// Buffer-pool counters (hits, faults, evictions, bypasses).
     pub fn cache_stats(&self) -> PageCacheStats {
         self.lock_pager().cache.stats()
     }
 
-    /// Zeroes the buffer-pool counters.
-    pub fn reset_cache_stats(&self) {
-        self.lock_pager().cache.reset_stats();
-    }
-
     /// Cumulative node-access counters (logical / unique / physical).
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.io.snapshot()
-    }
-
-    /// Cumulative logical node accesses (the paper's metric).
-    pub fn io_count(&self) -> u64 {
-        self.io.get(IoKind::Logical)
     }
 
     /// Resets the cumulative node-access counters.
@@ -231,150 +230,20 @@ impl PagedIndex {
         data
     }
 
-    fn decode_ref(b: &[u8]) -> CoeffRef {
-        CoeffRef {
-            object: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            coeff: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
-        }
-    }
-
-    /// Scalar window search, mirroring [`mar_rtree::RTree::search`]:
-    /// identical visit order and access count. Returns the node accesses.
-    pub fn for_each(&self, window: &Rect3, mut visit: impl FnMut(CoeffRef)) -> u64 {
-        let mut stack = vec![0u32];
-        let mut accesses = 0u64;
-        while let Some(id) = stack.pop() {
-            accesses += 1;
-            let bytes = self.page(id);
-            let node = NodePage::<3>::parse(&bytes, REF_SIZE)
+    /// The store's tree as the [`NodeSource`](mar_rtree::NodeSource) the
+    /// one window walk ([`mar_rtree::search`],
+    /// [`mar_rtree::search_batch_into`]) runs over: each node visit is one
+    /// pool look-up. Leaf hits decode through `coeff_ref`.
+    pub(crate) fn nodes(&self) -> PageSource<'_, impl Fn(u32) -> PooledNode + '_> {
+        let fetch = |id| {
+            NodePage::parse(self.page(id), REF_SIZE)
                 // mar-lint: allow(D004) — the store was validated at open; a malformed node image is unrecoverable corruption
-                .expect("malformed node page");
-            match node.kind() {
-                PagedNodeKind::Leaf => {
-                    for i in 0..node.len() {
-                        if node.rect(i).intersects(window) {
-                            visit(Self::decode_ref(node.item_bytes(i)));
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    for i in 0..node.len() {
-                        if node.rect(i).intersects(window) {
-                            stack.push(node.child(i));
-                        }
-                    }
-                }
-            }
-        }
-        self.io.add(IoKind::Logical, accesses);
-        self.io.add(IoKind::Unique, accesses);
-        accesses
-    }
-
-    /// Grouped multi-window search, mirroring
-    /// [`mar_rtree::RTree::search_batch_into`]: per-window hit sets, visit
-    /// order and logical accesses equal the scalar path; nodes shared by
-    /// several windows of a 64-wide group are fetched once. `per_window`
-    /// (one slot per window) is overwritten with the logical accesses; the
-    /// unique visits are returned.
-    pub fn for_each_batch_into(
-        &self,
-        windows: &[Rect3],
-        per_window: &mut [u64],
-        mut visit: impl FnMut(usize, CoeffRef),
-    ) -> u64 {
-        assert_eq!(per_window.len(), windows.len(), "one tally per window");
-        per_window.fill(0);
-        let mut unique = 0u64;
-        for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
-            unique += self.search_group(chunk, chunk_idx * 64, per_window, &mut visit);
-        }
-        let total: u64 = per_window.iter().sum();
-        self.io.add(IoKind::Logical, total);
-        self.io.add(IoKind::Unique, unique);
-        unique
-    }
-
-    /// One ≤64-window group descent; returns the physical node visits.
-    fn search_group(
-        &self,
-        windows: &[Rect3],
-        base: usize,
-        per_window: &mut [u64],
-        visit: &mut impl FnMut(usize, CoeffRef),
-    ) -> u64 {
-        if windows.is_empty() {
-            return 0;
-        }
-        let all = if windows.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << windows.len()) - 1
+                .expect("malformed node page")
         };
-        let mut stack: Vec<(u32, u64)> = vec![(0, all)];
-        let mut unique = 0u64;
-        while let Some((id, group)) = stack.pop() {
-            unique += 1;
-            let mut g = group;
-            while g != 0 {
-                let w = g.trailing_zeros() as usize;
-                g &= g - 1;
-                per_window[base + w] += 1;
-            }
-            let bytes = self.page(id);
-            let node = NodePage::<3>::parse(&bytes, REF_SIZE)
-                // mar-lint: allow(D004) — the store was validated at open; a malformed node image is unrecoverable corruption
-                .expect("malformed node page");
-            match node.kind() {
-                PagedNodeKind::Leaf => {
-                    let mut g = group;
-                    while g != 0 {
-                        let w = g.trailing_zeros() as usize;
-                        g &= g - 1;
-                        let window = &windows[w];
-                        for i in 0..node.len() {
-                            if node.rect(i).intersects(window) {
-                                visit(base + w, Self::decode_ref(node.item_bytes(i)));
-                            }
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    let mut start = 0;
-                    while start < node.len() {
-                        let n = (node.len() - start).min(64);
-                        let mut child_masks = [0u64; 64];
-                        let mut g = group;
-                        while g != 0 {
-                            let w = g.trailing_zeros() as usize;
-                            g &= g - 1;
-                            let window = &windows[w];
-                            for (j, cm) in child_masks[..n].iter_mut().enumerate() {
-                                if node.rect(start + j).intersects(window) {
-                                    *cm |= 1u64 << w;
-                                }
-                            }
-                        }
-                        for (j, &cm) in child_masks[..n].iter().enumerate() {
-                            if cm != 0 {
-                                stack.push((node.child(start + j), cm));
-                            }
-                        }
-                        start += n;
-                    }
-                }
-            }
+        PageSource {
+            fetch,
+            io: &self.io,
         }
-        unique
-    }
-
-    /// Counts items intersecting `window`. Totals (count and accesses)
-    /// equal [`mar_rtree::RTree::count_in`]'s, which itself matches the
-    /// scalar search.
-    pub fn count_in(&self, window: &Rect3) -> (usize, u64) {
-        let mut hits = 0usize;
-        let io = self.for_each(window, |_| hits += 1);
-        (hits, io)
     }
 
     /// Touches the payload page holding `id`'s coefficient record — the
@@ -417,9 +286,9 @@ mod tests {
     use crate::coeff::SceneIndexData;
     use crate::index::WaveletIndex;
     use crate::store::write_store;
-    use mar_geom::{Point2, Rect2, Vector};
+    use mar_geom::{Point2, Rect2, Rect3, Vector};
     use mar_mesh::ResolutionBand;
-    use mar_rtree::BatchAccesses;
+    use mar_rtree::{search, search_batch_into, BatchAccesses};
     use mar_store::TraceEvent;
     use mar_workload::{Scene, SceneConfig};
     use std::path::PathBuf;
@@ -513,7 +382,9 @@ mod tests {
                 .expect("ram")
                 .search(w, |_, id| ram_hits.push(*id));
             let mut paged_hits = Vec::new();
-            let paged_io = paged.for_each(w, |id| paged_hits.push(id));
+            let paged_io = search(&paged.nodes(), w, |leaf, i| {
+                paged_hits.push(coeff_ref(leaf, i))
+            });
             // Order-sensitive equality: the descent is the same algorithm.
             assert_eq!(paged_hits, ram_hits, "window {k} hit order");
             assert_eq!(paged_io, ram_io, "window {k} accesses");
@@ -539,8 +410,9 @@ mod tests {
         let mut paged_hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); ws.len()];
         // Stale tallies must be overwritten, not added to.
         let mut per_window = vec![7u64; ws.len()];
-        let unique =
-            paged.for_each_batch_into(&ws, &mut per_window, |q, id| paged_hits[q].push(id));
+        let unique = search_batch_into(&paged.nodes(), &ws, &mut per_window, |q, leaf, i| {
+            paged_hits[q].push(coeff_ref(leaf, i))
+        });
         assert_eq!(paged_hits, ram_hits, "per-window hit order");
         let paged_acc = BatchAccesses { per_window, unique };
         assert_eq!(paged_acc, ram_acc, "per-window logical + unique accesses");
@@ -551,17 +423,37 @@ mod tests {
         let (paged, ram, _) = open_small("count.pages", 4, CachePolicy::Lru);
         for (k, w) in windows().iter().enumerate() {
             let (ram_n, ram_io) = ram.ram_tree().expect("ram").count_in(w);
-            let (paged_n, paged_io) = paged.count_in(w);
+            let mut paged_n = 0usize;
+            let paged_io = search(&paged.nodes(), w, |_, _| paged_n += 1);
             assert_eq!(paged_n, ram_n, "window {k} count");
             assert_eq!(paged_io, ram_io, "window {k} accesses");
         }
+    }
+
+    /// The walk fetches each node it visits exactly once, so the pool
+    /// sees one look-up per unique access — the page read order
+    /// `results/abl_store.csv`'s hit ratios depend on.
+    #[test]
+    fn each_unique_node_visit_is_one_pool_lookup() {
+        let (paged, _, _) = open_small("lookups.pages", 4, CachePolicy::MotionAware);
+        let ws = windows();
+        for w in &ws {
+            let before = paged.cache_stats().lookups;
+            let unique = search(&paged.nodes(), w, |_, _| {});
+            assert_eq!(paged.cache_stats().lookups - before, unique);
+        }
+        let before = paged.cache_stats().lookups;
+        let mut per_window = vec![0u64; ws.len()];
+        let unique = search_batch_into(&paged.nodes(), &ws, &mut per_window, |_, _, _| {});
+        assert_eq!(paged.cache_stats().lookups - before, unique);
+        assert!(unique < per_window.iter().sum(), "the group shares nodes");
     }
 
     #[test]
     fn payload_touches_fault_then_hit() {
         let (paged, _, d) = open_small("payload.pages", 32, CachePolicy::Lru);
         let id = d.records[0].id;
-        paged.reset_cache_stats();
+        assert_eq!(paged.cache_stats(), PageCacheStats::default());
         paged.touch_payload(id);
         paged.touch_payload(id);
         let s = paged.cache_stats();
@@ -631,7 +523,9 @@ mod tests {
                 paged.observe_motion(session, pos);
                 let window = Rect2::new(pos - half, pos + half).lift(0.0, 1.0);
                 let mut hits = Vec::new();
-                paged.for_each(&window, |id| hits.push(id));
+                search(&paged.nodes(), &window, |leaf, i| {
+                    hits.push(coeff_ref(leaf, i))
+                });
                 for id in hits.iter().step_by(7).take(6) {
                     paged.touch_payload(*id);
                 }
@@ -775,7 +669,7 @@ mod tests {
         std::thread::scope(|s| {
             let survivor = s.spawn(|| {
                 paged.observe_motion(9, Point2::new([500.0, 500.0]));
-                paged.for_each(&windows()[0], |_| {})
+                search(&paged.nodes(), &windows()[0], |_, _| {})
             });
             assert!(survivor.join().expect("other sessions keep working") > 0);
         });

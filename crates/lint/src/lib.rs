@@ -20,7 +20,7 @@
 //!   justification.
 //! * **D005** — every crate root carries `#![forbid(unsafe_code)]`.
 //!
-//! On top of the per-file rules, the [`concurrency`] module runs a
+//! On top of the per-file rules, the `concurrency` module runs a
 //! workspace-wide lock analysis (guard liveness + call graph — see its
 //! module docs) with three more rules:
 //!

@@ -9,7 +9,7 @@
 //!
 //! Features:
 //! * arbitrary dimension via const generics (`RTree<3, T>` is the paper's
-//!   experimental `x-y-w` tree, `RTree<4, T>` the full `x-y-z-w` design);
+//!   experimental `x-y-w` tree);
 //! * flat arena storage: nodes live in one `Vec` addressed by `u32` slot
 //!   indices, so search walks contiguous memory instead of chasing
 //!   `Box` pointers, and the query hot path performs no allocation (the
@@ -19,7 +19,10 @@
 //! * Sort-Tile-Recursive (STR) bulk loading for building large static
 //!   indexes quickly;
 //! * window (range) queries with per-query and cumulative node-access
-//!   counters;
+//!   counters — one scalar and one grouped walk ([`search`],
+//!   [`search_batch_into`]) over a [`NodeSource`], implemented by the
+//!   arena and by exported page images ([`PageSource`]), so an
+//!   out-of-core backend runs the very same descent;
 //! * deletion with tree condensation;
 //! * a structural [`RTree::validate`] (tree shape **and** arena/free-list
 //!   invariants) used heavily by the test suite.
@@ -41,8 +44,8 @@ mod stats;
 
 pub use counters::{IoCounters, IoKind, IoSnapshot};
 pub use node::Entry;
-pub use pages::{NodePage, PageExport, PagedNodeKind};
-pub use query::BatchAccesses;
+pub use pages::{NodePage, PageExport, PageSource};
+pub use query::{search, search_batch_into, ArenaNode, BatchAccesses, NodeSource, NodeView};
 pub use stats::{LevelStats, TreeStats};
 
 use mar_geom::Rect;
@@ -196,12 +199,6 @@ impl<const N: usize, T> RTree<N, T> {
     /// Snapshot of all three node-access counters.
     pub fn io_snapshot(&self) -> IoSnapshot {
         self.io.snapshot()
-    }
-
-    /// The live counters (so an out-of-core wrapper can account its page
-    /// faults through the same structure queries tally into).
-    pub fn io_counters(&self) -> &IoCounters {
-        &self.io
     }
 
     /// Resets all cumulative node-access counters.

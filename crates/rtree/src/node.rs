@@ -380,24 +380,6 @@ impl<const N: usize> Lanes<N> {
         }
         m
     }
-
-    /// Number of entries intersecting `window`: a pure lane reduction
-    /// with no per-entry control flow and no per-hit work, so counting
-    /// queries never materialise rectangles at all.
-    #[inline(always)]
-    pub fn count_matches(&self, window: &Rect<N>) -> usize {
-        if self.cap <= 64 {
-            return self.sweep(window).count_ones() as usize;
-        }
-        let mut cnt = 0usize;
-        let mut start = 0;
-        while start < self.len {
-            let (mask, n) = self.match_bits(window, start);
-            cnt += mask.count_ones() as usize;
-            start += n;
-        }
-        cnt
-    }
 }
 
 /// A leaf page: MBR lanes plus the stored items in a parallel array.

@@ -4,8 +4,12 @@
 //! little-endian page payload, numbering nodes breadth-first from the
 //! root (**page 0**), so internal entries reference children by page id
 //! rather than arena slot. The images slot directly into `mar-store`'s
-//! fixed-size page file; [`NodePage`] is the zero-copy decoder the paged
-//! descent reads them back through.
+//! fixed-size page file. Everything that knows the layout lives here:
+//! the writer, the zero-copy decoder [`NodePage`], its window test (it
+//! is a [`NodeView`]), and [`PageSource`] — the [`NodeSource`] that lets
+//! the one window walk of [`crate::search`] run over page images. A
+//! backend supplies only how a page is fetched (a buffer pool, a slice
+//! of images in a test) and how a leaf item's bytes decode.
 //!
 //! Page payload layout (all integers little-endian):
 //!
@@ -23,9 +27,11 @@
 //! `8 + 20·48 + 20·8 = 1128` bytes — comfortably inside one page.
 
 use crate::node::NodeKind;
-use crate::RTree;
+use crate::query::{NodeSource, NodeView};
+use crate::{IoCounters, RTree};
 use mar_geom::{Point, Rect};
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Byte offset where the rectangle lanes start.
 const HEADER: usize = 8;
@@ -133,20 +139,12 @@ fn write_rect<const N: usize>(buf: &mut Vec<u8>, r: &Rect<N>) {
     }
 }
 
-/// Kind of a decoded node page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PagedNodeKind {
-    /// Leaf page: entries carry items.
-    Leaf,
-    /// Internal page: entries carry child page ids.
-    Internal,
-}
-
-/// Zero-copy view of one exported node page.
+/// Zero-copy view of one exported node page over any pointer to bytes
+/// (`&[u8]`, or the `Arc<Vec<u8>>` a buffer pool hands out).
 #[derive(Debug, Clone, Copy)]
-pub struct NodePage<'a, const N: usize> {
-    bytes: &'a [u8],
-    kind: PagedNodeKind,
+pub struct NodePage<B, const N: usize> {
+    bytes: B,
+    leaf: bool,
     len: usize,
     item_size: usize,
 }
@@ -163,50 +161,41 @@ fn read_u32(b: &[u8], o: usize) -> u32 {
     u32::from_le_bytes(a)
 }
 
-impl<'a, const N: usize> NodePage<'a, N> {
+impl<B, const N: usize> NodePage<B, N>
+where
+    B: Deref,
+    B::Target: AsRef<[u8]>,
+{
     /// Parses a page payload, validating the header and that every
     /// entry's rect and payload lie inside `bytes`. `item_size` is the
     /// per-item byte width leaf pages were exported with (ignored for
     /// internal pages). Returns `None` on any structural mismatch.
-    pub fn parse(bytes: &'a [u8], item_size: usize) -> Option<Self> {
-        if bytes.len() < HEADER {
+    pub fn parse(bytes: B, item_size: usize) -> Option<Self> {
+        let b: &[u8] = (*bytes).as_ref();
+        if b.len() < HEADER {
             return None;
         }
-        let kind = match bytes[0] {
-            KIND_LEAF => PagedNodeKind::Leaf,
-            KIND_INTERNAL => PagedNodeKind::Internal,
+        let leaf = match b[0] {
+            KIND_LEAF => true,
+            KIND_INTERNAL => false,
             _ => return None,
         };
-        let len = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
-        let entry_size = match kind {
-            PagedNodeKind::Leaf => item_size,
-            PagedNodeKind::Internal => 4,
-        };
+        let len = u16::from_le_bytes([b[2], b[3]]) as usize;
+        let entry_size = if leaf { item_size } else { 4 };
         let need = HEADER + len * (16 * N) + len * entry_size;
-        if bytes.len() < need {
+        if b.len() < need {
             return None;
         }
         Some(Self {
             bytes,
-            kind,
+            leaf,
             len,
             item_size,
         })
     }
 
-    /// The page's node kind.
-    pub fn kind(&self) -> PagedNodeKind {
-        self.kind
-    }
-
-    /// Entries stored in the page.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the page holds no entries (an empty root leaf).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    fn bytes(&self) -> &[u8] {
+        (*self.bytes).as_ref()
     }
 
     /// Entry `i`'s rectangle.
@@ -214,25 +203,77 @@ impl<'a, const N: usize> NodePage<'a, N> {
         debug_assert!(i < self.len);
         let o = HEADER + i * 16 * N;
         Rect::from_corners(
-            Point::new(std::array::from_fn(|d| read_f64(self.bytes, o + 8 * d))),
+            Point::new(std::array::from_fn(|d| read_f64(self.bytes(), o + 8 * d))),
             Point::new(std::array::from_fn(|d| {
-                read_f64(self.bytes, o + 8 * (N + d))
+                read_f64(self.bytes(), o + 8 * (N + d))
             })),
         )
     }
 
-    /// Entry `i`'s child page id (internal pages only).
-    pub fn child(&self, i: usize) -> u32 {
-        debug_assert!(self.kind == PagedNodeKind::Internal && i < self.len);
-        let o = HEADER + self.len * 16 * N + i * 4;
-        read_u32(self.bytes, o)
+    /// Entry `i`'s encoded item bytes (leaf pages only).
+    pub fn item_bytes(&self, i: usize) -> &[u8] {
+        debug_assert!(self.leaf && i < self.len);
+        let o = HEADER + self.len * 16 * N + i * self.item_size;
+        &self.bytes()[o..o + self.item_size]
+    }
+}
+
+impl<B, const N: usize> NodeView<N> for NodePage<B, N>
+where
+    B: Deref,
+    B::Target: AsRef<[u8]>,
+{
+    fn is_leaf(&self) -> bool {
+        self.leaf
     }
 
-    /// Entry `i`'s encoded item bytes (leaf pages only).
-    pub fn item_bytes(&self, i: usize) -> &'a [u8] {
-        debug_assert!(self.kind == PagedNodeKind::Leaf && i < self.len);
-        let o = HEADER + self.len * 16 * N + i * self.item_size;
-        &self.bytes[o..o + self.item_size]
+    fn entry_count(&self) -> usize {
+        self.len
+    }
+
+    /// The page-image window test: one closed-interval test per entry,
+    /// straight off the stored corners.
+    fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
+        let n = (self.len - start).min(64);
+        let mut mask = 0u64;
+        for j in 0..n {
+            mask |= u64::from(self.rect(start + j).intersects(window)) << j;
+        }
+        (mask, n)
+    }
+
+    fn child(&self, i: usize) -> u32 {
+        debug_assert!(!self.leaf && i < self.len);
+        read_u32(self.bytes(), HEADER + self.len * 16 * N + i * 4)
+    }
+}
+
+/// A tree read back from its page images (the root is page 0).
+pub struct PageSource<'a, F> {
+    /// Maps a page id to its parsed [`NodePage`].
+    pub fetch: F,
+    /// Where logical and unique accesses tally, exactly as the arena's do.
+    pub io: &'a IoCounters,
+}
+
+impl<const N: usize, B, F> NodeSource<N> for &PageSource<'_, F>
+where
+    B: Deref,
+    B::Target: AsRef<[u8]>,
+    F: Fn(u32) -> NodePage<B, N>,
+{
+    type Node = NodePage<B, N>;
+
+    fn root(&self) -> u32 {
+        0
+    }
+
+    fn node(&self, id: u32) -> Self::Node {
+        (self.fetch)(id)
+    }
+
+    fn io(&self) -> &IoCounters {
+        self.io
     }
 }
 
@@ -260,65 +301,14 @@ mod tests {
         t.export_pages(4, |item, buf| buf.extend_from_slice(&item.to_le_bytes()))
     }
 
-    /// Scalar descent over decoded pages, mirroring `RTree::search`.
-    fn paged_search(pages: &[Vec<u8>], window: &Rect2) -> (Vec<u32>, u64) {
-        let mut hits = Vec::new();
-        let mut accesses = 0u64;
-        let mut stack = vec![0u32];
-        while let Some(id) = stack.pop() {
-            accesses += 1;
-            let page = NodePage::<2>::parse(&pages[id as usize], 4).expect("valid page");
-            match page.kind() {
-                PagedNodeKind::Leaf => {
-                    for i in 0..page.len() {
-                        if page.rect(i).intersects(window) {
-                            let b = page.item_bytes(i);
-                            hits.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    for i in 0..page.len() {
-                        if page.rect(i).intersects(window) {
-                            stack.push(page.child(i));
-                        }
-                    }
-                }
-            }
-        }
-        (hits, accesses)
-    }
-
     #[test]
     fn root_is_page_zero_and_count_matches() {
         let t = build(300);
         let ex = export(&t);
         assert_eq!(ex.pages.len(), t.node_count());
         assert_eq!(ex.regions.len(), ex.pages.len());
-        let root = NodePage::<2>::parse(&ex.pages[0], 4).expect("root page");
-        if t.height() > 1 {
-            assert_eq!(root.kind(), PagedNodeKind::Internal);
-        }
-    }
-
-    #[test]
-    fn paged_search_matches_in_ram_search() {
-        let t = build(500);
-        let ex = export(&t);
-        for window in [
-            Rect2::new(Point2::new([2.0, 3.0]), Point2::new([9.0, 11.0])),
-            Rect2::point(Point2::new([4.0, 9.0])),
-            Rect2::new(Point2::new([-5.0, -5.0]), Point2::new([50.0, 50.0])),
-            Rect2::new(Point2::new([100.0, 100.0]), Point2::new([110.0, 110.0])),
-        ] {
-            let mut ram: Vec<u32> = Vec::new();
-            let io = t.search(&window, |_, &item| ram.push(item));
-            let (mut paged, accesses) = paged_search(&ex.pages, &window);
-            ram.sort_unstable();
-            paged.sort_unstable();
-            assert_eq!(paged, ram, "hit set for {window:?}");
-            assert_eq!(accesses, io, "node accesses for {window:?}");
-        }
+        let root = NodePage::<_, 2>::parse(ex.pages[0].as_slice(), 4).expect("root page");
+        assert_eq!(root.is_leaf(), t.height() == 1);
     }
 
     #[test]
@@ -336,16 +326,16 @@ mod tests {
         let t: RTree<2, u32> = RTree::new(RTreeConfig::paper());
         let ex = export(&t);
         assert_eq!(ex.pages.len(), 1);
-        let page = NodePage::<2>::parse(&ex.pages[0], 4).expect("page");
-        assert_eq!(page.kind(), PagedNodeKind::Leaf);
-        assert!(page.is_empty());
+        let page = NodePage::<_, 2>::parse(ex.pages[0].as_slice(), 4).expect("page");
+        assert!(page.is_leaf());
+        assert_eq!(page.entry_count(), 0);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(NodePage::<2>::parse(&[], 4).is_none());
-        assert!(NodePage::<2>::parse(&[9, 0, 0, 0, 0, 0, 0, 0], 4).is_none());
+        assert!(NodePage::<&[u8], 2>::parse(&[], 4).is_none());
+        assert!(NodePage::<&[u8], 2>::parse(&[9, 0, 0, 0, 0, 0, 0, 0], 4).is_none());
         // Truncated: claims 3 entries but has no lane bytes.
-        assert!(NodePage::<2>::parse(&[1, 0, 3, 0, 0, 0, 0, 0], 4).is_none());
+        assert!(NodePage::<&[u8], 2>::parse(&[1, 0, 3, 0, 0, 0, 0, 0], 4).is_none());
     }
 }

@@ -1,39 +1,299 @@
-//! Window queries with node-access accounting: a branchless scalar
-//! search and a batched multi-window group descent.
+//! The §VI-B window query, written once: a scalar walk and a grouped
+//! (64-window bitmask) walk over any [`NodeSource`].
 //!
-//! Both searches are iterative over arena slot indices and perform no
-//! allocation on the hot path: the traversal stacks are thread-local
-//! scratch buffers that are taken for the duration of one search and
-//! handed back (grown) afterwards, so steady-state queries reuse the same
-//! capacity forever. A `Cell` (take/replace) rather than a `RefCell`
-//! keeps re-entrant searches safe: a query issued from inside a visitor
-//! simply starts from a fresh empty stack.
+//! A source hands out nodes by `u32` id; a node ([`NodeView`]) tests up
+//! to 64 of its entries against a window at a time and yields a hit
+//! bitmask, which the walks iterate by `trailing_zeros`. The in-RAM arena
+//! (`&RTree`, struct-of-arrays lanes, branchless sweep) and the page
+//! images of [`crate::PageSource`] are the two sources; visit order, hit
+//! order and every access count are those of the classic
+//! one-rect-at-a-time LIFO descent for both, because both run the code
+//! below — only the node fetch and the window-test kernel differ.
 //!
-//! Node tests run through [`Lanes::match_bits`]: one sweep over the
-//! node's contiguous per-axis `lo`/`hi` lanes produces a hit bitmask for
-//! up to 64 entries at a time, which iterates by `trailing_zeros`. The
-//! visit order (and therefore every access count) is identical to the
-//! classic one-rect-at-a-time loop; only the comparison shape changes.
+//! The walks perform no allocation on the hot path: the traversal stacks
+//! are thread-local scratch buffers that are taken for the duration of
+//! one search and handed back (grown) afterwards, so steady-state queries
+//! reuse the same capacity forever. A `Cell` (take/replace) rather than a
+//! `RefCell` keeps re-entrant searches safe: a query issued from inside a
+//! visitor simply starts from a fresh empty stack.
 //!
-//! [`RTree::search_batch`] extends this to K windows at once: the stack
-//! carries `(node, window_bitmask)` pairs, so a node shared by several
-//! windows is *physically* visited once per group while the per-window
-//! **logical** access counts (what K independent scalar descents would
-//! have reported, and what the cumulative [`RTree::io_count`] tallies)
-//! are still attributed exactly. The physical visit count — the improved
-//! node-access metric batching buys — is returned alongside.
+//! [`search_batch_into`] runs K windows at once: the stack carries
+//! `(node, window_bitmask)` pairs, so a node shared by several windows is
+//! *fetched* once per group while the per-window **logical** access
+//! counts (what K independent scalar descents would have reported, and
+//! what the cumulative [`RTree::io_count`] tallies) are still attributed
+//! exactly. The unique visit count — the improved node-access metric
+//! batching buys — is returned alongside.
 
-use crate::node::NodeKind;
-use crate::{IoKind, RTree};
+use crate::node::{Lanes, NodeKind};
+use crate::{IoCounters, IoKind, RTree};
 use mar_geom::Rect;
 use std::cell::Cell;
 
 thread_local! {
-    /// Reusable traversal stack shared by every tree on this thread; slot
-    /// indices are plain `u32`s, so one buffer serves all `N`/`T`.
+    /// Reusable traversal stack shared by every source on this thread;
+    /// node ids are plain `u32`s, so one buffer serves all `N`/`T`.
     static SEARCH_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
-    /// Reusable `(slot, window-bitmask)` stack for the batched descent.
+    /// Reusable `(node, window-bitmask)` stack for the grouped walk.
     static BATCH_STACK: Cell<Vec<(u32, u64)>> = const { Cell::new(Vec::new()) };
+}
+
+/// Where a walk's nodes come from. Implemented for `&RTree` (arena
+/// slots) and `&PageSource` (page images behind a fetch function).
+pub trait NodeSource<const N: usize> {
+    /// One fetched node.
+    type Node: NodeView<N>;
+
+    /// Id of the root node.
+    fn root(&self) -> u32;
+
+    /// Fetches node `id` — called exactly once per node visit, in visit
+    /// order, so a source backed by a buffer pool sees one look-up per
+    /// unique access.
+    fn node(&self, id: u32) -> Self::Node;
+
+    /// The cumulative counters the walks tally logical and unique
+    /// accesses into.
+    fn io(&self) -> &IoCounters;
+}
+
+/// One node as the walks see it. A leaf hit reaches the visitor as
+/// `(node, entry index)`; what a leaf entry carries is the node type's
+/// own business ([`ArenaNode::item`], [`crate::NodePage::item_bytes`]).
+pub trait NodeView<const N: usize> {
+    /// True for a leaf (entries carry items), false for an internal node
+    /// (entries carry child ids).
+    fn is_leaf(&self) -> bool;
+
+    /// Entries stored in the node.
+    fn entry_count(&self) -> usize;
+
+    /// Tests up to 64 entries starting at `start` (a multiple of 64,
+    /// `< entry_count`) against `window` and returns `(hit_mask,
+    /// tested)`: bit `j` is set iff entry `start + j` intersects `window`
+    /// on closed intervals, exactly [`Rect::intersects`].
+    fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize);
+
+    /// Entry `i`'s child id (internal nodes only).
+    fn child(&self, i: usize) -> u32;
+}
+
+/// Calls `hit(i)` for every entry `i` of `node` intersecting `window`,
+/// in ascending entry order.
+#[inline(always)]
+fn for_each_match<const N: usize>(
+    node: &impl NodeView<N>,
+    window: &Rect<N>,
+    mut hit: impl FnMut(usize),
+) {
+    let mut start = 0;
+    while start < node.entry_count() {
+        let (mut mask, n) = node.match_bits(window, start);
+        while mask != 0 {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            hit(start + j);
+        }
+        start += n;
+    }
+}
+
+/// The scalar window walk: calls `visit(leaf, i)` for every leaf entry
+/// of `src` whose rectangle intersects `window` (children pushed in
+/// ascending entry order, LIFO pops), returning the number of node
+/// accesses performed. The source's cumulative logical and unique
+/// counters are incremented by the same amount.
+pub fn search<const N: usize, S: NodeSource<N>>(
+    src: S,
+    window: &Rect<N>,
+    mut visit: impl FnMut(&S::Node, usize),
+) -> u64 {
+    let mut stack = SEARCH_STACK.with(Cell::take);
+    stack.clear();
+    let mut accesses = 0u64;
+    stack.push(src.root());
+    while let Some(id) = stack.pop() {
+        accesses += 1;
+        let node = src.node(id);
+        if node.is_leaf() {
+            for_each_match(&node, window, |i| visit(&node, i));
+        } else {
+            for_each_match(&node, window, |i| stack.push(node.child(i)));
+        }
+    }
+    SEARCH_STACK.with(|cell| cell.set(stack));
+    src.io().add(IoKind::Logical, accesses);
+    src.io().add(IoKind::Unique, accesses);
+    accesses
+}
+
+/// The grouped window walk: `visit` receives `(window_index, leaf, i)`
+/// for every window/entry intersection — per window, exactly the hits
+/// the scalar [`search`] of that window produces, in the same order
+/// (emission may interleave windows).
+///
+/// Windows are grouped 64 at a time (one bitmask lane each); within a
+/// group every node is fetched at most once, while logical per-window
+/// accesses are attributed exactly as K scalar searches would have:
+/// `per_window[w]` is overwritten with window `w`'s logical accesses
+/// (`per_window.len()` must equal `windows.len()`), their sum goes to the
+/// source's logical counter, and the unique node visits are tallied and
+/// returned.
+pub fn search_batch_into<const N: usize, S: NodeSource<N>>(
+    src: S,
+    windows: &[Rect<N>],
+    per_window: &mut [u64],
+    mut visit: impl FnMut(usize, &S::Node, usize),
+) -> u64 {
+    assert_eq!(per_window.len(), windows.len(), "one tally per window");
+    per_window.fill(0);
+    let mut unique = 0u64;
+    for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
+        unique += search_group(&src, chunk, chunk_idx * 64, per_window, &mut visit);
+    }
+    let total: u64 = per_window.iter().sum();
+    src.io().add(IoKind::Logical, total);
+    src.io().add(IoKind::Unique, unique);
+    unique
+}
+
+/// One ≤64-window group descent; returns the unique node visits.
+fn search_group<const N: usize, S: NodeSource<N>>(
+    src: &S,
+    windows: &[Rect<N>],
+    base: usize,
+    per_window: &mut [u64],
+    visit: &mut impl FnMut(usize, &S::Node, usize),
+) -> u64 {
+    let all = if windows.len() == 64 {
+        u64::MAX
+    } else {
+        (1u64 << windows.len()) - 1
+    };
+    let mut stack = BATCH_STACK.with(Cell::take);
+    stack.clear();
+    let mut unique = 0u64;
+    stack.push((src.root(), all));
+    while let Some((id, group)) = stack.pop() {
+        unique += 1;
+        // Logical attribution: every window whose bit is set "visits"
+        // this node, exactly as its own scalar descent would have.
+        let mut g = group;
+        while g != 0 {
+            let w = g.trailing_zeros() as usize;
+            g &= g - 1;
+            per_window[base + w] += 1;
+        }
+        let node = src.node(id);
+        if node.is_leaf() {
+            let mut g = group;
+            while g != 0 {
+                let w = g.trailing_zeros() as usize;
+                g &= g - 1;
+                for_each_match(&node, &windows[w], |i| visit(base + w, &node, i));
+            }
+        } else {
+            // Transpose window×entry hits into per-child window masks,
+            // then push surviving children in entry order.
+            let mut start = 0;
+            while start < node.entry_count() {
+                let n = (node.entry_count() - start).min(64);
+                let mut child_masks = [0u64; 64];
+                let mut g = group;
+                while g != 0 {
+                    let w = g.trailing_zeros() as usize;
+                    g &= g - 1;
+                    let (mut mask, _) = node.match_bits(&windows[w], start);
+                    while mask != 0 {
+                        let j = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        child_masks[j] |= 1u64 << w;
+                    }
+                }
+                for (j, &cm) in child_masks[..n].iter().enumerate() {
+                    if cm != 0 {
+                        stack.push((node.child(start + j), cm));
+                    }
+                }
+                start += n;
+            }
+        }
+    }
+    BATCH_STACK.with(|cell| cell.set(stack));
+    unique
+}
+
+/// A fetched arena node (`&RTree` as a [`NodeSource`]).
+pub struct ArenaNode<'a, const N: usize, T>(&'a NodeKind<N, T>);
+
+impl<'a, const N: usize, T> ArenaNode<'a, N, T> {
+    #[inline]
+    fn lanes(&self) -> &'a Lanes<N> {
+        match self.0 {
+            NodeKind::Leaf(node) => &node.lanes,
+            NodeKind::Internal(node) => &node.lanes,
+            NodeKind::Free => unreachable!("a free slot is never reachable from the root"),
+        }
+    }
+
+    /// Leaf entry `i`'s rectangle, materialised from the lanes.
+    #[inline]
+    pub fn rect(&self, i: usize) -> Rect<N> {
+        self.lanes().rect(i)
+    }
+
+    /// Leaf entry `i`'s item.
+    #[inline]
+    pub fn item(&self, i: usize) -> &'a T {
+        match self.0 {
+            NodeKind::Leaf(node) => node.item(i),
+            _ => unreachable!("item() on a non-leaf node"),
+        }
+    }
+}
+
+impl<'a, const N: usize, T> NodeSource<N> for &'a RTree<N, T> {
+    type Node = ArenaNode<'a, N, T>;
+
+    #[inline]
+    fn root(&self) -> u32 {
+        self.root
+    }
+
+    #[inline]
+    fn node(&self, id: u32) -> Self::Node {
+        ArenaNode(self.arena.node(id))
+    }
+
+    #[inline]
+    fn io(&self) -> &IoCounters {
+        &self.io
+    }
+}
+
+impl<const N: usize, T> NodeView<N> for ArenaNode<'_, N, T> {
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        matches!(self.0, NodeKind::Leaf(_))
+    }
+
+    #[inline]
+    fn entry_count(&self) -> usize {
+        self.lanes().len()
+    }
+
+    #[inline(always)]
+    fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
+        self.lanes().match_bits(window, start)
+    }
+
+    #[inline]
+    fn child(&self, i: usize) -> u32 {
+        match self.0 {
+            NodeKind::Internal(node) => node.child(i),
+            _ => unreachable!("child() on a non-internal node"),
+        }
+    }
 }
 
 /// Access accounting of one [`RTree::search_batch`] call.
@@ -62,59 +322,17 @@ impl<const N: usize, T> RTree<N, T> {
     /// Visits every `(rect, item)` whose rectangle intersects `window`,
     /// returning the number of node (page) accesses the search performed.
     /// The cumulative [`RTree::io_count`] is incremented by the same
-    /// amount.
+    /// amount. This is [`search`] over the arena.
     pub fn search<'a>(&'a self, window: &Rect<N>, mut visit: impl FnMut(Rect<N>, &'a T)) -> u64 {
-        let mut stack = SEARCH_STACK.with(Cell::take);
-        stack.clear();
-        let mut accesses = 0u64;
-        stack.push(self.root);
-        while let Some(idx) = stack.pop() {
-            accesses += 1;
-            match self.arena.node(idx) {
-                NodeKind::Leaf(node) => {
-                    let mut start = 0;
-                    while start < node.len() {
-                        let (mut mask, n) = node.lanes.match_bits(window, start);
-                        while mask != 0 {
-                            let j = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            visit(node.rect(start + j), node.item(start + j));
-                        }
-                        start += n;
-                    }
-                }
-                NodeKind::Internal(node) => {
-                    let mut start = 0;
-                    while start < node.len() {
-                        let (mut mask, n) = node.lanes.match_bits(window, start);
-                        while mask != 0 {
-                            let j = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            stack.push(node.child(start + j));
-                        }
-                        start += n;
-                    }
-                }
-                // Free slots are never reachable from the root.
-                NodeKind::Free => {}
-            }
-        }
-        SEARCH_STACK.with(|cell| cell.set(stack));
-        self.io.add(IoKind::Logical, accesses);
-        self.io.add(IoKind::Unique, accesses);
-        accesses
+        search(self, window, |leaf, i| visit(leaf.rect(i), leaf.item(i)))
     }
 
-    /// Searches `K` windows in one grouped descent. `visit` receives
+    /// Searches `K` windows in one grouped descent
+    /// ([`search_batch_into`] over the arena). `visit` receives
     /// `(window_index, rect, item)` for every window/item intersection —
     /// per window, exactly the hit set the scalar [`RTree::search`] of
-    /// that window produces (emission order may interleave windows).
-    ///
-    /// Windows are grouped 64 at a time (one bitmask lane each); within a
-    /// group every tree node is physically visited at most once, while
-    /// logical per-window accesses — and through them the cumulative
-    /// [`RTree::io_count`] — are attributed exactly as K scalar searches
-    /// would have. See [`BatchAccesses`].
+    /// that window produces (emission order may interleave windows). See
+    /// [`BatchAccesses`] for the accounting.
     pub fn search_batch<'a>(
         &'a self,
         windows: &[Rect<N>],
@@ -135,98 +353,9 @@ impl<const N: usize, T> RTree<N, T> {
         per_window: &mut [u64],
         mut visit: impl FnMut(usize, Rect<N>, &'a T),
     ) -> u64 {
-        assert_eq!(per_window.len(), windows.len(), "one tally per window");
-        per_window.fill(0);
-        let mut unique = 0u64;
-        for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
-            unique += self.search_group(chunk, chunk_idx * 64, per_window, &mut visit);
-        }
-        let total: u64 = per_window.iter().sum();
-        self.io.add(IoKind::Logical, total);
-        self.io.add(IoKind::Unique, unique);
-        unique
-    }
-
-    /// One ≤64-window group descent; returns the physical node visits.
-    fn search_group<'a>(
-        &'a self,
-        windows: &[Rect<N>],
-        base: usize,
-        per_window: &mut [u64],
-        visit: &mut impl FnMut(usize, Rect<N>, &'a T),
-    ) -> u64 {
-        if windows.is_empty() {
-            return 0;
-        }
-        let all = if windows.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << windows.len()) - 1
-        };
-        let mut stack = BATCH_STACK.with(Cell::take);
-        stack.clear();
-        let mut unique = 0u64;
-        stack.push((self.root, all));
-        while let Some((idx, group)) = stack.pop() {
-            unique += 1;
-            // Logical attribution: every window whose bit is set "visits"
-            // this node, exactly as its own scalar descent would have.
-            let mut g = group;
-            while g != 0 {
-                let w = g.trailing_zeros() as usize;
-                g &= g - 1;
-                per_window[base + w] += 1;
-            }
-            match self.arena.node(idx) {
-                NodeKind::Leaf(node) => {
-                    let mut g = group;
-                    while g != 0 {
-                        let w = g.trailing_zeros() as usize;
-                        g &= g - 1;
-                        let window = &windows[w];
-                        let mut start = 0;
-                        while start < node.len() {
-                            let (mut mask, n) = node.lanes.match_bits(window, start);
-                            while mask != 0 {
-                                let j = mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                visit(base + w, node.rect(start + j), node.item(start + j));
-                            }
-                            start += n;
-                        }
-                    }
-                }
-                NodeKind::Internal(node) => {
-                    // Transpose window×entry hits into per-child window
-                    // masks, then push surviving children in entry order.
-                    let mut start = 0;
-                    while start < node.len() {
-                        let n = (node.len() - start).min(64);
-                        let mut child_masks = [0u64; 64];
-                        let mut g = group;
-                        while g != 0 {
-                            let w = g.trailing_zeros() as usize;
-                            g &= g - 1;
-                            let (mut mask, _) = node.lanes.match_bits(&windows[w], start);
-                            while mask != 0 {
-                                let j = mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                child_masks[j] |= 1u64 << w;
-                            }
-                        }
-                        for (j, &cm) in child_masks[..n].iter().enumerate() {
-                            if cm != 0 {
-                                stack.push((node.child(start + j), cm));
-                            }
-                        }
-                        start += n;
-                    }
-                }
-                NodeKind::Free => {}
-            }
-        }
-        BATCH_STACK.with(|cell| cell.set(stack));
-        unique
+        search_batch_into(self, windows, per_window, |w, leaf, i| {
+            visit(w, leaf.rect(i), leaf.item(i))
+        })
     }
 
     /// Collects every item intersecting `window`; returns the items and the
@@ -239,17 +368,20 @@ impl<const N: usize, T> RTree<N, T> {
 
     /// Counts items intersecting `window` without materialising them.
     ///
-    /// Visits exactly the nodes [`RTree::search`] would (same order, same
-    /// access count), but leaf hits are tallied straight off the match
-    /// bitmask with a popcount — no per-hit rectangle or item access — so
+    /// Visits exactly the nodes [`RTree::search`] would (same access
+    /// count), but leaf hits are tallied straight off the match bitmask
+    /// with a popcount — no per-hit rectangle or item access — so
     /// counting is pure lane arithmetic.
     pub fn count_in(&self, window: &Rect<N>) -> (usize, u64) {
         // Node capacities are bounded by the split threshold, so any
         // configuration up to 56 entries per node (the paper's page
         // geometry holds 20) guarantees every node fits a single 64-bit
-        // sweep and the whole walk runs mask-at-a-time.
+        // sweep and the whole walk runs mask-at-a-time. Wider nodes
+        // count through the chunked scalar walk.
         if self.config.max_entries > 56 {
-            return self.count_in_chunked(window);
+            let mut hits = 0usize;
+            let accesses = self.search(window, |_, _| hits += 1);
+            return (hits, accesses);
         }
         // Axis elision: a full-band query (§VI-B) lifts the region by
         // the entire magnitude range, so the window spans every stored
@@ -258,12 +390,10 @@ impl<const N: usize, T> RTree<N, T> {
         // Exact because stored rects lie inside the root MBR and the
         // interval compares are closed.
         let elide_tail = N == 3
-            && match self.arena.node(self.root) {
-                NodeKind::Leaf(node) => node.lanes.axis_bounds(2),
-                NodeKind::Internal(node) => node.lanes.axis_bounds(2),
-                NodeKind::Free => None,
-            }
-            .is_some_and(|(lo, hi)| window.lo[2] <= lo && hi <= window.hi[2]);
+            && ArenaNode(self.arena.node(self.root))
+                .lanes()
+                .axis_bounds(2)
+                .is_some_and(|(lo, hi)| window.lo[2] <= lo && hi <= window.hi[2]);
         if elide_tail {
             self.count_walk::<true>(window)
         } else {
@@ -323,41 +453,6 @@ impl<const N: usize, T> RTree<N, T> {
                 NodeKind::Free => {}
             }
         }
-        self.io.add(IoKind::Logical, accesses);
-        self.io.add(IoKind::Unique, accesses);
-        (hits, accesses)
-    }
-
-    /// Chunked fallback for configurations whose nodes exceed one
-    /// 64-entry mask; traversal and totals match [`RTree::search`].
-    fn count_in_chunked(&self, window: &Rect<N>) -> (usize, u64) {
-        let mut stack = SEARCH_STACK.with(Cell::take);
-        stack.clear();
-        let mut accesses = 0u64;
-        let mut hits = 0usize;
-        stack.push(self.root);
-        while let Some(idx) = stack.pop() {
-            accesses += 1;
-            match self.arena.node(idx) {
-                NodeKind::Leaf(node) => {
-                    hits += node.lanes.count_matches(window);
-                }
-                NodeKind::Internal(node) => {
-                    let mut start = 0;
-                    while start < node.len() {
-                        let (mut mask, n) = node.lanes.match_bits(window, start);
-                        while mask != 0 {
-                            let j = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            stack.push(node.child(start + j));
-                        }
-                        start += n;
-                    }
-                }
-                NodeKind::Free => {}
-            }
-        }
-        SEARCH_STACK.with(|cell| cell.set(stack));
         self.io.add(IoKind::Logical, accesses);
         self.io.add(IoKind::Unique, accesses);
         (hits, accesses)

@@ -42,8 +42,9 @@ struct Options {
     token_seed: Option<u64>,
     /// `Some(path)` serves out-of-core from a page file at `path`.
     store: Option<String>,
-    /// Buffer-pool budget in MiB (only meaningful with `--store`).
-    cache_mb: usize,
+    /// Buffer-pool budget in MiB; `None` is the 64 MiB default. Only
+    /// accepted with `--store`.
+    cache_mb: Option<NonZeroUsize>,
 }
 
 const USAGE: &str = "usage: mar-served [--smoke|--full] [--jobs N] [--port P] [--port-file PATH] \
@@ -60,7 +61,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         max_conns: None,
         token_seed: None,
         store: None,
-        cache_mb: 64,
+        cache_mb: None,
     };
     let mut args = Args::new(args);
     while let Some(flag) = args.next_flag()? {
@@ -74,11 +75,11 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--max-conns" => opts.max_conns = Some(args.parse("number")?),
             "--token-seed" => opts.token_seed = Some(args.parse("u64")?),
             "--store" => opts.store = Some(args.value()?.to_string()),
-            "--cache-mb" => opts.cache_mb = args.parse::<NonZeroUsize>("positive number")?.get(),
+            "--cache-mb" => opts.cache_mb = Some(args.parse("positive number")?),
             _ => return Err(args.unknown()),
         }
     }
-    if opts.store.is_none() && opts.cache_mb != 64 {
+    if opts.store.is_none() && opts.cache_mb.is_some() {
         return Err(CliError::Invalid(
             "--cache-mb only makes sense with --store".to_string(),
         ));
@@ -103,13 +104,13 @@ fn main() {
     let backend = match &opts.store {
         None => ServeBackend::Ram,
         Some(path) => {
+            let cache_mb = opts.cache_mb.map_or(64, NonZeroUsize::get);
             eprintln!(
-                "mar-served: out-of-core — store {path}, pool {} MiB, motion-aware eviction",
-                opts.cache_mb
+                "mar-served: out-of-core — store {path}, pool {cache_mb} MiB, motion-aware eviction"
             );
             ServeBackend::Paged {
                 path: path.into(),
-                budget_bytes: opts.cache_mb << 20,
+                budget_bytes: cache_mb << 20,
                 policy: CachePolicy::MotionAware,
             }
         }
@@ -175,4 +176,32 @@ fn main() {
         stats.socket_reads,
         stats.socket_writes
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<Options, CliError> {
+        let line: Vec<String> = line.iter().map(|s| s.to_string()).collect();
+        parse_args(&line)
+    }
+
+    #[test]
+    fn cache_mb_without_store_is_a_usage_error_at_any_value() {
+        // 64 is the default budget: spelling it out is still `--cache-mb`.
+        for mb in ["1", "64", "65"] {
+            let e = parse(&["--cache-mb", mb]).err().expect("rejected");
+            assert_eq!(
+                e,
+                CliError::Invalid("--cache-mb only makes sense with --store".to_string())
+            );
+        }
+        assert!(parse(&["--cache-mb", "0", "--store", "x"]).is_err());
+        let opts = parse(&["--store", "x", "--cache-mb", "64"]).expect("accepted");
+        assert_eq!(opts.cache_mb.map(NonZeroUsize::get), Some(64));
+        let opts = parse(&["--store", "x"]).expect("accepted");
+        assert_eq!((opts.store.as_deref(), opts.cache_mb), (Some("x"), None));
+        assert_eq!(parse(&[]).expect("defaults").cache_mb, None);
+    }
 }
