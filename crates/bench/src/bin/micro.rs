@@ -1,13 +1,9 @@
 //! `micro` — the microbenchmark harness (`mar-bench micro`).
 //!
 //! Times the hot operations the figure sweeps are built from — index
-//! construction and window-query throughput — plus one end-to-end figure
-//! pair, and writes machine-readable JSON next to the human-readable
-//! stderr report:
-//!
-//! * `BENCH_micro.json` — per-operation statistics (see EXPERIMENTS.md
-//!   for the schema),
-//! * `BENCH_reproduce.json` — wall time of the end-to-end tables.
+//! construction and window-query throughput — and writes the
+//! per-operation statistics to `BENCH_micro.json` (see EXPERIMENTS.md for
+//! the schema) next to the human-readable stderr report.
 //!
 //! ```text
 //! cargo run -p mar-bench --release --bin micro            # full run
@@ -18,13 +14,14 @@
 //! `--smoke` collapses every measurement to a tiny scene and a couple of
 //! iterations so CI can prove the harness end-to-end in seconds; the
 //! numbers it writes are *not* meaningful measurements and are flagged as
-//! `"mode": "smoke"` in both files.
+//! `"mode": "smoke"`.
 
 use criterion::{black_box, Criterion, Measurement};
 use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::figs;
+use mar_bench::report::{gate_entries, render, Json};
 use mar_bench::serve::session_tour;
-use mar_bench::{Scale, Table};
+use mar_bench::Scale;
 use mar_buffer::MotionHeat;
 use mar_core::{
     CachePolicy, LinearSpeedMap, QueryRegion, QueryResult, SceneIndexData, SentFilter, Server,
@@ -604,86 +601,6 @@ fn bench_io(
     }
 }
 
-/// End-to-end: regenerate one index figure and one system figure at the
-/// CI scale, recording wall time per table.
-fn bench_end_to_end(smoke: bool) -> (Vec<(String, f64, usize)>, f64) {
-    let scale = if smoke {
-        let mut s = Scale::quick();
-        s.ticks = 60;
-        s.speeds = vec![0.5];
-        s.objects_default = 12;
-        s.levels = 2;
-        s
-    } else {
-        Scale::quick()
-    };
-    let mut rows: Vec<(String, f64, usize)> = Vec::new();
-    let mut total = 0.0;
-    let mut run = |label: &str, table: Box<dyn FnOnce() -> Table>| {
-        // mar-lint: allow(D003) — wall-time measurement is this harness's job
-        let t0 = std::time::Instant::now();
-        let t = table();
-        let secs = t0.elapsed().as_secs_f64();
-        eprintln!("  end_to_end/{label}: {secs:.3} s ({} rows)", t.rows.len());
-        rows.push((label.to_string(), secs, t.rows.len()));
-        total += secs;
-    };
-    let s13 = scale.clone();
-    run("fig13a", Box::new(move || figs::fig13a(&s13)));
-    let s14 = scale.clone();
-    run(
-        "fig14",
-        Box::new(move || figs::fig14_15(&s14, Placement::Uniform)),
-    );
-    (rows, total)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Extracts `"key": "value"` from a single JSON line.
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts `"key": <number>` from a single JSON line.
-fn extract_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses `(group, name, per_op_ns)` triples out of a committed
-/// `BENCH_micro.json`. Relies only on the one-result-per-line layout this
-/// binary itself writes — no JSON dependency needed.
-fn parse_baseline(path: &str) -> Result<Vec<(String, String, f64)>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("gate: cannot read {path}: {e}"))?;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(group), Some(name), Some(per_op)) = (
-            extract_str(line, "group"),
-            extract_str(line, "name"),
-            extract_num(line, "per_op_ns"),
-        ) else {
-            continue;
-        };
-        out.push((group, name, per_op));
-    }
-    if out.is_empty() {
-        return Err(format!("gate: no benchmark entries found in {path}"));
-    }
-    Ok(out)
-}
-
 /// The CI perf smoke gate: every `window_query`, `io`, `session_filter`
 /// and `wire` point measured in this run must stay within `3x` of
 /// the committed baseline's `per_op_ns`. The factor is deliberately
@@ -699,7 +616,12 @@ fn parse_baseline(path: &str) -> Result<Vec<(String, String, f64)>, String> {
 /// stable signal (the ratio itself is what they report).
 fn run_gate(gate_path: &str, entries: &[Entry]) -> Result<usize, String> {
     const FACTOR: f64 = 3.0;
-    let baseline = parse_baseline(gate_path)?;
+    let text = std::fs::read_to_string(gate_path)
+        .map_err(|e| format!("gate: cannot read {gate_path}: {e}"))?;
+    let baseline = gate_entries(&text);
+    if baseline.is_empty() {
+        return Err(format!("gate: no benchmark entries found in {gate_path}"));
+    }
     let mut checked = 0usize;
     let mut failures: Vec<String> = Vec::new();
     for grp in ["window_query", "io", "session_filter", "wire"] {
@@ -738,74 +660,36 @@ fn run_gate(gate_path: &str, entries: &[Entry]) -> Result<usize, String> {
     Ok(checked)
 }
 
-fn write_micro_json(
-    path: &str,
-    mode: &str,
-    scene: &Scene,
-    coeffs: usize,
-    entries: &[Entry],
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mar-bench-micro/3\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"scene\": {{\"objects\": {}, \"coefficients\": {}, \"levels\": {}}},\n",
-        scene.objects.len(),
-        coeffs,
-        scene.config.levels
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, e) in entries.iter().enumerate() {
+/// The `BENCH_micro.json` document: one `results` element per entry.
+fn micro_report(mode: &str, scene: &Scene, coeffs: usize, entries: &[Entry]) -> String {
+    let result = |e: &Entry| {
         let per_op = e.m.mean_ns / e.ops_per_iter as f64;
-        let hit_ratio = e
-            .hit_ratio
-            .map_or(String::new(), |r| format!(", \"hit_ratio\": {r:.6}"));
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"mean_ns\": {:.1}, \
-             \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"iters\": {}, \
-             \"ops_per_iter\": {}, \"per_op_ns\": {:.1}{}}}{}\n",
-            json_escape(e.group),
-            json_escape(&e.name),
-            e.m.mean_ns,
-            e.m.min_ns,
-            e.m.max_ns,
-            e.m.iters,
-            e.ops_per_iter,
-            per_op,
-            hit_ratio,
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
-}
-
-fn write_reproduce_json(
-    path: &str,
-    mode: &str,
-    tables: &[(String, f64, usize)],
-    total: f64,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mar-bench-reproduce/1\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"scale\": \"quick\",\n");
-    out.push_str("  \"tables\": [\n");
-    for (i, (id, secs, rows)) in tables.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"seconds\": {:.3}, \"rows\": {}}}{}\n",
-            json_escape(id),
-            secs,
-            rows,
-            if i + 1 == tables.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"total_seconds\": {total:.3}\n"));
-    out.push_str("}\n");
-    std::fs::write(path, out)
+        let mut fields = vec![
+            ("group", e.group.into()),
+            ("name", e.name.as_str().into()),
+            ("mean_ns", Json::Num(e.m.mean_ns, 1)),
+            ("min_ns", Json::Num(e.m.min_ns, 1)),
+            ("max_ns", Json::Num(e.m.max_ns, 1)),
+            ("iters", e.m.iters.into()),
+            ("ops_per_iter", e.ops_per_iter.into()),
+            ("per_op_ns", Json::Num(per_op, 1)),
+        ];
+        if let Some(ratio) = e.hit_ratio {
+            fields.push(("hit_ratio", Json::Num(ratio, 6)));
+        }
+        Json::Obj(fields)
+    };
+    let scene = vec![
+        ("objects", scene.objects.len().into()),
+        ("coefficients", coeffs.into()),
+        ("levels", scene.config.levels.into()),
+    ];
+    render(&Json::Obj(vec![
+        ("schema", "mar-bench-micro/3".into()),
+        ("mode", mode.into()),
+        ("scene", Json::Obj(scene)),
+        ("results", Json::Arr(entries.iter().map(result).collect())),
+    ]))
 }
 
 fn main() {
@@ -838,23 +722,16 @@ fn main() {
     bench_wire(&mut c, &ms, &scene, &mut entries);
     bench_io(&mut c, &ms, &scene, &data, &opts.out_dir, &mut entries);
 
-    eprintln!("\nbench group: end_to_end");
-    let (tables, total) = bench_end_to_end(opts.smoke);
-
     let micro_path = format!("{}/BENCH_micro.json", opts.out_dir);
-    let repro_path = format!("{}/BENCH_reproduce.json", opts.out_dir);
-    if let Err(e) = write_micro_json(&micro_path, mode, &scene, data.len(), &entries) {
+    let report = micro_report(mode, &scene, data.len(), &entries);
+    if let Err(e) = std::fs::write(&micro_path, report) {
         eprintln!("micro: cannot write {micro_path}: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = write_reproduce_json(&repro_path, mode, &tables, total) {
-        eprintln!("micro: cannot write {repro_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("\nmicro: wrote {micro_path} and {repro_path}");
+    eprintln!("\nmicro: wrote {micro_path}");
 
-    // The regression gate runs last, after both JSON files exist, so a
-    // failing run still uploads its artifacts for inspection.
+    // The regression gate runs last, after the JSON file exists, so a
+    // failing run still uploads its artifact for inspection.
     if let Some(gate_path) = &opts.gate {
         match run_gate(gate_path, &entries) {
             Ok(checked) => eprintln!(

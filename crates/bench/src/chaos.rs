@@ -19,17 +19,19 @@
 //! session id, so the `connect()` order under concurrency is unobservable;
 //! sessions fan out over the [`Engine`], whose results come back in point
 //! order; `jobs = 1` and `jobs = N` transcripts are byte-identical (pinned
-//! by `crates/bench/tests/chaos.rs`). Wall-clock timing is reported but
-//! never enters the transcript.
+//! by `crates/bench/tests/chaos.rs`). Link time is simulated, never
+//! measured: the harness reads no clock, so the whole report — and the
+//! `BENCH_chaos.json` snapshot rendered from it — is deterministic.
 
 use crate::engine::Engine;
-use crate::serve::{fnv1a64, serve_scene, session_tour, ServeBackend};
+use crate::report::Json;
+use crate::serve::{
+    assert_released, fnv_hex, resident_fingerprint, serve_scene, ServeBackend, TourSession,
+};
 use mar_core::{
-    LinearSpeedMap, ResilienceMetrics, ResilientClient, ResilientPolicy, Server, SmoothedSpeed,
-    SpeedResolutionMap,
+    LinearSpeedMap, ResilienceMetrics, ResilientClient, ResilientPolicy, ResilientTick, Server,
 };
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
-use mar_workload::frame_at;
 
 /// One fault-grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,30 +130,15 @@ impl ChaosConfig {
 }
 
 /// What one grid point measured, summed over its sessions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosPointReport {
     /// The injected loss probability.
     pub loss: f64,
     /// The injected drop period (`0` = never).
     pub drop_every: u64,
-    /// Lost-request retries.
-    pub retries: u64,
-    /// Transport drops survived.
-    pub drops: u64,
-    /// Drops healed by `Server::resume` (filter retained).
-    pub resumed: u64,
-    /// Fresh reconnects (resume failed).
-    pub reconnects: u64,
-    /// Ticks that ran at a degraded resolution.
-    pub degraded_ticks: u64,
-    /// Highest degradation level any session reached.
-    pub max_level: u32,
-    /// Payload bytes delivered.
-    pub bytes: f64,
-    /// Simulated link seconds spent (incl. waits, backoff, reconnects).
-    pub link_time_s: f64,
-    /// Eq. 1 fault-free link seconds for the same payloads.
-    pub ideal_time_s: f64,
+    /// The sessions' protocol metrics, summed (`max_level`: the highest
+    /// any session reached).
+    pub metrics: ResilienceMetrics,
     /// Per-session fingerprint of the resident set over the final frame at
     /// the final band — equal across grid points iff the invariant holds.
     pub fingerprints: Vec<u64>,
@@ -161,8 +148,8 @@ impl ChaosPointReport {
     /// Goodput relative to the Eq. 1 fault-free ideal (`1.0` on a clean
     /// link, lower as faults burn time on retries and waits).
     pub fn goodput(&self) -> f64 {
-        if self.link_time_s > 0.0 {
-            self.ideal_time_s / self.link_time_s
+        if self.metrics.link_time_s > 0.0 {
+            self.metrics.ideal_time_s / self.metrics.link_time_s
         } else {
             1.0
         }
@@ -183,8 +170,56 @@ pub struct ChaosReport {
     /// Whether every grid point's resident sets matched the fault-free
     /// reference (grid point 0).
     pub invariant_ok: bool,
-    /// Total wall-clock time of the replay, in seconds.
-    pub elapsed_s: f64,
+}
+
+impl ChaosReport {
+    /// The `BENCH_chaos.json` snapshot of this run.
+    pub fn snapshot(&self, mode: &str) -> Json {
+        let point = |p: &ChaosPointReport| {
+            Json::Obj(vec![
+                // Grid losses are whole percents.
+                ("loss_pct", Json::Num(p.loss * 100.0, 0)),
+                ("drop_every", p.drop_every.into()),
+                ("retries", p.metrics.retries.into()),
+                ("drops", p.metrics.drops.into()),
+                ("resumed", p.metrics.resumed.into()),
+                ("reconnects", p.metrics.reconnects.into()),
+                ("degraded_ticks", p.metrics.degraded_ticks.into()),
+                ("max_level", u64::from(p.metrics.max_level).into()),
+                ("bytes", Json::Num(p.metrics.bytes, 1)),
+                ("link_time_s", Json::Num(p.metrics.link_time_s, 3)),
+                ("ideal_time_s", Json::Num(p.metrics.ideal_time_s, 3)),
+                ("goodput", Json::Num(p.goodput(), 4)),
+            ])
+        };
+        Json::Obj(vec![
+            ("schema", "mar-bench-chaos/2".into()),
+            ("mode", mode.into()),
+            ("sessions", self.sessions.into()),
+            ("ticks", self.ticks.into()),
+            ("invariant_ok", Json::Bool(self.invariant_ok)),
+            ("grid", Json::Arr(self.points.iter().map(point).collect())),
+            ("transcript_fnv64", fnv_hex(&self.transcript)),
+        ])
+    }
+}
+
+/// One transcript row: what session `k`'s tick (or `finish` pass) did at
+/// grid point `gp`.
+fn push_row(rows: &mut String, gp: &GridPoint, k: usize, tick: &str, out: &ResilientTick) {
+    rows.push_str(&format!(
+        "{},{},{k},{tick},{},{},{},{},{},{},{},{}\n",
+        gp.loss * 100.0,
+        gp.drop_every,
+        out.result.coeffs,
+        out.result.new_objects,
+        out.result.bytes,
+        out.result.io,
+        out.retries,
+        out.drops,
+        out.degrade_level,
+        out.tick_time_s,
+    ));
 }
 
 /// What one session's worker brings home.
@@ -196,12 +231,11 @@ struct SessionOutcome {
     session: u64,
 }
 
-/// Runs the chaos workload. The transcript, every aggregate and every
-/// fingerprint are identical for any `cfg.jobs`; only `elapsed_s` varies.
+/// Runs the chaos workload. The report is identical for any `cfg.jobs`.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, faulted grid
-/// point 0) — configuration bugs, not runtime faults.
+/// point 0, zero ticks) — configuration bugs, not runtime faults.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     run_chaos_backend(cfg, &ServeBackend::Ram)
 }
@@ -235,8 +269,6 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
     );
     let mut points = Vec::with_capacity(cfg.grid.len());
     let mut invariant_ok = true;
-    // mar-lint: allow(D003) — wall-clock for the throughput report only; never enters the transcript
-    let t0 = std::time::Instant::now();
 
     for gp in &cfg.grid {
         // A fresh server per grid point over the same immutable core, so
@@ -247,12 +279,14 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
         } else {
             FaultConfig::hostile(cfg.fault_seed, gp.loss, gp.drop_every)
         };
-        let loss_pct = gp.loss * 100.0;
         let outcomes: Vec<SessionOutcome> = engine.run(
             (0..cfg.sessions).collect(),
             || (),
             |_, &k| {
-                let tour = session_tour(scene.config.space, cfg.ticks, cfg.tour_seed, k);
+                // The resilient client plans for itself; only the views
+                // are read off the session.
+                let space = scene.config.space;
+                let tour = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
                 // The fault stream is keyed by the client index k, not the
                 // server-minted session id: the connect order under
                 // concurrency must be unobservable.
@@ -268,69 +302,36 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                     link,
                     ResilientPolicy::default(),
                 );
-                let mut smooth = SmoothedSpeed::default();
                 let mut rows = String::new();
-                let mut last = None;
-                for (tick, s) in tour.samples.iter().enumerate() {
-                    let frame = frame_at(&scene.config.space, &s.pos, cfg.frame_frac);
-                    let speed = smooth.update(s.speed);
+                for tick in 0..cfg.ticks {
+                    let view = tour.view(tick);
                     let out = client
-                        .tick(&server, frame, speed)
+                        .tick(&server, view.frame, view.speed)
                         // mar-lint: allow(D004) — loss < 1 makes GaveUp unreachable (P ≈ loss^64); a hit means the protocol livelocked, which this harness exists to catch
                         .expect("resilient tick must terminate");
-                    rows.push_str(&format!(
-                        "{loss_pct},{},{k},{tick},{},{},{},{},{},{},{},{}\n",
-                        gp.drop_every,
-                        out.result.coeffs,
-                        out.result.new_objects,
-                        out.result.bytes,
-                        out.result.io,
-                        out.retries,
-                        out.drops,
-                        out.degrade_level,
-                        out.tick_time_s,
-                    ));
-                    last = Some((frame, speed));
+                    push_row(&mut rows, gp, k, &tick.to_string(), &out);
                 }
-                let (final_frame, final_speed) =
-                    // mar-lint: allow(D004) — tours always have >= 1 sample
-                    last.expect("tour is non-empty");
+                let last = tour.view(cfg.ticks - 1);
                 // End-of-tour repair pass: drain degradation, refetch the
                 // final frame at the full band for the final speed.
                 let fin = client
-                    .finish(&server, final_frame, final_speed)
+                    .finish(&server, last.frame, last.speed)
                     // mar-lint: allow(D004) — same termination argument as tick
                     .expect("finish must terminate");
-                rows.push_str(&format!(
-                    "{loss_pct},{},{k},finish,{},{},{},{},{},{},{},{}\n",
-                    gp.drop_every,
-                    fin.result.coeffs,
-                    fin.result.new_objects,
-                    fin.result.bytes,
-                    fin.result.io,
-                    fin.retries,
-                    fin.drops,
-                    fin.degrade_level,
-                    fin.tick_time_s,
-                ));
+                push_row(&mut rows, gp, k, "finish", &fin);
                 // The invariant's object: the resident set over the final
                 // frame at the final (undegraded) band.
-                let band = LinearSpeedMap.band_for(final_speed);
-                let (want, _) = server.query_stateless(&final_frame, band);
+                let (want, _) = server.query_stateless(&last.frame, last.band);
                 let sent = server
                     .sessions()
                     .session_sent_set(client.session())
                     // mar-lint: allow(D004) — the client's session is live by construction
                     .expect("chaos session is live");
-                let covered = want.iter().all(|id| sent.binary_search(id).is_ok());
-                let mut fp_input = String::new();
-                for id in want.iter().filter(|id| sent.binary_search(id).is_ok()) {
-                    fp_input.push_str(&format!("{}:{};", id.object, id.coeff));
-                }
+                let (fingerprint, covered) = resident_fingerprint(&want, &sent);
                 SessionOutcome {
                     rows,
                     metrics: *client.metrics(),
-                    fingerprint: fnv1a64(&fp_input),
+                    fingerprint,
                     covered,
                     session: client.session(),
                 }
@@ -340,28 +341,22 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
         let mut report = ChaosPointReport {
             loss: gp.loss,
             drop_every: gp.drop_every,
-            retries: 0,
-            drops: 0,
-            resumed: 0,
-            reconnects: 0,
-            degraded_ticks: 0,
-            max_level: 0,
-            bytes: 0.0,
-            link_time_s: 0.0,
-            ideal_time_s: 0.0,
-            fingerprints: Vec::with_capacity(cfg.sessions),
+            ..ChaosPointReport::default()
         };
         for o in &outcomes {
             transcript.push_str(&o.rows);
-            report.retries += o.metrics.retries;
-            report.drops += o.metrics.drops;
-            report.resumed += o.metrics.resumed;
-            report.reconnects += o.metrics.reconnects;
-            report.degraded_ticks += o.metrics.degraded_ticks;
-            report.max_level = report.max_level.max(o.metrics.max_level);
-            report.bytes += o.metrics.bytes;
-            report.link_time_s += o.metrics.link_time_s;
-            report.ideal_time_s += o.metrics.ideal_time_s;
+            let (sum, m) = (&mut report.metrics, &o.metrics);
+            sum.ticks += m.ticks;
+            sum.contact_ticks += m.contact_ticks;
+            sum.retries += m.retries;
+            sum.drops += m.drops;
+            sum.resumed += m.resumed;
+            sum.reconnects += m.reconnects;
+            sum.degraded_ticks += m.degraded_ticks;
+            sum.max_level = sum.max_level.max(m.max_level);
+            sum.bytes += m.bytes;
+            sum.link_time_s += m.link_time_s;
+            sum.ideal_time_s += m.ideal_time_s;
             report.fingerprints.push(o.fingerprint);
             invariant_ok &= o.covered;
         }
@@ -379,16 +374,7 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                 // mar-lint: allow(D004) — each worker's final session is live until this teardown
                 .expect("chaos session vanished");
         }
-        assert_eq!(
-            server.sessions().session_count(),
-            0,
-            "all chaos sessions disconnected"
-        );
-        assert_eq!(
-            server.sessions().resident_filter_entries(),
-            0,
-            "disconnect must release filter state"
-        );
+        assert_released(server.sessions());
     }
 
     ChaosReport {
@@ -397,7 +383,6 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
         points,
         transcript,
         invariant_ok,
-        elapsed_s: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -434,13 +419,16 @@ mod tests {
         assert!(r.invariant_ok, "resident sets diverged from fault-free run");
         assert_eq!(r.points.len(), 2);
         let faulted = &r.points[1];
-        assert!(faulted.retries > 0, "20% loss must retry");
-        assert!(faulted.drops > 0, "drop_every=5 must drop");
-        assert_eq!(faulted.drops, faulted.resumed, "drops heal via resume");
+        assert!(faulted.metrics.retries > 0, "20% loss must retry");
+        assert!(faulted.metrics.drops > 0, "drop_every=5 must drop");
+        assert_eq!(
+            faulted.metrics.drops, faulted.metrics.resumed,
+            "drops heal via resume"
+        );
         assert!(faulted.goodput() < 1.0, "faults must cost time");
         let clean = &r.points[0];
-        assert_eq!(clean.retries, 0);
-        assert_eq!(clean.drops, 0);
+        assert_eq!(clean.metrics.retries, 0);
+        assert_eq!(clean.metrics.drops, 0);
         assert!((clean.goodput() - 1.0).abs() < 1e-9);
     }
 
@@ -449,7 +437,6 @@ mod tests {
         let serial = run_chaos(&tiny(1));
         let parallel = run_chaos(&tiny(3));
         assert_eq!(serial.transcript, parallel.transcript);
-        assert_eq!(fnv1a64(&serial.transcript), fnv1a64(&parallel.transcript));
         for (a, b) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(a, b, "grid-point aggregates must be jobs-invariant");
         }

@@ -4,10 +4,9 @@
 //! [`mar_core::FleetServer`]: the ground plane is partitioned over S
 //! shard cores, every window query is scatter-gathered by the stateless
 //! router, and a seeded [`mar_link::ShardOutagePlan`] kills whole shards
-//! on a pure schedule. The harness measures throughput, per-query wall
-//! latency (p50/p99) and **availability** — the fraction of outage-tick
-//! queries still served at full fidelity — and proves the tier's central
-//! invariant at every grid point:
+//! on a pure schedule. The harness measures **availability** — the
+//! fraction of outage-tick queries still served at full fidelity — and
+//! proves the tier's central invariant at every grid point:
 //!
 //! > clients are **never** errored during a shard outage (replica
 //! > promotion or degraded neighbour service always answers), and after
@@ -17,21 +16,19 @@
 //! Determinism mirrors `mar-bench chaos` (DESIGN.md §10): the outage
 //! schedule is keyed by tick, sessions tour with seeds keyed by client
 //! index `k`, results come back in point order, and the transcript is
-//! byte-identical at any `jobs`. Wall-clock latency is reported but never
-//! enters the transcript.
+//! byte-identical at any `jobs`. The harness reads no clock, so the whole
+//! report — and the `BENCH_fleet.json` snapshot rendered from it — is
+//! deterministic; the tier's speed is `benchmark/`'s to measure.
 
 use crate::engine::Engine;
-use crate::serve::{fnv1a64, per_sec, quantile_ns, serve_scene, session_tour};
-use mar_core::{
-    FleetConfig, FleetHealth, FleetServer, FramePlanner, LinearSpeedMap, SceneIndexData,
-    SmoothedSpeed, SpeedResolutionMap,
-};
+use crate::report::Json;
+use crate::serve::{assert_released, fnv_hex, resident_fingerprint, serve_scene, TourSession};
+use mar_core::{FleetConfig, FleetHealth, FleetServer, SceneIndexData};
 use mar_link::ShardOutagePlan;
-use mar_workload::frame_at;
 use std::sync::Arc;
 
 /// One fleet-grid point: a replica policy plus an outage schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetGridPoint {
     /// Whether every shard has a promotable replica.
     pub replicas: bool,
@@ -145,10 +142,8 @@ impl FleetBenchConfig {
     }
 }
 
-/// What one grid point measured, summed over its sessions. Deterministic
-/// except for the wall-clock fields (`latencies_ns`, `elapsed_s`), which
-/// never enter the transcript.
-#[derive(Debug, Clone)]
+/// What one grid point measured, summed over its sessions.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetPointReport {
     /// The grid point replayed.
     pub point: FleetGridPoint,
@@ -174,14 +169,23 @@ pub struct FleetPointReport {
     /// at the final band — equal across grid points iff the invariant
     /// holds.
     pub fingerprints: Vec<u64>,
-    /// Per-tick-query wall latencies, in session order (nondeterministic;
-    /// report-only).
-    pub latencies_ns: Vec<u64>,
-    /// Wall-clock seconds this grid point took (report-only).
-    pub elapsed_s: f64,
 }
 
 impl FleetPointReport {
+    /// Adds one session's tally, in session order.
+    fn absorb(&mut self, session: &Self) {
+        self.queries += session.queries;
+        self.tasks += session.tasks;
+        self.replica_promotions += session.replica_promotions;
+        self.degraded_subqueries += session.degraded_subqueries;
+        self.unserved_subqueries += session.unserved_subqueries;
+        self.outage_queries += session.outage_queries;
+        self.complete_outage_queries += session.complete_outage_queries;
+        self.bytes += session.bytes;
+        self.io += session.io;
+        self.fingerprints.extend_from_slice(&session.fingerprints);
+    }
+
     /// Fraction of outage-tick queries served at full fidelity (`1.0`
     /// when there were no outage ticks). The shard-kill invariant demands
     /// this stays strictly positive: healthy-region clients keep full
@@ -193,16 +197,6 @@ impl FleetPointReport {
         } else {
             self.complete_outage_queries as f64 / self.outage_queries as f64
         }
-    }
-
-    /// Tick queries per wall second.
-    pub fn queries_per_sec(&self) -> f64 {
-        per_sec(self.queries, self.elapsed_s)
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) of per-query wall latency, in ns.
-    pub fn latency_ns(&self, q: f64) -> u64 {
-        quantile_ns(&self.latencies_ns, q)
     }
 }
 
@@ -223,24 +217,46 @@ pub struct FleetReport {
     /// outage-free reference (grid point 0) and every outage query was
     /// answered.
     pub invariant_ok: bool,
-    /// Total wall-clock time of the replay, in seconds.
-    pub elapsed_s: f64,
+}
+
+impl FleetReport {
+    /// The `BENCH_fleet.json` snapshot of this run.
+    pub fn snapshot(&self, mode: &str) -> Json {
+        let point = |p: &FleetPointReport| {
+            Json::Obj(vec![
+                ("replicas", Json::Bool(p.point.replicas)),
+                ("period", p.point.period.into()),
+                ("outage", p.point.outage.into()),
+                ("queries", p.queries.into()),
+                ("tasks", p.tasks.into()),
+                ("replica_promotions", p.replica_promotions.into()),
+                ("degraded_subqueries", p.degraded_subqueries.into()),
+                ("unserved_subqueries", p.unserved_subqueries.into()),
+                ("outage_queries", p.outage_queries.into()),
+                ("complete_outage_queries", p.complete_outage_queries.into()),
+                ("availability", Json::Num(p.availability(), 6)),
+                ("bytes", Json::Num(p.bytes, 1)),
+                ("io", p.io.into()),
+            ])
+        };
+        Json::Obj(vec![
+            ("schema", "mar-bench-fleet/2".into()),
+            ("mode", mode.into()),
+            ("sessions", self.sessions.into()),
+            ("ticks", self.ticks.into()),
+            ("shards", u64::from(self.shards).into()),
+            ("invariant_ok", Json::Bool(self.invariant_ok)),
+            ("grid", Json::Arr(self.points.iter().map(point).collect())),
+            ("transcript_fnv64", fnv_hex(&self.transcript)),
+        ])
+    }
 }
 
 /// What one session's worker brings home.
 struct SessionOutcome {
     rows: String,
-    queries: u64,
-    tasks: u64,
-    replica_promotions: u64,
-    degraded_subqueries: u64,
-    unserved_subqueries: u64,
-    outage_queries: u64,
-    complete_outage_queries: u64,
-    bytes: f64,
-    io: u64,
-    latencies_ns: Vec<u64>,
-    fingerprint: u64,
+    /// This session's share of its grid point's report.
+    tally: FleetPointReport,
     covered: bool,
     session: u64,
 }
@@ -249,14 +265,12 @@ struct SessionOutcome {
 pub const FLEET_TRANSCRIPT_HEADER: &str =
     "replicas,period,session,tick,coeffs,new_objects,bytes,io,tasks,promotions,degraded,unserved,complete\n";
 
-/// Runs the fleet workload. The transcript, every deterministic aggregate
-/// and every fingerprint are identical for any `cfg.jobs`; only the
-/// wall-clock fields vary.
+/// Runs the fleet workload. The report is identical for any `cfg.jobs`.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, outaged grid
-/// point 0, outage outliving its period, too many shards) — configuration
-/// bugs, not runtime faults.
+/// point 0, zero ticks, outage outliving its period, too many shards) —
+/// configuration bugs, not runtime faults.
 pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
     assert!(
         matches!(cfg.grid.first(), Some(p) if p.period == 0),
@@ -271,8 +285,6 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
     let mut transcript = String::from(FLEET_TRANSCRIPT_HEADER);
     let mut points: Vec<FleetPointReport> = Vec::with_capacity(cfg.grid.len());
     let mut invariant_ok = true;
-    // mar-lint: allow(D003) — wall-clock for the throughput report only; never enters the transcript
-    let t0 = std::time::Instant::now();
 
     for gp in &cfg.grid {
         // A fresh fleet per grid point (replica policy differs and filter
@@ -289,41 +301,20 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 .expect("outage plan is valid")
         };
         let replicas_col = u8::from(gp.replicas);
-        // mar-lint: allow(D003) — wall-clock for the per-point q/s report only
-        let pt0 = std::time::Instant::now();
 
         let outcomes: Vec<SessionOutcome> = engine.run(
             (0..cfg.sessions).collect(),
             || (),
             |_, &k| {
-                let tour = session_tour(space, cfg.ticks, cfg.tour_seed, k);
+                let mut tour =
+                    TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
                 let session = fleet.connect();
-                let mut planner = FramePlanner::new();
-                let mut smooth = SmoothedSpeed::default();
-                let mut out = SessionOutcome {
-                    rows: String::new(),
-                    queries: 0,
-                    tasks: 0,
-                    replica_promotions: 0,
-                    degraded_subqueries: 0,
-                    unserved_subqueries: 0,
-                    outage_queries: 0,
-                    complete_outage_queries: 0,
-                    bytes: 0.0,
-                    io: 0,
-                    latencies_ns: Vec::with_capacity(tour.samples.len() + 1),
-                    fingerprint: 0,
-                    covered: false,
-                    session,
-                };
-                let mut last = None;
-                for (tick, s) in tour.samples.iter().enumerate() {
-                    let frame = frame_at(&space, &s.pos, cfg.frame_frac);
-                    let speed = smooth.update(s.speed);
-                    let band = LinearSpeedMap.band_for(speed);
+                let mut rows = String::new();
+                let mut out = FleetPointReport::default();
+                for tick in 0..cfg.ticks {
+                    let view = tour.view(tick);
                     let health =
                         FleetHealth::from_down_mask(outage.down_mask(tick as u64, shards));
-                    let regions = planner.plan(&frame, band);
                     let mut coeffs = 0usize;
                     let mut new_objects = 0usize;
                     let mut bytes = 0.0f64;
@@ -333,9 +324,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                     let mut degraded = 0u32;
                     let mut unserved = 0u32;
                     let mut complete = true;
-                    // mar-lint: allow(D003) — per-query wall latency for the report only
-                    let q0 = std::time::Instant::now();
-                    for r in &regions {
+                    for r in &tour.plan(&view) {
                         let fr = fleet
                             .query(session, health, &r.region, r.band)
                             // mar-lint: allow(D004) — outages degrade answers, they never error; an error here is the bug this harness exists to catch
@@ -350,11 +339,10 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                         unserved += fr.unserved_subqueries;
                         complete &= fr.complete;
                     }
-                    out.latencies_ns.push(q0.elapsed().as_nanos() as u64);
                     if complete {
                         // Only a fully-served tick advances the planner:
                         // degraded coverage is refetched after recovery.
-                        planner.commit(frame, band);
+                        tour.commit(&view);
                     }
                     out.queries += 1;
                     out.tasks += u64::from(tasks);
@@ -367,25 +355,19 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                         out.outage_queries += 1;
                         out.complete_outage_queries += u64::from(complete);
                     }
-                    out.rows.push_str(&format!(
+                    rows.push_str(&format!(
                         "{replicas_col},{},{k},{tick},{coeffs},{new_objects},{bytes},{io},{tasks},{promotions},{degraded},{unserved},{}\n",
                         gp.period,
                         u8::from(complete),
                     ));
-                    last = Some((frame, speed));
                 }
-                let (final_frame, final_speed) =
-                    // mar-lint: allow(D004) — tours always have >= 1 sample
-                    last.expect("tour is non-empty");
                 // Recovery pass: the shard is back (all-up health); refetch
                 // whatever the uncommitted planner coverage still owes over
                 // the final frame at the final band.
-                let band = LinearSpeedMap.band_for(final_speed);
-                // mar-lint: allow(D003) — per-query wall latency for the report only
-                let q0 = std::time::Instant::now();
+                let last = tour.view(cfg.ticks - 1);
                 let mut fin_coeffs = 0usize;
                 let mut fin_bytes = 0.0f64;
-                for r in planner.plan(&final_frame, band) {
+                for r in tour.plan(&last) {
                     let fr = fleet
                         .query(session, FleetHealth::all_up(), &r.region, r.band)
                         // mar-lint: allow(D004) — all-up health cannot degrade or error
@@ -397,61 +379,38 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                     out.io += fr.result.io;
                     out.tasks += u64::from(fr.tasks);
                 }
-                out.latencies_ns.push(q0.elapsed().as_nanos() as u64);
                 out.queries += 1;
-                planner.commit(final_frame, band);
-                out.rows.push_str(&format!(
+                rows.push_str(&format!(
                     "{replicas_col},{},{k},finish,{fin_coeffs},0,{fin_bytes},0,0,0,0,0,1\n",
                     gp.period,
                 ));
                 // The invariant's object: the resident set over the final
                 // frame at the final band.
-                let (want, _) = fleet.query_stateless(&final_frame, band);
+                let (want, _) = fleet.query_stateless(&last.frame, last.band);
                 let sent = fleet.sessions()
                     .session_sent_set(session)
                     // mar-lint: allow(D004) — the worker's session is live until teardown
                     .expect("fleet session is live");
-                out.covered = want.iter().all(|id| sent.binary_search(id).is_ok());
-                let mut fp_input = String::new();
-                for id in want.iter().filter(|id| sent.binary_search(id).is_ok()) {
-                    fp_input.push_str(&format!("{}:{};", id.object, id.coeff));
+                let (fingerprint, covered) = resident_fingerprint(&want, &sent);
+                out.fingerprints.push(fingerprint);
+                SessionOutcome {
+                    rows,
+                    tally: out,
+                    covered,
+                    session,
                 }
-                out.fingerprint = fnv1a64(&fp_input);
-                out
             },
         );
 
         let mut report = FleetPointReport {
             point: *gp,
-            queries: 0,
-            tasks: 0,
-            replica_promotions: 0,
-            degraded_subqueries: 0,
-            unserved_subqueries: 0,
-            outage_queries: 0,
-            complete_outage_queries: 0,
-            bytes: 0.0,
-            io: 0,
-            fingerprints: Vec::with_capacity(cfg.sessions),
-            latencies_ns: Vec::with_capacity(cfg.sessions * (cfg.ticks + 1)),
-            elapsed_s: 0.0,
+            ..FleetPointReport::default()
         };
         for o in &outcomes {
             transcript.push_str(&o.rows);
-            report.queries += o.queries;
-            report.tasks += o.tasks;
-            report.replica_promotions += o.replica_promotions;
-            report.degraded_subqueries += o.degraded_subqueries;
-            report.unserved_subqueries += o.unserved_subqueries;
-            report.outage_queries += o.outage_queries;
-            report.complete_outage_queries += o.complete_outage_queries;
-            report.bytes += o.bytes;
-            report.io += o.io;
-            report.fingerprints.push(o.fingerprint);
-            report.latencies_ns.extend_from_slice(&o.latencies_ns);
+            report.absorb(&o.tally);
             invariant_ok &= o.covered;
         }
-        report.elapsed_s = pt0.elapsed().as_secs_f64();
         // Against the outage-free reference: identical resident sets, and
         // availability strictly positive whenever an outage actually bit.
         if let Some(reference) = points.first() {
@@ -469,16 +428,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 // mar-lint: allow(D004) — each worker's session is live until this teardown
                 .expect("fleet session vanished");
         }
-        assert_eq!(
-            fleet.sessions().session_count(),
-            0,
-            "all fleet sessions disconnected"
-        );
-        assert_eq!(
-            fleet.sessions().resident_filter_entries(),
-            0,
-            "disconnect must release filter state"
-        );
+        assert_released(fleet.sessions());
     }
 
     FleetReport {
@@ -488,7 +438,6 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
         points,
         transcript,
         invariant_ok,
-        elapsed_s: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -572,19 +521,9 @@ mod tests {
         let serial = run_fleet(&tiny(1));
         let parallel = run_fleet(&tiny(3));
         assert_eq!(serial.transcript, parallel.transcript);
-        assert_eq!(fnv1a64(&serial.transcript), fnv1a64(&parallel.transcript));
         for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(a.queries, b.queries);
-            assert_eq!(a.tasks, b.tasks);
-            assert_eq!(a.replica_promotions, b.replica_promotions);
-            assert_eq!(a.degraded_subqueries, b.degraded_subqueries);
-            assert_eq!(a.unserved_subqueries, b.unserved_subqueries);
-            assert_eq!(a.outage_queries, b.outage_queries);
-            assert_eq!(a.complete_outage_queries, b.complete_outage_queries);
+            assert_eq!(a, b, "grid-point aggregates must be jobs-invariant");
             assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
-            assert_eq!(a.io, b.io);
-            assert_eq!(a.fingerprints, b.fingerprints);
         }
     }
 
@@ -594,20 +533,6 @@ mod tests {
         // Header + per grid point: sessions × (ticks + finish row).
         assert_eq!(r.transcript.lines().count(), 1 + 3 * 4 * (12 + 1));
         assert!(r.transcript.starts_with(FLEET_TRANSCRIPT_HEADER));
-    }
-
-    #[test]
-    fn latency_percentiles_are_well_formed() {
-        let r = run_fleet(&tiny(1));
-        for p in &r.points {
-            assert_eq!(
-                p.latencies_ns.len(),
-                (p.queries) as usize,
-                "one latency sample per tick query"
-            );
-            assert!(p.latency_ns(0.5) <= p.latency_ns(0.99));
-            assert!(p.queries_per_sec() > 0.0);
-        }
     }
 
     #[test]

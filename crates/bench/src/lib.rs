@@ -18,6 +18,8 @@ pub mod cli;
 pub mod engine;
 pub mod figs;
 pub mod fleet;
+pub mod harness;
+pub mod report;
 pub mod serve;
 
 /// A result table: one labelled x column plus named data series.

@@ -14,17 +14,25 @@
 //! session id and `jobs = 1` vs `jobs = N` transcripts are byte-identical
 //! (pinned by `crates/bench/tests/serve.rs`).
 //!
-//! Wall-clock timings (`elapsed_s`, per-tick latencies) are measured for
-//! the throughput report only and never enter the transcript.
+//! The harness reads no clock: its report — and the `BENCH_serve.json`
+//! snapshot rendered from it — is a pure function of the config, so the
+//! committed snapshot is diffed whole against a fresh run. Speed is
+//! measured by `benchmark/` (`/BENCHMARK.json`), nowhere else.
 
 use crate::engine::Engine;
+use crate::report::Json;
 use crate::{figs, Scale};
 use mar_core::{
-    CachePolicy, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, SceneIndexData, Server,
-    ServerCore, SmoothedSpeed, SpeedResolutionMap, StoreError, WaveletIndex,
+    CachePolicy, CoeffRef, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, QueryResult,
+    SceneIndexData, Server, ServerCore, Sessions, SmoothedSpeed, SpeedResolutionMap, StoreError,
+    WaveletIndex,
 };
+use mar_geom::Rect2;
 use mar_link::LinkConfig;
-use mar_workload::{frame_at, pedestrian_tour, tram_tour, Placement, Scene, Tour, TourConfig};
+use mar_mesh::ResolutionBand;
+use mar_workload::{
+    frame_at, pedestrian_tour, tram_tour, Placement, Scene, Tour, TourConfig, TourSample,
+};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -76,24 +84,55 @@ impl ServeConfig {
     }
 }
 
-/// Header line of the per-tick, per-session transcript CSV. Shared with
-/// `mar-load`, whose loopback transcript must be byte-identical to the
-/// in-process harness's.
+/// Header line of the per-tick, per-session transcript CSV.
 pub const TRANSCRIPT_HEADER: &str = "tick,session,coeffs,new_objects,bytes,io,response_s\n";
 
-/// Formats one transcript row exactly as [`run_serve`] does. `mar-load`
-/// calls this with the accounting it received over the wire, so transcript
-/// equality reduces to the wire layer delivering bit-identical numbers.
-pub fn transcript_row(
-    tick: usize,
-    session: usize,
-    coeffs: u64,
-    new_objects: u64,
-    bytes: f64,
-    io: u64,
-    response_s: f64,
-) -> String {
-    format!("{tick},{session},{coeffs},{new_objects},{bytes},{io},{response_s}\n")
+/// The serve transcript under construction, with the totals every report
+/// carries. [`run_serve`] pushes what the server returned and `mar-load`
+/// what it received over the wire, so transcript equality reduces to the
+/// wire layer delivering bit-identical numbers.
+#[derive(Debug, Clone)]
+pub struct Transcript {
+    /// The CSV so far: [`TRANSCRIPT_HEADER`], then one row per push.
+    pub text: String,
+    /// Payload bytes pushed.
+    pub bytes: f64,
+    /// Coefficients pushed.
+    pub coeffs: u64,
+    /// Index node accesses pushed.
+    pub io: u64,
+    link: LinkConfig,
+}
+
+impl Default for Transcript {
+    fn default() -> Self {
+        Self {
+            text: String::from(TRANSCRIPT_HEADER),
+            bytes: 0.0,
+            coeffs: 0,
+            io: 0,
+            link: LinkConfig::paper(),
+        }
+    }
+}
+
+impl Transcript {
+    /// Appends session `session`'s tick-`tick` row: the accounting of `r`
+    /// plus the Eq. 1 response time of its payload at `speed`.
+    pub fn push(&mut self, tick: usize, session: usize, r: &QueryResult, speed: f64) {
+        let response_s = if r.bytes > 0.0 {
+            self.link.request_time(r.bytes, speed)
+        } else {
+            0.0
+        };
+        self.text.push_str(&format!(
+            "{tick},{session},{},{},{},{},{response_s}\n",
+            r.coeffs, r.new_objects, r.bytes, r.io
+        ));
+        self.bytes += r.bytes;
+        self.coeffs += r.coeffs as u64;
+        self.io += r.io;
+    }
 }
 
 /// The tour speed spread sessions cycle through (session `k` tours at
@@ -113,7 +152,7 @@ pub fn serve_scene(objects: usize, levels: usize) -> Scene {
 /// Session `k`'s `ticks`-long tour over `space`: alternating
 /// tram/pedestrian kinds over the deterministic speed spread, seeded
 /// `tour_seed + k`.
-pub fn session_tour(space: mar_geom::Rect2, ticks: usize, tour_seed: u64, k: usize) -> Tour {
+pub fn session_tour(space: Rect2, ticks: usize, tour_seed: u64, k: usize) -> Tour {
     let tc = TourConfig::new(
         space,
         ticks,
@@ -127,32 +166,66 @@ pub fn session_tour(space: mar_geom::Rect2, ticks: usize, tour_seed: u64, k: usi
     }
 }
 
-/// Per-session simulation state: Algorithm 1's frame planner plus the
-/// session's tour and speed-smoothing filter. Boxed behind one mutex per
-/// session — a session is planned by exactly one worker per tick, so the
-/// lock is uncontended and exists only to hand the state safely across
-/// the scoped threads.
-struct SessionSim {
-    session: u64,
-    planner: FramePlanner,
-    smooth: SmoothedSpeed,
-    tour: Tour,
+/// What a client looks at in one tick, and how fast it is moving.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct View {
+    /// The query frame around the tour position.
+    pub frame: Rect2,
+    /// The smoothed normalised speed.
+    pub speed: f64,
+    /// The resolution band that speed maps to.
+    pub band: ResolutionBand,
 }
 
-impl SessionSim {
-    /// Plans this session's tick-`t` sub-queries and commits the frame.
-    /// Committing before the query executes is safe in-process: the query
-    /// is issued unconditionally by the same tick and cannot fail for a
-    /// connected session. Returns the sub-queries plus the smoothed speed
-    /// (needed for the response-time model once the result is back).
-    fn plan(&mut self, scene: &Scene, tick: usize, frame_frac: f64) -> (Vec<QueryRegion>, f64) {
-        let s = self.tour.samples[tick];
-        let frame = frame_at(&scene.config.space, &s.pos, frame_frac);
-        let speed = self.smooth.update(s.speed);
-        let band = LinearSpeedMap.band_for(speed);
-        let regions = self.planner.plan(&frame, band);
-        self.planner.commit(frame, band);
-        (regions, speed)
+/// One client stepping through its tour — the replay step every harness,
+/// in-process or on the wire, shares: the [`View`] at each tick plus
+/// Algorithm 1's frame planner. Per tick, [`TourSession::plan`] the view
+/// into sub-queries, send them, and [`TourSession::commit`] the view once
+/// the answer is known to be complete.
+#[derive(Debug)]
+pub struct TourSession {
+    views: Vec<View>,
+    planner: FramePlanner,
+}
+
+impl TourSession {
+    /// Session `k` at the start of its [`session_tour`]. Its views are a
+    /// pure function of the arguments: tour sample → `frame_frac`-sized
+    /// frame → smoothed speed → band.
+    pub fn new(space: Rect2, ticks: usize, tour_seed: u64, frame_frac: f64, k: usize) -> Self {
+        let mut smooth = SmoothedSpeed::default();
+        let view = |s: &TourSample| {
+            let speed = smooth.update(s.speed);
+            View {
+                frame: frame_at(&space, &s.pos, frame_frac),
+                speed,
+                band: LinearSpeedMap.band_for(speed),
+            }
+        };
+        let tour = session_tour(space, ticks, tour_seed, k);
+        Self {
+            views: tour.samples.iter().map(view).collect(),
+            planner: FramePlanner::new(),
+        }
+    }
+
+    /// The view at `tick`.
+    ///
+    /// # Panics
+    /// Panics when `tick` is past the end of the tour.
+    pub fn view(&self, tick: usize) -> View {
+        self.views[tick]
+    }
+
+    /// The sub-queries that fetch what `view` shows beyond the coverage
+    /// committed so far.
+    pub fn plan(&self, view: &View) -> Vec<QueryRegion> {
+        self.planner.plan(&view.frame, view.band)
+    }
+
+    /// Records `view` as covered.
+    pub fn commit(&mut self, view: &View) {
+        self.planner.commit(view.frame, view.band);
     }
 }
 
@@ -198,27 +271,6 @@ impl ServeBackend {
     }
 }
 
-/// `count` events per wall-clock second (`0` before any time has passed).
-pub fn per_sec(count: u64, elapsed_s: f64) -> f64 {
-    if elapsed_s > 0.0 {
-        count as f64 / elapsed_s
-    } else {
-        0.0
-    }
-}
-
-/// The `q`-quantile (`0.0..=1.0`, nearest rank) of wall-clock samples in
-/// nanoseconds; `0` when there are none.
-pub fn quantile_ns(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
 /// What one serve run produced.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -241,10 +293,6 @@ pub struct ServeReport {
     pub unique_io: u64,
     /// The deterministic per-tick, per-session transcript (CSV).
     pub transcript: String,
-    /// Wall-clock duration of each tick's batch, in nanoseconds.
-    pub tick_ns: Vec<u64>,
-    /// Total wall-clock time of the replay loop, in seconds.
-    pub elapsed_s: f64,
     /// Page-file size in bytes (`None` on the in-RAM backend).
     pub store_file_bytes: Option<u64>,
     /// Buffer-pool statistics (`None` on the in-RAM backend).
@@ -252,27 +300,32 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Queries per second of wall-clock replay time.
-    pub fn queries_per_sec(&self) -> f64 {
-        per_sec(self.queries, self.elapsed_s)
-    }
-
-    /// The `q`-quantile (0..=1) of per-tick batch latency, in nanoseconds.
-    pub fn tick_latency_ns(&self, q: f64) -> u64 {
-        quantile_ns(&self.tick_ns, q)
+    /// The `BENCH_serve.json` snapshot of this run.
+    pub fn snapshot(&self, mode: &str) -> Json {
+        Json::Obj(vec![
+            ("schema", "mar-bench-serve/3".into()),
+            ("mode", mode.into()),
+            ("sessions", self.sessions.into()),
+            ("ticks", self.ticks.into()),
+            ("queries", self.queries.into()),
+            ("bytes_served", Json::Num(self.bytes, 1)),
+            ("coeffs_served", self.coeffs.into()),
+            ("index_io", self.io.into()),
+            ("index_unique_io", self.unique_io.into()),
+            ("transcript_fnv64", fnv_hex(&self.transcript)),
+        ])
     }
 }
 
-/// Runs the serving workload on the in-RAM backend. The transcript (and
-/// every aggregate derived from it) is identical for any `cfg.jobs`; only
-/// the wall-clock fields change.
+/// Runs the serving workload on the in-RAM backend. The report is
+/// identical for any `cfg.jobs`.
 pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
     run_serve_backend(cfg, &ServeBackend::Ram)
 }
 
 /// Runs the serving workload against the chosen index backend. The
 /// transcript does not depend on the backend (or on `cfg.jobs`): the
-/// out-of-core path answers byte-identically and only the wall-clock and
+/// out-of-core path answers byte-identically and only the store-size and
 /// cache-statistics fields differ.
 pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeReport {
     let scene = serve_scene(cfg.objects, cfg.levels);
@@ -281,102 +334,74 @@ pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeRepo
         // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
         .expect("serve: cannot build the page-file backend");
     let server = Server::from_core(core);
-    let link = LinkConfig::paper();
+    let space = scene.config.space;
 
     // Sessions connect serially in id order, each with its own tour:
     // alternating tram/pedestrian kinds over a deterministic speed spread.
-    let sims: Vec<Mutex<SessionSim>> = (0..cfg.sessions)
+    // One mutex per session: a session is planned by exactly one worker
+    // per tick, so the lock is uncontended and exists only to hand the
+    // state safely across the scoped threads.
+    let sims: Vec<(u64, Mutex<TourSession>)> = (0..cfg.sessions)
         .map(|k| {
-            Mutex::new(SessionSim {
-                session: server.connect(),
-                planner: FramePlanner::new(),
-                smooth: SmoothedSpeed::default(),
-                tour: session_tour(scene.config.space, cfg.ticks, cfg.tour_seed, k),
-            })
+            let sim = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
+            (server.connect(), Mutex::new(sim))
         })
         .collect();
 
     let engine = Engine::new(cfg.jobs);
-    let mut transcript = String::from(TRANSCRIPT_HEADER);
-    let mut tick_ns = Vec::with_capacity(cfg.ticks);
-    let mut bytes = 0.0;
-    let mut coeffs = 0u64;
-    let mut io = 0u64;
+    let mut transcript = Transcript::default();
     let mut unique_io = 0u64;
-    // mar-lint: allow(D003) — wall-clock throughput measurement is this harness's job; timings never enter the transcript
-    let t0 = std::time::Instant::now();
     for tick in 0..cfg.ticks {
-        // mar-lint: allow(D003) — per-tick batch latency for the report only
-        let t_tick = std::time::Instant::now();
         // Phase 1 — plan: every session runs Algorithm 1 for its own tour
         // sample in parallel. `Engine::run` returns in point (= session
         // id) order, so the plans line up with the session ids.
+        // Committing before the query executes is safe in-process: the
+        // query is issued unconditionally by the same tick and cannot
+        // fail for a connected session.
         let plans = engine.run(
             (0..cfg.sessions).collect(),
             || (),
             |_, &k| {
                 let mut sim = sims[k]
+                    .1
                     .lock()
                     // mar-lint: allow(D004) — poisoning implies a sibling worker panicked; propagate
                     .expect("session sim poisoned");
-                (sim.session, sim.plan(&scene, tick, cfg.frame_frac))
+                let view = sim.view(tick);
+                let regions = sim.plan(&view);
+                sim.commit(&view);
+                (regions, view.speed)
             },
         );
         // Phase 2 — one cross-session group descent for the whole tick:
         // every session's sub-queries share a single index walk, and the
         // per-session results are demultiplexed in session-id order so the
         // transcript merge below is unchanged from the scalar harness.
-        let batch: Vec<(u64, &[QueryRegion])> = plans
+        let batch: Vec<(u64, &[QueryRegion])> = sims
             .iter()
-            .map(|(session, (regions, _))| (*session, regions.as_slice()))
+            .zip(&plans)
+            .map(|((session, _), (regions, _))| (*session, regions.as_slice()))
             .collect();
         let (results, unique) = server.query_batch(&batch);
         unique_io += unique;
-        tick_ns.push(t_tick.elapsed().as_nanos() as u64);
         // Merge in session-id order.
-        for (k, (result, (_, (_, speed)))) in results.iter().zip(&plans).enumerate() {
+        for (k, (result, (_, speed))) in results.iter().zip(&plans).enumerate() {
             let r = result
                 .as_ref()
                 // mar-lint: allow(D004) — sessions 0..N were minted by the bulk connect above and live until teardown
                 .expect("serve session vanished mid-run");
-            let response_s = if r.bytes > 0.0 {
-                link.request_time(r.bytes, *speed)
-            } else {
-                0.0
-            };
-            transcript.push_str(&transcript_row(
-                tick,
-                k,
-                r.coeffs as u64,
-                r.new_objects as u64,
-                r.bytes,
-                r.io,
-                response_s,
-            ));
-            bytes += r.bytes;
-            coeffs += r.coeffs as u64;
-            io += r.io;
+            transcript.push(tick, k, r, *speed);
         }
     }
-    let elapsed_s = t0.elapsed().as_secs_f64();
 
     // Tear every session down; the filter state must go with it.
-    for k in 0..cfg.sessions as u64 {
+    for (session, _) in &sims {
         server
-            .disconnect(k)
+            .disconnect(*session)
             // mar-lint: allow(D004) — sessions 0..N were minted by the bulk connect above
             .expect("serve session vanished");
     }
-    assert_eq!(
-        server.sessions().session_count(),
-        0,
-        "all sessions disconnected"
-    );
-    assert_eq!(
-        server.sessions().resident_filter_entries(),
-        0,
-        "disconnect must release filter state"
-    );
+    assert_released(server.sessions());
     let store_file_bytes = server.index().paged().map(mar_core::PagedIndex::file_bytes);
     let cache = server.index().cache_stats();
 
@@ -384,13 +409,11 @@ pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeRepo
         sessions: cfg.sessions,
         ticks: cfg.ticks,
         queries: (cfg.sessions * cfg.ticks) as u64,
-        bytes,
-        coeffs,
-        io,
+        bytes: transcript.bytes,
+        coeffs: transcript.coeffs,
+        io: transcript.io,
         unique_io,
-        transcript,
-        tick_ns,
-        elapsed_s,
+        transcript: transcript.text,
         store_file_bytes,
         cache,
     }
@@ -405,6 +428,44 @@ pub fn fnv1a64(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// A transcript's [`fnv1a64`] as every snapshot's `transcript_fnv64` field
+/// spells it.
+pub fn fnv_hex(transcript: &str) -> Json {
+    Json::Str(format!("{:016x}", fnv1a64(transcript)))
+}
+
+/// How every harness ends a server's life: once each session has been
+/// disconnected, nothing of them may be left in the session table.
+///
+/// # Panics
+/// Panics when a session, or any filter state, is still resident.
+pub fn assert_released(sessions: &Sessions) {
+    assert_eq!(sessions.session_count(), 0, "a session is still connected");
+    assert_eq!(
+        sessions.resident_filter_entries(),
+        0,
+        "disconnect must release filter state"
+    );
+}
+
+/// The chaos and fleet invariants' object: the fingerprint of the part of
+/// `want` — the stateless answer over a session's final frame at its final
+/// band — that the session holds (`sent`, sorted), and whether it holds
+/// all of it. Equal fingerprints with full cover mean a faulted session
+/// ended up with exactly the reference run's resident set.
+pub fn resident_fingerprint(want: &[CoeffRef], sent: &[CoeffRef]) -> (u64, bool) {
+    let mut covered = true;
+    let mut held = String::new();
+    for id in want {
+        if sent.binary_search(id).is_ok() {
+            held.push_str(&format!("{}:{};", id.object, id.coeff));
+        } else {
+            covered = false;
+        }
+    }
+    (fnv1a64(&held), covered)
 }
 
 #[cfg(test)]
@@ -427,7 +488,6 @@ mod tests {
     fn serve_produces_complete_transcript() {
         let r = run_serve(&tiny(1));
         assert_eq!(r.queries, 30);
-        assert_eq!(r.tick_ns.len(), 10);
         assert!(r.bytes > 0.0, "clients must retrieve data");
         assert!(
             r.unique_io > 0 && r.unique_io <= r.io,

@@ -1,6 +1,6 @@
 //! The chaos harness's contract, mirroring `tests/serve.rs`: `--jobs`
-//! changes wall-clock time only, never a transcript byte — and the
-//! resilience invariant holds across the smoke fault grid.
+//! never changes a transcript byte — and the resilience invariant holds
+//! across the smoke fault grid.
 
 use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::serve::fnv1a64;
@@ -49,12 +49,13 @@ fn chaos_smoke_holds_the_invariant_at_every_grid_point() {
     );
     // The faulted points actually exercised the protocol.
     let hostile = r.points.last().expect("smoke grid is non-empty");
-    assert!(hostile.retries > 0, "20% loss must retry");
-    assert!(hostile.drops > 0, "scheduled drops must fire");
-    assert_eq!(hostile.drops, hostile.resumed, "all drops heal via resume");
+    let faults = &hostile.metrics;
+    assert!(faults.retries > 0, "20% loss must retry");
+    assert!(faults.drops > 0, "scheduled drops must fire");
+    assert_eq!(faults.drops, faults.resumed, "all drops heal via resume");
     assert!(hostile.goodput() < 1.0, "faults must cost link time");
     // The clean reference is ideal.
     let clean = &r.points[0];
-    assert_eq!(clean.retries + clean.drops, 0);
+    assert_eq!(clean.metrics.retries + clean.metrics.drops, 0);
     assert!((clean.goodput() - 1.0).abs() < 1e-9);
 }

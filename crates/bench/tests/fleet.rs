@@ -1,7 +1,6 @@
 //! The fleet harness's contract, mirroring `tests/serve.rs` and
-//! `tests/chaos.rs`: `--jobs` changes wall-clock time only, never a
-//! transcript byte — and the shard-kill invariant holds across the smoke
-//! failure grid.
+//! `tests/chaos.rs`: `--jobs` never changes a transcript byte — and the
+//! shard-kill invariant holds across the smoke failure grid.
 
 use mar_bench::fleet::{run_fleet, FleetBenchConfig};
 use mar_bench::serve::fnv1a64;

@@ -1,6 +1,6 @@
 //! The determinism contract of the serving harness, mirroring
-//! `tests/parallel.rs`: `--jobs` changes wall-clock time only, never a
-//! single transcript byte — and neither does moving the index out of
+//! `tests/parallel.rs`: `--jobs` never changes a single transcript byte
+//! — and neither does moving the index out of
 //! core: the page-file backend's transcript is pinned to the same
 //! fingerprint as the in-RAM one.
 
@@ -30,16 +30,12 @@ fn serve_smoke_shape_matches_config() {
     assert_eq!(r.sessions, cfg.sessions);
     assert_eq!(r.ticks, cfg.ticks);
     assert_eq!(r.queries, (cfg.sessions * cfg.ticks) as u64);
-    assert_eq!(r.tick_ns.len(), cfg.ticks);
     assert_eq!(
         r.transcript.lines().count(),
         1 + cfg.sessions * cfg.ticks,
         "one transcript row per (tick, session) plus the header"
     );
     assert!(r.bytes > 0.0, "smoke workload must serve data");
-    // Wall-clock quantiles are monotone even though their values vary.
-    assert!(r.tick_latency_ns(0.50) <= r.tick_latency_ns(0.99));
-    assert!(r.tick_latency_ns(0.99) <= r.tick_latency_ns(1.0));
 }
 
 /// The smoke transcript's FNV-1a fingerprint, pinned so that any byte of

@@ -16,11 +16,12 @@
 //! typed `OVERLOAD` (and recovers after credit returns).
 
 use mar_bench::cli::{exit_usage, Args, CliError};
-use mar_bench::serve::{fnv1a64, run_serve, ServeConfig};
+use mar_bench::report::render;
+use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
 use mar_core::QueryRegion;
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
-use mar_served::{run_wire_replay_pipelined, QueryReply, ReplayReport, WireClient};
+use mar_served::{run_wire_replay, QueryReply, WireClient};
 use std::net::SocketAddr;
 use std::num::NonZeroUsize;
 
@@ -130,65 +131,9 @@ fn prove_overload(addr: SocketAddr, space: Rect2) -> Result<(f64, f64), String> 
     Ok((outstanding, cap))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_wire_json(
-    path: &str,
-    mode: &str,
-    addr: SocketAddr,
-    r: &ReplayReport,
-    overload: Option<(f64, f64)>,
-    check: &str,
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mar-load-wire/2\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!("  \"addr\": \"{addr}\",\n"));
-    out.push_str(&format!("  \"sessions\": {},\n", r.sessions));
-    out.push_str(&format!("  \"ticks\": {},\n", r.ticks));
-    out.push_str(&format!("  \"queries\": {},\n", r.queries));
-    out.push_str(&format!("  \"pipeline\": {},\n", r.pipeline));
-    out.push_str(&format!("  \"bytes_served\": {:.1},\n", r.bytes));
-    out.push_str(&format!("  \"coeffs_served\": {},\n", r.coeffs));
-    out.push_str(&format!("  \"index_io\": {},\n", r.io));
-    out.push_str(&format!("  \"wire_bytes\": {},\n", r.wire_bytes));
-    out.push_str(&format!("  \"elapsed_s\": {:.6},\n", r.elapsed_s));
-    out.push_str(&format!(
-        "  \"queries_per_sec\": {:.1},\n",
-        r.queries_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"frame_latency_ns\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n",
-        r.frame_latency_ns(0.50),
-        r.frame_latency_ns(0.99),
-        r.frame_latency_ns(1.0)
-    ));
-    match overload {
-        Some((outstanding, cap)) => out.push_str(&format!(
-            "  \"overload\": {{\"seen\": true, \"outstanding\": {outstanding:.1}, \
-             \"cap\": {cap:.1}}},\n"
-        )),
-        None => out.push_str("  \"overload\": {\"seen\": false},\n"),
-    }
-    out.push_str(&format!("  \"check\": \"{check}\",\n"));
-    out.push_str(&format!(
-        "  \"transcript_fnv64\": \"{:016x}\"\n",
-        fnv1a64(&r.transcript)
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
-    let addr = match resolve_addr(&opts) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("mar-load: {e}");
-            std::process::exit(2);
-        }
-    };
+/// Everything after the command line: replay, the opt-in assertions, the
+/// snapshot. An `Err` is a failed run (exit 1).
+fn run(opts: &Options, addr: SocketAddr) -> Result<(), String> {
     let mode = if opts.smoke { "smoke" } else { "full" };
     // jobs=1: the wire replay is serial by design (session order is the
     // transcript order); the field only shapes the in-process reference.
@@ -201,75 +146,57 @@ fn main() {
         "mar-load: {mode} replay against {addr} ({} sessions x {} ticks, pipeline {})",
         cfg.sessions, cfg.ticks, opts.pipeline
     );
-
-    let report = match run_wire_replay_pipelined(addr, &cfg, opts.pipeline) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mar-load: replay failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "mar-load: {} queries in {:.3} s ({:.1} q/s), {:.1} KiB payload, {:.1} KiB on wire, \
-         frame p50 {:.1} us / p99 {:.1} us",
-        report.queries,
-        report.elapsed_s,
-        report.queries_per_sec(),
-        report.bytes / 1024.0,
-        report.wire_bytes as f64 / 1024.0,
-        report.frame_latency_ns(0.50) as f64 / 1e3,
-        report.frame_latency_ns(0.99) as f64 / 1e3,
-    );
+    let report =
+        run_wire_replay(addr, &cfg, opts.pipeline).map_err(|e| format!("replay failed: {e}"))?;
 
     let check = if opts.check {
         eprintln!("mar-load: --check: replaying the same config in-process");
         let reference = run_serve(&cfg);
-        if reference.transcript == report.transcript {
-            eprintln!(
-                "mar-load: transcripts byte-identical (fnv64 {:016x})",
-                fnv1a64(&report.transcript)
-            );
-            "pass"
-        } else {
-            eprintln!(
-                "mar-load: TRANSCRIPT MISMATCH — wire fnv64 {:016x}, in-process fnv64 {:016x}",
+        if reference.transcript != report.transcript {
+            return Err(format!(
+                "TRANSCRIPT MISMATCH — wire fnv64 {:016x}, in-process fnv64 {:016x}",
                 fnv1a64(&report.transcript),
                 fnv1a64(&reference.transcript)
-            );
-            std::process::exit(1);
+            ));
         }
+        eprintln!(
+            "mar-load: transcripts byte-identical (fnv64 {:016x})",
+            fnv1a64(&report.transcript)
+        );
+        "pass"
     } else {
         "skipped"
     };
 
     let overload = if opts.saturate {
-        let space = mar_bench::serve::serve_scene(cfg.objects, cfg.levels)
-            .config
-            .space;
-        match prove_overload(addr, space) {
-            Ok((outstanding, cap)) => {
-                eprintln!(
-                    "mar-load: OVERLOAD confirmed at {outstanding:.1} B outstanding (cap {cap:.1} B), \
-                     recovered after ack"
-                );
-                Some((outstanding, cap))
-            }
-            Err(e) => {
-                eprintln!("mar-load: saturation probe failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let space = serve_scene(cfg.objects, cfg.levels).config.space;
+        let (outstanding, cap) =
+            prove_overload(addr, space).map_err(|e| format!("saturation probe failed: {e}"))?;
+        eprintln!(
+            "mar-load: OVERLOAD confirmed at {outstanding:.1} B outstanding (cap {cap:.1} B), \
+             recovered after ack"
+        );
+        Some((outstanding, cap))
     } else {
         None
     };
 
     let path = format!("{}/BENCH_wire.json", opts.out_dir);
-    if let Err(e) = write_wire_json(&path, mode, addr, &report, overload, check) {
-        eprintln!("mar-load: cannot write {path}: {e}");
+    let text = render(&report.snapshot(mode, overload, check));
+    std::fs::write(&path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("{text}mar-load: wrote {path}");
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    let addr = resolve_addr(&opts).unwrap_or_else(|e| {
+        eprintln!("mar-load: {e}");
+        std::process::exit(2)
+    });
+    if let Err(e) = run(&opts, addr) {
+        eprintln!("mar-load: {e}");
         std::process::exit(1);
     }
-    eprintln!(
-        "mar-load: wrote {path} (transcript fnv64 {:016x})",
-        fnv1a64(&report.transcript)
-    );
 }

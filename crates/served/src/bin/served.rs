@@ -84,6 +84,14 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--cache-mb only makes sense with --store".to_string(),
         ));
     }
+    // Admission refuses at `outstanding >= cap`: a NaN cap never refuses,
+    // a cap <= 0 refuses a session that has nothing outstanding.
+    if opts.outbox_cap.is_nan() || opts.outbox_cap <= 0.0 {
+        return Err(CliError::Invalid(format!(
+            "--outbox-cap: not a positive number of bytes: {}",
+            opts.outbox_cap
+        )));
+    }
     Ok(opts)
 }
 
@@ -203,5 +211,22 @@ mod tests {
         let opts = parse(&["--store", "x"]).expect("accepted");
         assert_eq!((opts.store.as_deref(), opts.cache_mb), (Some("x"), None));
         assert_eq!(parse(&[]).expect("defaults").cache_mb, None);
+    }
+
+    #[test]
+    fn outbox_cap_must_be_a_positive_number() {
+        for cap in ["nan", "NaN", "0", "-0", "-5", "-inf"] {
+            let e = parse(&["--outbox-cap", cap]).err().expect("rejected");
+            assert!(
+                matches!(&e, CliError::Invalid(m) if m.starts_with("--outbox-cap: not a positive")),
+                "{cap}: {e:?}"
+            );
+        }
+        assert_eq!(
+            parse(&["--outbox-cap=1"]).expect("accepted").outbox_cap,
+            1.0
+        );
+        assert!(parse(&["--outbox-cap", "inf"]).is_ok(), "no cap at all");
+        assert_eq!(parse(&[]).expect("defaults").outbox_cap, DEFAULT_OUTBOX_CAP);
     }
 }

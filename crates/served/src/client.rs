@@ -15,12 +15,10 @@
 use crate::codec::{
     encode_into, encode_query_into, ErrCode, Frame, FrameReader, WireError, PROTOCOL_VERSION,
 };
-use mar_bench::serve::{
-    per_sec, quantile_ns, serve_scene, session_tour, transcript_row, ServeConfig, TRANSCRIPT_HEADER,
-};
-use mar_core::{FramePlanner, LinearSpeedMap, QueryRegion, SmoothedSpeed, SpeedResolutionMap};
-use mar_link::LinkConfig;
-use mar_workload::{frame_at, Tour};
+use mar_bench::report::Json;
+use mar_bench::serve::{fnv_hex, serve_scene, ServeConfig, TourSession, Transcript};
+use mar_core::{QueryRegion, QueryResult};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -336,12 +334,6 @@ pub struct ReplayReport {
     /// The deterministic transcript — byte-identical to the in-process
     /// harness's for the same [`ServeConfig`].
     pub transcript: String,
-    /// Wall-clock round-trip latency of each `QUERY`, in nanoseconds.
-    /// Under pipelining this includes queue wait: the clock starts at
-    /// issue and stops when the reply is drained.
-    pub frame_ns: Vec<u64>,
-    /// Total wall-clock time of the replay loop, in seconds.
-    pub elapsed_s: f64,
     /// Bytes on the wire, both directions, length prefixes included.
     pub wire_bytes: u64,
     /// Effective pipeline depth the replay ran with (1 = synchronous
@@ -350,51 +342,69 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Queries per second of wall-clock replay time.
-    pub fn queries_per_sec(&self) -> f64 {
-        per_sec(self.queries, self.elapsed_s)
-    }
-
-    /// The `q`-quantile (0..=1) of per-query round-trip latency, in
-    /// nanoseconds.
-    pub fn frame_latency_ns(&self, q: f64) -> u64 {
-        quantile_ns(&self.frame_ns, q)
+    /// The `BENCH_wire.json` snapshot of this replay. `overload` is the
+    /// `(outstanding, cap)` a saturation probe was refused at, `check`
+    /// the outcome of the in-process comparison.
+    pub fn snapshot(&self, mode: &str, overload: Option<(f64, f64)>, check: &str) -> Json {
+        let mut probe = vec![("seen", Json::Bool(overload.is_some()))];
+        if let Some((outstanding, cap)) = overload {
+            probe.push(("outstanding", Json::Num(outstanding, 1)));
+            probe.push(("cap", Json::Num(cap, 1)));
+        }
+        Json::Obj(vec![
+            ("schema", "mar-load-wire/3".into()),
+            ("mode", mode.into()),
+            ("sessions", self.sessions.into()),
+            ("ticks", self.ticks.into()),
+            ("queries", self.queries.into()),
+            ("pipeline", self.pipeline.into()),
+            ("bytes_served", Json::Num(self.bytes, 1)),
+            ("coeffs_served", self.coeffs.into()),
+            ("index_io", self.io.into()),
+            ("wire_bytes", self.wire_bytes.into()),
+            ("overload", Json::Obj(probe)),
+            ("check", check.into()),
+            ("transcript_fnv64", fnv_hex(&self.transcript)),
+        ])
     }
 }
 
-struct ReplaySession {
-    client: WireClient,
-    planner: FramePlanner,
-    smooth: SmoothedSpeed,
-    tour: Tour,
-}
-
-/// One issued-but-undrained `QUERY` in the pipelined replay.
-struct InFlight {
-    /// Session index (transcript column `session`).
-    k: usize,
-    /// Tick the query belongs to.
-    tick: usize,
-    /// The planned viewport frame, needed for `FramePlanner::commit`
-    /// once the reply arrives.
-    frame: mar_geom::Rect2,
-    /// The band the frame was planned at.
-    band: mar_mesh::ResolutionBand,
-    /// Smoothed speed at issue time (drives the link-time column).
-    speed: f64,
-    /// Issue timestamp for the latency report.
-    sent: std::time::Instant,
+/// Drains one in-flight `QUERY` — session `k`'s for `tick`: receive, ack
+/// (inside `recv_result`), commit the session's view, append the
+/// transcript row.
+fn drain_one(
+    sessions: &mut [(WireClient, TourSession)],
+    (tick, k): (usize, usize),
+    transcript: &mut Transcript,
+) -> Result<(), ClientError> {
+    let (client, tour) = &mut sessions[k];
+    let r = match client.recv_result()? {
+        QueryReply::Served(r) => r,
+        // Every result is acked on drain and in-flight queries are on
+        // distinct sessions, so admission can never refuse the replay
+        // (the overshoot-by-one rule); an OVERLOAD here is a daemon bug.
+        QueryReply::Overloaded { .. } => {
+            return Err(ClientError::Unexpected {
+                wanted: "RESULT",
+                got: "OVERLOAD",
+            })
+        }
+    };
+    let view = tour.view(tick);
+    tour.commit(&view);
+    let served = QueryResult {
+        coeffs: r.coeffs as usize,
+        new_objects: r.new_objects as usize,
+        bytes: r.bytes,
+        io: r.io,
+    };
+    transcript.push(tick, k, &served, view.speed);
+    Ok(())
 }
 
 /// Replays the `mar-bench serve` workload for `cfg` against the daemon at
-/// `addr` with synchronous round-trips. Equivalent to
-/// [`run_wire_replay_pipelined`] at depth 1.
-pub fn run_wire_replay(addr: SocketAddr, cfg: &ServeConfig) -> Result<ReplayReport, ClientError> {
-    run_wire_replay_pipelined(addr, cfg, 1)
-}
-
-/// Replays the `mar-bench serve` workload keeping up to `depth` `QUERY`
-/// frames in flight across the session connections.
+/// `addr`, keeping up to `depth` `QUERY` frames in flight across the
+/// session connections (`1` = synchronous round-trips).
 ///
 /// Issue order is exactly the synchronous replay's: tick-major, sessions
 /// in id order within a tick. Replies are drained in issue order (the
@@ -411,151 +421,57 @@ pub fn run_wire_replay(addr: SocketAddr, cfg: &ServeConfig) -> Result<ReplayRepo
 ///   refuse the replay, same as the synchronous loop.
 /// - A session's tick `t+1` plan depends on its tick `t` commit, so the
 ///   effective depth is capped at the session count; `depth` beyond that
-///   only measures deeper cross-session windows, which do not exist in
+///   would only cover deeper cross-session windows, which do not exist in
 ///   tick-major order.
-pub fn run_wire_replay_pipelined(
+pub fn run_wire_replay(
     addr: SocketAddr,
     cfg: &ServeConfig,
     depth: usize,
 ) -> Result<ReplayReport, ClientError> {
     let depth = depth.clamp(1, cfg.sessions.max(1));
-    let scene = serve_scene(cfg.objects, cfg.levels);
-    let space = scene.config.space;
-    let link = LinkConfig::paper();
-    let map = LinearSpeedMap;
+    let space = serve_scene(cfg.objects, cfg.levels).config.space;
 
-    let mut sessions: Vec<ReplaySession> = Vec::with_capacity(cfg.sessions);
+    let mut sessions = Vec::with_capacity(cfg.sessions);
     for k in 0..cfg.sessions {
-        sessions.push(ReplaySession {
-            client: WireClient::connect(addr)?,
-            planner: FramePlanner::new(),
-            smooth: SmoothedSpeed::default(),
-            tour: session_tour(space, cfg.ticks, cfg.tour_seed, k),
-        });
+        let tour = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
+        sessions.push((WireClient::connect(addr)?, tour));
     }
 
-    let mut transcript = String::from(TRANSCRIPT_HEADER);
-    let mut frame_ns = Vec::with_capacity(cfg.sessions * cfg.ticks);
-    let mut bytes = 0.0;
-    let mut coeffs = 0u64;
-    let mut io = 0u64;
-    let mut pending: std::collections::VecDeque<InFlight> =
-        std::collections::VecDeque::with_capacity(depth);
-
-    // Drains the oldest in-flight query: receive, ack (inside
-    // `recv_result`), commit the session's planner, append the
-    // transcript row.
-    let drain_one = |sessions: &mut [ReplaySession],
-                     pending: &mut std::collections::VecDeque<InFlight>,
-                     transcript: &mut String,
-                     frame_ns: &mut Vec<u64>,
-                     bytes: &mut f64,
-                     coeffs: &mut u64,
-                     io: &mut u64|
-     -> Result<(), ClientError> {
-        let Some(q) = pending.pop_front() else {
-            return Ok(());
-        };
-        let s = &mut sessions[q.k];
-        let r = match s.client.recv_result()? {
-            QueryReply::Served(r) => r,
-            // Every result is acked on drain and in-flight queries are on
-            // distinct sessions, so admission can never refuse the replay
-            // (the overshoot-by-one rule); an OVERLOAD here is a daemon bug.
-            QueryReply::Overloaded { .. } => {
-                return Err(ClientError::Unexpected {
-                    wanted: "RESULT",
-                    got: "OVERLOAD",
-                })
-            }
-        };
-        frame_ns.push(q.sent.elapsed().as_nanos() as u64);
-        s.planner.commit(q.frame, q.band);
-        let response_s = if r.bytes > 0.0 {
-            link.request_time(r.bytes, q.speed)
-        } else {
-            0.0
-        };
-        transcript.push_str(&transcript_row(
-            q.tick,
-            q.k,
-            r.coeffs,
-            r.new_objects,
-            r.bytes,
-            r.io,
-            response_s,
-        ));
-        *bytes += r.bytes;
-        *coeffs += r.coeffs;
-        *io += r.io;
-        Ok(())
-    };
-
-    // mar-lint: allow(D003) — wall-clock throughput/latency measurement is the load generator's job; timings never enter the transcript
-    let t0 = std::time::Instant::now();
+    let mut transcript = Transcript::default();
+    // Issued-but-undrained queries, oldest first, as `(tick, session)`.
+    let mut pending = VecDeque::with_capacity(depth);
     for tick in 0..cfg.ticks {
         for k in 0..sessions.len() {
             if pending.len() == depth {
-                drain_one(
-                    &mut sessions,
-                    &mut pending,
-                    &mut transcript,
-                    &mut frame_ns,
-                    &mut bytes,
-                    &mut coeffs,
-                    &mut io,
-                )?;
+                if let Some(oldest) = pending.pop_front() {
+                    drain_one(&mut sessions, oldest, &mut transcript)?;
+                }
             }
-            let s = &mut sessions[k];
-            let sample = s.tour.samples[tick];
-            let frame = frame_at(&space, &sample.pos, cfg.frame_frac);
-            let speed = s.smooth.update(sample.speed);
-            let band = map.band_for(speed);
-            let regions = s.planner.plan(&frame, band);
-            // mar-lint: allow(D003) — per-query latency for the report only
-            let sent = std::time::Instant::now();
-            s.client.send_query(&regions)?;
+            let (client, tour) = &mut sessions[k];
+            client.send_query(&tour.plan(&tour.view(tick)))?;
             // In-flight queries sit on distinct connections: each must be
             // on the wire before the next is planned, or nothing overlaps.
-            s.client.flush()?;
-            pending.push_back(InFlight {
-                k,
-                tick,
-                frame,
-                band,
-                speed,
-                sent,
-            });
+            client.flush()?;
+            pending.push_back((tick, k));
         }
     }
-    while !pending.is_empty() {
-        drain_one(
-            &mut sessions,
-            &mut pending,
-            &mut transcript,
-            &mut frame_ns,
-            &mut bytes,
-            &mut coeffs,
-            &mut io,
-        )?;
+    for oldest in pending {
+        drain_one(&mut sessions, oldest, &mut transcript)?;
     }
-    let elapsed_s = t0.elapsed().as_secs_f64();
 
     let mut wire_bytes = 0u64;
-    for s in sessions {
-        wire_bytes += s.client.bye()?;
+    for (client, _) in sessions {
+        wire_bytes += client.bye()?;
     }
 
     Ok(ReplayReport {
         sessions: cfg.sessions,
         ticks: cfg.ticks,
         queries: (cfg.sessions * cfg.ticks) as u64,
-        bytes,
-        coeffs,
-        io,
-        transcript,
-        frame_ns,
-        elapsed_s,
+        bytes: transcript.bytes,
+        coeffs: transcript.coeffs,
+        io: transcript.io,
+        transcript: transcript.text,
         wire_bytes,
         pipeline: depth,
     })

@@ -28,10 +28,7 @@ pub mod client;
 pub mod codec;
 pub mod daemon;
 
-pub use client::{
-    run_wire_replay, run_wire_replay_pipelined, ClientError, QueryReply, ReplayReport, WireClient,
-    WireResult,
-};
+pub use client::{run_wire_replay, ClientError, QueryReply, ReplayReport, WireClient, WireResult};
 pub use codec::{
     decode, encode, encode_into, encode_query_into, read_frame, read_frame_len, DecodeError,
     ErrCode, Frame, FrameReader, WireError, MAX_PAYLOAD, PROTOCOL_VERSION,

@@ -3,12 +3,13 @@
 //! in-process harness — same transcript bytes, same fingerprint — and
 //! must enforce the protocol's security and backpressure semantics.
 
+use mar_bench::report::render;
 use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
 use mar_core::{QueryRegion, SceneIndexData, Server, ServerCore, WaveletIndex};
 use mar_mesh::ResolutionBand;
 use mar_served::{
-    run_wire_replay, run_wire_replay_pipelined, spawn_daemon, ClientError, DaemonConfig,
-    DaemonHandle, ErrCode, Frame, QueryReply, WireClient,
+    run_wire_replay, spawn_daemon, ClientError, DaemonConfig, DaemonHandle, ErrCode, Frame,
+    QueryReply, WireClient,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -77,7 +78,7 @@ fn wire_transcript_is_byte_identical_to_in_process() {
             ..DaemonConfig::default()
         },
     );
-    let wire = run_wire_replay(handle.addr, &cfg).expect("wire replay");
+    let wire = run_wire_replay(handle.addr, &cfg, 1).expect("wire replay");
     let stats = handle.join();
 
     let reference = run_serve(&cfg);
@@ -156,7 +157,8 @@ fn pipelined_replay_transcript_is_depth_invariant() {
     // on distinct sessions, each with at most one unacked RESULT).
     let cfg = tiny_cfg();
     let reference = run_serve(&cfg);
-    for depth in [2, 64] {
+    let mut snapshots = Vec::new();
+    for depth in [1, 2, 64] {
         let (handle, server) = boot(
             &cfg,
             DaemonConfig {
@@ -164,7 +166,7 @@ fn pipelined_replay_transcript_is_depth_invariant() {
                 ..DaemonConfig::default()
             },
         );
-        let wire = run_wire_replay_pipelined(handle.addr, &cfg, depth).expect("pipelined replay");
+        let wire = run_wire_replay(handle.addr, &cfg, depth).expect("pipelined replay");
         let stats = handle.join();
         assert_eq!(
             wire.transcript, reference.transcript,
@@ -174,7 +176,16 @@ fn pipelined_replay_transcript_is_depth_invariant() {
         assert_eq!(stats.overloads, 0, "pipelined replay must never be refused");
         assert_eq!(stats.errors, 0);
         assert_eq!(server.sessions().session_count(), 0);
+        // The snapshot is a value too: nothing in `BENCH_wire.json` but
+        // the `pipeline` field itself may depend on the depth (or on the
+        // port, or on a clock).
+        let snapshot = render(&wire.snapshot("smoke", None, "skipped"));
+        let depth_line = format!("\"pipeline\": {},", wire.pipeline);
+        assert!(snapshot.contains(&depth_line), "{snapshot}");
+        snapshots.push(snapshot.replace(&depth_line, "\"pipeline\": N,"));
     }
+    assert_eq!(snapshots[0], snapshots[1], "depth 1 vs 2");
+    assert_eq!(snapshots[0], snapshots[2], "depth 1 vs 3 (64, clamped)");
 }
 
 /// `n` overlapping full-resolution windows sliding across the scene.

@@ -1,6 +1,5 @@
-//! Query-frame streams: the client's view window, one per tick.
+//! Query frames: the client's view window at a tour position.
 
-use crate::tour::Tour;
 use mar_geom::{Point2, Rect2};
 
 /// The query frame for a client at `pos`: a window whose width/height are
@@ -14,44 +13,6 @@ pub fn frame_at(space: &Rect2, pos: &Point2, frac: f64) -> Rect2 {
     let cx = pos[0].clamp(space.lo[0] + w / 2.0, space.hi[0] - w / 2.0);
     let cy = pos[1].clamp(space.lo[1] + h / 2.0, space.hi[1] - h / 2.0);
     Rect2::centered(Point2::new([cx, cy]), [w / 2.0, h / 2.0])
-}
-
-/// A tour plus frame size: yields `(tick, frame, speed)` triples.
-#[derive(Debug, Clone)]
-pub struct FrameStream<'a> {
-    tour: &'a Tour,
-    space: Rect2,
-    frac: f64,
-}
-
-impl<'a> FrameStream<'a> {
-    /// Creates the stream.
-    pub fn new(tour: &'a Tour, space: Rect2, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0);
-        Self { tour, space, frac }
-    }
-
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.tour.len()
-    }
-
-    /// True when the underlying tour is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tour.is_empty()
-    }
-
-    /// Iterates `(tick, frame, normalised speed, position)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Rect2, f64, Point2)> + '_ {
-        self.tour.samples.iter().map(move |s| {
-            (
-                s.tick,
-                frame_at(&self.space, &s.pos, self.frac),
-                s.speed,
-                s.pos,
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -81,13 +42,13 @@ mod tests {
     fn stream_covers_whole_tour_inside_space() {
         let space = paper_space();
         let tour = tram_tour(&TourConfig::new(space, 200, 3, 0.7));
-        let stream = FrameStream::new(&tour, space, 0.15);
-        assert_eq!(stream.len(), 200);
-        for (tick, frame, speed, pos) in stream.iter() {
-            assert!(tick < 200);
+        assert_eq!(tour.len(), 200);
+        for s in &tour.samples {
+            let frame = frame_at(&space, &s.pos, 0.15);
+            assert!(s.tick < 200);
             assert!(space.contains_rect(&frame));
-            assert!((0.0..=1.0).contains(&speed));
-            assert!(frame.contains_point(&pos) || !space.contains_point(&pos));
+            assert!((0.0..=1.0).contains(&s.speed));
+            assert!(frame.contains_point(&s.pos) || !space.contains_point(&s.pos));
         }
     }
 

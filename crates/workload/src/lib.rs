@@ -1,4 +1,4 @@
-//! # mar-workload — tours, scenes, and query-frame streams (§VII-A)
+//! # mar-workload — tours, scenes, and query frames (§VII-A)
 //!
 //! The paper's experimental setup is "a realistic augmented-reality city
 //! tour": 100–400 objects (20–80 MB) distributed over the data space,
@@ -22,7 +22,7 @@ pub mod scene;
 pub mod tour;
 pub mod trace;
 
-pub use frames::{frame_at, FrameStream};
+pub use frames::frame_at;
 pub use scene::{Placement, Scene, SceneConfig, SceneObject};
 pub use tour::{pedestrian_tour, tram_tour, Tour, TourConfig, TourKind, TourSample};
 pub use trace::{format_trace, parse_trace, TraceError};
