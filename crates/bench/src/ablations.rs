@@ -21,7 +21,7 @@ use crate::figs::mean;
 use crate::serve::session_tour;
 use crate::{Scale, Table};
 use mar_buffer::{AllocationStrategy, MotionAwarePrefetcher};
-use mar_core::bufsim::{run_buffer_sim, BufferSimConfig};
+use mar_core::system::{run_motion_aware_system, SystemConfig};
 use mar_core::{
     CachePolicy, IncrementalClient, LinearSpeedMap, QueryRegion, SceneIndexData, Server,
     ServerCore, SmoothedSpeed, SpeedResolutionMap, WaveletIndex,
@@ -32,14 +32,9 @@ use mar_workload::{frame_at, paper_space, tram_tour, Placement, TourConfig};
 use std::sync::Arc;
 
 /// Index ablation: average I/O per tram-tour query for four ways of
-/// building the same support-region index.
-pub fn abl_index(scale: &Scale) -> Table {
-    abl_index_with(&Engine::serial(), scale)
-}
-
-/// [`abl_index`] on an engine: the four index variants are built once and
-/// shared read-only; one sweep point per speed.
-pub fn abl_index_with(engine: &Engine, scale: &Scale) -> Table {
+/// building the same support-region index. The four index variants are
+/// built once and shared read-only; one sweep point per speed.
+pub fn abl_index(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = SceneIndexData::build(&scene);
     let build = |variant: Variant, bulk: bool| -> WaveletIndex {
@@ -96,13 +91,9 @@ pub fn abl_index_with(engine: &Engine, scale: &Scale) -> Table {
     t
 }
 
-/// Allocation ablation: hit rate under the three strategies.
-pub fn abl_alloc(scale: &Scale) -> Table {
-    abl_alloc_with(&Engine::serial(), scale)
-}
-
-/// [`abl_alloc`] on an engine: one point per (buffer size, strategy, seed).
-pub fn abl_alloc_with(engine: &Engine, scale: &Scale) -> Table {
+/// Allocation ablation: hit rate under the three strategies. One point
+/// per (buffer size, strategy, seed).
+pub fn abl_alloc(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let strategies = [
         ("recursive_eq2", AllocationStrategy::Recursive),
@@ -121,13 +112,15 @@ pub fn abl_alloc_with(engine: &Engine, scale: &Scale) -> Table {
         points,
         || Server::new(&scene),
         |server, &(kb, si, seed)| {
-            let cfg = BufferSimConfig {
+            let cfg = SystemConfig {
                 buffer_bytes: kb * 1024.0,
                 ..Default::default()
             };
             let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, 0.5));
             let mut p = MotionAwarePrefetcher::with_strategy(4, strategies[si].1);
-            run_buffer_sim(server, &scene, &tour, &mut p, &cfg).hit_rate()
+            run_motion_aware_system(server, &scene, &tour, &mut p, &cfg)
+                .cache
+                .hit_rate()
         },
     );
     let mut t = Table::new(
@@ -145,16 +138,12 @@ pub fn abl_alloc_with(engine: &Engine, scale: &Scale) -> Table {
     t
 }
 
-/// Sector-count ablation: hit rate for k ∈ {2, 4, 8, 16}.
-pub fn abl_sectors(scale: &Scale) -> Table {
-    abl_sectors_with(&Engine::serial(), scale)
-}
-
-/// [`abl_sectors`] on an engine: one point per (k, seed).
-pub fn abl_sectors_with(engine: &Engine, scale: &Scale) -> Table {
+/// Sector-count ablation: hit rate for k ∈ {2, 4, 8, 16}. One point per
+/// (k, seed).
+pub fn abl_sectors(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let ks = [2usize, 4, 8, 16];
-    let cfg = BufferSimConfig {
+    let cfg = SystemConfig {
         buffer_bytes: 32.0 * 1024.0,
         ..Default::default()
     };
@@ -168,7 +157,7 @@ pub fn abl_sectors_with(engine: &Engine, scale: &Scale) -> Table {
         |server, &(k, seed)| {
             let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, 0.5));
             let mut p = MotionAwarePrefetcher::new(k);
-            let m = run_buffer_sim(server, &scene, &tour, &mut p, &cfg);
+            let m = run_motion_aware_system(server, &scene, &tour, &mut p, &cfg).cache;
             (m.hit_rate(), m.utilization())
         },
     );
@@ -197,7 +186,7 @@ fn on_off_buffer_ablation(
     id: &'static str,
     title: &'static str,
     columns: [&str; 2],
-    cfg_of: impl Fn(bool) -> BufferSimConfig + Sync,
+    cfg_of: impl Fn(bool) -> SystemConfig + Sync,
 ) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let points: Vec<(f64, bool, u64)> = scale
@@ -216,7 +205,9 @@ fn on_off_buffer_ablation(
             let cfg = cfg_of(flag);
             let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, speed));
             let mut p = MotionAwarePrefetcher::new(4);
-            run_buffer_sim(server, &scene, &tour, &mut p, &cfg).hit_rate()
+            run_motion_aware_system(server, &scene, &tour, &mut p, &cfg)
+                .cache
+                .hit_rate()
         },
     );
     let mut t = Table::new(
@@ -235,19 +226,14 @@ fn on_off_buffer_ablation(
 }
 
 /// Multiresolution-buffering ablation (§V final ¶) across speeds.
-pub fn abl_multires(scale: &Scale) -> Table {
-    abl_multires_with(&Engine::serial(), scale)
-}
-
-/// [`abl_multires`] on an engine.
-pub fn abl_multires_with(engine: &Engine, scale: &Scale) -> Table {
+pub fn abl_multires(engine: &Engine, scale: &Scale) -> Table {
     on_off_buffer_ablation(
         engine,
         scale,
         "abl_multires",
         "cache hit rate: speed-scaled resolutions on/off (32 KB)",
         ["multires", "full_res_only"],
-        |multires| BufferSimConfig {
+        |multires| SystemConfig {
             buffer_bytes: 32.0 * 1024.0,
             multires,
             ..Default::default()
@@ -257,13 +243,8 @@ pub fn abl_multires_with(engine: &Engine, scale: &Scale) -> Table {
 
 /// Speed-smoothing ablation: total KB retrieved per 1000 units on a
 /// station-heavy tram tour, with raw vs smoothed MapSpeedToResolution
-/// input.
-pub fn abl_smoothing(scale: &Scale) -> Table {
-    abl_smoothing_with(&Engine::serial(), scale)
-}
-
-/// [`abl_smoothing`] on an engine: one point per (speed, smoothed, seed).
-pub fn abl_smoothing_with(engine: &Engine, scale: &Scale) -> Table {
+/// input. One point per (speed, smoothed, seed).
+pub fn abl_smoothing(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let points: Vec<(f64, bool, u64)> = scale
         .speeds
@@ -315,17 +296,12 @@ pub fn abl_smoothing_with(engine: &Engine, scale: &Scale) -> Table {
 
 /// Out-of-core buffer-pool ablation: tour-workload hit rate of the
 /// Eq. 2 motion-aware eviction policy vs plain LRU across pool budgets.
-pub fn abl_store(scale: &Scale) -> Table {
-    abl_store_with(&Engine::serial(), scale)
-}
-
-/// [`abl_store`] on an engine: the index is serialized to a scratch page
-/// file once, and every (budget, policy, seed) point reopens it with its
-/// own pool and replays the serve-style tour workload against it. One
-/// point per (budget, policy, seed); the transcript-level answers are
-/// backend-invariant, so only the pool's hit rate distinguishes the
-/// columns.
-pub fn abl_store_with(engine: &Engine, scale: &Scale) -> Table {
+/// The index is serialized to a scratch page file once, and every
+/// (budget, policy, seed) point reopens it with its own pool and replays
+/// the serve-style tour workload against it. One point per (budget,
+/// policy, seed); the transcript-level answers are backend-invariant, so
+/// only the pool's hit rate distinguishes the columns.
+pub fn abl_store(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = Arc::new(SceneIndexData::build(&scene));
     let dir = std::env::temp_dir().join("mar-bench-abl-store");
@@ -401,12 +377,7 @@ pub fn abl_store_with(engine: &Engine, scale: &Scale) -> Table {
 
 /// Direction-estimator ablation: Kalman/RLS block probabilities vs the
 /// \[15\]-style empirical Markov direction model.
-pub fn abl_direction(scale: &Scale) -> Table {
-    abl_direction_with(&Engine::serial(), scale)
-}
-
-/// [`abl_direction`] on an engine.
-pub fn abl_direction_with(engine: &Engine, scale: &Scale) -> Table {
+pub fn abl_direction(engine: &Engine, scale: &Scale) -> Table {
     // Column order is (kalman, markov) = (flag false, flag true), so the
     // on/off runner's `[true, false]` order is inverted via the flag.
     on_off_buffer_ablation(
@@ -415,7 +386,7 @@ pub fn abl_direction_with(engine: &Engine, scale: &Scale) -> Table {
         "abl_direction",
         "cache hit rate: Kalman/RLS vs Markov direction estimation (32 KB)",
         ["kalman_rls", "markov"],
-        |kalman_first| BufferSimConfig {
+        |kalman_first| SystemConfig {
             buffer_bytes: 32.0 * 1024.0,
             markov_directions: !kalman_first,
             ..Default::default()
@@ -423,20 +394,15 @@ pub fn abl_direction_with(engine: &Engine, scale: &Scale) -> Table {
     )
 }
 
-/// Every ablation table on a serial engine.
-pub fn all_ablations(scale: &Scale) -> Vec<Table> {
-    all_ablations_with(&Engine::serial(), scale)
-}
-
 /// Every ablation table on the given engine.
-pub fn all_ablations_with(engine: &Engine, scale: &Scale) -> Vec<Table> {
+pub fn all_ablations(engine: &Engine, scale: &Scale) -> Vec<Table> {
     vec![
-        abl_index_with(engine, scale),
-        abl_alloc_with(engine, scale),
-        abl_sectors_with(engine, scale),
-        abl_multires_with(engine, scale),
-        abl_smoothing_with(engine, scale),
-        abl_direction_with(engine, scale),
-        abl_store_with(engine, scale),
+        abl_index(engine, scale),
+        abl_alloc(engine, scale),
+        abl_sectors(engine, scale),
+        abl_multires(engine, scale),
+        abl_smoothing(engine, scale),
+        abl_direction(engine, scale),
+        abl_store(engine, scale),
     ]
 }

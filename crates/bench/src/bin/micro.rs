@@ -225,7 +225,7 @@ fn bench_window_queries(
                 b.iter(|| {
                     let mut total = 0usize;
                     for w in &windows {
-                        total += index.count_in(black_box(w), band).0;
+                        index.for_each(black_box(w), band, |_| total += 1);
                     }
                     total
                 })
@@ -459,7 +459,7 @@ fn bench_io(
         b.iter(|| {
             let mut total = 0usize;
             for w in &windows {
-                total += cold.count_in(black_box(w), ResolutionBand::FULL).0;
+                cold.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
             }
             total
         })
@@ -476,13 +476,13 @@ fn bench_io(
     // every read hits, so this is the pure pool-lookup overhead.
     let warm = open(64 << 20, CachePolicy::Lru);
     for w in &windows {
-        warm.count_in(w, ResolutionBand::FULL);
+        warm.for_each(w, ResolutionBand::FULL, |_| {});
     }
     if let Some(m) = group.bench_function_measured("page_read_warm", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for w in &windows {
-                total += warm.count_in(black_box(w), ResolutionBand::FULL).0;
+                warm.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
             }
             total
         })

@@ -50,103 +50,103 @@ const EXPERIMENTS: &[Experiment] = &[
         name: "fig8",
         ids: &["fig8"],
         ablation: false,
-        run: |e, s| one(figs::fig8_with(e, s)),
+        run: |e, s| one(figs::fig8(e, s)),
     },
     Experiment {
         name: "fig9a",
         ids: &["fig9a"],
         ablation: false,
-        run: |e, s| one(figs::fig9a_with(e, s)),
+        run: |e, s| one(figs::fig9a(e, s)),
     },
     Experiment {
         name: "fig9b",
         ids: &["fig9b"],
         ablation: false,
-        run: |e, s| one(figs::fig9b_with(e, s)),
+        run: |e, s| one(figs::fig9b(e, s)),
     },
     Experiment {
         name: "fig10",
         ids: &["fig10a", "fig10b"],
         ablation: false,
-        run: |e, s| two(figs::fig10_with(e, s)),
+        run: |e, s| two(figs::fig10(e, s)),
     },
     Experiment {
         name: "fig11",
         ids: &["fig11a", "fig11b"],
         ablation: false,
-        run: |e, s| two(figs::fig11_with(e, s)),
+        run: |e, s| two(figs::fig11(e, s)),
     },
     Experiment {
         name: "fig12",
         ids: &["fig12"],
         ablation: false,
-        run: |e, s| one(figs::fig12_with(e, s)),
+        run: |e, s| one(figs::fig12(e, s)),
     },
     Experiment {
         name: "fig13a",
         ids: &["fig13a"],
         ablation: false,
-        run: |e, s| one(figs::fig13a_with(e, s)),
+        run: |e, s| one(figs::fig13a(e, s)),
     },
     Experiment {
         name: "fig13b",
         ids: &["fig13b"],
         ablation: false,
-        run: |e, s| one(figs::fig13b_with(e, s)),
+        run: |e, s| one(figs::fig13b(e, s)),
     },
     Experiment {
         name: "fig14",
         ids: &["fig14"],
         ablation: false,
-        run: |e, s| one(figs::fig14_15_with(e, s, Placement::Uniform)),
+        run: |e, s| one(figs::fig14_15(e, s, Placement::Uniform)),
     },
     Experiment {
         name: "fig15",
         ids: &["fig15"],
         ablation: false,
-        run: |e, s| one(figs::fig14_15_with(e, s, Placement::Zipf { theta: 0.8 })),
+        run: |e, s| one(figs::fig14_15(e, s, Placement::Zipf { theta: 0.8 })),
     },
     Experiment {
         name: "abl_index",
         ids: &["abl_index"],
         ablation: true,
-        run: |e, s| one(ablations::abl_index_with(e, s)),
+        run: |e, s| one(ablations::abl_index(e, s)),
     },
     Experiment {
         name: "abl_alloc",
         ids: &["abl_alloc"],
         ablation: true,
-        run: |e, s| one(ablations::abl_alloc_with(e, s)),
+        run: |e, s| one(ablations::abl_alloc(e, s)),
     },
     Experiment {
         name: "abl_sectors",
         ids: &["abl_sectors"],
         ablation: true,
-        run: |e, s| one(ablations::abl_sectors_with(e, s)),
+        run: |e, s| one(ablations::abl_sectors(e, s)),
     },
     Experiment {
         name: "abl_multires",
         ids: &["abl_multires"],
         ablation: true,
-        run: |e, s| one(ablations::abl_multires_with(e, s)),
+        run: |e, s| one(ablations::abl_multires(e, s)),
     },
     Experiment {
         name: "abl_smoothing",
         ids: &["abl_smoothing"],
         ablation: true,
-        run: |e, s| one(ablations::abl_smoothing_with(e, s)),
+        run: |e, s| one(ablations::abl_smoothing(e, s)),
     },
     Experiment {
         name: "abl_direction",
         ids: &["abl_direction"],
         ablation: true,
-        run: |e, s| one(ablations::abl_direction_with(e, s)),
+        run: |e, s| one(ablations::abl_direction(e, s)),
     },
     Experiment {
         name: "abl_store",
         ids: &["abl_store"],
         ablation: true,
-        run: |e, s| one(ablations::abl_store_with(e, s)),
+        run: |e, s| one(ablations::abl_store(e, s)),
     },
 ];
 

@@ -7,13 +7,10 @@
 //! in a fixed order, computed on however many workers the engine has, and
 //! reassembled in that order — so the tables are byte-identical whether
 //! the engine is serial or parallel (`crates/bench/tests/parallel.rs`).
-//! The `figN(scale)` entry points are serial wrappers around the
-//! `figN_with(engine, scale)` variants used by `reproduce --jobs N`.
 
 use crate::engine::Engine;
 use crate::{Scale, Table};
-use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher};
-use mar_core::bufsim::{run_buffer_sim, BufferSimConfig};
+use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher, Prefetcher};
 use mar_core::system::{run_motion_aware_system, run_naive_system, SystemConfig};
 use mar_core::{
     IncrementalClient, LinearSpeedMap, NaivePointIndex, SceneIndexData, Server, WaveletIndex,
@@ -83,14 +80,10 @@ fn mean_per_chunk(results: &[f64], seeds: usize) -> Vec<f64> {
     results.chunks(seeds).map(mean).collect()
 }
 
-/// Fig. 8 — effect of speed on data retrieval (tram vs pedestrian).
-pub fn fig8(scale: &Scale) -> Table {
-    fig8_with(&Engine::serial(), scale)
-}
-
-/// [`fig8`] on an engine: one sweep point per (speed, tour seed), each
-/// worker owning its own [`Server`] over the shared scene.
-pub fn fig8_with(engine: &Engine, scale: &Scale) -> Table {
+/// Fig. 8 — effect of speed on data retrieval (tram vs pedestrian). One
+/// sweep point per (speed, tour seed), each worker owning its own
+/// [`Server`] over the shared scene.
+pub fn fig8(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let points: Vec<(f64, u64)> = scale
         .speeds
@@ -126,12 +119,8 @@ pub fn fig8_with(engine: &Engine, scale: &Scale) -> Table {
 }
 
 /// Fig. 9(a) — retrieval vs speed for query sizes 5–20 % (tram tours).
-pub fn fig9a(scale: &Scale) -> Table {
-    fig9a_with(&Engine::serial(), scale)
-}
-
-/// [`fig9a`] on an engine: one point per (speed, query fraction, seed).
-pub fn fig9a_with(engine: &Engine, scale: &Scale) -> Table {
+/// One point per (speed, query fraction, seed).
+pub fn fig9a(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let fracs = [0.05, 0.10, 0.15, 0.20];
     let points: Vec<(f64, f64, u64)> = scale
@@ -171,14 +160,9 @@ pub fn fig9a_with(engine: &Engine, scale: &Scale) -> Table {
 }
 
 /// Fig. 9(b) — retrieval vs speed for dataset sizes 20–80 MB (tram tours).
-pub fn fig9b(scale: &Scale) -> Table {
-    fig9b_with(&Engine::serial(), scale)
-}
-
-/// [`fig9b`] on an engine: one point per (speed, dataset size, seed); each
-/// worker lazily builds a server per size it encounters, over the
-/// engine-cached scenes.
-pub fn fig9b_with(engine: &Engine, scale: &Scale) -> Table {
+/// One point per (speed, dataset size, seed); each worker lazily builds a
+/// server per size it encounters, over the engine-cached scenes.
+pub fn fig9b(engine: &Engine, scale: &Scale) -> Table {
     let sizes = [100usize, 200, 300, 400];
     let scaled: Vec<usize> = sizes
         .iter()
@@ -229,35 +213,31 @@ const BUFFER_COMBOS: [(bool, bool); 4] = [
     (false, false), // naive, pedestrian
 ];
 
-/// Runs one buffer-simulation sweep point: the given tour kind under the
+/// Runs one buffer-experiment sweep point: the given tour kind under the
 /// given prefetcher. Returns `(hit_rate, utilization)`.
 fn buffer_sim_point(
     server: &Server,
     scene: &Scene,
     tour: &Tour,
     motion_aware: bool,
-    cfg: &BufferSimConfig,
+    cfg: &SystemConfig,
 ) -> (f64, f64) {
-    let m = if motion_aware {
-        let mut p = MotionAwarePrefetcher::new(4);
-        run_buffer_sim(server, scene, tour, &mut p, cfg)
-    } else {
-        let mut p = NaivePrefetcher;
-        run_buffer_sim(server, scene, tour, &mut p, cfg)
-    };
+    let (mut ma, mut naive) = (MotionAwarePrefetcher::new(4), NaivePrefetcher);
+    let p: &mut dyn Prefetcher = if motion_aware { &mut ma } else { &mut naive };
+    let m = run_motion_aware_system(server, scene, tour, p, cfg).cache;
     (m.hit_rate(), m.utilization())
 }
 
 /// Shared engine runner for the buffer experiments: for each x, a
-/// `(BufferSimConfig, speed)` pair; points fan out over
+/// `(SystemConfig, speed)` pair; points fan out over
 /// (x, combo, seed) and each worker reuses one server (simulations open
 /// their own sessions, so reuse is exact).
 #[allow(clippy::too_many_arguments)] // two parallel tables share one sweep
-fn buffer_tables_with(
+fn buffer_tables(
     engine: &Engine,
     scale: &Scale,
     xs: &[f64],
-    mut cfg_of: impl FnMut(f64) -> (BufferSimConfig, f64),
+    mut cfg_of: impl FnMut(f64) -> (SystemConfig, f64),
     id_hit: &'static str,
     id_util: &'static str,
     title_hit: &'static str,
@@ -265,7 +245,7 @@ fn buffer_tables_with(
     xlabel: &'static str,
 ) -> (Table, Table) {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let configs: Vec<(BufferSimConfig, f64)> = xs.iter().map(|&x| cfg_of(x)).collect();
+    let configs: Vec<(SystemConfig, f64)> = xs.iter().map(|&x| cfg_of(x)).collect();
     let points: Vec<(usize, usize, u64)> = (0..xs.len())
         .flat_map(|xi| {
             (0..BUFFER_COMBOS.len())
@@ -309,20 +289,15 @@ fn buffer_tables_with(
 
 /// Fig. 10(a)+(b) — cache hit rate and data utilization vs buffer size
 /// (16–128 KB), motion-aware vs naive, tram & pedestrian.
-pub fn fig10(scale: &Scale) -> (Table, Table) {
-    fig10_with(&Engine::serial(), scale)
-}
-
-/// [`fig10`] on an engine.
-pub fn fig10_with(engine: &Engine, scale: &Scale) -> (Table, Table) {
+pub fn fig10(engine: &Engine, scale: &Scale) -> (Table, Table) {
     let sizes = [16.0, 32.0, 64.0, 128.0];
-    buffer_tables_with(
+    buffer_tables(
         engine,
         scale,
         &sizes,
         |kb| {
             (
-                BufferSimConfig {
+                SystemConfig {
                     buffer_bytes: kb * 1024.0,
                     ..Default::default()
                 },
@@ -339,20 +314,15 @@ pub fn fig10_with(engine: &Engine, scale: &Scale) -> (Table, Table) {
 
 /// Fig. 11(a)+(b) — cache hit rate and data utilization vs speed
 /// (multiresolution buffering), 64 KB buffer.
-pub fn fig11(scale: &Scale) -> (Table, Table) {
-    fig11_with(&Engine::serial(), scale)
-}
-
-/// [`fig11`] on an engine.
-pub fn fig11_with(engine: &Engine, scale: &Scale) -> (Table, Table) {
+pub fn fig11(engine: &Engine, scale: &Scale) -> (Table, Table) {
     let speeds = scale.speeds.clone();
-    buffer_tables_with(
+    buffer_tables(
         engine,
         scale,
         &speeds,
         |speed| {
             (
-                BufferSimConfig {
+                SystemConfig {
                     buffer_bytes: 64.0 * 1024.0,
                     ..Default::default()
                 },
@@ -402,14 +372,9 @@ fn index_io_rows(results: &[(f64, f64)], seeds: usize) -> Vec<Vec<f64>> {
 }
 
 /// Fig. 12 — index I/O vs speed: support-region index vs naive point
-/// index.
-pub fn fig12(scale: &Scale) -> Table {
-    fig12_with(&Engine::serial(), scale)
-}
-
-/// [`fig12`] on an engine: indexes built once, shared read-only across
-/// workers; one point per (speed, seed).
-pub fn fig12_with(engine: &Engine, scale: &Scale) -> Table {
+/// index. Indexes built once, shared read-only across workers; one point
+/// per (speed, seed).
+pub fn fig12(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = SceneIndexData::build(&scene);
     let good = WaveletIndex::build(&data);
@@ -441,12 +406,8 @@ pub fn fig12_with(engine: &Engine, scale: &Scale) -> Table {
 }
 
 /// Fig. 13(a) — index I/O vs query size at speed 0.5.
-pub fn fig13a(scale: &Scale) -> Table {
-    fig13a_with(&Engine::serial(), scale)
-}
-
-/// [`fig13a`] on an engine: one point per (query fraction, seed).
-pub fn fig13a_with(engine: &Engine, scale: &Scale) -> Table {
+/// One point per (query fraction, seed).
+pub fn fig13a(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = SceneIndexData::build(&scene);
     let good = WaveletIndex::build(&data);
@@ -476,14 +437,10 @@ pub fn fig13a_with(engine: &Engine, scale: &Scale) -> Table {
     t
 }
 
-/// Fig. 13(b) — index I/O vs dataset size at speed 0.5, 10 % frames.
-pub fn fig13b(scale: &Scale) -> Table {
-    fig13b_with(&Engine::serial(), scale)
-}
-
-/// [`fig13b`] on an engine: one point per dataset size; each point builds
-/// its indexes over the engine-cached scene of that size.
-pub fn fig13b_with(engine: &Engine, scale: &Scale) -> Table {
+/// Fig. 13(b) — index I/O vs dataset size at speed 0.5, 10 % frames. One
+/// point per dataset size; each point builds its indexes over the
+/// engine-cached scene of that size.
+pub fn fig13b(engine: &Engine, scale: &Scale) -> Table {
     let sizes = [100usize, 200, 300, 400];
     let scaled: Vec<usize> = sizes
         .iter()
@@ -521,18 +478,18 @@ pub fn fig13b_with(engine: &Engine, scale: &Scale) -> Table {
 
 /// Figs. 14 & 15 — end-to-end query response time vs speed, motion-aware
 /// vs naive system, for uniform (fig14) or Zipfian (fig15) data.
-pub fn fig14_15(scale: &Scale, placement: Placement) -> Table {
-    fig14_15_with(&Engine::serial(), scale, placement)
-}
-
-/// [`fig14_15`] on an engine: one point per (speed, seed, tour kind).
-pub fn fig14_15_with(engine: &Engine, scale: &Scale, placement: Placement) -> Table {
+/// One point per (speed, seed, tour kind).
+pub fn fig14_15(engine: &Engine, scale: &Scale, placement: Placement) -> Table {
     let (id, title): (&'static str, &'static str) = match placement {
         Placement::Uniform => ("fig14", "query response time (s) vs speed (uniform)"),
         Placement::Zipf { .. } => ("fig15", "query response time (s) vs speed (Zipf)"),
     };
     let scene = engine.scene(scale, scale.objects_default, placement);
-    let cfg = SystemConfig::default();
+    // Fig. 14 uses 5 % frames.
+    let cfg = SystemConfig {
+        frame_frac: 0.05,
+        ..Default::default()
+    };
     // Point order: speed → seed → (tram, walk).
     let points: Vec<(f64, u64, bool)> = scale
         .speeds
@@ -593,28 +550,23 @@ pub fn fig14_15_with(engine: &Engine, scale: &Scale, placement: Placement) -> Ta
     t
 }
 
-/// Every figure at the given scale, in paper order, on a serial engine.
-/// `fig10`/`fig11` each contribute two tables.
-pub fn all_figures(scale: &Scale) -> Vec<Table> {
-    all_figures_with(&Engine::serial(), scale)
-}
-
 /// Every figure at the given scale on the given engine, in paper order.
-pub fn all_figures_with(engine: &Engine, scale: &Scale) -> Vec<Table> {
+/// `fig10`/`fig11` each contribute two tables.
+pub fn all_figures(engine: &Engine, scale: &Scale) -> Vec<Table> {
     let mut out = Vec::new();
-    out.push(fig8_with(engine, scale));
-    out.push(fig9a_with(engine, scale));
-    out.push(fig9b_with(engine, scale));
-    let (a, b) = fig10_with(engine, scale);
+    out.push(fig8(engine, scale));
+    out.push(fig9a(engine, scale));
+    out.push(fig9b(engine, scale));
+    let (a, b) = fig10(engine, scale);
     out.push(a);
     out.push(b);
-    let (a, b) = fig11_with(engine, scale);
+    let (a, b) = fig11(engine, scale);
     out.push(a);
     out.push(b);
-    out.push(fig12_with(engine, scale));
-    out.push(fig13a_with(engine, scale));
-    out.push(fig13b_with(engine, scale));
-    out.push(fig14_15_with(engine, scale, Placement::Uniform));
-    out.push(fig14_15_with(engine, scale, Placement::Zipf { theta: 0.8 }));
+    out.push(fig12(engine, scale));
+    out.push(fig13a(engine, scale));
+    out.push(fig13b(engine, scale));
+    out.push(fig14_15(engine, scale, Placement::Uniform));
+    out.push(fig14_15(engine, scale, Placement::Zipf { theta: 0.8 }));
     out
 }

@@ -2,9 +2,8 @@
 //!
 //! Shared machinery for regenerating every figure of the paper's
 //! evaluation (§VII). Each `figN` function in [`figs`] produces a
-//! [`Table`] — the same series the paper plots — and is callable both from
-//! the `reproduce` binary (full experiment) and from the Criterion benches
-//! (which additionally time the hot operations).
+//! [`Table`] — the same series the paper plots — on an
+//! [`engine::Engine`]; the `reproduce` binary runs them all.
 //!
 //! Determinism: every experiment is seeded; two runs of `reproduce`
 //! produce byte-identical tables.

@@ -1,11 +1,13 @@
-//! Golden-output regression test: regenerates one small figure table and
-//! asserts the CSV is byte-identical to the committed fixture.
+//! Golden-output regression test: regenerates three small figure tables
+//! and asserts each CSV is byte-identical to its committed fixture.
 //!
 //! The full reproduction (`results/*.csv`) is the real determinism
 //! contract, but it takes too long for the test suite. This pins a scaled
-//! down fig13a instead: any change that perturbs float operation order or
-//! values anywhere along the pipeline (scene generation, prediction,
-//! indexing, query counting) shows up here as a one-line diff.
+//! down fig13a (the index path), fig10a and fig14 (the buffered client's
+//! two gauges: cache hit rate and response time) instead: any change that
+//! perturbs float operation order or values anywhere along the pipeline
+//! (scene generation, prediction, indexing, query counting, prefetch
+//! planning) shows up here as a one-line diff.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -15,7 +17,9 @@
 //!
 //! then re-run without the variable and commit the updated fixture.
 
-use mar_bench::{figs, Scale};
+use mar_bench::engine::Engine;
+use mar_bench::{figs, Scale, Table};
+use mar_workload::Placement;
 
 /// The reduced scale: same shape as `Scale::quick` but small enough that
 /// the table builds in about a second even unoptimised.
@@ -28,23 +32,47 @@ fn small_scale() -> Scale {
     s
 }
 
-#[test]
-fn fig13a_small_matches_golden_csv() {
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig13a_small.csv");
-    let table = figs::fig13a(&small_scale());
+/// Compares `table` with `tests/golden/<id>_small.csv`, or rewrites the
+/// fixture under `MAR_UPDATE_GOLDEN`.
+fn check_golden(table: &Table) {
+    let golden_path = format!(
+        "{}/tests/golden/{}_small.csv",
+        env!("CARGO_MANIFEST_DIR"),
+        table.id
+    );
     let csv = table.to_csv();
 
     if std::env::var_os("MAR_UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &csv).expect("write golden fixture");
+        std::fs::write(&golden_path, &csv).expect("write golden fixture");
         eprintln!("updated {golden_path}");
         return;
     }
 
-    let golden = std::fs::read_to_string(golden_path)
+    let golden = std::fs::read_to_string(&golden_path)
         .expect("missing golden fixture; run with MAR_UPDATE_GOLDEN=1 to create it");
     assert_eq!(
         csv, golden,
-        "fig13a output drifted from the committed golden CSV; if the \
-         change is intentional, regenerate with MAR_UPDATE_GOLDEN=1"
+        "{} output drifted from the committed golden CSV; if the \
+         change is intentional, regenerate with MAR_UPDATE_GOLDEN=1",
+        table.id
     );
+}
+
+#[test]
+fn fig13a_small_matches_golden_csv() {
+    check_golden(&figs::fig13a(&Engine::serial(), &small_scale()));
+}
+
+#[test]
+fn fig10a_small_matches_golden_csv() {
+    check_golden(&figs::fig10(&Engine::serial(), &small_scale()).0);
+}
+
+#[test]
+fn fig14_small_matches_golden_csv() {
+    check_golden(&figs::fig14_15(
+        &Engine::serial(),
+        &small_scale(),
+        Placement::Uniform,
+    ));
 }

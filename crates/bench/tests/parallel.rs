@@ -30,8 +30,8 @@ fn csv_of(tables: &[Table]) -> Vec<(String, String)> {
 #[test]
 fn figures_are_byte_identical_serial_vs_parallel() {
     let scale = tiny();
-    let serial = csv_of(&figs::all_figures_with(&Engine::serial(), &scale));
-    let parallel = csv_of(&figs::all_figures_with(&Engine::new(4), &scale));
+    let serial = csv_of(&figs::all_figures(&Engine::serial(), &scale));
+    let parallel = csv_of(&figs::all_figures(&Engine::new(4), &scale));
     assert_eq!(serial.len(), parallel.len());
     for ((sid, scsv), (pid, pcsv)) in serial.iter().zip(&parallel) {
         assert_eq!(sid, pid, "table order must not depend on worker count");
@@ -45,8 +45,8 @@ fn figures_are_byte_identical_serial_vs_parallel() {
 #[test]
 fn ablations_are_byte_identical_serial_vs_parallel() {
     let scale = tiny();
-    let serial = csv_of(&ablations::all_ablations_with(&Engine::serial(), &scale));
-    let parallel = csv_of(&ablations::all_ablations_with(&Engine::new(4), &scale));
+    let serial = csv_of(&ablations::all_ablations(&Engine::serial(), &scale));
+    let parallel = csv_of(&ablations::all_ablations(&Engine::new(4), &scale));
     assert_eq!(serial.len(), parallel.len());
     for ((sid, scsv), (pid, pcsv)) in serial.iter().zip(&parallel) {
         assert_eq!(sid, pid);
@@ -84,10 +84,10 @@ fn engine_reuse_across_figures_shares_one_default_scene() {
     // one engine must build it exactly once.
     let scale = tiny();
     let engine = Engine::new(2);
-    let _ = figs::fig8_with(&engine, &scale);
-    let _ = figs::fig9a_with(&engine, &scale);
-    let _ = figs::fig12_with(&engine, &scale);
-    let _ = figs::fig13a_with(&engine, &scale);
+    let _ = figs::fig8(&engine, &scale);
+    let _ = figs::fig9a(&engine, &scale);
+    let _ = figs::fig12(&engine, &scale);
+    let _ = figs::fig13a(&engine, &scale);
     assert_eq!(
         engine.cache().len(),
         1,

@@ -60,28 +60,6 @@ impl MultiresPolicy {
         let per_block = bytes_per_block(w).max(1.0);
         ((self.buffer_bytes / per_block).floor() as usize).max(1)
     }
-
-    /// [`Self::buffer_w_min`] under link degradation: the resilient
-    /// protocol's coarsening shift (`degrade_w = degrade_step × level`)
-    /// applies to the prefetch band exactly as it does to the demand band,
-    /// so a congested link prefetches coarser blocks instead of stalling.
-    pub fn buffer_w_min_degraded(&self, speed: f64, degrade_w: f64) -> f64 {
-        (self.buffer_w_min(speed) + degrade_w.max(0.0)).clamp(0.0, 1.0)
-    }
-
-    /// [`Self::block_budget`] under link degradation: coarser blocks carry
-    /// fewer bytes, so the same byte buffer covers *more* territory — the
-    /// degradation trade is fidelity for coverage, never fewer blocks.
-    pub fn block_budget_degraded(
-        &self,
-        speed: f64,
-        degrade_w: f64,
-        bytes_per_block: impl Fn(f64) -> f64,
-    ) -> usize {
-        let w = self.buffer_w_min_degraded(speed, degrade_w);
-        let per_block = bytes_per_block(w).max(1.0);
-        ((self.buffer_bytes / per_block).floor() as usize).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -129,25 +107,5 @@ mod tests {
     fn budget_is_at_least_one() {
         let p = MultiresPolicy::new(1.0);
         assert_eq!(p.block_budget(0.0, cost), 1);
-    }
-
-    #[test]
-    fn degradation_coarsens_and_widens() {
-        let p = MultiresPolicy::new(64.0 * 1024.0);
-        // No degradation: identical to the plain policy.
-        assert_eq!(p.buffer_w_min_degraded(0.5, 0.0), p.buffer_w_min(0.5));
-        assert_eq!(
-            p.block_budget_degraded(0.5, 0.0, cost),
-            p.block_budget(0.5, cost)
-        );
-        // Degraded: coarser floor, more blocks for the same bytes.
-        assert!(p.buffer_w_min_degraded(0.5, 0.3) > p.buffer_w_min(0.5));
-        assert!(p.block_budget_degraded(0.5, 0.3, cost) > p.block_budget(0.5, cost));
-        // Saturates at the top of the band; negative shifts are ignored.
-        assert_eq!(p.buffer_w_min_degraded(0.9, 5.0), 1.0);
-        assert_eq!(p.buffer_w_min_degraded(0.5, -1.0), p.buffer_w_min(0.5));
-        // The full-resolution ablation degrades too: its floor rises from 0.
-        let f = MultiresPolicy::full_resolution(64.0 * 1024.0);
-        assert!((f.buffer_w_min_degraded(0.9, 0.3) - 0.3).abs() < 1e-12);
     }
 }

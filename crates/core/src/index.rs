@@ -155,10 +155,9 @@ impl WaveletIndex {
     /// per matching coefficient, in index search order, without
     /// materialising a hit vector. Returns the node accesses (I/O).
     ///
-    /// This is the single query path — [`WaveletIndex::query`] and
-    /// [`WaveletIndex::count_in`] (and through them every server entry
-    /// point, session-filtered or stateless) route here, so the answers
-    /// cannot drift apart.
+    /// This is the single query path — [`WaveletIndex::query`] and every
+    /// server entry point, session-filtered or stateless, route here, so
+    /// the answers cannot drift apart.
     pub fn for_each(
         &self,
         region: &Rect2,
@@ -226,22 +225,6 @@ impl WaveletIndex {
     pub fn query(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
         let mut hits = Vec::new();
         let io = self.for_each(region, band, |id| hits.push(id));
-        (hits, io)
-    }
-
-    /// Counts the coefficients `Q(R, w_max, w_min)` would return without
-    /// materialising them. Returns the count and the node accesses.
-    ///
-    /// In RAM this is [`RTree::count_in`], the popcount fast path: the
-    /// nodes and pruning kernel of [`WaveletIndex::for_each`] (so the I/O
-    /// tally is identical), but leaf matches are counted straight off the
-    /// test bitmask. The paged backend counts the walk's hits.
-    pub fn count_in(&self, region: &Rect2, band: ResolutionBand) -> (usize, u64) {
-        if let Backend::Ram(tree) = &self.backend {
-            return tree.count_in(&region.lift(band.w_min, band.w_max));
-        }
-        let mut hits = 0usize;
-        let io = self.for_each(region, band, |_| hits += 1);
         (hits, io)
     }
 

@@ -25,11 +25,10 @@
 //! * [`resilient`] — Algorithm 1 hardened for a faulty link: retry with
 //!   capped backoff, session resumption, graceful resolution degradation
 //!   (DESIGN.md §11).
-//! * [`bufsim`] — the block-buffer simulation comparing motion-aware and
-//!   naive prefetching (Figs. 10–11).
-//! * [`system`] — the end-to-end systems of §VII-E: the full motion-aware
-//!   stack vs. the naive full-resolution + LRU + object-R*-tree baseline
-//!   (Figs. 14–15).
+//! * [`system`] — §V's buffered client, written once: the full
+//!   motion-aware stack under either prefetcher (hit rate / utilization,
+//!   Figs. 10–11) vs. the naive full-resolution + LRU + object-R*-tree
+//!   baseline (response time, Figs. 14–15).
 //! * [`fleet`] — the sharded serving tier: spatial partitioning of the
 //!   scene over independent shard cores, a stateless scatter-gather
 //!   router, and shard failover (replica promotion / degraded neighbour
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bufsim;
 pub mod coeff;
 pub mod fleet;
 pub mod index;
@@ -63,7 +61,7 @@ pub use fleet::{
 pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};
 pub use mar_store::{CachePolicy, PageCacheStats, StoreError};
-pub use metrics::{BufferMetrics, RetrievalMetrics, SystemMetrics};
+pub use metrics::{RetrievalMetrics, SystemMetrics};
 pub use naive_index::NaivePointIndex;
 pub use paged::PagedIndex;
 pub use resilient::{

@@ -35,59 +35,8 @@ impl RetrievalMetrics {
     }
 }
 
-/// Buffer-management metrics (Figs. 10–11).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BufferMetrics {
-    /// Frame-block lookups.
-    pub lookups: u64,
-    /// Cache hits among them.
-    pub hits: u64,
-    /// Blocks prefetched.
-    pub prefetched: u64,
-    /// Prefetched blocks later used.
-    pub prefetched_used: u64,
-    /// Bytes fetched on demand misses.
-    pub demand_bytes: f64,
-    /// Bytes spent prefetching.
-    pub prefetch_bytes: f64,
-    /// Blocks fetched at each local cache miss — the `N(j)` series of the
-    /// §V-A cost model (Eq. 1): one entry per tick that contacted the
-    /// server, holding the demand + prefetch block count of that contact.
-    pub blocks_per_miss: Vec<u64>,
-}
-
-impl BufferMetrics {
-    /// Cache hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            1.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Data utilization: used fraction of prefetched blocks.
-    pub fn utilization(&self) -> f64 {
-        if self.prefetched == 0 {
-            1.0
-        } else {
-            self.prefetched_used as f64 / self.prefetched as f64
-        }
-    }
-
-    /// Number of server contacts (the `M` of Eq. 1).
-    pub fn miss_count(&self) -> u64 {
-        self.blocks_per_miss.len() as u64
-    }
-
-    /// Evaluates the §V-A transfer cost model (Eq. 1,
-    /// `C = Σⱼ C_c + C_t·B·N(j)`) over the recorded misses.
-    pub fn eq1_cost(&self, model: &mar_link::TransferCostModel) -> f64 {
-        model.query_cost(&self.blocks_per_miss)
-    }
-}
-
-/// End-to-end system metrics (Figs. 14–15).
+/// End-to-end system metrics: the buffer manager's gauges (Figs. 10–11)
+/// and the response times over the link (Figs. 14–15), read off one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemMetrics {
     /// Ticks simulated.
@@ -103,6 +52,13 @@ pub struct SystemMetrics {
     pub sim_time_s: f64,
     /// Frames whose response exceeded the tick duration (visible stalls).
     pub late_frames: usize,
+    /// The client block cache's counters — hit rate and data utilization
+    /// (all zero for the naive system, which has no block cache).
+    pub cache: mar_buffer::CacheStats,
+    /// Blocks fetched at each local cache miss — the `N(j)` series of the
+    /// §V-A cost model (Eq. 1): one entry per tick that contacted the
+    /// server, holding the demand + prefetch block count of that contact.
+    pub blocks_per_miss: Vec<u64>,
 }
 
 impl SystemMetrics {
@@ -129,6 +85,17 @@ impl SystemMetrics {
         } else {
             self.late_frames as f64 / self.ticks as f64
         }
+    }
+
+    /// Number of server contacts (the `M` of Eq. 1).
+    pub fn miss_count(&self) -> u64 {
+        self.blocks_per_miss.len() as u64
+    }
+
+    /// Evaluates the §V-A transfer cost model (Eq. 1,
+    /// `C = Σⱼ C_c + C_t·B·N(j)`) over the recorded misses.
+    pub fn eq1_cost(&self, model: &mar_link::TransferCostModel) -> f64 {
+        model.query_cost(&self.blocks_per_miss)
     }
 
     /// The p-th percentile (0–100) of response times.
@@ -159,20 +126,6 @@ mod tests {
         assert_eq!(m.mean_bytes(), 100.0);
         assert_eq!(m.mean_io(), 2.0);
         assert_eq!(RetrievalMetrics::default().mean_bytes(), 0.0);
-    }
-
-    #[test]
-    fn buffer_rates() {
-        let m = BufferMetrics {
-            lookups: 10,
-            hits: 7,
-            prefetched: 4,
-            prefetched_used: 1,
-            ..Default::default()
-        };
-        assert!((m.hit_rate() - 0.7).abs() < 1e-12);
-        assert!((m.utilization() - 0.25).abs() < 1e-12);
-        assert_eq!(BufferMetrics::default().hit_rate(), 1.0);
     }
 
     #[test]

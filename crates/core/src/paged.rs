@@ -418,18 +418,6 @@ mod tests {
         assert_eq!(paged_acc, ram_acc, "per-window logical + unique accesses");
     }
 
-    #[test]
-    fn count_in_matches_ram_totals() {
-        let (paged, ram, _) = open_small("count.pages", 4, CachePolicy::Lru);
-        for (k, w) in windows().iter().enumerate() {
-            let (ram_n, ram_io) = ram.ram_tree().expect("ram").count_in(w);
-            let mut paged_n = 0usize;
-            let paged_io = search(&paged.nodes(), w, |_, _| paged_n += 1);
-            assert_eq!(paged_n, ram_n, "window {k} count");
-            assert_eq!(paged_io, ram_io, "window {k} accesses");
-        }
-    }
-
     /// The walk fetches each node it visits exactly once, so the pool
     /// sees one look-up per unique access — the page read order
     /// `results/abl_store.csv`'s hit ratios depend on.

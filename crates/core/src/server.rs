@@ -200,14 +200,6 @@ impl ServerCore {
             out.io += io;
         }
     }
-
-    /// Stateless byte size of a block at a band (planning/estimation).
-    /// Only the hit *count* matters here, so the index counts in place
-    /// instead of materialising the hit vector.
-    pub fn block_bytes_stateless(&self, block: &Rect2, band: ResolutionBand) -> (f64, u64) {
-        let (n, io) = self.index.count_in(block, band);
-        (n as f64 * self.data.coeff_bytes, io)
-    }
 }
 
 /// The server: a shared [`ServerCore`] plus the [`Sessions`] table.
@@ -437,11 +429,6 @@ impl Server {
                 band,
             }],
         )
-    }
-
-    /// Stateless byte size of a block at a band (planning/estimation).
-    pub fn block_bytes_stateless(&self, block: &Rect2, band: ResolutionBand) -> (f64, u64) {
-        self.core.block_bytes_stateless(block, band)
     }
 }
 

@@ -208,8 +208,5 @@ fn stale_store_round_trips_through_plain_open() {
         let (hits_paged, io_paged) = paged.query(&region, band);
         assert_eq!(hits_paged, hits_ram);
         assert_eq!(io_paged, io_ram);
-        let (n_ram, cio_ram) = ram.count_in(&region, band);
-        let (n_paged, cio_paged) = paged.count_in(&region, band);
-        assert_eq!((n_paged, cio_paged), (n_ram, cio_ram));
     }
 }

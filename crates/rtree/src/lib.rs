@@ -40,13 +40,11 @@ mod insert;
 mod node;
 mod pages;
 mod query;
-mod stats;
 
 pub use counters::{IoCounters, IoKind, IoSnapshot};
 pub use node::Entry;
 pub use pages::{NodePage, PageExport, PageSource};
 pub use query::{search, search_batch_into, ArenaNode, BatchAccesses, NodeSource, NodeView};
-pub use stats::{LevelStats, TreeStats};
 
 use mar_geom::Rect;
 use node::{Arena, LeafNode, NodeKind};

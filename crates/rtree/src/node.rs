@@ -302,61 +302,6 @@ impl<const N: usize> Lanes<N> {
         }
     }
 
-    /// Bounds of one axis — `(min lo, max hi)` over the live entries —
-    /// folded straight off the lanes without materialising rectangles.
-    /// `None` when empty. NaN padding is never read (the folds stop at
-    /// `len`).
-    pub(crate) fn axis_bounds(&self, d: usize) -> Option<(f64, f64)> {
-        if self.len == 0 {
-            return None;
-        }
-        let lo = &self.buf[2 * d * self.cap..2 * d * self.cap + self.len];
-        let hi = &self.buf[(2 * d + 1) * self.cap..(2 * d + 1) * self.cap + self.len];
-        let min = lo.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = hi.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some((min, max))
-    }
-
-    /// Hit mask over the **first two axes only** — the axis-elision
-    /// kernel. Valid when the caller has proved the window spans the
-    /// whole tree on every axis ≥ 2 (then those compares cannot reject
-    /// any stored rectangle, because each is contained in the root MBR
-    /// and the intervals are closed). NaN padding still fails the two
-    /// swept axes, so bits at and past `len` stay zero. Two thirds of
-    /// the compares and lane traffic of the full sweep.
-    #[inline(always)]
-    pub(crate) fn sweep_front(&self, window: &Rect<N>) -> u64 {
-        match self.cap {
-            0 => 0,
-            8 => self.sweep_front_const::<8>(window),
-            16 => self.sweep_front_const::<16>(window),
-            24 => self.sweep_front_const::<24>(window),
-            32 => self.sweep_front_const::<32>(window),
-            40 => self.sweep_front_const::<40>(window),
-            48 => self.sweep_front_const::<48>(window),
-            56 => self.sweep_front_const::<56>(window),
-            64 => self.sweep_front_const::<64>(window),
-            other => unreachable!("stride {other} is not a chunk multiple ≤ 64"),
-        }
-    }
-
-    /// Constant-stride body of [`Lanes::sweep_front`].
-    #[inline(always)]
-    fn sweep_front_const<const C: usize>(&self, window: &Rect<N>) -> u64 {
-        debug_assert_eq!(self.cap, C);
-        let b: &[f64] = &self.buf;
-        let wlo: &[f64] = &window.lo.coords;
-        let whi: &[f64] = &window.hi.coords;
-        let (l0, h0) = (&b[0..C], &b[C..2 * C]);
-        let (l1, h1) = (&b[2 * C..3 * C], &b[3 * C..4 * C]);
-        let mut m = 0u64;
-        for k in 0..C {
-            let ok = (l0[k] <= whi[0]) & (wlo[0] <= h0[k]) & (l1[k] <= whi[1]) & (wlo[1] <= h1[k]);
-            m |= u64::from(ok) << k;
-        }
-        m
-    }
-
     /// Hit bitmask of one chunk at chunk-aligned offset `o`; only used
     /// for nodes too large for a single 64-bit sweep.
     #[inline]

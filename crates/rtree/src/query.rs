@@ -365,98 +365,6 @@ impl<const N: usize, T> RTree<N, T> {
         let io = self.search(window, |_, item| out.push(item));
         (out, io)
     }
-
-    /// Counts items intersecting `window` without materialising them.
-    ///
-    /// Visits exactly the nodes [`RTree::search`] would (same access
-    /// count), but leaf hits are tallied straight off the match bitmask
-    /// with a popcount — no per-hit rectangle or item access — so
-    /// counting is pure lane arithmetic.
-    pub fn count_in(&self, window: &Rect<N>) -> (usize, u64) {
-        // Node capacities are bounded by the split threshold, so any
-        // configuration up to 56 entries per node (the paper's page
-        // geometry holds 20) guarantees every node fits a single 64-bit
-        // sweep and the whole walk runs mask-at-a-time. Wider nodes
-        // count through the chunked scalar walk.
-        if self.config.max_entries > 56 {
-            let mut hits = 0usize;
-            let accesses = self.search(window, |_, _| hits += 1);
-            return (hits, accesses);
-        }
-        // Axis elision: a full-band query (§VI-B) lifts the region by
-        // the entire magnitude range, so the window spans every stored
-        // rectangle on the lifted axes — those compares cannot reject
-        // anything and the kernels may sweep the two spatial axes only.
-        // Exact because stored rects lie inside the root MBR and the
-        // interval compares are closed.
-        let elide_tail = N == 3
-            && ArenaNode(self.arena.node(self.root))
-                .lanes()
-                .axis_bounds(2)
-                .is_some_and(|(lo, hi)| window.lo[2] <= lo && hi <= window.hi[2]);
-        if elide_tail {
-            self.count_walk::<true>(window)
-        } else {
-            self.count_walk::<false>(window)
-        }
-    }
-
-    /// Mask-at-a-time counting walk. Counting observes only totals —
-    /// the hit count and the number of node accesses are both invariant
-    /// under traversal order — so this walk is free to use a bounded
-    /// local stack (no thread-local round-trip) and pop in whatever
-    /// order falls out; the totals still equal [`RTree::search`]'s.
-    fn count_walk<const ELIDE: bool>(&self, window: &Rect<N>) -> (usize, u64) {
-        let mut buf = [0u32; 128];
-        let mut top = 1usize;
-        buf[0] = self.root;
-        let mut spill: Vec<u32> = Vec::new();
-        let mut accesses = 0u64;
-        let mut hits = 0usize;
-        loop {
-            let idx = if top > 0 {
-                top -= 1;
-                buf[top]
-            } else if let Some(i) = spill.pop() {
-                i
-            } else {
-                break;
-            };
-            accesses += 1;
-            match self.arena.node(idx) {
-                NodeKind::Leaf(node) => {
-                    let m = if ELIDE {
-                        node.lanes.sweep_front(window)
-                    } else {
-                        node.lanes.sweep(window)
-                    };
-                    hits += m.count_ones() as usize;
-                }
-                NodeKind::Internal(node) => {
-                    let mut mask = if ELIDE {
-                        node.lanes.sweep_front(window)
-                    } else {
-                        node.lanes.sweep(window)
-                    };
-                    while mask != 0 {
-                        let j = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let child = node.child(j);
-                        if top < buf.len() {
-                            buf[top] = child;
-                            top += 1;
-                        } else {
-                            spill.push(child);
-                        }
-                    }
-                }
-                NodeKind::Free => {}
-            }
-        }
-        self.io.add(IoKind::Logical, accesses);
-        self.io.add(IoKind::Unique, accesses);
-        (hits, accesses)
-    }
 }
 
 #[cfg(test)]
@@ -542,15 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_query_len() {
-        let t = grid_tree(Variant::Guttman);
-        let w = Rect2::new(Point2::new([2.0, 2.0]), Point2::new([10.0, 4.0]));
-        let (items, _) = t.query(&w);
-        let (n, _) = t.count_in(&w);
-        assert_eq!(items.len(), n);
-    }
-
-    #[test]
     fn reentrant_search_from_visitor() {
         // A query issued from inside a visitor must not corrupt the
         // thread-local scratch stack of the outer search.
@@ -561,8 +460,7 @@ mod tests {
         t.search(&w, |_, _| {
             outer += 1;
             let small = Rect2::point(Point2::new([5.0, 5.0]));
-            let (n, _) = t.count_in(&small);
-            inner_total += n;
+            t.search(&small, |_, _| inner_total += 1);
         });
         assert_eq!(outer, 400);
         assert_eq!(inner_total, 400);
@@ -632,7 +530,8 @@ mod tests {
         let mut batch_counts = vec![0usize; windows.len()];
         let acc = t.search_batch(&windows, |w, _, _| batch_counts[w] += 1);
         for (w, window) in windows.iter().enumerate() {
-            let (n, io) = t.count_in(window);
+            let mut n = 0usize;
+            let io = t.search(window, |_, _| n += 1);
             assert_eq!(batch_counts[w], n, "window {w} count");
             assert_eq!(acc.per_window[w], io, "window {w} accesses");
         }

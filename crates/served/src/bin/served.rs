@@ -42,9 +42,9 @@ struct Options {
     token_seed: Option<u64>,
     /// `Some(path)` serves out-of-core from a page file at `path`.
     store: Option<String>,
-    /// Buffer-pool budget in MiB; `None` is the 64 MiB default. Only
-    /// accepted with `--store`.
-    cache_mb: Option<NonZeroUsize>,
+    /// Buffer-pool budget in bytes (`--cache-mb` MiB); `None` is the
+    /// 64 MiB default. Only accepted with `--store`.
+    cache_bytes: Option<usize>,
 }
 
 const USAGE: &str = "usage: mar-served [--smoke|--full] [--jobs N] [--port P] [--port-file PATH] \
@@ -61,7 +61,7 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
         max_conns: None,
         token_seed: None,
         store: None,
-        cache_mb: None,
+        cache_bytes: None,
     };
     let mut args = Args::new(args);
     while let Some(flag) = args.next_flag()? {
@@ -75,11 +75,17 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--max-conns" => opts.max_conns = Some(args.parse("number")?),
             "--token-seed" => opts.token_seed = Some(args.parse("u64")?),
             "--store" => opts.store = Some(args.value()?.to_string()),
-            "--cache-mb" => opts.cache_mb = Some(args.parse("positive number")?),
+            "--cache-mb" => {
+                let mb: NonZeroUsize = args.parse("positive number")?;
+                let bytes = mb.get().checked_mul(1 << 20).ok_or_else(|| {
+                    CliError::Invalid(format!("--cache-mb: {mb} MiB overflows a byte count"))
+                })?;
+                opts.cache_bytes = Some(bytes);
+            }
             _ => return Err(args.unknown()),
         }
     }
-    if opts.store.is_none() && opts.cache_mb.is_some() {
+    if opts.store.is_none() && opts.cache_bytes.is_some() {
         return Err(CliError::Invalid(
             "--cache-mb only makes sense with --store".to_string(),
         ));
@@ -112,13 +118,14 @@ fn main() {
     let backend = match &opts.store {
         None => ServeBackend::Ram,
         Some(path) => {
-            let cache_mb = opts.cache_mb.map_or(64, NonZeroUsize::get);
+            let budget_bytes = opts.cache_bytes.unwrap_or(64 << 20);
             eprintln!(
-                "mar-served: out-of-core — store {path}, pool {cache_mb} MiB, motion-aware eviction"
+                "mar-served: out-of-core — store {path}, pool {} MiB, motion-aware eviction",
+                budget_bytes >> 20
             );
             ServeBackend::Paged {
                 path: path.into(),
-                budget_bytes: cache_mb << 20,
+                budget_bytes,
                 policy: CachePolicy::MotionAware,
             }
         }
@@ -207,10 +214,18 @@ mod tests {
         }
         assert!(parse(&["--cache-mb", "0", "--store", "x"]).is_err());
         let opts = parse(&["--store", "x", "--cache-mb", "64"]).expect("accepted");
-        assert_eq!(opts.cache_mb.map(NonZeroUsize::get), Some(64));
+        assert_eq!(opts.cache_bytes, Some(64 << 20));
+        // 2^44 MiB is 2^64 bytes: one more than a `usize` byte count holds.
+        let e = parse(&["--store", "x", "--cache-mb", "17592186044416"])
+            .err()
+            .expect("rejected");
+        assert!(
+            matches!(&e, CliError::Invalid(m) if m.starts_with("--cache-mb: 17592186044416 MiB")),
+            "{e:?}"
+        );
         let opts = parse(&["--store", "x"]).expect("accepted");
-        assert_eq!((opts.store.as_deref(), opts.cache_mb), (Some("x"), None));
-        assert_eq!(parse(&[]).expect("defaults").cache_mb, None);
+        assert_eq!((opts.store.as_deref(), opts.cache_bytes), (Some("x"), None));
+        assert_eq!(parse(&[]).expect("defaults").cache_bytes, None);
     }
 
     #[test]

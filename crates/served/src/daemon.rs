@@ -148,8 +148,10 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
     let mut stats = DaemonStats::default();
     let mut workers: Vec<JoinHandle<DaemonStats>> = Vec::new();
     let ledgers: Arc<Ledgers> = Arc::new(Mutex::new(BTreeMap::new()));
-    for conn in listener.incoming() {
-        let Ok(stream) = conn else {
+    // The bound is tested before blocking in `accept`, so `Some(0)`
+    // serves nobody instead of waiting for one client too many.
+    while cfg.max_conns.is_none_or(|m| stats.connections < m as u64) {
+        let Ok((stream, _)) = listener.accept() else {
             // Transient accept failure (peer vanished between SYN and
             // accept); keep serving.
             continue;
@@ -182,9 +184,6 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
             });
         if let Ok(h) = spawned {
             workers.push(h);
-        }
-        if cfg.max_conns.is_some_and(|m| stats.connections >= m as u64) {
-            break;
         }
     }
     for h in workers {
@@ -752,6 +751,22 @@ mod tests {
         assert!(!ws.attached);
         assert_eq!(ws.outstanding, unacked);
         assert!(unacked > 0.0, "the comparison is not vacuous");
+    }
+
+    #[test]
+    fn a_zero_connection_bound_accepts_nobody() {
+        // No client ever connects: a loop that tested the bound only
+        // after an accept would block here forever.
+        let (server, _) = fresh_server();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral loopback port");
+        let cfg = DaemonConfig {
+            max_conns: Some(0),
+            ..Default::default()
+        };
+        let stats = spawn_daemon(Arc::new(server), listener, cfg)
+            .expect("spawn daemon")
+            .join();
+        assert_eq!(stats.connections, 0);
     }
 
     /// One post-`HELLO` request of a generated script.

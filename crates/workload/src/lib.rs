@@ -20,12 +20,10 @@
 pub mod frames;
 pub mod scene;
 pub mod tour;
-pub mod trace;
 
 pub use frames::frame_at;
 pub use scene::{Placement, Scene, SceneConfig, SceneObject};
 pub use tour::{pedestrian_tour, tram_tour, Tour, TourConfig, TourKind, TourSample};
-pub use trace::{format_trace, parse_trace, TraceError};
 
 use mar_geom::{Point2, Rect2};
 

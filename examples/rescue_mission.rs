@@ -9,8 +9,7 @@
 //!
 //! Run: `cargo run -p mar-examples --release --example rescue_mission`
 
-use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher};
-use mar_core::bufsim::{run_buffer_sim, BufferSimConfig};
+use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher, Prefetcher};
 use mar_core::system::{run_motion_aware_system, SystemConfig};
 use mar_core::Server;
 use mar_link::LinkConfig;
@@ -51,28 +50,20 @@ fn main() {
     println!("  data shipped  : {:>8.1} KB", m.bytes / 1024.0);
 
     // Buffer-manager view: motion-aware vs naive prefetching.
-    let buf_cfg = BufferSimConfig {
+    let buf_cfg = SystemConfig {
         buffer_bytes: 32.0 * 1024.0,
-        frame_frac: 0.08,
-        ..Default::default()
+        ..sys_cfg
     };
     println!("\nprefetching comparison (32 KB buffer):");
-    for motion_aware in [true, false] {
+    let mut motion_aware = MotionAwarePrefetcher::new(4);
+    let mut naive = NaivePrefetcher;
+    let prefetchers: [(&str, &mut dyn Prefetcher); 2] =
+        [("motion-aware", &mut motion_aware), ("naive", &mut naive)];
+    for (label, p) in prefetchers {
         let server = Server::new(&scene);
-        let m = if motion_aware {
-            let mut p = MotionAwarePrefetcher::new(4);
-            run_buffer_sim(&server, &scene, &tour, &mut p, &buf_cfg)
-        } else {
-            let mut p = NaivePrefetcher;
-            run_buffer_sim(&server, &scene, &tour, &mut p, &buf_cfg)
-        };
+        let m = run_motion_aware_system(&server, &scene, &tour, p, &buf_cfg).cache;
         println!(
-            "  {:>12}: hit rate {:>5.1}%, utilization {:>5.1}%",
-            if motion_aware {
-                "motion-aware"
-            } else {
-                "naive"
-            },
+            "  {label:>12}: hit rate {:>5.1}%, utilization {:>5.1}%",
             m.hit_rate() * 100.0,
             m.utilization() * 100.0,
         );

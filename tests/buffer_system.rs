@@ -1,7 +1,7 @@
 //! Buffer-management integration: the §V stack end to end.
 
 use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher};
-use mar_core::bufsim::{run_buffer_sim, BufferSimConfig};
+use mar_core::system::{run_motion_aware_system, SystemConfig};
 use mar_core::Server;
 use mar_geom::Point2;
 use mar_workload::{Scene, SceneConfig, Tour, TourKind, TourSample};
@@ -34,16 +34,16 @@ fn line_tour(ticks: usize, speed: f64) -> Tour {
 fn motion_aware_dominates_naive_on_predictable_motion() {
     let sc = scene();
     let tour = line_tour(90, 0.5);
-    let cfg = BufferSimConfig {
+    let cfg = SystemConfig {
         buffer_bytes: 32.0 * 1024.0,
         ..Default::default()
     };
     let server = Server::new(&sc);
     let mut ma = MotionAwarePrefetcher::new(4);
-    let m_ma = run_buffer_sim(&server, &sc, &tour, &mut ma, &cfg);
+    let m_ma = run_motion_aware_system(&server, &sc, &tour, &mut ma, &cfg).cache;
     let server2 = Server::new(&sc);
     let mut nv = NaivePrefetcher;
-    let m_nv = run_buffer_sim(&server2, &sc, &tour, &mut nv, &cfg);
+    let m_nv = run_motion_aware_system(&server2, &sc, &tour, &mut nv, &cfg).cache;
     assert!(
         m_ma.hit_rate() > m_nv.hit_rate(),
         "hit: ma {:.3} vs naive {:.3}",
@@ -62,15 +62,15 @@ fn motion_aware_dominates_naive_on_predictable_motion() {
 fn buffer_sim_accounting_is_consistent() {
     let sc = scene();
     let tour = line_tour(60, 0.4);
-    let cfg = BufferSimConfig::default();
+    let cfg = SystemConfig::default();
     let server = Server::new(&sc);
     let mut p = MotionAwarePrefetcher::new(4);
-    let m = run_buffer_sim(&server, &sc, &tour, &mut p, &cfg);
-    assert!(m.hits <= m.lookups);
-    assert!(m.prefetched_used <= m.prefetched);
-    assert!(m.demand_bytes >= 0.0 && m.prefetch_bytes >= 0.0);
+    let m = run_motion_aware_system(&server, &sc, &tour, &mut p, &cfg);
+    assert!(m.cache.hits <= m.cache.lookups);
+    assert!(m.cache.prefetched_used <= m.cache.prefetched);
+    assert!(m.bytes > 0.0);
     // Every tick looks up at least one block.
-    assert!(m.lookups >= tour.samples.len() as u64);
+    assert!(m.cache.lookups >= tour.samples.len() as u64);
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn stationary_client_hits_after_warmup() {
     };
     let server = Server::new(&sc);
     let mut p = MotionAwarePrefetcher::new(4);
-    let m = run_buffer_sim(&server, &sc, &tour, &mut p, &BufferSimConfig::default());
+    let m = run_motion_aware_system(&server, &sc, &tour, &mut p, &SystemConfig::default()).cache;
     // Only the first tick misses; everything after is a hit.
     assert!(
         m.hit_rate() > 0.9,
@@ -107,14 +107,16 @@ fn multires_buffering_outperforms_full_resolution_at_speed() {
     let tour = line_tour(120, 0.9);
     let mut hit = [0.0f64; 2];
     for (i, multires) in [(0, true), (1, false)] {
-        let cfg = BufferSimConfig {
+        let cfg = SystemConfig {
             buffer_bytes: 32.0 * 1024.0,
             multires,
             ..Default::default()
         };
         let server = Server::new(&sc);
         let mut p = MotionAwarePrefetcher::new(4);
-        hit[i] = run_buffer_sim(&server, &sc, &tour, &mut p, &cfg).hit_rate();
+        hit[i] = run_motion_aware_system(&server, &sc, &tour, &mut p, &cfg)
+            .cache
+            .hit_rate();
     }
     assert!(
         hit[0] >= hit[1],
@@ -130,13 +132,15 @@ fn larger_buffers_do_not_hurt() {
     let tour = line_tour(100, 0.5);
     let mut last = 0.0;
     for kb in [8.0, 32.0, 128.0] {
-        let cfg = BufferSimConfig {
+        let cfg = SystemConfig {
             buffer_bytes: kb * 1024.0,
             ..Default::default()
         };
         let server = Server::new(&sc);
         let mut p = MotionAwarePrefetcher::new(4);
-        let hit = run_buffer_sim(&server, &sc, &tour, &mut p, &cfg).hit_rate();
+        let hit = run_motion_aware_system(&server, &sc, &tour, &mut p, &cfg)
+            .cache
+            .hit_rate();
         assert!(
             hit >= last - 0.03,
             "hit rate regressed from {last:.3} to {hit:.3} at {kb} KB"

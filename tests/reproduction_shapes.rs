@@ -3,6 +3,7 @@
 //! the claims EXPERIMENTS.md reports; if a refactor breaks one, this
 //! fails before the full reproduction run would notice.
 
+use mar_bench::engine::Engine;
 use mar_bench::figs;
 use mar_bench::Scale;
 use mar_workload::Placement;
@@ -18,7 +19,7 @@ fn quick() -> Scale {
 
 #[test]
 fn fig8_retrieval_decreases_with_speed() {
-    let t = figs::fig8(&quick());
+    let t = figs::fig8(&Engine::serial(), &quick());
     for series in ["tram_kb_per_kdist", "walk_kb_per_kdist"] {
         let v = t.series(series).unwrap();
         assert!(
@@ -32,7 +33,7 @@ fn fig8_retrieval_decreases_with_speed() {
 
 #[test]
 fn fig9a_larger_queries_retrieve_more() {
-    let t = figs::fig9a(&quick());
+    let t = figs::fig9a(&Engine::serial(), &quick());
     let q5 = t.series("q5%_kb").unwrap();
     let q20 = t.series("q20%_kb").unwrap();
     // Sum across the speed sweep: a single short tour can coincidentally
@@ -48,7 +49,7 @@ fn fig9a_larger_queries_retrieve_more() {
 
 #[test]
 fn fig12_index_io_shape() {
-    let t = figs::fig12(&quick());
+    let t = figs::fig12(&Engine::serial(), &quick());
     let ma = t.series("motion_aware_io").unwrap();
     let nv = t.series("naive_io").unwrap();
     // Speed reduces I/O by a large factor (paper: 8–11×; accept ≥ 3×).
@@ -66,7 +67,7 @@ fn fig12_index_io_shape() {
 
 #[test]
 fn fig13a_io_grows_with_query_size_and_support_wins() {
-    let t = figs::fig13a(&quick());
+    let t = figs::fig13a(&Engine::serial(), &quick());
     let ma = t.series("motion_aware_io").unwrap();
     let nv = t.series("naive_io").unwrap();
     assert!(ma[ma.len() - 1] > ma[0], "I/O must grow with query size");
@@ -77,7 +78,7 @@ fn fig13a_io_grows_with_query_size_and_support_wins() {
 
 #[test]
 fn fig14_motion_aware_wins_at_high_speed() {
-    let t = figs::fig14_15(&quick(), Placement::Uniform);
+    let t = figs::fig14_15(&Engine::serial(), &quick(), Placement::Uniform);
     let ma = t.series("ma_tram_s").unwrap();
     let nv = t.series("naive_tram_s").unwrap();
     let last = ma.len() - 1;
