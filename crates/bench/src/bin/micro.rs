@@ -17,15 +17,15 @@
 //! `"mode": "smoke"`.
 
 use criterion::{black_box, Criterion, Measurement};
-use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::figs;
 use mar_bench::report::{gate_entries, render, Json};
 use mar_bench::serve::session_tour;
 use mar_bench::Scale;
 use mar_buffer::MotionHeat;
 use mar_core::{
-    CachePolicy, LinearSpeedMap, QueryRegion, QueryResult, SceneIndexData, SentFilter, Server,
-    ServerCore, SpeedResolutionMap, WaveletIndex,
+    CachePolicy, LinearSpeedMap, PageCache, PageFile, QueryRegion, QueryResult, SceneIndexData,
+    SentFilter, Server, ServerCore, SpeedResolutionMap, WaveletIndex, PAGE_SIZE,
 };
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -413,15 +413,17 @@ fn bench_wire(c: &mut Criterion, ms: &MicroScale, scene: &Scene, entries: &mut V
 /// a working set (8 pages).
 const IO_TOUR_BUDGET: usize = 8 * 4096;
 
-/// Sessions and candidate pages of the `io/victim_rank` point: the
-/// serving benchmark's `paged_tour` shape (32 live sessions; a
-/// 1 199-page pool ranks its unprotected quarter, 299 pages, per fault).
+/// Sessions and candidate pages of the `io/victim_rank` point, and the
+/// pool of `io/pool_hit`: the serving benchmark's `paged_tour` shape (32
+/// live sessions; a 1 199-page pool ranks its unprotected quarter, 299
+/// pages, per fault).
 const RANK_SESSIONS: usize = 32;
 const RANK_GRID: (usize, usize) = (23, 13);
+const POOL_PAGES: usize = 1199;
 
 /// The out-of-core read path (`io` group): cold and warm page reads
-/// through the buffer pool, the motion-aware victim ranking (ns per
-/// ranked candidate), then the tour-workload hit ratio of the
+/// through the buffer pool, one pool hit, the motion-aware victim
+/// ranking (ns per ranked candidate), then the tour-workload hit ratio of the
 /// motion-aware eviction policy against plain LRU at the same byte
 /// budget. The page file is built in `--out-dir` so CI exercises the
 /// store writer on every run.
@@ -495,15 +497,48 @@ fn bench_io(
             hit_ratio: None,
         });
     }
-    // Victim ranking: one motion-aware eviction scan — every candidate's
-    // Eq. 2 heat against every session — without the pool around it.
-    // Sessions have walked their tours, so allocations are skewed the way
-    // a live server's are; candidates are leaf-sized regions tiling
-    // the scene, so near, far, diagonal and containing cases all occur.
+    // Pool hit: one `lookup` of a resident page — what 97 % of the page
+    // touches under the pager mutex are. The look-ups stride through the
+    // residents, so the relink moves a page from the middle of the
+    // recency list, not the one already at its tail.
+    let file = PageFile::open(std::path::Path::new(&store_path))
+        // mar-lint: allow(D004) — the store was just written by this process; failing to reopen it is fatal
+        .expect("micro: cannot reopen the page file");
+    let residents = file.page_count().min(POOL_PAGES as u32);
+    let mut pool = PageCache::new(file, POOL_PAGES * PAGE_SIZE, CachePolicy::MotionAware);
+    for page in 0..residents {
+        // mar-lint: allow(D004) — every page of the store just written reads back
+        pool.read(page).expect("micro: cannot read the page file");
+    }
+    let mut next = 0u32;
+    if let Some(m) = group.bench_function_measured("pool_hit", |b| {
+        b.iter(|| {
+            next = (next + 389) % residents;
+            pool.lookup(black_box(next))
+        })
+    }) {
+        entries.push(Entry {
+            group: "io",
+            name: "pool_hit".into(),
+            m,
+            ops_per_iter: 1,
+            hit_ratio: None,
+        });
+    }
+    // Victim ranking: one motion-aware eviction scan as the pager runs
+    // it — every candidate's Eq. 2 heat through the per-slot contribution
+    // rows, one session having stepped along its tour since the last
+    // scan — without the pool around it. Sessions have walked their
+    // tours once, so allocations are skewed the way a live server's are;
+    // candidates are leaf-sized regions tiling the scene, so near, far,
+    // diagonal and containing cases all occur.
     let space = scene.config.space;
     let mut heat = MotionHeat::server_default((space.extent(0) + space.extent(1)) / 8.0);
-    for k in 0..RANK_SESSIONS {
-        for s in &session_tour(space, ms.io_ticks, 901, k).samples {
+    let walks: Vec<_> = (0..RANK_SESSIONS)
+        .map(|k| session_tour(space, ms.io_ticks, 901, k))
+        .collect();
+    for (k, walk) in walks.iter().enumerate() {
+        for s in &walk.samples {
             heat.observe(k as u64, s.pos);
         }
     }
@@ -511,11 +546,17 @@ fn bench_io(
         .iter()
         .map(|p| frame_at(&space, p, 0.02))
         .collect();
+    let mut step = 0usize;
     if let Some(m) = group.bench_function_measured("victim_rank", |b| {
         b.iter(|| {
+            let (k, tick) = (step % RANK_SESSIONS, step / RANK_SESSIONS);
+            step += 1;
+            let samples = &walks[k].samples;
+            heat.observe(k as u64, samples[tick % samples.len()].pos);
             black_box(&candidates)
                 .iter()
-                .map(|r| heat.heat_rect(r))
+                .enumerate()
+                .map(|(slot, r)| heat.heat_slot(slot, slot as u32, r))
                 .fold(f64::INFINITY, f64::min)
         })
     }) {
@@ -695,6 +736,7 @@ fn micro_report(mode: &str, scene: &Scene, coeffs: usize, entries: &[Entry]) -> 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    ensure_out_dir(&opts.out_dir);
     let mode = if opts.smoke { "smoke" } else { "full" };
     let ms = if opts.smoke {
         MicroScale::smoke()

@@ -77,6 +77,17 @@ pub fn exit_usage(e: &CliError, usage: &str) -> ! {
     std::process::exit(2)
 }
 
+/// Creates the `--out-dir` a binary was given (and its parents) before
+/// the binary does any work, so a path that cannot exist fails in the
+/// first second and not after the run it was to record; exits with
+/// status 1, naming the path, when it cannot.
+pub fn ensure_out_dir(dir: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("cannot create --out-dir {dir}: {e}");
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! The `main` the `serve`, `chaos` and `fleet` binaries share: one flag
 //! table, one snapshot path, one exit-code rule.
 
-use crate::cli::{exit_usage, Args, CliError};
+use crate::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use crate::engine::default_jobs;
 use crate::report::{render, Json};
 
@@ -53,6 +53,7 @@ pub fn harness_main(
     let usage = format!("usage: {name} [--smoke]{paged} [--jobs N] [--out-dir DIR]");
     let line: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&line, takes_paged).unwrap_or_else(|e| exit_usage(&e, &usage));
+    ensure_out_dir(&opts.out_dir);
     let mode = if opts.smoke { "smoke" } else { "full" };
     let backend = if opts.paged { ", paged" } else { "" };
     eprintln!("{name}: {mode} run (jobs={}{backend})", opts.jobs);

@@ -11,20 +11,34 @@
 //! clients outlive pages behind them.
 //!
 //! Layout: the pool ranks every eviction candidate against every
-//! session while the pager mutex is held, so [`MotionHeat::heat_rect`]
-//! is the innermost loop of the paged backend. Sessions therefore live
-//! in one dense table — ids ascending, positions contiguous, the `k`
-//! allocation weights of a session stored as the `f64`s the formula
-//! multiplies by — and a heat is one straight pass over it: clamp,
+//! session while the pager mutex is held, so a heat is the innermost
+//! loop of the paged backend. Sessions therefore live in one dense
+//! table — ids ascending, positions contiguous, the `k` allocation
+//! weights of a session stored as the `f64`s the formula multiplies by —
+//! and [`MotionHeat::heat_rect`] is one straight pass over it: clamp,
 //! subtract, classify the sector, `sqrt`, divide, add. A steady-state
 //! [`MotionHeat::observe`] rewrites its session's row in place and
 //! allocates nothing.
+//!
+//! Incremental ranking: between two victim scans one or two sessions
+//! move and the candidates barely change, so [`MotionHeat::heat_slot`]
+//! keeps, per pool slot, the row of per-session contributions its last
+//! heat was summed from. The field counts its changes (an *epoch*) and
+//! remembers which session row each of the last `CHANGE_RING` (32) epochs
+//! rewrote; a re-rank recomputes only those rows and sums the row again.
+//! A slot that holds a different page than last time, a session joining
+//! or leaving (rows shift), or a gap the ring no longer covers
+//! recomputes the whole row. Memory: one `f64` per slot per session
+//! (sessions rounded up to a power of two) plus 24 B per slot.
 //!
 //! Determinism: rows are in session-id order and contributions are
 //! added one by one in that order, so a heat is the same sequence of
 //! IEEE operations — and the same bits — whatever order the sessions
 //! connected in; direction smoothing is a fixed exponential moving
-//! average of sector votes with no time source.
+//! average of sector votes with no time source. A cached contribution
+//! is the `f64` the same expression produced from the same session row
+//! and the same rect, and `heat_slot` folds its row with the fold
+//! `heat_rect` uses, so the two agree bit for bit.
 
 use std::ops::Range;
 
@@ -37,6 +51,32 @@ use crate::alloc::allocate_directions_into;
 /// within a few ticks, low enough that one jittered step does not flip
 /// the allocation.
 const DIRECTION_ALPHA: f64 = 0.5;
+
+/// Epochs whose changed session row [`MotionHeat`] remembers. A slot
+/// re-ranked after a longer gap recomputes its whole row, which at the
+/// pool sizes and session counts served costs about what walking a
+/// longer ring would.
+const CHANGE_RING: usize = 32;
+
+/// What [`MotionHeat::heat_slot`] last computed for one pool slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotHeat {
+    /// The page the slot held.
+    page: u32,
+    /// The field's epoch at the time; 0 = never ranked.
+    epoch: u64,
+    /// The sum of the slot's contribution row at that epoch.
+    heat: f64,
+}
+
+/// The offset from `pos` to the point of `rect` nearest to it.
+fn nearest_offset(pos: &Point2, rect: &Rect2) -> Vector<2> {
+    let nearest = Point2::new([
+        pos[0].clamp(rect.lo[0], rect.hi[0]),
+        pos[1].clamp(rect.lo[1], rect.hi[1]),
+    ]);
+    nearest - *pos
+}
 
 /// Aggregated per-session motion state mapping any point in the scene to
 /// a scalar heat.
@@ -61,6 +101,22 @@ pub struct MotionHeat {
     alloc: Vec<f64>,
     /// The `k` block counts of the allocation being refreshed.
     counts: Vec<usize>,
+    /// Counts changes to the tables above; starts at 1 so that a
+    /// never-ranked slot (epoch 0) is stale.
+    epoch: u64,
+    /// The epoch of the last session-set change. Rows shifted then, so a
+    /// contribution row computed before it is void.
+    set_epoch: u64,
+    /// `changed[e % CHANGE_RING]`: the session row epoch `e` rewrote.
+    changed: [usize; CHANGE_RING],
+    /// Per pool slot, what [`Self::heat_slot`] last computed.
+    slots: Vec<SlotHeat>,
+    /// Per pool slot, `stride` contributions: one per session row, in row
+    /// order, the rest unused.
+    contributions: Vec<f64>,
+    /// Session rows a slot has room for: the session count rounded up to
+    /// a power of two.
+    stride: usize,
 }
 
 impl MotionHeat {
@@ -78,6 +134,12 @@ impl MotionHeat {
             probs: Vec::new(),
             alloc: Vec::new(),
             counts: vec![0; k],
+            epoch: 1,
+            set_epoch: 1,
+            changed: [0; CHANGE_RING],
+            slots: Vec::new(),
+            contributions: Vec::new(),
+            stride: 1,
         }
     }
 
@@ -90,11 +152,18 @@ impl MotionHeat {
     /// Records that `session` is now at `pos`. The first observation
     /// seeds a uniform direction distribution; each later one votes the
     /// movement's sector into the smoothed distribution and refreshes
-    /// the session's Eq. 2 allocation.
+    /// the session's Eq. 2 allocation. A non-finite `pos` is ignored:
+    /// it would turn every heat into NaN, and a victim scan over NaNs
+    /// ranks nothing.
     pub fn observe(&mut self, session: u64, pos: Point2) {
+        if !pos.is_finite() {
+            return;
+        }
         let k = self.partition.k();
+        self.epoch += 1;
         match self.ids.binary_search(&session) {
             Err(row) => {
+                self.set_epoch = self.epoch;
                 self.ids.insert(row, session);
                 self.pos.insert(row, pos);
                 let at = row * k;
@@ -104,6 +173,7 @@ impl MotionHeat {
                 self.refresh_alloc(row);
             }
             Ok(row) => {
+                self.changed[self.epoch as usize % CHANGE_RING] = row;
                 let delta = pos - self.pos[row];
                 self.pos[row] = pos;
                 // A stationary tick carries no direction information.
@@ -142,6 +212,8 @@ impl MotionHeat {
     /// Drops `session`'s contribution (client disconnected).
     pub fn forget(&mut self, session: u64) {
         if let Ok(row) = self.ids.binary_search(&session) {
+            self.epoch += 1;
+            self.set_epoch = self.epoch;
             let span = self.row_span(row);
             self.ids.remove(row);
             self.pos.remove(row);
@@ -155,24 +227,25 @@ impl MotionHeat {
         self.ids.len()
     }
 
+    /// Session row `row`'s contribution at offset `v` from its position:
+    /// the Eq. 2 allocation weight of `v`'s sector, attenuated by
+    /// distance. A zero offset (no sector) counts the full nominal
+    /// budget — as hot as a contribution can be.
+    fn contribution(&self, row: usize, v: Vector<2>) -> f64 {
+        let weight = match self.partition.sector_of(&v) {
+            Some(s) => self.alloc[row * self.partition.k() + s],
+            None => self.alloc_total as f64,
+        };
+        weight / (1.0 + v.norm() / self.scale)
+    }
+
     /// The sum, in session-id order, of each session's contribution for
-    /// the offset `offset(pos)` from its position: the Eq. 2 allocation
-    /// weight of the offset's sector, attenuated by distance. A zero
-    /// offset (no sector) counts the full nominal budget — as hot as a
-    /// contribution can be.
+    /// the offset `offset(pos)` from its position.
     fn sum_contributions(&self, offset: impl Fn(&Point2) -> Vector<2>) -> f64 {
-        let full = self.alloc_total as f64;
         self.pos
             .iter()
-            .zip(self.alloc.chunks_exact(self.partition.k()))
-            .map(|(pos, alloc)| {
-                let v = offset(pos);
-                let weight = match self.partition.sector_of(&v) {
-                    Some(s) => alloc[s],
-                    None => full,
-                };
-                weight / (1.0 + v.norm() / self.scale)
-            })
+            .enumerate()
+            .map(|(row, pos)| self.contribution(row, offset(pos)))
             .sum()
     }
 
@@ -193,13 +266,65 @@ impl MotionHeat {
     /// leaf-sized regions the nearest point is effectively the center and
     /// the ranking stays directional.
     pub fn heat_rect(&self, rect: &Rect2) -> f64 {
-        self.sum_contributions(|pos| {
-            let nearest = Point2::new([
-                pos[0].clamp(rect.lo[0], rect.hi[0]),
-                pos[1].clamp(rect.lo[1], rect.hi[1]),
-            ]);
-            nearest - *pos
-        })
+        self.sum_contributions(|pos| nearest_offset(pos, rect))
+    }
+
+    /// Recomputes session row `row`'s entry of the contribution row that
+    /// starts at `at`, for a page whose region is `rect`.
+    fn refresh(&mut self, at: usize, row: usize, rect: &Rect2) {
+        self.contributions[at + row] = self.contribution(row, nearest_offset(&self.pos[row], rect));
+    }
+
+    /// [`Self::heat_rect`]`(rect)`, bit for bit, for the page in pool slot
+    /// `slot` — computed from the slot's cached contribution row, of
+    /// which only the sessions that moved since the slot was last ranked
+    /// are recomputed (module docs). `rect` must be `page`'s region: the
+    /// cache is keyed by slot and checked against `page`, so a slot the
+    /// pool refilled with another page starts over.
+    pub fn heat_slot(&mut self, slot: usize, page: u32, rect: &Rect2) -> f64 {
+        let sessions = self.ids.len();
+        let stride = sessions.next_power_of_two();
+        if stride != self.stride {
+            // Only a session-set change moves the stride, and that voids
+            // every row anyway.
+            self.stride = stride;
+            self.slots.clear();
+            self.contributions = Vec::new();
+        }
+        if slot >= self.slots.len() {
+            let never = SlotHeat {
+                page,
+                epoch: 0,
+                heat: 0.0,
+            };
+            self.slots.resize(slot + 1, never);
+            self.contributions.resize((slot + 1) * stride, 0.0);
+        }
+        let last = self.slots[slot];
+        if last.page == page && last.epoch == self.epoch {
+            return last.heat;
+        }
+        let at = slot * stride;
+        let gap = self.epoch - last.epoch;
+        if last.page != page
+            || last.epoch < self.set_epoch
+            || gap > CHANGE_RING.min(sessions) as u64
+        {
+            for row in 0..sessions {
+                self.refresh(at, row, rect);
+            }
+        } else {
+            for epoch in last.epoch + 1..=self.epoch {
+                self.refresh(at, self.changed[epoch as usize % CHANGE_RING], rect);
+            }
+        }
+        let heat = self.contributions[at..at + sessions].iter().sum();
+        self.slots[slot] = SlotHeat {
+            page,
+            epoch: self.epoch,
+            heat,
+        };
+        heat
     }
 }
 
@@ -349,6 +474,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        /// After any interleaving of observe / forget / rank-a-slot /
+        /// refill-a-slot — gaps longer than the change ring, session
+        /// counts crossing powers of two and non-finite positions
+        /// included — a slot's incremental heat is `heat_rect` of the
+        /// page it holds, bit for bit.
+        #[test]
+        fn slot_heats_equal_heat_rect_bit_for_bit(
+            ops in prop::collection::vec(
+                (0u32..12, 0u64..6, 0usize..5, -40i32..40, -40i32..40), 1..200),
+            rects in prop::collection::vec(
+                (-30.0f64..30.0, -30.0f64..30.0, 0.0f64..20.0, 0.0f64..20.0), 8..9),
+        ) {
+            let regions: Vec<Rect2> = rects
+                .iter()
+                .map(|&(x, y, w, h)| Rect2::new(p(x, y), p(x + w, y + h)))
+                .collect();
+            let mut field = MotionHeat::new(4, 64, 12.5);
+            // The page each of 5 pool slots holds.
+            let mut held = [0usize, 1, 2, 3, 4];
+            for (step, &(kind, session, slot, x, y)) in ops.iter().enumerate() {
+                let pos = p(x as f64 * 0.5, y as f64 * 0.5);
+                match kind {
+                    0 => field.forget(session),
+                    1 => field.observe(session, p(f64::NAN, pos[1])),
+                    2 => field.observe(session, p(pos[0], f64::INFINITY)),
+                    // Many moves in a row: a gap the ring cannot cover.
+                    3 => (0..CHANGE_RING + 3)
+                        .for_each(|i| field.observe(session, p(pos[0] + i as f64, pos[1]))),
+                    // A burst of sessions: the stride crosses 8 and 16.
+                    4 => (0..14).for_each(|s| field.observe(100 + s, pos)),
+                    5 => (0..14).for_each(|s| field.forget(100 + s)),
+                    6 | 7 => held[slot] = (held[slot] + x.unsigned_abs() as usize) % regions.len(),
+                    _ => field.observe(session, pos),
+                }
+                if kind >= 6 {
+                    let page = held[slot];
+                    prop_assert_eq!(
+                        field.heat_slot(slot, page as u32, &regions[page]).to_bits(),
+                        field.heat_rect(&regions[page]).to_bits(),
+                        "slot {} holding page {} after step {}", slot, page, step
+                    );
+                }
+            }
+            for (slot, &page) in held.iter().enumerate() {
+                let got = field.heat_slot(slot, page as u32, &regions[page]);
+                prop_assert!(!got.is_nan());
+                prop_assert_eq!(got.to_bits(), field.heat_rect(&regions[page]).to_bits());
+            }
+        }
+    }
+
+    /// One non-finite position must not turn every heat into NaN: the
+    /// session keeps its last finite row, or gets none.
+    #[test]
+    fn non_finite_positions_are_ignored() {
+        let mut h = MotionHeat::server_default(10.0);
+        h.observe(1, p(0.0, 0.0));
+        h.observe(1, p(4.0, 0.0));
+        h.observe(2, p(7.0, 5.0));
+        let page = Rect2::new(p(10.0, -2.0), p(14.0, 2.0));
+        let before = (h.heat_rect(&page), h.heat_slot(0, 9, &page));
+        assert!(before.0 > 0.0 && before.0 == before.1);
+        h.observe(2, p(f64::NAN, 5.0));
+        h.observe(1, p(f64::INFINITY, 0.0));
+        h.observe(3, p(1.0, f64::NEG_INFINITY));
+        assert_eq!(h.session_count(), 2, "a session is not born at NaN");
+        assert_eq!((h.heat_rect(&page), h.heat_slot(0, 9, &page)), before);
+        // The next finite position moves session 2 from where it really was.
+        let mut clean = MotionHeat::server_default(10.0);
+        clean.observe(1, p(0.0, 0.0));
+        clean.observe(1, p(4.0, 0.0));
+        clean.observe(2, p(7.0, 5.0));
+        for f in [&mut h, &mut clean] {
+            f.observe(2, p(7.0, 9.0));
+        }
+        assert_eq!(h.heat_rect(&page), clean.heat_rect(&page));
     }
 
     #[test]

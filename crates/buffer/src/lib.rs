@@ -29,8 +29,8 @@
 //!   allocations aggregated into a scalar page *heat* that the
 //!   out-of-core `PageCache` (mar-store) ranks eviction by.
 //!
-//! All recency bookkeeping (here and in mar-store's `PageCache`) shares
-//! one structure, `mar_store::RecencyIndex`, re-exported below.
+//! The recency bookkeeping of both caches here shares one structure,
+//! `mar_store::RecencyIndex`, re-exported below.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,7 +41,7 @@ thread_local! {
 #[derive(Debug)]
 enum Backend {
     Ram(RTree<3, CoeffRef>),
-    /// Boxed: the pager (pool, heat field, heat memo) is several times
+    /// Boxed: the pager (pool, heat field) is several times
     /// the size of the RAM tree's handle.
     Paged(Box<PagedIndex>),
 }

@@ -21,35 +21,40 @@
 //!
 //! # Locking (DESIGN.md §13)
 //!
-//! The pager mutex (pool + heat field + heat memo) is a **leaf** lock:
-//! no code holding it acquires any other lock, so the `session stripe →
-//! pager` edge the server adds keeps the global lock-order graph acyclic.
-//! Each page fetch locks and releases the pager.
+//! The pager mutex (pool + heat field) is a **leaf** lock: no code
+//! holding it acquires any other lock, so the `session stripe → pager`
+//! edge the server adds keeps the global lock-order graph acyclic. A
+//! page fetch takes it once on a hit and twice, briefly, on a miss.
 //!
-//! *Under* the mutex: the pool look-up; on a miss the checksummed page
-//! read, and — only when a motion-aware pool is full — the victim scan,
-//! which ranks the unprotected quarter of the pool by Eq. 2 heat. A
-//! heat is computed at most once per page per *motion epoch* (the span
-//! between two `observe_motion` / `forget_motion` calls): the pager
-//! memoises it, so the second and later faults of a query rank their
-//! candidates with array reads. One heat costs a pass over the sessions
-//! with no trigonometry and no allocation (DESIGN.md §15.3); a session's
-//! Eq. 2 allocation is refreshed under the mutex too, in place.
+//! *Under* the mutex: the pool look-up — one table read and a list
+//! relink — and, after a miss, the admission: when a motion-aware pool is
+//! full, the victim scan, which ranks the unprotected quarter of the pool
+//! by Eq. 2 heat. A candidate's heat comes from its pool slot's cached
+//! row of per-session contributions, of which only the sessions that
+//! moved since the slot was last ranked are recomputed
+//! ([`MotionHeat::heat_slot`], DESIGN.md §15.3) — bit for bit the heat a
+//! full pass over the sessions would give. A session's Eq. 2 allocation
+//! is refreshed under the mutex too, in place.
 //!
-//! *Outside* it: page payloads come back as shared `Arc`s, so node
-//! parsing, the walk's window tests and record decoding never hold the
-//! lock — and neither does the panic on a corrupt page: a failed read
-//! leaves the pool consistent (only its look-up counter moved), the
-//! guard is released first, and the panic then unwinds the one query
-//! that hit the bad page without poisoning the pager for every other
-//! session.
+//! *Outside* it: the page read. A miss releases the guard, reads and
+//! checksums the page through a shared [`PageFile`] (one positioned read,
+//! no cursor to race on) and locks again to admit it; hits on other
+//! threads proceed meanwhile. Two threads may miss the same page and both
+//! read it: the second admission finds it resident, serves that copy and
+//! counts a fault, so `lookups = hits + faults` and physical accesses =
+//! faults at any thread count. Page payloads come back as shared `Arc`s,
+//! so node parsing, the walk's window tests and record decoding never
+//! hold the lock either — and neither does the panic on a corrupt page: a
+//! failed read leaves the pool consistent (only its look-up counter
+//! moved), no guard is live, and the panic unwinds the one query that hit
+//! the bad page without poisoning the pager for every other session.
 
 use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
 use mar_buffer::MotionHeat;
 use mar_geom::Point2;
 use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PageSource};
-use mar_store::{CachePolicy, PageCache, PageCacheStats, StoreError};
+use mar_store::{CachePolicy, PageCache, PageCacheStats, PageFile, StoreError};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -71,20 +76,15 @@ pub(crate) fn coeff_ref(leaf: &PooledNode, i: usize) -> CoeffRef {
 struct Pager {
     cache: PageCache,
     heat: MotionHeat,
-    /// Counts changes to `heat`; starts at 1 so a zeroed memo entry is
-    /// never current.
-    heat_epoch: u64,
-    /// Per data page: the epoch its heat was last computed in, and that
-    /// heat. An entry is valid while its epoch equals `heat_epoch`.
-    heat_memo: Vec<(u64, f64)>,
 }
 
 /// The disk-backed wavelet index backend.
 #[derive(Debug)]
 pub struct PagedIndex {
     pager: Mutex<Pager>,
+    /// The pool's file, read on a miss while the pager is unlocked.
+    file: Arc<PageFile>,
     meta: StoreMeta,
-    file_pages: u32,
     io: IoCounters,
 }
 
@@ -93,8 +93,8 @@ impl PagedIndex {
     /// given eviction policy.
     pub fn open(path: &Path, budget_bytes: usize, policy: CachePolicy) -> Result<Self, StoreError> {
         let (file, meta) = open_store(path)?;
-        let file_pages = file.page_count();
         let cache = PageCache::new(file, budget_bytes, policy);
+        let file = Arc::clone(cache.file());
         // Heat half-distance: an eighth of the scene's mean extent (the
         // root page region spans the whole indexed scene).
         let scale = meta
@@ -105,14 +105,9 @@ impl PagedIndex {
             .unwrap_or(1.0);
         let heat = MotionHeat::server_default(scale);
         Ok(Self {
-            pager: Mutex::new(Pager {
-                cache,
-                heat,
-                heat_epoch: 1,
-                heat_memo: vec![(0, 0.0); meta.regions.len()],
-            }),
+            pager: Mutex::new(Pager { cache, heat }),
+            file,
             meta,
-            file_pages,
             io: IoCounters::new(),
         })
     }
@@ -139,7 +134,7 @@ impl PagedIndex {
 
     /// On-disk size of the backing store file in bytes.
     pub fn file_bytes(&self) -> u64 {
-        crate::store::store_file_bytes(self.file_pages)
+        crate::store::store_file_bytes(self.file.page_count())
     }
 
     /// Buffer-pool counters (hits, faults, evictions, bypasses).
@@ -161,16 +156,12 @@ impl PagedIndex {
     /// field turns the per-session movement history into the Eq. 2
     /// k-direction allocation the pool's victim ranking consults.
     pub fn observe_motion(&self, session: u64, pos: Point2) {
-        let mut pager = self.lock_pager();
-        pager.heat.observe(session, pos);
-        pager.heat_epoch += 1;
+        self.lock_pager().heat.observe(session, pos);
     }
 
     /// Drops `session`'s contribution to the heat field.
     pub fn forget_motion(&self, session: u64) {
-        let mut pager = self.lock_pager();
-        pager.heat.forget(session);
-        pager.heat_epoch += 1;
+        self.lock_pager().heat.forget(session);
     }
 
     /// Sessions currently contributing heat.
@@ -184,50 +175,37 @@ impl PagedIndex {
     }
 
     /// Fetches one page through the pool, tallying a physical access on
-    /// a miss. The heat of a candidate page is the Eq. 2 heat of its
-    /// ground-plane region, memoised per motion epoch.
+    /// a miss. The pager is locked for the look-up and again for the
+    /// admission, never across the read between them.
     fn page(&self, page: u32) -> Arc<Vec<u8>> {
-        let read = {
-            let mut pager = self.lock_pager();
-            let Pager {
-                cache,
-                heat,
-                heat_epoch,
-                heat_memo,
-            } = &mut *pager;
-            let epoch = *heat_epoch;
-            let regions = &self.meta.regions;
-            // A page is as hot as the hottest predicted point its region
-            // covers: root and upper internal pages contain every session
-            // and stay resident; leaf and coefficient pages rank
-            // directionally. The page being faulted is serving a live
-            // query, so it ranks maximally — admission can displace the
-            // coldest resident but a mid-run payload page is never served
-            // without being cached.
-            let mut rank = |p: u32| {
-                if p == page {
-                    return f64::INFINITY;
-                }
-                let p = p as usize;
-                let (Some(region), Some(memo)) = (regions.get(p), heat_memo.get_mut(p)) else {
-                    return 0.0;
-                };
-                if memo.0 != epoch {
-                    *memo = (epoch, heat.heat_rect(region));
-                }
-                memo.1
-            };
-            cache.read_with_heat(page, &mut rank)
-        };
-        // The guard is gone: a corrupt page panics this query only, and
+        let hit = self.lock_pager().cache.lookup(page);
+        if let Some(data) = hit {
+            return data;
+        }
+        // No guard is live: a corrupt page panics this query only, and
         // the pool it leaves behind is consistent.
-        let (data, hit) = read
+        let data = self
+            .file
+            .read_at(page)
             // mar-lint: allow(D004) — the store was validated at open; a failed page read here is unrecoverable corruption
             .expect("store page read failed");
-        if !hit {
-            self.io.add(IoKind::Physical, 1);
-        }
-        data
+        self.io.add(IoKind::Physical, 1);
+        let mut pager = self.lock_pager();
+        let Pager { cache, heat } = &mut *pager;
+        let regions = &self.meta.regions;
+        // A page is as hot as the hottest predicted point its region
+        // covers: root and upper internal pages contain every session
+        // and stay resident; leaf and coefficient pages rank
+        // directionally. The page being faulted (no slot yet) is serving a
+        // live query, so it ranks maximally — admission can displace the
+        // coldest resident but a mid-run payload page is never served
+        // without being cached.
+        let mut rank = |slot: Option<u32>, p: u32| match (slot, regions.get(p as usize)) {
+            (None, _) => f64::INFINITY,
+            (Some(slot), Some(region)) => heat.heat_slot(slot as usize, p, region),
+            (Some(_), None) => 0.0,
+        };
+        cache.admit(page, Arc::new(data), &mut rank)
     }
 
     /// The store's tree as the [`NodeSource`](mar_rtree::NodeSource) the
@@ -273,7 +251,7 @@ impl PagedIndex {
     /// Structural sanity of the open store (the deep validation happened
     /// at open: superblock, layout and per-page checksums).
     pub fn validate(&self) -> Result<(), String> {
-        if self.meta.data_pages() > self.file_pages {
+        if self.meta.data_pages() > self.file.page_count() {
             return Err("metadata claims more data pages than the file holds".into());
         }
         Ok(())
@@ -662,5 +640,102 @@ mod tests {
             assert!(survivor.join().expect("other sessions keep working") > 0);
         });
         assert_eq!(paged.motion_sessions(), 1);
+    }
+
+    /// Four threads hammer an 8-page motion-aware pool — overlapping page
+    /// sets, so concurrent misses of one page, hits during another
+    /// thread's read and evictions under a moving heat field all occur.
+    /// Every byte served is the file's, and the accounting identities the
+    /// one-thread path has by construction hold for the two-phase path.
+    #[test]
+    fn four_threads_share_the_pool_without_losing_a_count_or_a_byte() {
+        const THREADS: u32 = 4;
+        const READS: u32 = 3000;
+        let (paged, _, _, path) = open_small_at("stress.pages", 8, CachePolicy::MotionAware);
+        let raw = PageFile::open(&path).expect("open raw");
+        let pages = paged.meta().data_pages();
+        let want: Vec<Vec<u8>> = (0..pages).map(|p| raw.read_at(p).expect("raw")).collect();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (paged, want, start) = (&paged, &want, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut x = 0x9e37_79b9_u32.wrapping_mul(t + 1);
+                    for i in 0..READS {
+                        // xorshift: a hot dozen pages most of the time, a
+                        // sweep of the whole store otherwise.
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        let page = (x >> 2) % if x & 3 == 0 { pages } else { 12 };
+                        if i & 15 == 0 {
+                            let at = f64::from(x % 1000);
+                            paged.observe_motion(u64::from(t), Point2::new([at, 1000.0 - at]));
+                        }
+                        assert_eq!(*paged.page(page), want[page as usize], "page {page}");
+                    }
+                    paged.forget_motion(u64::from(t));
+                });
+            }
+        });
+        let stats = paged.cache_stats();
+        assert_eq!(stats.lookups, u64::from(THREADS * READS));
+        assert_eq!(stats.lookups, stats.hits + stats.faults);
+        assert_eq!(paged.io_snapshot().physical, stats.faults);
+        assert!(stats.evictions > 0 && stats.hits > 0);
+        let pager = paged.lock_pager();
+        pager.cache.validate().expect("pool structure");
+        let resident = (0..pages).filter(|&p| pager.cache.contains(p)).count();
+        assert!(resident <= pager.cache.capacity_pages());
+    }
+
+    /// A window of NaNs reaches `observe_motion` as a NaN position. It
+    /// must not reach the heat field: every heat would sum to NaN, `<`
+    /// would never hold and the victim scan would degrade to LRU for
+    /// every session until the sender next reports a finite position —
+    /// which the sender here, silent afterwards, never does.
+    #[test]
+    fn a_nan_window_leaves_the_eviction_trace_alone() {
+        use crate::server::{QueryRegion, Server, ServerCore};
+
+        let tour = |with_nan: bool| {
+            let d = Arc::new(data());
+            let path = tmp("nan.pages");
+            write_store(&path, &d).expect("write");
+            let index =
+                WaveletIndex::open_paged(&path, 8 * mar_store::PAGE_SIZE, CachePolicy::MotionAware)
+                    .expect("open");
+            let server = Server::from_core(ServerCore::from_parts(d, Arc::new(index)));
+            let paged = server.index().paged().expect("paged backend");
+            paged.lock_pager().cache.set_trace(true);
+            let (a, b) = (server.connect(), server.connect());
+            let half = Vector::new([60.0, 60.0]);
+            let ask = |session: u64, region: Rect2| {
+                let q = [QueryRegion {
+                    region,
+                    band: ResolutionBand::FULL,
+                }];
+                server.query(session, &q).expect("live session");
+            };
+            for t in 0..40u32 {
+                let f = t as f64 / 39.0;
+                let at_a = Point2::new([100.0 + 800.0 * f, 300.0 + 100.0 * f]);
+                let at_b = Point2::new([900.0 - 800.0 * f, 700.0 - 200.0 * f]);
+                ask(a, Rect2::new(at_a - half, at_a + half));
+                // Session b tours for 20 ticks, then stays connected and
+                // silent — after one NaN window, or after none.
+                if t < 20 {
+                    ask(b, Rect2::new(at_b - half, at_b + half));
+                } else if t == 20 && with_nan {
+                    let nan = Point2::new([f64::NAN, f64::NAN]);
+                    ask(b, Rect2 { lo: nan, hi: nan });
+                }
+            }
+            take_evictions(paged)
+        };
+        let clean = tour(false);
+        assert!(clean.len() > 50, "the pool must be under pressure");
+        assert_eq!(tour(true), clean);
     }
 }

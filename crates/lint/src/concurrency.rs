@@ -10,7 +10,10 @@
 //!    and parameters typed `Mutex<..>`/`RwLock<..>` (directly or through a
 //!    type alias such as `type Ledgers = Mutex<..>`), plus accessor
 //!    functions returning `&Mutex<..>` (the `Server::stripe` pattern, named
-//!    after the function). Locks are identified **by declared name**: two
+//!    after the function) and accessor functions returning a guard
+//!    (`fn lock_pager(&self) -> MutexGuard<..>`, the `PagedIndex` pattern:
+//!    a call acquires the lock the function's body locks). Locks are
+//!    identified **by declared name**: two
 //!    fields both called `slots` in different crates collapse into one
 //!    node. That trades a little precision for zero configuration; the
 //!    convention (DESIGN.md §13) is to name locks distinctively.
@@ -36,9 +39,9 @@
 //!   are reported once per strongly-connected component with the full
 //!   witness chain. Suppressible with `// mar-lint: allow(D006) — <reason>`
 //!   on any edge's line.
-//! * **D007** — a blocking operation (socket read/write, `accept`,
-//!   `JoinHandle::join`, channel `recv`, `thread::sleep`, `park`,
-//!   condvar `wait`) while any guard is live. Intra-procedural: the
+//! * **D007** — a blocking operation (socket or file read/write, cursor
+//!   or positioned; `accept`, `JoinHandle::join`, channel `recv`,
+//!   `thread::sleep`, `park`, condvar `wait`) while any guard is live. Intra-procedural: the
 //!   blocking call must be textually under the guard.
 //! * **D008** — a guard of `L` live while `L` is acquired again, directly
 //!   or via a call into a function that transitively acquires `L`
@@ -138,18 +141,24 @@ const CALL_DENYLIST: &[&str] = &[
 /// `Vec::join(sep)` and `Path::join(p)` never fire).
 const BLOCKING_ZERO_ARG: &[&str] = &["accept", "join", "park", "recv"];
 
-/// Blocking operations that count with any argument list.
+/// Blocking operations that count with any argument list: cursor and
+/// positioned (`FileExt`) file and socket I/O, sleeps and condvar waits.
 const BLOCKING_ANY_ARG: &[&str] = &[
+    "read_at",
     "read_exact",
+    "read_exact_at",
     "read_line",
     "read_to_end",
     "read_to_string",
     "read_until",
     "recv_timeout",
+    "seek_read",
     "sleep",
     "wait",
     "wait_timeout",
     "write_all",
+    "write_all_at",
+    "write_at",
 ];
 
 fn ident(t: &Token) -> Option<&str> {
@@ -279,6 +288,11 @@ struct Locks {
     /// Function names returning `&Mutex<..>`/`&RwLock<..>` — a call like
     /// `self.stripe(id).lock()` acquires the lock named after the fn.
     returning: BTreeMap<String, LockKind>,
+    /// Function names returning a guard (`fn lock_pager(&self) ->
+    /// MutexGuard<'_, Pager>`), mapped to the lock their body acquires — a
+    /// call like `self.lock_pager()` acquires that lock, and `let g =
+    /// self.lock_pager();` binds a named guard.
+    guard_fns: BTreeMap<String, String>,
 }
 
 fn collect_locks(ctxs: &[FileCtx]) -> Locks {
@@ -347,7 +361,45 @@ fn collect_locks(ctxs: &[FileCtx]) -> Locks {
             }
         }
     }
-    Locks { names, returning }
+    let mut locks = Locks {
+        names,
+        returning,
+        guard_fns: BTreeMap::new(),
+    };
+    for ctx in ctxs {
+        let toks = &ctx.tokens;
+        for i in 0..toks.len() {
+            if ctx.in_excluded(i) || ident(&toks[i]) != Some("fn") {
+                continue;
+            }
+            if let Some((fname, lock)) = guard_returning_fn(toks, i, &locks) {
+                locks.guard_fns.insert(fname, lock);
+            }
+        }
+    }
+    locks
+}
+
+/// If the `fn` at `fn_idx` returns a lock guard, yields `(name, lock)`:
+/// the lock is the first one its body acquires.
+fn guard_returning_fn(toks: &[Token], fn_idx: usize, locks: &Locks) -> Option<(String, String)> {
+    let name = toks.get(fn_idx + 1).and_then(ident)?;
+    let (open, close) = fn_body(toks, fn_idx)?;
+    let returns_guard = toks[fn_idx..open].iter().any(|t| {
+        matches!(
+            ident(t),
+            Some("MutexGuard" | "RwLockReadGuard" | "RwLockWriteGuard")
+        )
+    });
+    if !returns_guard {
+        return None;
+    }
+    (open + 1..close).find_map(|i| {
+        let method = ident(&toks[i]).filter(|m| matches!(*m, "lock" | "read" | "write"))?;
+        let called = is_punct(&toks[i - 1], '.') && is_punct(toks.get(i + 1)?, '(');
+        let lock = acquisition_target(toks, i, method, locks).filter(|_| called)?;
+        Some((name.to_string(), lock))
+    })
 }
 
 /// Walks backward from the lock-type token to the declaration's `name:`.
@@ -525,13 +577,18 @@ fn scan_fn(ctx: &FileCtx, def: &FnDef, locks: &Locks, fns: &BTreeMap<&str, Vec<u
                             guards.remove(pos);
                         }
                     }
-                } else if matches!(name.as_str(), "lock" | "read" | "write")
+                } else if (matches!(name.as_str(), "lock" | "read" | "write")
+                    || locks.guard_fns.contains_key(name))
                     && i > 0
                     && is_punct(&toks[i - 1], '.')
                     && next_open
                     && toks.get(i + 2).is_some_and(|n| is_punct(n, ')'))
                 {
-                    if let Some(lock) = acquisition_target(toks, i, name, locks) {
+                    // `recv.lock()` on a known lock, or a guard accessor
+                    // (`self.lock_pager()`), which acquires its body's lock.
+                    let via_accessor = locks.guard_fns.get(name).cloned();
+                    let target = via_accessor.or_else(|| acquisition_target(toks, i, name, locks));
+                    if let Some(lock) = target {
                         on_acquire(ctx, &mut facts, &guards, &lock, t.line, t.col);
                         let binding = guard_binding(toks, stmt, i);
                         guards.push(Guard {

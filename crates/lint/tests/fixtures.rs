@@ -166,6 +166,19 @@ fn d007_passing_fixture() {
 }
 
 #[test]
+fn d007_knows_positioned_file_io_under_a_guard_accessor() {
+    let f = lint_concurrency("d007_positioned_fail.rs");
+    assert_eq!(
+        f.iter().map(|x| x.rule).collect::<Vec<_>>(),
+        vec![Rule::D007],
+        "{f:#?}"
+    );
+    assert!(f[0].message.contains("read_exact_at"), "{}", f[0].message);
+    assert!(f[0].message.contains("`pool`"), "{}", f[0].message);
+    assert!(lint_concurrency("d007_positioned_pass.rs").is_empty());
+}
+
+#[test]
 fn d007_allow_fixture_suppresses_with_reason() {
     assert!(lint_concurrency("d007_allow.rs").is_empty());
 }

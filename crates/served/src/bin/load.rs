@@ -15,7 +15,7 @@
 //! session's outbox over the cap and asserts the daemon answers with a
 //! typed `OVERLOAD` (and recovers after credit returns).
 
-use mar_bench::cli::{exit_usage, Args, CliError};
+use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::report::render;
 use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
 use mar_core::QueryRegion;
@@ -191,6 +191,7 @@ fn run(opts: &Options, addr: SocketAddr) -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    ensure_out_dir(&opts.out_dir);
     let addr = resolve_addr(&opts).unwrap_or_else(|e| {
         eprintln!("mar-load: {e}");
         std::process::exit(2)

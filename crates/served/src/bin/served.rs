@@ -19,7 +19,9 @@
 //! to a page file at `PATH` and every descent reads through the
 //! motion-aware buffer pool, capped at `--cache-mb N` MiB (default 64).
 //! Responses are byte-identical to the in-RAM build (DESIGN.md §15), so
-//! `mar-load --check` passes against either backend.
+//! `mar-load --check` passes against either backend. On exit an
+//! out-of-core daemon reports its pool's counters next to the
+//! connection counters.
 
 use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::engine::default_jobs;
@@ -150,7 +152,7 @@ fn main() {
         }
     };
     let handle = match spawn_daemon(
-        server,
+        Arc::clone(&server),
         listener,
         DaemonConfig {
             outbox_cap: opts.outbox_cap,
@@ -191,6 +193,18 @@ fn main() {
         stats.socket_reads,
         stats.socket_writes
     );
+    if let Some(pool) = server.index().cache_stats() {
+        eprintln!(
+            "mar-served: pool — {} look-ups, {} hits, {} faults, {} evictions, {} bypasses, \
+             {} physical reads",
+            pool.lookups,
+            pool.hits,
+            pool.faults,
+            pool.evictions,
+            pool.bypasses,
+            server.index().io_snapshot().physical
+        );
+    }
 }
 
 #[cfg(test)]

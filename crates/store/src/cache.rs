@@ -4,7 +4,7 @@
 //! Two policies share one mechanism:
 //!
 //! * [`CachePolicy::Lru`] — classic least-recently-used, the ablation
-//!   baseline. Victim = the entry with the lowest recency stamp.
+//!   baseline. Victim = the least recently used resident.
 //! * [`CachePolicy::MotionAware`] — the Eq. 2 promotion: an externally
 //!   supplied *heat* function ranks pages by how much of the k-direction
 //!   allocation (aggregated over connected sessions) falls on them.
@@ -14,38 +14,58 @@
 //!   pages within a few ticks), and heat ranks only the oldest quarter,
 //!   so the direction signal chooses among pages no session has touched
 //!   lately.
-//!   Victim = the coldest unprotected entry (ties broken by lowest
-//!   stamp), and a faulted page colder than the would-be victim is
+//!   Victim = the coldest unprotected entry (ties broken by least recent
+//!   use), and a faulted page colder than the would-be victim is
 //!   served but **not** admitted — scan resistance, so a one-off sweep
 //!   cannot flush the pages the sessions' predicted motion is about to
 //!   need.
 //!
 //! With a uniform heat function the motion-aware policy degenerates to
 //! exactly LRU (the LRU victim is always in the unprotected least-recent
-//! quarter; equal heat → stamp tie-break picks it, and the bypass test
-//! `heat(new) < heat(victim)` never fires), which is what makes the
+//! quarter; equal heat → the recency tie-break picks it, and the bypass
+//! test `heat(new) < heat(victim)` never fires), which is what makes the
 //! ablation a controlled comparison.
 //!
-//! Cost: the pool never computes a heat itself. On a fault into a full
-//! motion-aware pool it asks the caller's `FnMut(u32) -> f64` once per
-//! candidate of the unprotected quarter (a quarter of the pool per
-//! eviction), then for the faulted page and the chosen victim; hits,
-//! LRU pools and pools with room never call it. Because the closure may
-//! keep state, a caller whose heats are expensive memoises them — the
-//! paged backend keeps one `(motion epoch, heat)` slot per page
-//! (mar-core `paged.rs`, DESIGN.md §15.2) — and the pool stays
-//! oblivious: a decision depends only on the values returned.
+//! Layout: residents live in a slab of at most `capacity_pages` slots, a
+//! dense `page → slot` table (4 B per file page) finds them, and an
+//! intrusive doubly-linked list through the slots (`prev` / `next` slot
+//! indices, least recent at the head) orders them. A hit is one table
+//! read and a relink; LRU's victim is the list head; the motion-aware
+//! candidates are the first `len − protected` links from the head. The
+//! only operation that vacates a slot is an eviction, and the admission
+//! that caused it refills that slot in the same call, so the slab needs
+//! no free list and, once full, stays full.
 //!
-//! Determinism: entries live in a `BTreeMap` keyed by page id, victim
-//! scans iterate in key order, floats compare via `total_cmp`, and the
-//! recency side index is a [`RecencyIndex`] — identical read sequences
-//! yield identical hit/fault/evict/bypass traces on every run.
+//! A read is two halves, both `&mut self` and neither touching the file:
+//! [`PageCache::lookup`] (count, relink, clone the `Arc`) and, after a
+//! miss, [`PageCache::admit`] with the bytes the caller read (count the
+//! fault, pick the victim, bypass or evict, link the slot).
+//! [`PageCache::read_with_heat`] composes them around one
+//! [`PageFile::read_at`]; a caller that guards the pool with a mutex runs
+//! the halves under it and the read between them outside it (mar-core
+//! `paged.rs`), sharing the file through [`PageCache::file`].
+//!
+//! Cost: the pool never computes a heat itself. On a fault into a full
+//! motion-aware pool it asks the caller's `FnMut(Option<u32>, u32) ->
+//! f64` once per candidate of the unprotected quarter, passing the
+//! candidate's slot beside its page id, then once for the faulted page
+//! (no slot yet: `None`); hits, LRU pools and pools with room never call
+//! it. A slot names the same page until that page is evicted, so a
+//! caller whose heats are expensive keys its own per-slot state by it —
+//! the paged backend keeps one row of per-session contributions per slot
+//! (`mar_buffer::MotionHeat::heat_slot`, DESIGN.md §15.3) — and the pool
+//! stays oblivious: a decision depends only on the values returned.
+//!
+//! Determinism: every use moves a resident to the tail of one list, so
+//! list order is the order of last use — a total order, a pure function
+//! of the operation sequence. Victim scans walk it from the head and
+//! keep the earlier of equally cold candidates (strict `<`): identical
+//! read sequences yield identical hit/fault/evict/bypass traces on every
+//! run.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::page::{PageFile, StoreError, PAGE_SIZE};
-use crate::recency::RecencyIndex;
 
 /// Eviction/admission policy for a [`PageCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,20 +126,36 @@ pub enum TraceEvent {
     Bypass(u32),
 }
 
-#[derive(Debug, Clone)]
+/// "No slot": the end of the recency list, or a page that is not
+/// resident. Never a real slot — the slab holds at most one slot per
+/// file page, and page ids stop short of `u32::MAX`.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident page and its links in the recency list.
+#[derive(Debug)]
 struct Resident {
-    stamp: u64,
+    page: u32,
+    /// Neighbour towards the least recently used end.
+    prev: u32,
+    /// Neighbour towards the most recently used end.
+    next: u32,
     data: Arc<Vec<u8>>,
 }
 
 /// Deterministic bounded buffer pool over a [`PageFile`].
 #[derive(Debug)]
 pub struct PageCache {
-    file: PageFile,
+    file: Arc<PageFile>,
     policy: CachePolicy,
     capacity_pages: usize,
-    entries: BTreeMap<u32, Resident>,
-    recency: RecencyIndex<u32>,
+    /// The slab: every slot is resident and linked.
+    slots: Vec<Resident>,
+    /// Per file page: the slot holding it, or [`NIL`].
+    slot_of: Vec<u32>,
+    /// Least recently used slot.
+    head: u32,
+    /// Most recently used slot.
+    tail: u32,
     stats: PageCacheStats,
     trace: Option<Vec<TraceEvent>>,
 }
@@ -129,12 +165,15 @@ impl PageCache {
     /// data (at least one page, so progress is always possible).
     pub fn new(file: PageFile, budget_bytes: usize, policy: CachePolicy) -> Self {
         let capacity_pages = (budget_bytes / PAGE_SIZE).max(1);
+        let slot_of = vec![NIL; file.page_count() as usize];
         Self {
-            file,
+            file: Arc::new(file),
             policy,
             capacity_pages,
-            entries: BTreeMap::new(),
-            recency: RecencyIndex::new(),
+            slots: Vec::new(),
+            slot_of,
+            head: NIL,
+            tail: NIL,
             stats: PageCacheStats::default(),
             trace: None,
         }
@@ -153,6 +192,13 @@ impl PageCache {
     /// Pages in the underlying file.
     pub fn file_page_count(&self) -> u32 {
         self.file.page_count()
+    }
+
+    /// The underlying file, shareable: its reads are positioned, so a
+    /// caller can fetch a missed page through a clone of this handle
+    /// while other threads use the pool.
+    pub fn file(&self) -> &Arc<PageFile> {
+        &self.file
     }
 
     /// Current counters.
@@ -180,7 +226,7 @@ impl PageCache {
 
     /// True when `page` is resident (no stats or recency side effects).
     pub fn contains(&self, page: u32) -> bool {
-        self.entries.contains_key(&page)
+        self.slot_of.get(page as usize).is_some_and(|&s| s != NIL)
     }
 
     fn record(&mut self, ev: TraceEvent) {
@@ -189,85 +235,207 @@ impl PageCache {
         }
     }
 
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Resident { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends the unlinked `slot` at the most recently used end.
+    fn link_most_recent(&mut self, slot: u32) {
+        let tail = self.tail;
+        let s = &mut self.slots[slot as usize];
+        s.prev = tail;
+        s.next = NIL;
+        match tail {
+            NIL => self.head = slot,
+            t => self.slots[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
+
+    /// Marks the resident in `slot` as just used and returns its bytes.
+    fn touch(&mut self, slot: u32) -> Arc<Vec<u8>> {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_most_recent(slot);
+        }
+        Arc::clone(&self.slots[slot as usize].data)
+    }
+
     /// Reads `page` under a uniform heat function (policy degenerates to
     /// LRU). Returns the payload and whether it was a pool hit.
     pub fn read(&mut self, page: u32) -> Result<(Arc<Vec<u8>>, bool), StoreError> {
-        self.read_with_heat(page, &mut |_| 0.0)
+        self.read_with_heat(page, &mut |_, _| 0.0)
     }
 
     /// Reads `page`, ranking admission/eviction by `heat` (higher =
-    /// hotter = more worth keeping). Returns the payload and whether it
-    /// was a pool hit. `heat` may keep state (see the module docs on
-    /// cost) but must return the same value for the same page throughout
-    /// one call.
+    /// hotter = more worth keeping; see [`Self::admit`]). Returns the
+    /// payload and whether it was a pool hit. A failed read leaves only
+    /// the look-up counted.
     pub fn read_with_heat(
         &mut self,
         page: u32,
-        heat: &mut dyn FnMut(u32) -> f64,
+        heat: &mut dyn FnMut(Option<u32>, u32) -> f64,
     ) -> Result<(Arc<Vec<u8>>, bool), StoreError> {
-        self.stats.lookups += 1;
-        if let Some(res) = self.entries.get_mut(&page) {
-            let data = Arc::clone(&res.data);
-            res.stamp = self.recency.touch(res.stamp, page);
-            self.stats.hits += 1;
-            self.record(TraceEvent::Hit(page));
+        if let Some(data) = self.lookup(page) {
             return Ok((data, true));
         }
+        let data = Arc::new(self.file.read_at(page)?);
+        Ok((self.admit(page, data, heat), false))
+    }
 
-        let data = Arc::new(self.file.read_page_vec(page)?);
+    /// The hit half of a read: counts the look-up and, when `page` is
+    /// resident, the hit, marks it most recently used and returns its
+    /// bytes. `None` is a miss — the caller reads the page and hands it
+    /// to [`Self::admit`].
+    pub fn lookup(&mut self, page: u32) -> Option<Arc<Vec<u8>>> {
+        self.stats.lookups += 1;
+        let slot = *self.slot_of.get(page as usize)?;
+        if slot == NIL {
+            return None;
+        }
+        self.stats.hits += 1;
+        self.record(TraceEvent::Hit(page));
+        Some(self.touch(slot))
+    }
+
+    /// The fault half of a read: `data` is `page` as just read from the
+    /// file after a [`Self::lookup`] miss. Counts the fault, makes room
+    /// (or declines to, see the module docs on bypass) and returns the
+    /// bytes to serve.
+    ///
+    /// `heat(slot, page)` ranks a page (higher = hotter = more worth
+    /// keeping): `slot` is `Some` for a resident candidate and names the
+    /// same page until that page is evicted, `None` for the page being
+    /// admitted. It may keep state but must return the same value for
+    /// the same page throughout one call.
+    ///
+    /// When `page` became resident since the look-up missed — another
+    /// thread admitted it while this one was reading — the resident copy
+    /// is served and the fault counted, nothing else changes; so
+    /// `lookups = hits + faults` and "one file read per fault" hold at
+    /// any thread count.
+    ///
+    /// # Panics
+    /// If `page` is not a page of the file.
+    pub fn admit(
+        &mut self,
+        page: u32,
+        data: Arc<Vec<u8>>,
+        heat: &mut dyn FnMut(Option<u32>, u32) -> f64,
+    ) -> Arc<Vec<u8>> {
         self.stats.faults += 1;
-
-        if self.entries.len() >= self.capacity_pages {
-            let victim = match self.policy {
-                CachePolicy::Lru => self.recency.peek_lru().map(|(_, &p)| p),
-                CachePolicy::MotionAware => {
-                    // Recency-protected heat ranking: exempt the most
-                    // recently used three quarters of the pool and pick
-                    // the coldest of the rest. Candidates stream out of
-                    // the recency index least-recent first, so the strict
-                    // `<` keeps the lowest-stamped of equally cold pages —
-                    // with a uniform heat that is exactly the LRU victim.
-                    let protected = self.capacity_pages - self.capacity_pages / 4;
-                    let candidates = self.entries.len().saturating_sub(protected).max(1);
-                    let mut coldest: Option<(f64, u32)> = None;
-                    for (_, &p) in self.recency.iter().take(candidates) {
-                        let h = heat(p);
-                        if coldest.is_none_or(|(ch, _)| h < ch) {
-                            coldest = Some((h, p));
-                        }
-                    }
-                    coldest.map(|(_, p)| p)
-                }
-            };
-            // `victim` is always present here (capacity ≥ 1 and the cache
-            // is full); written as `if let` to keep the path panic-free.
-            if let Some(victim) = victim {
-                if self.policy == CachePolicy::MotionAware && heat(page) < heat(victim) {
-                    // Admission bypass: the faulted page is colder than
-                    // everything resident — serve it without caching it.
-                    self.stats.bypasses += 1;
-                    self.record(TraceEvent::Bypass(page));
-                    return Ok((data, false));
-                }
-                if let Some(res) = self.entries.remove(&victim) {
-                    self.recency.remove(res.stamp);
-                }
-                self.stats.evictions += 1;
-                self.record(TraceEvent::Evict(victim));
-            }
+        let resident = self.slot_of[page as usize];
+        if resident != NIL {
+            return self.touch(resident);
         }
 
-        let stamp = self.recency.tick();
-        self.recency.insert(stamp, page);
-        self.entries.insert(
-            page,
-            Resident {
-                stamp,
+        let slot = if self.slots.len() < self.capacity_pages {
+            self.slots.push(Resident {
+                page,
+                prev: NIL,
+                next: NIL,
                 data: Arc::clone(&data),
-            },
-        );
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            // Full, so the list is not empty: `head` is a slot.
+            let mut victim = self.head;
+            if self.policy == CachePolicy::MotionAware {
+                // Recency-protected heat ranking: exempt the most
+                // recently used three quarters of the pool and pick the
+                // coldest of the rest. The walk starts at the least
+                // recent, so the strict `<` keeps the least recent of
+                // equally cold pages — with a uniform heat that is
+                // exactly the LRU victim.
+                let protected = self.capacity_pages - self.capacity_pages / 4;
+                let candidates = self.slots.len().saturating_sub(protected).max(1);
+                let mut coldest = heat(Some(victim), self.slots[victim as usize].page);
+                let mut at = victim;
+                for _ in 1..candidates {
+                    at = self.slots[at as usize].next;
+                    let h = heat(Some(at), self.slots[at as usize].page);
+                    if h < coldest {
+                        (coldest, victim) = (h, at);
+                    }
+                }
+                if heat(None, page) < coldest {
+                    // Admission bypass: the faulted page is colder than
+                    // everything it could displace — serve it without
+                    // caching it.
+                    self.stats.bypasses += 1;
+                    self.record(TraceEvent::Bypass(page));
+                    return data;
+                }
+            }
+            let evicted = self.slots[victim as usize].page;
+            self.slot_of[evicted as usize] = NIL;
+            self.stats.evictions += 1;
+            self.record(TraceEvent::Evict(evicted));
+            self.unlink(victim);
+            let s = &mut self.slots[victim as usize];
+            s.page = page;
+            s.data = Arc::clone(&data);
+            victim
+        };
+        self.slot_of[page as usize] = slot;
+        self.link_most_recent(slot);
         self.record(TraceEvent::Fault(page));
-        Ok((data, false))
+        data
+    }
+
+    /// Checks the pool's structure: at most `capacity_pages` slots, the
+    /// recency list threads every slot exactly once with consistent
+    /// back-links, and `page → slot → page` round-trips with no other
+    /// page claiming a slot.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.slots.len();
+        if n > self.capacity_pages {
+            return Err(format!("{n} slots exceed capacity {}", self.capacity_pages));
+        }
+        let (mut at, mut prev, mut seen) = (self.head, NIL, 0usize);
+        while at != NIL {
+            let s = self
+                .slots
+                .get(at as usize)
+                .ok_or(format!("list reaches slot {at} outside the slab"))?;
+            if s.prev != prev {
+                return Err(format!(
+                    "slot {at}: prev {} but reached from {prev}",
+                    s.prev
+                ));
+            }
+            if self.slot_of.get(s.page as usize) != Some(&at) {
+                return Err(format!(
+                    "slot {at} holds page {} but the table disagrees",
+                    s.page
+                ));
+            }
+            seen += 1;
+            if seen > n {
+                return Err("recency list cycles".into());
+            }
+            (prev, at) = (at, s.next);
+        }
+        if prev != self.tail {
+            return Err(format!("list ends at {prev}, tail says {}", self.tail));
+        }
+        if seen != n {
+            return Err(format!("list threads {seen} of {n} slots"));
+        }
+        let mapped = self.slot_of.iter().filter(|&&s| s != NIL).count();
+        if mapped != n {
+            return Err(format!("{mapped} pages map to {n} slots"));
+        }
+        Ok(())
     }
 }
 
@@ -295,6 +463,7 @@ mod tests {
         c.read(0).unwrap(); // refresh 0 → victim is 1
         c.read(2).unwrap();
         assert!(c.contains(0) && c.contains(2) && !c.contains(1));
+        c.validate().expect("pool structure");
         assert_eq!(
             c.take_trace(),
             vec![
@@ -334,7 +503,7 @@ mod tests {
             CachePolicy::MotionAware,
         );
         // Pages 0 and 1 are hot; 2 and 3 are a cold scan.
-        let mut heat = |p: u32| if p < 2 { 10.0 } else { 0.0 };
+        let mut heat = |_: Option<u32>, p: u32| if p < 2 { 10.0 } else { 0.0 };
         c.set_trace(true);
         c.read_with_heat(0, &mut heat).unwrap();
         c.read_with_heat(1, &mut heat).unwrap();
@@ -354,6 +523,29 @@ mod tests {
         );
         let s = c.stats();
         assert_eq!((s.bypasses, s.evictions), (2, 0));
+        c.validate().expect("pool structure");
+    }
+
+    /// Two threads miss the same page and both read it; the second
+    /// `admit` finds it resident. The duplicate read counts as a fault,
+    /// the resident copy is served, nothing is evicted.
+    #[test]
+    fn admitting_a_page_admitted_meanwhile_counts_a_fault_and_evicts_nothing() {
+        let mut c = PageCache::new(store("race.pages", 4), 2 * PAGE_SIZE, CachePolicy::Lru);
+        c.read(1).unwrap();
+        assert!(c.lookup(0).is_none(), "the slower thread misses");
+        let dup = Arc::new(c.file().read_at(0).unwrap());
+        let (first, hit) = c.read(0).unwrap(); // the faster thread: miss, read, admit
+        assert!(!hit);
+        c.set_trace(true);
+        let served = c.admit(0, dup, &mut |_, _| 0.0);
+        assert!(Arc::ptr_eq(&served, &first), "the resident copy is served");
+        assert_eq!(c.take_trace(), vec![]);
+        let s = c.stats();
+        assert_eq!((s.lookups, s.hits, s.faults, s.evictions), (3, 0, 3, 0));
+        c.read(3).unwrap();
+        assert!(c.contains(0) && c.contains(3) && !c.contains(1));
+        c.validate().expect("pool structure");
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //!   deterministic little-endian layout). The file header and every page
 //!   carry an FNV-1a checksum, so torn writes and bit rot surface as a
 //!   typed [`StoreError`] instead of silently corrupt query answers.
-//! * [`RecencyIndex`] — the one deterministic recency structure shared by
-//!   every cache in the workspace (`mar_buffer::LruCache`,
-//!   `mar_buffer::BlockCache`, and [`PageCache`]): a monotone logical
-//!   clock plus a `BTreeMap` from unique recency stamps to keys, so
-//!   "least recently used" is a total order and a pure function of the
-//!   operation sequence.
+//! * [`RecencyIndex`] — the deterministic recency structure the client
+//!   caches share (`mar_buffer::LruCache`, `mar_buffer::BlockCache`): a
+//!   monotone logical clock plus a `BTreeMap` from unique recency stamps
+//!   to keys, so "least recently used" is a total order and a pure
+//!   function of the operation sequence.
 //! * [`PageCache`] — the server-side buffer pool: a hard byte budget over
 //!   [`PageFile`] reads with two eviction policies — plain
 //!   [`CachePolicy::Lru`], and [`CachePolicy::MotionAware`], which ranks
@@ -21,9 +20,9 @@
 //!   allocation aggregated over connected sessions, see
 //!   `mar_buffer::MotionHeat`) and admits/evicts coldest-first.
 //!
-//! Everything is deterministic: `BTreeMap` only, `total_cmp` for float
-//! ordering, no wall clocks, no hashing — two runs replaying the same
-//! read sequence produce identical hit/miss/eviction traces.
+//! Everything is deterministic: ordered maps and an intrusive recency
+//! list, no wall clocks, no hashing — two runs replaying the same read
+//! sequence produce identical hit/miss/eviction traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

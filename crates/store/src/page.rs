@@ -21,7 +21,7 @@
 //! its failure modes) trivial.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Size of one page on disk, matching the paper's §VII-D page geometry
@@ -119,7 +119,9 @@ impl From<std::io::Error> for StoreError {
 }
 
 /// A read handle on a page file. Reads verify the per-page checksum, so
-/// every byte handed upward is the byte that was written.
+/// every byte handed upward is the byte that was written. Page reads are
+/// positioned — they move no file cursor — so one handle serves any
+/// number of threads through [`PageFile::read_at`].
 #[derive(Debug)]
 pub struct PageFile {
     file: File,
@@ -202,8 +204,11 @@ impl PageFile {
         self.page_count
     }
 
-    /// Reads page `id`'s payload into `buf`, verifying its checksum.
-    pub fn read_page(&mut self, id: u32, buf: &mut [u8; PAGE_PAYLOAD]) -> Result<(), StoreError> {
+    /// Reads page `id` into a fresh heap buffer of [`PAGE_PAYLOAD`] bytes,
+    /// verifying its checksum: one positioned read of the whole
+    /// [`PAGE_SIZE`] block (payload and trailer), no cursor, no lock — the
+    /// read every other page read here delegates to.
+    pub fn read_at(&self, id: u32) -> Result<Vec<u8>, StoreError> {
         if id >= self.page_count {
             return Err(StoreError::PageOutOfBounds {
                 page: id,
@@ -211,22 +216,51 @@ impl PageFile {
             });
         }
         let offset = (PAGE_SIZE as u64) * (1 + id as u64);
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)?;
-        let mut trailer = [0u8; 8];
-        self.file.read_exact(&mut trailer)?;
-        if u64::from_le_bytes(trailer) != fnv1a64_bytes(buf) {
+        let mut block = vec![0u8; PAGE_SIZE];
+        read_exact_at(&self.file, &mut block, offset)?;
+        let (payload, trailer) = block.split_at(PAGE_PAYLOAD);
+        if trailer != fnv1a64_bytes(payload).to_le_bytes() {
             return Err(StoreError::BadPageChecksum(id));
         }
+        block.truncate(PAGE_PAYLOAD);
+        Ok(block)
+    }
+
+    /// Reads page `id`'s payload into `buf`, verifying its checksum.
+    pub fn read_page(&mut self, id: u32, buf: &mut [u8; PAGE_PAYLOAD]) -> Result<(), StoreError> {
+        buf.copy_from_slice(&self.read_at(id)?);
         Ok(())
     }
 
     /// Reads page `id` into a fresh heap buffer.
     pub fn read_page_vec(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
-        let mut buf = [0u8; PAGE_PAYLOAD];
-        self.read_page(id, &mut buf)?;
-        Ok(buf.to_vec())
+        self.read_at(id)
     }
+}
+
+/// Fills `buf` from `file` at byte `offset` without touching the cursor.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` from `file` at byte `offset`. `seek_read` may return
+/// short, so it is retried until the block is whole.
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

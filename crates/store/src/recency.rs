@@ -5,9 +5,8 @@
 //! *unique* recency stamps to keys. Because every stamp is handed out
 //! exactly once, "least recently used" is a total order and a pure
 //! function of the operation sequence — no wall clocks, no hashing, no
-//! ties. `mar_buffer::LruCache`, `mar_buffer::BlockCache`, and
-//! [`crate::PageCache`] all keep their stamp→key side index here instead
-//! of hand-rolling three copies.
+//! ties. `mar_buffer::LruCache` and `mar_buffer::BlockCache` keep their
+//! stamp→key side index here instead of hand-rolling two copies.
 
 use std::collections::BTreeMap;
 

@@ -4,12 +4,21 @@
 //! model's decision sequence, and identical read sequences on fresh
 //! caches must produce identical traces (determinism across runs and
 //! `--jobs` counts — each case owns its own files, so test parallelism
-//! cannot perturb the decisions).
+//! cannot perturb the decisions). The pool's structural invariants
+//! (`PageCache::validate`) are checked after every operation, and a
+//! third property replays the same reads through [`TreePool`] — the
+//! ordered-map pool `PageCache` was before its slab — and demands the
+//! same trace.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mar_store::{CachePolicy, PageCache, PageFile, TraceEvent, PAGE_SIZE};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use mar_store::{
+    CachePolicy, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, PAGE_SIZE,
+};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -101,7 +110,7 @@ fn run_and_check(
     reads: &[u32],
     heats: &[f64],
 ) -> Result<Vec<TraceEvent>, TestCaseError> {
-    let mut heat = |p: u32| heats[p as usize];
+    let heat = |p: u32| heats[p as usize];
     let file = PageFile::open(path).expect("open for cache");
     let mut raw = PageFile::open(path).expect("open raw");
     let mut cache = PageCache::new(file, cap * PAGE_SIZE, policy);
@@ -109,7 +118,10 @@ fn run_and_check(
     let mut model = Model::new(policy, cache.capacity_pages());
     let mut trace = Vec::new();
     for &p in reads {
-        let (got, hit) = cache.read_with_heat(p, &mut heat).expect("cache read");
+        let (got, hit) = cache
+            .read_with_heat(p, &mut |_, p| heat(p))
+            .expect("cache read");
+        cache.validate().map_err(TestCaseError::Fail)?;
         let want = raw.read_page_vec(p).expect("raw read");
         prop_assert_eq!(got.as_slice(), want.as_slice(), "bytes of page {}", p);
         let expected = model.read(p, &heat);
@@ -122,6 +134,78 @@ fn run_and_check(
     prop_assert_eq!(s.lookups, reads.len() as u64);
     prop_assert_eq!(s.hits + s.faults, s.lookups);
     Ok(trace)
+}
+
+/// The pool as it was before the slab: residents in a `BTreeMap` keyed
+/// by page id, recency in a [`RecencyIndex`] of unique stamps, victim
+/// scans streaming out of the index least-recent first. Kept as the
+/// reference the slab must reproduce decision for decision.
+struct TreePool {
+    file: PageFile,
+    policy: CachePolicy,
+    capacity_pages: usize,
+    entries: BTreeMap<u32, (u64, Arc<Vec<u8>>)>,
+    recency: RecencyIndex<u32>,
+    stats: PageCacheStats,
+    trace: Vec<TraceEvent>,
+}
+
+impl TreePool {
+    fn new(file: PageFile, capacity_pages: usize, policy: CachePolicy) -> Self {
+        Self {
+            file,
+            policy,
+            capacity_pages,
+            entries: BTreeMap::new(),
+            recency: RecencyIndex::new(),
+            stats: PageCacheStats::default(),
+            trace: Vec::new(),
+        }
+    }
+
+    fn read(&mut self, page: u32, heat: &dyn Fn(u32) -> f64) -> (Arc<Vec<u8>>, bool) {
+        self.stats.lookups += 1;
+        if let Some((stamp, data)) = self.entries.get_mut(&page) {
+            *stamp = self.recency.touch(*stamp, page);
+            self.stats.hits += 1;
+            self.trace.push(TraceEvent::Hit(page));
+            return (Arc::clone(data), true);
+        }
+        let data = Arc::new(self.file.read_page_vec(page).expect("reference read"));
+        self.stats.faults += 1;
+        if self.entries.len() >= self.capacity_pages {
+            let victim = match self.policy {
+                CachePolicy::Lru => self.recency.peek_lru().map(|(_, &p)| p),
+                CachePolicy::MotionAware => {
+                    let protected = self.capacity_pages - self.capacity_pages / 4;
+                    let candidates = self.entries.len().saturating_sub(protected).max(1);
+                    let mut coldest: Option<(f64, u32)> = None;
+                    for (_, &p) in self.recency.iter().take(candidates) {
+                        let h = heat(p);
+                        if coldest.is_none_or(|(ch, _)| h < ch) {
+                            coldest = Some((h, p));
+                        }
+                    }
+                    coldest.map(|(_, p)| p)
+                }
+            }
+            .expect("a full pool has a victim");
+            if self.policy == CachePolicy::MotionAware && heat(page) < heat(victim) {
+                self.stats.bypasses += 1;
+                self.trace.push(TraceEvent::Bypass(page));
+                return (data, false);
+            }
+            let (stamp, _) = self.entries.remove(&victim).expect("victim is resident");
+            self.recency.remove(stamp);
+            self.stats.evictions += 1;
+            self.trace.push(TraceEvent::Evict(victim));
+        }
+        let stamp = self.recency.tick();
+        self.recency.insert(stamp, page);
+        self.entries.insert(page, (stamp, Arc::clone(&data)));
+        self.trace.push(TraceEvent::Fault(page));
+        (data, false)
+    }
 }
 
 proptest! {
@@ -158,6 +242,40 @@ proptest! {
         let lru = run_and_check(&path, CachePolicy::Lru, cap, &reads, &heats)?;
         let motion = run_and_check(&path, CachePolicy::MotionAware, cap, &reads, &heats)?;
         prop_assert_eq!(lru, motion, "uniform heat must degenerate to LRU");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Slab + list ≡ `BTreeMap` + `RecencyIndex`: the same reads under
+    /// the same heats leave the same trace, counters and bytes, for both
+    /// policies, including heats with NaNs and ties in them.
+    #[test]
+    fn slab_pool_equals_the_ordered_map_pool(
+        n_pages in 2usize..24,
+        cap in 1usize..9,
+        raw_reads in prop::collection::vec(0u32..96, 1..160),
+        raw_heats in prop::collection::vec(0u32..5, 24..25),
+    ) {
+        let reads: Vec<u32> = raw_reads.iter().map(|r| r % n_pages as u32).collect();
+        let heats: Vec<f64> = raw_heats
+            .iter()
+            .map(|&h| if h == 4 { f64::NAN } else { h as f64 })
+            .collect();
+        let heat = |p: u32| heats[p as usize];
+        let path = build_store(n_pages);
+        for policy in [CachePolicy::Lru, CachePolicy::MotionAware] {
+            let mut slab = PageCache::new(PageFile::open(&path).expect("open"), cap * PAGE_SIZE, policy);
+            slab.set_trace(true);
+            let mut tree = TreePool::new(PageFile::open(&path).expect("open"), cap, policy);
+            for &p in &reads {
+                let (got, hit) = slab.read_with_heat(p, &mut |_, p| heat(p)).expect("slab read");
+                slab.validate().map_err(TestCaseError::Fail)?;
+                let (want, want_hit) = tree.read(p, &heat);
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "bytes of page {}", p);
+                prop_assert_eq!(hit, want_hit, "hit on page {}", p);
+                prop_assert_eq!(slab.take_trace(), std::mem::take(&mut tree.trace), "decision on page {}", p);
+            }
+            prop_assert_eq!(slab.stats(), tree.stats);
+        }
         std::fs::remove_file(&path).ok();
     }
 }
