@@ -22,10 +22,11 @@ use mar_bench::figs;
 use mar_bench::report::{gate_entries, render, Json};
 use mar_bench::serve::session_tour;
 use mar_bench::Scale;
-use mar_buffer::MotionHeat;
+use mar_buffer::{MotionHeat, SlotHeats};
 use mar_core::{
-    CachePolicy, LinearSpeedMap, PageCache, PageFile, QueryRegion, QueryResult, SceneIndexData,
-    SentFilter, Server, ServerCore, SpeedResolutionMap, WaveletIndex, PAGE_SIZE,
+    page_checksum, CachePolicy, LinearSpeedMap, PageCache, PageFile, QueryRegion, QueryResult,
+    SceneIndexData, SentFilter, Server, ServerCore, Sessions, SpeedResolutionMap, WaveletIndex,
+    PAGE_SIZE, SESSION_STRIPES,
 };
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -295,6 +296,11 @@ fn bench_window_query_batch(
 /// session's first frame costs); `admit_warm` admits it again into the
 /// same filter (every hit is a look-up that sends nothing — the
 /// steady-state cost of a touring client's overlapping frames).
+/// `with_colliding_2t` runs that warm admit as a query,
+/// [`Sessions::with`], from two threads at once for two sessions whose
+/// ids are [`SESSION_STRIPES`] apart — one stripe of the session table —
+/// and reports wall time per query over both (q/s = 10⁹ / `per_op_ns`):
+/// what a table that held the stripe across a query would serialise.
 fn bench_session_filter(
     c: &mut Criterion,
     ms: &MicroScale,
@@ -322,13 +328,45 @@ fn bench_session_filter(
         b.iter(|| admit(&mut SentFilter::default()))
     });
     let warm = group.bench_function_measured("admit_warm", |b| b.iter(|| admit(&mut warm)));
-    for (name, m) in [("admit_cold", cold), ("admit_warm", warm)] {
+    // Queries per thread per iteration: enough that the two thread
+    // spawns are a few per cent of it.
+    const COLLIDING_QUERIES: u64 = 256;
+    let sessions = Sessions::seeded(901);
+    let ids: Vec<u64> = (0..=SESSION_STRIPES)
+        .map(|_| sessions.connect_with_token().0)
+        .collect();
+    let pair = [ids[0], ids[SESSION_STRIPES]];
+    let query = |id: u64| {
+        // mar-lint: allow(D004) — both sessions were connected three lines up
+        black_box(
+            sessions
+                .with(id, admit)
+                .expect("micro: the session is connected"),
+        );
+    };
+    // Warm both filters: the measured queries send nothing new.
+    pair.into_iter().for_each(query);
+    let colliding = group.bench_function_measured("with_colliding_2t", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for id in pair {
+                    scope.spawn(move || (0..COLLIDING_QUERIES).for_each(|_| query(id)));
+                }
+            })
+        })
+    });
+    let per_hit = hits.len().max(1) as u64;
+    for (name, m, ops_per_iter) in [
+        ("admit_cold", cold, per_hit),
+        ("admit_warm", warm, per_hit),
+        ("with_colliding_2t", colliding, 2 * COLLIDING_QUERIES),
+    ] {
         if let Some(m) = m {
             entries.push(Entry {
                 group: "session_filter",
                 name: name.into(),
                 m,
-                ops_per_iter: hits.len().max(1) as u64,
+                ops_per_iter,
                 hit_ratio: None,
             });
         }
@@ -422,7 +460,8 @@ const RANK_GRID: (usize, usize) = (23, 13);
 const POOL_PAGES: usize = 1199;
 
 /// The out-of-core read path (`io` group): cold and warm page reads
-/// through the buffer pool, one pool hit, the motion-aware victim
+/// through the buffer pool, the checksum of one page (ns per 4 KB), one
+/// pool hit, the motion-aware victim
 /// ranking (ns per ranked candidate), then the tour-workload hit ratio of the
 /// motion-aware eviction policy against plain LRU at the same byte
 /// budget. The page file is built in `--out-dir` so CI exercises the
@@ -497,13 +536,28 @@ fn bench_io(
             hit_ratio: None,
         });
     }
+    // The checksum every page read verifies, over one page's payload as
+    // it comes off the file.
+    let file = PageFile::open(std::path::Path::new(&store_path))
+        // mar-lint: allow(D004) — the store was just written by this process; failing to reopen it is fatal
+        .expect("micro: cannot reopen the page file");
+    // mar-lint: allow(D004) — every page of the store just written reads back
+    let payload = file.read_at(0).expect("micro: cannot read the page file");
+    if let Some(m) = group.bench_function_measured("page_checksum", |b| {
+        b.iter(|| page_checksum(black_box(&payload)))
+    }) {
+        entries.push(Entry {
+            group: "io",
+            name: "page_checksum".into(),
+            m,
+            ops_per_iter: 1,
+            hit_ratio: None,
+        });
+    }
     // Pool hit: one `lookup` of a resident page — what 97 % of the page
     // touches under the pager mutex are. The look-ups stride through the
     // residents, so the relink moves a page from the middle of the
     // recency list, not the one already at its tail.
-    let file = PageFile::open(std::path::Path::new(&store_path))
-        // mar-lint: allow(D004) — the store was just written by this process; failing to reopen it is fatal
-        .expect("micro: cannot reopen the page file");
     let residents = file.page_count().min(POOL_PAGES as u32);
     let mut pool = PageCache::new(file, POOL_PAGES * PAGE_SIZE, CachePolicy::MotionAware);
     for page in 0..residents {
@@ -526,9 +580,10 @@ fn bench_io(
         });
     }
     // Victim ranking: one motion-aware eviction scan as the pager runs
-    // it — every candidate's Eq. 2 heat through the per-slot contribution
-    // rows, one session having stepped along its tour since the last
-    // scan — without the pool around it. Sessions have walked their
+    // it — the ranker's snapshot synced to the field, then every
+    // candidate's Eq. 2 heat through the per-slot contribution rows, one
+    // session having stepped along its tour since the last scan —
+    // without the pool around it. Sessions have walked their
     // tours once, so allocations are skewed the way a live server's are;
     // candidates are leaf-sized regions tiling the scene, so near, far,
     // diagonal and containing cases all occur.
@@ -546,6 +601,7 @@ fn bench_io(
         .iter()
         .map(|p| frame_at(&space, p, 0.02))
         .collect();
+    let mut rows = SlotHeats::new(&heat);
     let mut step = 0usize;
     if let Some(m) = group.bench_function_measured("victim_rank", |b| {
         b.iter(|| {
@@ -553,10 +609,11 @@ fn bench_io(
             step += 1;
             let samples = &walks[k].samples;
             heat.observe(k as u64, samples[tick % samples.len()].pos);
+            rows.sync(&heat);
             black_box(&candidates)
                 .iter()
                 .enumerate()
-                .map(|(slot, r)| heat.heat_slot(slot, slot as u32, r))
+                .map(|(slot, r)| rows.heat_slot(slot, slot as u32, r))
                 .fold(f64::INFINITY, f64::min)
         })
     }) {

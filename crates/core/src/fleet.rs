@@ -555,7 +555,7 @@ impl FleetServer {
 
     /// Executes one window query for a session under the given health
     /// word: route → scatter over shard cores → gather through the
-    /// session filter in task order, all under the session's stripe.
+    /// session filter in task order, all under the session's filter lock.
     /// Merging is deterministic because the task list is (owner,
     /// neighbour)-ordered and the filter replay is sequential —
     /// concurrency lives *across* sessions, exactly as in the unsharded

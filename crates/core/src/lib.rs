@@ -60,7 +60,9 @@ pub use fleet::{
 };
 pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};
-pub use mar_store::{CachePolicy, PageCache, PageCacheStats, PageFile, StoreError, PAGE_SIZE};
+pub use mar_store::{
+    page_checksum, CachePolicy, PageCache, PageCacheStats, PageFile, StoreError, PAGE_SIZE,
+};
 pub use metrics::{RetrievalMetrics, SystemMetrics};
 pub use naive_index::NaivePointIndex;
 pub use paged::PagedIndex;

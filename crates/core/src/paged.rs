@@ -22,39 +22,54 @@
 //! # Locking (DESIGN.md §13)
 //!
 //! The pager mutex (pool + heat field) is a **leaf** lock: no code
-//! holding it acquires any other lock, so the `session stripe → pager`
+//! holding it acquires any other lock, so the `session filter → pager`
 //! edge the server adds keeps the global lock-order graph acyclic. A
-//! page fetch takes it once on a hit and twice, briefly, on a miss.
+//! page fetch takes it once on a hit, twice on a miss the pool can place
+//! at once, and three times — each hold short — on a miss that has to
+//! rank a victim.
 //!
 //! *Under* the mutex: the pool look-up — one table read and a list
-//! relink — and, after a miss, the admission: when a motion-aware pool is
-//! full, the victim scan, which ranks the unprotected quarter of the pool
-//! by Eq. 2 heat. A candidate's heat comes from its pool slot's cached
-//! row of per-session contributions, of which only the sessions that
-//! moved since the slot was last ranked are recomputed
-//! ([`MotionHeat::heat_slot`], DESIGN.md §15.3) — bit for bit the heat a
-//! full pass over the sessions would give. A session's Eq. 2 allocation
-//! is refreshed under the mutex too, in place.
+//! relink; after a miss, the plan of the admission
+//! ([`PageCache::plan`]: room, LRU and "admitted meanwhile" finish there,
+//! a full motion-aware pool copies its eviction candidates out), the
+//! refresh of the ranker's snapshot of the heat field when a session has
+//! moved since its last one ([`SlotHeats::sync`], a few hundred bytes),
+//! and the commit of the ranked choice ([`PageCache::commit`]). A
+//! session's Eq. 2 allocation is refreshed under the mutex too, in place.
 //!
-//! *Outside* it: the page read. A miss releases the guard, reads and
-//! checksums the page through a shared [`PageFile`] (one positioned read,
-//! no cursor to race on) and locks again to admit it; hits on other
-//! threads proceed meanwhile. Two threads may miss the same page and both
-//! read it: the second admission finds it resident, serves that copy and
-//! counts a fault, so `lookups = hits + faults` and physical accesses =
-//! faults at any thread count. Page payloads come back as shared `Arc`s,
-//! so node parsing, the walk's window tests and record decoding never
-//! hold the lock either — and neither does the panic on a corrupt page: a
-//! failed read leaves the pool consistent (only its look-up counter
-//! moved), no guard is live, and the panic unwinds the one query that hit
-//! the bad page without poisoning the pager for every other session.
+//! *Outside* it: the page read and the victim ranking. A miss releases
+//! the guard, reads and checksums the page through a shared [`PageFile`]
+//! (one positioned read, no cursor to race on) and locks again to plan
+//! the admission. When the plan asks for a ranking, the guard is released
+//! again and the unprotected quarter of the pool is ranked by Eq. 2 heat
+//! against the snapshot: a candidate's heat comes from its pool slot's
+//! cached row of per-session contributions, of which only the sessions
+//! that moved since the slot was last ranked are recomputed
+//! ([`SlotHeats::heat_slot`], DESIGN.md §15.3) — bit for bit the heat a
+//! full pass over the sessions would give. Hits and other threads' plans
+//! proceed meanwhile; the commit is refused, and the scan repeated, only
+//! if one of them used the chosen victim's slot. The snapshot, the rows
+//! and the candidate buffer are a `Ranker`, checked out of a small pool
+//! (`rankers`, a mutex of its own, taken with no other guard live and
+//! held for a `pop` or a `push`) — the daemon is thread-per-connection,
+//! so a thread-local would cost one row cache per connection.
+//!
+//! Two threads may miss the same page and both read it: the second
+//! admission finds it resident, serves that copy and counts a fault, so
+//! `lookups = hits + faults` and physical accesses = faults at any thread
+//! count. Page payloads come back as shared `Arc`s, so node parsing, the
+//! walk's window tests and record decoding never hold the lock either —
+//! and neither does the panic on a corrupt page: a failed read leaves the
+//! pool consistent (only its look-up counter moved), no guard is live,
+//! and the panic unwinds the one query that hit the bad page without
+//! poisoning the pager for every other session.
 
 use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
-use mar_buffer::MotionHeat;
-use mar_geom::Point2;
+use mar_buffer::{MotionHeat, SlotHeats};
+use mar_geom::{Point2, Rect2};
 use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PageSource};
-use mar_store::{CachePolicy, PageCache, PageCacheStats, PageFile, StoreError};
+use mar_store::{CachePolicy, PageCache, PageCacheStats, PageFile, StoreError, VictimPlan};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -78,10 +93,49 @@ struct Pager {
     heat: MotionHeat,
 }
 
+/// What one victim ranking works on while the pager is unlocked: the
+/// candidates the pool copied out, and incremental heats against a
+/// snapshot of the heat field.
+#[derive(Debug)]
+struct Ranker {
+    scan: VictimPlan,
+    heats: SlotHeats,
+}
+
+impl Ranker {
+    /// Ranks the scan's candidates by the Eq. 2 heat of their regions.
+    ///
+    /// A page is as hot as the hottest predicted point its region covers:
+    /// root and upper internal pages contain every session and stay
+    /// resident; leaf and coefficient pages rank directionally. The page
+    /// being faulted (no slot yet) is serving a live query, so it ranks
+    /// maximally — admission can displace the coldest resident but a
+    /// mid-run payload page is never served without being cached.
+    fn rank(&mut self, regions: &[Rect2]) {
+        let heats = &mut self.heats;
+        self.scan
+            .rank(&mut |slot, p| match (slot, regions.get(p as usize)) {
+                (None, _) => f64::INFINITY,
+                (Some(slot), Some(region)) => heats.heat_slot(slot as usize, p, region),
+                (Some(_), None) => 0.0,
+            });
+    }
+}
+
+/// Idle [`Ranker`]s kept for reuse. One is out per thread that is
+/// admitting a missed page, so the pool refills to the peak number of
+/// concurrent misses; beyond this many a returned ranker is dropped
+/// rather than kept (a row cache is ≈ 8 B × pool pages × sessions).
+const MAX_IDLE_RANKERS: usize = 4;
+
 /// The disk-backed wavelet index backend.
 #[derive(Debug)]
 pub struct PagedIndex {
     pager: Mutex<Pager>,
+    /// Idle rankers; taken and returned with no other guard live.
+    rankers: Mutex<Vec<Ranker>>,
+    /// The heat field's half-distance, for the snapshot of a new ranker.
+    heat_scale: f64,
     /// The pool's file, read on a miss while the pager is unlocked.
     file: Arc<PageFile>,
     meta: StoreMeta,
@@ -106,6 +160,8 @@ impl PagedIndex {
         let heat = MotionHeat::server_default(scale);
         Ok(Self {
             pager: Mutex::new(Pager { cache, heat }),
+            rankers: Mutex::new(Vec::new()),
+            heat_scale: scale,
             file,
             meta,
             io: IoCounters::new(),
@@ -174,14 +230,39 @@ impl PagedIndex {
         self.pager.lock().expect("pager poisoned")
     }
 
-    /// Fetches one page through the pool, tallying a physical access on
-    /// a miss. The pager is locked for the look-up and again for the
-    /// admission, never across the read between them.
+    /// An idle ranker, or a new one over an empty snapshot.
+    fn checkout_ranker(&self) -> Ranker {
+        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+        let idle = self.rankers.lock().expect("ranker pool poisoned").pop();
+        idle.unwrap_or_else(|| Ranker {
+            scan: VictimPlan::default(),
+            heats: SlotHeats::new(&MotionHeat::server_default(self.heat_scale)),
+        })
+    }
+
+    fn checkin_ranker(&self, ranker: Ranker) {
+        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+        let mut idle = self.rankers.lock().expect("ranker pool poisoned");
+        if idle.len() < MAX_IDLE_RANKERS {
+            idle.push(ranker);
+        }
+    }
+
+    /// Fetches one page through the pool: one short hold of the pager on
+    /// a hit, [`Self::fault`] on a miss.
     fn page(&self, page: u32) -> Arc<Vec<u8>> {
         let hit = self.lock_pager().cache.lookup(page);
-        if let Some(data) = hit {
-            return data;
-        }
+        hit.unwrap_or_else(|| self.fault(page))
+    }
+
+    /// The miss half of [`Self::page`]: reads `page`, tallies the physical
+    /// access and admits it. The pager is locked for the admission's plan
+    /// and for its commit — never across the read before them or the
+    /// victim ranking between them. Kept out of line: inlined, its frame
+    /// and spills are paid by every hit (`io/page_read_warm` read 4–17 %
+    /// slower).
+    #[inline(never)]
+    fn fault(&self, page: u32) -> Arc<Vec<u8>> {
         // No guard is live: a corrupt page panics this query only, and
         // the pool it leaves behind is consistent.
         let data = self
@@ -190,22 +271,27 @@ impl PagedIndex {
             // mar-lint: allow(D004) — the store was validated at open; a failed page read here is unrecoverable corruption
             .expect("store page read failed");
         self.io.add(IoKind::Physical, 1);
-        let mut pager = self.lock_pager();
-        let Pager { cache, heat } = &mut *pager;
-        let regions = &self.meta.regions;
-        // A page is as hot as the hottest predicted point its region
-        // covers: root and upper internal pages contain every session
-        // and stay resident; leaf and coefficient pages rank
-        // directionally. The page being faulted (no slot yet) is serving a
-        // live query, so it ranks maximally — admission can displace the
-        // coldest resident but a mid-run payload page is never served
-        // without being cached.
-        let mut rank = |slot: Option<u32>, p: u32| match (slot, regions.get(p as usize)) {
-            (None, _) => f64::INFINITY,
-            (Some(slot), Some(region)) => heat.heat_slot(slot as usize, p, region),
-            (Some(_), None) => 0.0,
+        let data = Arc::new(data);
+        let mut ranker = self.checkout_ranker();
+        let mut ranked = false;
+        let served = loop {
+            let mut pager = self.lock_pager();
+            let Pager { cache, heat } = &mut *pager;
+            let served = if ranked {
+                cache.commit(&data, &mut ranker.scan)
+            } else {
+                cache.plan(page, &data, &mut ranker.scan)
+            };
+            if let Some(bytes) = served {
+                break bytes;
+            }
+            ranker.heats.sync(heat);
+            drop(pager);
+            ranker.rank(&self.meta.regions);
+            ranked = true;
         };
-        cache.admit(page, Arc::new(data), &mut rank)
+        self.checkin_ranker(ranker);
+        served
     }
 
     /// The store's tree as the [`NodeSource`](mar_rtree::NodeSource) the

@@ -294,8 +294,11 @@ impl Server {
     /// (`ServerCore::admit_window`). Neither path allocates in steady
     /// state: windows and hits live in per-thread reuse buffers.
     ///
-    /// Holds only the session's stripe lock (across the descent): the
-    /// index walk itself is a lock-free `&self` read of the shared core.
+    /// Holds only the session's own filter lock (across the descent and
+    /// the accounting; no stripe of the session table, so no other
+    /// session waits): the index walk itself is a `&self` read of the
+    /// shared core — lock-free in RAM, the pager's short holds on the
+    /// paged backend.
     ///
     /// An unknown or disconnected session id is a typed [`SessionError`].
     pub fn query(
@@ -309,8 +312,8 @@ impl Server {
             // The session's predicted motion (Eq. 2) feeds the buffer
             // pool's heat field: the first sub-query window's centre is
             // the client's position this tick. (No-op on the in-RAM
-            // backend; only the stripe → pager lock edge of DESIGN.md §13
-            // is taken.)
+            // backend; only the session filter → pager lock edge of
+            // DESIGN.md §13 is taken.)
             if let Some(q) = regions.first() {
                 index.observe_motion(session, q.region.center());
             }
@@ -349,9 +352,9 @@ impl Server {
     /// filter in sub-query order, and logical accesses are counted per
     /// window regardless of physical sharing.
     ///
-    /// Locking: session stripes are taken one at a time (existence check
-    /// up front, filter application afterwards), never nested with each
-    /// other or held across the index descent. A session that disconnects
+    /// Locking: sessions are entered one at a time (existence check up
+    /// front, filter application afterwards) and no session's filter lock
+    /// is held across the index descent. A session that disconnects
     /// between the two lock windows surfaces as
     /// [`SessionError::UnknownSession`], the same answer a scalar call in
     /// that race would give.
@@ -364,7 +367,7 @@ impl Server {
         let mut scratch = SCRATCH.take();
         scratch.queries.clear();
         scratch.spans.clear();
-        // Admission, one stripe lock at a time and released before the
+        // Admission, one session at a time and nothing held during the
         // walk: an admitted session feeds its window centre into the pool's
         // heat field (before the descent reads any pages) and appends its
         // windows; `spans[s]` is slot s's window span.
@@ -632,9 +635,15 @@ mod tests {
         let ids: Vec<u64> = (0..SESSION_STRIPES as u64 * 2)
             .map(|_| s.connect())
             .collect();
-        // Ids are sequential, so consecutive sessions cover every stripe.
+        // Ids are sequential, so consecutive sessions spread the table's
+        // map operations over every stripe. That is all a stripe decides:
+        // queries of sessions that share one do not wait for each other
+        // (`session::tests::a_parked_query_delays_no_session_of_its_stripe`).
         assert_eq!(ids, (0..SESSION_STRIPES as u64 * 2).collect::<Vec<_>>());
         assert_eq!(s.sessions().session_count(), SESSION_STRIPES * 2);
+        for &id in &ids {
+            assert!(s.query(id, &[whole()]).unwrap().coeffs > 0);
+        }
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! (and which objects' base meshes) one client has already received;
 //! [`Sessions`] is the table of them, plus their resume tokens.
 //!
-//! Concurrency (DESIGN.md §10): sessions are sharded into
+//! Concurrency (DESIGN.md §10): the *table* is sharded into
 //! [`SESSION_STRIPES`] independent `Mutex<BTreeMap<..>>` stripes by
-//! `session_id % SESSION_STRIPES`, so concurrent clients only contend
-//! when they hash to the same stripe — never on one global map. A
-//! session's filter depends only on that session's own query history, so
-//! how sessions interleave is unobservable (pinned by
-//! `crates/core/tests/server_concurrent.rs`).
+//! `session_id % SESSION_STRIPES`, and every session's filter sits behind
+//! a mutex of its own. A stripe is locked only to find, add or remove an
+//! entry — never while a query runs: [`Sessions::with`] looks the session
+//! up, lets the stripe go and runs the query under that session's filter
+//! lock, so two sessions never wait for each other's descents or page
+//! reads, whatever their ids. A session's filter depends only on that
+//! session's own query history, so how sessions interleave is
+//! unobservable (pinned by `crates/core/tests/server_concurrent.rs`).
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
@@ -21,11 +24,12 @@ use crate::server::QueryResult;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Number of session shards. A fixed power of two keeps `id % N` cheap and
-/// the shard choice deterministic; 16 stripes already make same-stripe
-/// contention rare for the client counts the serve harness replays.
+/// Number of shards of the session table. A fixed power of two keeps
+/// `id % N` cheap and the shard choice deterministic; a stripe is held for
+/// one map operation, so 16 of them keep connects, disconnects and
+/// look-ups from queueing behind each other.
 pub const SESSION_STRIPES: usize = 16;
 
 /// Typed failure of a per-session entry point. Unknown or
@@ -137,8 +141,7 @@ pub struct ResumeInfo {
     pub retained_objects: usize,
 }
 
-/// One session's state: what the client has been sent, plus the resume
-/// capability minted for it at connect time.
+/// One session's state: what the client has been sent.
 ///
 /// The sent set is one bitmap per object, bit `k` of object `o` standing
 /// for `CoeffRef { object: o, coeff: k }`. An object's word block is
@@ -160,7 +163,6 @@ pub struct SentFilter {
     coeffs: usize,
     /// Non-empty blocks.
     objects: usize,
-    token: u64,
 }
 
 impl SentFilter {
@@ -264,11 +266,21 @@ impl SentFilter {
     }
 }
 
+/// One entry of the session table.
+#[derive(Debug)]
+struct Session {
+    /// The resume capability minted at connect time.
+    token: u64,
+    /// The session's filter behind its own lock, shared out of the table
+    /// so that a query holds this lock and no stripe.
+    filter: Arc<Mutex<SentFilter>>,
+}
+
 /// The striped session table: every connected session's [`SentFilter`],
 /// keyed by session id, plus the live resume-token map.
 #[derive(Debug)]
 pub struct Sessions {
-    stripes: [Mutex<BTreeMap<u64, SentFilter>>; SESSION_STRIPES],
+    stripes: [Mutex<BTreeMap<u64, Session>>; SESSION_STRIPES],
     next_session: AtomicU64,
     /// 128-bit SipHash key minting resume tokens. Never derivable from
     /// any number of observed `(session, token)` pairs — SipHash is a
@@ -320,8 +332,8 @@ impl Sessions {
         }
     }
 
-    /// The stripe holding `session`'s filter state.
-    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, SentFilter>> {
+    /// The stripe holding `session`'s table entry.
+    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, Session>> {
         &self.stripes[(session % SESSION_STRIPES as u64) as usize]
     }
 
@@ -347,13 +359,13 @@ impl Sessions {
                 break candidate;
             }
         };
-        let filter = SentFilter {
+        let entry = Session {
             token,
-            ..SentFilter::default()
+            filter: Arc::default(),
         };
         // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
         let mut stripe = self.stripe(id).lock().expect("session stripe poisoned");
-        stripe.insert(id, filter);
+        stripe.insert(id, entry);
         (id, token)
     }
 
@@ -364,8 +376,12 @@ impl Sessions {
     /// resume a later session. Disconnecting an unknown or
     /// already-disconnected id is a typed error, so a double disconnect
     /// cannot silently pass for a real teardown.
+    ///
+    /// Takes no filter lock, so it neither waits for a query the session
+    /// has in flight nor trips over a filter such a query poisoned: that
+    /// query finishes on the filter it holds, which is freed with it.
     pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
-        let filter = {
+        let entry = {
             let mut stripe = self
                 .stripe(session)
                 .lock()
@@ -377,30 +393,39 @@ impl Sessions {
         };
         // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
         let mut tokens = self.tokens.lock().expect("token map poisoned");
-        tokens.remove(&filter.token);
+        tokens.remove(&entry.token);
         Ok(())
     }
 
-    /// Runs `f` on `session`'s filter while holding that session's stripe
-    /// lock — the one way in to per-session state. Query paths descend
-    /// the index inside `f`, so a session's filter cannot change between
-    /// its descent and its accounting. An unknown or disconnected session
-    /// id is a typed [`SessionError`]: the table never mints filter state
-    /// for a session it did not hand out.
+    /// Runs `f` on `session`'s filter under that session's own lock — the
+    /// one way in to per-session state. The stripe is held only for the
+    /// look-up and released before the filter is locked, so `f` (a whole
+    /// query: descent, page reads, accounting) blocks nobody but a second
+    /// query of the same session. Query paths descend the index inside
+    /// `f`, so a session's filter cannot change between its descent and
+    /// its accounting. An unknown or disconnected session id is a typed
+    /// [`SessionError`]: the table never mints filter state for a session
+    /// it did not hand out. A session disconnected after the look-up is
+    /// served this once, on state nobody else can reach any more.
     pub fn with<R>(
         &self,
         session: u64,
         f: impl FnOnce(&mut SentFilter) -> R,
     ) -> Result<R, SessionError> {
-        let mut stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        stripe
-            .get_mut(&session)
-            .map(f)
-            .ok_or(SessionError::UnknownSession(session))
+        let filter = {
+            let stripe = self
+                .stripe(session)
+                .lock()
+                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+                .expect("session stripe poisoned");
+            let entry = stripe
+                .get(&session)
+                .ok_or(SessionError::UnknownSession(session))?;
+            Arc::clone(&entry.filter)
+        };
+        // mar-lint: allow(D004) — poisoning implies this session's last query panicked; propagate
+        let mut filter = filter.lock().expect("session filter poisoned");
+        Ok(f(&mut filter))
     }
 
     /// The resume token minted for a *connected* session — a lookup of
@@ -410,7 +435,15 @@ impl Sessions {
     /// pairs (every client sees its own in `WELCOME`) reveals nothing
     /// about any other session's token.
     pub fn session_token(&self, session: u64) -> Result<u64, SessionError> {
-        self.with(session, |f| f.token)
+        let stripe = self
+            .stripe(session)
+            .lock()
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            .expect("session stripe poisoned");
+        stripe
+            .get(&session)
+            .map(|entry| entry.token)
+            .ok_or(SessionError::UnknownSession(session))
     }
 
     /// Reattaches a client to its session after a *transport* drop (the
@@ -468,17 +501,22 @@ impl Sessions {
 
     /// Total resident filter entries (sent coefficients + sent base-mesh
     /// markers) across every connected session — the quantity that must
-    /// return to zero when all clients disconnect.
+    /// return to zero when all clients disconnect. Each stripe's filters
+    /// are collected first and locked after the stripe is released: no
+    /// stripe guard is ever live across a filter lock.
     pub fn resident_filter_entries(&self) -> usize {
-        self.stripes
+        let mut filters = Vec::new();
+        for stripe in &self.stripes {
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            let stripe = stripe.lock().expect("session stripe poisoned");
+            filters.extend(stripe.values().map(|entry| Arc::clone(&entry.filter)));
+        }
+        filters
             .iter()
-            .map(|s| {
-                s.lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("session stripe poisoned")
-                    .values()
-                    .map(|f| f.coeffs + f.objects)
-                    .sum::<usize>()
+            .map(|filter| {
+                // mar-lint: allow(D004) — poisoning implies that session's last query panicked; propagate
+                let f = filter.lock().expect("session filter poisoned");
+                f.coeffs + f.objects
             })
             .sum()
     }
@@ -488,12 +526,160 @@ impl Sessions {
 mod tests {
     use super::*;
     use mar_workload::{Scene, SceneConfig};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn scene_data() -> SceneIndexData {
         let mut cfg = SceneConfig::paper(3, 13);
         cfg.levels = 2;
         cfg.target_bytes = 100_000.0;
         SceneIndexData::build(&Scene::generate(cfg))
+    }
+
+    /// A query sitting inside [`Sessions::with`], holding its session's
+    /// filter lock, until this is dropped.
+    struct Parked {
+        release: mpsc::Sender<()>,
+    }
+
+    impl Parked {
+        /// Runs `f` on a helper thread and fails, instead of hanging, if
+        /// it has not returned within ten seconds.
+        fn must_not_block<R: Send>(&self, what: &str, f: impl FnOnce() -> R + Send) -> R {
+            std::thread::scope(|scope| {
+                let (done_tx, done_rx) = mpsc::channel();
+                scope.spawn(move || done_tx.send(f()));
+                done_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| {
+                        // Unpark the query so that `f`, and with it the
+                        // scope, can end.
+                        let _ = self.release.send(());
+                        panic!("{what} waited for another session's query")
+                    })
+            })
+        }
+    }
+
+    /// Runs `body` while a query of `session` is [`Parked`] — on a
+    /// channel, not on a sleep — then lets the query finish and returns
+    /// what it returned.
+    fn while_a_query_is_parked<R: Send>(
+        sessions: &Sessions,
+        session: u64,
+        query: impl FnOnce(&mut SentFilter) -> R + Send,
+        body: impl FnOnce(&Parked),
+    ) -> Result<R, SessionError> {
+        let (inside_tx, inside_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(move || {
+                sessions.with(session, |filter| {
+                    inside_tx.send(()).expect("the test is listening");
+                    // A dropped sender releases the query as well, so a
+                    // failed assertion in `body` cannot hang the scope.
+                    let _ = release_rx.recv();
+                    query(filter)
+                })
+            });
+            inside_rx.recv().expect("the query reaches its closure");
+            body(&Parked { release });
+            parked.join().expect("the parked query does not panic")
+        })
+    }
+
+    #[test]
+    fn a_parked_query_delays_no_session_of_its_stripe() {
+        let data = scene_data();
+        let index = WaveletIndex::build(&data);
+        let sessions = Sessions::seeded(7);
+        let ids: Vec<u64> = (0..=SESSION_STRIPES)
+            .map(|_| sessions.connect_with_token().0)
+            .collect();
+        let (parked, neighbour) = (ids[0], ids[SESSION_STRIPES]);
+        assert_eq!(
+            parked % SESSION_STRIPES as u64,
+            neighbour % SESSION_STRIPES as u64,
+            "ids s and s + 16 share a stripe"
+        );
+        let hits = [data.records[0].id];
+        let admit = |filter: &mut SentFilter| {
+            let mut out = QueryResult::default();
+            filter.admit(&data, &index, &hits, &mut out);
+            out.coeffs
+        };
+        let sent = while_a_query_is_parked(&sessions, parked, admit, |query| {
+            query.must_not_block("a query of session s + 16", || {
+                assert_eq!(sessions.with(neighbour, admit), Ok(1));
+            });
+            // Everything else the stripe serves goes on as well.
+            query.must_not_block("the stripe's map operations", || {
+                assert!(sessions.session_token(parked).is_ok());
+                assert_eq!(sessions.session_count(), SESSION_STRIPES + 1);
+                let (late, _) = sessions.connect_with_token();
+                sessions.disconnect(late).expect("connected a moment ago");
+                sessions.disconnect(neighbour).expect("still connected");
+            });
+        });
+        assert_eq!(sent, Ok(1), "the parked query then completes");
+        assert_eq!(sessions.session_sent(parked), 1);
+    }
+
+    #[test]
+    fn a_disconnect_racing_a_query_neither_waits_nor_leaks() {
+        let data = scene_data();
+        let index = WaveletIndex::build(&data);
+        let hits = [data.records[0].id, data.records[1].id];
+        let admit = |filter: &mut SentFilter| {
+            let mut out = QueryResult::default();
+            filter.admit(&data, &index, &hits, &mut out);
+            out.coeffs
+        };
+        let sessions = Sessions::seeded(7);
+        let nothing_left = |sessions: &Sessions| {
+            assert_eq!(sessions.session_count(), 0);
+            assert_eq!(sessions.resident_filter_entries(), 0);
+            assert!(sessions.tokens.lock().expect("token map").is_empty());
+        };
+
+        // Forced order: the query is in flight when the session goes.
+        let (s, token) = sessions.connect_with_token();
+        let sent = while_a_query_is_parked(&sessions, s, admit, |query| {
+            query
+                .must_not_block("disconnect", || sessions.disconnect(s))
+                .expect("connected");
+            nothing_left(&sessions);
+            assert_eq!(
+                sessions.resume(token),
+                Err(SessionError::UnknownToken(token))
+            );
+            assert_eq!(
+                sessions.with(s, |_| ()),
+                Err(SessionError::UnknownSession(s))
+            );
+        });
+        assert_eq!(sent, Ok(2), "the in-flight query completes on its filter");
+        nothing_left(&sessions);
+
+        // Free-running: either order, never a panic, never a leak.
+        for _ in 0..200 {
+            let (s, _) = sessions.connect_with_token();
+            let start = std::sync::Barrier::new(2);
+            let raced = std::thread::scope(|scope| {
+                let query = scope.spawn(|| {
+                    start.wait();
+                    sessions.with(s, admit)
+                });
+                start.wait();
+                sessions.disconnect(s).expect("disconnected exactly once");
+                query.join().expect("the racing query does not panic")
+            });
+            assert!(
+                matches!(raced, Ok(2) | Err(SessionError::UnknownSession(_))),
+                "{raced:?}"
+            );
+            nothing_left(&sessions);
+        }
     }
 
     #[test]

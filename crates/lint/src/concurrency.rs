@@ -24,6 +24,13 @@
 //!    dies at the `}` closing its block or at an explicit `drop(g)`; any
 //!    other shape (`.take()` projections, bare statements) is a temporary
 //!    guard that dies at the end of its statement.
+//!    A function that uses one of its closure parameters (`f: impl
+//!    FnOnce(..)`) while guards are live — the `Sessions::with` pattern:
+//!    look the session up, lock its filter, run `f` on it — lends those
+//!    guards to its callers' closure literals: in `table.with(id, |x| {
+//!    .. })` the closure body is scanned as if the caller held them, so
+//!    what a query does under its session's filter lock (fault pages
+//!    through the pager, say) lands in the lock-order graph.
 //! 3. **Call graph.** `name(..)` call sites are resolved against every
 //!    workspace `fn name` (union over same-name functions), except a
 //!    denylist of ubiquitous std-colliding names (`len`, `insert`,
@@ -49,9 +56,10 @@
 //!
 //! Known limitations (all false-*negative* directions, chosen so the
 //! self-lint gate stays meaningful): closure-parameter receivers
-//! (`|s| s.lock()`) are not named locks; closures passed by value
-//! (`.map(f)`) are not call edges; denylisted method names are never
-//! edges. See DESIGN.md §13 for the discipline that keeps these gaps
+//! (`|s| s.lock()`) are not named locks; a closure is followed only as a
+//! literal at the call site of a function that takes it as `impl Fn*`
+//! (not through a generic `F: Fn*`, a variable, or two such functions
+//! deep); denylisted method names are never edges. See DESIGN.md §13 for the discipline that keeps these gaps
 //! harmless.
 
 use crate::{
@@ -202,6 +210,8 @@ struct FnDef {
     body: (usize, usize),
     /// Nested `fn` bodies inside `body` (scanned as their own defs).
     nested: Vec<(usize, usize)>,
+    /// Parameters typed `impl Fn*(..)`: closures the body may run.
+    closure_params: Vec<String>,
 }
 
 /// A live guard during the body scan.
@@ -213,7 +223,14 @@ struct Guard {
     /// Brace depth at acquisition (body starts at depth 1).
     depth: u32,
     line: u32,
+    /// A guard lent to a closure literal (see [`Lent`]) is live up to
+    /// this token — the `)` closing the call it was passed to.
+    until: Option<usize>,
 }
+
+/// Per function name: the locks it holds while it uses a closure
+/// parameter — what a closure literal passed to it runs under.
+type Lent = BTreeMap<String, BTreeSet<String>>;
 
 /// A call site made while guards were live.
 struct Call {
@@ -234,6 +251,8 @@ struct FnFacts {
     nests: Vec<(String, String, u32, u32)>,
     /// Ready-made D007/D008 findings (allow-filtered later).
     findings: Vec<(u32, u32, Rule, String)>,
+    /// Locks held at a use of one of the function's closure parameters.
+    lends: Vec<String>,
 }
 
 /// Runs the concurrency pass over the full file set and returns D006/
@@ -267,10 +286,21 @@ pub(crate) fn analyze(files: &[(String, String)]) -> Vec<Finding> {
         by_name.entry(d.name.as_str()).or_default().push(i);
     }
 
-    let facts: Vec<FnFacts> = defs
-        .iter()
-        .map(|d| scan_fn(&ctxs[d.file], d, &locks, &by_name))
-        .collect();
+    // Two scans: the first learns which functions run a closure
+    // parameter under guards, the second lends those guards to the
+    // closure literals at their call sites.
+    let scan = |lent: &Lent| -> Vec<FnFacts> {
+        defs.iter()
+            .map(|d| scan_fn(&ctxs[d.file], d, &locks, &by_name, lent))
+            .collect()
+    };
+    let mut lent = Lent::new();
+    for (d, f) in defs.iter().zip(scan(&lent)) {
+        if !f.lends.is_empty() {
+            lent.entry(d.name.clone()).or_default().extend(f.lends);
+        }
+    }
+    let facts = scan(&lent);
 
     let traces = transitive_locks(&ctxs, &defs, &facts, &by_name);
     build_findings(&ctxs, &defs, &facts, &traces, &by_name)
@@ -506,10 +536,34 @@ fn collect_fns(ctxs: &[FileCtx]) -> Vec<FnDef> {
                 file: fidx,
                 body: (open + 1, close),
                 nested,
+                closure_params: closure_params(&toks[i..open]),
             });
         }
     }
     defs
+}
+
+/// The parameters of the signature `sig` declared `name: [&mut] impl
+/// Fn*(..)`.
+fn closure_params(sig: &[Token]) -> Vec<String> {
+    let mut params = Vec::new();
+    for (i, t) in sig.iter().enumerate() {
+        let is_fn_trait = matches!(ident(t), Some("Fn" | "FnMut" | "FnOnce"));
+        if !is_fn_trait || i == 0 || ident(&sig[i - 1]) != Some("impl") {
+            continue;
+        }
+        // Back over `impl`, `&`, `mut` to the declaration's `name :`.
+        let mut j = i - 1;
+        while j > 0 && (is_punct(&sig[j - 1], '&') || ident(&sig[j - 1]) == Some("mut")) {
+            j -= 1;
+        }
+        if j >= 2 && is_punct(&sig[j - 1], ':') {
+            if let Some(name) = ident(&sig[j - 2]) {
+                params.push(name.to_string());
+            }
+        }
+    }
+    params
 }
 
 /// Token indices of the `{` / `}` delimiting the body of the `fn` at
@@ -533,7 +587,13 @@ fn fn_body(toks: &[Token], fn_idx: usize) -> Option<(usize, usize)> {
 // Pass C — per-function guard-liveness scan
 // ---------------------------------------------------------------------------
 
-fn scan_fn(ctx: &FileCtx, def: &FnDef, locks: &Locks, fns: &BTreeMap<&str, Vec<usize>>) -> FnFacts {
+fn scan_fn(
+    ctx: &FileCtx,
+    def: &FnDef,
+    locks: &Locks,
+    fns: &BTreeMap<&str, Vec<usize>>,
+    lent: &Lent,
+) -> FnFacts {
     let toks = &ctx.tokens;
     let mut facts = FnFacts::default();
     let mut guards: Vec<Guard> = Vec::new();
@@ -550,6 +610,7 @@ fn scan_fn(ctx: &FileCtx, def: &FnDef, locks: &Locks, fns: &BTreeMap<&str, Vec<u
             continue;
         }
         let t = &toks[i];
+        guards.retain(|g| g.until != Some(i));
         match &t.tok {
             Tok::Punct('{') => {
                 depth += 1;
@@ -596,8 +657,13 @@ fn scan_fn(ctx: &FileCtx, def: &FnDef, locks: &Locks, fns: &BTreeMap<&str, Vec<u
                             binding,
                             depth,
                             line: t.line,
+                            until: None,
                         });
                     }
+                } else if def.closure_params.contains(name) {
+                    // Called or handed on (`f(x)`, `.map(f)`): either way
+                    // it may run under whatever is held here.
+                    facts.lends.extend(guards.iter().map(|g| g.lock.clone()));
                 } else if next_open && is_blocking(toks, i, name) {
                     if let Some(g) = guards.first() {
                         facts.findings.push((
@@ -614,17 +680,35 @@ fn scan_fn(ctx: &FileCtx, def: &FnDef, locks: &Locks, fns: &BTreeMap<&str, Vec<u
                         ));
                     }
                 } else if next_open
-                    && !guards.is_empty()
                     && !CALL_DENYLIST.contains(&name.as_str())
                     && fns.contains_key(name.as_str())
                     && (i == 0 || ident(&toks[i - 1]) != Some("fn"))
                 {
-                    facts.calls.push(Call {
-                        callee: name.clone(),
-                        line: t.line,
-                        col: t.col,
-                        held: guards.clone(),
-                    });
+                    if !guards.is_empty() {
+                        facts.calls.push(Call {
+                            callee: name.clone(),
+                            line: t.line,
+                            col: t.col,
+                            held: guards.clone(),
+                        });
+                    }
+                    // A closure literal among the arguments runs under
+                    // what the callee holds when it uses its closure
+                    // parameter: lend those guards for the span of the
+                    // argument list.
+                    if let (Some(held), Some(close)) =
+                        (lent.get(name), matching_bracket(toks, i + 1, '(', ')'))
+                    {
+                        if (i + 2..close).any(|j| is_punct(&toks[j], '|')) {
+                            guards.extend(held.iter().map(|lock| Guard {
+                                lock: lock.clone(),
+                                binding: Some(format!("closure passed to {name}")),
+                                depth,
+                                line: t.line,
+                                until: Some(close),
+                            }));
+                        }
+                    }
                 }
             }
             _ => {}
@@ -1334,6 +1418,76 @@ mod tests {
         let f = analyze(&lib(via_call));
         assert_eq!(rules_of(&f), vec![Rule::D008]);
         assert!(f[0].message.contains("total"), "{}", f[0].message);
+    }
+
+    /// A closure literal runs under what the function it is passed to
+    /// holds around its closure parameter: the per-session `with` shape
+    /// puts `filter → pool` into the graph (a cycle once anything under
+    /// the pool reaches back), re-entering `with` from its own closure is
+    /// D008, and a function that has let go of its guard before it runs
+    /// the closure lends nothing.
+    #[test]
+    fn guards_are_lent_to_closure_literals() {
+        let table = r#"
+            use std::sync::{Arc, Mutex};
+            pub struct S { filter: Arc<Mutex<u32>>, pool: Mutex<u32> }
+            impl S {
+                pub fn with<R>(&self, f: impl FnOnce(&mut u32) -> R) -> R {
+                    let mut filter = self.filter.lock();
+                    f(&mut filter)
+                }
+                pub fn after<R>(&self, f: impl FnOnce(u32) -> R) -> R {
+                    let seen = {
+                        let filter = self.filter.lock();
+                        7
+                    };
+                    f(seen)
+                }
+                fn fault(&self) {
+                    let _p = self.pool.lock();
+                }
+        "#;
+        let clean = r#"
+                pub fn query(&self) {
+                    self.with(|sent| {
+                        *sent += 1;
+                        self.fault();
+                    });
+                    self.after(|_| self.fault());
+                }
+            }
+        "#;
+        assert!(analyze(&lib(&format!("{table}{clean}"))).is_empty());
+
+        let cycle = r#"
+                pub fn query(&self) {
+                    self.with(|sent| {
+                        *sent += 1;
+                        self.fault();
+                    });
+                }
+                pub fn evict(&self) {
+                    let p = self.pool.lock();
+                    let f = self.filter.lock();
+                    drop(f);
+                    drop(p);
+                }
+            }
+        "#;
+        let f = analyze(&lib(&format!("{table}{cycle}")));
+        assert_eq!(rules_of(&f), vec![Rule::D006]);
+        assert!(f[0].message.contains("`query`"), "{}", f[0].message);
+        assert!(f[0].message.contains("fault"), "{}", f[0].message);
+
+        let reentry = r#"
+                pub fn query(&self) {
+                    self.with(|_| self.with(|sent| *sent += 1));
+                }
+            }
+        "#;
+        let f = analyze(&lib(&format!("{table}{reentry}")));
+        assert_eq!(rules_of(&f), vec![Rule::D008]);
+        assert!(f[0].message.contains("`filter`"), "{}", f[0].message);
     }
 
     /// `.read()`/`.write()` only fire on declared `RwLock` names — an

@@ -148,6 +148,28 @@ fn d006_allow_fixture_suppresses_with_reason() {
     assert!(lint_concurrency("d006_allow.rs").is_empty());
 }
 
+/// The session table's lock family (DESIGN.md §13.1): a stripe guard
+/// live across a per-session filter lock is an ordering edge — a cycle
+/// as soon as anything under a filter reaches back into the table — and
+/// re-entering a held filter is a self-deadlock; the look-up-then-release
+/// shape `Sessions::with` uses is clean.
+#[test]
+fn d006_d008_know_the_session_filter_lock() {
+    let f = lint_concurrency("d006_filter_lock_fail.rs");
+    assert_eq!(
+        f.iter().map(|x| x.rule).collect::<Vec<_>>(),
+        vec![Rule::D006, Rule::D008],
+        "{f:#?}"
+    );
+    let (cycle, reentry) = (&f[0].message, &f[1].message);
+    assert!(cycle.contains("`filter` → `stripes` → `filter`"), "{cycle}");
+    assert!(cycle.contains("`with`"), "{cycle}");
+    assert!(cycle.contains("session_count"), "{cycle}");
+    assert!(reentry.contains("mark_sent"), "{reentry}");
+    assert!(reentry.contains("`filter`"), "{reentry}");
+    assert!(lint_concurrency("d006_filter_lock_pass.rs").is_empty());
+}
+
 #[test]
 fn d007_failing_fixture() {
     let f = lint_concurrency("d007_fail.rs");

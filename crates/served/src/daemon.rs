@@ -1,8 +1,9 @@
 //! `mar-served` — the thread-per-connection TCP daemon (DESIGN.md §12.2).
 //!
 //! Every accepted connection gets its own thread over one shared
-//! [`Server`] — the core is lock-free for queries and 16-way striped for
-//! session state, so connection threads never serialize on each other.
+//! [`Server`] — the core is lock-free for queries and every session's
+//! state has a lock of its own, so connection threads never serialize on
+//! each other.
 //!
 //! **Backpressure is explicit and deterministic.** Each *session* (not
 //! each connection) carries a ledger of payload bytes served but not yet

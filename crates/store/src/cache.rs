@@ -38,22 +38,32 @@
 //!
 //! A read is two halves, both `&mut self` and neither touching the file:
 //! [`PageCache::lookup`] (count, relink, clone the `Arc`) and, after a
-//! miss, [`PageCache::admit`] with the bytes the caller read (count the
-//! fault, pick the victim, bypass or evict, link the slot).
-//! [`PageCache::read_with_heat`] composes them around one
-//! [`PageFile::read_at`]; a caller that guards the pool with a mutex runs
-//! the halves under it and the read between them outside it (mar-core
-//! `paged.rs`), sharing the file through [`PageCache::file`].
+//! miss, the admission of the bytes the caller read. An admission is
+//! three steps. [`PageCache::plan`] counts the fault and decides at once
+//! whatever needs no heat — the page became resident meanwhile, the pool
+//! has room, the policy is LRU; a full motion-aware pool instead copies
+//! its eviction candidates, `(slot, page)` in scan order, into the
+//! caller's [`VictimPlan`] together with the pool's use counter.
+//! [`VictimPlan::rank`] picks the victim (or the bypass) from that copy
+//! and the caller's heats — it does not touch the pool.
+//! [`PageCache::commit`] carries the choice out if the victim's slot has
+//! not been used since the plan was taken, and plans again otherwise.
+//! [`PageCache::admit`] and [`PageCache::read_with_heat`] run the three in
+//! place; a caller that guards the pool with a mutex holds it for `plan`
+//! and `commit` only, and reads the page and ranks the candidates outside
+//! it (mar-core `paged.rs`), sharing the file through [`PageCache::file`].
+//! Nothing moves between a plan and its commit on one thread, so there
+//! every decision is the one a single locked scan would have made.
 //!
 //! Cost: the pool never computes a heat itself. On a fault into a full
-//! motion-aware pool it asks the caller's `FnMut(Option<u32>, u32) ->
-//! f64` once per candidate of the unprotected quarter, passing the
-//! candidate's slot beside its page id, then once for the faulted page
-//! (no slot yet: `None`); hits, LRU pools and pools with room never call
-//! it. A slot names the same page until that page is evicted, so a
+//! motion-aware pool the ranking asks the caller's `FnMut(Option<u32>,
+//! u32) -> f64` once per candidate of the unprotected quarter, passing
+//! the candidate's slot beside its page id, then once for the faulted
+//! page (no slot yet: `None`); hits, LRU pools and pools with room never
+//! call it. A slot names the same page until that page is evicted, so a
 //! caller whose heats are expensive keys its own per-slot state by it —
 //! the paged backend keeps one row of per-session contributions per slot
-//! (`mar_buffer::MotionHeat::heat_slot`, DESIGN.md §15.3) — and the pool
+//! (`mar_buffer::SlotHeats`, DESIGN.md §15.3) — and the pool
 //! stays oblivious: a decision depends only on the values returned.
 //!
 //! Determinism: every use moves a resident to the tail of one list, so
@@ -139,7 +149,62 @@ struct Resident {
     prev: u32,
     /// Neighbour towards the most recently used end.
     next: u32,
+    /// The pool's use counter when this slot was last used or filled.
+    used: u64,
     data: Arc<Vec<u8>>,
+}
+
+/// One victim scan of a full motion-aware pool, split off the pool so
+/// that it can run while the pool serves other threads: the candidates as
+/// [`PageCache::plan`] copied them, and the choice [`VictimPlan::rank`]
+/// made among them. Reusable — a plan overwrites what the last one left.
+#[derive(Debug, Default)]
+pub struct VictimPlan {
+    /// The page being admitted.
+    page: u32,
+    /// `(slot, page)` of every eviction candidate, least recently used
+    /// first — the order the scan ranks them in.
+    candidates: Vec<(u32, u32)>,
+    /// The pool's use counter when the candidates were copied.
+    stamp: u64,
+    /// Index into `candidates` of the victim; `None` once ranked means
+    /// bypass.
+    victim: Option<usize>,
+}
+
+impl VictimPlan {
+    /// The candidates of the last plan, `(slot, page)` in scan order.
+    pub fn candidates(&self) -> &[(u32, u32)] {
+        &self.candidates
+    }
+
+    /// Picks the victim: the coldest candidate, the earlier of equally
+    /// cold ones — or nobody, when the page being admitted is colder than
+    /// all of them (admission bypass).
+    ///
+    /// `heat(slot, page)` ranks a page (higher = hotter = more worth
+    /// keeping): `slot` is `Some` for a candidate, `None` for the page
+    /// being admitted. It may keep state but must return the same value
+    /// for the same page throughout one call.
+    pub fn rank(&mut self, heat: &mut dyn FnMut(Option<u32>, u32) -> f64) {
+        // Recency-protected heat ranking: the candidates are the least
+        // recently used quarter of the pool, least recent first, so the
+        // strict `<` keeps the least recent of equally cold pages — with
+        // a uniform heat that is exactly the LRU victim.
+        let mut coldest = f64::INFINITY;
+        self.victim = None;
+        for (i, &(slot, page)) in self.candidates.iter().enumerate() {
+            let h = heat(Some(slot), page);
+            if i == 0 || h < coldest {
+                (coldest, self.victim) = (h, Some(i));
+            }
+        }
+        if heat(None, self.page) < coldest {
+            // The faulted page is colder than everything it could
+            // displace — serve it without caching it.
+            self.victim = None;
+        }
+    }
 }
 
 /// Deterministic bounded buffer pool over a [`PageFile`].
@@ -156,6 +221,8 @@ pub struct PageCache {
     head: u32,
     /// Most recently used slot.
     tail: u32,
+    /// Counts uses (hits and fills); a slot's `used` is its last one.
+    uses: u64,
     stats: PageCacheStats,
     trace: Option<Vec<TraceEvent>>,
 }
@@ -174,6 +241,7 @@ impl PageCache {
             slot_of,
             head: NIL,
             tail: NIL,
+            uses: 0,
             stats: PageCacheStats::default(),
             trace: None,
         }
@@ -261,8 +329,16 @@ impl PageCache {
         self.tail = slot;
     }
 
+    /// Counts a use of `slot`: a [`VictimPlan`] taken before it may no
+    /// longer evict the slot.
+    fn stamp(&mut self, slot: u32) {
+        self.uses += 1;
+        self.slots[slot as usize].used = self.uses;
+    }
+
     /// Marks the resident in `slot` as just used and returns its bytes.
     fn touch(&mut self, slot: u32) -> Arc<Vec<u8>> {
+        self.stamp(slot);
         if slot != self.tail {
             self.unlink(slot);
             self.link_most_recent(slot);
@@ -277,7 +353,7 @@ impl PageCache {
     }
 
     /// Reads `page`, ranking admission/eviction by `heat` (higher =
-    /// hotter = more worth keeping; see [`Self::admit`]). Returns the
+    /// hotter = more worth keeping; see [`VictimPlan::rank`]). Returns the
     /// payload and whether it was a pool hit. A failed read leaves only
     /// the look-up counted.
     pub fn read_with_heat(
@@ -295,7 +371,8 @@ impl PageCache {
     /// The hit half of a read: counts the look-up and, when `page` is
     /// resident, the hit, marks it most recently used and returns its
     /// bytes. `None` is a miss — the caller reads the page and hands it
-    /// to [`Self::admit`].
+    /// to [`Self::admit`], or to [`Self::plan`] when it ranks victims
+    /// itself.
     pub fn lookup(&mut self, page: u32) -> Option<Arc<Vec<u8>>> {
         self.stats.lookups += 1;
         let slot = *self.slot_of.get(page as usize)?;
@@ -307,22 +384,11 @@ impl PageCache {
         Some(self.touch(slot))
     }
 
-    /// The fault half of a read: `data` is `page` as just read from the
-    /// file after a [`Self::lookup`] miss. Counts the fault, makes room
-    /// (or declines to, see the module docs on bypass) and returns the
-    /// bytes to serve.
-    ///
-    /// `heat(slot, page)` ranks a page (higher = hotter = more worth
-    /// keeping): `slot` is `Some` for a resident candidate and names the
-    /// same page until that page is evicted, `None` for the page being
-    /// admitted. It may keep state but must return the same value for
-    /// the same page throughout one call.
-    ///
-    /// When `page` became resident since the look-up missed — another
-    /// thread admitted it while this one was reading — the resident copy
-    /// is served and the fault counted, nothing else changes; so
-    /// `lookups = hits + faults` and "one file read per fault" hold at
-    /// any thread count.
+    /// The fault half of a read in one call: `data` is `page` as just read
+    /// from the file after a [`Self::lookup`] miss. [`Self::plan`],
+    /// [`VictimPlan::rank`] with `heat` and [`Self::commit`], in place —
+    /// nothing can move between them under one `&mut self`, so the first
+    /// commit stands. Returns the bytes to serve.
     ///
     /// # Panics
     /// If `page` is not a page of the file.
@@ -332,64 +398,138 @@ impl PageCache {
         data: Arc<Vec<u8>>,
         heat: &mut dyn FnMut(Option<u32>, u32) -> f64,
     ) -> Arc<Vec<u8>> {
+        let mut scan = VictimPlan::default();
+        let mut served = self.plan(page, &data, &mut scan);
+        loop {
+            if let Some(bytes) = served {
+                return bytes;
+            }
+            scan.rank(heat);
+            served = self.commit(&data, &mut scan);
+        }
+    }
+
+    /// First step of an admission: counts the fault and, unless a victim
+    /// has to be ranked, finishes — `Some` is the bytes to serve. `None`
+    /// means the pool is full and motion-aware: `scan` now holds the
+    /// candidates (the first `len − protected` slots from the least
+    /// recent end, at least one) for [`VictimPlan::rank`], and the
+    /// admission ends with [`Self::commit`].
+    ///
+    /// When `page` became resident since the look-up missed — another
+    /// thread admitted it while this one was reading — the resident copy
+    /// is served and the fault counted, nothing else changes; so
+    /// `lookups = hits + faults` and "one file read per fault" hold at
+    /// any thread count.
+    ///
+    /// # Panics
+    /// If `page` is not a page of the file.
+    pub fn plan(
+        &mut self,
+        page: u32,
+        data: &Arc<Vec<u8>>,
+        scan: &mut VictimPlan,
+    ) -> Option<Arc<Vec<u8>>> {
         self.stats.faults += 1;
+        self.plan_uncounted(page, data, scan)
+    }
+
+    /// [`Self::plan`] without the fault count: also what a refused commit
+    /// falls back to.
+    fn plan_uncounted(
+        &mut self,
+        page: u32,
+        data: &Arc<Vec<u8>>,
+        scan: &mut VictimPlan,
+    ) -> Option<Arc<Vec<u8>>> {
         let resident = self.slot_of[page as usize];
         if resident != NIL {
-            return self.touch(resident);
+            return Some(self.touch(resident));
         }
-
-        let slot = if self.slots.len() < self.capacity_pages {
+        if self.slots.len() < self.capacity_pages {
             self.slots.push(Resident {
                 page,
                 prev: NIL,
                 next: NIL,
-                data: Arc::clone(&data),
+                used: 0,
+                data: Arc::clone(data),
             });
-            (self.slots.len() - 1) as u32
-        } else {
-            // Full, so the list is not empty: `head` is a slot.
-            let mut victim = self.head;
-            if self.policy == CachePolicy::MotionAware {
-                // Recency-protected heat ranking: exempt the most
-                // recently used three quarters of the pool and pick the
-                // coldest of the rest. The walk starts at the least
-                // recent, so the strict `<` keeps the least recent of
-                // equally cold pages — with a uniform heat that is
-                // exactly the LRU victim.
-                let protected = self.capacity_pages - self.capacity_pages / 4;
-                let candidates = self.slots.len().saturating_sub(protected).max(1);
-                let mut coldest = heat(Some(victim), self.slots[victim as usize].page);
-                let mut at = victim;
-                for _ in 1..candidates {
-                    at = self.slots[at as usize].next;
-                    let h = heat(Some(at), self.slots[at as usize].page);
-                    if h < coldest {
-                        (coldest, victim) = (h, at);
-                    }
-                }
-                if heat(None, page) < coldest {
-                    // Admission bypass: the faulted page is colder than
-                    // everything it could displace — serve it without
-                    // caching it.
-                    self.stats.bypasses += 1;
-                    self.record(TraceEvent::Bypass(page));
-                    return data;
-                }
-            }
-            let evicted = self.slots[victim as usize].page;
-            self.slot_of[evicted as usize] = NIL;
-            self.stats.evictions += 1;
-            self.record(TraceEvent::Evict(evicted));
-            self.unlink(victim);
-            let s = &mut self.slots[victim as usize];
-            s.page = page;
-            s.data = Arc::clone(&data);
-            victim
+            self.install((self.slots.len() - 1) as u32, page);
+            return Some(Arc::clone(data));
+        }
+        // Full, so the list is not empty: `head` is a slot.
+        if self.policy == CachePolicy::Lru {
+            return Some(self.replace(self.head, page, data));
+        }
+        // Recency-protected: the most recently used three quarters of the
+        // pool are exempt, the rest are the candidates.
+        let protected = self.capacity_pages - self.capacity_pages / 4;
+        let candidates = self.slots.len().saturating_sub(protected).max(1);
+        scan.page = page;
+        scan.stamp = self.uses;
+        scan.victim = None;
+        scan.candidates.clear();
+        let mut at = self.head;
+        for _ in 0..candidates {
+            let s = &self.slots[at as usize];
+            scan.candidates.push((at, s.page));
+            at = s.next;
+        }
+        None
+    }
+
+    /// Last step of an admission that [`Self::plan`] left to a ranking:
+    /// evicts the victim `scan` chose and caches `data` in its slot, or
+    /// serves `data` uncached when the ranking chose bypass. `Some` is the
+    /// bytes to serve.
+    ///
+    /// The pool may have been used between the plan and this call. If the
+    /// page was admitted meanwhile, the resident copy is served. If the
+    /// victim's slot was used — hit, or evicted and refilled, so it may
+    /// hold another page — the choice is void: the pool plans again into
+    /// `scan` and returns `None` when that needs a fresh ranking. Use of
+    /// any *other* candidate does not void it.
+    pub fn commit(&mut self, data: &Arc<Vec<u8>>, scan: &mut VictimPlan) -> Option<Arc<Vec<u8>>> {
+        let page = scan.page;
+        let resident = self.slot_of[page as usize];
+        if resident != NIL {
+            return Some(self.touch(resident));
+        }
+        let Some(victim) = scan.victim else {
+            self.stats.bypasses += 1;
+            self.record(TraceEvent::Bypass(page));
+            return Some(Arc::clone(data));
         };
+        let (slot, _) = scan.candidates[victim];
+        // A slot's page changes only by a fill, and a fill is a use: an
+        // unused slot still holds the page that was ranked.
+        if self.slots[slot as usize].used > scan.stamp {
+            return self.plan_uncounted(page, data, scan);
+        }
+        Some(self.replace(slot, page, data))
+    }
+
+    /// Evicts the resident of `slot` and caches `page` there.
+    fn replace(&mut self, slot: u32, page: u32, data: &Arc<Vec<u8>>) -> Arc<Vec<u8>> {
+        let evicted = self.slots[slot as usize].page;
+        self.slot_of[evicted as usize] = NIL;
+        self.stats.evictions += 1;
+        self.record(TraceEvent::Evict(evicted));
+        self.unlink(slot);
+        let s = &mut self.slots[slot as usize];
+        s.page = page;
+        s.data = Arc::clone(data);
+        self.install(slot, page);
+        Arc::clone(data)
+    }
+
+    /// Makes the unlinked `slot`, already holding `page`, resident and
+    /// most recently used.
+    fn install(&mut self, slot: u32, page: u32) {
         self.slot_of[page as usize] = slot;
+        self.stamp(slot);
         self.link_most_recent(slot);
         self.record(TraceEvent::Fault(page));
-        data
     }
 
     /// Checks the pool's structure: at most `capacity_pages` slots, the

@@ -6,7 +6,7 @@
 //!
 //! * [`PageFile`] — a fixed-size page file (4 KB pages, `u32` page ids,
 //!   deterministic little-endian layout). The file header and every page
-//!   carry an FNV-1a checksum, so torn writes and bit rot surface as a
+//!   carry a checksum ([`page_checksum`]), so torn writes and bit rot surface as a
 //!   typed [`StoreError`] instead of silently corrupt query answers.
 //! * [`RecencyIndex`] — the deterministic recency structure the client
 //!   caches share (`mar_buffer::LruCache`, `mar_buffer::BlockCache`): a
@@ -31,6 +31,6 @@ mod cache;
 mod page;
 mod recency;
 
-pub use cache::{CachePolicy, PageCache, PageCacheStats, TraceEvent};
-pub use page::{fnv1a64_bytes, PageFile, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
+pub use cache::{CachePolicy, PageCache, PageCacheStats, TraceEvent, VictimPlan};
+pub use page::{page_checksum, PageFile, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
 pub use recency::RecencyIndex;

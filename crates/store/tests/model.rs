@@ -7,17 +7,22 @@
 //! cannot perturb the decisions). The pool's structural invariants
 //! (`PageCache::validate`) are checked after every operation, and a
 //! third property replays the same reads through [`TreePool`] — the
-//! ordered-map pool `PageCache` was before its slab — and demands the
-//! same trace.
+//! ordered-map pool `PageCache` was before its slab, deciding a whole
+//! admission in one locked call — and demands the same trace. A fourth
+//! drives the pool the way a caller that ranks outside a lock does
+//! (`lookup`, then `plan` → `rank` → `commit` as separate calls) against
+//! the same reference; the example tests after it put other work between
+//! a plan and its commit, on one thread and on four.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use mar_store::{
-    CachePolicy, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, PAGE_SIZE,
+    CachePolicy, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, VictimPlan,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -163,6 +168,17 @@ impl TreePool {
         }
     }
 
+    /// The pages a victim scan would rank now, in scan order.
+    fn candidates(&self) -> Vec<u32> {
+        let protected = self.capacity_pages - self.capacity_pages / 4;
+        let candidates = self.entries.len().saturating_sub(protected).max(1);
+        self.recency
+            .iter()
+            .take(candidates)
+            .map(|(_, &p)| p)
+            .collect()
+    }
+
     fn read(&mut self, page: u32, heat: &dyn Fn(u32) -> f64) -> (Arc<Vec<u8>>, bool) {
         self.stats.lookups += 1;
         if let Some((stamp, data)) = self.entries.get_mut(&page) {
@@ -177,10 +193,8 @@ impl TreePool {
             let victim = match self.policy {
                 CachePolicy::Lru => self.recency.peek_lru().map(|(_, &p)| p),
                 CachePolicy::MotionAware => {
-                    let protected = self.capacity_pages - self.capacity_pages / 4;
-                    let candidates = self.entries.len().saturating_sub(protected).max(1);
                     let mut coldest: Option<(f64, u32)> = None;
-                    for (_, &p) in self.recency.iter().take(candidates) {
+                    for p in self.candidates() {
                         let h = heat(p);
                         if coldest.is_none_or(|(ch, _)| h < ch) {
                             coldest = Some((h, p));
@@ -278,4 +292,301 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A read the way a caller that guards the pool with a lock runs it:
+/// `lookup`, the file read, `plan`, and — when the plan asks for it —
+/// `rank` and `commit` as separate calls, `between` running where such a
+/// caller has let go of the lock. Returns the bytes and how many commits
+/// were refused.
+fn staged_read(
+    pool: &Mutex<PageCache>,
+    page: u32,
+    scan: &mut VictimPlan,
+    heat: &dyn Fn(u32) -> f64,
+    mut between: impl FnMut(&VictimPlan),
+) -> (Arc<Vec<u8>>, u32) {
+    let hit = pool.lock().expect("pool").lookup(page);
+    if let Some(data) = hit {
+        return (data, 0);
+    }
+    let file = Arc::clone(pool.lock().expect("pool").file());
+    let data = Arc::new(file.read_at(page).expect("file read"));
+    let mut served = pool.lock().expect("pool").plan(page, &data, scan);
+    let mut refused = 0;
+    loop {
+        if let Some(bytes) = served {
+            return (bytes, refused);
+        }
+        between(scan);
+        scan.rank(&mut |_, p| heat(p));
+        between(scan);
+        served = pool.lock().expect("pool").commit(&data, scan);
+        refused += u32::from(served.is_none());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One thread, admission in three calls: the candidates copied out
+    /// are the ones the one-call scan walked, in its order, and the
+    /// trace, counters and bytes are those of the pool that decided each
+    /// admission in a single call — for both policies, NaN heats and ties
+    /// included. No commit is ever refused.
+    #[test]
+    fn plan_rank_commit_equals_the_one_call_admission(
+        n_pages in 2usize..24,
+        cap in 1usize..9,
+        raw_reads in prop::collection::vec(0u32..96, 1..160),
+        raw_heats in prop::collection::vec(0u32..5, 24..25),
+    ) {
+        let reads: Vec<u32> = raw_reads.iter().map(|r| r % n_pages as u32).collect();
+        let heats: Vec<f64> = raw_heats
+            .iter()
+            .map(|&h| if h == 4 { f64::NAN } else { h as f64 })
+            .collect();
+        let heat = |p: u32| heats[p as usize];
+        let path = build_store(n_pages);
+        for policy in [CachePolicy::Lru, CachePolicy::MotionAware] {
+            let mut staged = PageCache::new(PageFile::open(&path).expect("open"), cap * PAGE_SIZE, policy);
+            staged.set_trace(true);
+            let staged = Mutex::new(staged);
+            let mut tree = TreePool::new(PageFile::open(&path).expect("open"), cap, policy);
+            let mut scan = VictimPlan::default();
+            for &p in &reads {
+                let scanned = tree.candidates();
+                let mut ranked = false;
+                let (got, refused) = staged_read(&staged, p, &mut scan, &heat, |scan| {
+                    let pages: Vec<u32> = scan.candidates().iter().map(|&(_, page)| page).collect();
+                    assert_eq!(pages, scanned, "candidates for page {p}");
+                    ranked = true;
+                });
+                prop_assert_eq!(refused, 0);
+                let (want, _) = tree.read(p, &heat);
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "bytes of page {}", p);
+                let mut staged = staged.lock().expect("pool");
+                staged.validate().map_err(TestCaseError::Fail)?;
+                let trace = std::mem::take(&mut tree.trace);
+                let full = !matches!(trace[0], TraceEvent::Hit(_))
+                    && (trace.len() == 2 || matches!(trace[0], TraceEvent::Bypass(_)));
+                prop_assert_eq!(ranked, full && policy == CachePolicy::MotionAware);
+                prop_assert_eq!(staged.take_trace(), trace, "decision on page {}", p);
+            }
+            prop_assert_eq!(staged.lock().expect("pool").stats(), tree.stats);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// An 8-page motion-aware pool holding pages 0..8, page 0 least recent,
+/// tracing on. It ranks its two least recent pages; with `heat(p) = p`
+/// the victim is the lower page id.
+fn full_pool(path: &Path) -> Mutex<PageCache> {
+    let file = PageFile::open(path).expect("open");
+    let mut pool = PageCache::new(file, 8 * PAGE_SIZE, CachePolicy::MotionAware);
+    for p in 0..8 {
+        pool.read(p).expect("fill");
+    }
+    pool.set_trace(true);
+    Mutex::new(pool)
+}
+
+fn by_page_id(p: u32) -> f64 {
+    f64::from(p)
+}
+
+/// Whatever happens to the chosen victim's slot between the plan and the
+/// commit — a hit, an eviction, an eviction and a refill — the commit is
+/// refused, the fault is still counted once, and the second round, ranked
+/// over fresh candidates, stands.
+#[test]
+fn a_commit_whose_victim_was_used_since_the_plan_is_refused_and_the_retry_converges() {
+    use TraceEvent::{Evict, Fault, Hit};
+    let path = build_store(16);
+    let mut scan = VictimPlan::default();
+
+    // Touched: page 0 is chosen, then hit.
+    let pool = full_pool(&path);
+    let mut rounds = 0;
+    let (_, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |scan| {
+        rounds += 1;
+        match rounds {
+            1 => assert_eq!(scan.candidates(), [(0, 0), (1, 1)]),
+            2 => assert!(pool.lock().expect("pool").lookup(0).is_some()),
+            _ => assert_eq!(scan.candidates(), [(1, 1), (2, 2)]),
+        }
+    });
+    assert_eq!((refused, rounds), (1, 4));
+    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!(pool.take_trace(), [Hit(0), Evict(1), Fault(10)]);
+    assert_eq!(
+        pool.stats().faults,
+        8 + 1,
+        "a refused commit counts no second fault"
+    );
+    assert!(pool.contains(0) && pool.contains(10) && !pool.contains(1));
+    pool.validate().expect("pool structure");
+
+    // Evicted and replaced: another admission takes the chosen victim
+    // first, so its slot holds page 11 when the commit arrives.
+    let pool = full_pool(&path);
+    let mut rounds = 0;
+    let (_, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |_| {
+        rounds += 1;
+        if rounds == 2 {
+            let mut pool = pool.lock().expect("pool");
+            pool.read_with_heat(11, &mut |_, p| by_page_id(p))
+                .expect("read");
+        }
+    });
+    assert_eq!(refused, 1);
+    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!(
+        pool.take_trace(),
+        [Evict(0), Fault(11), Evict(1), Fault(10)]
+    );
+    assert!(pool.contains(10) && pool.contains(11));
+    pool.validate().expect("pool structure");
+
+    // Evicted and refilled with the *same* page: a one-page pool, whose
+    // only slot goes 0 → 11 → 0 between the plan and the commit. The slot
+    // holds the ranked page again, but it is not the use that was ranked.
+    let file = PageFile::open(&path).expect("open");
+    let mut pool = PageCache::new(file, PAGE_SIZE, CachePolicy::MotionAware);
+    pool.read(0).expect("fill");
+    pool.set_trace(true);
+    let pool = Mutex::new(pool);
+    let mut rounds = 0;
+    let (_, refused) = staged_read(&pool, 10, &mut scan, &|_| 0.0, |scan| {
+        rounds += 1;
+        assert_eq!(scan.candidates(), [(0, 0)]);
+        if rounds == 2 {
+            let mut pool = pool.lock().expect("pool");
+            pool.read(11).expect("read");
+            pool.read(0).expect("read");
+        }
+    });
+    assert_eq!(refused, 1);
+    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!(
+        pool.take_trace(),
+        [
+            Evict(0),
+            Fault(11),
+            Evict(11),
+            Fault(0),
+            Evict(0),
+            Fault(10)
+        ]
+    );
+    pool.validate().expect("pool structure");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Two outcomes a stale plan does not void: the page was admitted by
+/// someone else meanwhile (the resident copy is served, nobody is
+/// evicted), and use of a candidate that was *not* chosen.
+#[test]
+fn a_commit_survives_what_did_not_touch_its_victim() {
+    use TraceEvent::{Evict, Fault, Hit};
+    let path = build_store(16);
+    let mut scan = VictimPlan::default();
+
+    let pool = full_pool(&path);
+    let mut rounds = 0;
+    let (got, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |_| {
+        rounds += 1;
+        if rounds == 2 {
+            let mut pool = pool.lock().expect("pool");
+            pool.read_with_heat(10, &mut |_, p| by_page_id(p))
+                .expect("read");
+        }
+    });
+    assert_eq!(refused, 0);
+    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!(pool.take_trace(), [Evict(0), Fault(10)]);
+    let (resident, hit) = pool.read(10).expect("read");
+    assert!(
+        hit && Arc::ptr_eq(&got, &resident),
+        "the resident copy was served"
+    );
+    let s = pool.stats();
+    assert_eq!((s.lookups, s.hits, s.faults), (8 + 3, 1, 8 + 2));
+    pool.validate().expect("pool structure");
+
+    let pool = full_pool(&path);
+    let mut rounds = 0;
+    let (_, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |_| {
+        rounds += 1;
+        if rounds == 2 {
+            assert!(pool.lock().expect("pool").lookup(1).is_some());
+        }
+    });
+    assert_eq!(refused, 0);
+    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!(pool.take_trace(), [Hit(1), Evict(0), Fault(10)]);
+    pool.validate().expect("pool structure");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Four threads, one pool behind a mutex, every ranking done with the
+/// mutex released: whatever interleaving results, no look-up is lost, no
+/// fault counted twice, the structure holds and every byte is the file's.
+#[test]
+fn four_threads_ranking_unlocked_keep_the_accounting_and_the_structure() {
+    const THREADS: u32 = 4;
+    const READS: u32 = 4000;
+    const PAGES: u32 = 40;
+    let path = build_store(PAGES as usize);
+    let raw = PageFile::open(&path).expect("open raw");
+    let want: Vec<Vec<u8>> = (0..PAGES).map(|p| raw.read_at(p).expect("raw")).collect();
+    let file = PageFile::open(&path).expect("open");
+    let pool = Mutex::new(PageCache::new(
+        file,
+        8 * PAGE_SIZE,
+        CachePolicy::MotionAware,
+    ));
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let refused: u32 = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (pool, want, start) = (&pool, &want, &start);
+                scope.spawn(move || {
+                    let mut scan = VictimPlan::default();
+                    let mut refused = 0;
+                    let mut x = 0x9e37_79b9_u32.wrapping_mul(t + 1);
+                    start.wait();
+                    for _ in 0..READS {
+                        // xorshift: a hot dozen pages most of the time, a
+                        // sweep of the whole file otherwise.
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        let page = (x >> 2) % if x & 3 == 0 { PAGES } else { 12 };
+                        // Heats that differ per thread, so rankings disagree.
+                        let heat = |p: u32| f64::from((p + t) % 5);
+                        let (got, r) =
+                            staged_read(pool, page, &mut scan, &heat, |_| std::thread::yield_now());
+                        assert_eq!(*got, want[page as usize], "page {page}");
+                        refused += r;
+                    }
+                    refused
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("reader thread"))
+            .sum()
+    });
+    let pool = pool.into_inner().expect("pool");
+    let s = pool.stats();
+    assert_eq!(s.lookups, u64::from(THREADS * READS));
+    assert_eq!(s.lookups, s.hits + s.faults);
+    assert!(s.evictions > 0 && s.hits > 0);
+    pool.validate().expect("pool structure");
+    // Informational: how often another thread got to the victim first.
+    eprintln!("{refused} commits refused in {} faults", s.faults);
+    std::fs::remove_file(&path).ok();
 }
