@@ -32,6 +32,8 @@ use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
 use mar_rtree::{RTree, RTreeConfig, Variant};
 use mar_workload::{frame_at, Placement, Scene};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,6 +94,10 @@ struct MicroScale {
     warm_up: Duration,
     /// Ticks each of the `io` tour-workload sessions replays.
     io_ticks: usize,
+    /// Objects of the cold-frame scene (4 levels, the paper's scale in a
+    /// full run) and how many distinct frames cycle over it.
+    cold_objects: usize,
+    cold_frames: usize,
 }
 
 impl MicroScale {
@@ -103,6 +109,8 @@ impl MicroScale {
             measurement: Duration::from_millis(1500),
             warm_up: Duration::from_millis(200),
             io_ticks: 120,
+            cold_objects: 300,
+            cold_frames: 4096,
         }
     }
 
@@ -114,6 +122,8 @@ impl MicroScale {
             measurement: Duration::from_millis(30),
             warm_up: Duration::from_millis(5),
             io_ticks: 12,
+            cold_objects: 12,
+            cold_frames: 64,
         }
     }
 }
@@ -372,6 +382,87 @@ fn bench_session_filter(
         }
     }
     group.finish();
+}
+
+/// The arriving client's first frame — a whole 10 % window at
+/// [`ResolutionBand::FULL`] that nothing the caches hold has touched —
+/// on the index (`window_query/cold_frame10_full`, per query, the same
+/// counting walk as the warm points) and through the server
+/// (`session_filter/stream_cold`: connect, [`Server::query`], disconnect
+/// on a fresh session, so every hit streams into an empty filter; per
+/// hit). Each iteration takes the next `COLD_BATCH` of the seed-derived
+/// frames; a full run cycles 4 096 of them over the paper-scale scene,
+/// whose tree (≈ 20 MB) a lap touches end to end, so a node is long out
+/// of L2 when the walk returns to it.
+fn bench_cold_frames(
+    c: &mut Criterion,
+    ms: &MicroScale,
+    scene: &Scene,
+    data: Arc<SceneIndexData>,
+    entries: &mut Vec<Entry>,
+) {
+    const COLD_BATCH: usize = 16;
+    let space = scene.config.space;
+    let mut rng = StdRng::seed_from_u64(901);
+    let frames: Vec<Rect2> = (0..ms.cold_frames)
+        .map(|_| {
+            let mut at = |d: usize| space.lo[d] + rng.gen::<f64>() * space.extent(d);
+            frame_at(&space, &Point2::new([at(0), at(1)]), 0.10)
+        })
+        .collect();
+    let index = Arc::new(WaveletIndex::build(&data));
+    let server = Server::from_core_seeded(ServerCore::from_parts(data, Arc::clone(&index)), 901);
+    let mut hits = 0u64;
+    for frame in &frames {
+        index.for_each(frame, ResolutionBand::FULL, |_| hits += 1);
+    }
+    let hits_per_batch = (hits * COLD_BATCH as u64 / frames.len() as u64).max(1);
+
+    let mut batches = frames.chunks_exact(COLD_BATCH).cycle();
+    let mut group = c.benchmark_group("cold_frame");
+    group
+        .sample_size(ms.sample_size)
+        .measurement_time(ms.measurement)
+        .warm_up_time(ms.warm_up);
+    let walk = group.bench_function_measured("window_query/cold_frame10_full", |b| {
+        b.iter(|| {
+            let mut total = 0usize;
+            for w in batches.next().into_iter().flatten() {
+                index.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
+            }
+            total
+        })
+    });
+    let stream = group.bench_function_measured("session_filter/stream_cold", |b| {
+        b.iter(|| {
+            let mut coeffs = 0usize;
+            for w in batches.next().into_iter().flatten() {
+                let session = server.connect();
+                let query = [QueryRegion {
+                    region: *black_box(w),
+                    band: ResolutionBand::FULL,
+                }];
+                coeffs += server.query(session, &query).map_or(0, |r| r.coeffs);
+                let _ = server.disconnect(session);
+            }
+            coeffs
+        })
+    });
+    group.finish();
+    for (group, name, m, ops_per_iter) in [
+        ("window_query", "cold_frame10_full", walk, COLD_BATCH as u64),
+        ("session_filter", "stream_cold", stream, hits_per_batch),
+    ] {
+        if let Some(m) = m {
+            entries.push(Entry {
+                group,
+                name: name.into(),
+                m,
+                ops_per_iter,
+                hit_ratio: None,
+            });
+        }
+    }
 }
 
 /// The wire codec alone (`wire` group), on the buffers a connection
@@ -818,6 +909,13 @@ fn main() {
     bench_window_queries(&mut c, &ms, &scene, &index, &mut entries);
     bench_window_query_batch(&mut c, &ms, &scene, &index, &mut entries);
     bench_session_filter(&mut c, &ms, &scene, &data, &index, &mut entries);
+    {
+        let mut scale = Scale::paper();
+        scale.objects_default = ms.cold_objects;
+        let scene = figs::build_scene(&scale, ms.cold_objects, Placement::Uniform);
+        let data = Arc::new(SceneIndexData::build(&scene));
+        bench_cold_frames(&mut c, &ms, &scene, data, &mut entries);
+    }
     bench_wire(&mut c, &ms, &scene, &mut entries);
     bench_io(&mut c, &ms, &scene, &data, &opts.out_dir, &mut entries);
 

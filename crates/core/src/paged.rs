@@ -352,7 +352,7 @@ mod tests {
     use crate::store::write_store;
     use mar_geom::{Point2, Rect2, Rect3, Vector};
     use mar_mesh::ResolutionBand;
-    use mar_rtree::{search, search_batch_into, BatchAccesses};
+    use mar_rtree::{search, search_batch_into};
     use mar_store::TraceEvent;
     use mar_workload::{Scene, SceneConfig};
     use std::path::PathBuf;
@@ -467,10 +467,11 @@ mod tests {
         let (paged, ram, _) = open_small("batch.pages", 6, CachePolicy::MotionAware);
         let ws = windows();
         let mut ram_hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); ws.len()];
-        let ram_acc = ram
-            .ram_tree()
-            .expect("ram")
-            .search_batch(&ws, |q, _, id| ram_hits[q].push(*id));
+        let mut ram_per_window = vec![7u64; ws.len()];
+        let ram_unique =
+            ram.ram_tree()
+                .expect("ram")
+                .search_batch_into(&ws, &mut ram_per_window, |q, _, id| ram_hits[q].push(*id));
         let mut paged_hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); ws.len()];
         // Stale tallies must be overwritten, not added to.
         let mut per_window = vec![7u64; ws.len()];
@@ -478,8 +479,8 @@ mod tests {
             paged_hits[q].push(coeff_ref(leaf, i))
         });
         assert_eq!(paged_hits, ram_hits, "per-window hit order");
-        let paged_acc = BatchAccesses { per_window, unique };
-        assert_eq!(paged_acc, ram_acc, "per-window logical + unique accesses");
+        assert_eq!(per_window, ram_per_window, "per-window logical accesses");
+        assert_eq!(unique, ram_unique, "unique accesses");
     }
 
     /// The walk fetches each node it visits exactly once, so the pool

@@ -196,7 +196,12 @@ impl ServerCore {
         } else {
             // In RAM the touch is a no-op: hits stream straight into the
             // filter, with no hit list in between.
-            let io = index.for_each(region, band, |id| filter.admit_one(data, index, id, out));
+            let io = index.for_each(
+                region,
+                band,
+                #[inline(always)]
+                |id| filter.admit_one(data, index, id, out),
+            );
             out.io += io;
         }
     }
@@ -461,6 +466,64 @@ mod tests {
         fn assert_sync_send<T: Sync + Send>() {}
         assert_sync_send::<Server>();
         assert_sync_send::<ServerCore>();
+    }
+
+    /// The RAM path streams hits into the filter from inside the walk
+    /// (`admit_window`); it must equal, bit for bit, `SentFilter::admit`
+    /// over the collected hit list and `query_batch` — also when the index
+    /// knows objects and coefficients the scene data does not, so that the
+    /// walk streams out-of-scene ids through the filter.
+    #[test]
+    fn streamed_window_equals_collected_hits_and_batch() {
+        let data = |objects| {
+            let mut cfg = SceneConfig::paper(objects, 21);
+            cfg.levels = 3;
+            cfg.target_bytes = 1_000_000.0;
+            Arc::new(SceneIndexData::build(&Scene::generate(cfg)))
+        };
+        let (small, big) = (data(3), data(7));
+        for (data, mismatched) in [(Arc::clone(&big), false), (small, true)] {
+            let core = ServerCore::from_parts(data, Arc::new(WaveletIndex::build(&big)));
+            let server = Server::from_core_seeded(core.clone(), 7);
+            let session = server.connect();
+            let (mut streamed, mut collected) = (SentFilter::default(), SentFilter::default());
+            let (mut sent, mut out_of_scene) = (0, 0);
+            for step in 0..40u64 {
+                // Every fifth query repeats its predecessor: nothing to send.
+                let repeat = step % 5 == 4;
+                let k = step - u64::from(repeat);
+                let unit = |salt: u64| (mix64(k * 4 + salt) >> 11) as f64 / (1u64 << 53) as f64;
+                let (x, y, side) = (unit(0) * 900.0, unit(1) * 900.0, 50.0 + unit(2) * 400.0);
+                let region = Rect2::new(Point2::new([x, y]), Point2::new([x + side, y + side]));
+                let band = ResolutionBand::new(unit(3) * 0.8, unit(3) * 0.8 + 0.2 + unit(2));
+
+                let mut a = QueryResult::default();
+                core.admit_window(&mut streamed, &region, band, &mut a);
+                let (hits, io) = core.index().query(&region, band);
+                let mut b = QueryResult {
+                    io,
+                    ..QueryResult::default()
+                };
+                collected.admit(core.data(), core.index(), &hits, &mut b);
+                let (batch, _) = server.query_batch(&[(session, &[QueryRegion { region, band }])]);
+                let c = *batch[0].as_ref().expect("live session");
+
+                let key = |r: &QueryResult| (r.coeffs, r.new_objects, r.io, r.bytes.to_bits());
+                assert_eq!(key(&a), key(&b), "streamed vs collected, step {step}");
+                assert_eq!(key(&a), key(&c), "streamed vs batch, step {step}");
+                if repeat {
+                    assert_eq!((a.coeffs, a.bytes.to_bits()), (0, 0f64.to_bits()));
+                }
+                sent += a.coeffs;
+                let objects = core.data().coeff_counts.len();
+                out_of_scene += hits
+                    .iter()
+                    .filter(|id| id.object as usize >= objects)
+                    .count();
+            }
+            assert!(sent > 0);
+            assert_eq!(out_of_scene > 0, mismatched);
+        }
     }
 
     #[test]

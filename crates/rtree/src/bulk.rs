@@ -12,7 +12,7 @@
 //! the layout a search touches most.
 
 use crate::insert::HasRect;
-use crate::node::{Arena, ChildEntry, Entry, InternalNode, LeafNode, NodeKind};
+use crate::node::{Arena, ChildEntry, Entry, SlabEntry};
 use crate::{RTree, RTreeConfig};
 use mar_geom::Rect;
 // `std::sync` here serves the deterministic parallel loader only: slabs are
@@ -24,71 +24,69 @@ use std::sync::Mutex;
 impl<const N: usize, T> RTree<N, T> {
     /// Builds a tree from `(rect, item)` pairs using STR packing.
     pub fn bulk_load(config: RTreeConfig, items: Vec<(Rect<N>, T)>) -> Self {
-        let len = items.len();
+        let mut entries = into_entries(items);
+        let mut sizes = Vec::new();
+        str_tile(&mut entries, config.max_entries, 0, &mut |n| sizes.push(n));
+        Self::assemble(config, entries, &sizes)
+    }
+
+    /// Packs tiled `entries` — consecutive runs of `sizes` entries are the
+    /// leaves, in order — into an arena and packs upper levels until a
+    /// single root remains. The tree is fully determined by the order of
+    /// `entries` and by `sizes`.
+    fn assemble(config: RTreeConfig, entries: Vec<Entry<N, T>>, sizes: &[usize]) -> Self {
+        let len = entries.len();
         if len == 0 {
             return Self::new(config);
         }
-        let entries = into_entries(items);
-        // Tile leaf entries.
-        let mut leaf_groups: Vec<Vec<Entry<N, T>>> = Vec::new();
-        str_tile(entries, config.max_entries, 0, &mut leaf_groups);
-        Self::assemble(config, leaf_groups, len)
-    }
-
-    /// Allocates the tiled leaf groups into an arena and packs upper
-    /// levels until a single root remains. The tree is fully determined by
-    /// the order and content of `leaf_groups`.
-    fn assemble(config: RTreeConfig, leaf_groups: Vec<Vec<Entry<N, T>>>, len: usize) -> Self {
-        let mut arena: Arena<N, T> = Arena::new();
-        let mut nodes: Vec<(Rect<N>, u32)> = leaf_groups
-            .into_iter()
-            .map(|g| {
-                let mbr = g
-                    .iter()
-                    .map(|e| e.rect)
-                    .reduce(|a, b| a.union(&b))
-                    // mar-lint: allow(D004) — grouping emits no empty chunks
-                    .expect("non-empty leaf group");
-                (mbr, arena.alloc(NodeKind::Leaf(LeafNode::from_entries(g))))
-            })
-            .collect();
+        let cap = config.max_entries;
+        let mut arena: Arena<N, T> = Arena::new(cap);
+        // Every level's node count follows from the one below, so the
+        // slab is allocated once at its final size: never regrown, never
+        // copied, and resident next to nothing but the entries it absorbs.
+        let (mut nodes, mut level) = (sizes.len(), sizes.len());
+        while level > 1 {
+            level = tile_count::<N>(level, cap, 0);
+            nodes += level;
+        }
+        arena.reserve(nodes);
+        let mut level = pack_level(&mut arena, entries, sizes);
         let mut height = 1usize;
-        // Pack upper levels until a single root remains.
-        while nodes.len() > 1 {
-            let children: Vec<ChildEntry<N>> = nodes
-                .into_iter()
-                .map(|(rect, child)| ChildEntry { rect, child })
-                .collect();
-            let mut groups: Vec<Vec<ChildEntry<N>>> = Vec::new();
-            str_tile(children, config.max_entries, 0, &mut groups);
-            nodes = groups
-                .into_iter()
-                .map(|g| {
-                    let mbr = g
-                        .iter()
-                        .map(|e| e.rect)
-                        .reduce(|a, b| a.union(&b))
-                        // mar-lint: allow(D004) — grouping emits no empty chunks
-                        .expect("non-empty internal group");
-                    (
-                        mbr,
-                        arena.alloc(NodeKind::Internal(InternalNode::from_entries(g))),
-                    )
-                })
-                .collect();
+        let mut sizes = Vec::new();
+        while level.len() > 1 {
+            sizes.clear();
+            str_tile(&mut level, cap, 0, &mut |n| sizes.push(n));
+            level = pack_level(&mut arena, level, &sizes);
             height += 1;
         }
-        // mar-lint: allow(D004) — the pack loop terminates with exactly one root
-        let (_, root) = nodes.pop().expect("at least one node");
         Self {
             config,
             arena,
-            root,
+            root: level[0].child,
             height,
             len,
             io: crate::IoCounters::new(),
         }
     }
+}
+
+/// Allocates one node per run of `sizes` consecutive `entries`, in order,
+/// and returns every node's `(mbr, slot)`.
+fn pack_level<const N: usize, T, E: SlabEntry<N, T>>(
+    arena: &mut Arena<N, T>,
+    entries: Vec<E>,
+    sizes: &[usize],
+) -> Vec<ChildEntry<N>> {
+    let mut entries = entries.into_iter();
+    sizes
+        .iter()
+        .map(|&n| {
+            let child = arena.alloc(entries.by_ref().take(n));
+            // mar-lint: allow(D004) — tiling emits no empty run
+            let rect = arena.mbr(child).expect("non-empty node");
+            ChildEntry { rect, child }
+        })
+        .collect()
 }
 
 impl<const N: usize, T: Send> RTree<N, T> {
@@ -100,16 +98,13 @@ impl<const N: usize, T: Send> RTree<N, T> {
     /// slices them into balanced slabs before recursing per slab — those
     /// per-slab recursions are independent, so this loader performs the
     /// identical dimension-0 sort + split up front and only farms out the
-    /// recursions. Leaf groups are concatenated in slab order, so arena
+    /// recursions. Leaf runs are concatenated in slab order, so arena
     /// layout, node MBRs and heights all match the serial build exactly.
     ///
     /// `jobs <= 1` (and inputs too small to split) fall back to the serial
     /// path.
     pub fn bulk_load_jobs(config: RTreeConfig, items: Vec<(Rect<N>, T)>, jobs: usize) -> Self {
         let len = items.len();
-        if len == 0 {
-            return Self::new(config);
-        }
         let cap = config.max_entries;
         if jobs <= 1 || len <= cap || N == 1 {
             return Self::bulk_load(config, items);
@@ -119,20 +114,12 @@ impl<const N: usize, T: Send> RTree<N, T> {
         // recursions can run concurrently: same stable sort, same
         // slab count, same balanced split.
         entries.sort_by(|a, b| center_coord(a.rect(), 0).total_cmp(&center_coord(b.rect(), 0)));
-        let pages = len.div_ceil(cap);
-        let slabs = ((pages as f64).powf(1.0 / N as f64).ceil() as usize).max(1);
-        if slabs <= 1 {
-            // One slab: nothing to parallelize. `str_tile` re-sorts the
-            // already-sorted entries (a stable no-op) and proceeds serially.
-            let mut leaf_groups = Vec::new();
-            str_tile(entries, cap, 0, &mut leaf_groups);
-            return Self::assemble(config, leaf_groups, len);
-        }
-        let slots: Vec<Mutex<Option<Vec<Entry<N, T>>>>> = balanced_split(entries, slabs)
-            .into_iter()
-            .map(|slab| Mutex::new(Some(slab)))
-            .collect();
-        let outs: Vec<Mutex<Vec<Vec<Entry<N, T>>>>> =
+        let slots: Vec<Mutex<Option<&mut [Entry<N, T>]>>> =
+            balanced_split(&mut entries, slab_count(len, cap, N))
+                .into_iter()
+                .map(|slab| Mutex::new(Some(slab)))
+                .collect();
+        let outs: Vec<Mutex<Vec<usize>>> =
             (0..slots.len()).map(|_| Mutex::new(Vec::new())).collect();
         let next = AtomicUsize::new(0);
         let workers = jobs.min(slots.len());
@@ -151,18 +138,19 @@ impl<const N: usize, T: Send> RTree<N, T> {
                         // mar-lint: allow(D004) — each index is claimed exactly once via fetch_add
                         .expect("slab claimed twice");
                     let mut local = Vec::new();
-                    str_tile(slab, cap, 1, &mut local);
+                    str_tile(slab, cap, 1, &mut |n| local.push(n));
                     // mar-lint: allow(D004) — poisoning implies a sibling worker panicked; propagate
                     *outs[i].lock().expect("output slot poisoned") = local;
                 });
             }
         });
-        let mut leaf_groups: Vec<Vec<Entry<N, T>>> = Vec::new();
+        drop(slots);
+        let mut sizes: Vec<usize> = Vec::new();
         for m in outs {
             // mar-lint: allow(D004) — all workers joined by the scope; poisoning implies one panicked
-            leaf_groups.append(&mut m.into_inner().expect("output slot poisoned"));
+            sizes.append(&mut m.into_inner().expect("output slot poisoned"));
         }
-        Self::assemble(config, leaf_groups, len)
+        Self::assemble(config, entries, &sizes)
     }
 }
 
@@ -177,60 +165,77 @@ fn into_entries<const N: usize, T>(items: Vec<(Rect<N>, T)>) -> Vec<Entry<N, T>>
         .collect()
 }
 
-/// Recursively tiles `items` into groups of at most `cap`, sorting by the
-/// centre coordinate of dimension `dim` and slicing into
+/// Recursively tiles `items` **in place** into runs of at most `cap`,
+/// sorting by the centre coordinate of dimension `dim` and slicing into
 /// `ceil(P^(1/(N-dim)))` *balanced* slabs (sizes differing by at most one),
-/// where `P` is the number of pages needed.
+/// where `P` is the number of pages needed. `out` receives the length of
+/// every run, in order: the runs partition `items` front to back.
 ///
 /// Balanced partitioning (instead of fixed-size runs with a ragged tail)
-/// guarantees every emitted group holds at least `⌊n/groups⌋ ≥ cap/2 ≥ m`
-/// entries whenever more than one group is produced, so the loaded tree
+/// guarantees every emitted run holds at least `⌊n/groups⌋ ≥ cap/2 ≥ m`
+/// entries whenever more than one is produced, so the loaded tree
 /// satisfies the minimum-fill invariant without any repair pass.
-fn str_tile<const N: usize, R: crate::insert::HasRect<N>>(
-    mut items: Vec<R>,
+fn str_tile<const N: usize, R: HasRect<N>>(
+    items: &mut [R],
     cap: usize,
     dim: usize,
-    out: &mut Vec<Vec<R>>,
+    out: &mut impl FnMut(usize),
 ) {
     let n = items.len();
     if n == 0 {
         return;
     }
     if n <= cap {
-        out.push(items);
+        out(n);
         return;
     }
     items.sort_by(|a, b| center_coord(a.rect(), dim).total_cmp(&center_coord(b.rect(), dim)));
     if dim + 1 == N {
-        // Last dimension: emit balanced groups of at most `cap`.
-        let groups = n.div_ceil(cap);
-        for chunk in balanced_split(items, groups) {
-            out.push(chunk);
+        // Last dimension: emit balanced runs of at most `cap`.
+        for run in balanced_split(items, n.div_ceil(cap)) {
+            out(run.len());
         }
         return;
     }
-    let pages = n.div_ceil(cap);
-    let remaining_dims = (N - dim) as f64;
-    let slabs = ((pages as f64).powf(1.0 / remaining_dims).ceil() as usize).max(1);
-    for slab in balanced_split(items, slabs) {
+    for slab in balanced_split(items, slab_count(n, cap, N - dim)) {
         str_tile(slab, cap, dim + 1, out);
     }
 }
 
-/// Splits `items` into exactly `k` chunks whose sizes differ by at most one,
-/// preserving order.
-fn balanced_split<R>(items: Vec<R>, k: usize) -> Vec<Vec<R>> {
+/// Number of runs [`str_tile`] emits for `n` items: its recursion, on
+/// sizes alone.
+fn tile_count<const N: usize>(n: usize, cap: usize, dim: usize) -> usize {
+    if n <= cap {
+        return usize::from(n > 0);
+    }
+    if dim + 1 == N {
+        return n.div_ceil(cap);
+    }
+    let slabs = slab_count(n, cap, N - dim).min(n);
+    let (base, extra) = (n / slabs, n % slabs);
+    extra * tile_count::<N>(base + 1, cap, dim + 1)
+        + (slabs - extra) * tile_count::<N>(base, cap, dim + 1)
+}
+
+/// Slabs to cut `n` items into along one of `dims` remaining dimensions:
+/// `ceil(P^(1/dims))` for `P` pages of `cap`.
+fn slab_count(n: usize, cap: usize, dims: usize) -> usize {
+    ((n.div_ceil(cap) as f64).powf(1.0 / dims as f64).ceil() as usize).max(1)
+}
+
+/// Cuts `items` into exactly `k` runs whose sizes differ by at most one.
+fn balanced_split<R>(mut items: &mut [R], k: usize) -> Vec<&mut [R]> {
     let n = items.len();
     let k = k.min(n).max(1);
-    let base = n / k;
-    let extra = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut it = items.into_iter();
-    for i in 0..k {
-        let take = base + usize::from(i < extra);
-        out.push(it.by_ref().take(take).collect());
-    }
-    out
+    let (base, extra) = (n / k, n % k);
+    (0..k)
+        .map(|i| {
+            let (run, rest) =
+                std::mem::take(&mut items).split_at_mut(base + usize::from(i < extra));
+            items = rest;
+            run
+        })
+        .collect()
 }
 
 fn center_coord<const N: usize>(r: &Rect<N>, dim: usize) -> f64 {
@@ -250,6 +255,20 @@ mod tests {
                 (Rect2::point(Point2::new([x, y])), i)
             })
             .collect()
+    }
+
+    #[test]
+    fn tile_count_predicts_the_tiling() {
+        for cap in [4usize, 5, 20, 150] {
+            for n in [0usize, 1, 4, 5, 21, 160, 701, 2500, 10_007] {
+                let mut runs = 0;
+                super::str_tile::<2, _>(&mut super::into_entries(scatter(n)), cap, 0, &mut |len| {
+                    assert!((1..=cap).contains(&len));
+                    runs += 1;
+                });
+                assert_eq!(super::tile_count::<2>(n, cap, 0), runs, "n={n} cap={cap}");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,13 @@ pub struct IoSnapshot {
 }
 
 /// Cumulative node-access counters, shared-readable across threads.
+///
+/// Every query of every thread *writes* these, and the structs that hold
+/// them (`RTree`, the paged index) keep right next to them the fields
+/// every query *reads* first — slab pointer, root, pager handle. On a
+/// cache line of their own the counters cannot false-share with those.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct IoCounters {
     logical: AtomicU64,
     unique: AtomicU64,
@@ -103,6 +109,8 @@ impl Clone for IoCounters {
         }
     }
 }
+
+const _: () = assert!(std::mem::align_of::<IoCounters>() == 64);
 
 #[cfg(test)]
 mod tests {

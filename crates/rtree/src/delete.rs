@@ -6,7 +6,7 @@
 //! and its arena slots are recycled through the free list. When the root
 //! becomes a single-child internal node the tree shrinks.
 
-use crate::node::{Arena, NodeKind};
+use crate::node::{Arena, ChildEntry, Entry, Kind};
 use crate::RTree;
 use mar_geom::Rect;
 
@@ -27,21 +27,14 @@ impl<const N: usize, T: PartialEq> RTree<N, T> {
         self.len -= 1;
         // Shrink the root while it is an internal node with one child.
         loop {
-            let shrink = match self.arena.node_mut(self.root) {
-                NodeKind::Internal(node) if node.len() == 1 => {
-                    // mar-lint: allow(D004) — `node.len() == 1` matched above
-                    Some(node.pop().expect("single child").child)
-                }
-                _ => None,
-            };
-            match shrink {
-                Some(child) => {
-                    self.arena.release(self.root);
-                    self.root = child;
-                    self.height -= 1;
-                }
-                None => break,
+            let root = self.arena.node(self.root);
+            if root.kind() != Kind::Internal || root.len() != 1 {
+                break;
             }
+            let child = root.child(0);
+            self.arena.release(self.root);
+            self.root = child;
+            self.height -= 1;
         }
         // Re-insert orphaned items (len is restored by insert).
         self.len -= orphans.len();
@@ -88,24 +81,19 @@ fn remove_rec<const N: usize, T: PartialEq>(
     config: &crate::RTreeConfig,
 ) -> Option<T> {
     if arena.is_leaf(node) {
-        let leaf = match arena.node_mut(node) {
-            NodeKind::Leaf(leaf) => leaf,
-            _ => unreachable!("is_leaf checked above"),
-        };
+        let leaf = arena.node(node);
         let pos =
             (0..leaf.len()).find(|&i| rects_match(&leaf.rect(i), rect) && leaf.item(i) == item)?;
         // Order-preserving removal: the surviving entries keep their
-        // relative order exactly as `Vec::remove` kept it in AoS storage.
-        return Some(leaf.remove(pos).item);
+        // relative order, exactly as `Vec::remove` would.
+        let removed: Entry<N, T> = arena.node_mut(node).remove(pos);
+        return Some(removed.item);
     }
     let mut removed = None;
     let mut touched = 0usize;
-    let count = arena.internal(node).len();
-    for i in 0..count {
-        let (e_rect, e_child) = {
-            let inode = arena.internal(node);
-            (inode.rect(i), inode.child(i))
-        };
+    for i in 0..arena.entry_count(node) {
+        let inode = arena.node(node);
+        let (e_rect, e_child) = (inode.rect(i), inode.child(i));
         if e_rect.contains_rect(rect) || e_rect.intersects(rect) {
             if let Some(it) = remove_rec(arena, e_child, rect, item, orphans, config) {
                 removed = Some(it);
@@ -115,37 +103,36 @@ fn remove_rec<const N: usize, T: PartialEq>(
         }
     }
     let removed = removed?;
-    let child = arena.internal(node).child(touched);
+    let child = arena.node(node).child(touched);
     if arena.entry_count(child) < config.min_entries {
         // Dissolve the underfull child; orphan its leaf items.
-        arena.internal_mut(node).remove(touched);
+        arena.node_mut(node).remove::<ChildEntry<N>>(touched);
         collect_items(arena, child, orphans);
     } else {
         let child_mbr = arena
             .mbr(child)
             // mar-lint: allow(D004) — child holds ≥ min_entries per the branch above
             .expect("non-empty child");
-        arena.internal_mut(node).set_rect(touched, &child_mbr);
+        arena.node_mut(node).set_rect(touched, &child_mbr);
     }
     Some(removed)
 }
 
-/// Collects every leaf item of a subtree, recycling its arena slots.
+/// Collects every leaf item of a subtree, recycling its arena slots
+/// (a node's own slot before its children's).
 fn collect_items<const N: usize, T>(
     arena: &mut Arena<N, T>,
     node: u32,
     out: &mut Vec<(Rect<N>, T)>,
 ) {
-    match arena.take(node) {
-        NodeKind::Leaf(leaf) => {
-            out.extend(leaf.into_entries().into_iter().map(|e| (e.rect, e.item)));
-        }
-        NodeKind::Internal(inode) => {
-            for &child in inode.children() {
-                collect_items(arena, child, out);
-            }
-        }
-        NodeKind::Free => {}
+    let children: Vec<u32> = arena.node(node).children().collect();
+    if arena.is_leaf(node) {
+        let entries: Vec<Entry<N, T>> = arena.node_mut(node).drain();
+        out.extend(entries.into_iter().map(|e| (e.rect, e.item)));
+    }
+    arena.release(node);
+    for child in children {
+        collect_items(arena, child, out);
     }
 }
 

@@ -15,7 +15,7 @@
 //!   leaf level only — the level where it buys nearly all of its packing
 //!   benefit — which keeps overflow propagation single-pass.
 
-use crate::node::{Arena, ChildEntry, Entry, InternalNode, LeafNode, NodeKind};
+use crate::node::{Arena, ArenaNode, ChildEntry, Entry, SlabEntry};
 use crate::{RTree, RTreeConfig, Variant};
 use mar_geom::{Point, Rect};
 use std::cell::Cell;
@@ -91,18 +91,16 @@ impl<const N: usize, T> RTree<N, T> {
             .mbr(old_root)
             // mar-lint: allow(D004) — a node that just split holds ≥ min_entries
             .expect("split root cannot be empty");
-        self.root = self
-            .arena
-            .alloc(NodeKind::Internal(InternalNode::from_entries(vec![
-                ChildEntry {
-                    rect: old_rect,
-                    child: old_root,
-                },
-                ChildEntry {
-                    rect: sibling_rect,
-                    child: sibling,
-                },
-            ])));
+        self.root = self.arena.alloc(vec![
+            ChildEntry {
+                rect: old_rect,
+                child: old_root,
+            },
+            ChildEntry {
+                rect: sibling_rect,
+                child: sibling,
+            },
+        ]);
         self.height += 1;
     }
 }
@@ -118,37 +116,27 @@ fn insert_rec<const N: usize, T>(
     reinserts: &mut Vec<Entry<N, T>>,
 ) -> Option<(Rect<N>, u32)> {
     if arena.is_leaf(node) {
-        // The no-overflow fast path only appends to the lanes; overflow
-        // materialises the entries, runs the unchanged reinsert/split
-        // permutation, and rebuilds the lanes in the permuted order — so
-        // node contents match the AoS storage byte for byte.
-        let (sibling_rect, moved) = match arena.node_mut(node) {
-            NodeKind::Leaf(leaf) => {
-                leaf.push(entry.rect, entry.item);
-                if leaf.len() <= config.max_entries {
-                    return None;
-                }
-                let mut entries = leaf.drain_entries();
-                if *allow_reinsert {
-                    *allow_reinsert = false;
-                    force_reinsert(&mut entries, config, reinserts);
-                    leaf.extend_entries(entries);
-                    return None;
-                }
-                let (keep, moved) = split_items(entries, config);
-                let sibling_rect = mbr_of(&moved);
-                leaf.extend_entries(keep);
-                (sibling_rect, moved)
-            }
-            _ => unreachable!("is_leaf checked above"),
-        };
-        let sibling = arena.alloc(NodeKind::Leaf(LeafNode::from_entries(moved)));
-        return Some((sibling_rect, sibling));
+        // The no-overflow fast path only appends to the block; overflow
+        // materialises the entries, runs the reinsert/split permutation,
+        // and writes them back in the permuted order.
+        let mut leaf = arena.node_mut(node);
+        leaf.push(entry);
+        if leaf.len() <= config.max_entries {
+            return None;
+        }
+        let mut entries: Vec<Entry<N, T>> = leaf.drain();
+        if *allow_reinsert {
+            *allow_reinsert = false;
+            force_reinsert(&mut entries, config, reinserts);
+            leaf.extend(entries);
+            return None;
+        }
+        return Some(split_node(arena, node, entries, config));
     }
     let (idx, child) = {
-        let inode = arena.internal(node);
+        let inode = arena.node(node);
         let child_is_leaf = inode.len() > 0 && arena.is_leaf(inode.child(0));
-        let idx = choose_subtree(inode, &entry.rect, config, child_is_leaf);
+        let idx = choose_subtree(&inode, &entry.rect, config, child_is_leaf);
         (idx, inode.child(idx))
     };
     let split = insert_rec(arena, child, entry, config, allow_reinsert, reinserts);
@@ -156,29 +144,30 @@ fn insert_rec<const N: usize, T>(
         .mbr(child)
         // mar-lint: allow(D004) — insertion only ever adds entries
         .expect("child emptied during insert");
-    let overflow = {
-        let inode = arena.internal_mut(node);
-        inode.set_rect(idx, &child_mbr);
-        match split {
-            Some((rect, child)) => {
-                inode.push(rect, child);
-                if inode.len() > config.max_entries {
-                    let (keep, moved) = split_items(inode.drain_entries(), config);
-                    let sibling_rect = mbr_of(&moved);
-                    inode.extend_entries(keep);
-                    Some((sibling_rect, moved))
-                } else {
-                    None
-                }
-            }
-            None => None,
-        }
-    };
-    if let Some((sibling_rect, moved)) = overflow {
-        let sibling = arena.alloc(NodeKind::Internal(InternalNode::from_entries(moved)));
-        return Some((sibling_rect, sibling));
+    let mut inode = arena.node_mut(node);
+    inode.set_rect(idx, &child_mbr);
+    let (rect, child) = split?;
+    inode.push(ChildEntry { rect, child });
+    if inode.len() <= config.max_entries {
+        return None;
     }
-    None
+    let entries: Vec<ChildEntry<N>> = inode.drain();
+    Some(split_node(arena, node, entries, config))
+}
+
+/// Splits the drained, overfull `entries` of `node`: one group goes back
+/// into the node, the other into a newly allocated sibling whose
+/// `(mbr, slot)` is returned.
+fn split_node<const N: usize, T, E: SlabEntry<N, T> + HasRect<N>>(
+    arena: &mut Arena<N, T>,
+    node: u32,
+    entries: Vec<E>,
+    config: &RTreeConfig,
+) -> (Rect<N>, u32) {
+    let (keep, moved) = split_items(entries, config);
+    let sibling_rect = mbr_of(&moved);
+    arena.node_mut(node).extend(keep);
+    (sibling_rect, arena.alloc(moved))
 }
 
 /// R* forced reinsertion: removes the `p` entries whose centres are
@@ -225,8 +214,8 @@ fn force_reinsert<const N: usize, T>(
 }
 
 /// Picks the child to descend into.
-fn choose_subtree<const N: usize>(
-    node: &InternalNode<N>,
+fn choose_subtree<const N: usize, T>(
+    node: &ArenaNode<'_, N, T>,
     rect: &Rect<N>,
     config: &RTreeConfig,
     child_is_leaf: bool,

@@ -10,10 +10,11 @@
 //! Features:
 //! * arbitrary dimension via const generics (`RTree<3, T>` is the paper's
 //!   experimental `x-y-w` tree);
-//! * flat arena storage: nodes live in one `Vec` addressed by `u32` slot
-//!   indices, so search walks contiguous memory instead of chasing
-//!   `Box` pointers, and the query hot path performs no allocation (the
-//!   traversal stack is a reusable thread-local scratch buffer);
+//! * slab storage: every node is one contiguous block — MBR lanes and
+//!   payload side by side — of a single `Vec`, addressed by `u32` slot
+//!   index, so a node visit is index arithmetic and one run of memory,
+//!   and the query hot path performs no allocation (the traversal stack
+//!   is a reusable thread-local scratch buffer);
 //! * insertion with either Guttman's quadratic split or the R\* split with
 //!   forced reinsertion (selectable via [`RTreeConfig`]);
 //! * Sort-Tile-Recursive (STR) bulk loading for building large static
@@ -42,12 +43,12 @@ mod pages;
 mod query;
 
 pub use counters::{IoCounters, IoKind, IoSnapshot};
-pub use node::Entry;
+pub use node::{ArenaNode, Entry};
 pub use pages::{NodePage, PageExport, PageSource};
-pub use query::{search, search_batch_into, ArenaNode, BatchAccesses, NodeSource, NodeView};
+pub use query::{search, search_batch_into, BatchAccesses, NodeSource, NodeView};
 
 use mar_geom::Rect;
-use node::{Arena, LeafNode, NodeKind};
+use node::{Arena, Kind};
 
 /// Which insertion/split algorithm the tree uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +117,7 @@ impl RTreeConfig {
 #[derive(Debug)]
 pub struct RTree<const N: usize, T> {
     pub(crate) config: RTreeConfig,
-    /// Flat node storage; `root` indexes into it.
+    /// Slab node storage; `root` indexes into it.
     pub(crate) arena: Arena<N, T>,
     pub(crate) root: u32,
     /// Height of the tree: 1 for a single leaf node.
@@ -145,8 +146,8 @@ impl<const N: usize, T: Clone> Clone for RTree<N, T> {
 impl<const N: usize, T> RTree<N, T> {
     /// Creates an empty tree.
     pub fn new(config: RTreeConfig) -> Self {
-        let mut arena = Arena::new();
-        let root = arena.alloc(NodeKind::Leaf(LeafNode::new()));
+        let mut arena = Arena::new(config.max_entries);
+        let root = arena.alloc(Vec::<Entry<N, T>>::new());
         Self {
             config,
             arena,
@@ -241,17 +242,11 @@ impl<const N: usize, T> RTree<N, T> {
         let mut stack = vec![self.root];
         let mut leaf_items: Vec<(Rect<N>, &T)> = Vec::new();
         while let Some(idx) = stack.pop() {
-            match self.arena.node(idx) {
-                NodeKind::Leaf(node) => {
-                    for i in 0..node.len() {
-                        leaf_items.push((node.rect(i), node.item(i)));
-                    }
-                }
-                NodeKind::Internal(node) => {
-                    stack.extend_from_slice(node.children());
-                }
-                NodeKind::Free => {}
+            let node = self.arena.node(idx);
+            if node.kind() == Kind::Leaf {
+                leaf_items.extend((0..node.len()).map(|i| (node.rect(i), node.item(i))));
             }
+            stack.extend(node.children());
         }
         leaf_items.into_iter()
     }

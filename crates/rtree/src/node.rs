@@ -1,23 +1,37 @@
-//! Arena node storage (struct-of-arrays MBR lanes) and structural
+//! Slab node storage — one contiguous block per node — and structural
 //! validation.
 //!
-//! Nodes live in one contiguous `Vec` and reference each other by `u32`
-//! slot index instead of `Box` pointers. Search then walks a flat array —
-//! child hops are index arithmetic into memory the allocator laid out
-//! contiguously — and dropping a tree is one `Vec` deallocation instead of
-//! a pointer chase. Slots freed by deletion are recycled through a free
-//! list, so long-lived trees under churn do not grow without bound.
+//! Every node of a tree is one **block** of a single slab (`Vec<Chunk>`):
+//! `stride = ⌈(M + 1) / 8⌉` consecutive [`Chunk`]s, each holding eight
+//! entries as struct-of-arrays MBR lanes (`lo`/`hi` per axis) *and* the
+//! eight payload slots (a child slot id or a stored item) right behind
+//! them. Slot `id`'s block starts at chunk `id · stride`, so a child hop
+//! is index arithmetic and a node visit touches one run of memory: the
+//! lanes the window test sweeps and the payload its hits read share the
+//! block, with no per-node heap vector behind a pointer. A node's kind
+//! and entry count sit in a parallel array of 8-byte heads, fetched
+//! alongside (not before) the block. Slots freed by deletion are recycled
+//! through a free list, so long-lived trees under churn do not grow
+//! without bound, and dropping a tree is two deallocations.
 //!
-//! Within a node, entry MBRs are stored **struct-of-arrays**: one
-//! contiguous `lo` lane and one `hi` lane per axis ([`Lanes`]), with the
-//! payloads (items or child slots) in a parallel array. A window test
-//! against a whole node is then a branchless sweep over `2·N` flat `f64`
-//! lanes producing a hit bitmask ([`Lanes::match_bits`]) — the shape
-//! stable Rust auto-vectorizes without `unsafe` or intrinsics. The
-//! AoS [`Entry`]/[`ChildEntry`] types survive as the *transient*
-//! representation used by split and reinsert algorithms, which drain a
-//! node to entry vectors, permute them, and rebuild lanes; the common
-//! no-overflow paths never materialise them.
+//! The window test is one loop over a node's live chunks, whatever the
+//! capacity ([`ArenaNode::match_bits`]): every chunk is swept whole, slot
+//! by slot in eight independent lanes — branchless compare/mask
+//! arithmetic over fixed-size arrays, which the compiler vectorizes —
+//! into a 64-bit hit mask (a node wider than 64 entries is tested 64 at a
+//! time). All of a node's lanes are read before the first hit is handed
+//! out, so its cache lines are fetched together. Because whole chunks are
+//! swept, slots past a node's length hold NaN in all `2·N` lanes (and an
+//! empty payload) — in every live node and throughout every free block;
+//! [`Arena::validate`] checks it. NaN fails both interval compares, so
+//! neither padding nor whatever a recycled slot held before can match.
+//!
+//! Nodes are reached through two views over a block, [`ArenaNode`]
+//! (shared; what the window walk sees) and [`NodeMut`]. The AoS
+//! [`Entry`] / [`ChildEntry`] types are the *transient* representation of
+//! the split and reinsert algorithms, which drain a node to an entry
+//! vector, permute it and write the entries back in the permuted order;
+//! the common no-overflow paths never materialise them.
 
 use crate::RTreeConfig;
 use mar_geom::{Point, Rect};
@@ -40,556 +54,405 @@ pub(crate) struct ChildEntry<const N: usize> {
     pub child: u32,
 }
 
-/// Lane chunk width: window tests always sweep whole 8-entry blocks,
-/// so the compiler sees fixed trip counts and emits straight-line SIMD.
+/// Entries per chunk: a lane of eight `f64` is one cache line's worth.
 pub(crate) const CHUNK: usize = 8;
 
-/// Padding value for slots past `len`: NaN compares false against every
-/// window bound on both sides of the interval test, so padded slots can
-/// be swept unconditionally without ever matching.
+/// Lane value of slots past `len`: NaN compares false against every
+/// window bound on both sides of the interval test, so a padded slot
+/// never matches.
 const PAD: f64 = f64::NAN;
 
-/// Struct-of-arrays rectangle storage: per-axis contiguous `lo`/`hi`
-/// coordinate lanes, all packed into **one** backing allocation. Lane
-/// `d`'s `lo` values occupy `buf[2d·cap .. 2d·cap + len]` and its `hi`
-/// values the next stride, so entry `i`'s MBR is spread across the
-/// lanes at index `i`. A single allocation keeps every lane of a node
-/// within one ~1 KiB contiguous block the hardware prefetcher streams
-/// through — six independent heap vectors cost a cache miss per lane
-/// per node, which dominates the window-test time.
-///
-/// The stride is always a multiple of [`CHUNK`] and slots past `len`
-/// hold NaN padding, so the window-test kernels sweep full fixed-width
-/// chunks with no length-dependent control flow and no scalar tail.
+/// What one payload slot of a block holds.
 #[derive(Debug, Clone)]
-pub(crate) struct Lanes<const N: usize> {
-    /// `2·N` lanes of `cap` slots each; slots past `len` are NaN padding.
-    buf: Vec<f64>,
-    len: usize,
-    /// Stride between consecutive lanes in `buf`; a multiple of [`CHUNK`].
-    cap: usize,
+pub(crate) enum Payload<T> {
+    /// A slot past the node's length, or anywhere in a free block.
+    Empty,
+    /// An internal entry's child slot id.
+    Child(u32),
+    /// A leaf entry's item.
+    Item(T),
 }
 
-impl<const N: usize> Default for Lanes<N> {
-    fn default() -> Self {
-        Self::new()
+/// What a slot holds; an entry type names the kind of node it lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A recycled slot on the free list.
+    Free,
+    /// A leaf page holding items.
+    Leaf,
+    /// An internal page holding child slots.
+    Internal,
+}
+
+/// A transient AoS entry ([`Entry`], [`ChildEntry`]) as a block stores it.
+pub(crate) trait SlabEntry<const N: usize, T>: Sized {
+    /// The kind of node holding entries of this type.
+    const KIND: Kind;
+    fn into_parts(self) -> (Rect<N>, Payload<T>);
+    fn from_parts(rect: Rect<N>, payload: Payload<T>) -> Self;
+}
+
+impl<const N: usize, T> SlabEntry<N, T> for Entry<N, T> {
+    const KIND: Kind = Kind::Leaf;
+
+    fn into_parts(self) -> (Rect<N>, Payload<T>) {
+        (self.rect, Payload::Item(self.item))
+    }
+
+    fn from_parts(rect: Rect<N>, payload: Payload<T>) -> Self {
+        match payload {
+            Payload::Item(item) => Self { rect, item },
+            _ => unreachable!("a leaf entry slot holds an item"),
+        }
     }
 }
 
-/// Rounds a capacity up to a whole number of chunks.
-fn round_chunks(cap: usize) -> usize {
-    cap.div_ceil(CHUNK) * CHUNK
+impl<const N: usize, T> SlabEntry<N, T> for ChildEntry<N> {
+    const KIND: Kind = Kind::Internal;
+
+    fn into_parts(self) -> (Rect<N>, Payload<T>) {
+        (self.rect, Payload::Child(self.child))
+    }
+
+    fn from_parts(rect: Rect<N>, payload: Payload<T>) -> Self {
+        match payload {
+            Payload::Child(child) => Self { rect, child },
+            _ => unreachable!("an internal entry slot holds a child id"),
+        }
+    }
 }
 
-impl<const N: usize> Lanes<N> {
-    pub fn new() -> Self {
+/// Eight entries of one node: per-axis `lo` / `hi` coordinate lanes, then
+/// the eight payload slots (`repr(C)` keeps that order, so a sweep reads
+/// forward through the block and the payload lies behind its lanes).
+#[derive(Debug, Clone)]
+#[repr(C)]
+struct Chunk<const N: usize, T> {
+    lo: [[f64; CHUNK]; N],
+    hi: [[f64; CHUNK]; N],
+    payload: [Payload<T>; CHUNK],
+}
+
+impl<const N: usize, T> Chunk<N, T> {
+    fn empty() -> Self {
         Self {
-            buf: Vec::new(),
-            len: 0,
-            cap: 0,
+            lo: [[PAD; CHUNK]; N],
+            hi: [[PAD; CHUNK]; N],
+            payload: std::array::from_fn(|_| Payload::Empty),
         }
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
-        let cap = round_chunks(cap);
-        Self {
-            buf: vec![PAD; 2 * N * cap],
-            len: 0,
-            cap,
-        }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Repacks into a buffer with a larger stride. Growth is exact (the
-    /// next chunk multiple, not doubling): the sweep kernels walk every
-    /// slot up to `cap`, so slack capacity is not free here — it is paid
-    /// for on every window test against the node. Nodes are bounded by
-    /// the split threshold, so a fill costs at most a handful of repacks.
-    fn grow(&mut self, min_cap: usize) {
-        let new_cap = round_chunks(min_cap);
-        let mut buf = vec![PAD; 2 * N * new_cap];
-        for lane in 0..2 * N {
-            let src = lane * self.cap;
-            let dst = lane * new_cap;
-            buf[dst..dst + self.len].copy_from_slice(&self.buf[src..src + self.len]);
-        }
-        self.buf = buf;
-        self.cap = new_cap;
-    }
-
-    #[inline]
-    pub fn push(&mut self, r: &Rect<N>) {
-        if self.len == self.cap {
-            self.grow(self.len + 1);
-        }
+    /// True when slot `k` intersects `window` (closed intervals, exactly
+    /// [`Rect::intersects`]); never for a padded slot.
+    #[inline(always)]
+    fn hit(&self, window: &Rect<N>, k: usize) -> bool {
+        let mut hit = true;
         for d in 0..N {
-            self.buf[2 * d * self.cap + self.len] = r.lo[d];
-            self.buf[(2 * d + 1) * self.cap + self.len] = r.hi[d];
+            hit &= (self.lo[d][k] <= window.hi[d]) & (window.lo[d] <= self.hi[d][k]);
         }
-        self.len += 1;
+        hit
     }
 
-    /// Materialises entry `i`'s rectangle from the lanes.
-    #[inline]
-    pub fn rect(&self, i: usize) -> Rect<N> {
-        debug_assert!(i < self.len);
+    fn rect(&self, k: usize) -> Rect<N> {
         Rect::from_corners(
-            Point::new(std::array::from_fn(|d| self.buf[2 * d * self.cap + i])),
-            Point::new(std::array::from_fn(|d| {
-                self.buf[(2 * d + 1) * self.cap + i]
-            })),
+            Point::new(std::array::from_fn(|d| self.lo[d][k])),
+            Point::new(std::array::from_fn(|d| self.hi[d][k])),
         )
     }
 
-    #[inline]
-    pub fn set(&mut self, i: usize, r: &Rect<N>) {
-        debug_assert!(i < self.len);
+    fn set_rect(&mut self, k: usize, r: &Rect<N>) {
         for d in 0..N {
-            self.buf[2 * d * self.cap + i] = r.lo[d];
-            self.buf[(2 * d + 1) * self.cap + i] = r.hi[d];
+            self.lo[d][k] = r.lo[d];
+            self.hi[d][k] = r.hi[d];
         }
     }
 
-    /// Order-preserving removal (shifts each lane's tail left), mirroring
-    /// `Vec::remove` so deletion produces the same node layouts as the
-    /// AoS storage did. The vacated last slot is re-padded.
-    pub fn remove(&mut self, i: usize) -> Rect<N> {
-        let r = self.rect(i);
-        for lane in 0..2 * N {
-            let off = lane * self.cap;
-            self.buf.copy_within(off + i + 1..off + self.len, off + i);
-            self.buf[off + self.len - 1] = PAD;
+    fn pad(&mut self, k: usize) {
+        for d in 0..N {
+            self.lo[d][k] = PAD;
+            self.hi[d][k] = PAD;
         }
-        self.len -= 1;
-        r
     }
 
-    pub fn clear(&mut self) {
-        for lane in 0..2 * N {
-            let off = lane * self.cap;
-            self.buf[off..off + self.len].fill(PAD);
-        }
-        self.len = 0;
+    /// True when slot `k` is NaN in all `2·N` lanes and empty.
+    fn is_padded(&self, k: usize) -> bool {
+        (0..N).all(|d| self.lo[d][k].is_nan() && self.hi[d][k].is_nan())
+            && matches!(self.payload[k], Payload::Empty)
+    }
+}
+
+/// A slot's kind and entry count.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    kind: Kind,
+    len: u32,
+}
+
+/// A fetched arena node: a shared view over one slot's block (`&RTree`
+/// as a [`crate::NodeSource`] hands these out).
+#[derive(Debug)]
+pub struct ArenaNode<'a, const N: usize, T> {
+    head: Head,
+    chunks: &'a [Chunk<N, T>],
+}
+
+impl<const N: usize, T> Clone for ArenaNode<'_, N, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<const N: usize, T> Copy for ArenaNode<'_, N, T> {}
+
+impl<'a, const N: usize, T> ArenaNode<'a, N, T> {
+    #[inline]
+    pub(crate) fn kind(&self) -> Kind {
+        self.head.kind
     }
 
-    /// MBR of all stored rectangles, folded in entry order exactly like
-    /// the AoS `reduce(union)` did.
-    pub fn mbr(&self) -> Option<Rect<N>> {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.head.len as usize
+    }
+
+    /// Entry `i`'s rectangle, materialised from the lanes.
+    #[inline]
+    pub fn rect(&self, i: usize) -> Rect<N> {
+        debug_assert!(i < self.len());
+        self.chunks[i / CHUNK].rect(i % CHUNK)
+    }
+
+    /// Leaf entry `i`'s item.
+    #[inline]
+    pub fn item(&self, i: usize) -> &'a T {
+        match &self.chunks[i / CHUNK].payload[i % CHUNK] {
+            Payload::Item(item) => item,
+            _ => unreachable!("item() on a slot that holds no item"),
+        }
+    }
+
+    /// Internal entry `i`'s child slot.
+    #[inline]
+    pub(crate) fn child(&self, i: usize) -> u32 {
+        match self.chunks[i / CHUNK].payload[i % CHUNK] {
+            Payload::Child(child) => child,
+            _ => unreachable!("child() on a slot that holds no child id"),
+        }
+    }
+
+    /// The child slots of an internal node, in entry order (none for a
+    /// leaf).
+    pub(crate) fn children(&self) -> impl Iterator<Item = u32> + 'a {
+        let node = *self;
+        let n = if node.kind() == Kind::Internal {
+            node.len()
+        } else {
+            0
+        };
+        (0..n).map(move |i| node.child(i))
+    }
+
+    /// MBR of all entries, folded in entry order; `None` when empty.
+    pub(crate) fn mbr(&self) -> Option<Rect<N>> {
         (0..self.len())
             .map(|i| self.rect(i))
             .reduce(|a, b| a.union(&b))
     }
 
-    /// Tests up to 64 entries starting at `start` against `window` and
-    /// returns `(hit_mask, tested)`: bit `j` of the mask is set iff entry
-    /// `start + j` intersects `window` (closed intervals, exactly
-    /// [`Rect::intersects`]). The per-axis sweeps over contiguous lanes
-    /// are branchless bitmask arithmetic that auto-vectorizes.
+    /// Tests up to 64 entries starting at `start` (a multiple of 64)
+    /// against `window` and returns `(hit_mask, tested)`: bit `j` of the
+    /// mask is set iff entry `start + j` intersects `window`.
+    ///
+    /// One loop over the live chunks, whatever the node's capacity, each
+    /// swept whole — the slots past the length are padding and cannot hit.
+    /// Slot `k` of every chunk ORs into accumulator `k`, already shifted to
+    /// its bit of the mask, and the eight accumulators are folded once at
+    /// the end: eight independent lanes of compares and shifts with no
+    /// reduction inside the loop, which is the shape the compiler turns
+    /// into vector code (a per-chunk `mask |= hit << k` is unrolled into
+    /// scalar compares instead, lane 0's shift-by-nothing breaking the
+    /// pattern).
     #[inline(always)]
-    pub fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
-        debug_assert_eq!(start % CHUNK, 0);
-        let n = (self.len - start).min(64);
-        if self.cap <= 64 {
-            // cap ≤ 64 ⇒ the whole node fits one mask and `start` is 0.
-            debug_assert_eq!(start, 0);
-            (self.sweep(window), n)
-        } else {
-            let mut mask = 0u64;
-            let mut o = start;
-            while o < start + n {
-                mask |= u64::from(self.chunk_bits(window, o)) << (o - start);
-                o += CHUNK;
+    pub(crate) fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
+        debug_assert_eq!(start % 64, 0);
+        let tested = (self.len() - start).min(64);
+        let live = &self.chunks[start / CHUNK..][..tested.div_ceil(CHUNK)];
+        let mut lanes = [0u64; CHUNK];
+        for (c, chunk) in live.iter().enumerate() {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                *lane |= u64::from(chunk.hit(window, k)) << (c * CHUNK + k);
             }
-            (mask, n)
         }
-    }
-
-    /// Full-node hit mask for strides up to 64: dispatches the runtime
-    /// stride onto a monomorphized constant-stride sweep, so the hot
-    /// kernel always runs with compile-time trip counts and offsets.
-    #[inline(always)]
-    pub(crate) fn sweep(&self, window: &Rect<N>) -> u64 {
-        match self.cap {
-            0 => 0,
-            8 => self.sweep_const::<8>(window),
-            16 => self.sweep_const::<16>(window),
-            24 => self.sweep_const::<24>(window),
-            32 => self.sweep_const::<32>(window),
-            40 => self.sweep_const::<40>(window),
-            48 => self.sweep_const::<48>(window),
-            56 => self.sweep_const::<56>(window),
-            64 => self.sweep_const::<64>(window),
-            other => unreachable!("stride {other} is not a chunk multiple ≤ 64"),
-        }
-    }
-
-    /// Sweeps all `C` slots of every lane (live entries and NaN padding
-    /// alike — padding fails both interval compares, so bits at and past
-    /// `len` are always zero) and returns the hit bitmask. `C` is a
-    /// compile-time constant, so each arm below is straight-line
-    /// branchless compare/mask arithmetic the compiler auto-vectorizes;
-    /// the common dimensions get hand-fused lane expressions because the
-    /// optimizer will not unroll a nested runtime-`d` loop into the same
-    /// shape. Window bounds go through slice views so the dead arms of
-    /// the `N` dispatch compile for every `N`.
-    #[inline(always)]
-    fn sweep_const<const C: usize>(&self, window: &Rect<N>) -> u64 {
-        debug_assert_eq!(self.cap, C);
-        let b: &[f64] = &self.buf;
-        let wlo: &[f64] = &window.lo.coords;
-        let whi: &[f64] = &window.hi.coords;
-        if N == 2 {
-            let (l0, h0) = (&b[0..C], &b[C..2 * C]);
-            let (l1, h1) = (&b[2 * C..3 * C], &b[3 * C..4 * C]);
-            let mut m = 0u64;
-            for k in 0..C {
-                let ok =
-                    (l0[k] <= whi[0]) & (wlo[0] <= h0[k]) & (l1[k] <= whi[1]) & (wlo[1] <= h1[k]);
-                m |= u64::from(ok) << k;
-            }
-            m
-        } else if N == 3 {
-            let (l0, h0) = (&b[0..C], &b[C..2 * C]);
-            let (l1, h1) = (&b[2 * C..3 * C], &b[3 * C..4 * C]);
-            let (l2, h2) = (&b[4 * C..5 * C], &b[5 * C..6 * C]);
-            let mut m = 0u64;
-            for k in 0..C {
-                let ok = (l0[k] <= whi[0])
-                    & (wlo[0] <= h0[k])
-                    & (l1[k] <= whi[1])
-                    & (wlo[1] <= h1[k])
-                    & (l2[k] <= whi[2])
-                    & (wlo[2] <= h2[k]);
-                m |= u64::from(ok) << k;
-            }
-            m
-        } else if N == 4 {
-            let (l0, h0) = (&b[0..C], &b[C..2 * C]);
-            let (l1, h1) = (&b[2 * C..3 * C], &b[3 * C..4 * C]);
-            let (l2, h2) = (&b[4 * C..5 * C], &b[5 * C..6 * C]);
-            let (l3, h3) = (&b[6 * C..7 * C], &b[7 * C..8 * C]);
-            let mut m = 0u64;
-            for k in 0..C {
-                let ok = (l0[k] <= whi[0])
-                    & (wlo[0] <= h0[k])
-                    & (l1[k] <= whi[1])
-                    & (wlo[1] <= h1[k])
-                    & (l2[k] <= whi[2])
-                    & (wlo[2] <= h2[k])
-                    & (l3[k] <= whi[3])
-                    & (wlo[3] <= h3[k]);
-                m |= u64::from(ok) << k;
-            }
-            m
-        } else {
-            // Exotic dimensions: per-axis masks, AND-combined. Still
-            // constant trip counts, just not hand-fused.
-            let mut m = if C >= 64 { u64::MAX } else { (1u64 << C) - 1 };
-            for d in 0..N {
-                let lo = &b[2 * d * C..2 * d * C + C];
-                let hi = &b[(2 * d + 1) * C..(2 * d + 1) * C + C];
-                let mut md = 0u64;
-                for k in 0..C {
-                    md |= u64::from((lo[k] <= whi[d]) & (wlo[d] <= hi[k])) << k;
-                }
-                m &= md;
-            }
-            m
-        }
-    }
-
-    /// Hit bitmask of one chunk at chunk-aligned offset `o`; only used
-    /// for nodes too large for a single 64-bit sweep.
-    #[inline]
-    fn chunk_bits(&self, window: &Rect<N>, o: usize) -> u32 {
-        let cap = self.cap;
-        let los: [&[f64]; N] = std::array::from_fn(|d| {
-            let off = 2 * d * cap + o;
-            &self.buf[off..off + CHUNK]
-        });
-        let his: [&[f64]; N] = std::array::from_fn(|d| {
-            let off = (2 * d + 1) * cap + o;
-            &self.buf[off..off + CHUNK]
-        });
-        let mut m = 0u32;
-        for k in 0..CHUNK {
-            let mut ok = true;
-            for d in 0..N {
-                ok &= (los[d][k] <= window.hi[d]) & (window.lo[d] <= his[d][k]);
-            }
-            m |= u32::from(ok) << k;
-        }
-        m
+        (lanes.iter().fold(0, |mask, lane| mask | lane), tested)
     }
 }
 
-/// A leaf page: MBR lanes plus the stored items in a parallel array.
-#[derive(Debug, Clone)]
-pub(crate) struct LeafNode<const N: usize, T> {
-    pub lanes: Lanes<N>,
-    items: Vec<T>,
+/// The mutable view over one slot's block.
+pub(crate) struct NodeMut<'a, const N: usize, T> {
+    head: &'a mut Head,
+    chunks: &'a mut [Chunk<N, T>],
 }
 
-impl<const N: usize, T> LeafNode<N, T> {
-    pub fn new() -> Self {
-        Self {
-            lanes: Lanes::new(),
-            items: Vec::new(),
-        }
-    }
-
-    pub fn from_entries(entries: Vec<Entry<N, T>>) -> Self {
-        let mut node = Self {
-            lanes: Lanes::with_capacity(entries.len()),
-            items: Vec::with_capacity(entries.len()),
-        };
-        for e in entries {
-            node.push(e.rect, e.item);
-        }
-        node
-    }
-
+impl<const N: usize, T> NodeMut<'_, N, T> {
     #[inline]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.head.len as usize
     }
 
+    /// Appends `entry`. A block holds `M + 1` entries (the transient
+    /// overflow before a split) rounded up to whole chunks; pushing past
+    /// that is an out-of-bounds panic.
     #[inline]
-    pub fn push(&mut self, rect: Rect<N>, item: T) {
-        self.lanes.push(&rect);
-        self.items.push(item);
+    pub fn push<E: SlabEntry<N, T>>(&mut self, entry: E) {
+        debug_assert_eq!(self.head.kind, E::KIND);
+        let (rect, payload) = entry.into_parts();
+        let i = self.len();
+        let chunk = &mut self.chunks[i / CHUNK];
+        chunk.set_rect(i % CHUNK, &rect);
+        chunk.payload[i % CHUNK] = payload;
+        self.head.len += 1;
     }
 
-    #[inline]
-    pub fn rect(&self, i: usize) -> Rect<N> {
-        self.lanes.rect(i)
-    }
-
-    #[inline]
-    pub fn item(&self, i: usize) -> &T {
-        &self.items[i]
-    }
-
-    /// Order-preserving removal, mirroring `Vec::remove`.
-    pub fn remove(&mut self, i: usize) -> Entry<N, T> {
-        let rect = self.lanes.remove(i);
-        Entry {
-            rect,
-            item: self.items.remove(i),
-        }
-    }
-
-    /// Drains the node into AoS entries (same order), leaving it empty.
-    /// Overflow handling materialises through here, runs the split or
-    /// reinsert permutation, and rebuilds via [`LeafNode::extend_entries`].
-    pub fn drain_entries(&mut self) -> Vec<Entry<N, T>> {
-        let rects: Vec<Rect<N>> = (0..self.len()).map(|i| self.rect(i)).collect();
-        self.lanes.clear();
-        rects
-            .into_iter()
-            .zip(self.items.drain(..))
-            .map(|(rect, item)| Entry { rect, item })
-            .collect()
-    }
-
-    pub fn extend_entries(&mut self, entries: Vec<Entry<N, T>>) {
+    pub fn extend<E: SlabEntry<N, T>>(&mut self, entries: impl IntoIterator<Item = E>) {
         for e in entries {
-            self.push(e.rect, e.item);
+            self.push(e);
         }
-    }
-
-    pub fn into_entries(mut self) -> Vec<Entry<N, T>> {
-        self.drain_entries()
-    }
-}
-
-/// An internal page: MBR lanes plus the child slots in a parallel array.
-#[derive(Debug, Clone)]
-pub(crate) struct InternalNode<const N: usize> {
-    pub lanes: Lanes<N>,
-    children: Vec<u32>,
-}
-
-impl<const N: usize> InternalNode<N> {
-    pub fn from_entries(entries: Vec<ChildEntry<N>>) -> Self {
-        let mut node = Self {
-            lanes: Lanes::with_capacity(entries.len()),
-            children: Vec::with_capacity(entries.len()),
-        };
-        for e in entries {
-            node.push(e.rect, e.child);
-        }
-        node
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    #[inline]
-    pub fn push(&mut self, rect: Rect<N>, child: u32) {
-        self.lanes.push(&rect);
-        self.children.push(child);
-    }
-
-    #[inline]
-    pub fn rect(&self, i: usize) -> Rect<N> {
-        self.lanes.rect(i)
-    }
-
-    #[inline]
-    pub fn child(&self, i: usize) -> u32 {
-        self.children[i]
-    }
-
-    #[inline]
-    pub fn children(&self) -> &[u32] {
-        &self.children
     }
 
     #[inline]
     pub fn set_rect(&mut self, i: usize, r: &Rect<N>) {
-        self.lanes.set(i, r);
+        debug_assert!(i < self.len());
+        self.chunks[i / CHUNK].set_rect(i % CHUNK, r);
     }
 
-    /// Order-preserving removal, mirroring `Vec::remove`.
-    pub fn remove(&mut self, i: usize) -> ChildEntry<N> {
-        let rect = self.lanes.remove(i);
-        ChildEntry {
-            rect,
-            child: self.children.remove(i),
+    /// Moves entry `i` out, leaving its slot padded and empty.
+    fn take(&mut self, i: usize) -> (Rect<N>, Payload<T>) {
+        let chunk = &mut self.chunks[i / CHUNK];
+        let rect = chunk.rect(i % CHUNK);
+        chunk.pad(i % CHUNK);
+        let payload = std::mem::replace(&mut chunk.payload[i % CHUNK], Payload::Empty);
+        (rect, payload)
+    }
+
+    /// Order-preserving removal (the tail shifts left one slot), mirroring
+    /// `Vec::remove`, so deletion keeps the survivors' relative order.
+    pub fn remove<E: SlabEntry<N, T>>(&mut self, i: usize) -> E {
+        let (rect, payload) = self.take(i);
+        for j in i + 1..self.len() {
+            let (r, p) = self.take(j);
+            let chunk = &mut self.chunks[(j - 1) / CHUNK];
+            chunk.set_rect((j - 1) % CHUNK, &r);
+            chunk.payload[(j - 1) % CHUNK] = p;
         }
+        self.head.len -= 1;
+        E::from_parts(rect, payload)
     }
 
-    pub fn pop(&mut self) -> Option<ChildEntry<N>> {
-        let child = self.children.pop()?;
-        let i = self.children.len();
-        let rect = self.lanes.remove(i);
-        Some(ChildEntry { rect, child })
-    }
-
-    /// Drains the node into AoS entries (same order), leaving it empty.
-    pub fn drain_entries(&mut self) -> Vec<ChildEntry<N>> {
-        let out: Vec<ChildEntry<N>> = (0..self.len())
-            .map(|i| ChildEntry {
-                rect: self.rect(i),
-                child: self.children[i],
+    /// Drains the node into AoS entries (same order), leaving the block
+    /// padded and empty. Overflow handling materialises through here,
+    /// runs the split or reinsert permutation, and writes back via
+    /// [`NodeMut::extend`].
+    pub fn drain<E: SlabEntry<N, T>>(&mut self) -> Vec<E> {
+        let out = (0..self.len())
+            .map(|i| {
+                let (rect, payload) = self.take(i);
+                E::from_parts(rect, payload)
             })
             .collect();
-        self.lanes.clear();
-        self.children.clear();
+        self.head.len = 0;
         out
     }
-
-    pub fn extend_entries(&mut self, entries: Vec<ChildEntry<N>>) {
-        for e in entries {
-            self.push(e.rect, e.child);
-        }
-    }
 }
 
-/// One page of the tree, stored in an arena slot.
-#[derive(Debug, Clone)]
-pub(crate) enum NodeKind<const N: usize, T> {
-    /// A leaf page holding items.
-    Leaf(LeafNode<N, T>),
-    /// An internal page holding child slots.
-    Internal(InternalNode<N>),
-    /// A recycled slot on the free list.
-    Free,
-}
-
-/// Flat node storage: a slab of nodes plus a free list of recycled slots.
+/// Flat node storage: the slab of blocks, one head per slot, and a free
+/// list of recycled slots.
 #[derive(Debug, Clone)]
 pub(crate) struct Arena<const N: usize, T> {
-    nodes: Vec<NodeKind<N, T>>,
+    /// Chunks per block.
+    stride: usize,
+    /// Slot `id`'s block is `chunks[id · stride..][..stride]`.
+    chunks: Vec<Chunk<N, T>>,
+    heads: Vec<Head>,
     free: Vec<u32>,
 }
 
 impl<const N: usize, T> Arena<N, T> {
-    pub fn new() -> Self {
+    /// An empty arena whose blocks hold `max_entries + 1` entries.
+    pub fn new(max_entries: usize) -> Self {
         Self {
-            nodes: Vec::new(),
+            stride: (max_entries + 1).div_ceil(CHUNK),
+            chunks: Vec::new(),
+            heads: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    /// Stores `kind` in a recycled or fresh slot and returns its index.
-    pub fn alloc(&mut self, kind: NodeKind<N, T>) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = kind;
+    /// Reserves room for `nodes` more slots, so that a bulk load builds
+    /// its slab in one allocation instead of regrowing (and copying) it.
+    pub fn reserve(&mut self, nodes: usize) {
+        self.chunks.reserve_exact(nodes * self.stride);
+        self.heads.reserve_exact(nodes);
+    }
+
+    /// Stores `entries` as one node (a leaf or an internal node, by the
+    /// entry type) in a recycled or fresh slot and returns its index.
+    pub fn alloc<E: SlabEntry<N, T>>(&mut self, entries: impl IntoIterator<Item = E>) -> u32 {
+        let idx = if let Some(idx) = self.free.pop() {
             idx
         } else {
-            let idx = self.nodes.len() as u32;
+            let idx = self.heads.len() as u32;
             assert!(idx < u32::MAX, "arena exhausted u32 slot space");
-            self.nodes.push(kind);
+            self.heads.push(Head {
+                kind: Kind::Free,
+                len: 0,
+            });
+            self.chunks.extend((0..self.stride).map(|_| Chunk::empty()));
             idx
-        }
+        };
+        self.heads[idx as usize].kind = E::KIND;
+        self.node_mut(idx).extend(entries);
+        idx
     }
 
-    /// Moves the node out of its slot, leaving the slot on the free list.
-    pub fn take(&mut self, idx: u32) -> NodeKind<N, T> {
-        let kind = std::mem::replace(&mut self.nodes[idx as usize], NodeKind::Free);
-        self.free.push(idx);
-        kind
-    }
-
-    /// Recycles a slot without inspecting its contents.
+    /// Recycles a slot: its block is padded and emptied, and the slot
+    /// goes on the free list.
     pub fn release(&mut self, idx: u32) {
-        self.nodes[idx as usize] = NodeKind::Free;
+        let node = self.node_mut(idx);
+        node.chunks.fill_with(Chunk::empty);
+        *node.head = Head {
+            kind: Kind::Free,
+            len: 0,
+        };
         self.free.push(idx);
     }
 
-    pub fn node(&self, idx: u32) -> &NodeKind<N, T> {
-        &self.nodes[idx as usize]
-    }
-
-    pub fn node_mut(&mut self, idx: u32) -> &mut NodeKind<N, T> {
-        &mut self.nodes[idx as usize]
-    }
-
-    /// The internal node at `idx`; must only be called on a slot known to
-    /// hold an internal node.
-    pub fn internal(&self, idx: u32) -> &InternalNode<N> {
-        match &self.nodes[idx as usize] {
-            NodeKind::Internal(node) => node,
-            _ => unreachable!("slot {idx} is not an internal node"),
+    #[inline]
+    pub fn node(&self, idx: u32) -> ArenaNode<'_, N, T> {
+        ArenaNode {
+            head: self.heads[idx as usize],
+            chunks: &self.chunks[idx as usize * self.stride..][..self.stride],
         }
     }
 
-    /// Mutable twin of [`Arena::internal`].
-    pub fn internal_mut(&mut self, idx: u32) -> &mut InternalNode<N> {
-        match &mut self.nodes[idx as usize] {
-            NodeKind::Internal(node) => node,
-            _ => unreachable!("slot {idx} is not an internal node"),
+    pub fn node_mut(&mut self, idx: u32) -> NodeMut<'_, N, T> {
+        NodeMut {
+            head: &mut self.heads[idx as usize],
+            chunks: &mut self.chunks[idx as usize * self.stride..][..self.stride],
         }
     }
 
     pub fn is_leaf(&self, idx: u32) -> bool {
-        matches!(self.nodes[idx as usize], NodeKind::Leaf(_))
+        self.heads[idx as usize].kind == Kind::Leaf
     }
 
     /// Number of entries in the node at `idx` (0 for a free slot).
     pub fn entry_count(&self, idx: u32) -> usize {
-        match &self.nodes[idx as usize] {
-            NodeKind::Leaf(node) => node.len(),
-            NodeKind::Internal(node) => node.len(),
-            NodeKind::Free => 0,
-        }
+        self.heads[idx as usize].len as usize
     }
 
     /// MBR of all entries of the node at `idx`, or `None` when empty.
     pub fn mbr(&self, idx: u32) -> Option<Rect<N>> {
-        match &self.nodes[idx as usize] {
-            NodeKind::Leaf(node) => node.lanes.mbr(),
-            NodeKind::Internal(node) => node.lanes.mbr(),
-            NodeKind::Free => None,
-        }
+        self.node(idx).mbr()
     }
 
     /// Total node count of the subtree rooted at `idx` (including itself).
@@ -598,16 +461,14 @@ impl<const N: usize, T> Arena<N, T> {
         let mut stack = vec![idx];
         while let Some(i) = stack.pop() {
             count += 1;
-            if let NodeKind::Internal(node) = self.node(i) {
-                stack.extend_from_slice(node.children());
-            }
+            stack.extend(self.node(i).children());
         }
         count
     }
 
     /// Total slots ever allocated (live + free).
     pub fn slot_count(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// Slots currently on the free list.
@@ -615,22 +476,28 @@ impl<const N: usize, T> Arena<N, T> {
         self.free.len()
     }
 
-    /// Checks the free list against the slot states: every listed slot is
-    /// in bounds and marked `Free`, and every `Free` slot is listed exactly
-    /// once (counting both ways rules out duplicates).
+    /// Checks the free list against the slot states — every listed slot is
+    /// in bounds and marked free, and every free slot is listed exactly
+    /// once (counting both ways rules out duplicates) — and that a free
+    /// block is padded and empty throughout, so a recycled slot cannot
+    /// leak a stale MBR into a sweep.
     pub fn validate_free_list(&self) -> Result<(), String> {
+        if self.chunks.len() != self.heads.len() * self.stride {
+            return Err(format!(
+                "{} chunks for {} slots of {} chunks each",
+                self.chunks.len(),
+                self.heads.len(),
+                self.stride
+            ));
+        }
         for &idx in &self.free {
-            match self.nodes.get(idx as usize) {
-                Some(NodeKind::Free) => {}
+            match self.heads.get(idx as usize).map(|h| h.kind) {
+                Some(Kind::Free) => self.validate_padding(idx)?,
                 Some(_) => return Err(format!("free-list slot {idx} holds a live node")),
                 None => return Err(format!("free-list slot {idx} out of bounds")),
             }
         }
-        let marked = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, NodeKind::Free))
-            .count();
+        let marked = self.heads.iter().filter(|h| h.kind == Kind::Free).count();
         if marked != self.free.len() {
             return Err(format!(
                 "{marked} slots marked free but free list holds {}",
@@ -638,6 +505,21 @@ impl<const N: usize, T> Arena<N, T> {
             ));
         }
         Ok(())
+    }
+
+    /// Checks that every slot of `idx`'s block past the node's length is
+    /// NaN in all `2·N` lanes and empty in the payload.
+    fn validate_padding(&self, idx: u32) -> Result<(), String> {
+        let node = self.node(idx);
+        match (node.len()..self.stride * CHUNK)
+            .find(|&i| !node.chunks[i / CHUNK].is_padded(i % CHUNK))
+        {
+            Some(i) => Err(format!(
+                "slot {idx}: entry {i} past len {} is not padded",
+                node.len()
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Recursively checks structural invariants of the subtree at `idx`.
@@ -653,44 +535,41 @@ impl<const N: usize, T> Arena<N, T> {
         live: &mut usize,
     ) -> Result<(), String> {
         *live += 1;
-        let count = self.entry_count(idx);
+        let node = self.node(idx);
+        let count = node.len();
         if count > config.max_entries {
             return Err(format!("node overflow: {count} > {}", config.max_entries));
         }
         if !is_root && count < config.min_entries {
             return Err(format!("node underflow: {count} < {}", config.min_entries));
         }
-        match self.node(idx) {
-            NodeKind::Leaf(node) => {
+        self.validate_padding(idx)?;
+        // Live slots carry a finite MBR and the payload of the node's kind.
+        for i in 0..count {
+            let payload_ok = matches!(
+                (&node.chunks[i / CHUNK].payload[i % CHUNK], node.kind()),
+                (Payload::Item(_), Kind::Leaf) | (Payload::Child(_), Kind::Internal)
+            );
+            if !payload_ok || !node.rect(i).is_finite() {
+                return Err(format!("slot {idx}: entry {i} is malformed"));
+            }
+        }
+        match node.kind() {
+            Kind::Leaf => {
                 if depth_left != 1 {
                     return Err(format!("leaf at wrong depth ({depth_left} levels left)"));
                 }
-                // Items and lanes must stay parallel.
-                if node.lanes.len() != node.len() {
-                    return Err(format!(
-                        "leaf lane/item length mismatch: {} vs {}",
-                        node.lanes.len(),
-                        node.len()
-                    ));
-                }
-                *total += node.len();
+                *total += count;
                 Ok(())
             }
-            NodeKind::Internal(node) => {
+            Kind::Internal => {
                 if depth_left <= 1 {
                     return Err("internal node at leaf depth".into());
                 }
-                if is_root && node.len() < 2 {
+                if is_root && count < 2 {
                     return Err("internal root must have at least 2 children".into());
                 }
-                if node.lanes.len() != node.len() {
-                    return Err(format!(
-                        "internal lane/child length mismatch: {} vs {}",
-                        node.lanes.len(),
-                        node.len()
-                    ));
-                }
-                for i in 0..node.len() {
+                for i in 0..count {
                     let stored = node.rect(i);
                     let child = node.child(i);
                     let child_mbr = self
@@ -705,7 +584,7 @@ impl<const N: usize, T> Arena<N, T> {
                 }
                 Ok(())
             }
-            NodeKind::Free => Err(format!("free slot {idx} reachable from the root")),
+            Kind::Free => Err(format!("free slot {idx} reachable from the root")),
         }
     }
 }

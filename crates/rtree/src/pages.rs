@@ -26,7 +26,7 @@
 //! The paper's page geometry (4 KB pages, capacity 20, `N = 3`) needs
 //! `8 + 20·48 + 20·8 = 1128` bytes — comfortably inside one page.
 
-use crate::node::NodeKind;
+use crate::node::Kind;
 use crate::query::{NodeSource, NodeView};
 use crate::{IoCounters, RTree};
 use mar_geom::{Point, Rect};
@@ -67,12 +67,10 @@ impl<const N: usize, T> RTree<N, T> {
         page_of.insert(self.root, 0);
         while let Some(slot) = queue.pop_front() {
             order.push(slot);
-            if let NodeKind::Internal(node) = self.arena.node(slot) {
-                for &child in node.children() {
-                    let id = page_of.len() as u32;
-                    page_of.insert(child, id);
-                    queue.push_back(child);
-                }
+            for child in self.arena.node(slot).children() {
+                let id = page_of.len() as u32;
+                page_of.insert(child, id);
+                queue.push_back(child);
             }
         }
         // Second pass: serialize each node in page-id order.
@@ -80,36 +78,29 @@ impl<const N: usize, T> RTree<N, T> {
         let mut regions = Vec::with_capacity(order.len());
         for &slot in &order {
             let mut buf: Vec<u8> = Vec::new();
-            match self.arena.node(slot) {
-                NodeKind::Leaf(node) => {
-                    write_header(&mut buf, KIND_LEAF, node.len());
-                    for i in 0..node.len() {
-                        write_rect(&mut buf, &node.rect(i));
-                    }
-                    for i in 0..node.len() {
-                        let before = buf.len();
-                        encode_item(node.item(i), &mut buf);
-                        assert_eq!(
-                            buf.len() - before,
-                            item_size,
-                            "encode_item must append exactly item_size bytes"
-                        );
-                    }
-                }
-                NodeKind::Internal(node) => {
-                    write_header(&mut buf, KIND_INTERNAL, node.len());
-                    for i in 0..node.len() {
-                        write_rect(&mut buf, &node.rect(i));
-                    }
-                    for i in 0..node.len() {
-                        // BFS numbered every reachable child above.
-                        let id = page_of.get(&node.child(i)).copied().unwrap_or(u32::MAX);
-                        buf.extend_from_slice(&id.to_le_bytes());
-                    }
-                }
-                NodeKind::Free => {
-                    // Free slots are unreachable from the root; BFS never
-                    // enqueues one.
+            let node = self.arena.node(slot);
+            let kind = if node.kind() == Kind::Leaf {
+                KIND_LEAF
+            } else {
+                KIND_INTERNAL
+            };
+            write_header(&mut buf, kind, node.len());
+            for i in 0..node.len() {
+                write_rect(&mut buf, &node.rect(i));
+            }
+            for i in 0..node.len() {
+                if kind == KIND_LEAF {
+                    let before = buf.len();
+                    encode_item(node.item(i), &mut buf);
+                    assert_eq!(
+                        buf.len() - before,
+                        item_size,
+                        "encode_item must append exactly item_size bytes"
+                    );
+                } else {
+                    // BFS numbered every reachable child above.
+                    let id = page_of.get(&node.child(i)).copied().unwrap_or(u32::MAX);
+                    buf.extend_from_slice(&id.to_le_bytes());
                 }
             }
             regions.push(

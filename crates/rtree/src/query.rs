@@ -25,7 +25,7 @@
 //! exactly. The unique visit count — the improved node-access metric
 //! batching buys — is returned alongside.
 
-use crate::node::{Lanes, NodeKind};
+use crate::node::{ArenaNode, Kind};
 use crate::{IoCounters, IoKind, RTree};
 use mar_geom::Rect;
 use std::cell::Cell;
@@ -69,7 +69,7 @@ pub trait NodeView<const N: usize> {
     fn entry_count(&self) -> usize;
 
     /// Tests up to 64 entries starting at `start` (a multiple of 64,
-    /// `< entry_count`) against `window` and returns `(hit_mask,
+    /// `< entry_count`, or 0) against `window` and returns `(hit_mask,
     /// tested)`: bit `j` is set iff entry `start + j` intersects `window`
     /// on closed intervals, exactly [`Rect::intersects`].
     fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize);
@@ -79,23 +79,38 @@ pub trait NodeView<const N: usize> {
 }
 
 /// Calls `hit(i)` for every entry `i` of `node` intersecting `window`,
-/// in ascending entry order.
+/// in ascending entry order; `first` is `node.match_bits(window, 0)`.
 #[inline(always)]
-fn for_each_match<const N: usize>(
+fn for_each_match_from<const N: usize>(
     node: &impl NodeView<N>,
     window: &Rect<N>,
+    first: (u64, usize),
     mut hit: impl FnMut(usize),
 ) {
+    let (mut mask, mut n) = first;
     let mut start = 0;
-    while start < node.entry_count() {
-        let (mut mask, n) = node.match_bits(window, start);
+    loop {
         while mask != 0 {
             let j = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             hit(start + j);
         }
         start += n;
+        if start >= node.entry_count() {
+            break;
+        }
+        (mask, n) = node.match_bits(window, start);
     }
+}
+
+/// [`for_each_match_from`], testing the first entries here.
+#[inline(always)]
+fn for_each_match<const N: usize>(
+    node: &impl NodeView<N>,
+    window: &Rect<N>,
+    hit: impl FnMut(usize),
+) {
+    for_each_match_from(node, window, node.match_bits(window, 0), hit);
 }
 
 /// The scalar window walk: calls `visit(leaf, i)` for every leaf entry
@@ -103,6 +118,12 @@ fn for_each_match<const N: usize>(
 /// ascending entry order, LIFO pops), returning the number of node
 /// accesses performed. The source's cumulative logical and unique
 /// counters are incremented by the same amount.
+///
+/// The walk runs one node ahead of itself: the next node on the stack is
+/// fetched and its first entries tested *before* the current node's
+/// matches are handed out, so the next node's memory is in flight while
+/// the visitor works. Fetch order, visit order and every count are those
+/// of the plain pop-fetch-test loop.
 pub fn search<const N: usize, S: NodeSource<N>>(
     src: S,
     window: &Rect<N>,
@@ -112,14 +133,30 @@ pub fn search<const N: usize, S: NodeSource<N>>(
     stack.clear();
     let mut accesses = 0u64;
     stack.push(src.root());
-    while let Some(id) = stack.pop() {
-        accesses += 1;
-        let node = src.node(id);
-        if node.is_leaf() {
-            for_each_match(&node, window, |i| visit(&node, i));
-        } else {
-            for_each_match(&node, window, |i| stack.push(node.child(i)));
+    let mut current: Option<(S::Node, (u64, usize))> = None;
+    loop {
+        // An internal node pushes its matching children; a leaf leaves
+        // the stack alone. Either way the next node to visit is now on top.
+        if let Some((node, first)) = &current {
+            if !node.is_leaf() {
+                for_each_match_from(node, window, *first, |i| stack.push(node.child(i)));
+            }
         }
+        let next = stack.pop().map(|id| {
+            let node = src.node(id);
+            let first = node.match_bits(window, 0);
+            (node, first)
+        });
+        if let Some((node, first)) = &current {
+            if node.is_leaf() {
+                for_each_match_from(node, window, *first, |i| visit(node, i));
+            }
+        }
+        if next.is_none() {
+            break;
+        }
+        accesses += 1;
+        current = next;
     }
     SEARCH_STACK.with(|cell| cell.set(stack));
     src.io().add(IoKind::Logical, accesses);
@@ -146,6 +183,11 @@ pub fn search_batch_into<const N: usize, S: NodeSource<N>>(
     mut visit: impl FnMut(usize, &S::Node, usize),
 ) -> u64 {
     assert_eq!(per_window.len(), windows.len(), "one tally per window");
+    if let [window] = windows {
+        // A group of one is the scalar walk: same hits, order and counts.
+        per_window[0] = search(src, window, |leaf, i| visit(0, leaf, i));
+        return per_window[0];
+    }
     per_window.fill(0);
     let mut unique = 0u64;
     for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
@@ -223,35 +265,6 @@ fn search_group<const N: usize, S: NodeSource<N>>(
     unique
 }
 
-/// A fetched arena node (`&RTree` as a [`NodeSource`]).
-pub struct ArenaNode<'a, const N: usize, T>(&'a NodeKind<N, T>);
-
-impl<'a, const N: usize, T> ArenaNode<'a, N, T> {
-    #[inline]
-    fn lanes(&self) -> &'a Lanes<N> {
-        match self.0 {
-            NodeKind::Leaf(node) => &node.lanes,
-            NodeKind::Internal(node) => &node.lanes,
-            NodeKind::Free => unreachable!("a free slot is never reachable from the root"),
-        }
-    }
-
-    /// Leaf entry `i`'s rectangle, materialised from the lanes.
-    #[inline]
-    pub fn rect(&self, i: usize) -> Rect<N> {
-        self.lanes().rect(i)
-    }
-
-    /// Leaf entry `i`'s item.
-    #[inline]
-    pub fn item(&self, i: usize) -> &'a T {
-        match self.0 {
-            NodeKind::Leaf(node) => node.item(i),
-            _ => unreachable!("item() on a non-leaf node"),
-        }
-    }
-}
-
 impl<'a, const N: usize, T> NodeSource<N> for &'a RTree<N, T> {
     type Node = ArenaNode<'a, N, T>;
 
@@ -262,7 +275,7 @@ impl<'a, const N: usize, T> NodeSource<N> for &'a RTree<N, T> {
 
     #[inline]
     fn node(&self, id: u32) -> Self::Node {
-        ArenaNode(self.arena.node(id))
+        self.arena.node(id)
     }
 
     #[inline]
@@ -274,29 +287,26 @@ impl<'a, const N: usize, T> NodeSource<N> for &'a RTree<N, T> {
 impl<const N: usize, T> NodeView<N> for ArenaNode<'_, N, T> {
     #[inline]
     fn is_leaf(&self) -> bool {
-        matches!(self.0, NodeKind::Leaf(_))
+        self.kind() == Kind::Leaf
     }
 
     #[inline]
     fn entry_count(&self) -> usize {
-        self.lanes().len()
+        self.len()
     }
 
     #[inline(always)]
     fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
-        self.lanes().match_bits(window, start)
+        ArenaNode::match_bits(self, window, start)
     }
 
     #[inline]
     fn child(&self, i: usize) -> u32 {
-        match self.0 {
-            NodeKind::Internal(node) => node.child(i),
-            _ => unreachable!("child() on a non-internal node"),
-        }
+        ArenaNode::child(self, i)
     }
 }
 
-/// Access accounting of one [`RTree::search_batch`] call.
+/// Access accounting of one grouped descent ([`RTree::search_batch_into`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchAccesses {
     /// Logical node accesses per window — exactly what a scalar
@@ -331,22 +341,11 @@ impl<const N: usize, T> RTree<N, T> {
     /// ([`search_batch_into`] over the arena). `visit` receives
     /// `(window_index, rect, item)` for every window/item intersection —
     /// per window, exactly the hit set the scalar [`RTree::search`] of
-    /// that window produces (emission order may interleave windows). See
-    /// [`BatchAccesses`] for the accounting.
-    pub fn search_batch<'a>(
-        &'a self,
-        windows: &[Rect<N>],
-        visit: impl FnMut(usize, Rect<N>, &'a T),
-    ) -> BatchAccesses {
-        let mut per_window = vec![0u64; windows.len()];
-        let unique = self.search_batch_into(windows, &mut per_window, visit);
-        BatchAccesses { per_window, unique }
-    }
-
-    /// [`RTree::search_batch`] into a caller-owned tally, for callers that
-    /// reuse one buffer across searches: `per_window[w]` is overwritten
-    /// with window `w`'s logical accesses (`per_window.len()` must equal
-    /// `windows.len()`), and the unique physical visits are returned.
+    /// that window produces (emission order may interleave windows).
+    /// `per_window[w]` is overwritten with window `w`'s logical accesses
+    /// (`per_window.len()` must equal `windows.len()`), and the unique
+    /// physical visits are returned — see [`BatchAccesses`] for the two
+    /// counts.
     pub fn search_batch_into<'a>(
         &'a self,
         windows: &[Rect<N>],
@@ -476,8 +475,10 @@ mod tests {
             Rect2::new(Point2::new([0.0, 0.0]), Point2::new([19.0, 19.0])),
         ];
         let mut batch_hits: Vec<Vec<(i32, i32)>> = vec![Vec::new(); windows.len()];
-        let acc = t.search_batch(&windows, |w, _, &item| batch_hits[w].push(item));
-        assert_eq!(acc.per_window.len(), windows.len());
+        let mut per_window = vec![0u64; windows.len()];
+        let unique = t.search_batch_into(&windows, &mut per_window, |w, _, &item| {
+            batch_hits[w].push(item)
+        });
         let mut logical_sum = 0;
         let mut max_logical = 0;
         for (w, window) in windows.iter().enumerate() {
@@ -486,13 +487,12 @@ mod tests {
             scalar.sort_unstable();
             batch_hits[w].sort_unstable();
             assert_eq!(batch_hits[w], scalar, "window {w} hit set");
-            assert_eq!(acc.per_window[w], io, "window {w} logical accesses");
+            assert_eq!(per_window[w], io, "window {w} logical accesses");
             logical_sum += io;
             max_logical = max_logical.max(io);
         }
-        assert!(acc.unique >= max_logical);
-        assert!(acc.unique <= logical_sum);
-        assert_eq!(acc.logical_total(), logical_sum);
+        assert!(unique >= max_logical);
+        assert!(unique <= logical_sum);
     }
 
     #[test]
@@ -501,11 +501,12 @@ mod tests {
         let w = Rect2::new(Point2::new([2.0, 2.0]), Point2::new([10.0, 10.0]));
         let (_, scalar_io) = t.query(&w);
         let windows = vec![w; 16];
-        let acc = t.search_batch(&windows, |_, _, _| {});
+        let mut per_window = vec![0u64; windows.len()];
+        let unique = t.search_batch_into(&windows, &mut per_window, |_, _, _| {});
         // Every window is the same, so the group descends each shared node
         // exactly once: unique == one scalar descent.
-        assert_eq!(acc.unique, scalar_io);
-        assert!(acc.per_window.iter().all(|&io| io == scalar_io));
+        assert_eq!(unique, scalar_io);
+        assert!(per_window.iter().all(|&io| io == scalar_io));
     }
 
     #[test]
@@ -513,8 +514,9 @@ mod tests {
         let t = grid_tree(Variant::RStar);
         t.reset_io();
         let w = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([9.0, 9.0]));
-        let acc = t.search_batch(&[w, w, w], |_, _, _| {});
-        assert_eq!(t.io_count(), acc.logical_total());
+        let mut per_window = [0u64; 3];
+        t.search_batch_into(&[w, w, w], &mut per_window, |_, _, _| {});
+        assert_eq!(t.io_count(), per_window.iter().sum::<u64>());
     }
 
     #[test]
@@ -528,12 +530,13 @@ mod tests {
             })
             .collect();
         let mut batch_counts = vec![0usize; windows.len()];
-        let acc = t.search_batch(&windows, |w, _, _| batch_counts[w] += 1);
+        let mut per_window = vec![0u64; windows.len()];
+        t.search_batch_into(&windows, &mut per_window, |w, _, _| batch_counts[w] += 1);
         for (w, window) in windows.iter().enumerate() {
             let mut n = 0usize;
             let io = t.search(window, |_, _| n += 1);
             assert_eq!(batch_counts[w], n, "window {w} count");
-            assert_eq!(acc.per_window[w], io, "window {w} accesses");
+            assert_eq!(per_window[w], io, "window {w} accesses");
         }
     }
 
@@ -541,9 +544,8 @@ mod tests {
     fn empty_batch_is_free() {
         let t = grid_tree(Variant::RStar);
         t.reset_io();
-        let acc = t.search_batch(&[], |_, _, _| {});
-        assert!(acc.per_window.is_empty());
-        assert_eq!(acc.unique, 0);
+        let unique = t.search_batch_into(&[], &mut [], |_, _, _| {});
+        assert_eq!(unique, 0);
         assert_eq!(t.io_count(), 0);
     }
 }

@@ -56,7 +56,9 @@ fn assert_pages_equal_arena(tree: &RTree<2, u64>, windows: &[Rect2]) -> usize {
     }
 
     let mut ram_hits: Vec<Vec<u64>> = vec![Vec::new(); windows.len()];
-    let ram_acc = tree.search_batch(windows, |q, _, &t| ram_hits[q].push(t));
+    let mut ram_per_window = vec![9u64; windows.len()];
+    let ram_unique =
+        tree.search_batch_into(windows, &mut ram_per_window, |q, _, &t| ram_hits[q].push(t));
     let mut paged_hits: Vec<Vec<u64>> = vec![Vec::new(); windows.len()];
     // Stale tallies must be overwritten, not added to.
     let mut per_window = vec![9u64; windows.len()];
@@ -64,8 +66,8 @@ fn assert_pages_equal_arena(tree: &RTree<2, u64>, windows: &[Rect2]) -> usize {
         paged_hits[q].push(item(leaf, i))
     });
     assert_eq!(paged_hits, ram_hits, "grouped per-window hit streams");
-    assert_eq!(per_window, ram_acc.per_window, "grouped logical accesses");
-    assert_eq!(unique, ram_acc.unique, "grouped unique visits");
+    assert_eq!(per_window, ram_per_window, "grouped logical accesses");
+    assert_eq!(unique, ram_unique, "grouped unique visits");
     assert_eq!(io.snapshot(), tree.io_snapshot(), "cumulative counters");
 
     (0..export.pages.len() as u32)
