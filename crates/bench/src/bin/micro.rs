@@ -542,7 +542,7 @@ fn bench_wire(c: &mut Criterion, ms: &MicroScale, scene: &Scene, entries: &mut V
 /// a working set (8 pages).
 const IO_TOUR_BUDGET: usize = 8 * 4096;
 
-/// Sessions and candidate pages of the `io/victim_rank` point, and the
+/// Sessions and candidate pages of the `io/victim_rank*` points, and the
 /// pool of `io/pool_hit`: the serving benchmark's `paged_tour` shape (32
 /// live sessions; a 1 199-page pool ranks its unprotected quarter, 299
 /// pages, per fault).
@@ -553,7 +553,8 @@ const POOL_PAGES: usize = 1199;
 /// The out-of-core read path (`io` group): cold and warm page reads
 /// through the buffer pool, the checksum of one page (ns per 4 KB), one
 /// pool hit, the motion-aware victim
-/// ranking (ns per ranked candidate), then the tour-workload hit ratio of the
+/// ranking after one and after five session steps (ns per ranked
+/// candidate), then the tour-workload hit ratio of the
 /// motion-aware eviction policy against plain LRU at the same byte
 /// budget. The page file is built in `--out-dir` so CI exercises the
 /// store writer on every run.
@@ -672,12 +673,14 @@ fn bench_io(
     }
     // Victim ranking: one motion-aware eviction scan as the pager runs
     // it — the ranker's snapshot synced to the field, then every
-    // candidate's Eq. 2 heat through the per-slot contribution rows, one
-    // session having stepped along its tour since the last scan —
-    // without the pool around it. Sessions have walked their
-    // tours once, so allocations are skewed the way a live server's are;
-    // candidates are leaf-sized regions tiling the scene, so near, far,
-    // diagonal and containing cases all occur.
+    // candidate's Eq. 2 heat in one batch through the per-slot
+    // contribution rows — without the pool around it, after one session
+    // (`victim_rank`) or five of the 32 (`victim_rank_burst`, what two
+    // drivers' interleaved steps leave between one thread's scans) have
+    // stepped along their tours. Sessions have walked their tours once,
+    // so allocations are skewed the way a live server's are; candidates
+    // are leaf-sized regions tiling the scene, so near, far, diagonal and
+    // containing cases all occur.
     let space = scene.config.space;
     let mut heat = MotionHeat::server_default((space.extent(0) + space.extent(1)) / 8.0);
     let walks: Vec<_> = (0..RANK_SESSIONS)
@@ -688,33 +691,37 @@ fn bench_io(
             heat.observe(k as u64, s.pos);
         }
     }
-    let candidates: Vec<Rect2> = query_centers_grid(&space, RANK_GRID.0, RANK_GRID.1)
+    let regions: Vec<Rect2> = query_centers_grid(&space, RANK_GRID.0, RANK_GRID.1)
         .iter()
         .map(|p| frame_at(&space, p, 0.02))
         .collect();
+    let candidates: Vec<(u32, u32)> = (0..regions.len() as u32).map(|s| (s, s)).collect();
     let mut rows = SlotHeats::new(&heat);
+    let mut heats = Vec::new();
     let mut step = 0usize;
-    if let Some(m) = group.bench_function_measured("victim_rank", |b| {
-        b.iter(|| {
-            let (k, tick) = (step % RANK_SESSIONS, step / RANK_SESSIONS);
-            step += 1;
-            let samples = &walks[k].samples;
-            heat.observe(k as u64, samples[tick % samples.len()].pos);
-            rows.sync(&heat);
-            black_box(&candidates)
-                .iter()
-                .enumerate()
-                .map(|(slot, r)| rows.heat_slot(slot, slot as u32, r))
-                .fold(f64::INFINITY, f64::min)
-        })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "victim_rank".into(),
-            m,
-            ops_per_iter: candidates.len() as u64,
-            hit_ratio: None,
+    for (name, movers) in [("victim_rank", 1), ("victim_rank_burst", 5)] {
+        let measured = group.bench_function_measured(name, |b| {
+            b.iter(|| {
+                for _ in 0..movers {
+                    let (k, tick) = (step % RANK_SESSIONS, step / RANK_SESSIONS);
+                    step += 1;
+                    let samples = &walks[k].samples;
+                    heat.observe(k as u64, samples[tick % samples.len()].pos);
+                }
+                rows.sync(&heat);
+                rows.heat_slots(black_box(&candidates), &regions, &mut heats);
+                heats.iter().copied().fold(f64::INFINITY, f64::min)
+            })
         });
+        if let Some(m) = measured {
+            entries.push(Entry {
+                group: "io",
+                name: name.into(),
+                m,
+                ops_per_iter: candidates.len() as u64,
+                hit_ratio: None,
+            });
+        }
     }
     group.finish();
 

@@ -29,6 +29,11 @@
 //! or leaving (rows shift), or a gap the ring no longer covers
 //! recomputes the whole row. Memory: one `f64` per slot per session
 //! (sessions rounded up to a power of two) plus 24 B per slot.
+//! [`SlotHeats::heat_slots`] ranks a whole victim scan in one call and
+//! recomputes session-major: for each moved session, one branch-free pass
+//! over the candidates that need it ([`SectorPartition::compass_select`]
+//! for the sector's weight, `sqrt` and two divisions for the distance),
+//! then each slot's row is summed.
 //!
 //! Ranking off the field's lock: a `SlotHeats` reads no `MotionHeat`
 //! while it ranks. It carries its own copy of what a heat is computed
@@ -44,9 +49,11 @@
 //! connected in; direction smoothing is a fixed exponential moving
 //! average of sector votes with no time source. A cached contribution
 //! is the `f64` the same expression produced from the same session row
-//! and the same rect, and [`SlotHeats::heat_slot`] folds its row with the
-//! fold `heat_rect` uses, so the two agree bit for bit — whichever
-//! `SlotHeats` ranks, whatever its rows held before.
+//! and the same rect — the batch pass performs the IEEE operations of the
+//! one-offset definition, and near a diagonal defers to it — and
+//! [`SlotHeats::heat_slots`] folds a row with the fold `heat_rect` uses,
+//! so the two agree bit for bit — whichever `SlotHeats` ranks, whatever
+//! its rows held before.
 
 use std::ops::Range;
 
@@ -66,7 +73,7 @@ const DIRECTION_ALPHA: f64 = 0.5;
 /// longer ring would.
 const CHANGE_RING: usize = 32;
 
-/// What [`SlotHeats::heat_slot`] last computed for one pool slot.
+/// What [`SlotHeats::heat_slots`] last computed for one pool slot.
 #[derive(Debug, Clone, Copy)]
 struct SlotHeat {
     /// The page the slot held.
@@ -77,11 +84,76 @@ struct SlotHeat {
     heat: f64,
 }
 
-/// The offset from `pos` to the point of `rect` nearest to it.
+/// A slot no ranking has seen: epoch 0 is older than any field.
+const NEVER: SlotHeat = SlotHeat {
+    page: 0,
+    epoch: 0,
+    heat: 0.0,
+};
+
+/// One candidate of a [`SlotHeats::heat_slots`] call whose cached heat is
+/// stale: where it sits in the call's output, its slot and its page.
+#[derive(Debug, Clone, Copy)]
+struct Stale {
+    index: usize,
+    slot: usize,
+    page: u32,
+}
+
+/// Stale candidates of one kind, their regions kept apart so that the
+/// contribution kernel reads nothing else.
+#[derive(Debug, Clone, Default)]
+struct StaleSet {
+    stale: Vec<Stale>,
+    rects: Vec<Rect2>,
+}
+
+impl StaleSet {
+    fn clear(&mut self) {
+        self.stale.clear();
+        self.rects.clear();
+    }
+
+    fn push(&mut self, stale: Stale, rect: Rect2) {
+        self.stale.push(stale);
+        self.rects.push(rect);
+    }
+
+    /// Recomputes session row `row`'s entry of each member's contribution
+    /// row (`stride` per slot in `contributions`), through `values`.
+    fn refresh(
+        &self,
+        table: &HeatTable,
+        row: usize,
+        values: &mut Vec<f64>,
+        contributions: &mut [f64],
+        stride: usize,
+    ) {
+        values.clear();
+        values.resize(self.rects.len(), 0.0);
+        table.contribute(row, &self.rects, values);
+        for (s, &value) in self.stale.iter().zip(values.iter()) {
+            contributions[s.slot * stride + row] = value;
+        }
+    }
+}
+
+/// The offset from `pos` to the point of `rect` nearest to it. The clamp
+/// is `f64::clamp` without its `lo <= hi` assertion (a region's corners
+/// are ordered), so the batch kernel's loop has no panic path.
+#[inline(always)]
 fn nearest_offset(pos: &Point2, rect: &Rect2) -> Vector<2> {
+    let clamp = |x: f64, lo: f64, hi: f64| {
+        let x = if x < lo { lo } else { x };
+        if x > hi {
+            hi
+        } else {
+            x
+        }
+    };
     let nearest = Point2::new([
-        pos[0].clamp(rect.lo[0], rect.hi[0]),
-        pos[1].clamp(rect.lo[1], rect.hi[1]),
+        clamp(pos[0], rect.lo[0], rect.hi[0]),
+        clamp(pos[1], rect.lo[1], rect.hi[1]),
     ]);
     nearest - *pos
 }
@@ -125,6 +197,38 @@ impl HeatTable {
             None => self.alloc_total as f64,
         };
         weight / (1.0 + v.norm() / self.scale)
+    }
+
+    /// Session row `row`'s contribution to each of `rects`, into `out`:
+    /// [`Self::contribution`] at the region's nearest offset, bit for bit.
+    /// On the compass partition this is one straight pass — the weight
+    /// picked by [`SectorPartition::compass_select`]'s selects, one `sqrt`
+    /// and two divisions, the very IEEE operations `contribution` performs.
+    /// An offset the selects cannot vouch for (in the guard band around a
+    /// diagonal) is rare, so when one occurs the pass is simply redone
+    /// through `contribution` and its `atan2` path.
+    fn contribute(&self, row: usize, rects: &[Rect2], out: &mut [f64]) {
+        let pos = self.pos[row];
+        if self.partition.is_compass() {
+            let weights: [f64; 4] = std::array::from_fn(|s| self.alloc[row * 4 + s]);
+            let full = self.alloc_total as f64;
+            let mut unclear = false;
+            for (rect, out) in rects.iter().zip(out.iter_mut()) {
+                let v = nearest_offset(&pos, rect);
+                let norm_sq = v.norm_sq();
+                let zero = norm_sq <= f64::EPSILON * f64::EPSILON;
+                let (weight, clear) = SectorPartition::compass_select(v[0], v[1], weights);
+                unclear |= !zero & !clear;
+                let weight = if zero { full } else { weight };
+                *out = weight / (1.0 + norm_sq.sqrt() / self.scale);
+            }
+            if !unclear {
+                return;
+            }
+        }
+        for (rect, out) in rects.iter().zip(out.iter_mut()) {
+            *out = self.contribution(row, nearest_offset(&pos, rect));
+        }
     }
 
     /// The sum, in session-id order, of each session's contribution for
@@ -299,7 +403,7 @@ impl MotionHeat {
 pub struct SlotHeats {
     /// The field as of the last [`Self::sync`].
     table: HeatTable,
-    /// Per pool slot, what [`Self::heat_slot`] last computed.
+    /// Per pool slot, what [`Self::heat_slots`] last computed.
     slots: Vec<SlotHeat>,
     /// Per pool slot, `stride` contributions: one per session row, in row
     /// order, the rest unused.
@@ -307,6 +411,13 @@ pub struct SlotHeats {
     /// Session rows a slot has room for: the session count rounded up to
     /// a power of two.
     stride: usize,
+    /// Scratch of one ranking: the candidates whose whole row is stale,
+    /// those of which only the moved sessions' entries are, those
+    /// sessions' rows, and one session's contributions to a set.
+    whole: StaleSet,
+    partial: StaleSet,
+    moved: Vec<usize>,
+    values: Vec<f64>,
 }
 
 impl SlotHeats {
@@ -317,6 +428,10 @@ impl SlotHeats {
             slots: Vec::new(),
             contributions: Vec::new(),
             stride: 1,
+            whole: StaleSet::default(),
+            partial: StaleSet::default(),
+            moved: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -331,24 +446,9 @@ impl SlotHeats {
         }
     }
 
-    /// Recomputes session row `row`'s entry of the contribution row that
-    /// starts at `at`, for a page whose region is `rect`.
-    fn refresh(&mut self, at: usize, row: usize, rect: &Rect2) {
-        let table = &self.table;
-        self.contributions[at + row] =
-            table.contribution(row, nearest_offset(&table.pos[row], rect));
-    }
-
-    /// [`MotionHeat::heat_rect`]`(rect)` of the synced field, bit for
-    /// bit, for the page in pool slot `slot` — computed from the slot's
-    /// cached contribution row, of which only the sessions that moved
-    /// since the slot was last ranked are recomputed (module docs). `rect`
-    /// must be `page`'s region: the cache is keyed by slot and checked
-    /// against `page`, so a slot the pool refilled with another page
-    /// starts over.
-    pub fn heat_slot(&mut self, slot: usize, page: u32, rect: &Rect2) -> f64 {
-        let sessions = self.table.pos.len();
-        let stride = sessions.next_power_of_two();
+    /// Makes room for slots `0..slots` at the synced field's stride.
+    fn fit(&mut self, slots: usize) {
+        let stride = self.table.pos.len().next_power_of_two();
         if stride != self.stride {
             // Only a session-set change moves the stride, and that voids
             // every row anyway.
@@ -356,34 +456,95 @@ impl SlotHeats {
             self.slots.clear();
             self.contributions = Vec::new();
         }
-        if slot >= self.slots.len() {
-            let never = SlotHeat {
-                page,
-                epoch: 0,
-                heat: 0.0,
-            };
-            self.slots.resize(slot + 1, never);
-            self.contributions.resize((slot + 1) * stride, 0.0);
+        if slots > self.slots.len() {
+            self.slots.resize(slots, NEVER);
+            self.contributions.resize(slots * stride, 0.0);
         }
-        let last = self.slots[slot];
+    }
+
+    /// Ranks a victim scan's candidates, `(slot, page)` each, in one call:
+    /// `heats` becomes, per candidate, [`MotionHeat::heat_rect`] of the
+    /// synced field over the page's region `regions[page]`, bit for bit
+    /// (0 for a page past the end of `regions`). The candidates name
+    /// distinct slots, as a pool's do.
+    ///
+    /// A heat comes from the slot's cached contribution row (module docs):
+    /// a slot ranked at this epoch with this page costs nothing; one that
+    /// now holds another page, or last ranked before a session joined or
+    /// left or longer ago than the change ring reaches, recomputes its
+    /// whole row; the rest recompute the entries of the sessions that
+    /// moved since the oldest of them was ranked. The recomputing is
+    /// session-major — per session row, one pass over the candidates that
+    /// need it — and then each row is summed in row order.
+    pub fn heat_slots(
+        &mut self,
+        candidates: &[(u32, u32)],
+        regions: &[Rect2],
+        heats: &mut Vec<f64>,
+    ) {
+        let slots = candidates.iter().map(|&(slot, _)| slot as usize + 1).max();
+        self.fit(slots.unwrap_or(0));
+        let sessions = self.table.pos.len();
         let (epoch, set_epoch) = (self.table.epoch, self.table.set_epoch);
-        if last.page == page && last.epoch == epoch {
-            return last.heat;
-        }
-        let at = slot * stride;
-        let gap = epoch - last.epoch;
-        if last.page != page || last.epoch < set_epoch || gap > CHANGE_RING.min(sessions) as u64 {
-            for row in 0..sessions {
-                self.refresh(at, row, rect);
+        let ring = CHANGE_RING.min(sessions) as u64;
+        let mut since = epoch;
+        heats.clear();
+        self.whole.clear();
+        self.partial.clear();
+        for (index, &(slot, page)) in candidates.iter().enumerate() {
+            let slot = slot as usize;
+            let last = self.slots[slot];
+            let Some(&rect) = regions.get(page as usize) else {
+                heats.push(0.0);
+                continue;
+            };
+            heats.push(last.heat);
+            if last.page == page && last.epoch == epoch {
+                continue;
             }
-        } else {
-            for e in last.epoch + 1..=epoch {
-                self.refresh(at, self.table.changed[e as usize % CHANGE_RING], rect);
+            let stale = Stale { index, slot, page };
+            if last.page != page || last.epoch < set_epoch || epoch - last.epoch > ring {
+                self.whole.push(stale, rect);
+            } else {
+                since = since.min(last.epoch);
+                self.partial.push(stale, rect);
             }
         }
-        let heat = self.contributions[at..at + sessions].iter().sum();
-        self.slots[slot] = SlotHeat { page, epoch, heat };
-        heat
+        // Every epoch after `since` rewrote one session row (a join or a
+        // leave would have made the slot whole-stale), and the ring still
+        // holds which. Recomputing a row that did not move since a slot
+        // was ranked rewrites the bits it held.
+        let Self {
+            table,
+            slots,
+            contributions,
+            stride,
+            whole,
+            partial,
+            moved,
+            values,
+        } = self;
+        moved.clear();
+        moved.extend((since + 1..=epoch).map(|e| table.changed[e as usize % CHANGE_RING]));
+        moved.sort_unstable();
+        moved.dedup();
+        let stride = *stride;
+        for row in 0..sessions {
+            whole.refresh(table, row, values, contributions, stride);
+        }
+        for &row in moved.iter() {
+            partial.refresh(table, row, values, contributions, stride);
+        }
+        for s in whole.stale.iter().chain(&partial.stale) {
+            let at = s.slot * stride;
+            let heat = contributions[at..at + sessions].iter().sum();
+            heats[s.index] = heat;
+            slots[s.slot] = SlotHeat {
+                page: s.page,
+                epoch,
+                heat,
+            };
+        }
     }
 }
 
@@ -535,31 +696,52 @@ mod tests {
         }
     }
 
+    /// Ranks `candidates` through `rows` and returns the heats.
+    fn rank(rows: &mut SlotHeats, candidates: &[(u32, u32)], regions: &[Rect2]) -> Vec<f64> {
+        let mut heats = vec![f64::NAN; 3];
+        rows.heat_slots(candidates, regions, &mut heats);
+        heats
+    }
+
     proptest! {
-        /// After any interleaving of observe / forget / rank-a-slot /
-        /// refill-a-slot — gaps longer than the change ring, session
-        /// counts crossing powers of two and non-finite positions
-        /// included — a slot's incremental heat is `heat_rect` of the
-        /// page it holds, bit for bit: for a row cache that ranks at every
-        /// opportunity and for one that is synced and asked half as
-        /// often, so their rows and snapshots have different histories.
+        /// After any interleaving of observe / forget / rank / refill — a
+        /// burst of sessions stepping between two scans, gaps longer than
+        /// the change ring, session counts crossing powers of two,
+        /// non-finite positions, and each scan ranking another subset of
+        /// the slots, so that candidates leave a scan and come back stale —
+        /// every heat a batch returns is `heat_rect` of the page its slot
+        /// holds, bit for bit: for a row cache that ranks at every
+        /// opportunity and for one that is synced and asked half as often,
+        /// so their rows and snapshots have different histories. Sessions
+        /// sit on a half-unit lattice and some regions have lattice
+        /// corners, so zero offsets (a session inside a region) and exact
+        /// diagonals — the sign selects' one blind spot — are common, and
+        /// one region sits 1e-12 off the lattice to land in the guard
+        /// band.
         #[test]
         fn slot_heats_equal_heat_rect_bit_for_bit(
             ops in prop::collection::vec(
-                (0u32..12, 0u64..6, 0usize..5, -40i32..40, -40i32..40), 1..200),
+                (0u32..13, 0u64..6, 0usize..8, -40i32..40, -40i32..40, 1u32..256), 1..200),
             rects in prop::collection::vec(
-                (-30.0f64..30.0, -30.0f64..30.0, 0.0f64..20.0, 0.0f64..20.0), 8..9),
+                (-30.0f64..30.0, -30.0f64..30.0, 0.0f64..20.0, 0.0f64..20.0), 6..7),
+            corners in prop::collection::vec((-12i32..12, -12i32..12, 0i32..3), 4..5),
         ) {
-            let regions: Vec<Rect2> = rects
+            let mut regions: Vec<Rect2> = rects
                 .iter()
                 .map(|&(x, y, w, h)| Rect2::new(p(x, y), p(x + w, y + h)))
+                .chain(corners.iter().map(|&(x, y, w)| {
+                    let lo = p(x as f64, y as f64);
+                    Rect2::new(lo, lo + Vector::new([w as f64, w as f64]))
+                }))
                 .collect();
+            let near = regions[6].lo + Vector::new([1e-12, 0.0]);
+            regions.push(Rect2::new(near, near));
             let mut field = MotionHeat::new(4, 64, 12.5);
             let mut eager = SlotHeats::new(&field);
             let mut lazy = SlotHeats::new(&field);
-            // The page each of 5 pool slots holds.
-            let mut held = [0usize, 1, 2, 3, 4];
-            for (step, &(kind, session, slot, x, y)) in ops.iter().enumerate() {
+            // The page each of 8 pool slots holds.
+            let mut held: [u32; 8] = std::array::from_fn(|s| s as u32);
+            for (step, &(kind, session, slot, x, y, subset)) in ops.iter().enumerate() {
                 let pos = p(x as f64 * 0.5, y as f64 * 0.5);
                 match kind {
                     0 => field.forget(session),
@@ -571,30 +753,48 @@ mod tests {
                     // A burst of sessions: the stride crosses 8 and 16.
                     4 => (0..14).for_each(|s| field.observe(100 + s, pos)),
                     5 => (0..14).for_each(|s| field.forget(100 + s)),
-                    6 | 7 => held[slot] = (held[slot] + x.unsigned_abs() as usize) % regions.len(),
+                    // Five sessions step between two scans.
+                    6 => (0..5).for_each(|s| {
+                        field.observe(s, pos + Vector::new([s as f64 * 0.5, -(s as f64)]))
+                    }),
+                    7 | 8 => {
+                        let page = held[slot] as usize + x.unsigned_abs() as usize;
+                        held[slot] = (page % regions.len()) as u32;
+                    }
                     _ => field.observe(session, pos),
                 }
                 let rankers = match kind {
-                    0..=5 => &mut [][..],
-                    6 => &mut [&mut eager][..],
+                    0..=7 => &mut [][..],
+                    8 => &mut [&mut eager][..],
                     _ => &mut [&mut eager, &mut lazy][..],
                 };
-                for heats in rankers {
-                    let page = held[slot];
-                    heats.sync(&field);
-                    prop_assert_eq!(
-                        heats.heat_slot(slot, page as u32, &regions[page]).to_bits(),
-                        field.heat_rect(&regions[page]).to_bits(),
-                        "slot {} holding page {} after step {}", slot, page, step
-                    );
+                let candidates: Vec<(u32, u32)> = (0..8)
+                    .filter(|s| subset >> s & 1 == 1)
+                    .map(|s| (s, held[s as usize]))
+                    .collect();
+                for rows in rankers {
+                    rows.sync(&field);
+                    let heats = rank(rows, &candidates, &regions);
+                    prop_assert_eq!(heats.len(), candidates.len());
+                    for (&(slot, page), heat) in candidates.iter().zip(heats) {
+                        prop_assert_eq!(
+                            heat.to_bits(),
+                            field.heat_rect(&regions[page as usize]).to_bits(),
+                            "slot {} holding page {} after step {}", slot, page, step
+                        );
+                    }
                 }
             }
-            for heats in [&mut eager, &mut lazy] {
-                heats.sync(&field);
-                for (slot, &page) in held.iter().enumerate() {
-                    let got = heats.heat_slot(slot, page as u32, &regions[page]);
-                    prop_assert!(!got.is_nan());
-                    prop_assert_eq!(got.to_bits(), field.heat_rect(&regions[page]).to_bits());
+            // Every slot at once, plus one whose page has no region.
+            let mut candidates: Vec<(u32, u32)> = (0..8).map(|s| (s, held[s as usize])).collect();
+            candidates.push((8, regions.len() as u32));
+            for rows in [&mut eager, &mut lazy] {
+                rows.sync(&field);
+                let heats = rank(rows, &candidates, &regions);
+                prop_assert_eq!(heats[8], 0.0);
+                for (&(_, page), heat) in candidates.iter().zip(&heats[..8]) {
+                    prop_assert!(!heat.is_nan());
+                    prop_assert_eq!(heat.to_bits(), field.heat_rect(&regions[page as usize]).to_bits());
                 }
             }
         }
@@ -608,16 +808,19 @@ mod tests {
         h.observe(1, p(0.0, 0.0));
         h.observe(1, p(4.0, 0.0));
         h.observe(2, p(7.0, 5.0));
-        let page = Rect2::new(p(10.0, -2.0), p(14.0, 2.0));
+        let page = [Rect2::new(p(10.0, -2.0), p(14.0, 2.0))];
         let mut rows = SlotHeats::new(&h);
-        let before = (h.heat_rect(&page), rows.heat_slot(0, 9, &page));
+        let before = (h.heat_rect(&page[0]), rank(&mut rows, &[(0, 0)], &page)[0]);
         assert!(before.0 > 0.0 && before.0 == before.1);
         h.observe(2, p(f64::NAN, 5.0));
         h.observe(1, p(f64::INFINITY, 0.0));
         h.observe(3, p(1.0, f64::NEG_INFINITY));
         assert_eq!(h.session_count(), 2, "a session is not born at NaN");
         rows.sync(&h);
-        assert_eq!((h.heat_rect(&page), rows.heat_slot(0, 9, &page)), before);
+        assert_eq!(
+            (h.heat_rect(&page[0]), rank(&mut rows, &[(0, 0)], &page)[0]),
+            before
+        );
         // The next finite position moves session 2 from where it really was.
         let mut clean = MotionHeat::server_default(10.0);
         clean.observe(1, p(0.0, 0.0));
@@ -626,7 +829,7 @@ mod tests {
         for f in [&mut h, &mut clean] {
             f.observe(2, p(7.0, 9.0));
         }
-        assert_eq!(h.heat_rect(&page), clean.heat_rect(&page));
+        assert_eq!(h.heat_rect(&page[0]), clean.heat_rect(&page[0]));
     }
 
     #[test]

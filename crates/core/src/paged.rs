@@ -42,13 +42,15 @@
 //! (one positioned read, no cursor to race on) and locks again to plan
 //! the admission. When the plan asks for a ranking, the guard is released
 //! again and the unprotected quarter of the pool is ranked by Eq. 2 heat
-//! against the snapshot: a candidate's heat comes from its pool slot's
-//! cached row of per-session contributions, of which only the sessions
-//! that moved since the slot was last ranked are recomputed
-//! ([`SlotHeats::heat_slot`], DESIGN.md §15.3) — bit for bit the heat a
-//! full pass over the sessions would give. Hits and other threads' plans
-//! proceed meanwhile; the commit is refused, and the scan repeated, only
-//! if one of them used the chosen victim's slot. The snapshot, the rows
+//! against the snapshot, in one call: a candidate's heat comes from its
+//! pool slot's cached row of per-session contributions, of which only the
+//! sessions that moved since the slot was last ranked are recomputed,
+//! session by session across the candidates ([`SlotHeats::heat_slots`],
+//! DESIGN.md §15.3) — bit for bit the heat a full pass over the sessions
+//! would give. Hits and other threads' plans proceed meanwhile; if one of
+//! them used the chosen victim's slot, the commit evicts the runner-up by
+//! the same ranking, and the scan is repeated only if every candidate's
+//! slot was used — so one fault costs one ranking. The snapshot, the rows
 //! and the candidate buffer are a `Ranker`, checked out of a small pool
 //! (`rankers`, a mutex of its own, taken with no other guard live and
 //! held for a `pop` or a `push`) — the daemon is thread-per-connection,
@@ -113,12 +115,10 @@ impl Ranker {
     /// mid-run payload page is never served without being cached.
     fn rank(&mut self, regions: &[Rect2]) {
         let heats = &mut self.heats;
-        self.scan
-            .rank(&mut |slot, p| match (slot, regions.get(p as usize)) {
-                (None, _) => f64::INFINITY,
-                (Some(slot), Some(region)) => heats.heat_slot(slot as usize, p, region),
-                (Some(_), None) => 0.0,
-            });
+        self.scan.rank_with(
+            |candidates, out| heats.heat_slots(candidates, regions, out),
+            f64::INFINITY,
+        );
     }
 }
 

@@ -15,11 +15,12 @@
 //! [`SectorPartition::sector_of`] is on the server's victim-ranking path
 //! (one call per resident-page candidate per session, DESIGN.md §15.3),
 //! so the compass partition classifies by comparing `|x|` with `|y|`
-//! instead of calling `atan2`. The comparison is only trusted outside a
-//! guard band around the diagonals that is seven orders of magnitude
-//! wider than the angle path's rounding error; inside it, and for every
-//! other partition, the angle path decides — so the two agree on every
-//! input, not merely on almost every one.
+//! instead of calling `atan2` ([`SectorPartition::compass_select`], which
+//! the heat field's batch ranking also runs straight). The comparison is
+//! only trusted outside a guard band around the diagonals that is seven
+//! orders of magnitude wider than the angle path's rounding error; inside
+//! it, and for every other partition, the angle path decides — so the two
+//! agree on every input, not merely on almost every one.
 
 use crate::{BlockId, GridSpec, Point2, Vec2};
 use std::collections::BTreeMap;
@@ -78,32 +79,52 @@ impl SectorPartition {
         TAU / self.k as f64
     }
 
+    /// True for the axis-centred `k = 4` partition, the one
+    /// [`Self::compass_select`] classifies for.
+    pub fn is_compass(&self) -> bool {
+        self.compass
+    }
+
     /// The sector containing direction `v`, or `None` for the zero vector.
     pub fn sector_of(&self, v: &Vec2) -> Option<usize> {
         if self.compass {
             // `Vec2::angle`'s zero-vector rule, checked first so the two
-            // paths agree on it too. A NaN or infinite component fails
-            // the guard comparison and falls through to the angle path.
+            // paths agree on it too.
             if v.norm_sq() <= f64::EPSILON * f64::EPSILON {
                 return None;
             }
-            let (x, y) = (v[0], v[1]);
-            let (ax, ay) = (x.abs(), y.abs());
-            if (ax - ay).abs() > COMPASS_GUARD * (ax + ay) {
-                return Some(if ax > ay {
-                    if x > 0.0 {
-                        0 // east
-                    } else {
-                        2 // west
-                    }
-                } else if y > 0.0 {
-                    1 // north
-                } else {
-                    3 // south
-                });
+            if let (sector, true) = Self::compass_select(v[0], v[1], [0, 1, 2, 3]) {
+                return Some(sector);
             }
         }
         self.sector_of_by_angle(v)
+    }
+
+    /// The entry of `by_sector` (east, north, west, south — the compass
+    /// partition's sectors 0 to 3) for the non-zero offset `(x, y)`, chosen
+    /// by comparisons and sign selects alone, and whether that choice
+    /// holds: `false` within the guard band around the diagonals, and for a
+    /// NaN or infinite component (the guard comparison fails), where only
+    /// [`Self::sector_of`]'s angle path decides. No branch and no indexed
+    /// load, so a caller classifying many offsets at once can run it in a
+    /// straight (vectorisable) loop and look at the few `false`s after.
+    #[inline(always)]
+    pub fn compass_select<T: Copy>(x: f64, y: f64, by_sector: [T; 4]) -> (T, bool) {
+        let [east, north, west, south] = by_sector;
+        let (ax, ay) = (x.abs(), y.abs());
+        let clear = (ax - ay).abs() > COMPASS_GUARD * (ax + ay);
+        let pick = if ax > ay {
+            if x > 0.0 {
+                east
+            } else {
+                west
+            }
+        } else if y > 0.0 {
+            north
+        } else {
+            south
+        };
+        (pick, clear)
     }
 
     /// [`Self::sector_of`] through `atan2`: the definition, the path every

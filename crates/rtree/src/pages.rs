@@ -140,6 +140,7 @@ pub struct NodePage<B, const N: usize> {
     item_size: usize,
 }
 
+#[inline(always)]
 fn read_f64(b: &[u8], o: usize) -> f64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[o..o + 8]);
@@ -189,15 +190,19 @@ where
         (*self.bytes).as_ref()
     }
 
+    /// The `16·N` corner bytes of each of `n` entries from `start` on:
+    /// entry `i`'s `lo[0..N]`, then its `hi[0..N]`.
+    fn lanes(&self, start: usize, n: usize) -> &[u8] {
+        &self.bytes()[HEADER + start * 16 * N..][..n * 16 * N]
+    }
+
     /// Entry `i`'s rectangle.
     pub fn rect(&self, i: usize) -> Rect<N> {
         debug_assert!(i < self.len);
-        let o = HEADER + i * 16 * N;
+        let entry = self.lanes(i, 1);
         Rect::from_corners(
-            Point::new(std::array::from_fn(|d| read_f64(self.bytes(), o + 8 * d))),
-            Point::new(std::array::from_fn(|d| {
-                read_f64(self.bytes(), o + 8 * (N + d))
-            })),
+            Point::new(std::array::from_fn(|d| read_f64(entry, 8 * d))),
+            Point::new(std::array::from_fn(|d| read_f64(entry, 8 * (N + d)))),
         )
     }
 
@@ -222,13 +227,21 @@ where
         self.len
     }
 
-    /// The page-image window test: one closed-interval test per entry,
-    /// straight off the stored corners.
+    /// The page-image window test: [`Rect::intersects`] per entry,
+    /// straight off the stored corner bytes — the entries' bytes sliced
+    /// once, each entry a fixed-size chunk of it, so no corner read is
+    /// bounds-checked and no `Rect` is built.
     fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
         let n = (self.len - start).min(64);
         let mut mask = 0u64;
-        for j in 0..n {
-            mask |= u64::from(self.rect(start + j).intersects(window)) << j;
+        for (j, entry) in self.lanes(start, n).chunks_exact(16 * N).enumerate() {
+            // Every dimension is tested (no early exit), as in the arena's
+            // kernel: the fold is a handful of compares and `and`s.
+            let hit = (0..N).fold(true, |hit, d| {
+                hit & (read_f64(entry, 8 * d) <= window.hi[d])
+                    & (window.lo[d] <= read_f64(entry, 8 * (N + d)))
+            });
+            mask |= u64::from(hit) << j;
         }
         (mask, n)
     }

@@ -76,6 +76,70 @@ fn assert_pages_equal_arena(tree: &RTree<2, u64>, windows: &[Rect2]) -> usize {
         .unwrap_or(0)
 }
 
+/// A leaf page image of `rects` in the layout `export_pages` writes (the
+/// module docs of `pages.rs`), with 8 zero bytes per item.
+fn leaf_page(rects: &[Rect2]) -> Vec<u8> {
+    let mut bytes = vec![1, 0];
+    bytes.extend_from_slice(&(rects.len() as u16).to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    for r in rects {
+        for v in [r.lo[0], r.lo[1], r.hi[0], r.hi[1]] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    bytes.resize(bytes.len() + 8 * rects.len(), 0);
+    bytes
+}
+
+proptest! {
+    /// The page window test is `Rect::intersects` per entry, for every
+    /// 64-entry block of a page of 0–150 entries (so `start` = 0, 64 and
+    /// 128 all occur), with nothing set past the tested count. Entries
+    /// and windows sit on a small lattice, so shared and touching edges
+    /// are common; windows also include exact touches of an entry's
+    /// corner from above and below, degenerate (point) windows, and
+    /// windows with a NaN coordinate.
+    #[test]
+    fn page_window_test_equals_rect_intersects(
+        boxes in prop::collection::vec((-8i32..8, -8i32..8, 0i32..4, 0i32..4), 0..151),
+        wins in prop::collection::vec((0u32..5, -10i32..10, -10i32..10, 0i32..6, 0i32..6), 1..12),
+    ) {
+        let lattice = |&(x, y, w, h): &(i32, i32, i32, i32)| {
+            rect(f64::from(x), f64::from(y), f64::from(w), f64::from(h))
+        };
+        let rects: Vec<Rect2> = boxes.iter().map(lattice).collect();
+        let bytes = leaf_page(&rects);
+        let page = NodePage::<_, 2>::parse(bytes.as_slice(), 8).expect("valid page");
+        prop_assert_eq!(page.entry_count(), rects.len());
+        for &(kind, x, y, w, h) in &wins {
+            let mut window = lattice(&(x, y, w, h));
+            let near = rects.get((x.unsigned_abs() as usize) % rects.len().max(1)).copied();
+            match (kind, near) {
+                (1, Some(r)) => window = Rect2::new(r.hi, r.hi + (window.hi - window.lo)),
+                (2, Some(r)) => window = Rect2::new(r.lo - (window.hi - window.lo), r.lo),
+                (3, _) => window.hi = window.lo,
+                (4, _) => window.lo[(y & 1) as usize] = f64::NAN,
+                _ => {}
+            }
+            let mut start = 0;
+            loop {
+                let (mask, tested) = page.match_bits(&window, start);
+                prop_assert_eq!(tested, (rects.len() - start).min(64));
+                let untested = u64::MAX.checked_shl(tested as u32).unwrap_or(0);
+                prop_assert_eq!(mask & untested, 0);
+                for (j, r) in rects[start..start + tested].iter().enumerate() {
+                    prop_assert_eq!(mask >> j & 1 == 1, r.intersects(&window), "entry {} vs {:?}", start + j, window);
+                    prop_assert_eq!(*r, page.rect(start + j));
+                }
+                start += 64;
+                if start >= rects.len() {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -44,26 +44,31 @@
 //! has room, the policy is LRU; a full motion-aware pool instead copies
 //! its eviction candidates, `(slot, page)` in scan order, into the
 //! caller's [`VictimPlan`] together with the pool's use counter.
-//! [`VictimPlan::rank`] picks the victim (or the bypass) from that copy
-//! and the caller's heats — it does not touch the pool.
+//! [`VictimPlan::rank`] (or [`VictimPlan::rank_with`], all candidates'
+//! heats in one call) keeps the caller's heats beside that copy and picks
+//! the victim or the bypass — it does not touch the pool.
 //! [`PageCache::commit`] carries the choice out if the victim's slot has
-//! not been used since the plan was taken, and plans again otherwise.
-//! [`PageCache::admit`] and [`PageCache::read_with_heat`] run the three in
-//! place; a caller that guards the pool with a mutex holds it for `plan`
-//! and `commit` only, and reads the page and ranks the candidates outside
-//! it (mar-core `paged.rs`), sharing the file through [`PageCache::file`].
-//! Nothing moves between a plan and its commit on one thread, so there
-//! every decision is the one a single locked scan would have made.
+//! not been used since the plan was taken; if it has, the runner-up — the
+//! coldest candidate whose slot is still unused, by the same heats — takes
+//! its place, and only when every candidate's slot was used does the pool
+//! plan again (so two threads that picked the same victim rank once
+//! each, not three times between them). [`PageCache::admit`] and
+//! [`PageCache::read_with_heat`] run the three in place; a caller that
+//! guards the pool with a mutex holds it for `plan` and `commit` only, and
+//! reads the page and ranks the candidates outside it (mar-core
+//! `paged.rs`), sharing the file through [`PageCache::file`]. Nothing
+//! moves between a plan and its commit on one thread, so there every
+//! decision is the one a single locked scan would have made.
 //!
 //! Cost: the pool never computes a heat itself. On a fault into a full
 //! motion-aware pool the ranking asks the caller's `FnMut(Option<u32>,
-//! u32) -> f64` once per candidate of the unprotected quarter, passing
-//! the candidate's slot beside its page id, then once for the faulted
-//! page (no slot yet: `None`); hits, LRU pools and pools with room never
-//! call it. A slot names the same page until that page is evicted, so a
+//! u32) -> f64` once for the faulted page (no slot yet: `None`) and once
+//! per candidate of the unprotected quarter, passing the candidate's slot
+//! beside its page id; hits, LRU pools and pools with room never call it. A slot names the same page until that page is evicted, so a
 //! caller whose heats are expensive keys its own per-slot state by it —
 //! the paged backend keeps one row of per-session contributions per slot
-//! (`mar_buffer::SlotHeats`, DESIGN.md §15.3) — and the pool
+//! and heats a whole scan in one call (`mar_buffer::SlotHeats`, DESIGN.md
+//! §15.3) — and the pool
 //! stays oblivious: a decision depends only on the values returned.
 //!
 //! Determinism: every use moves a resident to the tail of one list, so
@@ -156,8 +161,9 @@ struct Resident {
 
 /// One victim scan of a full motion-aware pool, split off the pool so
 /// that it can run while the pool serves other threads: the candidates as
-/// [`PageCache::plan`] copied them, and the choice [`VictimPlan::rank`]
-/// made among them. Reusable — a plan overwrites what the last one left.
+/// [`PageCache::plan`] copied them, the heats the ranking gave them, and
+/// the choice made among them. Reusable — a plan overwrites what the last
+/// one left.
 #[derive(Debug, Default)]
 pub struct VictimPlan {
     /// The page being admitted.
@@ -165,6 +171,10 @@ pub struct VictimPlan {
     /// `(slot, page)` of every eviction candidate, least recently used
     /// first — the order the scan ranks them in.
     candidates: Vec<(u32, u32)>,
+    /// The ranking's heat of each candidate, in candidate order.
+    heats: Vec<f64>,
+    /// The ranking's heat of the page being admitted.
+    page_heat: f64,
     /// The pool's use counter when the candidates were copied.
     stamp: u64,
     /// Index into `candidates` of the victim; `None` once ranked means
@@ -187,23 +197,63 @@ impl VictimPlan {
     /// being admitted. It may keep state but must return the same value
     /// for the same page throughout one call.
     pub fn rank(&mut self, heat: &mut dyn FnMut(Option<u32>, u32) -> f64) {
+        let page_heat = heat(None, self.page);
+        self.rank_with(
+            |candidates, heats| {
+                heats.extend(
+                    candidates
+                        .iter()
+                        .map(|&(slot, page)| heat(Some(slot), page)),
+                )
+            },
+            page_heat,
+        );
+    }
+
+    /// [`Self::rank`] for a caller that heats all candidates in one call:
+    /// `candidate_heats` pushes one heat per candidate, in candidate order,
+    /// onto the empty vector it is given; `page_heat` is the heat of the
+    /// page being admitted.
+    ///
+    /// # Panics
+    /// If `candidate_heats` pushes a heat count other than the candidates'.
+    pub fn rank_with(
+        &mut self,
+        candidate_heats: impl FnOnce(&[(u32, u32)], &mut Vec<f64>),
+        page_heat: f64,
+    ) {
+        self.heats.clear();
+        candidate_heats(&self.candidates, &mut self.heats);
+        assert_eq!(
+            self.heats.len(),
+            self.candidates.len(),
+            "one heat per candidate"
+        );
+        self.page_heat = page_heat;
         // Recency-protected heat ranking: the candidates are the least
-        // recently used quarter of the pool, least recent first, so the
-        // strict `<` keeps the least recent of equally cold pages — with
-        // a uniform heat that is exactly the LRU victim.
-        let mut coldest = f64::INFINITY;
-        self.victim = None;
-        for (i, &(slot, page)) in self.candidates.iter().enumerate() {
-            let h = heat(Some(slot), page);
-            if i == 0 || h < coldest {
-                (coldest, self.victim) = (h, Some(i));
+        // recently used quarter of the pool, least recent first, so
+        // keeping the earliest of equally cold pages picks, under a
+        // uniform heat, exactly the LRU victim.
+        self.victim = self.coldest(|_| true).filter(|&i| !self.bypasses(i));
+    }
+
+    /// The coldest candidate whose slot `eligible` accepts, the earliest
+    /// of equally cold ones; `None` when it accepts none.
+    fn coldest(&self, eligible: impl Fn(u32) -> bool) -> Option<usize> {
+        let mut coldest: Option<usize> = None;
+        for (i, (&(slot, _), &h)) in self.candidates.iter().zip(&self.heats).enumerate() {
+            if eligible(slot) && coldest.is_none_or(|c| h < self.heats[c]) {
+                coldest = Some(i);
             }
         }
-        if heat(None, self.page) < coldest {
-            // The faulted page is colder than everything it could
-            // displace — serve it without caching it.
-            self.victim = None;
-        }
+        coldest
+    }
+
+    /// True when the page being admitted is colder than candidate `i`, so
+    /// that displacing `i` for it would be a loss: the page is served
+    /// without being cached.
+    fn bypasses(&self, i: usize) -> bool {
+        self.page_heat < self.heats[i]
     }
 }
 
@@ -434,8 +484,8 @@ impl PageCache {
         self.plan_uncounted(page, data, scan)
     }
 
-    /// [`Self::plan`] without the fault count: also what a refused commit
-    /// falls back to.
+    /// [`Self::plan`] without the fault count: also what a commit falls
+    /// back to when every candidate's slot was used since the plan.
     fn plan_uncounted(
         &mut self,
         page: u32,
@@ -486,27 +536,35 @@ impl PageCache {
     /// The pool may have been used between the plan and this call. If the
     /// page was admitted meanwhile, the resident copy is served. If the
     /// victim's slot was used — hit, or evicted and refilled, so it may
-    /// hold another page — the choice is void: the pool plans again into
-    /// `scan` and returns `None` when that needs a fresh ranking. Use of
-    /// any *other* candidate does not void it.
+    /// hold another page — the runner-up takes its place: the coldest
+    /// candidate whose slot is still unused (the earliest of equally cold
+    /// ones), ranked by the heats of the plan, bypass rule included. Only
+    /// when every candidate's slot was used does the pool plan again into
+    /// `scan`, and return `None` when that needs a fresh ranking. One
+    /// thread never gets here: nothing uses the pool between its plan and
+    /// its commit.
     pub fn commit(&mut self, data: &Arc<Vec<u8>>, scan: &mut VictimPlan) -> Option<Arc<Vec<u8>>> {
         let page = scan.page;
         let resident = self.slot_of[page as usize];
         if resident != NIL {
             return Some(self.touch(resident));
         }
-        let Some(victim) = scan.victim else {
+        // A slot's page changes only by a fill, and a fill is a use: an
+        // unused slot still holds the page that was ranked.
+        let unused = |slot: u32| self.slots[slot as usize].used <= scan.stamp;
+        let victim = match scan.victim {
+            Some(v) if !unused(scan.candidates[v].0) => match scan.coldest(unused) {
+                Some(runner_up) => Some(runner_up).filter(|&i| !scan.bypasses(i)),
+                None => return self.plan_uncounted(page, data, scan),
+            },
+            chosen => chosen,
+        };
+        let Some(victim) = victim else {
             self.stats.bypasses += 1;
             self.record(TraceEvent::Bypass(page));
             return Some(Arc::clone(data));
         };
-        let (slot, _) = scan.candidates[victim];
-        // A slot's page changes only by a fill, and a fill is a use: an
-        // unused slot still holds the page that was ranked.
-        if self.slots[slot as usize].used > scan.stamp {
-            return self.plan_uncounted(page, data, scan);
-        }
-        Some(self.replace(slot, page, data))
+        Some(self.replace(scan.candidates[victim].0, page, data))
     }
 
     /// Evicts the resident of `slot` and caches `page` there.

@@ -396,52 +396,61 @@ fn by_page_id(p: u32) -> f64 {
     f64::from(p)
 }
 
-/// Whatever happens to the chosen victim's slot between the plan and the
-/// commit — a hit, an eviction, an eviction and a refill — the commit is
-/// refused, the fault is still counted once, and the second round, ranked
-/// over fresh candidates, stands.
-#[test]
-fn a_commit_whose_victim_was_used_since_the_plan_is_refused_and_the_retry_converges() {
-    use TraceEvent::{Evict, Fault, Hit};
-    let path = build_store(16);
+/// Reads page 10 into [`full_pool`] under `heat`, running `meanwhile`
+/// against the pool once the victim is ranked and before the commit.
+/// Returns the pool, the refused commits and how often the candidates
+/// were ranked.
+fn race_the_commit(
+    path: &Path,
+    heat: &dyn Fn(u32) -> f64,
+    meanwhile: impl Fn(&mut PageCache),
+) -> (PageCache, u32, u32) {
+    let pool = full_pool(path);
     let mut scan = VictimPlan::default();
-
-    // Touched: page 0 is chosen, then hit.
-    let pool = full_pool(&path);
-    let mut rounds = 0;
-    let (_, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |scan| {
-        rounds += 1;
-        match rounds {
-            1 => assert_eq!(scan.candidates(), [(0, 0), (1, 1)]),
-            2 => assert!(pool.lock().expect("pool").lookup(0).is_some()),
-            _ => assert_eq!(scan.candidates(), [(1, 1), (2, 2)]),
+    let mut calls = 0;
+    let (_, refused) = staged_read(&pool, 10, &mut scan, heat, |_| {
+        calls += 1;
+        if calls == 2 {
+            meanwhile(&mut pool.lock().expect("pool"));
         }
     });
-    assert_eq!((refused, rounds), (1, 4));
-    let mut pool = pool.into_inner().expect("pool");
+    (pool.into_inner().expect("pool"), refused, calls / 2)
+}
+
+/// Whatever happens to the chosen victim's slot between the plan and the
+/// commit — a hit, an eviction, an eviction and a refill with the very
+/// page that was ranked — the commit evicts the runner-up: the coldest
+/// candidate whose slot is still unused, by the plan's heats, bypass rule
+/// included. Nothing is ranked again and the fault is counted once. Only
+/// when every candidate's slot was used does the pool plan again, and
+/// that second round, ranked over fresh candidates, stands.
+#[test]
+fn a_commit_whose_victim_was_used_since_the_plan_takes_the_runner_up() {
+    use TraceEvent::{Bypass, Evict, Fault, Hit};
+    let path = build_store(16);
+    let hit = |pages: &'static [u32]| {
+        move |pool: &mut PageCache| {
+            for &p in pages {
+                assert!(pool.lookup(p).is_some(), "page {p} is resident");
+            }
+        }
+    };
+
+    // Hit: page 0 is chosen, then hit; page 1 goes instead.
+    let (mut pool, refused, rankings) = race_the_commit(&path, &by_page_id, hit(&[0]));
+    assert_eq!((refused, rankings), (0, 1));
     assert_eq!(pool.take_trace(), [Hit(0), Evict(1), Fault(10)]);
-    assert_eq!(
-        pool.stats().faults,
-        8 + 1,
-        "a refused commit counts no second fault"
-    );
+    assert_eq!(pool.stats().faults, 8 + 1, "the fault is counted once");
     assert!(pool.contains(0) && pool.contains(10) && !pool.contains(1));
     pool.validate().expect("pool structure");
 
-    // Evicted and replaced: another admission takes the chosen victim
-    // first, so its slot holds page 11 when the commit arrives.
-    let pool = full_pool(&path);
-    let mut rounds = 0;
-    let (_, refused) = staged_read(&pool, 10, &mut scan, &by_page_id, |_| {
-        rounds += 1;
-        if rounds == 2 {
-            let mut pool = pool.lock().expect("pool");
-            pool.read_with_heat(11, &mut |_, p| by_page_id(p))
-                .expect("read");
-        }
+    // Evicted: another admission takes the chosen victim first, so its
+    // slot holds page 11 when the commit arrives.
+    let (mut pool, refused, rankings) = race_the_commit(&path, &by_page_id, |pool| {
+        pool.read_with_heat(11, &mut |_, p| by_page_id(p))
+            .expect("read");
     });
-    assert_eq!(refused, 1);
-    let mut pool = pool.into_inner().expect("pool");
+    assert_eq!((refused, rankings), (0, 1));
     assert_eq!(
         pool.take_trace(),
         [Evict(0), Fault(11), Evict(1), Fault(10)]
@@ -449,25 +458,63 @@ fn a_commit_whose_victim_was_used_since_the_plan_is_refused_and_the_retry_conver
     assert!(pool.contains(10) && pool.contains(11));
     pool.validate().expect("pool structure");
 
-    // Evicted and refilled with the *same* page: a one-page pool, whose
-    // only slot goes 0 → 11 → 0 between the plan and the commit. The slot
-    // holds the ranked page again, but it is not the use that was ranked.
+    // Evicted and refilled with the *same* page: slot 0 goes 0 → 11, six
+    // hits age page 11 into the candidates, and a read of page 0 ranked
+    // to evict 11 puts page 0 back into slot 0. The slot holds the ranked
+    // page again, but it is not the use that was ranked.
+    let (mut pool, refused, rankings) = race_the_commit(&path, &by_page_id, |pool| {
+        pool.read_with_heat(11, &mut |_, p| by_page_id(p))
+            .expect("read");
+        hit(&[2, 3, 4, 5, 6, 7])(pool);
+        let only_11_is_cold = |p: u32| if p == 11 { 0.0 } else { 100.0 };
+        pool.read_with_heat(0, &mut |_, p| only_11_is_cold(p))
+            .expect("read");
+    });
+    assert_eq!((refused, rankings), (0, 1));
+    let mut want = vec![Evict(0), Fault(11)];
+    want.extend((2..8).map(Hit));
+    want.extend([Evict(11), Fault(0), Evict(1), Fault(10)]);
+    assert_eq!(pool.take_trace(), want);
+    assert!(pool.contains(0) && pool.contains(10) && !pool.contains(1));
+    pool.validate().expect("pool structure");
+
+    // The runner-up is hotter than the page being admitted: bypass.
+    let heat = |p: u32| if p == 10 { 0.5 } else { by_page_id(p) };
+    let (mut pool, refused, rankings) = race_the_commit(&path, &heat, hit(&[0]));
+    assert_eq!((refused, rankings), (0, 1));
+    assert_eq!(pool.take_trace(), [Hit(0), Bypass(10)]);
+    assert_eq!((pool.stats().bypasses, pool.stats().evictions), (1, 0));
+    pool.validate().expect("pool structure");
+
+    // Every candidate used: the pool plans again, over pages 2 and 3.
+    let (mut pool, refused, rankings) = race_the_commit(&path, &by_page_id, hit(&[0, 1]));
+    assert_eq!((refused, rankings), (1, 2));
+    assert_eq!(pool.take_trace(), [Hit(0), Hit(1), Evict(2), Fault(10)]);
+    assert_eq!(
+        pool.stats().faults,
+        8 + 1,
+        "a re-plan counts no second fault"
+    );
+    pool.validate().expect("pool structure");
+
+    // The same in a one-page pool, whose only slot goes 0 → 11 → 0.
     let file = PageFile::open(&path).expect("open");
     let mut pool = PageCache::new(file, PAGE_SIZE, CachePolicy::MotionAware);
     pool.read(0).expect("fill");
     pool.set_trace(true);
     let pool = Mutex::new(pool);
-    let mut rounds = 0;
+    let mut scan = VictimPlan::default();
+    let mut calls = 0;
     let (_, refused) = staged_read(&pool, 10, &mut scan, &|_| 0.0, |scan| {
-        rounds += 1;
+        calls += 1;
         assert_eq!(scan.candidates(), [(0, 0)]);
-        if rounds == 2 {
+        if calls == 2 {
             let mut pool = pool.lock().expect("pool");
             pool.read(11).expect("read");
             pool.read(0).expect("read");
         }
     });
-    assert_eq!(refused, 1);
+    assert_eq!((refused, calls), (1, 4));
     let mut pool = pool.into_inner().expect("pool");
     assert_eq!(
         pool.take_trace(),
