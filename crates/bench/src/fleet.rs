@@ -1,21 +1,24 @@
 //! `mar-bench fleet` — the sharded serving tier under shard failure.
 //!
 //! Replays the serve-style multi-session tour workload against a
-//! [`mar_core::FleetServer`]: the ground plane is partitioned over S
-//! shard cores, every window query is scatter-gathered by the stateless
-//! router, and a seeded [`mar_link::ShardOutagePlan`] kills whole shards
-//! on a pure schedule. The harness measures **availability** — the
-//! fraction of outage-tick queries still served at full fidelity — and
-//! proves the tier's central invariant at every grid point:
+//! [`Server`] whose index is a shard fleet
+//! ([`WaveletIndex::build_fleet`]): the ground plane is partitioned over
+//! S shard indexes, every window query is scatter-gathered by the
+//! stateless router, and a seeded [`mar_link::ShardOutagePlan`] kills
+//! whole shards on a pure schedule. The harness measures
+//! **availability** — the fraction of outage-tick queries still served
+//! at full fidelity — and proves the tier's central invariant at every
+//! grid point:
 //!
 //! > clients are **never** errored during a shard outage (replica
 //! > promotion or degraded neighbour service always answers), and after
 //! > the shard recovers, every session's resident set **over the final
 //! > frame at the final band** is byte-identical to the fault-free run's.
 //!
-//! Determinism mirrors `mar-bench chaos` (DESIGN.md §10): the outage
-//! schedule is keyed by tick, sessions tour with seeds keyed by client
-//! index `k`, results come back in point order, and the transcript is
+//! Determinism mirrors `mar-bench serve` (DESIGN.md §10): the outage
+//! schedule is keyed by tick and set as fleet health before the tick's
+//! sessions run, sessions tour with seeds keyed by client index `k`,
+//! results come back in point order, and the transcript is
 //! byte-identical at any `jobs`. The harness reads no clock, so the whole
 //! report — and the `BENCH_fleet.json` snapshot rendered from it — is
 //! deterministic; the tier's speed is `benchmark/`'s to measure.
@@ -23,9 +26,9 @@
 use crate::engine::Engine;
 use crate::report::Json;
 use crate::serve::{assert_released, fnv_hex, resident_fingerprint, serve_scene, TourSession};
-use mar_core::{FleetConfig, FleetHealth, FleetServer, SceneIndexData};
+use mar_core::{FleetConfig, FleetHealth, SceneIndexData, Server, ServerCore, WaveletIndex};
 use mar_link::ShardOutagePlan;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One fleet-grid point: a replica policy plus an outage schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,13 +255,13 @@ impl FleetReport {
     }
 }
 
-/// What one session's worker brings home.
-struct SessionOutcome {
+/// One session's replay across its grid point's ticks.
+struct SessionRun {
+    session: u64,
+    tour: TourSession,
     rows: String,
     /// This session's share of its grid point's report.
     tally: FleetPointReport,
-    covered: bool,
-    session: u64,
 }
 
 /// The transcript column header.
@@ -266,6 +269,14 @@ pub const FLEET_TRANSCRIPT_HEADER: &str =
     "replicas,period,session,tick,coeffs,new_objects,bytes,io,tasks,promotions,degraded,unserved,complete\n";
 
 /// Runs the fleet workload. The report is identical for any `cfg.jobs`.
+///
+/// Tick-major, like `serve`: the fleet's health is set for a tick, then
+/// every session runs that tick (in parallel over the engine), so the
+/// outage schedule is fleet state shared by every session, not something
+/// each query carries. A session's `tasks` / `promotions` / `degraded` /
+/// `unserved` / `complete` columns are the router's plan for each of its
+/// sub-queries under that health; its answers are [`Server::query`]'s,
+/// one region per call, so its byte totals sum in region order.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, outaged grid
@@ -289,10 +300,13 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
     for gp in &cfg.grid {
         // A fresh fleet per grid point (replica policy differs and filter
         // state must never leak between points) over the shared scene data.
-        let fleet =
-            FleetServer::build(&data, space, &FleetConfig::ram(cfg.nx, cfg.ny, gp.replicas))
-                // mar-lint: allow(D004) — the shard grid is validated static configuration
-                .expect("fleet grid is valid");
+        let fleet_cfg = FleetConfig::ram(cfg.nx, cfg.ny, gp.replicas);
+        let index = WaveletIndex::build_fleet(&data, space, &fleet_cfg)
+            // mar-lint: allow(D004) — the shard grid is validated static configuration
+            .expect("fleet grid is valid");
+        let server = Server::from_core(ServerCore::from_parts(Arc::clone(&data), Arc::new(index)));
+        // mar-lint: allow(D004) — built as a fleet two lines up
+        let fleet = server.index().fleet().expect("a fleet index");
         let outage = if gp.period == 0 {
             ShardOutagePlan::none(cfg.outage_seed)
         } else {
@@ -301,20 +315,34 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 .expect("outage plan is valid")
         };
         let replicas_col = u8::from(gp.replicas);
+        let runs: Vec<Mutex<SessionRun>> = (0..cfg.sessions)
+            .map(|k| {
+                Mutex::new(SessionRun {
+                    session: server.connect(),
+                    tour: TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k),
+                    rows: String::new(),
+                    tally: FleetPointReport::default(),
+                })
+            })
+            .collect();
+        // mar-lint: allow(D004) — poisoning implies a sibling worker panicked; propagate
+        let run_of = |k: usize| runs[k].lock().expect("session run poisoned");
 
-        let outcomes: Vec<SessionOutcome> = engine.run(
-            (0..cfg.sessions).collect(),
-            || (),
-            |_, &k| {
-                let mut tour =
-                    TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
-                let session = fleet.connect();
-                let mut rows = String::new();
-                let mut out = FleetPointReport::default();
-                for tick in 0..cfg.ticks {
+        for tick in 0..cfg.ticks {
+            let health = FleetHealth::from_down_mask(outage.down_mask(tick as u64, shards));
+            fleet.set_health(health);
+            engine.run(
+                (0..cfg.sessions).collect(),
+                || (),
+                |_, &k| {
+                    let mut run = run_of(k);
+                    let SessionRun {
+                        session,
+                        tour,
+                        rows,
+                        tally: out,
+                    } = &mut *run;
                     let view = tour.view(tick);
-                    let health =
-                        FleetHealth::from_down_mask(outage.down_mask(tick as u64, shards));
                     let mut coeffs = 0usize;
                     let mut new_objects = 0usize;
                     let mut bytes = 0.0f64;
@@ -325,19 +353,20 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                     let mut unserved = 0u32;
                     let mut complete = true;
                     for r in &tour.plan(&view) {
-                        let fr = fleet
-                            .query(session, health, &r.region, r.band)
+                        let plan = fleet.router().plan(health, &r.region, r.band);
+                        let result = server
+                            .query(*session, std::slice::from_ref(r))
                             // mar-lint: allow(D004) — outages degrade answers, they never error; an error here is the bug this harness exists to catch
                             .expect("fleet never errors a live session");
-                        coeffs += fr.result.coeffs;
-                        new_objects += fr.result.new_objects;
-                        bytes += fr.result.bytes;
-                        io += fr.result.io;
-                        tasks += fr.tasks;
-                        promotions += fr.replica_promotions;
-                        degraded += fr.degraded_subqueries;
-                        unserved += fr.unserved_subqueries;
-                        complete &= fr.complete;
+                        coeffs += result.coeffs;
+                        new_objects += result.new_objects;
+                        bytes += result.bytes;
+                        io += result.io;
+                        tasks += plan.tasks.len() as u32;
+                        promotions += plan.replica_promotions();
+                        degraded += plan.degraded_subqueries;
+                        unserved += plan.unserved_subqueries;
+                        complete &= plan.complete();
                     }
                     if complete {
                         // Only a fully-served tick advances the planner:
@@ -360,24 +389,43 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                         gp.period,
                         u8::from(complete),
                     ));
-                }
-                // Recovery pass: the shard is back (all-up health); refetch
-                // whatever the uncommitted planner coverage still owes over
-                // the final frame at the final band.
+                },
+            );
+        }
+
+        // Recovery pass: the shard is back (all-up health); every session
+        // refetches whatever its uncommitted planner coverage still owes
+        // over the final frame at the final band, and reports whether it
+        // then holds all of it.
+        fleet.set_health(FleetHealth::all_up());
+        let covered = engine.run(
+            (0..cfg.sessions).collect(),
+            || (),
+            |_, &k| {
+                let mut run = run_of(k);
+                let SessionRun {
+                    session,
+                    tour,
+                    rows,
+                    tally: out,
+                } = &mut *run;
                 let last = tour.view(cfg.ticks - 1);
                 let mut fin_coeffs = 0usize;
                 let mut fin_bytes = 0.0f64;
-                for r in tour.plan(&last) {
-                    let fr = fleet
-                        .query(session, FleetHealth::all_up(), &r.region, r.band)
+                for r in &tour.plan(&last) {
+                    let plan = fleet
+                        .router()
+                        .plan(FleetHealth::all_up(), &r.region, r.band);
+                    debug_assert!(plan.complete());
+                    let result = server
+                        .query(*session, std::slice::from_ref(r))
                         // mar-lint: allow(D004) — all-up health cannot degrade or error
                         .expect("recovered fleet serves everything");
-                    debug_assert!(fr.complete);
-                    fin_coeffs += fr.result.coeffs;
-                    fin_bytes += fr.result.bytes;
-                    out.bytes += fr.result.bytes;
-                    out.io += fr.result.io;
-                    out.tasks += u64::from(fr.tasks);
+                    fin_coeffs += result.coeffs;
+                    fin_bytes += result.bytes;
+                    out.bytes += result.bytes;
+                    out.io += result.io;
+                    out.tasks += plan.tasks.len() as u64;
                 }
                 out.queries += 1;
                 rows.push_str(&format!(
@@ -386,19 +434,17 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
                 ));
                 // The invariant's object: the resident set over the final
                 // frame at the final band.
-                let (want, _) = fleet.query_stateless(&last.frame, last.band);
-                let sent = fleet.sessions()
-                    .session_sent_set(session)
-                    // mar-lint: allow(D004) — the worker's session is live until teardown
+                let (mut want, _) = server.query_stateless(&last.frame, last.band);
+                want.sort_unstable();
+                want.dedup();
+                let sent = server
+                    .sessions()
+                    .session_sent_set(*session)
+                    // mar-lint: allow(D004) — the session is live until teardown
                     .expect("fleet session is live");
                 let (fingerprint, covered) = resident_fingerprint(&want, &sent);
                 out.fingerprints.push(fingerprint);
-                SessionOutcome {
-                    rows,
-                    tally: out,
-                    covered,
-                    session,
-                }
+                covered
             },
         );
 
@@ -406,11 +452,18 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
             point: *gp,
             ..FleetPointReport::default()
         };
-        for o in &outcomes {
-            transcript.push_str(&o.rows);
-            report.absorb(&o.tally);
-            invariant_ok &= o.covered;
+        for (k, covered) in covered.into_iter().enumerate() {
+            let run = run_of(k);
+            transcript.push_str(&run.rows);
+            report.absorb(&run.tally);
+            invariant_ok &= covered;
+            // Tear the session down; its filter state must go too.
+            server
+                .disconnect(run.session)
+                // mar-lint: allow(D004) — each session is live until this teardown
+                .expect("fleet session vanished");
         }
+        assert_released(server.sessions());
         // Against the outage-free reference: identical resident sets, and
         // availability strictly positive whenever an outage actually bit.
         if let Some(reference) = points.first() {
@@ -420,15 +473,6 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
             invariant_ok &= report.complete_outage_queries > 0;
         }
         points.push(report);
-
-        // Tear the grid point's sessions down; filter state must go too.
-        for o in &outcomes {
-            fleet
-                .disconnect(o.session)
-                // mar-lint: allow(D004) — each worker's session is live until this teardown
-                .expect("fleet session vanished");
-        }
-        assert_released(fleet.sessions());
     }
 
     FleetReport {

@@ -1,63 +1,41 @@
-//! The sharded serving tier: spatial partitioning, scatter-gather
-//! routing, and shard failover (DESIGN.md §16; ROADMAP item 2).
+//! The fleet backend: spatial partitioning, scatter-gather routing and
+//! shard failover behind one [`WaveletIndex`] (DESIGN.md §10, "The
+//! fleet backend").
 //!
-//! Voyager-style city-scale serving partitions the ground plane into a
-//! grid of **shards**, each an independent [`ServerCore`] holding exactly
-//! the coefficients whose support regions touch its tile. A stateless
-//! [`Router`] decomposes every window query into per-shard sub-rectangles
-//! with [`GridSpec::partition_rect`] (the same disjoint-rect machinery
-//! Algorithm 1 uses for frame differences), scatter-gathers the shard
-//! answers, and merges them **deterministically in ascending shard-id
-//! order** — so a fleet transcript is byte-identical at any worker count.
+//! The ground plane is a grid of **shards**, each its own
+//! [`WaveletIndex`] (RAM or paged) over the coefficients whose supports
+//! touch its tile — every such shard, not just the one holding the
+//! centre (halo replication). A [`Fleet`] is `WaveletIndex`'s third
+//! backend: its window walk asks the stateless [`Router`] to cut the
+//! window into per-shard sub-rectangles ([`GridSpec::partition_rect`])
+//! and walks each task's shard index in task order — ascending shard id
+//! — with the caller's visitor. It is reached like any index, through
+//! `ServerCore::from_parts` and the one [`crate::Server`], whose session
+//! filter collapses the halo duplicates.
 //!
-//! # Halo replication makes routing exact
+//! Tiles, the router's block choice and its clip edges all read one seam
+//! expression ([`GridSpec::seam`]), so each sub-rect lies inside its tile
+//! bit for bit and the sub-rects cover `window ∩ space` without a gap: a
+//! support meeting the window meets a sub-rect, hence lives on its shard,
+//! and the union of shard answers is exactly the unsharded answer.
 //!
-//! A coefficient lives on *every* shard whose (epsilon-inflated) tile its
-//! `support_xy` intersects, not just the one holding its centre. For any
-//! query window `Q`: a support intersects `Q ∩ space` iff it intersects
-//! one of the per-shard sub-rects, and the owning shard holds the
-//! coefficient because the sub-rect lies inside that shard's inflated
-//! tile. The union of per-shard answers is therefore **exactly** the
-//! unsharded answer; cross-shard halo duplicates are suppressed by the
-//! per-session sent-filter ([`crate::session`]), which replays shard
-//! answers in shard order.
-//! The halo is also what makes *degraded* service real: a dead tile's
-//! boundary coefficients genuinely exist on its neighbours.
-//!
-//! # Failover state machine
-//!
-//! Health is a value, not a state: callers pass a [`FleetHealth`] bitmask
-//! (derived from a pure `mar_link::ShardOutagePlan` schedule in the
-//! harness) into every query, keeping the router stateless with respect
-//! to time. Per sub-rect:
-//!
-//! 1. shard up → **primary** serves it at the requested band;
-//! 2. shard down, replica configured → **replica promotion**: the replica
-//!    core serves the same sub-rect at the same band (the shared session
-//!    filter makes this transparently identical to the fault-free run);
-//! 3. shard down, no replica → **degraded synthesis**: every live ring-1
-//!    neighbour is queried with the dead sub-rect at a coarsened band;
-//!    the halo coefficients they hold cover the tile's border region, and
-//!    the answer is marked incomplete so clients refetch after recovery;
-//! 4. shard down, no replica, all neighbours down → the sub-rect goes
-//!    unserved this tick (counted, never an error).
-//!
-//! Recovery is re-admission by value: the next tick whose health mask has
-//! the bit clear routes to the primary again — nothing to rebuild,
-//! because shard state is immutable and session filters live in the
-//! fleet's [`Sessions`] table (the same one `Server` holds — tokens,
-//! `resume` and the typed `SessionError` included), not in the shards.
+//! Health is a [`FleetHealth`] down-mask in an atomic word
+//! ([`Fleet::set_health`]); a walk plans under the word it reads when it
+//! starts. Per sub-rect [`Router::plan`] picks the **primary** (owner
+//! up), a **replica** (owner down, replicas configured: the same index
+//! serves at the same band), every live ring-1 neighbour at a coarsened
+//! band (**degraded**: their halos cover the tile's border, and the plan
+//! is incomplete so clients refetch after recovery), or nobody
+//! (**unserved**, counted, never an error).
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
-use crate::server::{QueryResult, ServerCore};
-use crate::session::{SessionError, Sessions};
 use mar_geom::{BlockId, GridSpec, Point2, Rect2};
 use mar_mesh::ResolutionBand;
-use std::sync::Arc;
+use mar_rtree::IoSnapshot;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Typed failure of building a fleet (per-session failures are the shared
-/// [`SessionError`]).
+/// Typed failure of building a fleet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
     /// The shard grid must have between 1 and 64 shards (health is a
@@ -104,11 +82,6 @@ impl ShardMap {
         })
     }
 
-    /// The underlying grid.
-    pub fn grid(&self) -> &GridSpec {
-        &self.grid
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
         (self.grid.block_count()) as u32
@@ -124,22 +97,16 @@ impl ShardMap {
         BlockId::new(i64::from(s % self.grid.nx), i64::from(s / self.grid.nx))
     }
 
-    /// Shard `s`'s exact tile.
+    /// Shard `s`'s tile: the closed rectangle between its seams
+    /// ([`GridSpec::seam`]). Placement tests supports against exactly this
+    /// rectangle, and every sub-rect [`ShardMap::route`] gives the shard
+    /// lies inside it.
     pub fn tile(&self, s: u32) -> Rect2 {
-        self.grid.block_rect(&self.block_of_shard(s))
-    }
-
-    /// Shard `s`'s tile inflated by the partition epsilon. Data placement
-    /// uses this: sub-rect edges and tile edges agree only to within one
-    /// ulp (`partition_rect` computes `lo + i·w`, `block_rect` computes
-    /// `(lo + i·w) + w`), so assigning supports against the *inflated*
-    /// tile guarantees every sub-rect's coefficients are on its shard.
-    pub fn inflated_tile(&self, s: u32) -> Rect2 {
-        let t = self.tile(s);
-        let eps = 1e-9 * (self.grid.block_w() + self.grid.block_h());
-        Rect2::new(
-            Point2::new([t.lo[0] - eps, t.lo[1] - eps]),
-            Point2::new([t.hi[0] + eps, t.hi[1] + eps]),
+        let b = self.block_of_shard(s);
+        let g = &self.grid;
+        Rect2::from_corners(
+            Point2::new([g.seam(0, b.ix), g.seam(1, b.iy)]),
+            Point2::new([g.seam(0, b.ix + 1), g.seam(1, b.iy + 1)]),
         )
     }
 
@@ -153,7 +120,7 @@ impl ShardMap {
             .collect()
     }
 
-    /// Shard `s`'s live ring-1 neighbours, ascending by shard id.
+    /// Shard `s`'s ring-1 neighbours, ascending by shard id.
     pub fn neighbors(&self, s: u32) -> Vec<u32> {
         let c = self.block_of_shard(s);
         self.grid
@@ -166,8 +133,6 @@ impl ShardMap {
 }
 
 /// Fleet health as a value: bit `s` set means shard `s` is **down**.
-/// Queries take a health word instead of the fleet mutating state, so the
-/// router stays a pure function of `(health, window, band)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetHealth(u64);
 
@@ -209,7 +174,7 @@ impl FleetHealth {
 /// Who answers one routed sub-rect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRole {
-    /// The shard is up: its primary core serves the sub-rect.
+    /// The shard is up: its primary serves the sub-rect.
     Primary,
     /// The shard is down but has a replica: the replica serves the same
     /// sub-rect at the same band (transparent failover).
@@ -222,7 +187,7 @@ pub enum ShardRole {
 /// One scheduled sub-query of a routed window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardTask {
-    /// The shard whose core executes the task (for `NeighborDegraded`
+    /// The shard whose index executes the task (for `NeighborDegraded`
     /// this is the *neighbour*, not the dead owner).
     pub shard: u32,
     /// The dead or live owner of the sub-rect.
@@ -243,8 +208,6 @@ pub struct RoutePlan {
     /// replicas one task each, degraded sub-rects one task per live
     /// neighbour (ascending neighbour id).
     pub tasks: Vec<ShardTask>,
-    /// Sub-rects served at full fidelity (primary or promoted replica).
-    pub complete_subqueries: u32,
     /// Sub-rects served only by neighbour halo coverage at a coarsened
     /// band.
     pub degraded_subqueries: u32,
@@ -258,6 +221,12 @@ impl RoutePlan {
     pub fn complete(&self) -> bool {
         self.degraded_subqueries == 0 && self.unserved_subqueries == 0
     }
+
+    /// Sub-rects a promoted replica serves.
+    pub fn replica_promotions(&self) -> u32 {
+        let promoted = self.tasks.iter().filter(|t| t.role == ShardRole::Replica);
+        promoted.count() as u32
+    }
 }
 
 /// The stateless router: a pure view over the fleet's shard map and
@@ -265,64 +234,44 @@ impl RoutePlan {
 /// `(health, window, band)` always produces the same [`RoutePlan`].
 #[derive(Debug, Clone, Copy)]
 pub struct Router<'a> {
-    map: &'a ShardMap,
-    has_core: &'a [bool],
-    has_replica: &'a [bool],
-    degrade_step: f64,
+    fleet: &'a Fleet,
 }
 
 impl Router<'_> {
     /// Routes one window at one band under the given health word.
     pub fn plan(&self, health: FleetHealth, window: &Rect2, band: ResolutionBand) -> RoutePlan {
+        let fleet = self.fleet;
         let mut plan = RoutePlan {
             tasks: Vec::new(),
-            complete_subqueries: 0,
             degraded_subqueries: 0,
             unserved_subqueries: 0,
         };
-        for (owner, sub) in self.map.route(window) {
-            if !self.has_core[owner as usize] {
+        for (owner, sub) in fleet.map.route(window) {
+            let task = |shard, band, role| ShardTask {
+                shard,
+                owner,
+                window: sub,
+                band,
+                role,
+            };
+            if fleet.shards[owner as usize].is_none() {
                 // An empty tile serves every sub-rect vacuously — dead or
                 // alive, there is nothing to lose.
-                plan.complete_subqueries += 1;
             } else if !health.is_down(owner) {
-                plan.complete_subqueries += 1;
-                plan.tasks.push(ShardTask {
-                    shard: owner,
-                    owner,
-                    window: sub,
-                    band,
-                    role: ShardRole::Primary,
-                });
-            } else if self.has_replica[owner as usize] {
-                plan.complete_subqueries += 1;
-                plan.tasks.push(ShardTask {
-                    shard: owner,
-                    owner,
-                    window: sub,
-                    band,
-                    role: ShardRole::Replica,
-                });
+                plan.tasks.push(task(owner, band, ShardRole::Primary));
+            } else if fleet.replicas {
+                plan.tasks.push(task(owner, band, ShardRole::Replica));
             } else {
-                let degraded = ResolutionBand::new(
-                    (band.w_min + self.degrade_step).min(band.w_max),
-                    band.w_max,
-                );
-                let mut served = false;
-                for n in self.map.neighbors(owner) {
-                    if health.is_down(n) {
-                        continue;
+                let w_min = (band.w_min + fleet.degrade_step).min(band.w_max);
+                let degraded = ResolutionBand::new(w_min, band.w_max);
+                let before = plan.tasks.len();
+                for n in fleet.map.neighbors(owner) {
+                    if !health.is_down(n) {
+                        plan.tasks
+                            .push(task(n, degraded, ShardRole::NeighborDegraded));
                     }
-                    served = true;
-                    plan.tasks.push(ShardTask {
-                        shard: n,
-                        owner,
-                        window: sub,
-                        band: degraded,
-                        role: ShardRole::NeighborDegraded,
-                    });
                 }
-                if served {
+                if plan.tasks.len() > before {
                     plan.degraded_subqueries += 1;
                 } else {
                     plan.unserved_subqueries += 1;
@@ -333,14 +282,13 @@ impl Router<'_> {
     }
 }
 
-/// Where each shard's [`ServerCore`] reads its index from.
+/// Where each shard's index lives.
 #[derive(Debug, Clone)]
 pub enum FleetBackend {
     /// Every shard index in RAM.
     Ram,
     /// Every shard serves a page file `shard-<id>.pages` under `dir`
-    /// through its own buffer pool (DESIGN.md §15) — per-shard stores,
-    /// the follow-on ROADMAP item 1 named.
+    /// through its own buffer pool (DESIGN.md §15).
     Paged {
         /// Directory for the per-shard page files.
         dir: std::path::PathBuf,
@@ -358,7 +306,7 @@ pub struct FleetConfig {
     pub nx: u32,
     /// Shard rows.
     pub ny: u32,
-    /// Whether every shard gets a promotable replica core.
+    /// Whether every shard gets a promotable replica.
     pub replicas: bool,
     /// How much `w_min` rises for neighbour-degraded answers.
     pub degrade_step: f64,
@@ -379,84 +327,59 @@ impl FleetConfig {
     }
 }
 
-/// One shard: the primary core (absent when no coefficient touches the
-/// tile), the optional promotable replica, and the tile's record count.
+/// The sharded backend of [`WaveletIndex`]: one index per shard tile,
+/// routed under the fleet's health word. Built by
+/// [`WaveletIndex::build_fleet`] and reached through
+/// [`WaveletIndex::fleet`].
 #[derive(Debug)]
-struct Shard {
-    core: Option<ServerCore>,
-    replica: Option<ServerCore>,
-    coeffs: usize,
-}
-
-/// What one fleet window query produced, beyond the payload accounting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetQueryResult {
-    /// Merged, session-filtered payload accounting (deterministic: tasks
-    /// apply in ascending owner/neighbour order).
-    pub result: QueryResult,
-    /// Shard tasks executed.
-    pub tasks: u32,
-    /// Sub-rects a promoted replica served.
-    pub replica_promotions: u32,
-    /// Sub-rects served only via neighbour halo coverage.
-    pub degraded_subqueries: u32,
-    /// Sub-rects nobody could serve.
-    pub unserved_subqueries: u32,
-    /// True when every sub-rect was served at full fidelity; a client
-    /// commits its frame coverage only on complete answers, so degraded
-    /// regions are refetched after recovery.
-    pub complete: bool,
-}
-
-/// The sharded serving tier: shard cores under one [`Sessions`] table.
-/// All entry points take `&self` (DESIGN.md §10); a session's one filter
-/// sits above the shards and is shared by primary, replica and neighbour
-/// answers, which is why failover never re-sends and why cross-shard halo
-/// duplicates collapse.
-#[derive(Debug)]
-pub struct FleetServer {
+pub struct Fleet {
     map: ShardMap,
-    shards: Vec<Shard>,
-    has_core: Vec<bool>,
-    has_replica: Vec<bool>,
+    /// Shard `s`'s index; `None` for a tile no support reaches. A replica
+    /// serves from its primary's index (in process the replica is an
+    /// alias; the point is the promotion *routing*, which a multi-host
+    /// deployment would back with a real copy).
+    shards: Vec<Option<WaveletIndex>>,
+    /// Shard `s`'s coefficient ids in store order (ascending), so a
+    /// payload touch finds its record on a paged shard.
+    ids: Vec<Vec<CoeffRef>>,
+    replicas: bool,
+    /// True when the shards read pages from disk.
+    pub(crate) paged: bool,
     degrade_step: f64,
-    sessions: Sessions,
+    /// Distinct coefficients across the shards.
+    pub(crate) len: usize,
+    /// The [`FleetHealth`] down-mask queries are planned under.
+    health: AtomicU64,
 }
 
-impl FleetServer {
-    /// Builds the fleet over shared scene data: every shard gets the
-    /// coefficients whose supports intersect its inflated tile (halo
-    /// replication), its own [`WaveletIndex`], and — when configured — a
-    /// replica core sharing the same immutable storage (in-process the
-    /// replica is an `Arc` alias; the point is the promotion *routing*,
-    /// which a multi-host deployment would back with a real copy).
-    pub fn build(
-        data: &Arc<SceneIndexData>,
+impl Fleet {
+    /// Places every record on each shard whose tile its support meets
+    /// (halo replication) and builds one index per non-empty shard — in
+    /// RAM, or written to its page file and opened behind a pool.
+    pub(crate) fn build(
+        data: &SceneIndexData,
         space: Rect2,
         cfg: &FleetConfig,
     ) -> Result<Self, FleetError> {
         let map = ShardMap::new(space, cfg.nx, cfg.ny)?;
         let mut shards = Vec::with_capacity(map.shard_count() as usize);
+        let mut ids = Vec::with_capacity(shards.capacity());
         for s in 0..map.shard_count() {
-            let tile = map.inflated_tile(s);
+            let tile = map.tile(s);
             let records: Vec<_> = data
                 .records
                 .iter()
                 .filter(|r| r.support_xy.intersects(&tile))
                 .copied()
                 .collect();
-            let coeffs = records.len();
-            if coeffs == 0 {
-                shards.push(Shard {
-                    core: None,
-                    replica: None,
-                    coeffs,
-                });
+            ids.push(records.iter().map(|r| r.id).collect());
+            if records.is_empty() {
+                shards.push(None);
                 continue;
             }
             let mut sorted_w: Vec<f64> = records.iter().map(|r| r.w).collect();
             sorted_w.sort_by(f64::total_cmp);
-            let shard_data = Arc::new(SceneIndexData {
+            let shard_data = SceneIndexData {
                 records,
                 footprints: data.footprints.clone(),
                 coeff_bytes: data.coeff_bytes,
@@ -464,39 +387,32 @@ impl FleetServer {
                 object_bytes: data.object_bytes.clone(),
                 coeff_counts: data.coeff_counts.clone(),
                 sorted_w,
-            });
+            };
             let index = WaveletIndex::build(&shard_data);
-            let core = match &cfg.backend {
-                FleetBackend::Ram => ServerCore::from_parts(shard_data, Arc::new(index)),
+            let index = match &cfg.backend {
+                FleetBackend::Ram => index,
                 FleetBackend::Paged {
                     dir,
                     budget_bytes,
                     policy,
                 } => {
                     let path = dir.join(format!("shard-{s}.pages"));
-                    crate::store::write_store_with(&path, &shard_data, &index)
-                        .map_err(|e| FleetError::Store(e.to_string()))?;
-                    let paged = WaveletIndex::open_paged(&path, *budget_bytes, *policy)
-                        .map_err(|e| FleetError::Store(e.to_string()))?;
-                    ServerCore::from_parts(shard_data, Arc::new(paged))
+                    let store = |e: mar_store::StoreError| FleetError::Store(e.to_string());
+                    crate::store::write_store_with(&path, &shard_data, &index).map_err(store)?;
+                    WaveletIndex::open_paged(&path, *budget_bytes, *policy).map_err(store)?
                 }
             };
-            let replica = cfg.replicas.then(|| core.clone());
-            shards.push(Shard {
-                core: Some(core),
-                replica,
-                coeffs,
-            });
+            shards.push(Some(index));
         }
-        let has_core = shards.iter().map(|s| s.core.is_some()).collect();
-        let has_replica = shards.iter().map(|s| s.replica.is_some()).collect();
         Ok(Self {
             map,
-            shards,
-            has_core,
-            has_replica,
+            ids,
+            replicas: cfg.replicas,
+            paged: matches!(cfg.backend, FleetBackend::Paged { .. }),
             degrade_step: cfg.degrade_step,
-            sessions: Sessions::new(),
+            len: data.records.len(),
+            health: AtomicU64::new(0),
+            shards,
         })
     }
 
@@ -505,123 +421,117 @@ impl FleetServer {
         &self.map
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.map.shard_count()
+    /// Shard `s`'s index (`None` for an empty tile).
+    pub fn shard(&self, s: u32) -> Option<&WaveletIndex> {
+        self.shards[s as usize].as_ref()
     }
 
     /// Coefficients resident on shard `s` (halo included).
     pub fn shard_coeffs(&self, s: u32) -> usize {
-        self.shards[s as usize].coeffs
-    }
-
-    /// True when shard `s` has a promotable replica.
-    pub fn has_replica(&self, s: u32) -> bool {
-        self.has_replica[s as usize]
+        self.ids[s as usize].len()
     }
 
     /// The stateless router over this fleet's topology.
     pub fn router(&self) -> Router<'_> {
-        Router {
-            map: &self.map,
-            has_core: &self.has_core,
-            has_replica: &self.has_replica,
-            degrade_step: self.degrade_step,
-        }
+        Router { fleet: self }
     }
 
-    /// The session table: tokens, `resume`, and every per-session look-up
-    /// — the same calls [`crate::Server::sessions`] answers.
-    pub fn sessions(&self) -> &Sessions {
-        &self.sessions
+    /// Marks the shards of `health` down (and every other shard up) for
+    /// the queries that start from now on.
+    pub fn set_health(&self, health: FleetHealth) {
+        // Relaxed: the word publishes no other data (shard indexes are
+        // immutable), and a walk reads it once, so any word it sees plans
+        // a whole, consistent answer.
+        self.health.store(health.down_mask(), Ordering::Relaxed);
     }
 
-    /// Opens a fleet session; returns its id (handed out in call order).
-    pub fn connect(&self) -> u64 {
-        self.sessions.connect_with_token().0
+    /// The health word queries are planned under.
+    pub fn health(&self) -> FleetHealth {
+        FleetHealth::from_down_mask(self.health.load(Ordering::Relaxed))
     }
 
-    /// Drops a fleet session: its filter state, its resume token, and its
-    /// heat contribution on every shard pager.
-    pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
-        self.sessions.disconnect(session)?;
-        for shard in &self.shards {
-            if let Some(core) = &shard.core {
-                core.index().forget_motion(session);
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one window query for a session under the given health
-    /// word: route → scatter over shard cores → gather through the
-    /// session filter in task order, all under the session's filter lock.
-    /// Merging is deterministic because the task list is (owner,
-    /// neighbour)-ordered and the filter replay is sequential —
-    /// concurrency lives *across* sessions, exactly as in the unsharded
-    /// server.
-    pub fn query(
+    /// The sharded window walk: plans `region` under the current health
+    /// and walks each task's shard index in task order. Kept out of line
+    /// so the RAM arm of [`WaveletIndex::for_each`] compiles as if this
+    /// backend did not exist.
+    #[inline(never)]
+    pub(crate) fn for_each<F: FnMut(CoeffRef)>(
         &self,
-        session: u64,
-        health: FleetHealth,
-        window: &Rect2,
+        region: &Rect2,
         band: ResolutionBand,
-    ) -> Result<FleetQueryResult, SessionError> {
-        let plan = self.router().plan(health, window, band);
-        let is_promotion = |t: &&ShardTask| t.role == ShardRole::Replica;
-        let promotions = plan.tasks.iter().filter(is_promotion).count();
-        let result = self.sessions.with(session, |filter| {
-            let mut result = QueryResult::default();
-            for task in &plan.tasks {
-                let shard = &self.shards[task.shard as usize];
-                let core = match task.role {
-                    ShardRole::Replica => shard.replica.as_ref(),
-                    ShardRole::Primary | ShardRole::NeighborDegraded => shard.core.as_ref(),
-                };
-                // An empty tile serves every query vacuously.
-                let Some(core) = core else { continue };
-                // Feed the shard pager's heat field (no-op in RAM).
-                core.index().observe_motion(session, task.window.center());
-                // A newly sent coefficient touches its payload page on the
-                // shard that produced the hit (halo copies live on several).
-                core.admit_window(filter, &task.window, task.band, &mut result);
-            }
-            result
-        })?;
-        Ok(FleetQueryResult {
-            result,
-            tasks: plan.tasks.len() as u32,
-            replica_promotions: promotions as u32,
-            degraded_subqueries: plan.degraded_subqueries,
-            unserved_subqueries: plan.unserved_subqueries,
-            complete: plan.complete(),
-        })
-    }
-
-    /// The raw (session-free) fleet answer for a window: the union of the
-    /// per-shard answers under all-up health, deduplicated and sorted.
-    /// Equals the unsharded index's answer set — the exactness the
-    /// routing invariants pin.
-    pub fn query_stateless(&self, window: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
-        let mut ids: Vec<CoeffRef> = Vec::new();
-        let mut io = 0u64;
-        for (shard, sub) in self.map.route(window) {
-            if let Some(core) = &self.shards[shard as usize].core {
-                let (hits, i) = core.query_stateless(&sub, band);
-                ids.extend(hits);
-                io += i;
+        visit: &mut F,
+    ) -> u64 {
+        let plan = self.router().plan(self.health(), region, band);
+        let mut io = 0;
+        for task in &plan.tasks {
+            if let Some(index) = &self.shards[task.shard as usize] {
+                io += index.walk(&task.window, task.band, visit);
             }
         }
-        ids.sort_unstable();
-        ids.dedup();
-        (ids, io)
+        io
+    }
+
+    /// The grouped walk, window by window: shards share no nodes, so the
+    /// unique visits are the logical ones.
+    #[inline(never)]
+    pub(crate) fn for_each_batch_into<F: FnMut(usize, CoeffRef)>(
+        &self,
+        queries: &[(Rect2, ResolutionBand)],
+        per_window: &mut [u64],
+        visit: &mut F,
+    ) -> u64 {
+        let mut unique = 0;
+        for (q, ((region, band), io)) in queries.iter().zip(per_window).enumerate() {
+            *io = self.for_each(region, *band, &mut |id| visit(q, id));
+            unique += *io;
+        }
+        unique
+    }
+
+    /// Every shard index, in shard order.
+    pub(crate) fn indexes(&self) -> impl Iterator<Item = &WaveletIndex> {
+        self.shards.iter().flatten()
+    }
+
+    /// The shards' access counters, summed.
+    pub(crate) fn io_snapshot(&self) -> IoSnapshot {
+        self.indexes()
+            .map(WaveletIndex::io_snapshot)
+            .fold(IoSnapshot::default(), |a, b| IoSnapshot {
+                logical: a.logical + b.logical,
+                unique: a.unique + b.unique,
+                physical: a.physical + b.physical,
+            })
+    }
+
+    /// Touches `id`'s payload page once: on the lowest-id live shard that
+    /// stores the record, "live" meaning able to serve (up, or down with a
+    /// replica). Every hit comes from such a shard, so a transmitted
+    /// coefficient always finds one. A no-op on RAM shards. Out of line:
+    /// the filter's per-hit path, inlined into every RAM walk, calls it.
+    #[inline(never)]
+    pub(crate) fn touch_payload(&self, id: CoeffRef) {
+        if !self.paged {
+            return;
+        }
+        let health = self.health();
+        for (s, (index, ids)) in self.shards.iter().zip(&self.ids).enumerate() {
+            let live = !health.is_down(s as u32) || self.replicas;
+            let paged = index.as_ref().and_then(WaveletIndex::paged);
+            if let (true, Some(paged), Ok(rec)) = (live, paged, ids.binary_search(&id)) {
+                paged.touch_record(rec as u32);
+                return;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{QueryRegion, QueryResult, Server, ServerCore};
     use mar_workload::{Placement, Scene, SceneConfig};
+    use std::sync::Arc;
 
     fn scene() -> Scene {
         let mut cfg = SceneConfig::paper(12, 77);
@@ -631,13 +541,37 @@ mod tests {
         Scene::generate(cfg)
     }
 
-    fn fleet(nx: u32, ny: u32, replicas: bool) -> (FleetServer, Arc<SceneIndexData>, Rect2) {
+    fn serve(data: &Arc<SceneIndexData>, index: WaveletIndex) -> Server {
+        Server::from_core(ServerCore::from_parts(Arc::clone(data), Arc::new(index)))
+    }
+
+    fn fleet_with(cfg: &FleetConfig) -> (Server, Arc<SceneIndexData>, Rect2) {
         let sc = scene();
         let space = sc.config.space;
         let data = Arc::new(SceneIndexData::build(&sc));
-        let f = FleetServer::build(&data, space, &FleetConfig::ram(nx, ny, replicas))
-            .expect("fleet builds");
-        (f, data, space)
+        let index = WaveletIndex::build_fleet(&data, space, cfg).expect("fleet builds");
+        (serve(&data, index), data, space)
+    }
+
+    fn fleet(nx: u32, ny: u32, replicas: bool) -> (Server, Arc<SceneIndexData>, Rect2) {
+        fleet_with(&FleetConfig::ram(nx, ny, replicas))
+    }
+
+    fn shards(server: &Server) -> &Fleet {
+        server.index().fleet().expect("a fleet index")
+    }
+
+    fn ask(server: &Server, session: u64, q: &Rect2, band: ResolutionBand) -> QueryResult {
+        let region = QueryRegion { region: *q, band };
+        server.query(session, &[region]).expect("live session")
+    }
+
+    /// The fleet's raw answer, deduplicated and sorted.
+    fn stateless(server: &Server, q: &Rect2, band: ResolutionBand) -> Vec<CoeffRef> {
+        let (mut ids, _) = server.query_stateless(q, band);
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     fn windows(space: &Rect2) -> Vec<Rect2> {
@@ -658,14 +592,11 @@ mod tests {
     #[test]
     fn halo_replication_makes_stateless_answers_exact() {
         let (f, data, space) = fleet(4, 2, false);
-        let reference = WaveletIndex::build(&data);
+        let reference = serve(&data, WaveletIndex::build(&data));
         for (i, q) in windows(&space).iter().enumerate() {
             for band in [ResolutionBand::FULL, ResolutionBand::new(0.3, 1.0)] {
-                let (mut want, _) = reference.query(q, band);
-                want.sort_unstable();
-                want.dedup();
-                let (got, _) = f.query_stateless(q, band);
-                assert_eq!(got, want, "window {i} band {band:?} diverged");
+                let want = stateless(&reference, q, band);
+                assert_eq!(stateless(&f, q, band), want, "window {i} band {band:?}");
             }
         }
     }
@@ -673,7 +604,8 @@ mod tests {
     #[test]
     fn every_coefficient_lands_on_at_least_one_shard() {
         let (f, data, _) = fleet(4, 4, false);
-        let total: usize = (0..f.shard_count()).map(|s| f.shard_coeffs(s)).sum();
+        let f = shards(&f);
+        let total: usize = (0..f.map().shard_count()).map(|s| f.shard_coeffs(s)).sum();
         assert!(
             total >= data.records.len(),
             "halo replication can only add copies ({total} < {})",
@@ -688,23 +620,17 @@ mod tests {
     #[test]
     fn fleet_session_matches_unsharded_server_counts() {
         let (f, data, space) = fleet(4, 2, false);
-        let server = crate::Server::from_core(ServerCore::from_parts(
-            Arc::clone(&data),
-            Arc::new(WaveletIndex::build(&data)),
-        ));
+        let server = serve(&data, WaveletIndex::build(&data));
         let fs = f.connect();
         let ss = server.connect();
+        let band = ResolutionBand::new(0.2, 1.0);
         for q in windows(&space) {
-            let band = ResolutionBand::new(0.2, 1.0);
-            let fr = f.query(fs, FleetHealth::all_up(), &q, band).unwrap();
-            let sr = server
-                .query(ss, &[crate::QueryRegion { region: q, band }])
-                .unwrap();
-            assert!(fr.complete);
-            assert_eq!(fr.result.coeffs, sr.coeffs, "dedup across shards failed");
-            assert_eq!(fr.result.new_objects, sr.new_objects);
+            let fr = ask(&f, fs, &q, band);
+            let sr = ask(&server, ss, &q, band);
+            assert_eq!(fr.coeffs, sr.coeffs, "dedup across shards failed");
+            assert_eq!(fr.new_objects, sr.new_objects);
             // Byte totals are sums in different orders; equal to rounding.
-            assert!((fr.result.bytes - sr.bytes).abs() < 1e-6 * sr.bytes.max(1.0));
+            assert!((fr.bytes - sr.bytes).abs() < 1e-6 * sr.bytes.max(1.0));
         }
         assert_eq!(
             f.sessions().session_sent_set(fs).unwrap(),
@@ -718,20 +644,18 @@ mod tests {
         // A 1×1 all-up fleet routes every window to its one shard as one
         // task, so it replays the *same* hit sequence through the same
         // filter code: the whole `QueryResult` — the f64 byte total and
-        // the logical io included — equals `Server::query`'s exactly.
+        // the logical io included — equals the RAM index's exactly.
         let (one, _, _) = fleet(1, 1, false);
         let os = one.connect();
         server.disconnect(ss).unwrap();
         let ss = server.connect();
         for q in windows(&space) {
-            let band = ResolutionBand::new(0.2, 1.0);
-            let fr = one.query(os, FleetHealth::all_up(), &q, band).unwrap();
-            let sr = server
-                .query(ss, &[crate::QueryRegion { region: q, band }])
-                .unwrap();
-            assert_eq!((fr.tasks, fr.complete), (1, true));
-            assert_eq!(fr.result, sr, "a 1x1 fleet is the plain server");
-            assert_eq!(fr.result.bytes.to_bits(), sr.bytes.to_bits());
+            let plan = shards(&one).router().plan(FleetHealth::all_up(), &q, band);
+            assert_eq!((plan.tasks.len(), plan.complete()), (1, true));
+            let fr = ask(&one, os, &q, band);
+            let sr = ask(&server, ss, &q, band);
+            assert_eq!(fr, sr, "a 1x1 fleet is the plain index");
+            assert_eq!(fr.bytes.to_bits(), sr.bytes.to_bits());
         }
     }
 
@@ -745,12 +669,13 @@ mod tests {
         for (i, q) in windows(&space).iter().enumerate() {
             // Run `a` fault-free; run `b` with a rotating dead shard.
             let down = FleetHealth::all_up().with_down((i % 8) as u32);
-            let ra = f.query(a, FleetHealth::all_up(), q, band).unwrap();
-            let rb = g.query(b, down, q, band).unwrap();
-            assert!(rb.complete, "replicas keep answers complete");
-            assert_eq!(rb.degraded_subqueries, 0);
-            assert_eq!(rb.unserved_subqueries, 0);
-            assert_eq!(ra.result.coeffs, rb.result.coeffs, "window {i}");
+            shards(&g).set_health(down);
+            let plan = shards(&g).router().plan(down, q, band);
+            assert!(plan.complete(), "replicas keep answers complete");
+            assert_eq!((plan.degraded_subqueries, plan.unserved_subqueries), (0, 0));
+            let ra = ask(&f, a, q, band);
+            let rb = ask(&g, b, q, band);
+            assert_eq!(ra.coeffs, rb.coeffs, "window {i}");
         }
         assert_eq!(
             f.sessions().session_sent_set(a).unwrap(),
@@ -769,28 +694,30 @@ mod tests {
         let qs = windows(&space);
         let mut saw_degraded = false;
         for (i, q) in qs.iter().enumerate() {
-            f.query(a, FleetHealth::all_up(), q, band).unwrap();
+            ask(&f, a, q, band);
             // Shards 0..4 rotate dead during the middle of the tour.
             let health = if (3..9).contains(&i) {
                 FleetHealth::all_up().with_down((i % 4) as u32)
             } else {
                 FleetHealth::all_up()
             };
-            let r = g.query(b, health, q, band).unwrap();
-            if !r.complete {
+            shards(&g).set_health(health);
+            let plan = shards(&g).router().plan(health, q, band);
+            if !plan.complete() {
                 saw_degraded = true;
                 assert!(
-                    r.degraded_subqueries > 0 || r.unserved_subqueries > 0,
+                    plan.degraded_subqueries > 0 || plan.unserved_subqueries > 0,
                     "incomplete must be accounted"
                 );
             }
+            ask(&g, b, q, band);
         }
         assert!(saw_degraded, "the outage must actually bite a window");
         // Recovery: refetch every window under all-up health (what the
         // client's uncommitted planner coverage forces), then compare.
+        shards(&g).set_health(FleetHealth::all_up());
         for q in &qs {
-            let r = g.query(b, FleetHealth::all_up(), q, band).unwrap();
-            assert!(r.complete);
+            ask(&g, b, q, band);
         }
         assert_eq!(
             f.sessions().session_sent_set(a).unwrap(),
@@ -801,35 +728,35 @@ mod tests {
 
     #[test]
     fn degraded_service_comes_from_neighbour_halos() {
-        let (f, _, space) = fleet(4, 2, false);
+        let (f, _, _) = fleet(4, 2, false);
         let s = f.connect();
         // Query exactly one interior tile at full band with its owner
         // dead: the answer must be non-empty (halo coverage) but smaller
         // than the fault-free answer (the tile interior is lost).
         let owner = 1u32;
-        let tile = f.map().tile(owner);
+        let tile = shards(&f).map().tile(owner);
+        let want = stateless(&f, &tile, ResolutionBand::FULL);
         let health = FleetHealth::all_up().with_down(owner);
-        let r = f.query(s, health, &tile, ResolutionBand::FULL).unwrap();
-        assert!(!r.complete);
-        assert_eq!(r.degraded_subqueries, 1);
+        shards(&f).set_health(health);
+        let plan = shards(&f)
+            .router()
+            .plan(health, &tile, ResolutionBand::FULL);
+        assert!(!plan.complete());
+        assert_eq!(plan.degraded_subqueries, 1);
+        let r = ask(&f, s, &tile, ResolutionBand::FULL);
+        assert!(r.coeffs > 0, "neighbour halos must cover the tile border");
         assert!(
-            r.result.coeffs > 0,
-            "neighbour halos must cover the tile border"
-        );
-        let (want, _) = f.query_stateless(&tile, ResolutionBand::FULL);
-        assert!(
-            r.result.coeffs < want.len(),
+            r.coeffs < want.len(),
             "a dead tile cannot be fully served from halos ({} vs {})",
-            r.result.coeffs,
+            r.coeffs,
             want.len()
         );
-        let _ = space;
     }
 
     #[test]
     fn router_is_deterministic_and_orders_tasks() {
         let (f, _, space) = fleet(4, 4, false);
-        let router = f.router();
+        let router = shards(&f).router();
         let q = windows(&space)[3];
         let health = FleetHealth::from_down_mask(0b0110);
         let p1 = router.plan(health, &q, ResolutionBand::FULL);
@@ -850,69 +777,61 @@ mod tests {
     #[test]
     fn typed_errors_and_grid_bounds() {
         let sc = scene();
-        let data = Arc::new(SceneIndexData::build(&sc));
+        let data = SceneIndexData::build(&sc);
         assert_eq!(
-            FleetServer::build(&data, sc.config.space, &FleetConfig::ram(9, 8, false)).err(),
+            WaveletIndex::build_fleet(&data, sc.config.space, &FleetConfig::ram(9, 8, false)).err(),
             Some(FleetError::BadShardGrid { nx: 9, ny: 8 })
         );
         assert!(matches!(
             ShardMap::new(sc.config.space, 0, 4),
             Err(FleetError::BadShardGrid { .. })
         ));
-        let (f, _, space) = fleet(2, 2, false);
-        let q = windows(&space)[0];
-        assert_eq!(
-            f.query(99, FleetHealth::all_up(), &q, ResolutionBand::FULL)
-                .err(),
-            Some(SessionError::UnknownSession(99))
-        );
-        assert_eq!(f.disconnect(99), Err(SessionError::UnknownSession(99)));
-        assert_eq!(
-            f.sessions().session_sent_set(99).err(),
-            Some(SessionError::UnknownSession(99))
-        );
-        assert_eq!(f.sessions().session_count(), 0);
     }
 
+    /// Paged shards answer like RAM shards, and every transmitted
+    /// coefficient costs exactly one payload look-up: a shard pool sees
+    /// one look-up per node the walks visited plus one per coefficient
+    /// sent — including the coefficients a promoted replica served.
     #[test]
     fn paged_shards_answer_identically_to_ram() {
-        let sc = scene();
-        let space = sc.config.space;
-        let data = Arc::new(SceneIndexData::build(&sc));
         let dir = std::env::temp_dir().join(format!("mar-core-fleet-tests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create shard store dir");
-        let ram =
-            FleetServer::build(&data, space, &FleetConfig::ram(2, 2, false)).expect("ram fleet");
-        let paged = FleetServer::build(
-            &data,
-            space,
-            &FleetConfig {
-                nx: 2,
-                ny: 2,
-                replicas: false,
-                degrade_step: 0.15,
-                backend: FleetBackend::Paged {
-                    dir: dir.clone(),
-                    budget_bytes: 64 * 1024,
-                    policy: mar_store::CachePolicy::MotionAware,
-                },
+        let (ram, _, space) = fleet(2, 2, true);
+        let (paged, _, _) = fleet_with(&FleetConfig {
+            backend: FleetBackend::Paged {
+                dir: dir.clone(),
+                budget_bytes: 64 * 1024,
+                policy: mar_store::CachePolicy::MotionAware,
             },
-        )
-        .expect("paged fleet");
+            ..FleetConfig::ram(2, 2, true)
+        });
+        assert!(paged.index().is_paged() && !ram.index().is_paged());
         let a = ram.connect();
         let b = paged.connect();
-        for q in windows(&space) {
+        let (mut io, mut sent) = (0, 0);
+        for (i, q) in windows(&space).iter().enumerate() {
             let band = ResolutionBand::new(0.1, 1.0);
-            let ra = ram.query(a, FleetHealth::all_up(), &q, band).unwrap();
-            let rb = paged.query(b, FleetHealth::all_up(), &q, band).unwrap();
-            assert_eq!(ra.result.coeffs, rb.result.coeffs);
-            assert_eq!(ra.result.new_objects, rb.result.new_objects);
+            let down = FleetHealth::all_up().with_down((i % 4) as u32);
+            shards(&ram).set_health(down);
+            shards(&paged).set_health(down);
+            let ra = ask(&ram, a, q, band);
+            let rb = ask(&paged, b, q, band);
+            assert_eq!(ra, rb, "window {i}");
+            io += rb.io;
+            sent += rb.coeffs as u64;
         }
+        assert!(sent > 0);
         assert_eq!(
             ram.sessions().session_sent_set(a).unwrap(),
             paged.sessions().session_sent_set(b).unwrap(),
             "paged shard answers must be byte-identical to RAM"
         );
+        let fleet = shards(&paged);
+        let lookups: u64 = (0..fleet.map().shard_count())
+            .filter_map(|s| fleet.shard(s)?.cache_stats())
+            .map(|c| c.lookups)
+            .sum();
+        assert_eq!(lookups, io + sent, "one payload read per sent coefficient");
         ram.disconnect(a).unwrap();
         paged.disconnect(b).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -16,9 +16,11 @@
 //! That search is written once, in `mar-rtree` ([`mar_rtree::search`],
 //! grouped: [`mar_rtree::search_batch_into`]), over a
 //! [`mar_rtree::NodeSource`]; [`WaveletIndex`] hands it the in-RAM arena
-//! or the page store behind a buffer pool ([`PagedIndex`]).
+//! or the page store behind a buffer pool ([`PagedIndex`]) — or, for a
+//! shard [`Fleet`], routes the window and hands it each task's shard.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
+use crate::fleet::{Fleet, FleetConfig, FleetError};
 use crate::paged::{coeff_ref, PagedIndex};
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -34,16 +36,19 @@ thread_local! {
     static WINDOWS: Cell<Vec<Rect3>> = const { Cell::new(Vec::new()) };
 }
 
-/// Where the index's nodes live: the flat in-RAM arena, or a page file
-/// read through the motion-aware buffer pool. Every query below hands
-/// one of the two to the same walk, so answers, hit order and access
-/// counts are byte-identical: the code is shared, not mirrored.
+/// Where the index's nodes live: the flat in-RAM arena, a page file
+/// read through the motion-aware buffer pool, or a fleet of shard
+/// indexes, each one of the first two. Every query below hands the arena
+/// or the pages to the same walk, so answers, hit order and access counts
+/// are byte-identical: the code is shared, not mirrored.
 #[derive(Debug)]
 enum Backend {
     Ram(RTree<3, CoeffRef>),
     /// Boxed: the pager (pool, heat field) is several times
     /// the size of the RAM tree's handle.
     Paged(Box<PagedIndex>),
+    /// Boxed for the same reason.
+    Sharded(Box<Fleet>),
 }
 
 /// The support-region index.
@@ -109,32 +114,56 @@ impl WaveletIndex {
         })
     }
 
-    /// True when this index reads pages from disk.
+    /// Partitions `data` over an `nx × ny` shard fleet over `space`
+    /// (DESIGN.md §10, "The fleet backend"), each shard an index on
+    /// `cfg.backend`. All-up answers equal [`WaveletIndex::build`]'s as
+    /// sets; a halo hit is visited once per routed shard holding it.
+    pub fn build_fleet(
+        data: &SceneIndexData,
+        space: Rect2,
+        cfg: &FleetConfig,
+    ) -> Result<Self, FleetError> {
+        Ok(Self {
+            backend: Backend::Sharded(Box::new(Fleet::build(data, space, cfg)?)),
+        })
+    }
+
+    /// True when this index reads pages from disk (a fleet: when its
+    /// shards do).
     pub fn is_paged(&self) -> bool {
-        matches!(self.backend, Backend::Paged(_))
+        self.paged().is_some() || self.fleet().is_some_and(|fleet| fleet.paged)
     }
 
     /// The in-RAM tree, when this index has one (store export needs it).
     pub(crate) fn ram_tree(&self) -> Option<&RTree<3, CoeffRef>> {
         match &self.backend {
             Backend::Ram(tree) => Some(tree),
-            Backend::Paged(_) => None,
+            _ => None,
         }
     }
 
     /// The paged backend, when this index has one.
     pub fn paged(&self) -> Option<&PagedIndex> {
         match &self.backend {
-            Backend::Ram(_) => None,
             Backend::Paged(p) => Some(p),
+            _ => None,
         }
     }
 
-    /// Number of indexed coefficients.
+    /// The shard fleet, when this index is one.
+    pub fn fleet(&self) -> Option<&Fleet> {
+        match &self.backend {
+            Backend::Sharded(fleet) => Some(fleet),
+            _ => None,
+        }
+    }
+
+    /// Number of indexed coefficients (a fleet counts each once).
     pub fn len(&self) -> usize {
         match &self.backend {
             Backend::Ram(tree) => tree.len(),
             Backend::Paged(p) => p.len(),
+            Backend::Sharded(fleet) => fleet.len,
         }
     }
 
@@ -148,6 +177,7 @@ impl WaveletIndex {
         match &self.backend {
             Backend::Ram(tree) => tree.node_count(),
             Backend::Paged(p) => p.node_count(),
+            Backend::Sharded(fleet) => fleet.indexes().map(Self::node_count).sum(),
         }
     }
 
@@ -164,10 +194,24 @@ impl WaveletIndex {
         band: ResolutionBand,
         mut visit: impl FnMut(CoeffRef),
     ) -> u64 {
+        self.walk(region, band, &mut visit)
+    }
+
+    /// [`WaveletIndex::for_each`] with the visitor by reference: the fleet
+    /// walks each shard's index with its caller's visitor, so a fleet
+    /// query instantiates this once per visitor type, not once per level.
+    #[inline(always)]
+    pub(crate) fn walk<F: FnMut(CoeffRef)>(
+        &self,
+        region: &Rect2,
+        band: ResolutionBand,
+        visit: &mut F,
+    ) -> u64 {
         let window: Rect3 = region.lift(band.w_min, band.w_max);
         match &self.backend {
             Backend::Ram(tree) => search(tree, &window, |leaf, i| visit(*leaf.item(i))),
             Backend::Paged(p) => search(&p.nodes(), &window, |leaf, i| visit(coeff_ref(leaf, i))),
+            Backend::Sharded(fleet) => fleet.for_each(region, band, visit),
         }
     }
 
@@ -214,6 +258,7 @@ impl WaveletIndex {
                     visit(q, coeff_ref(leaf, i))
                 })
             }
+            Backend::Sharded(fleet) => fleet.for_each_batch_into(queries, per_window, &mut visit),
         };
         WINDOWS.set(windows);
         unique
@@ -233,12 +278,14 @@ impl WaveletIndex {
         self.io_snapshot().logical
     }
 
-    /// Snapshot of the logical / unique / physical access counters. The
-    /// RAM backend never performs a physical read (`physical` stays 0).
+    /// Snapshot of the logical / unique / physical access counters (a
+    /// fleet sums its shards'). The RAM backend never performs a physical
+    /// read (`physical` stays 0).
     pub fn io_snapshot(&self) -> IoSnapshot {
         match &self.backend {
             Backend::Ram(tree) => tree.io_snapshot(),
             Backend::Paged(p) => p.io_snapshot(),
+            Backend::Sharded(fleet) => fleet.io_snapshot(),
         }
     }
 
@@ -247,34 +294,42 @@ impl WaveletIndex {
         match &self.backend {
             Backend::Ram(tree) => tree.reset_io(),
             Backend::Paged(p) => p.reset_io(),
+            Backend::Sharded(fleet) => fleet.indexes().for_each(Self::reset_io),
         }
     }
 
     /// Touches the payload page holding `id`'s coefficient record — the
-    /// disk trip transmitting a hit performs. A no-op on the RAM backend,
-    /// where payloads live in [`SceneIndexData`].
+    /// disk trip transmitting a hit performs (a fleet touches one shard's
+    /// copy). A no-op in RAM, where payloads live in [`SceneIndexData`].
     pub fn touch_payload(&self, id: CoeffRef) {
-        if let Backend::Paged(p) = &self.backend {
-            p.touch_payload(id);
+        match &self.backend {
+            Backend::Ram(_) => {}
+            Backend::Paged(p) => p.touch_payload(id),
+            Backend::Sharded(fleet) => fleet.touch_payload(id),
         }
     }
 
     /// Feeds a session's current window centre into the Eq. 2 heat field
-    /// ranking the buffer pool. A no-op on the RAM backend.
+    /// ranking the buffer pool (every shard's, in a fleet). A no-op in RAM.
     pub fn observe_motion(&self, session: u64, pos: Point2) {
-        if let Backend::Paged(p) = &self.backend {
-            p.observe_motion(session, pos);
+        match &self.backend {
+            Backend::Ram(_) => {}
+            Backend::Paged(p) => p.observe_motion(session, pos),
+            Backend::Sharded(fleet) => fleet.indexes().for_each(|i| i.observe_motion(session, pos)),
         }
     }
 
-    /// Drops a session's heat contribution. A no-op on the RAM backend.
+    /// Drops a session's heat contribution. A no-op in RAM.
     pub fn forget_motion(&self, session: u64) {
-        if let Backend::Paged(p) = &self.backend {
-            p.forget_motion(session);
+        match &self.backend {
+            Backend::Ram(_) => {}
+            Backend::Paged(p) => p.forget_motion(session),
+            Backend::Sharded(fleet) => fleet.indexes().for_each(|i| i.forget_motion(session)),
         }
     }
 
-    /// Buffer-pool counters, when this index reads through a pool.
+    /// Buffer-pool counters, when this index reads through one pool (a
+    /// fleet's shard pools answer through [`Fleet::shard`]).
     pub fn cache_stats(&self) -> Option<PageCacheStats> {
         self.paged().map(PagedIndex::cache_stats)
     }
@@ -284,6 +339,7 @@ impl WaveletIndex {
         match &self.backend {
             Backend::Ram(tree) => tree.validate(),
             Backend::Paged(p) => p.validate(),
+            Backend::Sharded(fleet) => fleet.indexes().try_for_each(Self::validate),
         }
     }
 }

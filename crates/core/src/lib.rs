@@ -16,10 +16,15 @@
 //!   pages and coefficient records serialized into one checksummed page
 //!   file, read back through `mar-store`'s motion-aware buffer pool with
 //!   byte-identical query answers (DESIGN.md §15).
+//! * [`fleet`] — the third index backend: the scene partitioned over a
+//!   grid of shard indexes, a stateless scatter-gather router, and shard
+//!   failover (replica promotion / degraded neighbour service) under a
+//!   health bitmask (DESIGN.md §10, "The fleet backend").
 //! * [`session`] — the one session layer: per-client sent-filters that
 //!   drop already-transmitted data (§IV's server-side filter), resume
-//!   tokens, and the striped table both serving tiers hold.
-//! * [`server`] — the data server: scene + index behind that table.
+//!   tokens, and the striped table the server holds.
+//! * [`server`] — the data server: scene + index (RAM, paged or fleet)
+//!   behind that table.
 //! * [`retrieval`] — Algorithm 1, the incremental motion-aware client
 //!   (Figs. 8–9).
 //! * [`resilient`] — Algorithm 1 hardened for a faulty link: retry with
@@ -29,11 +34,6 @@
 //!   motion-aware stack under either prefetcher (hit rate / utilization,
 //!   Figs. 10–11) vs. the naive full-resolution + LRU + object-R*-tree
 //!   baseline (response time, Figs. 14–15).
-//! * [`fleet`] — the sharded serving tier: spatial partitioning of the
-//!   scene over independent shard cores, a stateless scatter-gather
-//!   router, and shard failover (replica promotion / degraded neighbour
-//!   service) under a health bitmask, behind the same session table
-//!   (DESIGN.md §16).
 //! * [`metrics`] — the measured quantities every experiment reports.
 
 #![forbid(unsafe_code)]
@@ -55,8 +55,8 @@ pub mod system;
 
 pub use coeff::{CoeffRecord, CoeffRef, SceneIndexData};
 pub use fleet::{
-    FleetBackend, FleetConfig, FleetError, FleetHealth, FleetQueryResult, FleetServer, RoutePlan,
-    Router, ShardMap, ShardRole, ShardTask,
+    Fleet, FleetBackend, FleetConfig, FleetError, FleetHealth, RoutePlan, Router, ShardMap,
+    ShardRole, ShardTask,
 };
 pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};

@@ -315,10 +315,17 @@ impl PagedIndex {
     /// pool miss; unknown ids are ignored.
     pub fn touch_payload(&self, id: CoeffRef) {
         if let Some(rec) = self.meta.record_index(id) {
-            if rec < self.meta.n_records {
-                let (page, _) = self.meta.record_page(rec);
-                let _ = self.page(page);
-            }
+            self.touch_record(rec);
+        }
+    }
+
+    /// Touches the payload page holding record `rec` (its position in the
+    /// store, which for a fleet shard is not what `record_index` derives
+    /// from the scene-wide id); records past the store are ignored.
+    pub(crate) fn touch_record(&self, rec: u32) {
+        if rec < self.meta.n_records {
+            let (page, _) = self.meta.record_page(rec);
+            let _ = self.page(page);
         }
     }
 

@@ -11,9 +11,10 @@
 //! * **Session drop** → *resume, don't restart*. The transport dies but
 //!   the server-side session (and its sent-filter) does not:
 //!   [`Sessions::resume`](crate::Sessions::resume) reattaches by token and nothing already delivered
-//!   is re-sent. Only if the server no longer knows the token does the
-//!   client [`Server::connect`] fresh and reset its planner (everything
-//!   must be refetched — the new session's filter is empty).
+//!   is re-sent. Only if the server no longer knows the session — the
+//!   token fails to resume, or a query comes back `UnknownSession` — does
+//!   the client [`Server::connect`] fresh and reset its planner
+//!   (everything must be refetched — the new session's filter is empty).
 //! * **Sustained congestion** → *graceful degradation*. The client tracks
 //!   the ratio of ideal (Eq. 1 fault-free) to actual time over a sliding
 //!   window; when it falls below `enter_ratio` the speed→resolution map
@@ -26,8 +27,7 @@
 //! deterministic for a fixed fault seed.
 
 use crate::retrieval::FramePlanner;
-use crate::server::{QueryResult, Server};
-use crate::session::SessionError;
+use crate::server::{QueryRegion, QueryResult, Server};
 use crate::speedmap::SpeedResolutionMap;
 use mar_geom::Rect2;
 use mar_link::{splitmix64, u01, FaultyLink, LinkError, SimClock};
@@ -108,17 +108,12 @@ pub enum ProtocolError {
         /// Attempts spent before giving up.
         attempts: u32,
     },
-    /// The server rejected the session and a fresh connect also failed to
-    /// take (never happens with the in-process server; kept typed for
-    /// completeness).
-    Session(SessionError),
 }
 
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::GaveUp { attempts } => write!(f, "gave up after {attempts} attempts"),
-            Self::Session(e) => write!(f, "session error: {e}"),
         }
     }
 }
@@ -159,7 +154,7 @@ pub struct ResilienceMetrics {
     pub drops: u64,
     /// Drops healed by session resumption (vs fresh reconnects).
     pub resumed: u64,
-    /// Fresh reconnects (resume failed; filter lost).
+    /// Fresh reconnects (the server forgot the session; filter lost).
     pub reconnects: u64,
     /// Ticks that ran at a degraded resolution.
     pub degraded_ticks: u64,
@@ -325,12 +320,15 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
             attempts += 1;
             match self.link.begin() {
                 Ok(grant) => {
-                    let r = server
-                        .query(self.session, &regions)
-                        .map_err(ProtocolError::Session)?;
-                    let t = self.link.complete(grant, r.bytes, speed);
-                    self.clock.advance(t);
-                    break r;
+                    // A refused request makes the round trip too; then the
+                    // client starts over, as after a failed resume.
+                    let answer = server.query(self.session, &regions);
+                    let bytes = answer.as_ref().map_or(0.0, |r| r.bytes);
+                    self.clock.advance(self.link.complete(grant, bytes, speed));
+                    match answer {
+                        Ok(r) => break r,
+                        Err(_) => regions = self.reconnect(server, frame, band),
+                    }
                 }
                 Err(LinkError::Lost { waited_s }) => {
                     self.clock.advance(waited_s);
@@ -356,17 +354,7 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
                             outcome.resumed = true;
                             self.metrics.resumed += 1;
                         }
-                        Err(SessionError::UnknownToken(_) | SessionError::UnknownSession(_)) => {
-                            // The server forgot us: start over with an
-                            // empty filter, a fresh token and a full
-                            // refetch.
-                            let (session, token) = server.connect_with_token();
-                            self.session = session;
-                            self.token = token;
-                            self.planner.reset();
-                            self.metrics.reconnects += 1;
-                            regions = self.planner.plan(&frame, band);
-                        }
+                        Err(_) => regions = self.reconnect(server, frame, band),
                     }
                 }
             }
@@ -379,6 +367,22 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
         self.metrics.link_time_s += outcome.tick_time_s;
         self.metrics.ideal_time_s += outcome.ideal_time_s;
         Ok(outcome)
+    }
+
+    /// The server forgot this client's session: start over with an empty
+    /// filter, a fresh token and a full refetch — the regions returned.
+    fn reconnect(
+        &mut self,
+        server: &Server,
+        frame: Rect2,
+        band: ResolutionBand,
+    ) -> Vec<QueryRegion> {
+        let (session, token) = server.connect_with_token();
+        self.session = session;
+        self.token = token;
+        self.planner.reset();
+        self.metrics.reconnects += 1;
+        self.planner.plan(&frame, band)
     }
 }
 
@@ -483,22 +487,19 @@ mod tests {
         let srv = server();
         let mut res = client(&srv, FaultConfig::hostile(7, 0.0, 3), 0);
         res.tick(&srv, frame(100.0, 100.0), 0.3).unwrap();
-        // Sabotage: disconnect the session behind the client's back, then
-        // force enough ticks that a scheduled drop fires.
+        // Sabotage: disconnect the session behind the client's back. Every
+        // later tick succeeds, and the first one — whether its request is
+        // refused as `UnknownSession` or a scheduled drop's resume fails —
+        // reconnects fresh.
         srv.disconnect(res.session()).unwrap();
         let before = res.session();
-        for i in 0..6 {
-            // The first post-sabotage contact either hits the unknown
-            // session via a drop (reconnect path) or errors; drive until a
-            // drop heals it.
-            match res.tick(&srv, frame(100.0 + 40.0 * i as f64, 100.0), 0.3) {
-                Ok(_) => {}
-                Err(ProtocolError::Session(SessionError::UnknownSession(_))) => continue,
-                Err(e) => panic!("unexpected: {e}"),
-            }
+        for i in 1..=6 {
+            let out = res.tick(&srv, frame(100.0 + 40.0 * i as f64, 100.0), 0.3);
+            assert!(out.is_ok(), "tick {i} after the sabotage: {out:?}");
+            assert_eq!(res.metrics().reconnects, 1, "tick {i}");
         }
-        assert!(res.metrics().reconnects > 0, "must have reconnected fresh");
         assert_ne!(res.session(), before, "fresh connect mints a new session");
+        assert!(srv.sessions().session_token(res.session()).is_ok());
         // The sweep frames may land in empty scene regions; pull the whole
         // scene to show the fresh session really refetches from scratch.
         let world = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([1000.0, 1000.0]));

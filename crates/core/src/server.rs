@@ -5,8 +5,9 @@
 //! window queries; DESIGN.md §10):
 //!
 //! * [`ServerCore`] — the shared **immutable** half: `Arc<SceneIndexData>`
-//!   plus `Arc<WaveletIndex>` (which carries the prebuilt `sorted_w`
-//!   magnitude distribution inside the data). Every read path takes
+//!   (which carries the prebuilt `sorted_w` magnitude distribution) plus
+//!   `Arc<WaveletIndex>` — in RAM, paged or a shard fleet, the server
+//!   cannot tell which. Every read path takes
 //!   `&self` and is lock-free; index searches allocate nothing (the
 //!   traversal stack is a thread-local scratch buffer in `mar-rtree`, the
 //!   query paths' window and hit buffers are one here — `Scratch`) and
@@ -168,10 +169,9 @@ impl ServerCore {
 
     /// One window through the scalar descent and `filter`, accumulated
     /// into `out` (`io` included): the single-region path of
-    /// [`Server::query`] and the per-task step of
-    /// [`crate::FleetServer::query`]. Visit order and logical `io` equal
-    /// the 1-window batch's ([`WaveletIndex::for_each_batch`]'s contract),
-    /// so the result is bit-identical to the buffered path's.
+    /// [`Server::query`]. Visit order and logical `io` equal the 1-window
+    /// batch's ([`WaveletIndex::for_each_batch`]'s contract), so the
+    /// result is bit-identical to the buffered path's.
     pub(crate) fn admit_window(
         &self,
         filter: &mut SentFilter,

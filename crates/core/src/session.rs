@@ -1,5 +1,5 @@
-//! The one session layer, held unchanged by both serving tiers
-//! ([`crate::Server`], [`crate::FleetServer`]).
+//! The one session layer, held by [`crate::Server`] over any index
+//! backend — RAM, paged or a shard fleet.
 //!
 //! §IV: "After retrieving the results for all the sub-queries, the server
 //! filters the results to avoid transmitting the data that is already
@@ -168,17 +168,17 @@ pub struct SentFilter {
 impl SentFilter {
     /// Replays one hit list (in index search order) through the filter,
     /// accumulating the transmission accounting into `out`. Every query
-    /// path of both tiers routes here (or, hit by hit, through
-    /// [`SentFilter::admit_one`]), so batched, scalar and sharded
-    /// executions of the same sub-queries produce bit-identical
-    /// [`QueryResult`]s (the `f64` byte total included).
+    /// path routes here (or, hit by hit, through
+    /// [`SentFilter::admit_one`]), so batched and scalar executions of
+    /// the same sub-queries produce bit-identical [`QueryResult`]s (the
+    /// `f64` byte total included).
     ///
-    /// `data` and `index` are those of the core that *produced* `hits`
-    /// (for the fleet: the answering shard). Every *newly transmitted*
-    /// coefficient touches its payload page through that index — a no-op
-    /// in RAM, a buffer-pool read (and physical-I/O tally on a miss) on
-    /// the disk-backed backend. The touch never changes the result, so RAM
-    /// and paged transcripts stay byte-identical.
+    /// `data` and `index` are those of the core that *produced* `hits`.
+    /// Every *newly transmitted* coefficient touches its payload page
+    /// through that index — a no-op in RAM, a buffer-pool read (and
+    /// physical-I/O tally on a miss) on the disk-backed backends. The touch
+    /// never changes the result, so RAM and paged transcripts stay
+    /// byte-identical.
     pub fn admit(
         &mut self,
         data: &SceneIndexData,

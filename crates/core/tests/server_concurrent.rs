@@ -5,8 +5,8 @@
 //! is immutable and shared, so interleaving must be unobservable.
 
 use mar_core::{
-    FleetConfig, FleetHealth, FleetServer, IncrementalClient, LinearSpeedMap, QueryRegion,
-    QueryResult, SceneIndexData, Server, SessionError, SpeedResolutionMap,
+    FleetConfig, FleetHealth, IncrementalClient, LinearSpeedMap, QueryRegion, QueryResult,
+    SceneIndexData, Server, ServerCore, SessionError, SpeedResolutionMap, WaveletIndex,
 };
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
@@ -220,49 +220,63 @@ fn concurrent_resume_and_query_agree_with_serial() {
     }
 }
 
-/// Drives one fleet session for `TICKS` ticks under a rotating dead shard
-/// (health is a per-call value, so each session brings its own) and
-/// returns its per-tick results.
-fn drive_fleet(fleet: &FleetServer, k: usize) -> Vec<QueryResult> {
-    let session = fleet.connect();
-    (0..TICKS)
-        .map(|t| {
-            let health = FleetHealth::all_up().with_down(((k + t) % 8) as u32);
+/// Drives `SESSIONS` fleet sessions tick-major for `TICKS` ticks: a
+/// rotating dead shard is set as fleet health for a tick, then every
+/// session runs that tick — one after another, or each on a thread of its
+/// own. Returns each session's per-tick results.
+fn drive_fleet(server: &Server, parallel: bool) -> Vec<Vec<QueryResult>> {
+    let fleet = server.index().fleet().expect("a fleet index");
+    let sessions: Vec<u64> = (0..SESSIONS).map(|_| server.connect()).collect();
+    let mut results = vec![Vec::new(); SESSIONS];
+    for t in 0..TICKS {
+        fleet.set_health(FleetHealth::all_up().with_down((t % 8) as u32));
+        let tick = &|k: usize| {
             let band = LinearSpeedMap.band_for(speed(k, t));
-            fleet
-                .query(session, health, &frame(k, t), band)
+            let region = QueryRegion {
+                region: frame(k, t),
+                band,
+            };
+            server
+                .query(sessions[k], &[region])
                 .expect("fleet session is live")
-                .result
-        })
-        .collect()
+        };
+        let row: Vec<QueryResult> = if parallel {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..SESSIONS)
+                    .map(|k| scope.spawn(move || tick(k)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("fleet session thread panicked"))
+                    .collect()
+            })
+        } else {
+            (0..SESSIONS).map(tick).collect()
+        };
+        for (k, r) in row.into_iter().enumerate() {
+            results[k].push(r);
+        }
+    }
+    results
 }
 
 #[test]
 fn concurrent_fleet_sessions_match_serial_replay() {
-    // The fleet variant of the contract above: the same `Sessions` table
-    // sits under the scatter-gather tier, so 8 sessions driven from 8
-    // threads — through replica promotions — see what a serial replay sees.
+    // The fleet variant of the contract above: the same `Server` over a
+    // shard-fleet index, so 8 sessions driven from 8 threads per tick —
+    // through replica promotions of the tick's dead shard — see what a
+    // serial replay sees.
     let sc = scene();
     let data = Arc::new(SceneIndexData::build(&sc));
     let build = || {
-        FleetServer::build(&data, sc.config.space, &FleetConfig::ram(4, 2, true))
-            .expect("fleet builds")
+        let index =
+            WaveletIndex::build_fleet(&data, sc.config.space, &FleetConfig::ram(4, 2, true))
+                .expect("fleet builds");
+        Server::from_core(ServerCore::from_parts(Arc::clone(&data), Arc::new(index)))
     };
-    let reference: Vec<Vec<QueryResult>> = {
-        let fleet = build();
-        (0..SESSIONS).map(|k| drive_fleet(&fleet, k)).collect()
-    };
-    let fleet = build();
-    let concurrent: Vec<Vec<QueryResult>> = std::thread::scope(|scope| {
-        let fleet = &fleet;
-        let handles: Vec<_> = (0..SESSIONS)
-            .map(|k| scope.spawn(move || drive_fleet(fleet, k)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet session thread panicked"))
-            .collect()
-    });
+    let reference = drive_fleet(&build(), false);
+    let server = build();
+    let concurrent = drive_fleet(&server, true);
     for (k, (want, got)) in reference.iter().zip(&concurrent).enumerate() {
         assert_eq!(
             want, got,
@@ -270,5 +284,5 @@ fn concurrent_fleet_sessions_match_serial_replay() {
         );
         assert!(got.iter().map(|r| r.coeffs).sum::<usize>() > 0, "vacuous");
     }
-    assert_eq!(fleet.sessions().session_count(), SESSIONS);
+    assert_eq!(server.sessions().session_count(), SESSIONS);
 }

@@ -1,11 +1,12 @@
-//! One session layer under both serving tiers: the same lifecycle script
-//! — connect, query, resume by token, reject bad capabilities, disconnect —
-//! runs against `Server::sessions()` and `FleetServer::sessions()` and
-//! must behave identically, because both are the same `Sessions` code.
+//! One session layer over every backend: the same lifecycle script —
+//! connect, query, resume by token, reject bad capabilities, disconnect —
+//! runs against a `Server` over the RAM index and a `Server` over a
+//! shard fleet with a shard down, and must behave identically, because
+//! the server and its `Sessions` are the same code over either.
 
 use mar_core::{
-    FleetConfig, FleetHealth, FleetServer, QueryRegion, QueryResult, SceneIndexData, Server,
-    ServerCore, SessionError, Sessions, WaveletIndex,
+    FleetConfig, FleetHealth, QueryRegion, QueryResult, SceneIndexData, Server, ServerCore,
+    SessionError, Sessions, WaveletIndex,
 };
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
@@ -35,7 +36,7 @@ fn windows(space: &Rect2) -> [Rect2; 2] {
     ]
 }
 
-/// The script. `query` and `disconnect` are the tier's own entry points
+/// The script. `query` and `disconnect` are the server's own entry points
 /// (they touch its index); everything else goes through `sessions`.
 fn lifecycle(
     sessions: &Sessions,
@@ -100,22 +101,19 @@ fn server_and_fleet_sessions_share_one_lifecycle() {
     let data = Arc::new(SceneIndexData::build(&scene));
     let band = ResolutionBand::new(0.2, 1.0);
 
-    let index = Arc::new(WaveletIndex::build(&data));
-    let server = Server::from_core(ServerCore::from_parts(Arc::clone(&data), index));
-    lifecycle(
-        server.sessions(),
-        &space,
-        |s, w| server.query(s, &[QueryRegion { region: *w, band }]),
-        |s| server.disconnect(s),
-    );
-
-    let fleet = FleetServer::build(&data, space, &FleetConfig::ram(3, 2, true)).expect("fleet");
-    // A dead shard with a replica must not disturb the session layer.
-    let health = FleetHealth::all_up().with_down(1);
-    lifecycle(
-        fleet.sessions(),
-        &space,
-        |s, w| fleet.query(s, health, w, band).map(|r| r.result),
-        |s| fleet.disconnect(s),
-    );
+    let fleet = WaveletIndex::build_fleet(&data, space, &FleetConfig::ram(3, 2, true));
+    for index in [WaveletIndex::build(&data), fleet.expect("fleet")] {
+        // A dead shard with a replica must not disturb the session layer.
+        if let Some(fleet) = index.fleet() {
+            fleet.set_health(FleetHealth::all_up().with_down(1));
+        }
+        let core = ServerCore::from_parts(Arc::clone(&data), Arc::new(index));
+        let server = Server::from_core(core);
+        lifecycle(
+            server.sessions(),
+            &space,
+            |s, w| server.query(s, &[QueryRegion { region: *w, band }]),
+            |s| server.disconnect(s),
+        );
+    }
 }

@@ -165,6 +165,47 @@ impl GridSpec {
         }
     }
 
+    /// Seam `i` along `axis` (0 = x, 1 = y): `space.lo + i·w`, with `w`
+    /// the block width (height), and the far edge `space.hi` itself for
+    /// `i` = the block count. Every seam the sharded tier draws — a
+    /// shard's tile, [`GridSpec::partition_rect`]'s block choice and its
+    /// clip edges — is read from here, so the three agree bit for bit at
+    /// any coordinate magnitude and block size.
+    pub fn seam(&self, axis: usize, i: i64) -> f64 {
+        let n = i64::from(if axis == 0 { self.nx } else { self.ny });
+        if i >= n {
+            self.space.hi[axis]
+        } else {
+            self.space.lo[axis] + i as f64 * (self.space.extent(axis) / n as f64)
+        }
+    }
+
+    /// The blocks along `axis` that `[a, b]` (inside the space) spans:
+    /// from the last block whose low seam is at or below `a` to the first
+    /// whose high seam reaches `b`. The division only guesses; the seams
+    /// decide, so rounding can neither drop a sliver of `[a, b]` nor add a
+    /// block it merely touches.
+    fn seam_span(&self, axis: usize, a: f64, b: f64) -> (i64, i64) {
+        let n = i64::from(if axis == 0 { self.nx } else { self.ny });
+        let w = self.space.extent(axis) / n as f64;
+        let guess = |x: f64| (((x - self.space.lo[axis]) / w).floor() as i64).clamp(0, n - 1);
+        let mut first = guess(a);
+        while first > 0 && self.seam(axis, first) > a {
+            first -= 1;
+        }
+        while first + 1 < n && self.seam(axis, first + 1) <= a {
+            first += 1;
+        }
+        let mut last = guess(b).max(first);
+        while last > first && self.seam(axis, last) >= b {
+            last -= 1;
+        }
+        while last + 1 < n && self.seam(axis, last + 1) < b {
+            last += 1;
+        }
+        (first, last)
+    }
+
     /// Decomposes `r ∩ space` into per-block clipped sub-rectangles: one
     /// `(block, sub-rect)` pair per overlapped block, in row-major block
     /// order. The sub-rects are pairwise interior-disjoint and their union
@@ -172,9 +213,10 @@ impl GridSpec {
     /// scatter-gather (each shard answers its own clipped piece and the
     /// merged answer covers the query exactly once per block).
     ///
-    /// Adjacent sub-rects share their boundary edge *bit-exactly*: both
-    /// sides compute it as the same `space.lo + i·block_w` expression, so
-    /// no float seam can open or overlap between shards.
+    /// Blocks are chosen, and sub-rects clipped, against
+    /// [`GridSpec::seam`]: adjacent sub-rects share their edge bit for bit,
+    /// every sub-rect lies inside its block's seams, and a query edge on a
+    /// seam pulls in no block beyond it.
     pub fn partition_rect(&self, r: &Rect2) -> Vec<(BlockId, Rect2)> {
         let mut out = Vec::new();
         self.partition_rect_into(r, &mut out);
@@ -188,36 +230,17 @@ impl GridSpec {
         let Some(clipped) = r.intersection(&self.space) else {
             return;
         };
-        let w = self.block_w();
-        let h = self.block_h();
-        let ix0 = ((clipped.lo[0] - self.space.lo[0]) / w).floor() as i64;
-        let iy0 = ((clipped.lo[1] - self.space.lo[1]) / h).floor() as i64;
-        // Same epsilon discipline as `blocks_overlapping_into`: a query
-        // edge coinciding with a block boundary must not pull in the next
-        // block (whose clipped sub-rect would be degenerate anyway).
-        let eps = 1e-9 * (w + h);
-        let ix1 = (((clipped.hi[0] - self.space.lo[0]) / w) - eps)
-            .floor()
-            .max(ix0 as f64) as i64;
-        let iy1 = (((clipped.hi[1] - self.space.lo[1]) / h) - eps)
-            .floor()
-            .max(iy0 as f64) as i64;
+        let (ix0, ix1) = self.seam_span(0, clipped.lo[0], clipped.hi[0]);
+        let (iy0, iy1) = self.seam_span(1, clipped.lo[1], clipped.hi[1]);
         for iy in iy0..=iy1 {
             for ix in ix0..=ix1 {
-                let b = BlockId::new(ix, iy);
-                if !self.in_bounds(&b) {
-                    continue;
-                }
-                // Clip against the block's analytic edges. Interior edges
-                // of the decomposition are the raw `lo + i·w` values on
-                // both sides, hence bit-identical across the seam.
-                let x0 = clipped.lo[0].max(self.space.lo[0] + ix as f64 * w);
-                let x1 = clipped.hi[0].min(self.space.lo[0] + (ix + 1) as f64 * w);
-                let y0 = clipped.lo[1].max(self.space.lo[1] + iy as f64 * h);
-                let y1 = clipped.hi[1].min(self.space.lo[1] + (iy + 1) as f64 * h);
+                let x0 = clipped.lo[0].max(self.seam(0, ix));
+                let x1 = clipped.hi[0].min(self.seam(0, ix + 1));
+                let y0 = clipped.lo[1].max(self.seam(1, iy));
+                let y1 = clipped.hi[1].min(self.seam(1, iy + 1));
                 out.push((
-                    b,
-                    Rect2::new(Point2::new([x0, y0]), Point2::new([x1.max(x0), y1.max(y0)])),
+                    BlockId::new(ix, iy),
+                    Rect2::from_corners(Point2::new([x0, y0]), Point2::new([x1, y1])),
                 ));
             }
         }
@@ -242,6 +265,7 @@ impl GridSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn grid_10x10() -> GridSpec {
         GridSpec::new(
@@ -373,6 +397,69 @@ mod tests {
         assert_eq!(exact.len(), 1);
         assert_eq!(exact[0].0, BlockId::new(4, 4));
         assert_eq!(exact[0].1, g.block_rect(&BlockId::new(4, 4)));
+    }
+
+    /// A UTM-scale offset with centimetre blocks: `lo + i·w` rounds at
+    /// every seam, yet each sub-rect stays between its block's seams, the
+    /// sub-rects tile the window without a gap, and a window edge exactly
+    /// on a seam pulls in no block beyond it.
+    #[test]
+    fn partition_follows_the_seams_at_large_offsets() {
+        let (x, y) = (4.5e6 + 0.123, 5.3e6 + 0.456);
+        let space = Rect2::new(Point2::new([x, y]), Point2::new([x + 0.07, y + 0.05]));
+        let g = GridSpec::new(space, 7, 5);
+        for (i0, i1, j0, j1) in [(0, 7, 0, 5), (2, 3, 1, 4), (1, 6, 2, 3)] {
+            let seam_rect = Rect2::new(
+                Point2::new([g.seam(0, i0), g.seam(1, j0)]),
+                Point2::new([g.seam(0, i1), g.seam(1, j1)]),
+            );
+            let nudged = Rect2::new(
+                Point2::new([g.seam(0, i0).next_up(), g.seam(1, j0).next_down()]),
+                Point2::new([g.seam(0, i1).next_down(), g.seam(1, j1).next_up()]),
+            );
+            for q in [seam_rect, nudged] {
+                let parts = g.partition_rect(&q);
+                let clipped = q.intersection(&g.space).expect("inside the space");
+                let xs: BTreeSet<i64> = parts.iter().map(|(b, _)| b.ix).collect();
+                let ys: BTreeSet<i64> = parts.iter().map(|(b, _)| b.iy).collect();
+                // On a seam: nothing beyond it. An ulp past one: the next
+                // block (the nudged rectangle reaches past its y seams).
+                let want_ys = if q == seam_rect {
+                    j0..j1
+                } else {
+                    (j0 - 1).max(0)..(j1 + 1).min(5)
+                };
+                assert_eq!(xs, (i0..i1).collect(), "{q:?}");
+                assert_eq!(ys, want_ys.collect(), "{q:?}");
+                for (b, sub) in &parts {
+                    assert!(sub.lo[0] >= g.seam(0, b.ix) && sub.hi[0] <= g.seam(0, b.ix + 1));
+                    assert!(sub.lo[1] >= g.seam(1, b.iy) && sub.hi[1] <= g.seam(1, b.iy + 1));
+                }
+                let (first, last) = (parts[0].1, parts[parts.len() - 1].1);
+                assert_eq!((first.lo, last.hi), (clipped.lo, clipped.hi), "{q:?}");
+                for (a, b) in parts.iter().zip(&parts[1..]) {
+                    if a.0.iy == b.0.iy {
+                        assert_eq!(a.1.hi[0].to_bits(), b.1.lo[0].to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_seam_is_the_space_edge() {
+        // 0.1 + 3·(0.2 / 3) is not 0.3 in floating point; the far seam is.
+        let g = GridSpec::new(
+            Rect2::new(Point2::new([0.1, 0.1]), Point2::new([0.3, 0.3])),
+            3,
+            3,
+        );
+        assert_eq!(g.seam(0, 0), 0.1);
+        assert_eq!(g.seam(0, 3), 0.3);
+        assert_eq!(g.seam(1, 3), 0.3);
+        let parts = g.partition_rect(&g.space);
+        assert_eq!(parts.len(), 9);
+        assert_eq!(parts[8].1.hi, g.space.hi);
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   [`search_batch_into`]) over a [`NodeSource`], implemented by the
 //!   arena and by exported page images ([`PageSource`]), so an
 //!   out-of-core backend runs the very same descent;
-//! * deletion with tree condensation;
-//! * a structural [`RTree::validate`] (tree shape **and** arena/free-list
+//! * a structural [`RTree::validate`] (tree shape **and** slab
 //!   invariants) used heavily by the test suite.
 //!
 //! The page geometry of the evaluation (4 KB pages, node capacity 20) is
@@ -36,7 +35,6 @@
 
 mod bulk;
 mod counters;
-mod delete;
 mod insert;
 mod node;
 mod pages;
@@ -100,8 +98,7 @@ impl RTreeConfig {
 /// An N-dimensional R-tree over items of type `T`.
 ///
 /// Each item is stored under an axis-aligned rectangle (possibly
-/// degenerate, for point data). The tree never inspects `T` except for
-/// equality during deletion.
+/// degenerate, for point data). The tree never inspects `T`.
 ///
 /// ```
 /// use mar_rtree::{RTree, RTreeConfig};
@@ -206,10 +203,10 @@ impl<const N: usize, T> RTree<N, T> {
     }
 
     /// Checks every structural invariant (entry counts, MBR containment,
-    /// uniform leaf depth, length bookkeeping) plus the arena invariants:
-    /// every slot is either reachable from the root or on the free list,
-    /// and the free list is consistent with the slot states. Intended for
-    /// tests; returns a human-readable description of the first violation.
+    /// uniform leaf depth, length bookkeeping) plus the slab invariants:
+    /// one block per slot, every slot reachable from the root, and every
+    /// slot past a node's length padded. Intended for tests; returns a
+    /// human-readable description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
         let mut total = 0usize;
         let mut live = 0usize;
@@ -224,11 +221,10 @@ impl<const N: usize, T> RTree<N, T> {
         if total != self.len {
             return Err(format!("len {} but counted {}", self.len, total));
         }
-        self.arena.validate_free_list()?;
-        if live + self.arena.free_count() != self.arena.slot_count() {
+        self.arena.validate_slab()?;
+        if live != self.arena.slot_count() {
             return Err(format!(
-                "arena leak: {live} reachable + {} free != {} slots",
-                self.arena.free_count(),
+                "arena leak: {live} reachable of {} slots",
                 self.arena.slot_count()
             ));
         }

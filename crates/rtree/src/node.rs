@@ -10,9 +10,9 @@
 //! lanes the window test sweeps and the payload its hits read share the
 //! block, with no per-node heap vector behind a pointer. A node's kind
 //! and entry count sit in a parallel array of 8-byte heads, fetched
-//! alongside (not before) the block. Slots freed by deletion are recycled
-//! through a free list, so long-lived trees under churn do not grow
-//! without bound, and dropping a tree is two deallocations.
+//! alongside (not before) the block. The tree only grows (bulk load and
+//! insertion), so every slot ever allocated is a live node, and dropping
+//! a tree is two deallocations.
 //!
 //! The window test is one loop over a node's live chunks, whatever the
 //! capacity ([`ArenaNode::match_bits`]): every chunk is swept whole, slot
@@ -22,9 +22,8 @@
 //! time). All of a node's lanes are read before the first hit is handed
 //! out, so its cache lines are fetched together. Because whole chunks are
 //! swept, slots past a node's length hold NaN in all `2·N` lanes (and an
-//! empty payload) — in every live node and throughout every free block;
-//! [`Arena::validate`] checks it. NaN fails both interval compares, so
-//! neither padding nor whatever a recycled slot held before can match.
+//! empty payload); [`Arena::validate`] checks it. NaN fails both interval
+//! compares, so padding cannot match.
 //!
 //! Nodes are reached through two views over a block, [`ArenaNode`]
 //! (shared; what the window walk sees) and [`NodeMut`]. The AoS
@@ -65,7 +64,7 @@ const PAD: f64 = f64::NAN;
 /// What one payload slot of a block holds.
 #[derive(Debug, Clone)]
 pub(crate) enum Payload<T> {
-    /// A slot past the node's length, or anywhere in a free block.
+    /// A slot past the node's length.
     Empty,
     /// An internal entry's child slot id.
     Child(u32),
@@ -76,8 +75,6 @@ pub(crate) enum Payload<T> {
 /// What a slot holds; an entry type names the kind of node it lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
-    /// A recycled slot on the free list.
-    Free,
     /// A leaf page holding items.
     Leaf,
     /// An internal page holding child slots.
@@ -334,20 +331,6 @@ impl<const N: usize, T> NodeMut<'_, N, T> {
         (rect, payload)
     }
 
-    /// Order-preserving removal (the tail shifts left one slot), mirroring
-    /// `Vec::remove`, so deletion keeps the survivors' relative order.
-    pub fn remove<E: SlabEntry<N, T>>(&mut self, i: usize) -> E {
-        let (rect, payload) = self.take(i);
-        for j in i + 1..self.len() {
-            let (r, p) = self.take(j);
-            let chunk = &mut self.chunks[(j - 1) / CHUNK];
-            chunk.set_rect((j - 1) % CHUNK, &r);
-            chunk.payload[(j - 1) % CHUNK] = p;
-        }
-        self.head.len -= 1;
-        E::from_parts(rect, payload)
-    }
-
     /// Drains the node into AoS entries (same order), leaving the block
     /// padded and empty. Overflow handling materialises through here,
     /// runs the split or reinsert permutation, and writes back via
@@ -364,8 +347,7 @@ impl<const N: usize, T> NodeMut<'_, N, T> {
     }
 }
 
-/// Flat node storage: the slab of blocks, one head per slot, and a free
-/// list of recycled slots.
+/// Flat node storage: the slab of blocks and one head per slot.
 #[derive(Debug, Clone)]
 pub(crate) struct Arena<const N: usize, T> {
     /// Chunks per block.
@@ -373,7 +355,6 @@ pub(crate) struct Arena<const N: usize, T> {
     /// Slot `id`'s block is `chunks[id · stride..][..stride]`.
     chunks: Vec<Chunk<N, T>>,
     heads: Vec<Head>,
-    free: Vec<u32>,
 }
 
 impl<const N: usize, T> Arena<N, T> {
@@ -383,7 +364,6 @@ impl<const N: usize, T> Arena<N, T> {
             stride: (max_entries + 1).div_ceil(CHUNK),
             chunks: Vec::new(),
             heads: Vec::new(),
-            free: Vec::new(),
         }
     }
 
@@ -395,35 +375,17 @@ impl<const N: usize, T> Arena<N, T> {
     }
 
     /// Stores `entries` as one node (a leaf or an internal node, by the
-    /// entry type) in a recycled or fresh slot and returns its index.
+    /// entry type) in a fresh slot and returns its index.
     pub fn alloc<E: SlabEntry<N, T>>(&mut self, entries: impl IntoIterator<Item = E>) -> u32 {
-        let idx = if let Some(idx) = self.free.pop() {
-            idx
-        } else {
-            let idx = self.heads.len() as u32;
-            assert!(idx < u32::MAX, "arena exhausted u32 slot space");
-            self.heads.push(Head {
-                kind: Kind::Free,
-                len: 0,
-            });
-            self.chunks.extend((0..self.stride).map(|_| Chunk::empty()));
-            idx
-        };
-        self.heads[idx as usize].kind = E::KIND;
+        let idx = self.heads.len() as u32;
+        assert!(idx < u32::MAX, "arena exhausted u32 slot space");
+        self.heads.push(Head {
+            kind: E::KIND,
+            len: 0,
+        });
+        self.chunks.extend((0..self.stride).map(|_| Chunk::empty()));
         self.node_mut(idx).extend(entries);
         idx
-    }
-
-    /// Recycles a slot: its block is padded and emptied, and the slot
-    /// goes on the free list.
-    pub fn release(&mut self, idx: u32) {
-        let node = self.node_mut(idx);
-        node.chunks.fill_with(Chunk::empty);
-        *node.head = Head {
-            kind: Kind::Free,
-            len: 0,
-        };
-        self.free.push(idx);
     }
 
     #[inline]
@@ -445,11 +407,6 @@ impl<const N: usize, T> Arena<N, T> {
         self.heads[idx as usize].kind == Kind::Leaf
     }
 
-    /// Number of entries in the node at `idx` (0 for a free slot).
-    pub fn entry_count(&self, idx: u32) -> usize {
-        self.heads[idx as usize].len as usize
-    }
-
     /// MBR of all entries of the node at `idx`, or `None` when empty.
     pub fn mbr(&self, idx: u32) -> Option<Rect<N>> {
         self.node(idx).mbr()
@@ -466,42 +423,19 @@ impl<const N: usize, T> Arena<N, T> {
         count
     }
 
-    /// Total slots ever allocated (live + free).
+    /// Total slots ever allocated.
     pub fn slot_count(&self) -> usize {
         self.heads.len()
     }
 
-    /// Slots currently on the free list.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Checks the free list against the slot states — every listed slot is
-    /// in bounds and marked free, and every free slot is listed exactly
-    /// once (counting both ways rules out duplicates) — and that a free
-    /// block is padded and empty throughout, so a recycled slot cannot
-    /// leak a stale MBR into a sweep.
-    pub fn validate_free_list(&self) -> Result<(), String> {
+    /// Checks that the slab holds exactly one block per slot.
+    pub fn validate_slab(&self) -> Result<(), String> {
         if self.chunks.len() != self.heads.len() * self.stride {
             return Err(format!(
                 "{} chunks for {} slots of {} chunks each",
                 self.chunks.len(),
                 self.heads.len(),
                 self.stride
-            ));
-        }
-        for &idx in &self.free {
-            match self.heads.get(idx as usize).map(|h| h.kind) {
-                Some(Kind::Free) => self.validate_padding(idx)?,
-                Some(_) => return Err(format!("free-list slot {idx} holds a live node")),
-                None => return Err(format!("free-list slot {idx} out of bounds")),
-            }
-        }
-        let marked = self.heads.iter().filter(|h| h.kind == Kind::Free).count();
-        if marked != self.free.len() {
-            return Err(format!(
-                "{marked} slots marked free but free list holds {}",
-                self.free.len()
             ));
         }
         Ok(())
@@ -584,7 +518,6 @@ impl<const N: usize, T> Arena<N, T> {
                 }
                 Ok(())
             }
-            Kind::Free => Err(format!("free slot {idx} reachable from the root")),
         }
     }
 }

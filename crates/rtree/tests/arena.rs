@@ -1,12 +1,10 @@
-//! Arena-storage fixture tests: heavy insert/delete churn must recycle
-//! slots without leaks, keep every structural invariant, and answer
-//! queries exactly like a brute-force rectangle list throughout — for
-//! both variants and for bulk loading. Complements `properties.rs`
-//! (random op interleavings) with targeted lifecycle phases: grow,
-//! shrink to near-empty, regrow over recycled slots.
+//! Arena-storage fixture tests for bulk loading: the parallel STR loader
+//! must build the serial loader's tree slot for slot and answer queries
+//! exactly like a brute-force rectangle list. Complements
+//! `properties.rs` (random insert / query interleavings).
 
 use mar_geom::{Point2, Rect2};
-use mar_rtree::{RTree, RTreeConfig, Variant};
+use mar_rtree::{RTree, RTreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,72 +29,6 @@ fn assert_matches_bruteforce(tree: &RTree<2, u64>, model: &[(Rect2, u64)], windo
         expect.sort_unstable();
         assert_eq!(got, expect, "window {q:?}");
     }
-}
-
-fn churn_fixture(variant: Variant, cap: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tree: RTree<2, u64> = RTree::new(RTreeConfig::new(cap, variant));
-    let mut model: Vec<(Rect2, u64)> = Vec::new();
-    let windows: Vec<Rect2> = (0..8)
-        .map(|_| {
-            let x = rng.gen_range(0.0..900.0);
-            let y = rng.gen_range(0.0..900.0);
-            Rect2::new(Point2::new([x, y]), Point2::new([x + 150.0, y + 150.0]))
-        })
-        .collect();
-
-    // Phase 1: grow.
-    for id in 0..600u64 {
-        let r = random_rect(&mut rng);
-        tree.insert(r, id);
-        model.push((r, id));
-    }
-    tree.validate().expect("valid after growth");
-    assert_eq!(tree.len(), 600);
-    assert_matches_bruteforce(&tree, &model, &windows);
-    let grown_nodes = tree.node_count();
-
-    // Phase 2: shrink to near-empty (delete every index not divisible by
-    // 10, back to front so removal order differs from insertion order).
-    for i in (0..model.len()).rev() {
-        if i % 10 != 0 {
-            let (r, id) = model.swap_remove(i);
-            assert_eq!(tree.remove(&r, &id), Some(id));
-        }
-    }
-    tree.validate().expect("valid after shrink");
-    assert_eq!(tree.len(), model.len());
-    assert_matches_bruteforce(&tree, &model, &windows);
-
-    // Phase 3: regrow over the recycled slots. The arena must not balloon:
-    // a same-sized population fits in roughly the node budget the first
-    // growth needed (freed slots are reused before the arena grows).
-    for id in 1000..1540u64 {
-        let r = random_rect(&mut rng);
-        tree.insert(r, id);
-        model.push((r, id));
-    }
-    tree.validate().expect("valid after regrowth");
-    assert_eq!(tree.len(), model.len());
-    assert_matches_bruteforce(&tree, &model, &windows);
-    assert!(
-        tree.node_count() <= grown_nodes * 2,
-        "arena ballooned: {} live nodes after regrowth vs {} after first growth",
-        tree.node_count(),
-        grown_nodes
-    );
-}
-
-#[test]
-fn guttman_churn_recycles_and_stays_exact() {
-    churn_fixture(Variant::Guttman, 5, 0xA11CE);
-    churn_fixture(Variant::Guttman, 16, 0xB0B);
-}
-
-#[test]
-fn rstar_churn_recycles_and_stays_exact() {
-    churn_fixture(Variant::RStar, 5, 0xA11CE);
-    churn_fixture(Variant::RStar, 16, 0xB0B);
 }
 
 /// The parallel STR loader's determinism contract: for any worker count,
@@ -146,41 +78,4 @@ fn parallel_bulk_load_answers_queries_exactly() {
         })
         .collect();
     assert_matches_bruteforce(&tree, &items, &windows);
-}
-
-#[test]
-fn bulk_load_then_full_teardown_and_reuse() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let items: Vec<(Rect2, u64)> = (0..500u64).map(|id| (random_rect(&mut rng), id)).collect();
-    let mut tree = RTree::bulk_load(RTreeConfig::paper(), items.clone());
-    tree.validate().expect("valid after bulk load");
-    assert_eq!(tree.len(), 500);
-
-    // Tear everything down in a scrambled order.
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    for i in (1..order.len()).rev() {
-        let j = (rng.gen::<u64>() as usize) % (i + 1);
-        order.swap(i, j);
-    }
-    for &i in &order {
-        let (r, id) = items[i];
-        assert_eq!(tree.remove(&r, &id), Some(id));
-        if i % 97 == 0 {
-            tree.validate().expect("valid mid-teardown");
-        }
-    }
-    tree.validate().expect("valid when empty");
-    assert_eq!(tree.len(), 0);
-    assert!(tree.is_empty());
-    let whole = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([2000.0, 2000.0]));
-    assert!(tree.query(&whole).0.is_empty());
-
-    // The emptied arena must be fully reusable.
-    for (r, id) in &items {
-        tree.insert(*r, *id);
-    }
-    tree.validate().expect("valid after refill");
-    assert_eq!(tree.len(), 500);
-    let (hits, _) = tree.query(&whole);
-    assert_eq!(hits.len(), 500);
 }

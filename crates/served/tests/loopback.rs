@@ -5,7 +5,9 @@
 
 use mar_bench::report::render;
 use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
-use mar_core::{QueryRegion, SceneIndexData, Server, ServerCore, WaveletIndex};
+use mar_core::{
+    FleetConfig, FleetHealth, QueryRegion, SceneIndexData, Server, ServerCore, WaveletIndex,
+};
 use mar_mesh::ResolutionBand;
 use mar_served::{
     run_wire_replay, spawn_daemon, ClientError, DaemonConfig, DaemonHandle, ErrCode, Frame,
@@ -253,6 +255,78 @@ fn a_pipelined_client_gets_the_synchronous_replies_in_fewer_socket_writes() {
         stats.socket_writes < stats.frames_out && stats.socket_reads < stats.frames_in,
         "a burst must share socket calls: {stats:?}"
     );
+}
+
+/// A `Server` over a 2×2 shard fleet with replicas, shard 1 down.
+fn fleet_server(cfg: &ServeConfig) -> Server {
+    let scene = serve_scene(cfg.objects, cfg.levels);
+    let data = SceneIndexData::build(&scene);
+    let fleet = FleetConfig::ram(2, 2, true);
+    let index = WaveletIndex::build_fleet(&data, scene.config.space, &fleet).expect("2x2 fleet");
+    let health = FleetHealth::all_up().with_down(1);
+    index.fleet().expect("a fleet index").set_health(health);
+    Server::from_core(ServerCore::from_parts(Arc::new(data), Arc::new(index)))
+}
+
+#[test]
+fn a_fleet_behind_the_daemon_answers_like_the_in_process_fleet() {
+    // The daemon serves whatever index its `Server` holds: a fleet needs
+    // no code of its own, and its RESULTs are the in-process answers.
+    let cfg = tiny_cfg();
+    let server = Arc::new(fleet_server(&cfg));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral loopback port");
+    let daemon_cfg = DaemonConfig {
+        outbox_cap: f64::INFINITY,
+        max_conns: Some(1),
+    };
+    let handle = spawn_daemon(Arc::clone(&server), listener, daemon_cfg).expect("spawn daemon");
+    let local = fleet_server(&cfg);
+    let session = local.connect();
+
+    // Pairs of windows at a coarse band (the grouped query path), then
+    // single windows at full band (the scalar path).
+    let singles = sliding_windows(&cfg, 8);
+    let coarse = |q: &QueryRegion| QueryRegion {
+        band: ResolutionBand::new(0.3, 1.0),
+        ..*q
+    };
+    let pairs = singles
+        .windows(2)
+        .map(|p| p.concat().iter().map(coarse).collect());
+    let queries: Vec<Vec<QueryRegion>> = pairs.chain(singles.iter().cloned()).collect();
+
+    let fleet = local.index().fleet().expect("a fleet index");
+    let mut client = WireClient::connect(handle.addr).expect("handshake");
+    let (mut promotions, mut sent) = (0, 0);
+    for regions in &queries {
+        for q in regions {
+            promotions += fleet
+                .router()
+                .plan(fleet.health(), &q.region, q.band)
+                .replica_promotions();
+        }
+        let QueryReply::Served(got) = client.query(regions).expect("query") else {
+            panic!("an acking client with an unbounded outbox is never refused");
+        };
+        let want = local.query(session, regions).expect("live session");
+        assert_eq!(
+            (got.coeffs, got.new_objects, got.bytes.to_bits(), got.io),
+            (
+                want.coeffs as u64,
+                want.new_objects as u64,
+                want.bytes.to_bits(),
+                want.io
+            ),
+            "{regions:?}"
+        );
+        sent += want.coeffs;
+    }
+    assert!(promotions > 0, "the down shard's replica must serve");
+    assert!(sent > 0, "the comparison is not vacuous");
+    client.bye().expect("bye");
+    let stats = handle.join();
+    assert_eq!((stats.errors, stats.overloads), (0, 0));
+    assert_eq!(server.sessions().session_count(), 0);
 }
 
 #[test]
