@@ -45,11 +45,21 @@ impl<'a> Args<'a> {
         Ok(Some(self.name))
     }
 
-    /// The current flag's value: its `=v` part, else the next argument.
+    /// The current flag's value: its `=v` part, else the next argument —
+    /// unless that is itself a `--flag`, which is left for
+    /// [`Args::next_flag`] (`--out-dir --smoke` is a missing value, not a
+    /// directory named `--smoke`).
     pub fn value(&mut self) -> Result<&'a str, CliError> {
-        let next = || self.rest.next().map(String::as_str);
-        let v = self.inline.take().or_else(next);
-        v.ok_or_else(|| CliError::Invalid(format!("{} needs a value", self.name)))
+        if let Some(v) = self.inline.take() {
+            return Ok(v);
+        }
+        match self.rest.as_slice().first() {
+            Some(next) if !next.starts_with("--") => {
+                self.rest.next();
+                Ok(next)
+            }
+            _ => Err(CliError::Invalid(format!("{} needs a value", self.name))),
+        }
     }
 
     /// The current flag's value parsed as a `T`; `what` names a `T` in the
@@ -138,6 +148,28 @@ mod tests {
         assert!(
             parse(&["--smoke=1"]).is_err(),
             "a trailing stray =v is caught"
+        );
+    }
+
+    #[test]
+    fn a_value_flag_never_swallows_the_next_flag() {
+        let invalid = |m: &str| Err(CliError::Invalid(m.to_string()));
+        assert_eq!(
+            parse(&["--out-dir", "--smoke"]),
+            invalid("--out-dir needs a value")
+        );
+        assert_eq!(
+            parse(&["--jobs", "--smoke"]),
+            invalid("--jobs needs a value")
+        );
+        // An inline value is taken verbatim, and a lone dash is a value.
+        assert_eq!(
+            parse(&["--out-dir=--v", "--smoke"]),
+            Ok((true, 1, "--v".to_string(), vec![]))
+        );
+        assert_eq!(
+            parse(&["--out-dir", "-1"]),
+            Ok((false, 1, "-1".to_string(), vec![]))
         );
     }
 }

@@ -72,5 +72,5 @@ pub use resilient::{
 pub use retrieval::{FramePlanner, IncrementalClient};
 pub use server::{QueryRegion, QueryResult, Server, ServerCore};
 pub use session::{ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};
-pub use speedmap::{LinearSpeedMap, SmoothedSpeed, SpeedResolutionMap, SteppedSpeedMap};
+pub use speedmap::{LinearSpeedMap, SmoothedSpeed, SpeedResolutionMap};
 pub use store::{open_store, write_store, write_store_with, StoreMeta, StoredRecord};

@@ -15,26 +15,6 @@ pub struct RetrievalMetrics {
     pub bytes_per_tick: Vec<f64>,
 }
 
-impl RetrievalMetrics {
-    /// Mean bytes per query frame.
-    pub fn mean_bytes(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.bytes / self.ticks as f64
-        }
-    }
-
-    /// Mean index I/O per query frame.
-    pub fn mean_io(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.io as f64 / self.ticks as f64
-        }
-    }
-}
-
 /// End-to-end system metrics: the buffer manager's gauges (Figs. 10–11)
 /// and the response times over the link (Figs. 14–15), read off one run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,20 +93,6 @@ impl SystemMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retrieval_means() {
-        let m = RetrievalMetrics {
-            ticks: 4,
-            bytes: 400.0,
-            coeffs: 10,
-            io: 8,
-            bytes_per_tick: vec![100.0; 4],
-        };
-        assert_eq!(m.mean_bytes(), 100.0);
-        assert_eq!(m.mean_io(), 2.0);
-        assert_eq!(RetrievalMetrics::default().mean_bytes(), 0.0);
-    }
 
     #[test]
     fn system_percentiles() {

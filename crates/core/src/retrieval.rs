@@ -282,78 +282,3 @@ mod tests {
         assert!((bytes_two_rounds - c2.metrics().bytes).abs() < 1e-6);
     }
 }
-
-impl<M: SpeedResolutionMap> IncrementalClient<M> {
-    /// Executes one query frame defined by a directional view frustum
-    /// (§I: retrieval follows "the client's location and view direction").
-    ///
-    /// The frustum's bounding rectangle drives Algorithm 1 — including the
-    /// overlap/difference decomposition against the previous frame — so
-    /// turning the head retrieves only newly visible regions. The result
-    /// may include data outside the exact fan (the index is rectangular);
-    /// a renderer culls it locally, and it stays cached for the next turn.
-    pub fn tick_frustum(
-        &mut self,
-        server: &Server,
-        frustum: &mar_geom::Frustum,
-        speed: f64,
-    ) -> QueryResult {
-        self.tick(server, frustum.bounding_rect(), speed)
-    }
-}
-
-#[cfg(test)]
-mod frustum_tests {
-    use super::*;
-    use crate::speedmap::LinearSpeedMap;
-    use mar_geom::{Frustum, Point2};
-    use mar_workload::{Scene, SceneConfig};
-    use std::f64::consts::FRAC_PI_2;
-
-    fn server() -> Server {
-        let mut cfg = SceneConfig::paper(10, 51);
-        cfg.levels = 3;
-        cfg.target_bytes = 1_000_000.0;
-        Server::new(&Scene::generate(cfg))
-    }
-
-    #[test]
-    fn turning_in_place_retrieves_incrementally() {
-        let srv = server();
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
-        let apex = Point2::new([500.0, 500.0]);
-        // Look east, then rotate by 90° steps: after a full turn the
-        // client has seen (at most) the whole disc once.
-        let mut total = 0.0;
-        for i in 0..8 {
-            let f = Frustum::new(apex, i as f64 * FRAC_PI_2 / 2.0, FRAC_PI_2, 200.0);
-            let r = client.tick_frustum(&srv, &f, 0.1);
-            total += r.bytes;
-        }
-        // Second full sweep: everything already cached server-side.
-        let mut second = 0.0;
-        for i in 0..8 {
-            let f = Frustum::new(apex, i as f64 * FRAC_PI_2 / 2.0, FRAC_PI_2, 200.0);
-            second += client.tick_frustum(&srv, &f, 0.1).bytes;
-        }
-        assert!(total > 0.0 || second == 0.0);
-        assert_eq!(second, 0.0, "a repeated sweep must be free");
-    }
-
-    #[test]
-    fn narrow_view_retrieves_less_than_wide_view() {
-        let apex = Point2::new([500.0, 500.0]);
-        let bytes_for = |fov: f64| {
-            let srv = server();
-            let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
-            let f = Frustum::new(apex, 0.0, fov, 300.0);
-            client.tick_frustum(&srv, &f, 0.2).bytes
-        };
-        let narrow = bytes_for(0.3);
-        let wide = bytes_for(std::f64::consts::TAU);
-        assert!(
-            narrow <= wide,
-            "narrow view ({narrow}) cannot exceed the full disc ({wide})"
-        );
-    }
-}

@@ -3,8 +3,7 @@
 //! "This function is application dependent and … should be adjusted by the
 //! vendor." The paper's experiments use the identity map: at normalised
 //! speed `s` the client retrieves the coefficients with `w ∈ [s, 1.0]`
-//! (§VII-A). The trait makes the map pluggable; two implementations are
-//! provided.
+//! (§VII-A). The trait makes the map pluggable.
 
 use mar_mesh::ResolutionBand;
 
@@ -24,31 +23,6 @@ pub struct LinearSpeedMap;
 impl SpeedResolutionMap for LinearSpeedMap {
     fn band_for(&self, speed: f64) -> ResolutionBand {
         ResolutionBand::new(speed.clamp(0.0, 1.0), 1.0)
-    }
-}
-
-/// A quantised map: speeds are bucketed into `steps` levels so small speed
-/// fluctuations do not trigger resolution churn (a QoS-style vendor
-/// adjustment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SteppedSpeedMap {
-    /// Number of distinct resolution levels (≥ 1).
-    pub steps: u32,
-}
-
-impl SteppedSpeedMap {
-    /// Creates the map.
-    pub fn new(steps: u32) -> Self {
-        assert!(steps >= 1);
-        Self { steps }
-    }
-}
-
-impl SpeedResolutionMap for SteppedSpeedMap {
-    fn band_for(&self, speed: f64) -> ResolutionBand {
-        let s = speed.clamp(0.0, 1.0);
-        let q = (s * self.steps as f64).floor() / self.steps as f64;
-        ResolutionBand::new(q.min(1.0), 1.0)
     }
 }
 
@@ -174,15 +148,5 @@ mod tests {
         assert!(sm.current().is_none());
         assert_eq!(sm.update(0.7), 0.7);
         assert_eq!(sm.current(), Some(0.7));
-    }
-
-    #[test]
-    fn stepped_map_quantizes() {
-        let m = SteppedSpeedMap::new(4);
-        assert_eq!(m.band_for(0.0).w_min, 0.0);
-        assert_eq!(m.band_for(0.26).w_min, 0.25);
-        assert_eq!(m.band_for(0.49).w_min, 0.25);
-        assert_eq!(m.band_for(0.5).w_min, 0.5);
-        assert_eq!(m.band_for(1.0).w_min, 1.0);
     }
 }

@@ -30,11 +30,6 @@ impl BlockId {
     pub fn ring_distance(&self, other: &Self) -> i64 {
         (self.ix - other.ix).abs().max((self.iy - other.iy).abs())
     }
-
-    /// Manhattan distance between two blocks.
-    pub fn manhattan(&self, other: &Self) -> i64 {
-        (self.ix - other.ix).abs() + (self.iy - other.iy).abs()
-    }
 }
 
 /// A uniform tiling of a rectangular data space into `nx × ny` blocks.
@@ -60,15 +55,6 @@ impl GridSpec {
             "grid space must have positive extent"
         );
         Self { space, nx, ny }
-    }
-
-    /// Creates a grid whose blocks are as close as possible to
-    /// `block_size × block_size` in space units (at least 1×1 blocks).
-    pub fn with_block_size(space: Rect2, block_size: f64) -> Self {
-        assert!(block_size > 0.0, "block size must be positive");
-        let nx = (space.extent(0) / block_size).round().max(1.0) as u32;
-        let ny = (space.extent(1) / block_size).round().max(1.0) as u32;
-        Self::new(space, nx, ny)
     }
 
     /// Width of one block in space units.
@@ -480,16 +466,7 @@ mod tests {
         assert!(g.in_bounds(&BlockId::new(0, 9)));
         assert!(!g.in_bounds(&BlockId::new(-1, 3)));
         assert_eq!(g.clamp(&BlockId::new(-5, 20)), BlockId::new(0, 9));
-    }
-
-    #[test]
-    fn with_block_size_rounds_counts() {
-        let g = GridSpec::with_block_size(
-            Rect2::new(Point2::new([0.0, 0.0]), Point2::new([100.0, 50.0])),
-            10.0,
-        );
-        assert_eq!((g.nx, g.ny), (10, 5));
-        assert_eq!(g.block_count(), 50);
+        assert_eq!(g.block_count(), 100);
     }
 
     #[test]
@@ -497,6 +474,5 @@ mod tests {
         let a = BlockId::new(0, 0);
         let b = BlockId::new(3, -4);
         assert_eq!(a.ring_distance(&b), 4);
-        assert_eq!(a.manhattan(&b), 7);
     }
 }

@@ -27,13 +27,11 @@
 // that, so the pedantic range-loop lint is disabled crate-wide.
 #![allow(clippy::needless_range_loop)]
 
-pub mod frustum;
 pub mod grid;
 pub mod point;
 pub mod rect;
 pub mod sector;
 
-pub use frustum::Frustum;
 pub use grid::{BlockId, GridSpec};
 pub use point::{Point, Vector};
 pub use rect::Rect;
@@ -43,8 +41,6 @@ pub use sector::SectorPartition;
 pub type Point2 = Point<2>;
 /// A 3-dimensional point (object geometry).
 pub type Point3 = Point<3>;
-/// A 4-dimensional point (x, y, z + wavelet value `w`).
-pub type Point4 = Point<4>;
 /// A 2-dimensional vector.
 pub type Vec2 = Vector<2>;
 /// A 3-dimensional vector.
@@ -54,5 +50,3 @@ pub type Rect2 = Rect<2>;
 /// A 3-dimensional axis-aligned box (object MBBs, or the paper's
 /// experimental `x-y-w` index space).
 pub type Rect3 = Rect<3>;
-/// A 4-dimensional box (`x, y, z, w` — the full wavelet index space of §VI-B).
-pub type Rect4 = Rect<4>;

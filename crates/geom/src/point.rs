@@ -141,11 +141,6 @@ impl<const N: usize> Vector<N> {
         }
     }
 
-    /// Interprets the vector as a point displaced from the origin.
-    pub fn to_point(self) -> Point<N> {
-        Point { coords: self.comps }
-    }
-
     /// True when every component is finite.
     pub fn is_finite(&self) -> bool {
         self.comps.iter().all(|c| c.is_finite())

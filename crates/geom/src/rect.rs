@@ -140,35 +140,6 @@ impl<const N: usize> Rect<N> {
         self.union(other).volume() - self.volume()
     }
 
-    /// Grows the rectangle by `pad` on every side of every dimension.
-    pub fn inflate(&self, pad: f64) -> Self {
-        let mut lo = self.lo;
-        let mut hi = self.hi;
-        for i in 0..N {
-            lo[i] -= pad;
-            hi[i] += pad;
-        }
-        Self::new(lo, hi)
-    }
-
-    /// Minimum distance from `p` to the rectangle (0 when inside) — used by
-    /// the R*-tree choose-subtree tie-break and useful for nearest-block
-    /// reasoning in the buffer manager.
-    pub fn min_distance(&self, p: &Point<N>) -> f64 {
-        let mut acc = 0.0f64;
-        for i in 0..N {
-            let d = if p[i] < self.lo[i] {
-                self.lo[i] - p[i]
-            } else if p[i] > self.hi[i] {
-                p[i] - self.hi[i]
-            } else {
-                0.0
-            };
-            acc += d * d;
-        }
-        acc.sqrt()
-    }
-
     /// Decomposes `self − other` into at most `2·N` pairwise-disjoint
     /// rectangles whose union is exactly the set difference.
     ///
@@ -356,15 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn min_distance_inside_is_zero() {
-        let r = r2(0.0, 0.0, 4.0, 4.0);
-        assert_eq!(r.min_distance(&Point2::new([2.0, 2.0])), 0.0);
-        assert_eq!(r.min_distance(&Point2::new([7.0, 4.0])), 3.0);
-        let d = r.min_distance(&Point2::new([7.0, 8.0]));
-        assert!((d - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn lift_appends_dimension() {
         let r = r2(0.0, 0.0, 2.0, 2.0);
         let l: Rect<3> = r.lift(0.25, 0.75);
@@ -374,12 +336,6 @@ mod tests {
         let l2: Rect<3> = r.lift(0.75, 0.25);
         assert_eq!(l2.lo[2], 0.25);
         assert_eq!(l2.hi[2], 0.75);
-    }
-
-    #[test]
-    fn inflate_grows_every_side() {
-        let r = r2(1.0, 1.0, 2.0, 2.0).inflate(0.5);
-        assert_eq!(r, r2(0.5, 0.5, 2.5, 2.5));
     }
 
     #[test]

@@ -136,16 +136,6 @@ impl SectorPartition {
         Some(((rel / self.sector_width()) as usize).min(self.k - 1))
     }
 
-    /// How close (in radians) direction `v` lies to its nearest sector
-    /// boundary. Used to detect blocks that straddle a partition line.
-    pub fn boundary_proximity(&self, v: &Vec2) -> Option<f64> {
-        let angle = v.angle()?;
-        let rel = (angle - self.offset).rem_euclid(TAU);
-        let w = self.sector_width();
-        let within = rel.rem_euclid(w);
-        Some(within.min(w - within))
-    }
-
     /// Assigns each block to a sector around `center`, implementing the
     /// paper's tie-breaking rule: a block whose centre direction lies on
     /// (or within `tie_eps` radians of) a partition line is alternately
@@ -225,17 +215,6 @@ mod tests {
                 assert!(s < k, "k={k} angle={a} gave sector {s}");
             }
         }
-    }
-
-    #[test]
-    fn boundary_proximity_zero_on_diagonal() {
-        let p = SectorPartition::axis_centered(4);
-        // 45 degrees is a boundary for axis-centred k=4.
-        let d = p.boundary_proximity(&Vec2::new([1.0, 1.0])).unwrap();
-        assert!(d < 1e-9);
-        // Due east is maximally far from boundaries.
-        let d2 = p.boundary_proximity(&Vec2::new([1.0, 0.0])).unwrap();
-        assert!((d2 - TAU / 8.0).abs() < 1e-9);
     }
 
     #[test]

@@ -434,11 +434,11 @@ impl Grant {
     }
 }
 
-/// A [`WirelessLink`](crate::WirelessLink)-shaped channel that injects the
-/// faults a [`FaultPlan`] schedules for its stream. One `FaultyLink` is one
-/// client's transport: it owns a monotone request counter (each attempt —
-/// successful or not — consumes one schedule slot, so retries draw fresh
-/// fates) and the per-client fault statistics.
+/// A simulated wireless channel that injects the faults a [`FaultPlan`]
+/// schedules for its stream. One `FaultyLink` is one client's transport:
+/// it owns a monotone request counter (each attempt — successful or not —
+/// consumes one schedule slot, so retries draw fresh fates) and the
+/// per-client fault statistics.
 #[derive(Debug, Clone)]
 pub struct FaultyLink {
     config: LinkConfig,
@@ -604,13 +604,13 @@ mod tests {
     #[test]
     fn fault_free_plan_is_the_identity_channel() {
         let p = FaultPlan::new(FaultConfig::none(7)).unwrap();
-        let mut link = FaultyLink::new(LinkConfig::paper(), p, 0).unwrap();
-        let base = WirelessLink::new(LinkConfig::paper());
+        let clean = LinkConfig::paper();
+        let mut link = FaultyLink::new(clean, p, 0).unwrap();
         for i in 0..20 {
             let bytes = 1000.0 * i as f64;
             let t = link.transfer(bytes, 0.3).expect("fault-free");
             assert!(
-                (t - base.config().request_time(bytes, 0.3)).abs() < 1e-12,
+                (t - clean.request_time(bytes, 0.3)).abs() < 1e-12,
                 "fault-free transfer must cost exactly the clean link time"
             );
         }
@@ -618,8 +618,6 @@ mod tests {
         assert_eq!(link.stats().drops, 0);
         assert_eq!(link.stats().completed, 20);
     }
-
-    use crate::link::WirelessLink;
 
     #[test]
     fn faulty_link_reports_typed_errors_and_stats() {

@@ -7,12 +7,12 @@
 //! bandwidth that is available for clients at rest" when the client moves
 //! (§I, citing Ofcom \[2\]).
 //!
-//! This crate models exactly that: a deterministic [`WirelessLink`] whose
-//! per-request time is `latency + connection setup + bytes / effective
-//! bandwidth`, with effective bandwidth degraded linearly in the client's
-//! normalised speed; a [`SimClock`] (the only notion of time anywhere in
-//! the simulation); and the buffer-management transfer cost model of
-//! §V-A Eq. (1), `C = Σⱼ (C_c + C_t·B·N(j))`.
+//! This crate models exactly that: a deterministic [`LinkConfig`] whose
+//! [`LinkConfig::request_time`] is `latency + connection setup + bytes /
+//! effective bandwidth`, with effective bandwidth degraded linearly in the
+//! client's normalised speed; a [`SimClock`] (the only notion of time
+//! anywhere in the simulation); and the buffer-management transfer cost
+//! model of §V-A Eq. (1), `C = Σⱼ (C_c + C_t·B·N(j))`.
 //!
 //! On top of the perfect channel sits the [`fault`] module: a seeded
 //! [`FaultPlan`] that injects per-request packet loss, latency jitter,
@@ -34,4 +34,4 @@ pub use fault::{
     splitmix64, u01, FaultConfig, FaultConfigError, FaultDecision, FaultPlan, FaultStats,
     FaultyLink, Grant, LinkError, ShardOutageError, ShardOutagePlan,
 };
-pub use link::{LinkConfig, LinkConfigError, LinkStats, WirelessLink};
+pub use link::{LinkConfig, LinkConfigError};

@@ -113,9 +113,8 @@ impl LinkConfig {
     }
 
     /// Checks the configuration, returning the first violated constraint.
-    /// Every consumer that owns a long-lived link ([`WirelessLink`], the
-    /// fault layer) validates at construction so the per-request arithmetic
-    /// never has to re-check.
+    /// The fault layer validates at construction so the per-request
+    /// arithmetic never has to re-check.
     pub fn validate(&self) -> Result<(), LinkConfigError> {
         if !(self.bandwidth_bps.is_finite() && self.bandwidth_bps > 0.0) {
             return Err(LinkConfigError::InvalidBandwidth(self.bandwidth_bps));
@@ -147,64 +146,6 @@ impl LinkConfig {
     pub fn request_time(&self, bytes: f64, speed: f64) -> f64 {
         assert!(bytes >= 0.0 && bytes.is_finite());
         self.latency_s + self.connection_s + bytes * 8.0 / self.effective_bandwidth(speed)
-    }
-}
-
-/// Cumulative traffic statistics of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LinkStats {
-    /// Total payload bytes transferred.
-    pub bytes: f64,
-    /// Number of requests performed.
-    pub requests: u64,
-    /// Total simulated time spent on the link.
-    pub time_s: f64,
-}
-
-/// A stateful link that records every transfer.
-#[derive(Debug, Clone)]
-pub struct WirelessLink {
-    config: LinkConfig,
-    stats: LinkStats,
-}
-
-impl WirelessLink {
-    /// Creates a link.
-    pub fn new(config: LinkConfig) -> Self {
-        Self {
-            config,
-            stats: LinkStats::default(),
-        }
-    }
-
-    /// Creates a link after validating its configuration.
-    pub fn try_new(config: LinkConfig) -> Result<Self, LinkConfigError> {
-        config.validate()?;
-        Ok(Self::new(config))
-    }
-
-    /// The link's configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
-    /// Performs one request, returning the time it took.
-    pub fn transfer(&mut self, bytes: f64, speed: f64) -> f64 {
-        let t = self.config.request_time(bytes, speed);
-        self.stats.bytes += bytes;
-        self.stats.requests += 1;
-        self.stats.time_s += t;
-        t
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
-    }
-
-    /// Clears the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = LinkStats::default();
     }
 }
 
@@ -276,27 +217,8 @@ mod tests {
             LinkConfig::new(256_000.0, 0.2, 0.1, f64::NAN),
             Err(LinkConfigError::InvalidDegradation(v)) if v.is_nan()
         ));
-        assert!(WirelessLink::try_new(LinkConfig {
-            bandwidth_bps: 0.0,
-            ..LinkConfig::paper()
-        })
-        .is_err());
-        assert!(WirelessLink::try_new(LinkConfig::paper()).is_ok());
         // The error message names the offending field and value.
         let e = LinkConfig::new(0.0, 0.2, 0.1, 0.5).unwrap_err();
         assert!(e.to_string().contains("bandwidth_bps"));
-    }
-
-    #[test]
-    fn link_records_stats() {
-        let mut l = WirelessLink::new(LinkConfig::paper());
-        let t1 = l.transfer(1_000.0, 0.0);
-        let t2 = l.transfer(2_000.0, 0.5);
-        let s = l.stats();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.bytes, 3_000.0);
-        assert!((s.time_s - (t1 + t2)).abs() < 1e-12);
-        l.reset_stats();
-        assert_eq!(l.stats().requests, 0);
     }
 }

@@ -30,19 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod generate;
 pub mod mesh;
-pub mod progressive;
 pub mod size;
 pub mod subdivision;
 pub mod support;
 pub mod wavelet;
 
-pub use error::{approximation_error, rate_distortion, ApproxError, RatePoint};
 pub use generate::{ObjectKind, ObjectParams};
 pub use mesh::TriMesh;
-pub use progressive::ProgressiveDecoder;
 pub use size::SizeModel;
 pub use subdivision::{SubdivisionHierarchy, SubdivisionStep};
 pub use support::SupportRegion;

@@ -2,7 +2,7 @@
 //!
 //! A [`TriMesh`] is the flat, cache-friendly representation the rest of the
 //! crate works on: a vertex array and a face array of index triples. The
-//! adjacency queries here (vertex→faces, vertex neighbours, edge set) are
+//! adjacency queries here (vertex neighbours, edge set, edge→faces) are
 //! what the wavelet support regions and the straw-man index's
 //! "neighbouring vertices" filtering (paper §IV, Figure 3) are built from.
 
@@ -86,17 +86,6 @@ impl TriMesh {
         for f in &self.faces {
             for (a, b) in [(f[0], f[1]), (f[1], f[2]), (f[2], f[0])] {
                 out.insert((a.min(b), a.max(b)));
-            }
-        }
-        out
-    }
-
-    /// For every vertex, the faces incident to it.
-    pub fn vertex_faces(&self) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.vertices.len()];
-        for (fi, f) in self.faces.iter().enumerate() {
-            for &v in f {
-                out[v as usize].push(fi as u32);
             }
         }
         out
@@ -237,14 +226,6 @@ mod tests {
         for n in &nbrs {
             assert_eq!(n.len(), 4);
         }
-    }
-
-    #[test]
-    fn vertex_faces_cover_all_faces_thrice() {
-        let m = TriMesh::octahedron();
-        let vf = m.vertex_faces();
-        let total: usize = vf.iter().map(|f| f.len()).sum();
-        assert_eq!(total, 3 * m.face_count());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! "60 MB = 300 objects"), which trades coefficient count against bytes per
 //! coefficient without changing any retrieval *ratio* — see DESIGN.md §4.
 
-use crate::wavelet::{ResolutionBand, WaveletMesh};
+use crate::wavelet::WaveletMesh;
 
 /// Wire-size model for multiresolution objects.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,17 +59,6 @@ impl SizeModel {
     pub fn base_bytes(&self, wm: &WaveletMesh) -> f64 {
         self.base_vertex_bytes * wm.hierarchy.base.vertices.len() as f64
     }
-
-    /// Bytes of the coefficients of `wm` selected by `band` (excluding the
-    /// base mesh).
-    pub fn band_bytes(&self, wm: &WaveletMesh, band: ResolutionBand) -> f64 {
-        self.coeff_bytes * wm.count_in_band(band) as f64
-    }
-
-    /// Bytes for transmitting `n` coefficients.
-    pub fn coeff_count_bytes(&self, n: usize) -> f64 {
-        self.coeff_bytes * n as f64
-    }
 }
 
 #[cfg(test)]
@@ -91,17 +80,6 @@ mod tests {
         let wm = obj();
         assert_eq!(m.base_bytes(&wm), 12.0 * 6.0);
         assert_eq!(m.object_bytes(&wm), 12.0 * 6.0 + 16.0 * 252.0);
-    }
-
-    #[test]
-    fn band_bytes_monotone_in_band() {
-        let m = SizeModel::default();
-        let wm = obj();
-        let full = m.band_bytes(&wm, ResolutionBand::FULL);
-        let half = m.band_bytes(&wm, ResolutionBand::new(0.5, 1.0));
-        let top = m.band_bytes(&wm, ResolutionBand::COARSEST);
-        assert!(full >= half && half >= top);
-        assert_eq!(full, 16.0 * wm.coeffs.len() as f64);
     }
 
     #[test]

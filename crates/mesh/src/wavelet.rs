@@ -48,10 +48,6 @@ pub struct WaveletCoeff {
 /// let band = ResolutionBand::new(0.5, 1.0);
 /// assert!(band.contains(0.8));
 /// assert!(!band.contains(0.3));
-/// // Slowing to full stop later requires only the delta [0.0, 0.5).
-/// let delta = ResolutionBand::FULL.delta_from(&band).unwrap();
-/// assert_eq!(delta.w_min, 0.0);
-/// assert!(delta.w_max < 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolutionBand {
@@ -88,25 +84,6 @@ impl ResolutionBand {
     /// True when `w` is selected by this band.
     pub fn contains(&self, w: f64) -> bool {
         self.w_min <= w && w <= self.w_max
-    }
-
-    /// The incremental band needed to refine from `coarser` (already
-    /// retrieved) to `self`: coefficients in `[self.w_min, coarser.w_min)`.
-    /// Returns `None` when `self` requires nothing new.
-    ///
-    /// This is the §IV "incremental retrieval of the difference when
-    /// increasing the resolution": having `w ≥ 0.7` and wanting full
-    /// resolution requires exactly `[0.0, 0.7)`.
-    pub fn delta_from(&self, coarser: &ResolutionBand) -> Option<ResolutionBand> {
-        if self.w_min >= coarser.w_min {
-            return None;
-        }
-        Some(ResolutionBand {
-            w_min: self.w_min,
-            // Exclusive upper edge, approximated by nudging just below the
-            // already-owned bound so inclusive selection does not re-fetch.
-            w_max: coarser.w_min - f64::EPSILON.max(coarser.w_min * 1e-12),
-        })
     }
 }
 
@@ -372,18 +349,6 @@ mod tests {
         assert!(b.contains(0.5));
         assert!(ResolutionBand::COARSEST.contains(1.0));
         assert!(!ResolutionBand::COARSEST.contains(0.999));
-    }
-
-    #[test]
-    fn delta_from_computes_increment() {
-        let have = ResolutionBand::new(0.7, 1.0);
-        let want = ResolutionBand::new(0.0, 1.0);
-        let d = want.delta_from(&have).unwrap();
-        assert_eq!(d.w_min, 0.0);
-        assert!(d.w_max < 0.7 && d.w_max > 0.69);
-        // Wanting less or the same requires nothing.
-        assert!(have.delta_from(&have).is_none());
-        assert!(ResolutionBand::new(0.9, 1.0).delta_from(&have).is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! objects and arbitrary magnitude bands, the §III invariants must hold.
 
 use mar_mesh::generate::{generate, ObjectKind, ObjectParams};
-use mar_mesh::{ProgressiveDecoder, ResolutionBand};
+use mar_mesh::ResolutionBand;
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = ObjectKind> {
@@ -73,20 +73,6 @@ proptest! {
         // And the full band is always exact.
         let full = wm.reconstruct(ResolutionBand::FULL);
         prop_assert!(wm.rms_error(&full) < 1e-9);
-    }
-
-    /// The progressive decoder agrees with one-shot synthesis for an
-    /// arbitrary band.
-    #[test]
-    fn progressive_matches_synthesis(params in arb_params(), wmin in 0.0f64..1.0) {
-        let wm = generate(&params);
-        let band = ResolutionBand::new(wmin, 1.0);
-        let mut dec = ProgressiveDecoder::new(wm.hierarchy.clone());
-        dec.apply_batch(wm.coeffs.iter().filter(|c| band.contains(c.w)));
-        let reference = wm.reconstruct(band);
-        for (a, b) in dec.current_mesh().vertices.iter().zip(&reference.vertices) {
-            prop_assert!(a.distance(b) < 1e-9);
-        }
     }
 
     /// Subdivision connectivity survives: closed genus-0 inputs stay

@@ -10,10 +10,11 @@
 //! * a transition matrix `A` with `s_{t+1} = A·s_t` is learned online by
 //!   **recursive least squares** (\[22\]); `Aⁱ` gives multi-step
 //!   predictions;
-//! * a **Kalman filter**-style covariance propagation
-//!   (`P_{t+i} = A·P·Aᵀ + Q`) yields the uncertainty of each predicted
-//!   state, and the predicted position is treated as normally distributed,
-//!   `P(s) ~ N(ŝ, P)` (the paper's Eq. 3);
+//! * the **Kalman predict step** (`P_{t+i} = A·P·Aᵀ + Q`) yields the
+//!   uncertainty of each predicted state, and the predicted position is
+//!   treated as normally distributed, `P(s) ~ N(ŝ, P)` (the paper's Eq. 3).
+//!   That recurrence lives in [`MotionPredictor::predict`]; the paper uses
+//!   no measurement update, so there is no separate filter type;
 //! * integrating that normal over grid cells gives per-block visit
 //!   probabilities, which [`probability`] folds into per-direction
 //!   probabilities over a [`mar_geom::SectorPartition`].
@@ -29,14 +30,12 @@
 // that, so the pedantic range-loop lint is disabled crate-wide.
 #![allow(clippy::needless_range_loop)]
 
-pub mod kalman;
 pub mod linalg;
 pub mod markov;
 pub mod predict;
 pub mod probability;
 pub mod rls;
 
-pub use kalman::KalmanFilter;
 pub use linalg::Mat;
 pub use markov::MarkovDirectionModel;
 pub use predict::{MotionPredictor, Prediction, PredictorConfig};

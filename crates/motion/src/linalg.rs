@@ -56,15 +56,6 @@ impl Mat {
         }
     }
 
-    /// A column vector from a slice.
-    pub fn col_vec(v: &[f64]) -> Self {
-        Self {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -1,5 +1,6 @@
 //! The paper's motion predictor: RLS-learned transition over a sliding
-//! window of recent positions, with Kalman-style covariance propagation.
+//! window of recent positions, with the Kalman predict step's covariance
+//! propagation (§V-B).
 //!
 //! State (paper §V-B): `s_t = [p(t), p(t−1), …, p(t−h)]ᵀ ∈ ℝ^{2(h+1)}`.
 //! The transition matrix has the block structure

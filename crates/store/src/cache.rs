@@ -307,11 +307,6 @@ impl PageCache {
         self.capacity_pages
     }
 
-    /// Pages in the underlying file.
-    pub fn file_page_count(&self) -> u32 {
-        self.file.page_count()
-    }
-
     /// The underlying file, shareable: its reads are positioned, so a
     /// caller can fetch a missed page through a clone of this handle
     /// while other threads use the pool.
@@ -322,11 +317,6 @@ impl PageCache {
     /// Current counters.
     pub fn stats(&self) -> PageCacheStats {
         self.stats
-    }
-
-    /// Zeroes the counters (resident set and recency are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = PageCacheStats::default();
     }
 
     /// Turns decision tracing on (`take_trace` collects the log).

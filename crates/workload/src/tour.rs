@@ -53,14 +53,6 @@ impl Tour {
             .map(|w| w[0].pos.distance(&w[1].pos))
             .sum()
     }
-
-    /// Mean normalised speed.
-    pub fn mean_speed(&self) -> f64 {
-        if self.samples.len() <= 1 {
-            return 0.0;
-        }
-        self.samples[1..].iter().map(|s| s.speed).sum::<f64>() / (self.samples.len() - 1) as f64
-    }
 }
 
 /// Tour generation parameters.
@@ -267,21 +259,6 @@ mod tests {
         assert_eq!(t.len(), 500);
         for (i, s) in t.samples.iter().enumerate() {
             assert_eq!(s.tick, i);
-        }
-    }
-
-    #[test]
-    fn mean_speed_tracks_target() {
-        for gen in [tram_tour, pedestrian_tour] {
-            for target in [0.2, 0.5, 0.9] {
-                let t = gen(&cfg(target, 3));
-                let m = t.mean_speed();
-                assert!(
-                    (m - target).abs() < 0.15,
-                    "{:?} target {target} got {m}",
-                    t.kind
-                );
-            }
         }
     }
 
