@@ -260,7 +260,7 @@ pub fn abl_smoothing(engine: &Engine, scale: &Scale) -> Table {
         || Server::new(&scene),
         |server, &(speed, smoothed, seed)| {
             let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, speed));
-            let mut client = IncrementalClient::connect(server, LinearSpeedMap);
+            let mut client = IncrementalClient::connect(server);
             let mut smoother = SmoothedSpeed::default();
             let mut first = 0.0;
             for (i, s) in tour.samples.iter().enumerate() {

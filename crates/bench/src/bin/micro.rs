@@ -20,7 +20,7 @@ use criterion::{black_box, Criterion, Measurement};
 use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::figs;
 use mar_bench::report::{gate_entries, render, Json};
-use mar_bench::serve::session_tour;
+use mar_bench::serve::{session_tour, TOUR_SEED};
 use mar_bench::Scale;
 use mar_buffer::{MotionHeat, SlotHeats};
 use mar_core::{
@@ -684,7 +684,7 @@ fn bench_io(
     let space = scene.config.space;
     let mut heat = MotionHeat::server_default((space.extent(0) + space.extent(1)) / 8.0);
     let walks: Vec<_> = (0..RANK_SESSIONS)
-        .map(|k| session_tour(space, ms.io_ticks, 901, k))
+        .map(|k| session_tour(space, ms.io_ticks, TOUR_SEED, k))
         .collect();
     for (k, walk) in walks.iter().enumerate() {
         for s in &walk.samples {
@@ -731,7 +731,7 @@ fn bench_io(
     const TOUR_SESSIONS: usize = 4;
     const TOUR_FRAME_FRAC: f64 = 0.1;
     let tours: Vec<_> = (0..TOUR_SESSIONS)
-        .map(|k| session_tour(scene.config.space, ms.io_ticks, 901, k))
+        .map(|k| session_tour(scene.config.space, ms.io_ticks, TOUR_SEED, k))
         .collect();
     let mut ratios = Vec::new();
     for (name, policy) in [

@@ -27,11 +27,13 @@ use crate::engine::Engine;
 use crate::report::Json;
 use crate::serve::{
     assert_released, fnv_hex, resident_fingerprint, serve_scene, ServeBackend, TourSession,
+    TOUR_SEED,
 };
-use mar_core::{
-    LinearSpeedMap, ResilienceMetrics, ResilientClient, ResilientPolicy, ResilientTick, Server,
-};
+use mar_core::{ResilienceMetrics, ResilientClient, ResilientTick, Server};
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
+
+/// Fault-plan seed shared by every grid point (streams differ by `k`).
+const FAULT_SEED: u64 = 4242;
 
 /// One fault-grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,10 +59,6 @@ pub struct ChaosConfig {
     pub frame_frac: f64,
     /// Worker threads (`<= 1` = serial reference execution).
     pub jobs: usize,
-    /// Base tour seed; session `k` tours with seed `base + k`.
-    pub tour_seed: u64,
-    /// Fault-plan seed shared by every grid point (streams differ by `k`).
-    pub fault_seed: u64,
     /// The fault grid. The first point must be fault-free — it is the
     /// reference every other point's resident sets are compared against.
     pub grid: Vec<GridPoint>,
@@ -77,8 +75,6 @@ impl ChaosConfig {
             levels: 3,
             frame_frac: 0.05,
             jobs,
-            tour_seed: 901,
-            fault_seed: 4242,
             grid: vec![
                 GridPoint {
                     loss: 0.0,
@@ -109,8 +105,6 @@ impl ChaosConfig {
             levels: 2,
             frame_frac: 0.1,
             jobs,
-            tour_seed: 901,
-            fault_seed: 4242,
             grid: vec![
                 GridPoint {
                     loss: 0.0,
@@ -275,9 +269,9 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
         // filter state can never leak between grid points.
         let server = Server::from_core(core.clone());
         let fault = if gp.loss == 0.0 && gp.drop_every == 0 {
-            FaultConfig::none(cfg.fault_seed)
+            FaultConfig::none(FAULT_SEED)
         } else {
-            FaultConfig::hostile(cfg.fault_seed, gp.loss, gp.drop_every)
+            FaultConfig::hostile(FAULT_SEED, gp.loss, gp.drop_every)
         };
         let outcomes: Vec<SessionOutcome> = engine.run(
             (0..cfg.sessions).collect(),
@@ -286,7 +280,7 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                 // The resilient client plans for itself; only the views
                 // are read off the session.
                 let space = scene.config.space;
-                let tour = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
+                let tour = TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k);
                 // The fault stream is keyed by the client index k, not the
                 // server-minted session id: the connect order under
                 // concurrency must be unobservable.
@@ -296,12 +290,7 @@ pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosRepo
                 let link = FaultyLink::new(LinkConfig::paper(), plan, k as u64)
                     // mar-lint: allow(D004) — LinkConfig::paper() is valid by construction
                     .expect("paper link config is valid");
-                let mut client = ResilientClient::connect(
-                    &server,
-                    LinearSpeedMap,
-                    link,
-                    ResilientPolicy::default(),
-                );
+                let mut client = ResilientClient::connect(&server, link);
                 let mut rows = String::new();
                 for tick in 0..cfg.ticks {
                     let view = tour.view(tick);
@@ -398,8 +387,6 @@ mod tests {
             levels: 2,
             frame_frac: 0.15,
             jobs,
-            tour_seed: 901,
-            fault_seed: 4242,
             grid: vec![
                 GridPoint {
                     loss: 0.0,

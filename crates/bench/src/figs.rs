@@ -12,9 +12,7 @@ use crate::engine::Engine;
 use crate::{Scale, Table};
 use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher, Prefetcher};
 use mar_core::system::{run_motion_aware_system, run_naive_system, SystemConfig};
-use mar_core::{
-    IncrementalClient, LinearSpeedMap, NaivePointIndex, SceneIndexData, Server, WaveletIndex,
-};
+use mar_core::{IncrementalClient, NaivePointIndex, SceneIndexData, Server, WaveletIndex};
 use mar_mesh::ResolutionBand;
 use mar_workload::{
     frame_at, paper_space, pedestrian_tour, tram_tour, Placement, Scene, SceneConfig, Tour,
@@ -58,7 +56,7 @@ fn ticks_for_distance(scale: &Scale, speed: f64) -> usize {
 /// client (the initial frame fill is excluded — the paper's tours are long
 /// enough to amortise it away, ours are capped).
 fn retrieval_kb_per_kdist(scene: &Scene, server: &Server, tour: &Tour, frac: f64) -> f64 {
-    let mut client = IncrementalClient::connect(server, LinearSpeedMap);
+    let mut client = IncrementalClient::connect(server);
     let mut smooth = mar_core::SmoothedSpeed::default();
     let mut first_bytes = 0.0;
     for (i, s) in tour.samples.iter().enumerate() {

@@ -30,6 +30,11 @@ use mar_core::{FleetConfig, FleetHealth, SceneIndexData, Server, ServerCore, Wav
 use mar_link::ShardOutagePlan;
 use std::sync::{Arc, Mutex};
 
+/// Base tour seed: session `k` tours with seed `TOUR_SEED + k`.
+const TOUR_SEED: u64 = 1201;
+/// Shard-outage schedule seed (shared; the schedule is tick-keyed).
+const OUTAGE_SEED: u64 = 6363;
+
 /// One fleet-grid point: a replica policy plus an outage schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetGridPoint {
@@ -60,10 +65,6 @@ pub struct FleetBenchConfig {
     pub frame_frac: f64,
     /// Worker threads (`<= 1` = serial reference execution).
     pub jobs: usize,
-    /// Base tour seed; session `k` tours with seed `base + k`.
-    pub tour_seed: u64,
-    /// Shard-outage schedule seed (shared; the schedule is tick-keyed).
-    pub outage_seed: u64,
     /// The grid. The first point must be outage-free — it is the
     /// reference every other point's resident sets are compared against.
     pub grid: Vec<FleetGridPoint>,
@@ -82,8 +83,6 @@ impl FleetBenchConfig {
             levels: 3,
             frame_frac: 0.05,
             jobs,
-            tour_seed: 1201,
-            outage_seed: 6363,
             grid: vec![
                 FleetGridPoint {
                     replicas: false,
@@ -116,8 +115,6 @@ impl FleetBenchConfig {
             levels: 2,
             frame_frac: 0.1,
             jobs,
-            tour_seed: 1201,
-            outage_seed: 6363,
             grid: vec![
                 FleetGridPoint {
                     replicas: false,
@@ -308,9 +305,9 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
         // mar-lint: allow(D004) — built as a fleet two lines up
         let fleet = server.index().fleet().expect("a fleet index");
         let outage = if gp.period == 0 {
-            ShardOutagePlan::none(cfg.outage_seed)
+            ShardOutagePlan::none(OUTAGE_SEED)
         } else {
-            ShardOutagePlan::new(cfg.outage_seed, gp.period, gp.outage)
+            ShardOutagePlan::new(OUTAGE_SEED, gp.period, gp.outage)
                 // mar-lint: allow(D004) — the outage grid is validated static configuration
                 .expect("outage plan is valid")
         };
@@ -319,7 +316,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
             .map(|k| {
                 Mutex::new(SessionRun {
                     session: server.connect(),
-                    tour: TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k),
+                    tour: TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k),
                     rows: String::new(),
                     tally: FleetPointReport::default(),
                 })
@@ -499,8 +496,6 @@ mod tests {
             levels: 2,
             frame_frac: 0.15,
             jobs,
-            tour_seed: 1201,
-            outage_seed: 6363,
             grid: vec![
                 FleetGridPoint {
                     replicas: false,

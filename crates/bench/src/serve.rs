@@ -51,9 +51,11 @@ pub struct ServeConfig {
     pub frame_frac: f64,
     /// Worker threads (`<= 1` = serial reference execution).
     pub jobs: usize,
-    /// Base tour seed; session `k` tours with seed `base + k`.
-    pub tour_seed: u64,
 }
+
+/// Base tour seed of the serve and chaos workloads (in process and over
+/// the wire): session `k` tours with seed `TOUR_SEED + k`.
+pub const TOUR_SEED: u64 = 901;
 
 impl ServeConfig {
     /// The full measurement workload: 32 clients × 300 ticks over the
@@ -66,7 +68,6 @@ impl ServeConfig {
             levels: 3,
             frame_frac: 0.05,
             jobs,
-            tour_seed: 901,
         }
     }
 
@@ -79,7 +80,6 @@ impl ServeConfig {
             levels: 2,
             frame_frac: 0.1,
             jobs,
-            tour_seed: 901,
         }
     }
 }
@@ -343,7 +343,7 @@ pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeRepo
     // state safely across the scoped threads.
     let sims: Vec<(u64, Mutex<TourSession>)> = (0..cfg.sessions)
         .map(|k| {
-            let sim = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
+            let sim = TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k);
             (server.connect(), Mutex::new(sim))
         })
         .collect();
@@ -480,7 +480,6 @@ mod tests {
             levels: 2,
             frame_frac: 0.15,
             jobs,
-            tour_seed: 901,
         }
     }
 

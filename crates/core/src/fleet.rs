@@ -262,8 +262,7 @@ impl Router<'_> {
             } else if fleet.replicas {
                 plan.tasks.push(task(owner, band, ShardRole::Replica));
             } else {
-                let w_min = (band.w_min + fleet.degrade_step).min(band.w_max);
-                let degraded = ResolutionBand::new(w_min, band.w_max);
+                let degraded = band.coarsened(1);
                 let before = plan.tasks.len();
                 for n in fleet.map.neighbors(owner) {
                     if !health.is_down(n) {
@@ -308,8 +307,6 @@ pub struct FleetConfig {
     pub ny: u32,
     /// Whether every shard gets a promotable replica.
     pub replicas: bool,
-    /// How much `w_min` rises for neighbour-degraded answers.
-    pub degrade_step: f64,
     /// Shard index backend.
     pub backend: FleetBackend,
 }
@@ -321,7 +318,6 @@ impl FleetConfig {
             nx,
             ny,
             replicas,
-            degrade_step: 0.15,
             backend: FleetBackend::Ram,
         }
     }
@@ -345,7 +341,6 @@ pub struct Fleet {
     replicas: bool,
     /// True when the shards read pages from disk.
     pub(crate) paged: bool,
-    degrade_step: f64,
     /// Distinct coefficients across the shards.
     pub(crate) len: usize,
     /// The [`FleetHealth`] down-mask queries are planned under.
@@ -409,7 +404,6 @@ impl Fleet {
             ids,
             replicas: cfg.replicas,
             paged: matches!(cfg.backend, FleetBackend::Paged { .. }),
-            degrade_step: cfg.degrade_step,
             len: data.records.len(),
             health: AtomicU64::new(0),
             shards,

@@ -5,7 +5,8 @@
 //! * [`coeff`] — scene-wide coefficient records: every wavelet coefficient
 //!   of every object, with its support-region MBR, magnitude and wire size.
 //! * [`speedmap`] — `MapSpeedToResolution` (Algorithm 1 line 1.3): the
-//!   pluggable map from client speed to the resolution band to retrieve.
+//!   paper's linear map from client speed to the resolution band to
+//!   retrieve.
 //! * [`index`] — the **efficient wavelet index** of §VI-B: a 3-D
 //!   (`x-y-w`) R*-tree over support-region MBRs, answering
 //!   `Q(R, w_max, w_min)` in a single pass.
@@ -66,9 +67,7 @@ pub use mar_store::{
 pub use metrics::{RetrievalMetrics, SystemMetrics};
 pub use naive_index::NaivePointIndex;
 pub use paged::PagedIndex;
-pub use resilient::{
-    ProtocolError, ResilienceMetrics, ResilientClient, ResilientPolicy, ResilientTick,
-};
+pub use resilient::{ProtocolError, ResilienceMetrics, ResilientClient, ResilientTick};
 pub use retrieval::{FramePlanner, IncrementalClient};
 pub use server::{QueryRegion, QueryResult, Server, ServerCore};
 pub use session::{ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};

@@ -17,93 +17,64 @@
 //!   (everything must be refetched — the new session's filter is empty).
 //! * **Sustained congestion** → *graceful degradation*. The client tracks
 //!   the ratio of ideal (Eq. 1 fault-free) to actual time over a sliding
-//!   window; when it falls below `enter_ratio` the speed→resolution map
-//!   shifts one band coarser — trading fidelity for liveness exactly as
-//!   §IV's multiresolution design intends — and recovers one level at a
-//!   time once the ratio clears `exit_ratio` (hysteresis, so a single good
-//!   tick does not flap the resolution back).
+//!   window; when it falls below `ENTER_RATIO` the speed→resolution map
+//!   shifts one band coarser ([`ResolutionBand::coarsened`]) — trading
+//!   fidelity for liveness exactly as §IV's multiresolution design
+//!   intends — and recovers one level at a time once the ratio clears
+//!   `EXIT_RATIO` (hysteresis, so a single good tick does not flap the
+//!   resolution back).
 //!
 //! All time is simulated ([`SimClock`]); the whole protocol is
 //! deterministic for a fixed fault seed.
 
 use crate::retrieval::FramePlanner;
 use crate::server::{QueryRegion, QueryResult, Server};
-use crate::speedmap::SpeedResolutionMap;
+use crate::speedmap::{LinearSpeedMap, SpeedResolutionMap};
 use mar_geom::Rect2;
 use mar_link::{splitmix64, u01, FaultyLink, LinkError, SimClock};
 use mar_mesh::ResolutionBand;
 use std::collections::VecDeque;
 
-/// Retry, resumption and degradation policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilientPolicy {
-    /// First backoff after a lost request, seconds.
-    pub base_backoff_s: f64,
-    /// Backoff ceiling, seconds.
-    pub max_backoff_s: f64,
-    /// Attempts per tick before the client gives up (anti-livelock bound;
-    /// at ≤ 20 % loss it is effectively unreachable).
-    pub max_attempts: u32,
-    /// Sliding-window length (contact ticks) for the goodput estimate.
-    pub window: usize,
-    /// Degrade one band when `ideal/actual` falls below this.
-    pub enter_ratio: f64,
-    /// Recover one band when `ideal/actual` rises above this.
-    pub exit_ratio: f64,
-    /// How much `w_min` rises per degradation level.
-    pub degrade_step: f64,
-    /// Maximum degradation levels.
-    pub max_degrade: u32,
+/// First backoff after a lost request, seconds.
+const BASE_BACKOFF_S: f64 = 0.25;
+/// Backoff ceiling, seconds.
+const MAX_BACKOFF_S: f64 = 4.0;
+/// Attempts per tick before the client gives up (anti-livelock bound; at
+/// ≤ 20 % loss it is effectively unreachable).
+const MAX_ATTEMPTS: u32 = 64;
+/// Sliding-window length (contact ticks) for the goodput estimate.
+const WINDOW: usize = 8;
+/// Degrade one band when `ideal/actual` falls below this.
+const ENTER_RATIO: f64 = 0.5;
+/// Recover one band when `ideal/actual` rises above this.
+const EXIT_RATIO: f64 = 0.8;
+/// Maximum degradation levels.
+const MAX_DEGRADE: u32 = 4;
+
+/// The backoff before retry number `retry` (0-based), capped.
+fn backoff_s(retry: u32) -> f64 {
+    let exp = retry.min(16); // 2^16 × base already exceeds any sane cap
+    (BASE_BACKOFF_S * (1u64 << exp) as f64).min(MAX_BACKOFF_S)
 }
 
-impl Default for ResilientPolicy {
-    fn default() -> Self {
-        Self {
-            base_backoff_s: 0.25,
-            max_backoff_s: 4.0,
-            max_attempts: 64,
-            window: 8,
-            enter_ratio: 0.5,
-            exit_ratio: 0.8,
-            degrade_step: 0.15,
-            max_degrade: 4,
-        }
-    }
-}
-
-impl ResilientPolicy {
-    /// The backoff before retry number `retry` (0-based), capped.
-    pub fn backoff_s(&self, retry: u32) -> f64 {
-        let exp = retry.min(16); // 2^16 × base already exceeds any sane cap
-        (self.base_backoff_s * (1u64 << exp) as f64).min(self.max_backoff_s)
-    }
-
-    /// The backoff before retry `retry`, scaled by a deterministic jitter
-    /// factor in `[0.5, 1.5)` drawn from [`splitmix64`] over the client's
-    /// fault-stream key and its cumulative retry count. Two clients
-    /// retrying after the same outage back off at *decorrelated* times —
-    /// no synchronized retry storm can hammer a recovering shard — yet
-    /// each client's sequence is byte-identical across runs and thread
-    /// counts (the jitter is a pure function, never a wall clock). The
-    /// result stays capped at `max_backoff_s` like the base schedule.
-    pub fn jittered_backoff_s(&self, retry: u32, stream: u64, seq: u64) -> f64 {
-        let h = splitmix64(stream ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let factor = 0.5 + u01(h);
-        (self.backoff_s(retry) * factor).min(self.max_backoff_s)
-    }
-
-    /// `band` coarsened by `level` degradation steps: the sliding
-    /// speed→resolution shift of DESIGN.md §11.
-    pub fn degraded_band(&self, band: ResolutionBand, level: u32) -> ResolutionBand {
-        let w_min = (band.w_min + self.degrade_step * level as f64).min(band.w_max);
-        ResolutionBand::new(w_min, band.w_max)
-    }
+/// The backoff before retry `retry`, scaled by a deterministic jitter
+/// factor in `[0.5, 1.5)` drawn from [`splitmix64`] over the client's
+/// fault-stream key and its cumulative retry count. Two clients retrying
+/// after the same outage back off at *decorrelated* times — no
+/// synchronized retry storm can hammer a recovering shard — yet each
+/// client's sequence is byte-identical across runs and thread counts (the
+/// jitter is a pure function, never a wall clock). The result stays
+/// capped at `MAX_BACKOFF_S` like the base schedule.
+fn jittered_backoff_s(retry: u32, stream: u64, seq: u64) -> f64 {
+    let h = splitmix64(stream ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let factor = 0.5 + u01(h);
+    (backoff_s(retry) * factor).min(MAX_BACKOFF_S)
 }
 
 /// Why a resilient tick could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// `max_attempts` consecutive failures — the link is effectively down.
+    /// 64 consecutive failures — the link is effectively down.
     GaveUp {
         /// Attempts spent before giving up.
         attempts: u32,
@@ -170,32 +141,28 @@ pub struct ResilienceMetrics {
 
 /// Algorithm 1 over a faulty link: retry, resume, degrade.
 #[derive(Debug)]
-pub struct ResilientClient<M: SpeedResolutionMap> {
+pub struct ResilientClient {
     session: u64,
     token: u64,
-    map: M,
     planner: FramePlanner,
     link: FaultyLink,
     clock: SimClock,
-    policy: ResilientPolicy,
     level: u32,
     window: VecDeque<(f64, f64)>, // (ideal_s, actual_s) per contact tick
     metrics: ResilienceMetrics,
 }
 
-impl<M: SpeedResolutionMap> ResilientClient<M> {
+impl ResilientClient {
     /// Connects a new resilient client: a server session plus its own
     /// faulty transport channel.
-    pub fn connect(server: &Server, map: M, link: FaultyLink, policy: ResilientPolicy) -> Self {
+    pub fn connect(server: &Server, link: FaultyLink) -> Self {
         let (session, token) = server.connect_with_token();
         Self {
             session,
             token,
-            map,
             planner: FramePlanner::new(),
             link,
             clock: SimClock::new(),
-            policy,
             level: 0,
             window: VecDeque::new(),
             metrics: ResilienceMetrics::default(),
@@ -242,24 +209,22 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
         frame: Rect2,
         speed: f64,
     ) -> Result<ResilientTick, ProtocolError> {
-        let band = self
-            .policy
-            .degraded_band(self.map.band_for(speed), self.level);
+        let band = LinearSpeedMap.band_for(speed).coarsened(self.level);
         let outcome = self.execute(server, frame, band, speed)?;
         self.metrics.ticks += 1;
         if outcome.ideal_time_s > 0.0 {
             self.metrics.contact_ticks += 1;
             self.window
                 .push_back((outcome.ideal_time_s, outcome.tick_time_s));
-            while self.window.len() > self.policy.window {
+            while self.window.len() > WINDOW {
                 self.window.pop_front();
             }
             let ideal: f64 = self.window.iter().map(|w| w.0).sum();
             let actual: f64 = self.window.iter().map(|w| w.1).sum();
             let ratio = if actual > 0.0 { ideal / actual } else { 1.0 };
-            if ratio < self.policy.enter_ratio && self.level < self.policy.max_degrade {
+            if ratio < ENTER_RATIO && self.level < MAX_DEGRADE {
                 self.level += 1;
-            } else if ratio > self.policy.exit_ratio && self.level > 0 {
+            } else if ratio > EXIT_RATIO && self.level > 0 {
                 self.level -= 1;
             }
         }
@@ -314,7 +279,7 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
         let t0 = self.clock.now();
         let mut attempts = 0u32;
         let result = loop {
-            if attempts >= self.policy.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 return Err(ProtocolError::GaveUp { attempts });
             }
             attempts += 1;
@@ -335,7 +300,7 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
                     // Seeded jitter keyed by (fault stream, cumulative
                     // retry number): decorrelated across clients, byte-
                     // identical across runs and thread counts.
-                    self.clock.advance(self.policy.jittered_backoff_s(
+                    self.clock.advance(jittered_backoff_s(
                         outcome.retries,
                         self.link.stream(),
                         self.metrics.retries,
@@ -389,7 +354,6 @@ impl<M: SpeedResolutionMap> ResilientClient<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speedmap::LinearSpeedMap;
     use mar_geom::Point2;
     use mar_link::{FaultConfig, FaultPlan, LinkConfig};
     use mar_workload::{Scene, SceneConfig};
@@ -405,18 +369,14 @@ mod tests {
         Rect2::new(Point2::new([x, y]), Point2::new([x + 200.0, y + 200.0]))
     }
 
-    fn client(server: &Server, fault: FaultConfig, stream: u64) -> ResilientClient<LinearSpeedMap> {
+    fn client(server: &Server, fault: FaultConfig, stream: u64) -> ResilientClient {
         let link =
             FaultyLink::new(LinkConfig::paper(), FaultPlan::new(fault).unwrap(), stream).unwrap();
-        ResilientClient::connect(server, LinearSpeedMap, link, ResilientPolicy::default())
+        ResilientClient::connect(server, link)
     }
 
     /// Drives a diagonal sweep and returns the per-tick outcomes.
-    fn sweep(
-        c: &mut ResilientClient<LinearSpeedMap>,
-        srv: &Server,
-        n: usize,
-    ) -> Vec<ResilientTick> {
+    fn sweep(c: &mut ResilientClient, srv: &Server, n: usize) -> Vec<ResilientTick> {
         (0..n)
             .map(|i| {
                 c.tick(srv, frame(30.0 * i as f64, 25.0 * i as f64), 0.4)
@@ -431,7 +391,7 @@ mod tests {
         let mut res = client(&srv, FaultConfig::none(1), 0);
         let outs = sweep(&mut res, &srv, 12);
         let srv2 = server();
-        let mut plain = crate::IncrementalClient::connect(&srv2, LinearSpeedMap);
+        let mut plain = crate::IncrementalClient::connect(&srv2);
         for (i, out) in outs.iter().enumerate() {
             let want = plain.tick(&srv2, frame(30.0 * i as f64, 25.0 * i as f64), 0.4);
             assert_eq!(out.result, want, "tick {i}");
@@ -564,36 +524,65 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_link_gives_up_and_leaves_the_session_resumable() {
+        // Seed 0, stream 1 at 99 % loss: the schedule loses the first
+        // MAX_ATTEMPTS requests (checked first), so the tick must give up.
+        let fault = FaultConfig::hostile(0, 0.99, 0);
+        let plan = FaultPlan::new(fault).unwrap();
+        assert!((0..u64::from(MAX_ATTEMPTS)).all(|i| plan.decide(1, i).lost));
+        let srv = server();
+        let mut res = client(&srv, fault, 1);
+        // Something already delivered, so "unchanged" is not vacuous.
+        let world = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([1000.0, 1000.0]));
+        let held = QueryRegion {
+            region: world,
+            band: ResolutionBand::new(0.5, 1.0),
+        };
+        srv.query(res.session(), &[held]).unwrap();
+        let before = srv.sessions().session_sent_set(res.session()).unwrap();
+        assert!(!before.is_empty());
+        let out = res.tick(&srv, world, 0.0);
+        assert_eq!(out, Err(ProtocolError::GaveUp { attempts: 64 }));
+        assert_eq!(res.metrics().retries, 64);
+        // A lost request never reached the server.
+        assert_eq!(
+            srv.sessions().session_sent_set(res.session()).unwrap(),
+            before
+        );
+        let info = srv.sessions().resume(res.token()).unwrap();
+        assert_eq!(info.session, res.session());
+        assert_eq!(info.retained_coeffs, before.len());
+    }
+
+    #[test]
     fn backoff_is_capped_exponential() {
-        let p = ResilientPolicy::default();
-        assert_eq!(p.backoff_s(0), 0.25);
-        assert_eq!(p.backoff_s(1), 0.5);
-        assert_eq!(p.backoff_s(2), 1.0);
-        assert_eq!(p.backoff_s(10), p.max_backoff_s);
-        assert_eq!(p.backoff_s(60), p.max_backoff_s, "shift must not overflow");
+        assert_eq!(backoff_s(0), 0.25);
+        assert_eq!(backoff_s(1), 0.5);
+        assert_eq!(backoff_s(2), 1.0);
+        assert_eq!(backoff_s(10), MAX_BACKOFF_S);
+        assert_eq!(backoff_s(60), MAX_BACKOFF_S, "shift must not overflow");
     }
 
     #[test]
     fn jittered_backoff_is_bounded_deterministic_and_decorrelated() {
-        let p = ResilientPolicy::default();
         for stream in [0u64, 1, 42] {
             for seq in 0..200u64 {
                 for retry in [0u32, 1, 2, 5] {
-                    let j = p.jittered_backoff_s(retry, stream, seq);
-                    let base = p.backoff_s(retry);
+                    let j = jittered_backoff_s(retry, stream, seq);
+                    let base = backoff_s(retry);
                     assert!(
-                        j >= base * 0.5 - 1e-12 && j <= (base * 1.5).min(p.max_backoff_s) + 1e-12,
+                        j >= base * 0.5 - 1e-12 && j <= (base * 1.5).min(MAX_BACKOFF_S) + 1e-12,
                         "jitter out of [0.5, 1.5)·base (capped): {j} vs base {base}"
                     );
                     // Pure function: same inputs, same backoff, any run.
-                    assert_eq!(j, p.jittered_backoff_s(retry, stream, seq));
+                    assert_eq!(j, jittered_backoff_s(retry, stream, seq));
                 }
             }
         }
         // Two streams retrying in lockstep must not back off in lockstep:
         // that synchrony is exactly the retry storm the jitter breaks.
         let same = (0..64u64)
-            .filter(|&s| p.jittered_backoff_s(1, 7, s) == p.jittered_backoff_s(1, 8, s))
+            .filter(|&s| jittered_backoff_s(1, 7, s) == jittered_backoff_s(1, 8, s))
             .count();
         assert!(same < 4, "streams 7 and 8 collide on {same}/64 backoffs");
     }
@@ -620,12 +609,11 @@ mod tests {
 
     #[test]
     fn degraded_band_shifts_and_saturates() {
-        let p = ResilientPolicy::default();
         let b = ResolutionBand::new(0.2, 1.0);
-        assert_eq!(p.degraded_band(b, 0), b);
-        let d1 = p.degraded_band(b, 1);
-        assert!((d1.w_min - 0.35).abs() < 1e-12);
-        let dmax = p.degraded_band(b, 100);
+        assert_eq!(b.coarsened(0), b);
+        assert!((b.coarsened(1).w_min - 0.35).abs() < 1e-12);
+        assert!((b.coarsened(MAX_DEGRADE).w_min - 0.8).abs() < 1e-12);
+        let dmax = b.coarsened(100);
         assert_eq!(dmax.w_min, 1.0, "degradation saturates at the band top");
     }
 }

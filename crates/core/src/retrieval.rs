@@ -19,7 +19,7 @@
 
 use crate::metrics::RetrievalMetrics;
 use crate::server::{QueryRegion, QueryResult, Server};
-use crate::speedmap::SpeedResolutionMap;
+use crate::speedmap::{LinearSpeedMap, SpeedResolutionMap};
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 
@@ -93,19 +93,17 @@ impl FramePlanner {
 /// The incremental motion-aware client of §IV (no buffering — that layer
 /// is `mar-buffer` / [`crate::system`]).
 #[derive(Debug)]
-pub struct IncrementalClient<M: SpeedResolutionMap> {
+pub struct IncrementalClient {
     session: u64,
-    map: M,
     planner: FramePlanner,
     metrics: RetrievalMetrics,
 }
 
-impl<M: SpeedResolutionMap> IncrementalClient<M> {
+impl IncrementalClient {
     /// Connects a new client to the server.
-    pub fn connect(server: &Server, map: M) -> Self {
+    pub fn connect(server: &Server) -> Self {
         Self {
             session: server.connect(),
-            map,
             planner: FramePlanner::new(),
             metrics: RetrievalMetrics::default(),
         }
@@ -114,13 +112,13 @@ impl<M: SpeedResolutionMap> IncrementalClient<M> {
     /// The sub-queries Algorithm 1 would issue for this frame, without
     /// executing them (used by tests and by the buffered system).
     pub fn plan(&self, frame: &Rect2, speed: f64) -> Vec<QueryRegion> {
-        self.planner.plan(frame, self.map.band_for(speed))
+        self.planner.plan(frame, LinearSpeedMap.band_for(speed))
     }
 
     /// Executes one query frame; returns the server's (session-filtered)
     /// result.
     pub fn tick(&mut self, server: &Server, frame: Rect2, speed: f64) -> QueryResult {
-        let band = self.map.band_for(speed);
+        let band = LinearSpeedMap.band_for(speed);
         let regions = self.planner.plan(&frame, band);
         let result = server
             .query(self.session, &regions)
@@ -150,7 +148,6 @@ impl<M: SpeedResolutionMap> IncrementalClient<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speedmap::LinearSpeedMap;
     use mar_geom::Point2;
     use mar_workload::{Scene, SceneConfig};
 
@@ -168,7 +165,7 @@ mod tests {
     #[test]
     fn first_tick_queries_whole_frame() {
         let srv = server();
-        let client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let client = IncrementalClient::connect(&srv);
         let plan = client.plan(&frame(100.0, 100.0), 0.5);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].region, frame(100.0, 100.0));
@@ -178,7 +175,7 @@ mod tests {
     #[test]
     fn overlapping_frames_query_only_the_difference() {
         let srv = server();
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&srv);
         client.tick(&srv, frame(100.0, 100.0), 0.5);
         // Same speed, slight move: plan must not include the overlap.
         let plan = client.plan(&frame(150.0, 100.0), 0.5);
@@ -193,7 +190,7 @@ mod tests {
     #[test]
     fn speeding_up_fetches_nothing_for_overlap() {
         let srv = server();
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&srv);
         client.tick(&srv, frame(100.0, 100.0), 0.2);
         let plan = client.plan(&frame(120.0, 120.0), 0.8);
         // Coarser need (w_min 0.8 > 0.2): overlap already satisfied.
@@ -204,7 +201,7 @@ mod tests {
     #[test]
     fn slowing_down_fetches_band_delta_over_overlap() {
         let srv = server();
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&srv);
         client.tick(&srv, frame(100.0, 100.0), 0.8);
         let plan = client.plan(&frame(100.0, 100.0), 0.2);
         // Identical frame, finer need: exactly one overlap band query.
@@ -216,7 +213,7 @@ mod tests {
     #[test]
     fn disjoint_jump_requeries_everything() {
         let srv = server();
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&srv);
         client.tick(&srv, frame(0.0, 0.0), 0.3);
         let plan = client.plan(&frame(700.0, 700.0), 0.3);
         assert_eq!(plan.len(), 1);
@@ -233,7 +230,7 @@ mod tests {
         let scene = Scene::generate(cfg);
         let c = scene.objects[0].footprint().center();
         let srv = Server::new(&scene);
-        let mut client = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&srv);
         let f = frame(c[0] - 100.0, c[1] - 100.0);
         let r1 = client.tick(&srv, f, 0.0);
         let r2 = client.tick(&srv, f, 0.0);
@@ -249,7 +246,7 @@ mod tests {
         // though it covers the same ground.
         let total = |speed: f64| {
             let srv = server();
-            let mut c = IncrementalClient::connect(&srv, LinearSpeedMap);
+            let mut c = IncrementalClient::connect(&srv);
             for i in 0..20 {
                 c.tick(&srv, frame(40.0 * i as f64, 300.0), speed);
             }
@@ -267,7 +264,7 @@ mod tests {
     fn incremental_equals_fresh_when_revisiting_is_free() {
         // Running a path twice costs the same as once (server-side dedup).
         let srv = server();
-        let mut c = IncrementalClient::connect(&srv, LinearSpeedMap);
+        let mut c = IncrementalClient::connect(&srv);
         for _round in 0..2 {
             for i in 0..10 {
                 c.tick(&srv, frame(50.0 * i as f64, 400.0), 0.3);
@@ -275,7 +272,7 @@ mod tests {
         }
         let bytes_two_rounds = c.metrics().bytes;
         let srv2 = server();
-        let mut c2 = IncrementalClient::connect(&srv2, LinearSpeedMap);
+        let mut c2 = IncrementalClient::connect(&srv2);
         for i in 0..10 {
             c2.tick(&srv2, frame(50.0 * i as f64, 400.0), 0.3);
         }

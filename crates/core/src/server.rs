@@ -17,7 +17,7 @@
 //!   server owns no session state of its own: its entry points descend
 //!   the index and replay the hits through the session's filter.
 //!
-//! `query`/`fetch_block` take `&self`: a `&Server` can be shared across
+//! `query`/`query_batch` take `&self`: a `&Server` can be shared across
 //! scoped threads and each client's queries run concurrently.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
@@ -295,7 +295,7 @@ impl Server {
     /// lists are replayed through the session filter in sub-query order,
     /// so the accounting (including the floating-point byte total) is
     /// bit-identical to the scalar path — which a single-region query
-    /// (every [`Server::fetch_block`]) takes directly
+    /// (every block fetch of the buffered client) takes directly
     /// (`ServerCore::admit_window`). Neither path allocates in steady
     /// state: windows and hits live in per-thread reuse buffers.
     ///
@@ -417,26 +417,6 @@ impl Server {
     /// A stateless query (no session filtering): the raw index answer.
     pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
         self.core.query_stateless(region, band)
-    }
-
-    /// Payload bytes of one block-granularity fetch: every coefficient
-    /// whose support intersects `block` within `band`, plus base meshes
-    /// the session has not yet received. Used by the buffered clients.
-    /// Unknown sessions surface as a typed [`SessionError`], like
-    /// [`Server::query`].
-    pub fn fetch_block(
-        &self,
-        session: u64,
-        block: &Rect2,
-        band: ResolutionBand,
-    ) -> Result<QueryResult, SessionError> {
-        self.query(
-            session,
-            &[QueryRegion {
-                region: *block,
-                band,
-            }],
-        )
     }
 }
 
@@ -714,11 +694,6 @@ mod tests {
         let s = server();
         assert_eq!(
             s.query(42, &[whole()]),
-            Err(SessionError::UnknownSession(42))
-        );
-        let rect = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([10.0, 10.0]));
-        assert_eq!(
-            s.fetch_block(42, &rect, ResolutionBand::FULL),
             Err(SessionError::UnknownSession(42))
         );
         assert_eq!(s.disconnect(42), Err(SessionError::UnknownSession(42)));

@@ -3,7 +3,7 @@
 //! "This function is application dependent and … should be adjusted by the
 //! vendor." The paper's experiments use the identity map: at normalised
 //! speed `s` the client retrieves the coefficients with `w ∈ [s, 1.0]`
-//! (§VII-A). The trait makes the map pluggable.
+//! (§VII-A), [`LinearSpeedMap`] — the one map every client uses.
 
 use mar_mesh::ResolutionBand;
 

@@ -30,16 +30,24 @@
 //! object over the link.
 
 use crate::metrics::SystemMetrics;
-use crate::server::Server;
+use crate::server::{QueryRegion, Server};
 use crate::speedmap::{LinearSpeedMap, SpeedResolutionMap};
 use mar_buffer::{BlockCache, LruCache, MultiresPolicy, PrefetchContext, Prefetcher};
 use mar_geom::{GridSpec, Rect2};
 use mar_link::LinkConfig;
 use mar_mesh::ResolutionBand;
-use mar_motion::{MotionPredictor, PredictorConfig};
+use mar_motion::MotionPredictor;
 use mar_rtree::{RTree, RTreeConfig};
 use mar_workload::{frame_at, Scene, Tour};
 use std::collections::BTreeSet;
+
+/// Grid blocks per axis (motion-aware system).
+const GRID_BLOCKS: u32 = 25;
+/// Shortest prediction horizon in ticks (motion-aware system).
+const MIN_HORIZON: u32 = 4;
+/// Simulated duration of one tick — the frame deadline. Responses longer
+/// than this stall the display (counted as late frames).
+const TICK_SECONDS: f64 = 1.0;
 
 /// Shared system parameters.
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +56,6 @@ pub struct SystemConfig {
     pub buffer_bytes: f64,
     /// Query-frame size as a fraction of the space (paper default: 0.1).
     pub frame_frac: f64,
-    /// Grid blocks per axis (motion-aware system).
-    pub grid_blocks: u32,
-    /// Prediction horizon in ticks (motion-aware system).
-    pub horizon: u32,
     /// Whether prefetching uses speed-scaled resolutions (§V last ¶).
     pub multires: bool,
     /// Drive the direction allocation from an empirical Markov direction
@@ -60,9 +64,6 @@ pub struct SystemConfig {
     pub markov_directions: bool,
     /// The wireless link.
     pub link: LinkConfig,
-    /// Simulated duration of one tick — the frame deadline. Responses
-    /// longer than this stall the display (counted as late frames).
-    pub tick_seconds: f64,
 }
 
 impl Default for SystemConfig {
@@ -70,12 +71,9 @@ impl Default for SystemConfig {
         Self {
             buffer_bytes: 64.0 * 1024.0,
             frame_frac: 0.1,
-            grid_blocks: 25,
-            horizon: 4,
             multires: true,
             markov_directions: false,
             link: LinkConfig::paper(),
-            tick_seconds: 1.0,
         }
     }
 }
@@ -91,7 +89,7 @@ pub fn run_motion_aware_system(
     prefetcher: &mut dyn Prefetcher,
     cfg: &SystemConfig,
 ) -> SystemMetrics {
-    let grid = GridSpec::new(scene.config.space, cfg.grid_blocks, cfg.grid_blocks);
+    let grid = GridSpec::new(scene.config.space, GRID_BLOCKS, GRID_BLOCKS);
     let session = server.connect();
     let speed_map = LinearSpeedMap;
     let policy = if cfg.multires {
@@ -117,7 +115,7 @@ pub fn run_motion_aware_system(
     };
 
     let mut cache = BlockCache::new(1);
-    let mut predictor = MotionPredictor::new(PredictorConfig::default());
+    let mut predictor = MotionPredictor::new();
     let mut markov = cfg
         .markov_directions
         .then(|| mar_motion::MarkovDirectionModel::new(4, 0.97));
@@ -153,9 +151,12 @@ pub fn run_motion_aware_system(
         cache.access_into(&frame_blocks, needed.w_min, &mut misses);
         let mut demand_bytes = 0.0;
         for b in &misses {
-            let rect = grid.block_rect(b);
+            let block = QueryRegion {
+                region: grid.block_rect(b),
+                band: needed,
+            };
             let r = server
-                .fetch_block(session, &rect, needed)
+                .query(session, &[block])
                 // mar-lint: allow(D004) — the session was minted by connect above and stays live for the whole simulation
                 .expect("system session vanished");
             demand_bytes += r.bytes;
@@ -167,8 +168,8 @@ pub fn run_motion_aware_system(
         } else {
             cfg.link.request_time(demand_bytes, speed)
         };
-        metrics.sim_time_s += response.max(cfg.tick_seconds);
-        if response > cfg.tick_seconds {
+        metrics.sim_time_s += response.max(TICK_SECONDS);
+        if response > TICK_SECONDS {
             metrics.late_frames += 1;
         }
         metrics.response_times.push(response);
@@ -192,7 +193,7 @@ pub fn run_motion_aware_system(
         // so the cache capacity is frame + prefetch budget.
         let budget = policy.block_budget(cruise_speed, &bytes_per_block);
         cache.set_capacity(frame_blocks.len() + budget);
-        let horizon = adaptive_horizon(cfg.horizon, &grid, &predictor, budget);
+        let horizon = adaptive_horizon(&grid, &predictor, budget);
         predictor.predict_horizon_into(horizon, &mut predictions);
         mar_motion::probability::gaussian_block_probabilities_into(
             &grid,
@@ -224,10 +225,13 @@ pub fn run_motion_aware_system(
         cache.retain(|b| keep.binary_search(b).is_ok());
         for b in &plan {
             if !cache.contains(b, buffer_band.w_min) {
-                let rect = grid.block_rect(b);
+                let block = QueryRegion {
+                    region: grid.block_rect(b),
+                    band: buffer_band,
+                };
                 if cache.install_prefetch(*b, buffer_band.w_min) {
                     let r = server
-                        .fetch_block(session, &rect, buffer_band)
+                        .query(session, &[block])
                         // mar-lint: allow(D004) — same live session as the demand path above
                         .expect("system session vanished");
                     metrics.bytes += r.bytes;
@@ -249,13 +253,13 @@ pub fn run_motion_aware_system(
 /// Prediction horizon adapted to the block-crossing time: the predictor
 /// must see a few blocks ahead for the allocation to have anything to
 /// place, whether the client crawls (long horizon) or sprints (short).
-fn adaptive_horizon(base: u32, grid: &GridSpec, predictor: &MotionPredictor, budget: usize) -> u32 {
+fn adaptive_horizon(grid: &GridSpec, predictor: &MotionPredictor, budget: usize) -> u32 {
     let step = predictor
         .speed()
         .max(grid.block_w().min(grid.block_h()) / 64.0);
     let reach_blocks = 2.0 + (budget as f64).sqrt() * 0.5;
     let ticks = (reach_blocks * grid.block_w().min(grid.block_h()) / step).ceil() as u32;
-    ticks.clamp(base, 48)
+    ticks.clamp(MIN_HORIZON, 48)
 }
 
 /// The naive system: full-resolution objects, an object-level R*-tree, and
@@ -304,8 +308,8 @@ pub fn run_naive_system(
         } else {
             0.0
         };
-        metrics.sim_time_s += response.max(cfg.tick_seconds);
-        if response > cfg.tick_seconds {
+        metrics.sim_time_s += response.max(TICK_SECONDS);
+        if response > TICK_SECONDS {
             metrics.late_frames += 1;
         }
         metrics.response_times.push(response);
@@ -452,7 +456,7 @@ mod qos_tests {
         // Bookkeeping: sim time is at least ticks × deadline, late frames
         // are bounded by ticks, and the rate is consistent.
         for m in [&ma, &nv] {
-            assert!(m.sim_time_s >= m.ticks as f64 * sys.tick_seconds - 1e-9);
+            assert!(m.sim_time_s >= m.ticks as f64 * TICK_SECONDS - 1e-9);
             assert!(m.late_frames <= m.ticks);
             assert!((0.0..=1.0).contains(&m.late_frame_rate()));
         }

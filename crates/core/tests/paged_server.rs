@@ -55,12 +55,13 @@ fn run_workload(server: &Server) -> Vec<(usize, usize, mar_core::server::QueryRe
             log.push((s, tick, r));
         }
     }
-    // And a few block fetches (the buffered-client path).
-    let block = Rect2::new(Point2::new([300.0, 300.0]), Point2::new([520.0, 480.0]));
+    // And a few one-region block fetches (the buffered-client path).
+    let block = QueryRegion {
+        region: Rect2::new(Point2::new([300.0, 300.0]), Point2::new([520.0, 480.0])),
+        band: ResolutionBand::new(0.2, 1.0),
+    };
     for (s, &c) in sessions.iter().enumerate() {
-        let r = server
-            .fetch_block(c, &block, ResolutionBand::new(0.2, 1.0))
-            .expect("fetch");
+        let r = server.query(c, &[block]).expect("fetch");
         log.push((s, 999, r));
     }
     for &c in &sessions {
@@ -132,7 +133,7 @@ fn paged_batch_query_matches_scalar_across_backends() {
 
 #[test]
 fn single_region_query_matches_one_window_batch_on_both_backends() {
-    // A one-region `query` / `fetch_block` takes the scalar descent (in RAM
+    // A one-region `query` takes the scalar descent (in RAM
     // streaming hits straight into the filter); `query_batch` of the same
     // region takes the grouped descent and the buffered replay. Every
     // result — `io` included — must agree, and the two backends with each
@@ -151,11 +152,7 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
             // Each tick: the wide band-limited window, then the narrow
             // full-band one inside it (partly already sent).
             for q in tour(1, tick).into_iter().rev() {
-                let want = if tick % 2 == 0 {
-                    scalar.query(a, &[q]).expect("query")
-                } else {
-                    scalar.fetch_block(a, &q.region, q.band).expect("fetch")
-                };
+                let want = scalar.query(a, &[q]).expect("query");
                 assert!(want.io > 0);
                 let regions = [q];
                 let (got, _) = batched.query_batch(&[(b, &regions)]);

@@ -12,13 +12,13 @@
 //! # Fault taxonomy (DESIGN.md §11)
 //!
 //! * **Request loss** — the request vanishes before the server sees it;
-//!   the client waits out `timeout_s` and may retry. Because the loss is
+//!   the client waits out a 2 s timeout and may retry. Because the loss is
 //!   modelled *before* server processing, a retry is exactly-once safe:
 //!   the server-side sent-filter is never updated for a lost request.
-//! * **Latency jitter** — a uniform extra delay in `[0, jitter_s]` added
-//!   to a successful request's round trip.
-//! * **Bandwidth dip** — with probability `dip_prob` the request's
-//!   effective bandwidth is multiplied by `dip_factor` (a fade / handover
+//! * **Latency jitter** (hostile profile) — a uniform extra delay in
+//!   `[0, 150 ms)` added to a successful request's round trip.
+//! * **Bandwidth dip** (hostile profile) — with probability 10 % the
+//!   request's effective bandwidth drops to 40 % (a fade / handover
 //!   moment).
 //! * **Session drop** — every `drop_every`-th request the transport
 //!   session dies before the request is sent; the client must reconnect
@@ -28,30 +28,32 @@
 use crate::link::{LinkConfig, LinkConfigError};
 use std::fmt;
 
+/// How long a client waits before classifying a request as lost.
+const TIMEOUT_S: f64 = 2.0;
+/// The hostile profile's jitter ceiling: each successful request draws a
+/// uniform extra round-trip latency in `[0, HOSTILE_JITTER_S)`.
+const HOSTILE_JITTER_S: f64 = 0.15;
+/// The hostile profile's per-request probability of a bandwidth dip.
+const HOSTILE_DIP_PROB: f64 = 0.1;
+/// The hostile profile's effective-bandwidth multiplier during a dip.
+const HOSTILE_DIP_FACTOR: f64 = 0.4;
+
 /// Why a [`FaultConfig`] was rejected at construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultConfigError {
     /// `loss_prob` outside `[0, 1)` or non-finite. A loss probability of
     /// exactly 1 would livelock every retry loop, so it is rejected.
     InvalidLossProb(f64),
-    /// `jitter_s` negative or non-finite.
-    InvalidJitter(f64),
-    /// `dip_prob` outside `[0, 1]` or non-finite.
-    InvalidDipProb(f64),
-    /// `dip_factor` outside `(0, 1]` or non-finite.
-    InvalidDipFactor(f64),
-    /// `timeout_s` non-positive or non-finite.
-    InvalidTimeout(f64),
+    /// `drop_every` of 1 drops the session before every request after the
+    /// first, which livelocks every client just as a loss of 1 would.
+    InvalidDropEvery(u64),
 }
 
 impl fmt::Display for FaultConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::InvalidLossProb(v) => write!(f, "loss_prob must be in [0, 1), got {v}"),
-            Self::InvalidJitter(v) => write!(f, "jitter_s must be finite and >= 0, got {v}"),
-            Self::InvalidDipProb(v) => write!(f, "dip_prob must be in [0, 1], got {v}"),
-            Self::InvalidDipFactor(v) => write!(f, "dip_factor must be in (0, 1], got {v}"),
-            Self::InvalidTimeout(v) => write!(f, "timeout_s must be finite and > 0, got {v}"),
+            Self::InvalidDropEvery(v) => write!(f, "drop_every must be 0 or >= 2, got {v}"),
         }
     }
 }
@@ -84,25 +86,20 @@ impl fmt::Display for LinkError {
 
 impl std::error::Error for LinkError {}
 
-/// Fault-injection parameters, layered on top of a [`LinkConfig`].
+/// Fault-injection parameters, layered on top of a [`LinkConfig`]: one of
+/// two profiles, plus the seed, loss rate and drop period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the deterministic fault stream.
     pub seed: u64,
     /// Per-request probability the request is lost, in `[0, 1)`.
     pub loss_prob: f64,
-    /// Maximum extra round-trip latency; each successful request draws a
-    /// uniform jitter in `[0, jitter_s]`.
-    pub jitter_s: f64,
-    /// Per-request probability of a bandwidth dip, in `[0, 1]`.
-    pub dip_prob: f64,
-    /// Effective-bandwidth multiplier during a dip, in `(0, 1]`.
-    pub dip_factor: f64,
     /// Every `drop_every`-th request (index `k·drop_every`, `k ≥ 1`) the
     /// session drops before the request is sent. `0` disables drops.
     pub drop_every: u64,
-    /// How long the client waits before classifying a request as lost.
-    pub timeout_s: f64,
+    /// Whether successful requests see the hostile profile's jitter and
+    /// bandwidth dips.
+    hostile: bool,
 }
 
 impl FaultConfig {
@@ -111,11 +108,8 @@ impl FaultConfig {
         Self {
             seed,
             loss_prob: 0.0,
-            jitter_s: 0.0,
-            dip_prob: 0.0,
-            dip_factor: 1.0,
             drop_every: 0,
-            timeout_s: 2.0,
+            hostile: false,
         }
     }
 
@@ -126,11 +120,8 @@ impl FaultConfig {
         Self {
             seed,
             loss_prob: loss,
-            jitter_s: 0.15,
-            dip_prob: 0.1,
-            dip_factor: 0.4,
             drop_every,
-            timeout_s: 2.0,
+            hostile: true,
         }
     }
 
@@ -139,17 +130,8 @@ impl FaultConfig {
         if !(self.loss_prob.is_finite() && (0.0..1.0).contains(&self.loss_prob)) {
             return Err(FaultConfigError::InvalidLossProb(self.loss_prob));
         }
-        if !(self.jitter_s.is_finite() && self.jitter_s >= 0.0) {
-            return Err(FaultConfigError::InvalidJitter(self.jitter_s));
-        }
-        if !(self.dip_prob.is_finite() && (0.0..=1.0).contains(&self.dip_prob)) {
-            return Err(FaultConfigError::InvalidDipProb(self.dip_prob));
-        }
-        if !(self.dip_factor.is_finite() && self.dip_factor > 0.0 && self.dip_factor <= 1.0) {
-            return Err(FaultConfigError::InvalidDipFactor(self.dip_factor));
-        }
-        if !(self.timeout_s.is_finite() && self.timeout_s > 0.0) {
-            return Err(FaultConfigError::InvalidTimeout(self.timeout_s));
+        if self.drop_every == 1 {
+            return Err(FaultConfigError::InvalidDropEvery(self.drop_every));
         }
         Ok(())
     }
@@ -235,13 +217,15 @@ impl FaultPlan {
         let dropped =
             self.cfg.drop_every > 0 && index > 0 && index.is_multiple_of(self.cfg.drop_every);
         let lost = self.cfg.loss_prob > 0.0 && self.draw(stream, index, 1) < self.cfg.loss_prob;
-        let jitter_s = self.draw(stream, index, 2) * self.cfg.jitter_s;
-        let bandwidth_factor =
-            if self.cfg.dip_prob > 0.0 && self.draw(stream, index, 3) < self.cfg.dip_prob {
-                self.cfg.dip_factor
-            } else {
-                1.0
-            };
+        let (jitter_s, bandwidth_factor) = if self.cfg.hostile {
+            let dipped = self.draw(stream, index, 3) < HOSTILE_DIP_PROB;
+            (
+                self.draw(stream, index, 2) * HOSTILE_JITTER_S,
+                if dipped { HOSTILE_DIP_FACTOR } else { 1.0 },
+            )
+        } else {
+            (0.0, 1.0)
+        };
         FaultDecision {
             dropped,
             lost,
@@ -504,9 +488,9 @@ impl FaultyLink {
         }
         if d.lost {
             self.stats.lost += 1;
-            self.stats.wasted_s += self.plan.cfg.timeout_s;
+            self.stats.wasted_s += TIMEOUT_S;
             return Err(LinkError::Lost {
-                waited_s: self.plan.cfg.timeout_s,
+                waited_s: TIMEOUT_S,
             });
         }
         if d.bandwidth_factor < 1.0 {
@@ -737,22 +721,14 @@ mod tests {
             Err(FaultConfigError::InvalidLossProb(1.0))
         );
         assert!(bad(|c| c.loss_prob = f64::NAN).is_err());
+        // A drop before every request after the first livelocks a client
+        // as surely as certain loss; no drops, or every other one, is fine.
         assert_eq!(
-            bad(|c| c.jitter_s = -0.1),
-            Err(FaultConfigError::InvalidJitter(-0.1))
+            FaultPlan::new(FaultConfig::hostile(0, 0.0, 1)),
+            Err(FaultConfigError::InvalidDropEvery(1))
         );
-        assert_eq!(
-            bad(|c| c.dip_prob = 1.5),
-            Err(FaultConfigError::InvalidDipProb(1.5))
-        );
-        assert_eq!(
-            bad(|c| c.dip_factor = 0.0),
-            Err(FaultConfigError::InvalidDipFactor(0.0))
-        );
-        assert_eq!(
-            bad(|c| c.timeout_s = 0.0),
-            Err(FaultConfigError::InvalidTimeout(0.0))
-        );
+        assert!(FaultPlan::new(FaultConfig::hostile(0, 0.0, 0)).is_ok());
+        assert!(FaultPlan::new(FaultConfig::hostile(0, 0.0, 2)).is_ok());
         // An invalid link config is rejected at FaultyLink construction.
         let p = FaultPlan::new(ok).unwrap();
         assert!(FaultyLink::new(

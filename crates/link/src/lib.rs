@@ -15,10 +15,13 @@
 //! model of §V-A Eq. (1), `C = Σⱼ (C_c + C_t·B·N(j))`.
 //!
 //! On top of the perfect channel sits the [`fault`] module: a seeded
-//! [`FaultPlan`] that injects per-request packet loss, latency jitter,
-//! bandwidth dips and scheduled session drops from a deterministic
-//! `(seed, stream, request-index)` hash — same seed, byte-identical fault
-//! schedule — and the [`FaultyLink`] channel that applies it.
+//! [`FaultPlan`] that injects per-request packet loss and scheduled
+//! session drops from a deterministic `(seed, stream, request-index)`
+//! hash — same seed, byte-identical fault schedule — and the
+//! [`FaultyLink`] channel that applies it. A lost request costs a fixed
+//! 2 s timeout. A [`FaultConfig`] picks one of two profiles: `none`, or
+//! `hostile`, which adds up to 150 ms of jitter and, on 10 % of requests,
+//! a dip to 40 % bandwidth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -81,9 +81,20 @@ impl ResolutionBand {
         }
     }
 
+    /// How much `w_min` rises per degradation level of
+    /// [`ResolutionBand::coarsened`].
+    pub const DEGRADE_STEP: f64 = 0.15;
+
     /// True when `w` is selected by this band.
     pub fn contains(&self, w: f64) -> bool {
         self.w_min <= w && w <= self.w_max
+    }
+
+    /// This band coarsened by `levels` degradation steps: `w_min` rises by
+    /// [`ResolutionBand::DEGRADE_STEP`] per level, saturating at `w_max`.
+    pub fn coarsened(self, levels: u32) -> Self {
+        let w_min = (self.w_min + Self::DEGRADE_STEP * f64::from(levels)).min(self.w_max);
+        Self::new(w_min, self.w_max)
     }
 }
 

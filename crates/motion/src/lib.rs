@@ -6,10 +6,11 @@
 //! blocks. Following the paper:
 //!
 //! * the client's *state* is the vector of its `h+1` most recent positions,
-//!   `s_t = [p(t), p(t−1), …, p(t−h)]ᵀ`;
+//!   `s_t = [p(t), p(t−1), …, p(t−h)]ᵀ`, with `h = 3`;
 //! * a transition matrix `A` with `s_{t+1} = A·s_t` is learned online by
-//!   **recursive least squares** (\[22\]); `Aⁱ` gives multi-step
-//!   predictions;
+//!   **recursive least squares** (\[22\]; forgetting factor λ = 0.98,
+//!   trusted after 8 samples, constant-velocity extrapolation before);
+//!   `Aⁱ` gives multi-step predictions;
 //! * the **Kalman predict step** (`P_{t+i} = A·P·Aᵀ + Q`) yields the
 //!   uncertainty of each predicted state, and the predicted position is
 //!   treated as normally distributed, `P(s) ~ N(ŝ, P)` (the paper's Eq. 3).
@@ -38,6 +39,6 @@ pub mod rls;
 
 pub use linalg::Mat;
 pub use markov::MarkovDirectionModel;
-pub use predict::{MotionPredictor, Prediction, PredictorConfig};
+pub use predict::{MotionPredictor, Prediction};
 pub use probability::{direction_probabilities, gaussian_block_probabilities};
 pub use rls::RlsEstimator;

@@ -28,30 +28,15 @@ use crate::rls::RlsEstimator;
 use mar_geom::Point2;
 use std::collections::VecDeque;
 
-/// Tunables for [`MotionPredictor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictorConfig {
-    /// `h`: the state holds `h + 1` recent positions.
-    pub history: usize,
-    /// RLS forgetting factor λ (1.0 = infinite memory).
-    pub lambda: f64,
-    /// Minimum RLS samples before the learned model is trusted.
-    pub min_samples: usize,
-    /// Baseline per-step position variance added even when residuals are
-    /// tiny (keeps block probabilities smooth).
-    pub base_variance: f64,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        Self {
-            history: 3,
-            lambda: 0.98,
-            min_samples: 8,
-            base_variance: 0.25,
-        }
-    }
-}
+/// `h`: the state holds `h + 1` recent positions.
+const HISTORY: usize = 3;
+/// RLS forgetting factor λ (1.0 = infinite memory).
+const LAMBDA: f64 = 0.98;
+/// Minimum RLS samples before the learned model is trusted.
+const MIN_SAMPLES: usize = 8;
+/// Baseline per-step position variance added even when residuals are
+/// tiny (keeps block probabilities smooth).
+const BASE_VARIANCE: f64 = 0.25;
 
 /// One multi-step prediction: mean position and 2×2 covariance.
 #[derive(Debug, Clone)]
@@ -65,9 +50,9 @@ pub struct Prediction {
 /// Online predictor of a client's future positions.
 ///
 /// ```
-/// use mar_motion::{MotionPredictor, PredictorConfig};
+/// use mar_motion::MotionPredictor;
 /// use mar_geom::Point2;
-/// let mut p = MotionPredictor::new(PredictorConfig::default());
+/// let mut p = MotionPredictor::new();
 /// for t in 0..30 {
 ///     p.observe(Point2::new([2.0 * t as f64, 100.0])); // heading east
 /// }
@@ -76,7 +61,6 @@ pub struct Prediction {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MotionPredictor {
-    config: PredictorConfig,
     /// Most recent position at the front.
     window: VecDeque<Point2>,
     rls: RlsEstimator,
@@ -85,23 +69,26 @@ pub struct MotionPredictor {
     resid_samples: usize,
 }
 
+impl Default for MotionPredictor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MotionPredictor {
     /// Creates a predictor.
-    pub fn new(config: PredictorConfig) -> Self {
-        assert!(config.history >= 1, "need at least two positions of state");
-        let dim = 2 * (config.history + 1);
+    pub fn new() -> Self {
         Self {
-            config,
-            window: VecDeque::with_capacity(config.history + 2),
-            rls: RlsEstimator::new(dim, 2, config.lambda, 1e4),
-            resid: Mat::identity(2).scale(config.base_variance),
+            window: VecDeque::with_capacity(HISTORY + 2),
+            rls: RlsEstimator::new(2 * (HISTORY + 1), 2, LAMBDA, 1e4),
+            resid: Mat::identity(2).scale(BASE_VARIANCE),
             resid_samples: 0,
         }
     }
 
     /// State dimension `2(h+1)`.
     pub fn state_dim(&self) -> usize {
-        2 * (self.config.history + 1)
+        2 * (HISTORY + 1)
     }
 
     /// Number of positions observed so far.
@@ -112,7 +99,7 @@ impl MotionPredictor {
     /// True once the learned transition is in use (vs. the constant-velocity
     /// fallback).
     pub fn is_warm(&self) -> bool {
-        self.rls.samples() >= self.config.min_samples
+        self.rls.samples() >= MIN_SAMPLES
     }
 
     /// Most recent speed (distance covered in the last step), or 0.
@@ -125,20 +112,20 @@ impl MotionPredictor {
 
     /// Feeds the position observed at the next timestamp.
     pub fn observe(&mut self, p: Point2) {
-        if self.window.len() == self.config.history + 1 {
+        if self.window.len() == HISTORY + 1 {
             // A full previous state exists: train on (s_t → p_{t+1}).
             let x = self.state_vector();
             let y = [p[0], p[1]];
             // Track the residual of the *pre-update* prediction.
             let pred = self.rls.predict(&x);
-            if self.rls.samples() >= self.config.min_samples {
+            if self.rls.samples() >= MIN_SAMPLES {
                 let e = [y[0] - pred[0], y[1] - pred[1]];
                 self.update_residual(&e);
             }
             self.rls.observe(&x, &y);
         }
         self.window.push_front(p);
-        if self.window.len() > self.config.history + 1 {
+        if self.window.len() > HISTORY + 1 {
             self.window.pop_back();
         }
     }
@@ -152,7 +139,7 @@ impl MotionPredictor {
         }
         // Keep a variance floor so probabilities never collapse to a point.
         for i in 0..2 {
-            self.resid[(i, i)] = self.resid[(i, i)].max(self.config.base_variance * 0.1);
+            self.resid[(i, i)] = self.resid[(i, i)].max(BASE_VARIANCE * 0.1);
         }
         self.resid_samples += 1;
     }
@@ -161,7 +148,7 @@ impl MotionPredictor {
     fn state_vector(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.state_dim());
         let last = self.window.front().copied().unwrap_or(Point2::ORIGIN);
-        for i in 0..=self.config.history {
+        for i in 0..=HISTORY {
             let p = self.window.get(i).copied().unwrap_or(last);
             v.push(p[0]);
             v.push(p[1]);
@@ -190,7 +177,7 @@ impl MotionPredictor {
         let Some(&last) = self.window.front() else {
             return Prediction {
                 mean: Point2::ORIGIN,
-                cov: Mat::identity(2).scale(self.config.base_variance),
+                cov: Mat::identity(2).scale(BASE_VARIANCE),
             };
         };
         let linear = self.linear_prediction(last, steps);
@@ -228,7 +215,7 @@ impl MotionPredictor {
         cov[(0, 1)] = off;
         cov[(1, 0)] = off;
         for i in 0..2 {
-            cov[(i, i)] = cov[(i, i)].max(self.config.base_variance * 0.1);
+            cov[(i, i)] = cov[(i, i)].max(BASE_VARIANCE * 0.1);
         }
         Prediction { mean, cov }
     }
@@ -241,11 +228,10 @@ impl MotionPredictor {
             None => mar_geom::Vec2::ZERO,
         };
         let mean = last + v * steps as f64;
-        let var = self.config.base_variance * (steps as f64).powi(2)
-            + 0.25 * v.norm_sq() * (steps as f64);
+        let var = BASE_VARIANCE * (steps as f64).powi(2) + 0.25 * v.norm_sq() * (steps as f64);
         Prediction {
             mean,
-            cov: Mat::identity(2).scale(var.max(self.config.base_variance)),
+            cov: Mat::identity(2).scale(var.max(BASE_VARIANCE)),
         }
     }
 
@@ -312,7 +298,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_returns_last_position_neighborhood() {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         p.observe(Point2::new([10.0, 20.0]));
         let pred = p.predict(1);
         assert_eq!(pred.mean, Point2::new([10.0, 20.0]));
@@ -321,7 +307,7 @@ mod tests {
 
     #[test]
     fn linear_motion_predicted_exactly_when_warm() {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         feed_line(&mut p, 40, 2.0, -1.0);
         assert!(p.is_warm());
         let pred = p.predict(1);
@@ -341,7 +327,7 @@ mod tests {
 
     #[test]
     fn uncertainty_grows_with_horizon() {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         feed_line(&mut p, 40, 1.0, 0.0);
         let c1 = p.predict(1).cov[(0, 0)] + p.predict(1).cov[(1, 1)];
         let c5 = p.predict(5).cov[(0, 0)] + p.predict(5).cov[(1, 1)];
@@ -350,7 +336,7 @@ mod tests {
 
     #[test]
     fn speed_reflects_last_step() {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         p.observe(Point2::new([0.0, 0.0]));
         p.observe(Point2::new([3.0, 4.0]));
         assert!((p.speed() - 5.0).abs() < 1e-12);
@@ -361,7 +347,7 @@ mod tests {
         // Circle walk: the guard must keep predictions within a sane radius
         // even though the linear state model cannot express the curvature
         // exactly.
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         for t in 0..100 {
             let a = t as f64 * 0.15;
             p.observe(Point2::new([50.0 * a.cos(), 50.0 * a.sin()]));
@@ -377,10 +363,7 @@ mod tests {
     fn rls_beats_linear_on_circular_motion() {
         // A second-order linear recurrence models circular motion exactly;
         // the trained predictor should out-predict constant velocity.
-        let mut p = MotionPredictor::new(PredictorConfig {
-            history: 3,
-            ..Default::default()
-        });
+        let mut p = MotionPredictor::new();
         let pos = |t: f64| Point2::new([50.0 * (t * 0.1).cos(), 50.0 * (t * 0.1).sin()]);
         for t in 0..200 {
             p.observe(pos(t as f64));
@@ -398,7 +381,7 @@ mod tests {
 
     #[test]
     fn horizon_returns_requested_count() {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         feed_line(&mut p, 20, 1.0, 1.0);
         assert_eq!(p.predict_horizon(4).len(), 4);
     }
@@ -408,14 +391,14 @@ mod tests {
         // The incremental sweep must be bit-identical to calling
         // `predict(i)` per step — on a warm straight line, on curved
         // motion (exercising the instability guard), and cold.
-        let mut straight = MotionPredictor::new(PredictorConfig::default());
+        let mut straight = MotionPredictor::new();
         feed_line(&mut straight, 40, 2.0, -1.0);
-        let mut curved = MotionPredictor::new(PredictorConfig::default());
+        let mut curved = MotionPredictor::new();
         for t in 0..100 {
             let a = t as f64 * 0.15;
             curved.observe(Point2::new([50.0 * a.cos(), 50.0 * a.sin()]));
         }
-        let mut cold = MotionPredictor::new(PredictorConfig::default());
+        let mut cold = MotionPredictor::new();
         cold.observe(Point2::new([1.0, 2.0]));
         for p in [&straight, &curved, &cold] {
             for (i, pred) in p.predict_horizon(8).iter().enumerate() {

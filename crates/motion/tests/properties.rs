@@ -2,7 +2,7 @@
 
 use mar_geom::{GridSpec, Point2, Rect2, SectorPartition};
 use mar_motion::probability::{direction_probabilities, gaussian_block_probabilities};
-use mar_motion::{MotionPredictor, PredictorConfig};
+use mar_motion::MotionPredictor;
 use proptest::prelude::*;
 
 fn grid() -> GridSpec {
@@ -22,7 +22,7 @@ proptest! {
         steps in prop::collection::vec((0.0f64..1000.0, 0.0f64..1000.0), 2..80),
         horizon in 1u32..20,
     ) {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         for (x, y) in &steps {
             p.observe(Point2::new([*x, *y]));
         }
@@ -38,7 +38,7 @@ proptest! {
         x0 in 0.0f64..100.0, y0 in 0.0f64..100.0,
         vx in -5.0f64..5.0, vy in -5.0f64..5.0,
     ) {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         for t in 0..40 {
             p.observe(Point2::new([x0 + vx * t as f64, y0 + vy * t as f64]));
         }
@@ -57,7 +57,7 @@ proptest! {
         steps in prop::collection::vec((100.0f64..900.0, 100.0f64..900.0), 3..40),
     ) {
         let g = grid();
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         for (x, y) in &steps {
             p.observe(Point2::new([*x, *y]));
         }
@@ -78,7 +78,7 @@ proptest! {
         tx in 100.0f64..900.0, ty in 100.0f64..900.0,
     ) {
         let g = grid();
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         let a = Point2::new([cx, cy]);
         let b = Point2::new([tx, ty]);
         for i in 0..30 {
@@ -105,7 +105,7 @@ fn dominant_direction_wins_across_headings() {
         (std::f64::consts::PI, 2),
         (-std::f64::consts::FRAC_PI_2, 3),
     ] {
-        let mut p = MotionPredictor::new(PredictorConfig::default());
+        let mut p = MotionPredictor::new();
         let start = Point2::new([500.0, 500.0]);
         let v = mar_geom::Vec2::new([heading.cos(), heading.sin()]) * 8.0;
         let mut pos = start;

@@ -16,7 +16,7 @@ use crate::codec::{
     encode_into, encode_query_into, ErrCode, Frame, FrameReader, WireError, PROTOCOL_VERSION,
 };
 use mar_bench::report::Json;
-use mar_bench::serve::{fnv_hex, serve_scene, ServeConfig, TourSession, Transcript};
+use mar_bench::serve::{fnv_hex, serve_scene, ServeConfig, TourSession, Transcript, TOUR_SEED};
 use mar_core::{QueryRegion, QueryResult};
 use std::collections::VecDeque;
 use std::fmt;
@@ -433,7 +433,7 @@ pub fn run_wire_replay(
 
     let mut sessions = Vec::with_capacity(cfg.sessions);
     for k in 0..cfg.sessions {
-        let tour = TourSession::new(space, cfg.ticks, cfg.tour_seed, cfg.frame_frac, k);
+        let tour = TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k);
         sessions.push((WireClient::connect(addr)?, tour));
     }
 

@@ -36,7 +36,7 @@
 //! differs. A failed write ends the connection at once (DESIGN.md §12.2).
 
 use crate::codec::{encode_into, DecodeError, ErrCode, Frame, FrameReader};
-use mar_core::{Server, SessionError};
+use mar_core::{QueryRegion, Server, SessionError};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -404,49 +404,11 @@ impl<W: Write> Conn<'_, W> {
                 true
             }
             Frame::Query { regions } => {
-                let Some(session) = self.session else {
-                    self.error(ErrCode::NotConnected, 0);
-                    return true;
-                };
-                if !self.admit(session) {
-                    return true;
-                }
-                match server.query(session, &regions) {
-                    Ok(r) => {
-                        self.with_ledger(session, |ws| ws.outstanding += r.bytes);
-                        self.send(&Frame::Result {
-                            coeffs: r.coeffs as u64,
-                            new_objects: r.new_objects as u64,
-                            bytes: r.bytes,
-                            io: r.io,
-                        });
-                    }
-                    Err(SessionError::UnknownSession(s)) => self.error(ErrCode::UnknownSession, s),
-                    Err(SessionError::UnknownToken(t)) => self.error(ErrCode::UnknownToken, t),
-                }
+                self.query(server, &regions);
                 true
             }
             Frame::Block { region, band } => {
-                let Some(session) = self.session else {
-                    self.error(ErrCode::NotConnected, 0);
-                    return true;
-                };
-                if !self.admit(session) {
-                    return true;
-                }
-                match server.fetch_block(session, &region, band) {
-                    Ok(r) => {
-                        self.with_ledger(session, |ws| ws.outstanding += r.bytes);
-                        self.send(&Frame::Result {
-                            coeffs: r.coeffs as u64,
-                            new_objects: r.new_objects as u64,
-                            bytes: r.bytes,
-                            io: r.io,
-                        });
-                    }
-                    Err(SessionError::UnknownSession(s)) => self.error(ErrCode::UnknownSession, s),
-                    Err(SessionError::UnknownToken(t)) => self.error(ErrCode::UnknownToken, t),
-                }
+                self.query(server, &[QueryRegion { region, band }]);
                 true
             }
             Frame::Ack { bytes } => {
@@ -487,6 +449,31 @@ impl<W: Write> Conn<'_, W> {
                 self.error(ErrCode::Malformed, u64::from(f.opcode()));
                 true
             }
+        }
+    }
+
+    /// Answers a `QUERY` (or a one-region `BLOCK`) for the attached
+    /// session: admission, the query, the ledger charge and the `RESULT`.
+    fn query(&mut self, server: &Server, regions: &[QueryRegion]) {
+        let Some(session) = self.session else {
+            self.error(ErrCode::NotConnected, 0);
+            return;
+        };
+        if !self.admit(session) {
+            return;
+        }
+        match server.query(session, regions) {
+            Ok(r) => {
+                self.with_ledger(session, |ws| ws.outstanding += r.bytes);
+                self.send(&Frame::Result {
+                    coeffs: r.coeffs as u64,
+                    new_objects: r.new_objects as u64,
+                    bytes: r.bytes,
+                    io: r.io,
+                });
+            }
+            Err(SessionError::UnknownSession(s)) => self.error(ErrCode::UnknownSession, s),
+            Err(SessionError::UnknownToken(t)) => self.error(ErrCode::UnknownToken, t),
         }
     }
 

@@ -24,7 +24,6 @@ fn tiny_cfg() -> ServeConfig {
         levels: 2,
         frame_frac: 0.15,
         jobs: 1,
-        tour_seed: 901,
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p mar-examples --release --example ar_inspector`
 
-use mar_core::{IncrementalClient, LinearSpeedMap, Server, SmoothedSpeed};
+use mar_core::{IncrementalClient, Server, SmoothedSpeed};
 use mar_geom::Point2;
 use mar_workload::{frame_at, paper_space, Scene, SceneConfig};
 
@@ -37,7 +37,7 @@ fn main() {
         best.1
     };
     let server = Server::new(&scene);
-    let mut client = IncrementalClient::connect(&server, LinearSpeedMap);
+    let mut client = IncrementalClient::connect(&server);
     let mut smooth = SmoothedSpeed::default();
 
     // Walk 40 ticks along the wall, pausing 12 ticks at two junction boxes.

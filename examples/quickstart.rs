@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run -p mar-examples --release --example quickstart`
 
-use mar_core::{IncrementalClient, LinearSpeedMap, Server};
+use mar_core::{IncrementalClient, Server};
 use mar_geom::Point2;
 use mar_mesh::generate::{generate, ObjectKind, ObjectParams};
 use mar_mesh::ResolutionBand;
@@ -57,7 +57,7 @@ fn main() {
     // 3. A client driving straight through the first object, braking
     //    halfway (watch the resolution band widen).
     let target = scene.objects[0].footprint().center();
-    let mut client = IncrementalClient::connect(&server, LinearSpeedMap);
+    let mut client = IncrementalClient::connect(&server);
     println!("\ntick  speed  frame_center      new_bytes  index_io");
     for tick in 0..8 {
         let speed = if tick < 4 { 0.8 } else { 0.05 }; // brakes at tick 4

@@ -1,7 +1,7 @@
 //! End-to-end integration: scene generation → server → moving client, with
 //! full-pipeline determinism and conservation checks.
 
-use mar_core::{IncrementalClient, LinearSpeedMap, Server};
+use mar_core::{IncrementalClient, Server};
 use mar_workload::{frame_at, paper_space, tram_tour, Placement, Scene, SceneConfig, TourConfig};
 
 fn scene(objects: usize, seed: u64) -> Scene {
@@ -14,7 +14,7 @@ fn scene(objects: usize, seed: u64) -> Scene {
 /// Runs a tour and returns (total bytes, total coeffs, total io).
 fn run_tour(scene: &Scene, speed: f64, tour_seed: u64) -> (f64, usize, u64) {
     let server = Server::new(scene);
-    let mut client = IncrementalClient::connect(&server, LinearSpeedMap);
+    let mut client = IncrementalClient::connect(&server);
     let tour = tram_tour(&TourConfig::new(paper_space(), 250, tour_seed, speed));
     for s in &tour.samples {
         let frame = frame_at(&paper_space(), &s.pos, 0.1);
@@ -56,7 +56,7 @@ fn slow_sweep_retrieves_more_per_distance() {
     let sc = scene(20, 9);
     let sweep = |speed: f64| -> f64 {
         let server = Server::new(&sc);
-        let mut client = IncrementalClient::connect(&server, LinearSpeedMap);
+        let mut client = IncrementalClient::connect(&server);
         for i in 0..25 {
             let pos = mar_geom::Point2::new([100.0 + 30.0 * i as f64, 500.0]);
             let frame = frame_at(&paper_space(), &pos, 0.1);
@@ -76,7 +76,7 @@ fn slow_sweep_retrieves_more_per_distance() {
 fn full_space_query_retrieves_everything_once() {
     let sc = scene(10, 21);
     let server = Server::new(&sc);
-    let mut client = IncrementalClient::connect(&server, LinearSpeedMap);
+    let mut client = IncrementalClient::connect(&server);
     let whole = paper_space();
     let r1 = client.tick(&server, whole, 0.0);
     assert_eq!(
@@ -94,8 +94,8 @@ fn full_space_query_retrieves_everything_once() {
 fn two_clients_get_independent_sessions() {
     let sc = scene(10, 5);
     let server = Server::new(&sc);
-    let mut a = IncrementalClient::connect(&server, LinearSpeedMap);
-    let mut b = IncrementalClient::connect(&server, LinearSpeedMap);
+    let mut a = IncrementalClient::connect(&server);
+    let mut b = IncrementalClient::connect(&server);
     let frame = frame_at(&paper_space(), &mar_geom::Point2::new([500.0, 500.0]), 0.2);
     let ra = a.tick(&server, frame, 0.2);
     let rb = b.tick(&server, frame, 0.2);
@@ -135,7 +135,7 @@ fn many_concurrent_clients_round_robin() {
         })
         .collect();
     let mut clients: Vec<_> = (0..n)
-        .map(|_| IncrementalClient::connect(&server, LinearSpeedMap))
+        .map(|_| IncrementalClient::connect(&server))
         .collect();
     for t in 0..120 {
         for (c, tour) in clients.iter_mut().zip(&tours) {
@@ -149,7 +149,7 @@ fn many_concurrent_clients_round_robin() {
     // Re-run each client alone on a fresh server: identical results.
     for (i, tour) in tours.iter().enumerate() {
         let solo_server = Server::new(&sc);
-        let mut solo = IncrementalClient::connect(&solo_server, LinearSpeedMap);
+        let mut solo = IncrementalClient::connect(&solo_server);
         for s in &tour.samples {
             let frame = frame_at(&paper_space(), &s.pos, 0.1);
             solo.tick(&solo_server, frame, s.speed);
@@ -172,7 +172,7 @@ fn disconnect_frees_session_state_under_churn() {
     let frame = frame_at(&paper_space(), &mar_geom::Point2::new([500.0, 500.0]), 0.2);
     let mut first_bytes = None;
     for _round in 0..5 {
-        let mut c = IncrementalClient::connect(&server, LinearSpeedMap);
+        let mut c = IncrementalClient::connect(&server);
         let r = c.tick(&server, frame, 0.3);
         match first_bytes {
             None => first_bytes = Some(r.bytes),
