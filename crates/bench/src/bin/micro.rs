@@ -25,8 +25,8 @@ use mar_bench::Scale;
 use mar_buffer::{MotionHeat, SlotHeats};
 use mar_core::{
     page_checksum, CachePolicy, LinearSpeedMap, PageCache, PageFile, QueryRegion, QueryResult,
-    SceneIndexData, SentFilter, Server, ServerCore, Sessions, SpeedResolutionMap, WaveletIndex,
-    PAGE_SIZE, SESSION_STRIPES,
+    SceneIndexData, SentFilter, Server, ServerCore, Sessions, SpeedResolutionMap, VictimPlan,
+    WaveletIndex, PAGE_SIZE, SESSION_STRIPES,
 };
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -666,6 +666,57 @@ fn bench_io(
         entries.push(Entry {
             group: "io",
             name: "pool_hit".into(),
+            m,
+            ops_per_iter: 1,
+            hit_ratio: None,
+        });
+    }
+    // Victim plan: the two steps of an admission the pager takes under its
+    // mutex — `plan`, which copies the unprotected quarter out of a full
+    // motion-aware pool, and `commit` — with a uniform ranking between
+    // them. The pool is one page short of the file, so there is always a
+    // miss to admit: each commit evicts the least recent page, which is
+    // the next one admitted.
+    let file = PageFile::open(std::path::Path::new(&store_path))
+        // mar-lint: allow(D004) — the store was just written by this process; failing to reopen it is fatal
+        .expect("micro: cannot reopen the page file");
+    let pages: Vec<Arc<Vec<u8>>> = (0..file.page_count())
+        .map(|page| {
+            // mar-lint: allow(D004) — every page of the store just written reads back
+            let bytes = file
+                .read_at(page)
+                .expect("micro: cannot read the page file");
+            Arc::new(bytes)
+        })
+        .collect();
+    let mut pool = PageCache::new(
+        file,
+        (pages.len() - 1) * PAGE_SIZE,
+        CachePolicy::MotionAware,
+    );
+    for page in 0..pages.len() as u32 - 1 {
+        // mar-lint: allow(D004) — every page of the store just written reads back
+        pool.read(page).expect("micro: cannot read the page file");
+    }
+    let mut missing = pages.len() as u32 - 1;
+    let mut scan = VictimPlan::default();
+    if let Some(m) = group.bench_function_measured("victim_plan", |b| {
+        b.iter(|| {
+            let data = &pages[missing as usize];
+            let planned = pool.plan(black_box(missing), data, &mut scan);
+            debug_assert!(planned.is_none(), "a full motion-aware pool ranks");
+            scan.rank_with(
+                |candidates, heats| heats.resize(candidates.len(), 0.0),
+                f64::INFINITY,
+            );
+            let committed = pool.commit(data, &mut scan);
+            missing = scan.candidates()[0].1;
+            committed
+        })
+    }) {
+        entries.push(Entry {
+            group: "io",
+            name: "victim_plan".into(),
             m,
             ops_per_iter: 1,
             hit_ratio: None,

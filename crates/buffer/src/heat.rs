@@ -41,7 +41,12 @@
 //! hundred bytes per dozen sessions — which [`SlotHeats::sync`]
 //! refreshes from the live field when the epoch has moved. The paged
 //! backend syncs under the mutex that guards the field and ranks outside
-//! it; several `SlotHeats` may exist, each with its own rows.
+//! it; several `SlotHeats` may exist, each with its own rows. An
+//! observation can leave the lock the same way: [`MotionHeat::read_motion`]
+//! copies the session's row into a [`MotionStep`], whose
+//! [`MotionStep::compute`] refreshes the Eq. 2 allocation reading no
+//! field, and [`MotionHeat::write_motion`] stores it — or, when the row
+//! changed in between, observes again in place.
 //!
 //! Determinism: rows are in session-id order and contributions are
 //! added one by one in that order, so a heat is the same sequence of
@@ -66,6 +71,10 @@ use crate::alloc::allocate_directions_into;
 /// within a few ticks, low enough that one jittered step does not flip
 /// the allocation.
 const DIRECTION_ALPHA: f64 = 0.5;
+
+/// Most sectors a [`MotionHeat`] divides the plane into: a [`MotionStep`]
+/// carries one session's row on the stack.
+const MAX_SECTORS: usize = 8;
 
 /// Epochs whose changed session row [`MotionHeat`] remembers. A slot
 /// re-ranked after a longer gap recomputes its whole row, which at the
@@ -136,6 +145,13 @@ impl StaleSet {
             contributions[s.slot * stride + row] = value;
         }
     }
+}
+
+/// True when `a` and `b` hold the same `f64`s, bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .map(|x| x.to_bits())
+        .eq(b.iter().map(|x| x.to_bits()))
 }
 
 /// The offset from `pos` to the point of `rect` nearest to it. The clamp
@@ -261,16 +277,69 @@ pub struct MotionHeat {
     ids: Vec<u64>,
     /// Smoothed probability per sector (sums to 1), `k` per session.
     probs: Vec<f64>,
-    /// The `k` block counts of the allocation being refreshed.
-    counts: Vec<usize>,
+}
+
+/// One [`MotionHeat::observe`] taken apart, so that its Eq. 2 arithmetic
+/// can run while nobody holds the field: [`MotionHeat::read_motion`]
+/// copies the session's row out, [`Self::compute`] — which reads no field
+/// — derives the row's new probabilities and allocation, and
+/// [`MotionHeat::write_motion`] stores them. Observing through the three
+/// is `observe`, bit for bit, in whatever order other observes and
+/// forgets land between the halves.
+#[derive(Debug, Clone, Copy)]
+pub struct MotionStep {
+    session: u64,
+    pos: Point2,
+    partition: SectorPartition,
+    alloc_total: usize,
+    /// The session's position as read; `None` when it was not tracked.
+    was: Option<Point2>,
+    /// Its smoothed probabilities as read (the first `k`).
+    was_probs: [f64; MAX_SECTORS],
+    /// The probabilities to store (the first `k`).
+    probs: [f64; MAX_SECTORS],
+    /// The allocation weights to store (the first `k`): as read until
+    /// [`Self::compute`] refreshes them.
+    alloc: [f64; MAX_SECTORS],
+}
+
+impl MotionStep {
+    /// The pure middle of an observation: the first one seeds a uniform
+    /// direction distribution, each later one votes the movement's sector
+    /// into the smoothed distribution, and either refreshes the Eq. 2
+    /// allocation from it.
+    pub fn compute(&mut self) {
+        let k = self.partition.k();
+        self.probs = self.was_probs;
+        let probs = &mut self.probs[..k];
+        match self.was {
+            None => probs.fill(1.0 / k as f64),
+            Some(was) => {
+                // A stationary tick carries no direction information.
+                let Some(s) = self.partition.sector_of(&(self.pos - was)) else {
+                    return;
+                };
+                for p in probs.iter_mut() {
+                    *p *= 1.0 - DIRECTION_ALPHA;
+                }
+                probs[s] += DIRECTION_ALPHA;
+            }
+        }
+        let mut counts = [0usize; MAX_SECTORS];
+        allocate_directions_into(self.alloc_total, probs, &mut counts[..k]);
+        for (weight, blocks) in self.alloc.iter_mut().zip(counts) {
+            *weight = blocks as f64;
+        }
+    }
 }
 
 impl MotionHeat {
-    /// Creates an empty heat field over `k` axis-centered sectors.
-    /// `scale` is the distance at which a session's contribution halves
-    /// (must be positive and finite).
+    /// Creates an empty heat field over `k` axis-centered sectors (one
+    /// to eight). `scale` is the distance at which a session's
+    /// contribution halves (must be positive and finite).
     pub fn new(k: usize, alloc_total: usize, scale: f64) -> Self {
         assert!(scale > 0.0 && scale.is_finite(), "scale must be positive");
+        assert!(k <= MAX_SECTORS, "at most {MAX_SECTORS} sectors");
         Self {
             table: HeatTable {
                 partition: SectorPartition::axis_centered(k),
@@ -284,7 +353,6 @@ impl MotionHeat {
             },
             ids: Vec::new(),
             probs: Vec::new(),
-            counts: vec![0; k],
         }
     }
 
@@ -301,37 +369,85 @@ impl MotionHeat {
     /// it would turn every heat into NaN, and a victim scan over NaNs
     /// ranks nothing.
     pub fn observe(&mut self, session: u64, pos: Point2) {
-        if !pos.is_finite() {
-            return;
+        if let Some(mut step) = self.read_motion(session, pos) {
+            step.compute();
+            self.store(self.ids.binary_search(&session), &step);
         }
+    }
+
+    /// The read half of an [`Self::observe`] ([`MotionStep`]): `session`'s
+    /// row, or the news that it is not tracked. `None` for a non-finite
+    /// `pos`, which `observe` ignores.
+    pub fn read_motion(&self, session: u64, pos: Point2) -> Option<MotionStep> {
+        if !pos.is_finite() {
+            return None;
+        }
+        let mut step = MotionStep {
+            session,
+            pos,
+            partition: self.table.partition,
+            alloc_total: self.table.alloc_total,
+            was: None,
+            was_probs: [0.0; MAX_SECTORS],
+            probs: [0.0; MAX_SECTORS],
+            alloc: [0.0; MAX_SECTORS],
+        };
+        if let Ok(row) = self.ids.binary_search(&session) {
+            let span = self.row_span(row);
+            let k = span.len();
+            step.was = Some(self.table.pos[row]);
+            step.was_probs[..k].copy_from_slice(&self.probs[span.clone()]);
+            step.alloc[..k].copy_from_slice(&self.table.alloc[span]);
+        }
+        Some(step)
+    }
+
+    /// The write half of an [`Self::observe`]: stores what `step` computed
+    /// if the session's row is still bit for bit the one
+    /// [`Self::read_motion`] copied — tracked or not, same position, same
+    /// probabilities. Otherwise another observe or a forget of the session
+    /// landed between the halves, and the observation is made again
+    /// against the row as it is now.
+    pub fn write_motion(&mut self, step: &MotionStep) {
+        let at = self.ids.binary_search(&step.session);
+        let unchanged = match (at, step.was) {
+            (Err(_), None) => true,
+            (Ok(row), Some(was)) => {
+                let span = self.row_span(row);
+                same_bits(&self.table.pos[row].coords, &was.coords)
+                    && same_bits(&self.probs[span.clone()], &step.was_probs[..span.len()])
+            }
+            _ => false,
+        };
+        if unchanged {
+            self.store(at, step);
+        } else {
+            self.observe(step.session, step.pos);
+        }
+    }
+
+    /// Stores a computed `step` into the session's row, which sits at
+    /// `at` (`binary_search` of the ids: `Err` inserts it there), and
+    /// counts the change.
+    fn store(&mut self, at: Result<usize, usize>, step: &MotionStep) {
         let table = &mut self.table;
         let k = table.partition.k();
         table.epoch += 1;
-        match self.ids.binary_search(&session) {
+        match at {
             Err(row) => {
                 table.set_epoch = table.epoch;
-                self.ids.insert(row, session);
-                table.pos.insert(row, pos);
+                self.ids.insert(row, step.session);
+                table.pos.insert(row, step.pos);
                 let at = row * k;
-                self.probs
-                    .splice(at..at, std::iter::repeat_n(1.0 / k as f64, k));
-                table.alloc.splice(at..at, std::iter::repeat_n(0.0, k));
-                self.refresh_alloc(row);
+                self.probs.splice(at..at, step.probs[..k].iter().copied());
+                table.alloc.splice(at..at, step.alloc[..k].iter().copied());
             }
             Ok(row) => {
                 table.changed[table.epoch as usize % CHANGE_RING] = row;
-                let delta = pos - table.pos[row];
-                table.pos[row] = pos;
-                // A stationary tick carries no direction information.
-                if let Some(s) = table.partition.sector_of(&delta) {
-                    let span = self.row_span(row);
-                    let probs = &mut self.probs[span];
-                    for p in probs.iter_mut() {
-                        *p *= 1.0 - DIRECTION_ALPHA;
-                    }
-                    probs[s] += DIRECTION_ALPHA;
-                    self.refresh_alloc(row);
-                }
+                table.pos[row] = step.pos;
+                let span = row * k..(row + 1) * k;
+                self.probs[span.clone()].copy_from_slice(&step.probs[..k]);
+                table.alloc[span].copy_from_slice(&step.alloc[..k]);
             }
         }
     }
@@ -341,19 +457,6 @@ impl MotionHeat {
     fn row_span(&self, row: usize) -> Range<usize> {
         let k = self.table.partition.k();
         row * k..(row + 1) * k
-    }
-
-    /// Recomputes row `row`'s Eq. 2 allocation from its probabilities.
-    fn refresh_alloc(&mut self, row: usize) {
-        let span = self.row_span(row);
-        allocate_directions_into(
-            self.table.alloc_total,
-            &self.probs[span.clone()],
-            &mut self.counts,
-        );
-        for (weight, &blocks) in self.table.alloc[span].iter_mut().zip(&self.counts) {
-            *weight = blocks as f64;
-        }
     }
 
     /// Drops `session`'s contribution (client disconnected).
@@ -691,6 +794,78 @@ mod tests {
                         oracle.heat_at(r.lo).to_bits(),
                         "heat_at({:?}) after step {}", r.lo, step
                     );
+                }
+            }
+        }
+    }
+
+    /// Everything an observation can change, as bits: the ids, the
+    /// counters SlotHeats trusts, and every row.
+    fn state_bits(f: &MotionHeat) -> Vec<u64> {
+        let t = &f.table;
+        let mut bits = vec![t.epoch, t.set_epoch];
+        bits.extend(t.changed.iter().map(|&row| row as u64));
+        bits.extend(&f.ids);
+        bits.extend(t.pos.iter().flat_map(|p| p.coords.map(f64::to_bits)));
+        bits.extend(f.probs.iter().chain(&t.alloc).map(|x| x.to_bits()));
+        bits
+    }
+
+    proptest! {
+        /// The split observe — `read_motion`, `MotionStep::compute`,
+        /// `write_motion` — is `observe`, bit for bit. A field driven
+        /// through the halves, with nothing, an observe, a forget, or a
+        /// forget and a rejoin at the very same position landing between
+        /// them (of another session or, as often as not, of the same one),
+        /// is after every step the field that ran that interloper and then
+        /// `observe`: same ids, epochs, change ring and rows, same heats.
+        /// Lattice positions make stationary ticks and joins common; some
+        /// positions are NaN; both the compass and a six-sector partition
+        /// run.
+        #[test]
+        fn split_observe_equals_observe_bit_for_bit(
+            six in 0u32..2,
+            ops in prop::collection::vec(
+                ((0u32..8, 0u64..5, -4i32..4, -4i32..4), (0u32..5, 0u64..5, -4i32..4)), 1..120),
+        ) {
+            let mut split = MotionHeat::new(if six == 1 { 6 } else { 4 }, 64, 12.5);
+            let mut serial = split.clone();
+            for (step, &((kind, session, x, y), (between, other, z))) in ops.iter().enumerate() {
+                let pos = p(if kind == 1 { f64::NAN } else { x as f64 }, y as f64);
+                let interloper = |f: &mut MotionHeat| match between {
+                    1 | 2 => f.observe(other, p(z as f64, y as f64)),
+                    3 => f.forget(other),
+                    // Same position, fresh probabilities.
+                    4 => {
+                        if let Ok(row) = f.ids.binary_search(&other) {
+                            let at = f.table.pos[row];
+                            f.forget(other);
+                            f.observe(other, at);
+                        }
+                    }
+                    _ => {}
+                };
+                if kind == 0 {
+                    split.forget(session);
+                    serial.forget(session);
+                } else {
+                    let read = split.read_motion(session, pos);
+                    prop_assert_eq!(read.is_some(), kind != 1);
+                    interloper(&mut split);
+                    if let Some(mut motion) = read {
+                        motion.compute();
+                        split.write_motion(&motion);
+                    }
+                    interloper(&mut serial);
+                    serial.observe(session, pos);
+                }
+                prop_assert_eq!(state_bits(&split), state_bits(&serial), "after step {}", step);
+                for r in [
+                    Rect2::new(p(-1e4, -1e4), p(1e4, 1e4)),
+                    Rect2::new(p(1.0, -2.0), p(3.0, 2.0)),
+                    Rect2::new(p(-9.0, 5.0), p(-7.0, 6.0)),
+                ] {
+                    prop_assert_eq!(split.heat_rect(&r).to_bits(), serial.heat_rect(&r).to_bits());
                 }
             }
         }

@@ -45,7 +45,7 @@ pub mod residence;
 
 pub use alloc::{allocate_directions, allocate_directions_into, best_ordering_allocation};
 pub use block::{BlockCache, CacheStats};
-pub use heat::{MotionHeat, SlotHeats};
+pub use heat::{MotionHeat, MotionStep, SlotHeats};
 pub use lru::LruCache;
 pub use mar_store::RecencyIndex;
 pub use multires::MultiresPolicy;

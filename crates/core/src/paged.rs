@@ -28,16 +28,23 @@
 //! at once, and three times — each hold short — on a miss that has to
 //! rank a victim.
 //!
-//! *Under* the mutex: the pool look-up — one table read and a list
-//! relink; after a miss, the plan of the admission
+//! *Under* the mutex, each hold O(1): the pool look-up — one table read
+//! and a list relink; after a miss, the plan of the admission
 //! ([`PageCache::plan`]: room, LRU and "admitted meanwhile" finish there,
-//! a full motion-aware pool copies its eviction candidates out), the
-//! refresh of the ranker's snapshot of the heat field when a session has
-//! moved since its last one ([`SlotHeats::sync`], a few hundred bytes),
-//! and the commit of the ranked choice ([`PageCache::commit`]). A
-//! session's Eq. 2 allocation is refreshed under the mutex too, in place.
+//! a full motion-aware pool copies the array of its eviction candidates
+//! it keeps beside the recency list), the refresh of the ranker's
+//! snapshot of the heat field when a session has moved since its last
+//! one ([`SlotHeats::sync`], a few hundred bytes), and the commit of the
+//! ranked choice ([`PageCache::commit`]); and the two halves of a motion
+//! observation ([`MotionHeat::read_motion`] copies the session's row
+//! out, [`MotionHeat::write_motion`] stores the new one).
 //!
-//! *Outside* it: the page read and the victim ranking. A miss releases
+//! *Outside* it: the page read, the victim ranking and the Eq. 2
+//! refresh of a session's allocation between the two halves of an
+//! observation ([`mar_buffer::MotionStep::compute`]); a write half that
+//! finds the session's row changed since it was read — another thread
+//! observed or forgot the same session — observes again in place, so
+//! concurrent observations land in some serial order. A miss releases
 //! the guard, reads and checksums the page through a shared [`PageFile`]
 //! (one positioned read, no cursor to race on) and locks again to plan
 //! the admission. When the plan asks for a ranking, the guard is released
@@ -211,8 +218,21 @@ impl PagedIndex {
     /// Records that `session`'s window is now centred at `pos`; the heat
     /// field turns the per-session movement history into the Eq. 2
     /// k-direction allocation the pool's victim ranking consults.
+    ///
+    /// [`MotionHeat::observe`] in two holds of the pager: one copies the
+    /// session's row out, the Eq. 2 refresh runs unlocked, the other
+    /// stores the result (or observes again in place, should this
+    /// session's row have moved in between). A non-finite `pos`, which
+    /// the field ignores, takes no lock.
     pub fn observe_motion(&self, session: u64, pos: Point2) {
-        self.lock_pager().heat.observe(session, pos);
+        if !pos.is_finite() {
+            return;
+        }
+        let step = self.lock_pager().heat.read_motion(session, pos);
+        if let Some(mut step) = step {
+            step.compute();
+            self.lock_pager().heat.write_motion(&step);
+        }
     }
 
     /// Drops `session`'s contribution to the heat field.
@@ -312,7 +332,9 @@ impl PagedIndex {
 
     /// Touches the payload page holding `id`'s coefficient record — the
     /// disk trip a transmission performs. Counts a physical access on a
-    /// pool miss; unknown ids are ignored.
+    /// pool miss; unknown ids are ignored. Out of line: the filter's
+    /// per-hit path, inlined into every RAM walk, calls it.
+    #[inline(never)]
     pub fn touch_payload(&self, id: CoeffRef) {
         if let Some(rec) = self.meta.record_index(id) {
             self.touch_record(rec);
@@ -333,9 +355,6 @@ impl PagedIndex {
     /// pool). `None` for ids outside the stored scene.
     pub fn read_record(&self, id: CoeffRef) -> Option<StoredRecord> {
         let rec = self.meta.record_index(id)?;
-        if rec >= self.meta.n_records {
-            return None;
-        }
         let (page, off) = self.meta.record_page(rec);
         let bytes = self.page(page);
         Some(decode_record(&bytes[off..off + RECORD_SIZE]))
@@ -531,6 +550,38 @@ mod tests {
             }),
             None
         );
+    }
+
+    /// A coefficient index past its object's records names no record:
+    /// not the next object's first one, and not an overflowed sum.
+    #[test]
+    fn an_out_of_range_coefficient_names_no_record() {
+        let (paged, _, d) = open_small("range.pages", 32, CachePolicy::Lru);
+        let offsets = &paged.meta().obj_offsets;
+        let first_count = offsets[1] - offsets[0];
+        let last = d.records.last().expect("records").id;
+        assert_eq!(
+            paged.meta().record_index(last),
+            Some(paged.meta().n_records - 1)
+        );
+        for id in [
+            CoeffRef {
+                object: 0,
+                coeff: first_count,
+            },
+            CoeffRef {
+                object: 1,
+                coeff: u32::MAX,
+            },
+            CoeffRef {
+                coeff: last.coeff + 1,
+                ..last
+            },
+        ] {
+            assert_eq!(paged.read_record(id), None, "{id:?}");
+            paged.touch_payload(id);
+        }
+        assert_eq!(paged.cache_stats().lookups, 0, "no page was looked up");
     }
 
     #[test]
@@ -782,6 +833,83 @@ mod tests {
         pager.cache.validate().expect("pool structure");
         let resident = (0..pages).filter(|&p| pager.cache.contains(p)).count();
         assert!(resident <= pager.cache.capacity_pages());
+    }
+
+    /// Four threads observe and forget motion at once through the split
+    /// `observe_motion`. Each drives four sessions of its own, whose joins
+    /// and leaves shift the other threads' rows between their two holds
+    /// of the pager, and one step in sixteen is a NaN. All of them also
+    /// observe and forget one shared session that only ever stands at one
+    /// point, so that two threads often both read it untracked and the
+    /// later write finds it joined — whatever the order, a row it has is
+    /// the row of one join there. Once the threads are done and the shared
+    /// session is observed once more, the field is a serial replay of each
+    /// session's own sequence: the same sessions and every heat bit for
+    /// bit.
+    #[test]
+    fn four_threads_observing_motion_equal_a_serial_replay() {
+        const THREADS: u64 = 4;
+        const STEPS: u64 = 20_000;
+        const SHARED: u64 = 1 << 20;
+        let (paged, _, _) = open_small("observe.pages", 4, CachePolicy::MotionAware);
+        let shared_at = Point2::new([500.0, 500.0]);
+        // Thread `t`'s step `i`: a session and its new position, or `None`
+        // for a forget.
+        let script = |t: u64, i: u64| {
+            let mut x = (t << 32 | i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            x ^= x >> 29;
+            x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x ^= x >> 32;
+            let own = t + THREADS * (x >> 4 & 3);
+            let at = |v: u64| (v & 15) as f64 * 60.0;
+            match x & 15 {
+                0..=2 => (SHARED, Some(shared_at)),
+                3 => (SHARED, None),
+                4 => (own, None),
+                5 => (own, Some(Point2::new([f64::NAN, 0.0]))),
+                _ => (own, Some(Point2::new([at(x >> 8), at(x >> 12)]))),
+            }
+        };
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (paged, start) = (&paged, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..STEPS {
+                        match script(t, i) {
+                            (session, Some(pos)) => paged.observe_motion(session, pos),
+                            (session, None) => paged.forget_motion(session),
+                        }
+                    }
+                });
+            }
+        });
+        paged.observe_motion(SHARED, shared_at);
+        let mut serial = MotionHeat::server_default(paged.heat_scale);
+        for t in 0..THREADS {
+            for i in 0..STEPS {
+                match script(t, i) {
+                    (SHARED, _) => {}
+                    (session, Some(pos)) => serial.observe(session, pos),
+                    (session, None) => serial.forget(session),
+                }
+            }
+        }
+        serial.observe(SHARED, shared_at);
+        let pager = paged.lock_pager();
+        assert_eq!(pager.heat.session_count(), serial.session_count());
+        let more = [
+            Rect2::new(shared_at, shared_at),
+            Rect2::new(Point2::new([-1e4, -1e4]), Point2::new([1e4, 1e4])),
+        ];
+        for r in paged.meta().regions.iter().chain(&more) {
+            assert_eq!(
+                pager.heat.heat_rect(r).to_bits(),
+                serial.heat_rect(r).to_bits(),
+                "heat of {r:?}"
+            );
+        }
     }
 
     /// A window of NaNs reaches `observe_motion` as a NaN position. It

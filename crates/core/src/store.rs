@@ -74,11 +74,14 @@ impl StoreMeta {
         self.node_pages + self.coeff_pages
     }
 
-    /// Dense record index of `id`, or `None` for an unknown object.
+    /// Dense record index of `id`, or `None` for an unknown object or a
+    /// coefficient past its object's records.
     pub fn record_index(&self, id: CoeffRef) -> Option<u32> {
-        self.obj_offsets
-            .get(id.object as usize)
-            .map(|&o| o + id.coeff)
+        let object = id.object as usize;
+        let first = *self.obj_offsets.get(object)?;
+        let end = self.obj_offsets.get(object + 1).copied();
+        let rec = first.checked_add(id.coeff)?;
+        (rec < end.unwrap_or(self.n_records)).then_some(rec)
     }
 
     /// Page id and byte offset of record `rec`.

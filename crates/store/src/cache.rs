@@ -30,11 +30,23 @@
 //! dense `page → slot` table (4 B per file page) finds them, and an
 //! intrusive doubly-linked list through the slots (`prev` / `next` slot
 //! indices, least recent at the head) orders them. A hit is one table
-//! read and a relink; LRU's victim is the list head; the motion-aware
-//! candidates are the first `len − protected` links from the head. The
-//! only operation that vacates a slot is an eviction, and the admission
-//! that caused it refills that slot in the same call, so the slab needs
-//! no free list and, once full, stays full.
+//! read and a relink; LRU's victim is the list head. The only operation
+//! that vacates a slot is an eviction, and the admission that caused it
+//! refills that slot in the same call, so the slab needs no free list
+//! and, once full, stays full.
+//!
+//! A full motion-aware pool also keeps its eviction candidates — the
+//! least recent `max(capacity / 4, 1)` slots, the *quarter* — in list
+//! order in an array beside the list, `(slot, page)` each, so that a plan
+//! copies them instead of chasing links. The fill that makes the pool
+//! full takes the first quarter's links once. From then on a member that
+//! is used or evicted leaves a tombstone (each slot knows its index in the
+//! array), and the one slot that now belongs to the quarter — the link
+//! after the last member — joins at the back. Only that slot ever joins,
+//! so the live entries stay in list order. The array is compacted when
+//! its tombstones outnumber its members, and a tombstone at the back is
+//! popped at once, so every use costs O(1) amortised; a pool with room,
+//! or an LRU pool, keeps no quarter at all.
 //!
 //! A read is two halves, both `&mut self` and neither touching the file:
 //! [`PageCache::lookup`] (count, relink, clone the `Arc`) and, after a
@@ -42,7 +54,7 @@
 //! three steps. [`PageCache::plan`] counts the fault and decides at once
 //! whatever needs no heat — the page became resident meanwhile, the pool
 //! has room, the policy is LRU; a full motion-aware pool instead copies
-//! its eviction candidates, `(slot, page)` in scan order, into the
+//! the quarter's live entries, `(slot, page)` in scan order, into the
 //! caller's [`VictimPlan`] together with the pool's use counter.
 //! [`VictimPlan::rank`] (or [`VictimPlan::rank_with`], all candidates'
 //! heats in one call) keeps the caller's heats beside that copy and picks
@@ -154,6 +166,8 @@ struct Resident {
     prev: u32,
     /// Neighbour towards the most recently used end.
     next: u32,
+    /// Index of this slot's entry in the quarter array, or [`NIL`].
+    member: u32,
     /// The pool's use counter when this slot was last used or filled.
     used: u64,
     data: Arc<Vec<u8>>,
@@ -271,6 +285,16 @@ pub struct PageCache {
     head: u32,
     /// Most recently used slot.
     tail: u32,
+    /// Once the pool is full, its least recent `quarter_len` slots,
+    /// `(slot, page)` in list order; a tombstone's slot is [`NIL`], and
+    /// the last entry is live.
+    quarter: Vec<(u32, u32)>,
+    /// Live entries of `quarter`.
+    members: usize,
+    /// A full pool's eviction candidates, the unprotected quarter:
+    /// `max(capacity_pages / 4, 1)` for the motion-aware policy, none for
+    /// LRU (its victim is the list head).
+    quarter_len: usize,
     /// Counts uses (hits and fills); a slot's `used` is its last one.
     uses: u64,
     stats: PageCacheStats,
@@ -291,6 +315,12 @@ impl PageCache {
             slot_of,
             head: NIL,
             tail: NIL,
+            quarter: Vec::new(),
+            members: 0,
+            quarter_len: match policy {
+                CachePolicy::Lru => 0,
+                CachePolicy::MotionAware => (capacity_pages / 4).max(1),
+            },
             uses: 0,
             stats: PageCacheStats::default(),
             trace: None,
@@ -369,6 +399,47 @@ impl PageCache {
         self.tail = slot;
     }
 
+    /// Takes `slot` out of the quarter, leaving a tombstone, if it is a
+    /// member; true if it was.
+    fn leave(&mut self, slot: u32) -> bool {
+        let at = self.slots[slot as usize].member;
+        if at == NIL {
+            return false;
+        }
+        self.slots[slot as usize].member = NIL;
+        self.quarter[at as usize].0 = NIL;
+        self.members -= 1;
+        while self.quarter.last().is_some_and(|&(s, _)| s == NIL) {
+            self.quarter.pop();
+        }
+        if self.quarter.len() - self.members > self.members {
+            self.quarter.retain(|&(s, _)| s != NIL);
+            for (at, &(s, _)) in self.quarter.iter().enumerate() {
+                self.slots[s as usize].member = at as u32;
+            }
+        }
+        true
+    }
+
+    /// In a full pool, after a member left: when the quarter is a member
+    /// short, the slot after its last member — the head when it has none —
+    /// joins.
+    fn top_up(&mut self) {
+        if self.members == self.quarter_len {
+            return;
+        }
+        let next = match self.quarter.last() {
+            Some(&(last, _)) => self.slots[last as usize].next,
+            None => self.head,
+        };
+        if next != NIL {
+            let s = &mut self.slots[next as usize];
+            s.member = self.quarter.len() as u32;
+            self.quarter.push((next, s.page));
+            self.members += 1;
+        }
+    }
+
     /// Counts a use of `slot`: a [`VictimPlan`] taken before it may no
     /// longer evict the slot.
     fn stamp(&mut self, slot: u32) {
@@ -380,8 +451,13 @@ impl PageCache {
     fn touch(&mut self, slot: u32) -> Arc<Vec<u8>> {
         self.stamp(slot);
         if slot != self.tail {
+            // Relinking a slot past the quarter leaves the quarter as it is.
+            let left = self.leave(slot);
             self.unlink(slot);
             self.link_most_recent(slot);
+            if left {
+                self.top_up();
+            }
         }
         Arc::clone(&self.slots[slot as usize].data)
     }
@@ -452,9 +528,9 @@ impl PageCache {
     /// First step of an admission: counts the fault and, unless a victim
     /// has to be ranked, finishes — `Some` is the bytes to serve. `None`
     /// means the pool is full and motion-aware: `scan` now holds the
-    /// candidates (the first `len − protected` slots from the least
-    /// recent end, at least one) for [`VictimPlan::rank`], and the
-    /// admission ends with [`Self::commit`].
+    /// candidates (the quarter: the least recent `max(capacity / 4, 1)`
+    /// slots, copied from the array beside the list) for
+    /// [`VictimPlan::rank`], and the admission ends with [`Self::commit`].
     ///
     /// When `page` became resident since the look-up missed — another
     /// thread admitted it while this one was reading — the resident copy
@@ -491,10 +567,17 @@ impl PageCache {
                 page,
                 prev: NIL,
                 next: NIL,
+                member: NIL,
                 used: 0,
                 data: Arc::clone(data),
             });
             self.install((self.slots.len() - 1) as u32, page);
+            if self.slots.len() == self.capacity_pages {
+                // Full: the first quarter's links become the candidates.
+                for _ in 0..self.quarter_len {
+                    self.top_up();
+                }
+            }
             return Some(Arc::clone(data));
         }
         // Full, so the list is not empty: `head` is a slot.
@@ -502,19 +585,17 @@ impl PageCache {
             return Some(self.replace(self.head, page, data));
         }
         // Recency-protected: the most recently used three quarters of the
-        // pool are exempt, the rest are the candidates.
-        let protected = self.capacity_pages - self.capacity_pages / 4;
-        let candidates = self.slots.len().saturating_sub(protected).max(1);
+        // pool are exempt, the quarter's members are the candidates.
         scan.page = page;
         scan.stamp = self.uses;
         scan.victim = None;
         scan.candidates.clear();
-        let mut at = self.head;
-        for _ in 0..candidates {
-            let s = &self.slots[at as usize];
-            scan.candidates.push((at, s.page));
-            at = s.next;
-        }
+        scan.candidates.extend(
+            self.quarter
+                .iter()
+                .copied()
+                .filter(|&(slot, _)| slot != NIL),
+        );
         None
     }
 
@@ -563,16 +644,18 @@ impl PageCache {
         self.slot_of[evicted as usize] = NIL;
         self.stats.evictions += 1;
         self.record(TraceEvent::Evict(evicted));
+        self.leave(slot);
         self.unlink(slot);
         let s = &mut self.slots[slot as usize];
         s.page = page;
         s.data = Arc::clone(data);
         self.install(slot, page);
+        self.top_up();
         Arc::clone(data)
     }
 
-    /// Makes the unlinked `slot`, already holding `page`, resident and
-    /// most recently used.
+    /// Makes the unlinked `slot`, already holding `page` and out of the
+    /// quarter, resident and most recently used.
     fn install(&mut self, slot: u32, page: u32) {
         self.slot_of[page as usize] = slot;
         self.stamp(slot);
@@ -582,13 +665,26 @@ impl PageCache {
 
     /// Checks the pool's structure: at most `capacity_pages` slots, the
     /// recency list threads every slot exactly once with consistent
-    /// back-links, and `page → slot → page` round-trips with no other
-    /// page claiming a slot.
+    /// back-links, `page → slot → page` round-trips with no other page
+    /// claiming a slot, and — in a full pool — the quarter array's live
+    /// entries are the first quarter's links, pages and slot indices
+    /// included, with a live last entry and no more tombstones than
+    /// members.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.slots.len();
         if n > self.capacity_pages {
             return Err(format!("{n} slots exceed capacity {}", self.capacity_pages));
         }
+        let quarter_len = if n == self.capacity_pages {
+            self.quarter_len
+        } else {
+            0
+        };
+        let mut live = self
+            .quarter
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(slot, _))| slot != NIL);
         let (mut at, mut prev, mut seen) = (self.head, NIL, 0usize);
         while at != NIL {
             let s = self
@@ -607,11 +703,36 @@ impl PageCache {
                     s.page
                 ));
             }
+            if seen < quarter_len {
+                let entry = live.next();
+                if entry.is_none_or(|(i, &(slot, page))| {
+                    slot != at || page != s.page || s.member != i as u32
+                }) {
+                    return Err(format!(
+                        "link {seen} (slot {at}) is not the quarter's next entry"
+                    ));
+                }
+            } else if s.member != NIL {
+                return Err(format!("slot {at} is past the quarter but a member"));
+            }
             seen += 1;
             if seen > n {
                 return Err("recency list cycles".into());
             }
             (prev, at) = (at, s.next);
+        }
+        if live.next().is_some() {
+            return Err("the quarter holds a slot the list does not reach first".into());
+        }
+        let entries = self.quarter.len();
+        if self.members != quarter_len || entries - self.members > self.members {
+            return Err(format!(
+                "quarter: {} members in {entries} entries over {n} slots",
+                self.members
+            ));
+        }
+        if self.quarter.last().is_some_and(|&(slot, _)| slot == NIL) {
+            return Err("the quarter ends in a tombstone".into());
         }
         if prev != self.tail {
             return Err(format!("list ends at {prev}, tail says {}", self.tail));

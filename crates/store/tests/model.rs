@@ -222,6 +222,17 @@ impl TreePool {
     }
 }
 
+/// Capacity and page count of a slab-pool proptest case: a small pool,
+/// whose quarter (the motion-aware candidates) holds one or two pages, or
+/// a pool of 16–48 pages over a file 1–56 pages larger, whose quarter of
+/// 4–12 members sees tombstones, compaction and its last member used.
+fn pool_shape() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        (1usize..9, 2usize..24),
+        (16usize..49, 1usize..57).prop_map(|(cap, extra)| (cap, cap + extra)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -261,13 +272,13 @@ proptest! {
 
     /// Slab + list ≡ `BTreeMap` + `RecencyIndex`: the same reads under
     /// the same heats leave the same trace, counters and bytes, for both
-    /// policies, including heats with NaNs and ties in them.
+    /// policies, including heats with NaNs and ties in them, at every
+    /// [`pool_shape`].
     #[test]
     fn slab_pool_equals_the_ordered_map_pool(
-        n_pages in 2usize..24,
-        cap in 1usize..9,
-        raw_reads in prop::collection::vec(0u32..96, 1..160),
-        raw_heats in prop::collection::vec(0u32..5, 24..25),
+        (cap, n_pages) in pool_shape(),
+        raw_reads in prop::collection::vec(0u32..256, 1..400),
+        raw_heats in prop::collection::vec(0u32..5, 104..105),
     ) {
         let reads: Vec<u32> = raw_reads.iter().map(|r| r % n_pages as u32).collect();
         let heats: Vec<f64> = raw_heats
@@ -333,13 +344,12 @@ proptest! {
     /// are the ones the one-call scan walked, in its order, and the
     /// trace, counters and bytes are those of the pool that decided each
     /// admission in a single call — for both policies, NaN heats and ties
-    /// included. No commit is ever refused.
+    /// included, at every [`pool_shape`]. No commit is ever refused.
     #[test]
     fn plan_rank_commit_equals_the_one_call_admission(
-        n_pages in 2usize..24,
-        cap in 1usize..9,
-        raw_reads in prop::collection::vec(0u32..96, 1..160),
-        raw_heats in prop::collection::vec(0u32..5, 24..25),
+        (cap, n_pages) in pool_shape(),
+        raw_reads in prop::collection::vec(0u32..256, 1..400),
+        raw_heats in prop::collection::vec(0u32..5, 104..105),
     ) {
         let reads: Vec<u32> = raw_reads.iter().map(|r| r % n_pages as u32).collect();
         let heats: Vec<f64> = raw_heats
