@@ -71,6 +71,6 @@ pub use paged::PagedIndex;
 pub use resilient::{ProtocolError, ResilienceMetrics, ResilientClient, ResilientTick};
 pub use retrieval::{FramePlanner, IncrementalClient};
 pub use server::{QueryRegion, QueryResult, Server, ServerCore};
-pub use session::{ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};
+pub use session::{Delivery, ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};
 pub use speedmap::{LinearSpeedMap, SmoothedSpeed, SpeedResolutionMap};
 pub use store::{open_store, write_store, write_store_with, StoreMeta, StoredRecord};

@@ -289,7 +289,8 @@ impl ResilientClient {
                     // client starts over, as after a failed resume.
                     let answer = server.query(self.session, &regions);
                     let bytes = answer.as_ref().map_or(0.0, |r| r.bytes);
-                    self.clock.advance(self.link.complete(grant, bytes, speed));
+                    self.clock
+                        .advance(grant.transfer_time(self.link.config(), bytes, speed));
                     match answer {
                         Ok(r) => break r,
                         Err(_) => regions = self.reconnect(server, frame, band),

@@ -274,10 +274,10 @@ impl Server {
         self.sessions.connect_with_token()
     }
 
-    /// Drops a session (client disconnected): its filter state, its
-    /// resume token ([`Sessions::disconnect`]) and its heat contribution —
-    /// a gone client must not keep pages warm (no-op on the in-RAM
-    /// backend).
+    /// Drops a session (client disconnected): its filter, its resume
+    /// token and its delivery ledger in one call ([`Sessions::disconnect`]),
+    /// and its heat contribution — a gone client must not keep pages warm
+    /// (no-op on the in-RAM backend).
     pub fn disconnect(&self, session: u64) -> Result<(), SessionError> {
         self.sessions.disconnect(session)?;
         self.core.index().forget_motion(session);
@@ -423,8 +423,9 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{mix64, SESSION_STRIPES};
+    use crate::session::SESSION_STRIPES;
     use mar_geom::Point2;
+    use mar_link::splitmix64;
     use mar_workload::{Scene, SceneConfig};
 
     fn server() -> Server {
@@ -472,7 +473,8 @@ mod tests {
                 // Every fifth query repeats its predecessor: nothing to send.
                 let repeat = step % 5 == 4;
                 let k = step - u64::from(repeat);
-                let unit = |salt: u64| (mix64(k * 4 + salt) >> 11) as f64 / (1u64 << 53) as f64;
+                let unit =
+                    |salt: u64| (splitmix64(k * 4 + salt) >> 11) as f64 / (1u64 << 53) as f64;
                 let (x, y, side) = (unit(0) * 900.0, unit(1) * 900.0, 50.0 + unit(2) * 400.0);
                 let region = Rect2::new(Point2::new([x, y]), Point2::new([x + side, y + side]));
                 let band = ResolutionBand::new(unit(3) * 0.8, unit(3) * 0.8 + 0.2 + unit(2));
@@ -801,9 +803,9 @@ mod tests {
     #[test]
     fn token_seed_is_not_recoverable_from_a_clients_own_handshake() {
         // Regression (ISSUE 6 review): tokens used to be
-        // `mix64(seed ^ mix64(id))` — a public *bijection*, so any client
-        // could invert its own `(id, token)` pair, recover the seed, and
-        // mint every other session's token. Re-enact that attack against
+        // `splitmix64(seed ^ splitmix64(id))` — a public *bijection*, so
+        // any client could invert its own `(id, token)` pair, recover the
+        // seed, and mint every other session's token. Re-enact that attack against
         // the PRF-minted tokens and check it now yields garbage.
         const fn inv_mul(m: u64) -> u64 {
             let mut x = m;
@@ -836,13 +838,17 @@ mod tests {
         let (id0, t0) = s.connect_with_token();
         let (id1, t1) = s.connect_with_token();
         // The old public formula must not mint the token any more…
-        assert_ne!(t0, mix64(seed ^ mix64(id0)), "old derivation is dead");
+        assert_ne!(
+            t0,
+            splitmix64(seed ^ splitmix64(id0)),
+            "old derivation is dead"
+        );
         // …and the old inversion applied to the attacker's own handshake
         // must neither recover the seed nor predict the peer's token.
-        let recovered = unmix64(t0) ^ mix64(id0);
+        let recovered = unmix64(t0) ^ splitmix64(id0);
         assert_ne!(recovered, seed, "seed recovery attack is dead");
         assert_ne!(
-            mix64(recovered ^ mix64(id1)),
+            splitmix64(recovered ^ splitmix64(id1)),
             t1,
             "the 'recovered' seed must not mint other sessions' tokens"
         );

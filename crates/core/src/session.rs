@@ -21,6 +21,7 @@
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
 use crate::server::QueryResult;
+use mar_link::splitmix64;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,18 +63,6 @@ impl std::error::Error for SessionError {}
 /// connects to reach the floor) — `resume` with a session id is
 /// structurally guaranteed to fail, not just overwhelmingly likely to.
 const TOKEN_FLOOR: u64 = 1 << 32;
-
-/// `splitmix64`'s finalizing mix — the same discipline `mar_link::fault`
-/// uses for its fault schedule. Used only to *expand a seed into a
-/// SipHash key*, never to mint a token directly: the mix is a public
-/// bijection, so a token minted as `mix64(seed ^ mix64(id))` would leak
-/// the seed to any client that inverts its own `(id, token)` pair.
-pub(crate) fn mix64(x: u64) -> u64 {
-    let z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn sipround(v: &mut [u64; 4]) {
     v[0] = v[0].wrapping_add(v[1]);
@@ -282,6 +271,19 @@ impl SentFilter {
     }
 }
 
+/// A session's delivery state on a wire, kept across transport drops:
+/// the payload bytes served but not yet acknowledged (the credit an
+/// `OVERLOAD` admission checks) and whether a live connection drives the
+/// session. A session starts detached with nothing unacked; in-process
+/// callers never touch it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Delivery {
+    /// Served-but-unacked payload bytes.
+    pub unacked: f64,
+    /// Whether a live connection currently drives the session.
+    pub attached: bool,
+}
+
 /// One entry of the session table.
 #[derive(Debug)]
 struct Session {
@@ -290,6 +292,8 @@ struct Session {
     /// The session's filter behind its own lock, shared out of the table
     /// so that a query holds this lock and no stripe.
     filter: Arc<Mutex<SentFilter>>,
+    /// Guarded by the stripe: updated in place, never across a query.
+    delivery: Delivery,
 }
 
 /// The striped session table: every connected session's [`SentFilter`],
@@ -333,8 +337,12 @@ impl Sessions {
     /// long as the seed is secret, because the PRF key cannot be
     /// recovered from observed tokens.
     pub fn seeded(token_seed: u64) -> Self {
-        let k0 = mix64(token_seed ^ 0x6d61_725f_7365_7276); // "mar_serv"
-        let k1 = mix64(token_seed ^ 0x746f_6b65_6e5f_6b31); // "token_k1"
+        // `splitmix64` only expands the seed into a key, never mints a
+        // token: it is a public bijection, so a token minted as
+        // `splitmix64(seed ^ splitmix64(id))` would hand the seed to any
+        // client that inverts its own `(id, token)` pair.
+        let k0 = splitmix64(token_seed ^ 0x6d61_725f_7365_7276); // "mar_serv"
+        let k1 = splitmix64(token_seed ^ 0x746f_6b65_6e5f_6b31); // "token_k1"
         Self::with_key((k0, k1))
     }
 
@@ -378,6 +386,7 @@ impl Sessions {
         let entry = Session {
             token,
             filter: Arc::default(),
+            delivery: Delivery::default(),
         };
         // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
         let mut stripe = self.stripe(id).lock().expect("session stripe poisoned");
@@ -385,9 +394,9 @@ impl Sessions {
         (id, token)
     }
 
-    /// Drops a session, releasing its sent-filter state and retiring its
-    /// token — long-running serve workloads must not accumulate filters
-    /// for clients that are gone (pinned by
+    /// Drops a session, releasing its sent-filter and delivery state and
+    /// retiring its token — long-running serve workloads must not
+    /// accumulate filters for clients that are gone (pinned by
     /// `disconnect_releases_filter_state`), and a stale token must never
     /// resume a later session. Disconnecting an unknown or
     /// already-disconnected id is a typed error, so a double disconnect
@@ -442,6 +451,25 @@ impl Sessions {
         // mar-lint: allow(D004) — poisoning implies this session's last query panicked; propagate
         let mut filter = filter.lock().expect("session filter poisoned");
         Ok(f(&mut filter))
+    }
+
+    /// Runs `f` on `session`'s [`Delivery`] under its stripe. The stripe
+    /// is held for `f` alone — a few field updates — and never across a
+    /// query, so `f` must not call back into the table.
+    pub fn with_delivery<R>(
+        &self,
+        session: u64,
+        f: impl FnOnce(&mut Delivery) -> R,
+    ) -> Result<R, SessionError> {
+        let mut stripe = self
+            .stripe(session)
+            .lock()
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            .expect("session stripe poisoned");
+        let entry = stripe
+            .get_mut(&session)
+            .ok_or(SessionError::UnknownSession(session))?;
+        Ok(f(&mut entry.delivery))
     }
 
     /// The resume token minted for a *connected* session — a lookup of

@@ -233,20 +233,6 @@ impl FaultPlan {
             bandwidth_factor,
         }
     }
-
-    /// The first `n` decisions of `stream`, serialised as CSV — the
-    /// byte-comparable form of the schedule used by the determinism tests.
-    pub fn schedule_csv(&self, stream: u64, n: u64) -> String {
-        let mut out = String::from("index,dropped,lost,jitter_s,bandwidth_factor\n");
-        for i in 0..n {
-            let d = self.decide(stream, i);
-            out.push_str(&format!(
-                "{i},{},{},{},{}\n",
-                d.dropped, d.lost, d.jitter_s, d.bandwidth_factor
-            ));
-        }
-        out
-    }
 }
 
 /// Why a [`ShardOutagePlan`] was rejected at construction.
@@ -361,37 +347,6 @@ impl ShardOutagePlan {
             0
         }
     }
-
-    /// The first `n` ticks of the schedule, serialised as CSV — the
-    /// byte-comparable form used by the determinism tests.
-    pub fn schedule_csv(&self, nshards: u32, n: u64) -> String {
-        let mut out = String::from("tick,down_mask\n");
-        for t in 0..n {
-            out.push_str(&format!("{t},{:#06x}\n", self.down_mask(t, nshards)));
-        }
-        out
-    }
-}
-
-/// Cumulative fault statistics of one [`FaultyLink`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultStats {
-    /// Requests attempted (including lost and dropped ones).
-    pub attempts: u64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests lost in transit.
-    pub lost: u64,
-    /// Session drops observed.
-    pub drops: u64,
-    /// Successful requests that saw a bandwidth dip.
-    pub dipped: u64,
-    /// Payload bytes delivered.
-    pub bytes: f64,
-    /// Simulated seconds spent on successful transfers.
-    pub transfer_s: f64,
-    /// Simulated seconds wasted waiting out lost requests.
-    pub wasted_s: f64,
 }
 
 /// Permission to transmit one request: the fault stream's timing terms for
@@ -421,15 +376,13 @@ impl Grant {
 /// A simulated wireless channel that injects the faults a [`FaultPlan`]
 /// schedules for its stream. One `FaultyLink` is one client's transport:
 /// it owns a monotone request counter (each attempt — successful or not —
-/// consumes one schedule slot, so retries draw fresh fates) and the
-/// per-client fault statistics.
+/// consumes one schedule slot, so retries draw fresh fates).
 #[derive(Debug, Clone)]
 pub struct FaultyLink {
     config: LinkConfig,
     plan: FaultPlan,
     stream: u64,
     next_index: u64,
-    stats: FaultStats,
 }
 
 impl FaultyLink {
@@ -441,23 +394,12 @@ impl FaultyLink {
             plan,
             stream,
             next_index: 0,
-            stats: FaultStats::default(),
         })
     }
 
     /// The underlying (fault-free) link parameters.
     pub fn config(&self) -> &LinkConfig {
         &self.config
-    }
-
-    /// The fault plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Index of the next request this link will attempt.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
     }
 
     /// The fault-stream key this channel draws from — the value retry
@@ -467,56 +409,26 @@ impl FaultyLink {
         self.stream
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
     /// Attempts to open the next request slot. On success the returned
     /// [`Grant`] carries the slot's timing terms; the caller executes the
-    /// request and charges [`Grant::transfer_time`] (or
-    /// [`FaultyLink::complete`], which also updates the statistics). On
-    /// failure the request never reached the server: the caller pays the
-    /// reported wait and retries (a fresh slot) or reconnects.
+    /// request and charges [`Grant::transfer_time`]. On failure the
+    /// request never reached the server: the caller pays the reported
+    /// wait and retries (a fresh slot) or reconnects.
     pub fn begin(&mut self) -> Result<Grant, LinkError> {
         let d = self.plan.decide(self.stream, self.next_index);
         self.next_index += 1;
-        self.stats.attempts += 1;
         if d.dropped {
-            self.stats.drops += 1;
             return Err(LinkError::SessionDropped);
         }
         if d.lost {
-            self.stats.lost += 1;
-            self.stats.wasted_s += TIMEOUT_S;
             return Err(LinkError::Lost {
                 waited_s: TIMEOUT_S,
             });
-        }
-        if d.bandwidth_factor < 1.0 {
-            self.stats.dipped += 1;
         }
         Ok(Grant {
             jitter_s: d.jitter_s,
             bandwidth_factor: d.bandwidth_factor,
         })
-    }
-
-    /// Records a granted request's completed transfer and returns its
-    /// simulated duration.
-    pub fn complete(&mut self, grant: Grant, bytes: f64, speed: f64) -> f64 {
-        let t = grant.transfer_time(&self.config, bytes, speed);
-        self.stats.completed += 1;
-        self.stats.bytes += bytes;
-        self.stats.transfer_s += t;
-        t
-    }
-
-    /// One-shot convenience: begin + complete. Returns the transfer time,
-    /// or the typed failure.
-    pub fn transfer(&mut self, bytes: f64, speed: f64) -> Result<f64, LinkError> {
-        let grant = self.begin()?;
-        Ok(self.complete(grant, bytes, speed))
     }
 
     /// The cost of re-establishing the transport after a drop: one
@@ -534,18 +446,23 @@ mod tests {
         FaultPlan::new(FaultConfig::hostile(42, loss, drop_every)).unwrap()
     }
 
+    /// The first 200 decisions of `stream`.
+    fn schedule(p: &FaultPlan, stream: u64) -> Vec<FaultDecision> {
+        (0..200).map(|i| p.decide(stream, i)).collect()
+    }
+
     #[test]
     fn identical_configs_yield_byte_identical_schedules() {
         let a = plan(0.2, 7);
         let b = plan(0.2, 7);
         for stream in [0u64, 1, 99] {
-            assert_eq!(a.schedule_csv(stream, 200), b.schedule_csv(stream, 200));
+            assert_eq!(schedule(&a, stream), schedule(&b, stream));
         }
         // A different seed changes the schedule.
         let c = FaultPlan::new(FaultConfig::hostile(43, 0.2, 7)).unwrap();
-        assert_ne!(a.schedule_csv(0, 200), c.schedule_csv(0, 200));
+        assert_ne!(schedule(&a, 0), schedule(&c, 0));
         // Different streams of one plan are independent substreams.
-        assert_ne!(a.schedule_csv(0, 200), a.schedule_csv(1, 200));
+        assert_ne!(schedule(&a, 0), schedule(&a, 1));
     }
 
     #[test]
@@ -592,45 +509,45 @@ mod tests {
         let mut link = FaultyLink::new(clean, p, 0).unwrap();
         for i in 0..20 {
             let bytes = 1000.0 * i as f64;
-            let t = link.transfer(bytes, 0.3).expect("fault-free");
+            let grant = link.begin().expect("fault-free");
             assert!(
-                (t - clean.request_time(bytes, 0.3)).abs() < 1e-12,
+                (grant.transfer_time(&clean, bytes, 0.3) - clean.request_time(bytes, 0.3)).abs()
+                    < 1e-12,
                 "fault-free transfer must cost exactly the clean link time"
             );
         }
-        assert_eq!(link.stats().lost, 0);
-        assert_eq!(link.stats().drops, 0);
-        assert_eq!(link.stats().completed, 20);
     }
 
     #[test]
-    fn faulty_link_reports_typed_errors_and_stats() {
+    fn faulty_link_reports_typed_errors() {
         let p = plan(0.3, 4);
         let mut link = FaultyLink::new(LinkConfig::paper(), p, 5).unwrap();
-        let mut lost = 0u64;
-        let mut drops = 0u64;
-        let mut completed = 0u64;
-        for _ in 0..200 {
-            match link.transfer(512.0, 0.5) {
-                Ok(t) => {
+        let (mut lost, mut drops, mut completed) = (0, 0, 0);
+        // Each attempt is the plan's decision for the next slot, in order.
+        for d in schedule(&p, 5) {
+            match link.begin() {
+                Ok(grant) => {
+                    assert!(!d.dropped && !d.lost);
+                    assert_eq!(
+                        (grant.jitter_s, grant.bandwidth_factor),
+                        (d.jitter_s, d.bandwidth_factor)
+                    );
+                    let t = grant.transfer_time(link.config(), 512.0, 0.5);
                     assert!(t.is_finite() && t > 0.0);
                     completed += 1;
                 }
                 Err(LinkError::Lost { waited_s }) => {
+                    assert!(!d.dropped && d.lost);
                     assert_eq!(waited_s, 2.0);
                     lost += 1;
                 }
-                Err(LinkError::SessionDropped) => drops += 1,
+                Err(LinkError::SessionDropped) => {
+                    assert!(d.dropped);
+                    drops += 1;
+                }
             }
         }
-        let s = *link.stats();
-        assert_eq!(s.attempts, 200);
-        assert_eq!(s.lost, lost);
-        assert_eq!(s.drops, drops);
-        assert_eq!(s.completed, completed);
         assert!(lost > 0 && drops > 0 && completed > 0);
-        assert!((s.wasted_s - lost as f64 * 2.0).abs() < 1e-9);
-        assert!(s.bytes > 0.0 && s.transfer_s > 0.0);
     }
 
     #[test]
@@ -638,9 +555,11 @@ mod tests {
         let p = plan(0.0, 0);
         let clean = LinkConfig::paper();
         let mut link = FaultyLink::new(clean, p, 2).unwrap();
-        let mut saw_slower = false;
+        let (mut saw_slower, mut dipped) = (false, false);
         for _ in 0..100 {
-            let t = link.transfer(4096.0, 0.2).expect("no loss configured");
+            let grant = link.begin().expect("no loss configured");
+            dipped |= grant.bandwidth_factor < 1.0;
+            let t = grant.transfer_time(&clean, 4096.0, 0.2);
             let ideal = clean.request_time(4096.0, 0.2);
             assert!(t >= ideal - 1e-12, "faults must never speed the link up");
             if t > ideal + 1e-9 {
@@ -648,19 +567,18 @@ mod tests {
             }
         }
         assert!(saw_slower, "jitter/dips must actually bite");
-        assert!(link.stats().dipped > 0);
+        assert!(dipped);
     }
 
     #[test]
     fn shard_outage_schedule_is_deterministic_and_recovers() {
+        let masks = |p: &ShardOutagePlan| (0..100).map(|t| p.down_mask(t, 8)).collect::<Vec<_>>();
         let a = ShardOutagePlan::new(99, 10, 4).unwrap();
         let b = ShardOutagePlan::new(99, 10, 4).unwrap();
-        assert_eq!(a.schedule_csv(8, 100), b.schedule_csv(8, 100));
+        assert_eq!(masks(&a), masks(&b));
         assert_ne!(
-            a.schedule_csv(8, 100),
-            ShardOutagePlan::new(100, 10, 4)
-                .unwrap()
-                .schedule_csv(8, 100),
+            masks(&a),
+            masks(&ShardOutagePlan::new(100, 10, 4).unwrap()),
             "a different seed must pick different victims"
         );
         // Event 0 is always healthy.

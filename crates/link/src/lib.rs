@@ -34,7 +34,7 @@ pub mod link;
 pub use clock::SimClock;
 pub use cost::TransferCostModel;
 pub use fault::{
-    splitmix64, u01, FaultConfig, FaultConfigError, FaultDecision, FaultPlan, FaultStats,
-    FaultyLink, Grant, LinkError, ShardOutageError, ShardOutagePlan,
+    splitmix64, u01, FaultConfig, FaultConfigError, FaultDecision, FaultPlan, FaultyLink, Grant,
+    LinkError, ShardOutageError, ShardOutagePlan,
 };
 pub use link::{LinkConfig, LinkConfigError};

@@ -1,14 +1,14 @@
 //! Concurrency static analysis — rules **D006**, **D007**, **D008**.
 //!
-//! The serving path holds real locks (the striped session maps and token
-//! map in `mar-core`, the daemon's wire-session ledger, the bench engine's
-//! result slots), and the PR 6 review caught its ordering bugs by manual
-//! inspection. This module makes that inspection mechanical:
+//! The serving path holds real locks (the striped session maps, token
+//! map and per-session filters in `mar-core`, the pager, the bench
+//! engine's result slots), and a review once caught its ordering bugs by
+//! manual inspection. This module makes that inspection mechanical:
 //!
 //! 1. **Lock identity.** A workspace pre-pass collects every named
 //!    `Mutex`/`RwLock` declaration: struct fields, `let` bindings, statics
 //!    and parameters typed `Mutex<..>`/`RwLock<..>` (directly or through a
-//!    type alias such as `type Ledgers = Mutex<..>`), plus accessor
+//!    type alias such as `type Table = Mutex<..>`), plus accessor
 //!    functions returning `&Mutex<..>` (the `Server::stripe` pattern, named
 //!    after the function) and accessor functions returning a guard
 //!    (`fn lock_pager(&self) -> MutexGuard<..>`, the `PagedIndex` pattern:
@@ -313,7 +313,7 @@ pub(crate) fn analyze(files: &[(String, String)]) -> Vec<Finding> {
 /// Every known lock: declared field/binding/static/parameter names,
 /// accessor-function names, and the flavour of each.
 struct Locks {
-    /// Receiver names that denote a lock (`stripes`, `tokens`, `ledgers`…).
+    /// Receiver names that denote a lock (`stripes`, `tokens`, `filter`…).
     names: BTreeMap<String, LockKind>,
     /// Function names returning `&Mutex<..>`/`&RwLock<..>` — a call like
     /// `self.stripe(id).lock()` acquires the lock named after the fn.
@@ -326,7 +326,7 @@ struct Locks {
 }
 
 fn collect_locks(ctxs: &[FileCtx]) -> Locks {
-    // Type aliases first, so `ledgers: &Ledgers` resolves.
+    // Type aliases first, so `table: &Table` resolves.
     let mut aliases: BTreeMap<String, LockKind> = BTreeMap::new();
     for ctx in ctxs {
         let toks = &ctx.tokens;

@@ -63,14 +63,7 @@ pub enum Frame {
         /// The planned sub-queries (region + band each).
         regions: Vec<QueryRegion>,
     },
-    /// client → server: fetch one block-granularity region.
-    Block {
-        /// The block rectangle.
-        region: Rect2,
-        /// The resolution band to fetch it at.
-        band: ResolutionBand,
-    },
-    /// server → client: the session-filtered outcome of a `QUERY`/`BLOCK`.
+    /// server → client: the session-filtered outcome of a `QUERY`.
     Result {
         /// Coefficients served.
         coeffs: u64,
@@ -131,7 +124,7 @@ impl Frame {
             Frame::Hello { .. } => 1,
             Frame::Welcome { .. } => 2,
             Frame::Query { .. } => 3,
-            Frame::Block { .. } => 4,
+            // 4 was `BLOCK`, retired; the numbering is kept.
             Frame::Result { .. } => 5,
             Frame::Resume { .. } => 6,
             Frame::Resumed { .. } => 7,
@@ -148,7 +141,6 @@ impl Frame {
             Frame::Hello { .. } => "HELLO",
             Frame::Welcome { .. } => "WELCOME",
             Frame::Query { .. } => "QUERY",
-            Frame::Block { .. } => "BLOCK",
             Frame::Result { .. } => "RESULT",
             Frame::Resume { .. } => "RESUME",
             Frame::Resumed { .. } => "RESUMED",
@@ -164,7 +156,7 @@ impl Frame {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrCode {
-    /// A query/block referenced a session the server does not hold.
+    /// A query referenced a session the server does not hold.
     UnknownSession = 1,
     /// `RESUME` carried a token no live session derives to.
     UnknownToken = 2,
@@ -174,7 +166,7 @@ pub enum ErrCode {
     BadVersion = 4,
     /// The opcode byte is not part of the grammar.
     UnknownOpcode = 5,
-    /// `QUERY`/`BLOCK`/`ACK` before `HELLO`/`RESUME` bound a session.
+    /// `QUERY`/`ACK` before `HELLO`/`RESUME` bound a session.
     NotConnected = 6,
     /// `HELLO`/`RESUME` on a connection that already has a session.
     AlreadyConnected = 7,
@@ -336,7 +328,6 @@ fn payload_len(frame: &Frame) -> usize {
         Frame::Hello { .. } => 4,
         Frame::Welcome { .. } | Frame::Overload { .. } => 16,
         Frame::Query { regions } => query_body_len(regions.len()),
-        Frame::Block { .. } => REGION_BYTES,
         Frame::Result { .. } => 32,
         Frame::Resume { .. } | Frame::Ack { .. } => 8,
         Frame::Resumed { .. } => 24,
@@ -395,7 +386,6 @@ pub fn encode_into(frame: &Frame, out: &mut Vec<u8>) -> Result<usize, DecodeErro
             put_u64(out, *token);
         }
         Frame::Query { regions } => put_query_body(out, regions),
-        Frame::Block { region, band } => put_region(out, region, band),
         Frame::Result {
             coeffs,
             new_objects,
@@ -562,10 +552,6 @@ pub fn decode(payload: &[u8]) -> Result<Frame, DecodeError> {
                 regions.push(QueryRegion { region, band });
             }
             Frame::Query { regions }
-        }
-        4 => {
-            let (region, band) = b.region()?;
-            Frame::Block { region, band }
         }
         5 => Frame::Result {
             coeffs: b.u64()?,

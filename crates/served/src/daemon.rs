@@ -3,19 +3,22 @@
 //! Every accepted connection gets its own thread over one shared
 //! [`Server`] — the core is lock-free for queries and every session's
 //! state has a lock of its own, so connection threads never serialize on
-//! each other.
+//! each other. The daemon keeps no lock and no session table of its own:
+//! what a connection needs to know about its session lives in that
+//! session's [`mar_core::Sessions`] entry.
 //!
 //! **Backpressure is explicit and deterministic.** Each *session* (not
 //! each connection) carries a ledger of payload bytes served but not yet
 //! `ACK`ed (credit-based flow control, independent of OS socket
-//! buffering). The ledger lives in daemon-shared state keyed by session
-//! id, so it **survives transport drops**: a client cannot zero its debt
-//! by dropping the socket and `RESUME`ing on a fresh connection. A
-//! `QUERY`/`BLOCK` that arrives while `outstanding >= cap` is refused
-//! with a typed `OVERLOAD` frame *before* touching the session filter, so
-//! a refused query is exactly-once safe to retry. Because admission is
-//! checked before execution, one query may overshoot the cap — which
-//! also means a client that acks every `RESULT` can never be refused.
+//! buffering). The ledger is the session entry's [`mar_core::Delivery`],
+//! so it **survives transport drops**: a client cannot zero its debt by
+//! dropping the socket and `RESUME`ing on a fresh connection, and `BYE`
+//! releases it with the session. A `QUERY` that arrives while
+//! `unacked >= cap` is refused with a typed `OVERLOAD` frame *before*
+//! touching the session filter, so a refused query is exactly-once safe
+//! to retry. Because admission is checked before execution, one query
+//! may overshoot the cap — which also means a client that acks every
+//! `RESULT` can never be refused.
 //!
 //! **Transport drops are not session drops.** A connection that
 //! disappears without `BYE` leaves its session (and server-side filter)
@@ -24,7 +27,8 @@
 //! Attachment is exclusive: while one connection drives a session, a
 //! `RESUME` for it — even with the valid token — is refused with
 //! `ERROR(SessionBusy)`, so two connections can never interleave frames
-//! against one filter/ledger.
+//! against one filter/ledger. A connection detaches when it is dropped,
+//! so even a connection thread that panics leaves its session resumable.
 //!
 //! **Flush before you block.** A connection thread handles every whole
 //! frame its last `read` delivered, appending the replies to one output
@@ -37,14 +41,13 @@
 
 use crate::codec::{encode_into, DecodeError, ErrCode, Frame, FrameReader};
 use mar_core::{QueryRegion, Server, SessionError};
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Default per-session outbox capacity: unacked payload bytes a session
-/// may have in flight before `QUERY`/`BLOCK` admission returns `OVERLOAD`.
+/// may have in flight before `QUERY` admission returns `OVERLOAD`.
 pub const DEFAULT_OUTBOX_CAP: f64 = 64.0 * 1024.0;
 
 /// Daemon tunables.
@@ -129,26 +132,9 @@ pub fn spawn_daemon(
     Ok(DaemonHandle { addr, thread })
 }
 
-/// Per-session wire state shared across connections. Unlike `Conn` it
-/// survives a transport drop: the unacked-credit ledger follows the
-/// *session*, and `attached` makes attachment exclusive. Created by
-/// `HELLO`, released by `BYE`.
-#[derive(Debug, Clone, Copy, Default)]
-struct WireSession {
-    /// Served-but-unacked payload bytes (the `OVERLOAD` credit ledger).
-    outstanding: f64,
-    /// Whether a live connection currently drives this session.
-    attached: bool,
-}
-
-/// Session id → wire state. A `BTreeMap` for the workspace determinism
-/// discipline (D001); it is keyed-access only, never iterated.
-type Ledgers = Mutex<BTreeMap<u64, WireSession>>;
-
 fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) -> DaemonStats {
     let mut stats = DaemonStats::default();
     let mut workers: Vec<JoinHandle<DaemonStats>> = Vec::new();
-    let ledgers: Arc<Ledgers> = Arc::new(Mutex::new(BTreeMap::new()));
     // The bound is tested before blocking in `accept`, so `Some(0)`
     // serves nobody instead of waiting for one client too many.
     while cfg.max_conns.is_none_or(|m| stats.connections < m as u64) {
@@ -173,7 +159,6 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
         }
         stats.connections += 1;
         let server = Arc::clone(server);
-        let ledgers_for_conn = Arc::clone(&ledgers);
         let cap = cfg.outbox_cap;
         let spawned = std::thread::Builder::new()
             .name(format!("mar-served-conn-{}", stats.connections))
@@ -181,7 +166,7 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
                 // Request/response protocol: without NODELAY every reply
                 // would sit out a delayed-ack window.
                 let _ = stream.set_nodelay(true);
-                serve_conn(&server, &ledgers_for_conn, &stream, &stream, cap)
+                serve_conn(&server, &stream, &stream, cap)
             });
         if let Ok(h) = spawned {
             workers.push(h);
@@ -202,7 +187,6 @@ fn accept_loop(server: &Arc<Server>, listener: &TcpListener, cfg: DaemonConfig) 
 /// session resumable, and detaches it so a later `RESUME` can bind).
 fn serve_conn<R: Read, W: Write>(
     server: &Server,
-    ledgers: &Ledgers,
     mut input: R,
     output: W,
     cap: f64,
@@ -210,11 +194,11 @@ fn serve_conn<R: Read, W: Write>(
     let mut stats = DaemonStats::default();
     let mut reader = FrameReader::new();
     let mut conn = Conn {
+        server,
         output,
         out: Vec::new(),
         queued: 0,
         session: None,
-        ledgers,
         cap,
         stats: &mut stats,
     };
@@ -224,7 +208,7 @@ fn serve_conn<R: Read, W: Write>(
             match reader.next_frame() {
                 Ok(Some((frame, _))) => {
                     conn.stats.frames_in += 1;
-                    if !conn.handle(server, frame) {
+                    if !conn.handle(frame) {
                         break 'conn;
                     }
                 }
@@ -259,16 +243,7 @@ fn serve_conn<R: Read, W: Write>(
     }
     // The BYE echo / best-effort ERROR(Malformed) of a closing connection.
     let _ = conn.flush();
-    // Transport drop without BYE: detach so a later RESUME can bind, but
-    // keep the ledger entry — the unacked credit must survive the
-    // reconnect (dropping the socket is not a way to zero one's debt).
-    if let Some(session) = conn.session {
-        // mar-lint: allow(D004) — poisoning implies another connection thread panicked; propagate
-        let mut map = ledgers.lock().expect("wire-session ledger poisoned");
-        if let Some(ws) = map.get_mut(&session) {
-            ws.attached = false;
-        }
-    }
+    drop(conn);
     stats
 }
 
@@ -283,14 +258,29 @@ fn decode_detail(e: &DecodeError) -> u64 {
 }
 
 struct Conn<'a, W> {
+    server: &'a Server,
     output: W,
     /// Encoded replies not yet written, and how many frames they are.
     out: Vec<u8>,
     queued: u64,
+    /// The session this connection is attached to.
     session: Option<u64>,
-    ledgers: &'a Ledgers,
     cap: f64,
     stats: &'a mut DaemonStats,
+}
+
+/// A transport drop without `BYE` — or a connection thread that panics —
+/// detaches the session so a later `RESUME` can bind, and keeps its
+/// unacked credit: dropping the socket is not a way to zero one's debt.
+impl<W> Drop for Conn<'_, W> {
+    fn drop(&mut self) {
+        if let Some(session) = self.session {
+            let _ = self
+                .server
+                .sessions()
+                .with_delivery(session, |d| d.attached = false);
+        }
+    }
 }
 
 impl<W: Write> Conn<'_, W> {
@@ -325,16 +315,22 @@ impl<W: Write> Conn<'_, W> {
         });
     }
 
-    /// Runs `f` on the session's shared wire state (no-op when the
-    /// session has no ledger entry, which only a daemon bug could cause).
-    fn with_ledger<T>(&self, session: u64, f: impl FnOnce(&mut WireSession) -> T) -> Option<T> {
-        // mar-lint: allow(D004) — poisoning implies another connection thread panicked; propagate
-        let mut map = self.ledgers.lock().expect("wire-session ledger poisoned");
-        map.get_mut(&session).map(f)
+    /// Attaches this connection to `session`; `Ok(false)` when another
+    /// live connection holds it — attachment is exclusive.
+    fn attach(&mut self, session: u64) -> Result<bool, SessionError> {
+        let attached = self
+            .server
+            .sessions()
+            .with_delivery(session, |d| !std::mem::replace(&mut d.attached, true))?;
+        if attached {
+            self.session = Some(session);
+        }
+        Ok(attached)
     }
 
     /// Handles one frame; `false` ends the connection.
-    fn handle(&mut self, server: &Server, frame: Frame) -> bool {
+    fn handle(&mut self, frame: Frame) -> bool {
+        let server = self.server;
         match frame {
             Frame::Hello { version } => {
                 if version != crate::codec::PROTOCOL_VERSION {
@@ -346,19 +342,13 @@ impl<W: Write> Conn<'_, W> {
                     return true;
                 }
                 let (session, token) = server.connect_with_token();
-                {
-                    // mar-lint: allow(D004) — poisoning implies another connection thread panicked; propagate
-                    let mut map = self.ledgers.lock().expect("wire-session ledger poisoned");
-                    map.insert(
-                        session,
-                        WireSession {
-                            outstanding: 0.0,
-                            attached: true,
-                        },
-                    );
+                // Only a peer already holding the fresh token could have
+                // attached first.
+                if self.attach(session) == Ok(true) {
+                    self.send(&Frame::Welcome { session, token });
+                } else {
+                    self.error(ErrCode::SessionBusy, session);
                 }
-                self.session = Some(session);
-                self.send(&Frame::Welcome { session, token });
                 true
             }
             Frame::Resume { token } => {
@@ -366,49 +356,27 @@ impl<W: Write> Conn<'_, W> {
                     self.error(ErrCode::AlreadyConnected, 0);
                     return true;
                 }
+                // RESUME binds this connection to the session's *existing*
+                // delivery state, unacked credit intact.
                 match server.sessions().resume(token) {
-                    Ok(info) => {
-                        // Attachment is exclusive and the ledger survives
-                        // the reconnect: RESUME binds this connection to
-                        // the session's *existing* wire state (unacked
-                        // credit intact), and is refused while another
-                        // live connection holds it.
-                        let attached = {
-                            let mut map = self
-                                .ledgers
-                                .lock()
-                                // mar-lint: allow(D004) — poisoning implies another connection thread panicked; propagate
-                                .expect("wire-session ledger poisoned");
-                            let ws = map.entry(info.session).or_default();
-                            if ws.attached {
-                                false
-                            } else {
-                                ws.attached = true;
-                                true
-                            }
-                        };
-                        if !attached {
-                            self.error(ErrCode::SessionBusy, info.session);
-                            return true;
-                        }
-                        self.session = Some(info.session);
-                        self.send(&Frame::Resumed {
+                    Ok(info) => match self.attach(info.session) {
+                        Ok(true) => self.send(&Frame::Resumed {
                             session: info.session,
                             retained_coeffs: info.retained_coeffs as u64,
                             retained_objects: info.retained_objects as u64,
-                        });
-                    }
+                        }),
+                        Ok(false) => self.error(ErrCode::SessionBusy, info.session),
+                        // Released since the token look-up: the
+                        // capability no longer resumes.
+                        Err(_) => self.error(ErrCode::UnknownToken, token),
+                    },
                     Err(SessionError::UnknownToken(t)) => self.error(ErrCode::UnknownToken, t),
                     Err(SessionError::UnknownSession(s)) => self.error(ErrCode::UnknownSession, s),
                 }
                 true
             }
             Frame::Query { regions } => {
-                self.query(server, &regions);
-                true
-            }
-            Frame::Block { region, band } => {
-                self.query(server, &[QueryRegion { region, band }]);
+                self.query(&regions);
                 true
             }
             Frame::Ack { bytes } => {
@@ -419,8 +387,8 @@ impl<W: Write> Conn<'_, W> {
                 // Hostile acks (NaN, negative, over-credit) cannot drive
                 // the ledger negative.
                 if bytes.is_finite() && bytes > 0.0 {
-                    self.with_ledger(session, |ws| {
-                        ws.outstanding = (ws.outstanding - bytes).max(0.0);
+                    let _ = server.sessions().with_delivery(session, |d| {
+                        d.unacked = (d.unacked - bytes).max(0.0);
                     });
                 }
                 true
@@ -429,13 +397,9 @@ impl<W: Write> Conn<'_, W> {
                 if let Some(session) = self.session.take() {
                     // The session may already be gone if the peer BYEs
                     // twice in a pipelined burst; releasing is idempotent
-                    // from the connection's point of view.
+                    // from the connection's point of view. Its filter,
+                    // token and ledger go in one call.
                     let _ = server.disconnect(session);
-                    // BYE (unlike a transport drop) ends the session for
-                    // good, so its wire state goes with it.
-                    // mar-lint: allow(D004) — poisoning implies another connection thread panicked; propagate
-                    let mut map = self.ledgers.lock().expect("wire-session ledger poisoned");
-                    map.remove(&session);
                 }
                 self.send(&Frame::Bye);
                 false
@@ -452,9 +416,9 @@ impl<W: Write> Conn<'_, W> {
         }
     }
 
-    /// Answers a `QUERY` (or a one-region `BLOCK`) for the attached
-    /// session: admission, the query, the ledger charge and the `RESULT`.
-    fn query(&mut self, server: &Server, regions: &[QueryRegion]) {
+    /// Answers a `QUERY` for the attached session: admission, the query,
+    /// the ledger charge and the `RESULT`.
+    fn query(&mut self, regions: &[QueryRegion]) {
         let Some(session) = self.session else {
             self.error(ErrCode::NotConnected, 0);
             return;
@@ -462,9 +426,10 @@ impl<W: Write> Conn<'_, W> {
         if !self.admit(session) {
             return;
         }
-        match server.query(session, regions) {
+        let sessions = self.server.sessions();
+        match self.server.query(session, regions) {
             Ok(r) => {
-                self.with_ledger(session, |ws| ws.outstanding += r.bytes);
+                let _ = sessions.with_delivery(session, |d| d.unacked += r.bytes);
                 self.send(&Frame::Result {
                     coeffs: r.coeffs as u64,
                     new_objects: r.new_objects as u64,
@@ -484,7 +449,9 @@ impl<W: Write> Conn<'_, W> {
     /// dropping the socket and resuming does not reset it.
     fn admit(&mut self, session: u64) -> bool {
         let outstanding = self
-            .with_ledger(session, |ws| ws.outstanding)
+            .server
+            .sessions()
+            .with_delivery(session, |d| d.unacked)
             .unwrap_or(0.0);
         if outstanding >= self.cap {
             self.stats.overloads += 1;
@@ -507,7 +474,7 @@ mod tests {
     use super::*;
     use crate::codec::{encode, PROTOCOL_VERSION};
     use mar_bench::serve::serve_scene;
-    use mar_core::{QueryRegion, SceneIndexData, ServerCore, WaveletIndex};
+    use mar_core::{Delivery, QueryRegion, SceneIndexData, ServerCore, WaveletIndex};
     use mar_geom::{Point2, Rect2};
     use mar_mesh::ResolutionBand;
     use proptest::prelude::*;
@@ -564,19 +531,23 @@ mod tests {
             .collect()
     }
 
-    /// Opcodes of the whole frames at the front of `bytes`.
-    fn opcodes(bytes: &[u8]) -> Vec<u8> {
-        let mut ops = Vec::new();
+    /// The whole frames at the front of `bytes`.
+    fn frames(bytes: &[u8]) -> Vec<Frame> {
+        let mut out = Vec::new();
         let mut rest = bytes;
         while let Some(p) = rest.get(..4) {
             let len = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
             let Some(payload) = rest.get(4..4 + len) else {
                 break;
             };
-            ops.push(payload[0]);
+            out.push(crate::codec::decode(payload).expect("test frames decode"));
             rest = &rest[4 + len..];
         }
-        ops
+        out
+    }
+
+    fn opcodes(bytes: &[u8]) -> Vec<u8> {
+        frames(bytes).iter().map(Frame::opcode).collect()
     }
 
     #[derive(Default)]
@@ -588,6 +559,8 @@ mod tests {
         /// Size of each `write` the daemon made.
         writes: Vec<usize>,
         write_fails: bool,
+        /// The `read` after the last chunk panics instead of reporting EOF.
+        read_panics: bool,
     }
 
     #[derive(Clone, Default)]
@@ -607,6 +580,7 @@ mod tests {
                 "read entered with replies still queued (or sent early)"
             );
             let Some(mut chunk) = w.chunks.pop_front() else {
+                assert!(!w.read_panics, "the transport's read panics");
                 return Ok(0);
             };
             let n = chunk.len().min(buf.len());
@@ -635,14 +609,18 @@ mod tests {
         }
     }
 
-    /// Serves `chunks` on a fresh server; returns what the daemon wrote.
-    fn run(chunks: Vec<Vec<u8>>, cap: f64) -> (Wire, DaemonStats) {
-        let (server, _) = fresh_server();
-        let ledgers = Ledgers::default();
+    /// Serves `chunks` as one connection to `server`; returns what the
+    /// daemon wrote.
+    fn run_on(server: &Server, chunks: Vec<Vec<u8>>, cap: f64) -> (Wire, DaemonStats) {
         let transport = Transport::default();
         transport.0.borrow_mut().chunks = chunks.into();
-        let stats = serve_conn(&server, &ledgers, transport.clone(), transport.clone(), cap);
+        let stats = serve_conn(server, transport.clone(), transport.clone(), cap);
         (transport.0.take(), stats)
+    }
+
+    /// [`run_on`] a fresh server.
+    fn run(chunks: Vec<Vec<u8>>, cap: f64) -> (Wire, DaemonStats) {
+        run_on(&fresh_server().0, chunks, cap)
     }
 
     #[test]
@@ -709,20 +687,13 @@ mod tests {
             unacked += reference.query(session, regions).expect("live").bytes;
         }
 
-        let ledgers = Ledgers::default();
         let transport = Transport::default();
         {
             let mut w = transport.0.borrow_mut();
             w.chunks = vec![wire(&first), wire(&queries[3..])].into();
             w.write_fails = true;
         }
-        let stats = serve_conn(
-            &server,
-            &ledgers,
-            transport.clone(),
-            transport.clone(),
-            f64::INFINITY,
-        );
+        let stats = serve_conn(&server, transport.clone(), transport.clone(), f64::INFINITY);
 
         let w = transport.0.take();
         assert_eq!(w.chunks.len(), 1, "the second burst was never read");
@@ -735,10 +706,42 @@ mod tests {
         // … and the session is as after any transport drop: live,
         // detached, its unacked credit still on the ledger.
         assert_eq!(server.sessions().session_count(), 1);
-        let ws = ledgers.lock().expect("ledger")[&session];
-        assert!(!ws.attached);
-        assert_eq!(ws.outstanding, unacked);
+        assert_eq!(
+            server.sessions().with_delivery(session, |d| *d),
+            Ok(Delivery {
+                unacked,
+                attached: false
+            })
+        );
         assert!(unacked > 0.0, "the comparison is not vacuous");
+    }
+
+    #[test]
+    fn a_connection_thread_that_panics_leaves_its_session_resumable() {
+        let (server, _) = fresh_server();
+        let transport = Transport::default();
+        {
+            let mut w = transport.0.borrow_mut();
+            w.chunks = vec![wire(&[hello()])].into();
+            w.read_panics = true;
+        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_conn(&server, transport.clone(), transport.clone(), f64::INFINITY)
+        }));
+        assert!(panicked.is_err(), "the read after HELLO panics");
+        let [Frame::Welcome { session, token }] = frames(&transport.0.take().written)[..] else {
+            panic!("HELLO was answered before the panic");
+        };
+        let (w, stats) = run_on(&server, vec![wire(&[Frame::Resume { token }])], 0.0);
+        assert_eq!(
+            frames(&w.written),
+            [Frame::Resumed {
+                session,
+                retained_coeffs: 0,
+                retained_objects: 0
+            }]
+        );
+        assert_eq!(stats.errors, 0, "not SessionBusy");
     }
 
     #[test]
@@ -761,10 +764,6 @@ mod tests {
     fn request(space: Rect2) -> impl Strategy<Value = Frame> {
         prop_oneof![
             4 => (0usize..10).prop_map(move |i| query(&space, i)),
-            1 => (0usize..10).prop_map(move |i| Frame::Block {
-                region: window(&space, i),
-                band: ResolutionBand::FULL,
-            }),
             2 => (0.0f64..4096.0).prop_map(|bytes| Frame::Ack { bytes }),
         ]
     }
@@ -805,6 +804,220 @@ mod tests {
             prop_assert_eq!(stats.frames_in, script.len() as u64);
             prop_assert_eq!(stats.frames_out, whole_stats.frames_out);
             prop_assert_eq!(stats.overloads, whole_stats.overloads);
+        }
+    }
+
+    /// One step of a generated connection script.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Hello,
+        /// `RESUME` with the `k`-th token minted so far (mod their count).
+        Resume(usize),
+        Query(usize),
+        Ack(f64),
+        Bye,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            2 => Just(Step::Hello),
+            2 => (0usize..64).prop_map(Step::Resume),
+            5 => (0usize..10).prop_map(Step::Query),
+            3 => (0.0f64..4096.0).prop_map(Step::Ack),
+            1 => Just(Step::Bye),
+        ]
+    }
+
+    /// A live session of the [`Model`].
+    struct Live {
+        session: u64,
+        token: u64,
+        unacked: f64,
+    }
+
+    /// The reference model of the session table as the wire sees it:
+    /// every token minted, and the live sessions in connect order.
+    /// Between connections no session is attached.
+    #[derive(Default)]
+    struct Model {
+        tokens: Vec<u64>,
+        live: Vec<Live>,
+    }
+
+    impl Model {
+        fn session_of(&self, token: u64) -> Option<u64> {
+            self.live
+                .iter()
+                .find(|l| l.token == token)
+                .map(|l| l.session)
+        }
+
+        fn unacked(&mut self, session: u64) -> &mut f64 {
+            let live = self.live.iter_mut().find(|l| l.session == session);
+            &mut live.expect("a bound session is live").unacked
+        }
+
+        /// The frames a script sends, up to and including its first
+        /// `BYE`. An `ACK` while no session is bound is left out: it is
+        /// the one request whose reply (none, or `ERROR`) depends on that.
+        fn frames(&self, space: &Rect2, script: &[Step]) -> Vec<Frame> {
+            let mut bound = false;
+            let mut out = Vec::new();
+            for step in script {
+                out.push(match *step {
+                    Step::Hello => {
+                        bound = true;
+                        hello()
+                    }
+                    Step::Resume(k) => {
+                        let token = match self.tokens.len() {
+                            0 => 0,
+                            n => self.tokens[k % n],
+                        };
+                        bound |= self.session_of(token).is_some();
+                        Frame::Resume { token }
+                    }
+                    Step::Query(i) => query(space, i),
+                    Step::Ack(_) if !bound => continue,
+                    Step::Ack(bytes) => Frame::Ack { bytes },
+                    Step::Bye => {
+                        out.push(Frame::Bye);
+                        break;
+                    }
+                });
+            }
+            out
+        }
+
+        /// Walks one connection's requests against the daemon's replies,
+        /// advancing the model.
+        fn apply(
+            &mut self,
+            sent: &[Frame],
+            replies: &[Frame],
+            cap: f64,
+        ) -> Result<(), TestCaseError> {
+            let code = |c: ErrCode, detail: u64| Frame::Error {
+                code: c as u8,
+                detail,
+            };
+            let unexpected =
+                |reply: &Option<Frame>| TestCaseError::Fail(format!("unexpected reply {reply:?}"));
+            let mut replies = replies.iter();
+            let mut bound: Option<u64> = None;
+            for request in sent {
+                if let Frame::Ack { bytes } = *request {
+                    let session = bound.expect("ACKs are sent only while bound");
+                    let unacked = self.unacked(session);
+                    if bytes > 0.0 {
+                        *unacked = (*unacked - bytes).max(0.0);
+                    }
+                    continue;
+                }
+                let reply = replies.next().cloned();
+                match (request, bound) {
+                    (Frame::Hello { .. }, Some(_)) | (Frame::Resume { .. }, Some(_)) => {
+                        prop_assert_eq!(reply, Some(code(ErrCode::AlreadyConnected, 0)));
+                    }
+                    (Frame::Hello { .. }, None) => {
+                        let Some(Frame::Welcome { session, token }) = reply else {
+                            return Err(unexpected(&reply));
+                        };
+                        prop_assert!(self.live.iter().all(|l| l.session != session));
+                        self.tokens.push(token);
+                        self.live.push(Live {
+                            session,
+                            token,
+                            unacked: 0.0,
+                        });
+                        bound = Some(session);
+                    }
+                    (&Frame::Resume { token }, None) => match self.session_of(token) {
+                        Some(session) => {
+                            let Some(Frame::Resumed { session: s, .. }) = reply else {
+                                return Err(unexpected(&reply));
+                            };
+                            prop_assert_eq!(s, session);
+                            bound = Some(session);
+                        }
+                        None => prop_assert_eq!(reply, Some(code(ErrCode::UnknownToken, token))),
+                    },
+                    (Frame::Query { .. }, None) => {
+                        prop_assert_eq!(reply, Some(code(ErrCode::NotConnected, 0)));
+                    }
+                    (Frame::Query { .. }, Some(session)) => {
+                        let unacked = self.unacked(session);
+                        if *unacked >= cap {
+                            let outstanding = *unacked;
+                            prop_assert_eq!(reply, Some(Frame::Overload { outstanding, cap }));
+                        } else {
+                            let Some(Frame::Result { bytes, .. }) = reply else {
+                                return Err(unexpected(&reply));
+                            };
+                            *unacked += bytes;
+                        }
+                    }
+                    (Frame::Bye, _) => {
+                        prop_assert_eq!(reply, Some(Frame::Bye));
+                        if let Some(session) = bound {
+                            self.live.retain(|l| l.session != session);
+                        }
+                    }
+                    (other, _) => unreachable!("scripts never send {other:?}"),
+                }
+            }
+            prop_assert_eq!(replies.next(), None);
+            Ok(())
+        }
+
+        /// The invariants that hold after every connection.
+        fn check(&self, server: &Server) -> Result<(), TestCaseError> {
+            let sessions = server.sessions();
+            prop_assert_eq!(sessions.session_count(), self.live.len());
+            for l in &self.live {
+                let (unacked, attached) = (l.unacked, false);
+                prop_assert_eq!(
+                    sessions.with_delivery(l.session, |d| *d),
+                    Ok(Delivery { unacked, attached })
+                );
+            }
+            if self.live.is_empty() {
+                prop_assert_eq!(sessions.resident_filter_entries(), 0);
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Connections one after another over one server, each a random
+        /// mix of HELLO, RESUME of an earlier token, QUERY, ACK, BYE and
+        /// drop, agree with the model after every connection: the live
+        /// sessions are the model's, none is left attached, and each
+        /// one's unacked credit is what its RESULTs and ACKs leave. Then
+        /// every session says BYE, and no filter entry is left behind.
+        #[test]
+        fn the_session_table_follows_the_wire_model(
+            scripts in prop::collection::vec(prop::collection::vec(step(), 1..12), 1..10),
+        ) {
+            let (server, space) = fresh_server();
+            let cap = 2048.0;
+            let mut model = Model::default();
+            for script in &scripts {
+                let sent = model.frames(&space, script);
+                let (w, _) = run_on(&server, vec![wire(&sent)], cap);
+                model.apply(&sent, &frames(&w.written), cap)?;
+                model.check(&server)?;
+            }
+            let tokens: Vec<u64> = model.live.iter().map(|l| l.token).collect();
+            for token in tokens {
+                let sent = [Frame::Resume { token }, Frame::Bye];
+                let (w, _) = run_on(&server, vec![wire(&sent)], cap);
+                model.apply(&sent, &frames(&w.written), cap)?;
+                model.check(&server)?;
+            }
+            prop_assert!(model.live.is_empty());
         }
     }
 }

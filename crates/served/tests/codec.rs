@@ -46,10 +46,6 @@ fn sample_frames() -> Vec<Frame> {
                 },
             ],
         },
-        Frame::Block {
-            region: rect(1.0, 2.0, 3.0, 4.0),
-            band: ResolutionBand::FULL,
-        },
         Frame::Result {
             coeffs: 123,
             new_objects: 4,
@@ -192,7 +188,8 @@ fn zero_length_frame_is_a_typed_error() {
 
 #[test]
 fn unknown_opcodes_are_typed_errors() {
-    for op in [0u8, 12, 42, 255] {
+    // 4 is the retired `BLOCK`.
+    for op in [0u8, 4, 12, 42, 255] {
         assert_eq!(decode(&[op]), Err(DecodeError::UnknownOpcode(op)));
         // With a body attached the opcode is still what fails.
         assert_eq!(
