@@ -14,29 +14,24 @@
 //! Retries, drops and degradation may reshape *when* data moves — never
 //! *what* the client ends up holding where it matters.
 //!
-//! Determinism mirrors `mar-bench serve` (DESIGN.md §10): each session's
-//! fault stream is keyed by its client index `k`, not by the server-minted
-//! session id, so the `connect()` order under concurrency is unobservable;
-//! sessions fan out over the [`Engine`], whose results come back in point
-//! order; `jobs = 1` and `jobs = N` transcripts are byte-identical (pinned
-//! by `crates/bench/tests/chaos.rs`). Link time is simulated, never
-//! measured: the harness reads no clock, so the whole report — and the
-//! `BENCH_chaos.json` snapshot rendered from it — is deterministic.
+//! The link is one of the two fault sources of the grid driver in
+//! `grid.rs` (DESIGN.md §11). Each session's fault stream is keyed by its
+//! client index `k`, never by the server-minted session id, and link time
+//! is simulated, never measured: the transcript, and the
+//! `BENCH_chaos.json` snapshot rendered from it, are identical at any
+//! `jobs` (pinned by `crates/bench/tests/chaos.rs`).
 
-use crate::engine::Engine;
+use crate::grid::{run_grid, FaultSource, GridReport};
 use crate::report::Json;
-use crate::serve::{
-    assert_released, fnv_hex, resident_fingerprint, serve_scene, ServeBackend, TourSession,
-    TOUR_SEED,
-};
-use mar_core::{ResilienceMetrics, ResilientClient, ResilientTick, Server};
+use crate::serve::{serve_scene, ServeBackend, TourSession, View, TOUR_SEED};
+use mar_core::{ResilienceMetrics, ResilientClient, Server, ServerCore};
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
 
 /// Fault-plan seed shared by every grid point (streams differ by `k`).
 const FAULT_SEED: u64 = 4242;
 
-/// One fault-grid point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One fault-grid point; the default is the fault-free reference.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GridPoint {
     /// Per-request loss probability.
     pub loss: f64,
@@ -75,24 +70,7 @@ impl ChaosConfig {
             levels: 3,
             frame_frac: 0.05,
             jobs,
-            grid: vec![
-                GridPoint {
-                    loss: 0.0,
-                    drop_every: 0,
-                },
-                GridPoint {
-                    loss: 0.01,
-                    drop_every: 60,
-                },
-                GridPoint {
-                    loss: 0.05,
-                    drop_every: 60,
-                },
-                GridPoint {
-                    loss: 0.20,
-                    drop_every: 60,
-                },
-            ],
+            grid: grid(&[0.01, 0.05, 0.20], 60),
         }
     }
 
@@ -105,22 +83,18 @@ impl ChaosConfig {
             levels: 2,
             frame_frac: 0.1,
             jobs,
-            grid: vec![
-                GridPoint {
-                    loss: 0.0,
-                    drop_every: 0,
-                },
-                GridPoint {
-                    loss: 0.05,
-                    drop_every: 15,
-                },
-                GridPoint {
-                    loss: 0.20,
-                    drop_every: 15,
-                },
-            ],
+            grid: grid(&[0.05, 0.20], 15),
         }
     }
+}
+
+/// The fault-free reference point, then one point per loss in `losses`
+/// with a transport drop every `drop_every` link requests.
+fn grid(losses: &[f64], drop_every: u64) -> Vec<GridPoint> {
+    let faulted = losses.iter().map(|&loss| GridPoint { loss, drop_every });
+    std::iter::once(GridPoint::default())
+        .chain(faulted)
+        .collect()
 }
 
 /// What one grid point measured, summed over its sessions.
@@ -151,25 +125,12 @@ impl ChaosPointReport {
 }
 
 /// What one chaos run produced.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Sessions per grid point.
-    pub sessions: usize,
-    /// Ticks per session.
-    pub ticks: usize,
-    /// One report per grid point, in grid order.
-    pub points: Vec<ChaosPointReport>,
-    /// The deterministic per-grid-point, per-session, per-tick transcript.
-    pub transcript: String,
-    /// Whether every grid point's resident sets matched the fault-free
-    /// reference (grid point 0).
-    pub invariant_ok: bool,
-}
+pub type ChaosReport = GridReport<ChaosPointReport>;
 
 impl ChaosReport {
     /// The `BENCH_chaos.json` snapshot of this run.
     pub fn snapshot(&self, mode: &str) -> Json {
-        let point = |p: &ChaosPointReport| {
+        self.render("mar-bench-chaos/2", mode, |p| {
             Json::Obj(vec![
                 // Grid losses are whole percents.
                 ("loss_pct", Json::Num(p.loss * 100.0, 0)),
@@ -185,44 +146,105 @@ impl ChaosReport {
                 ("ideal_time_s", Json::Num(p.metrics.ideal_time_s, 3)),
                 ("goodput", Json::Num(p.goodput(), 4)),
             ])
-        };
-        Json::Obj(vec![
-            ("schema", "mar-bench-chaos/2".into()),
-            ("mode", mode.into()),
-            ("sessions", self.sessions.into()),
-            ("ticks", self.ticks.into()),
-            ("invariant_ok", Json::Bool(self.invariant_ok)),
-            ("grid", Json::Arr(self.points.iter().map(point).collect())),
-            ("transcript_fnv64", fnv_hex(&self.transcript)),
-        ])
+        })
     }
 }
 
-/// One transcript row: what session `k`'s tick (or `finish` pass) did at
-/// grid point `gp`.
-fn push_row(rows: &mut String, gp: &GridPoint, k: usize, tick: &str, out: &ResilientTick) {
-    rows.push_str(&format!(
-        "{},{},{k},{tick},{},{},{},{},{},{},{},{}\n",
-        gp.loss * 100.0,
-        gp.drop_every,
-        out.result.coeffs,
-        out.result.new_objects,
-        out.result.bytes,
-        out.result.io,
-        out.retries,
-        out.drops,
-        out.degrade_level,
-        out.tick_time_s,
-    ));
-}
+/// The chaos fault: every client reaches the shared server over its own
+/// seeded, lossy, dropping link.
+struct LinkFaults(ServerCore);
 
-/// What one session's worker brings home.
-struct SessionOutcome {
-    rows: String,
-    metrics: ResilienceMetrics,
-    fingerprint: u64,
-    covered: bool,
-    session: u64,
+impl FaultSource for LinkFaults {
+    type Point = GridPoint;
+    type Client = ResilientClient;
+    type Report = ChaosPointReport;
+    const HEADER: &'static str =
+        "loss_pct,drop_every,session,tick,coeffs,new_objects,bytes,io,retries,drops,level,time_s\n";
+    const TOUR_SEED: u64 = TOUR_SEED;
+
+    fn is_reference(&self, gp: &GridPoint) -> bool {
+        gp.loss == 0.0 && gp.drop_every == 0
+    }
+
+    fn key(&self, gp: &GridPoint) -> String {
+        format!("{},{}", gp.loss * 100.0, gp.drop_every)
+    }
+
+    fn core(&self, _: &GridPoint) -> ServerCore {
+        // One immutable core for every point: filter state lives in `Server`.
+        self.0.clone()
+    }
+
+    fn connect(&self, server: &Server, gp: &GridPoint, k: usize) -> ResilientClient {
+        let fault = if self.is_reference(gp) {
+            FaultConfig::none(FAULT_SEED)
+        } else {
+            FaultConfig::hostile(FAULT_SEED, gp.loss, gp.drop_every)
+        };
+        let plan = FaultPlan::new(fault)
+            // mar-lint: allow(D004) — the grid is validated static configuration
+            .expect("chaos fault grid is valid");
+        // The fault stream is keyed by the client index k, never by the
+        // server-minted session id.
+        let link = FaultyLink::new(LinkConfig::paper(), plan, k as u64)
+            // mar-lint: allow(D004) — LinkConfig::paper() is valid by construction
+            .expect("paper link config is valid");
+        ResilientClient::connect(server, link)
+    }
+
+    fn session(&self, client: &ResilientClient) -> u64 {
+        client.session()
+    }
+
+    fn step(
+        &self,
+        server: &Server,
+        client: &mut ResilientClient,
+        _: &mut TourSession,
+        view: &View,
+        tick: Option<usize>,
+    ) -> String {
+        // The resilient client plans for itself. Its finish pass is the
+        // end-of-tour repair: drain degradation, refetch the final frame
+        // at the full band for the final speed.
+        let out = match tick {
+            Some(_) => client.tick(server, view.frame, view.speed),
+            None => client.finish(server, view.frame, view.speed),
+        }
+        // mar-lint: allow(D004) — loss < 1 makes GaveUp unreachable (P ≈ loss^64); a hit means the protocol livelocked, which this harness exists to catch
+        .expect("resilient step must terminate");
+        let r = &out.result;
+        format!(
+            "{},{},{},{},{},{},{},{}",
+            r.coeffs,
+            r.new_objects,
+            r.bytes,
+            r.io,
+            out.retries,
+            out.drops,
+            out.degrade_level,
+            out.tick_time_s,
+        )
+    }
+
+    fn report(
+        &self,
+        gp: &GridPoint,
+        clients: Vec<ResilientClient>,
+        fingerprints: Vec<u64>,
+    ) -> (ChaosPointReport, bool) {
+        let mut metrics = ResilienceMetrics::default();
+        for client in &clients {
+            metrics.absorb(client.metrics());
+        }
+        let report = ChaosPointReport {
+            loss: gp.loss,
+            drop_every: gp.drop_every,
+            metrics,
+            fingerprints,
+        };
+        (report, true)
+    }
 }
 
 /// Runs the chaos workload. The report is identical for any `cfg.jobs`.
@@ -234,151 +256,36 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     run_chaos_backend(cfg, &ServeBackend::Ram)
 }
 
-/// [`run_chaos`] against a chosen index backend. The transcript, every
-/// aggregate and every fingerprint are backend-independent — the paged
-/// store answers byte-identically to RAM (DESIGN.md §15), so the chaos
-/// invariant carries over to the out-of-core server unchanged (pinned by
-/// this module's tests).
+/// [`run_chaos`] against a chosen index backend. The report does not
+/// depend on the backend: the paged store answers byte-identically to RAM
+/// (DESIGN.md §15), so the invariant carries over out of core.
 ///
 /// # Panics
 /// Panics on a miswired workload (see [`run_chaos`]) or when the page
 /// file backing a [`ServeBackend::Paged`] run cannot be written.
 pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosReport {
-    assert!(
-        matches!(cfg.grid.first(), Some(p) if p.loss == 0.0 && p.drop_every == 0),
-        "grid point 0 must be the fault-free reference"
-    );
     let scene = serve_scene(cfg.objects, cfg.levels);
-    // One immutable core shared by every grid point's fresh server: only
-    // session (filter) state must not leak between grid points, and that
-    // lives in the `Server`, not the core.
     let core = backend
         .build_core(&scene, cfg.jobs)
         // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
         .expect("chaos: cannot build the page-file backend");
-    let engine = Engine::new(cfg.jobs);
-
-    let mut transcript = String::from(
-        "loss_pct,drop_every,session,tick,coeffs,new_objects,bytes,io,retries,drops,level,time_s\n",
-    );
-    let mut points = Vec::with_capacity(cfg.grid.len());
-    let mut invariant_ok = true;
-
-    for gp in &cfg.grid {
-        // A fresh server per grid point over the same immutable core, so
-        // filter state can never leak between grid points.
-        let server = Server::from_core(core.clone());
-        let fault = if gp.loss == 0.0 && gp.drop_every == 0 {
-            FaultConfig::none(FAULT_SEED)
-        } else {
-            FaultConfig::hostile(FAULT_SEED, gp.loss, gp.drop_every)
-        };
-        let outcomes: Vec<SessionOutcome> = engine.run(
-            (0..cfg.sessions).collect(),
-            || (),
-            |_, &k| {
-                // The resilient client plans for itself; only the views
-                // are read off the session.
-                let space = scene.config.space;
-                let tour = TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k);
-                // The fault stream is keyed by the client index k, not the
-                // server-minted session id: the connect order under
-                // concurrency must be unobservable.
-                let plan = FaultPlan::new(fault)
-                    // mar-lint: allow(D004) — the grid is validated static configuration
-                    .expect("chaos fault grid is valid");
-                let link = FaultyLink::new(LinkConfig::paper(), plan, k as u64)
-                    // mar-lint: allow(D004) — LinkConfig::paper() is valid by construction
-                    .expect("paper link config is valid");
-                let mut client = ResilientClient::connect(&server, link);
-                let mut rows = String::new();
-                for tick in 0..cfg.ticks {
-                    let view = tour.view(tick);
-                    let out = client
-                        .tick(&server, view.frame, view.speed)
-                        // mar-lint: allow(D004) — loss < 1 makes GaveUp unreachable (P ≈ loss^64); a hit means the protocol livelocked, which this harness exists to catch
-                        .expect("resilient tick must terminate");
-                    push_row(&mut rows, gp, k, &tick.to_string(), &out);
-                }
-                let last = tour.view(cfg.ticks - 1);
-                // End-of-tour repair pass: drain degradation, refetch the
-                // final frame at the full band for the final speed.
-                let fin = client
-                    .finish(&server, last.frame, last.speed)
-                    // mar-lint: allow(D004) — same termination argument as tick
-                    .expect("finish must terminate");
-                push_row(&mut rows, gp, k, "finish", &fin);
-                // The invariant's object: the resident set over the final
-                // frame at the final (undegraded) band.
-                let (want, _) = server.query_stateless(&last.frame, last.band);
-                let sent = server
-                    .sessions()
-                    .session_sent_set(client.session())
-                    // mar-lint: allow(D004) — the client's session is live by construction
-                    .expect("chaos session is live");
-                let (fingerprint, covered) = resident_fingerprint(&want, &sent);
-                SessionOutcome {
-                    rows,
-                    metrics: *client.metrics(),
-                    fingerprint,
-                    covered,
-                    session: client.session(),
-                }
-            },
-        );
-
-        let mut report = ChaosPointReport {
-            loss: gp.loss,
-            drop_every: gp.drop_every,
-            ..ChaosPointReport::default()
-        };
-        for o in &outcomes {
-            transcript.push_str(&o.rows);
-            let (sum, m) = (&mut report.metrics, &o.metrics);
-            sum.ticks += m.ticks;
-            sum.contact_ticks += m.contact_ticks;
-            sum.retries += m.retries;
-            sum.drops += m.drops;
-            sum.resumed += m.resumed;
-            sum.reconnects += m.reconnects;
-            sum.degraded_ticks += m.degraded_ticks;
-            sum.max_level = sum.max_level.max(m.max_level);
-            sum.bytes += m.bytes;
-            sum.link_time_s += m.link_time_s;
-            sum.ideal_time_s += m.ideal_time_s;
-            report.fingerprints.push(o.fingerprint);
-            invariant_ok &= o.covered;
-        }
-        // Against the fault-free reference: identical resident sets.
-        if let Some(reference) = points.first() {
-            let reference: &ChaosPointReport = reference;
-            invariant_ok &= reference.fingerprints == report.fingerprints;
-        }
-        points.push(report);
-
-        // Tear the grid point's sessions down; filter state must go too.
-        for o in &outcomes {
-            server
-                .disconnect(o.session)
-                // mar-lint: allow(D004) — each worker's final session is live until this teardown
-                .expect("chaos session vanished");
-        }
-        assert_released(server.sessions());
-    }
-
-    ChaosReport {
-        sessions: cfg.sessions,
-        ticks: cfg.ticks,
-        points,
-        transcript,
-        invariant_ok,
-    }
+    run_grid(
+        &LinkFaults(core),
+        &cfg.grid,
+        scene.config.space,
+        cfg.sessions,
+        cfg.ticks,
+        cfg.frame_frac,
+        cfg.jobs,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::tests::{check_jobs_invariant, check_shape};
 
+    /// A seconds-scale grid: one clean point, one hostile one.
     fn tiny(jobs: usize) -> ChaosConfig {
         ChaosConfig {
             sessions: 3,
@@ -387,16 +294,7 @@ mod tests {
             levels: 2,
             frame_frac: 0.15,
             jobs,
-            grid: vec![
-                GridPoint {
-                    loss: 0.0,
-                    drop_every: 0,
-                },
-                GridPoint {
-                    loss: 0.2,
-                    drop_every: 5,
-                },
-            ],
+            grid: grid(&[0.2], 5),
         }
     }
 
@@ -417,26 +315,6 @@ mod tests {
         assert_eq!(clean.metrics.retries, 0);
         assert_eq!(clean.metrics.drops, 0);
         assert!((clean.goodput() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transcript_is_jobs_invariant() {
-        let serial = run_chaos(&tiny(1));
-        let parallel = run_chaos(&tiny(3));
-        assert_eq!(serial.transcript, parallel.transcript);
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a, b, "grid-point aggregates must be jobs-invariant");
-        }
-    }
-
-    #[test]
-    fn transcript_shape() {
-        let r = run_chaos(&tiny(1));
-        // Header + per grid point: sessions × (ticks + finish row).
-        assert_eq!(r.transcript.lines().count(), 1 + 2 * 3 * (12 + 1));
-        assert!(r.transcript.starts_with(
-            "loss_pct,drop_every,session,tick,coeffs,new_objects,bytes,io,retries,drops,level,time_s\n"
-        ));
     }
 
     #[test]
@@ -463,6 +341,16 @@ mod tests {
         for (a, b) in ram.points.iter().zip(&paged.points) {
             assert_eq!(a, b, "grid-point aggregates must be backend-invariant");
         }
+    }
+
+    #[test]
+    fn transcript_is_jobs_invariant() {
+        check_jobs_invariant(|jobs| run_chaos(&tiny(jobs)));
+    }
+
+    #[test]
+    fn transcript_shape() {
+        check_shape(&run_chaos(&tiny(1)));
     }
 
     #[test]

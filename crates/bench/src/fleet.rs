@@ -15,23 +15,21 @@
 //! > the shard recovers, every session's resident set **over the final
 //! > frame at the final band** is byte-identical to the fault-free run's.
 //!
-//! Determinism mirrors `mar-bench serve` (DESIGN.md §10): the outage
-//! schedule is keyed by tick and set as fleet health before the tick's
-//! sessions run, sessions tour with seeds keyed by client index `k`,
-//! results come back in point order, and the transcript is
-//! byte-identical at any `jobs`. The harness reads no clock, so the whole
-//! report — and the `BENCH_fleet.json` snapshot rendered from it — is
-//! deterministic; the tier's speed is `benchmark/`'s to measure.
+//! The outage schedule is one of the two fault sources of the grid driver
+//! in `grid.rs` (DESIGN.md §10): keyed by tick, it is set as fleet health
+//! before each tick's sessions run, so the transcript, and the
+//! `BENCH_fleet.json` snapshot rendered from it, are identical at any
+//! `jobs`. The harness reads no clock; the tier's speed is `benchmark/`'s
+//! to measure.
 
-use crate::engine::Engine;
+use crate::grid::{run_grid, FaultSource, GridReport};
 use crate::report::Json;
-use crate::serve::{assert_released, fnv_hex, resident_fingerprint, serve_scene, TourSession};
-use mar_core::{FleetConfig, FleetHealth, SceneIndexData, Server, ServerCore, WaveletIndex};
+use crate::serve::{serve_scene, TourSession, View};
+use mar_core::{Fleet, FleetConfig, FleetHealth, SceneIndexData, Server, ServerCore, WaveletIndex};
+use mar_geom::Rect2;
 use mar_link::ShardOutagePlan;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Base tour seed: session `k` tours with seed `TOUR_SEED + k`.
-const TOUR_SEED: u64 = 1201;
 /// Shard-outage schedule seed (shared; the schedule is tick-keyed).
 const OUTAGE_SEED: u64 = 6363;
 
@@ -83,23 +81,7 @@ impl FleetBenchConfig {
             levels: 3,
             frame_frac: 0.05,
             jobs,
-            grid: vec![
-                FleetGridPoint {
-                    replicas: false,
-                    period: 0,
-                    outage: 0,
-                },
-                FleetGridPoint {
-                    replicas: true,
-                    period: 8,
-                    outage: 3,
-                },
-                FleetGridPoint {
-                    replicas: false,
-                    period: 8,
-                    outage: 3,
-                },
-            ],
+            grid: grid(8, 3),
         }
     }
 
@@ -115,23 +97,7 @@ impl FleetBenchConfig {
             levels: 2,
             frame_frac: 0.1,
             jobs,
-            grid: vec![
-                FleetGridPoint {
-                    replicas: false,
-                    period: 0,
-                    outage: 0,
-                },
-                FleetGridPoint {
-                    replicas: true,
-                    period: 6,
-                    outage: 2,
-                },
-                FleetGridPoint {
-                    replicas: false,
-                    period: 6,
-                    outage: 2,
-                },
-            ],
+            grid: grid(6, 2),
         }
     }
 
@@ -140,6 +106,17 @@ impl FleetBenchConfig {
     pub fn shards(&self) -> u32 {
         self.nx * self.ny
     }
+}
+
+/// The outage-free reference point, then a shard kill of `outage` ticks
+/// every `period` ticks, first with replicas and then without.
+fn grid(period: u64, outage: u64) -> Vec<FleetGridPoint> {
+    let kill = |replicas| FleetGridPoint {
+        replicas,
+        period,
+        outage,
+    };
+    vec![FleetGridPoint::default(), kill(true), kill(false)]
 }
 
 /// What one grid point measured, summed over its sessions.
@@ -172,7 +149,7 @@ pub struct FleetPointReport {
 }
 
 impl FleetPointReport {
-    /// Adds one session's tally, in session order.
+    /// Adds one view's tally to its session's, or one session's to a point's.
     fn absorb(&mut self, session: &Self) {
         self.queries += session.queries;
         self.tasks += session.tasks;
@@ -183,7 +160,6 @@ impl FleetPointReport {
         self.complete_outage_queries += session.complete_outage_queries;
         self.bytes += session.bytes;
         self.io += session.io;
-        self.fingerprints.extend_from_slice(&session.fingerprints);
     }
 
     /// Fraction of outage-tick queries served at full fidelity (`1.0`
@@ -200,29 +176,13 @@ impl FleetPointReport {
     }
 }
 
-/// What one fleet run produced.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Sessions per grid point.
-    pub sessions: usize,
-    /// Ticks per session.
-    pub ticks: usize,
-    /// Shards in the fleet.
-    pub shards: u32,
-    /// One report per grid point, in grid order.
-    pub points: Vec<FleetPointReport>,
-    /// The deterministic per-grid-point, per-session, per-tick transcript.
-    pub transcript: String,
-    /// Whether every grid point's final-frame resident sets matched the
-    /// outage-free reference (grid point 0) and every outage query was
-    /// answered.
-    pub invariant_ok: bool,
-}
+/// What one fleet run produced; its `shards` is the fleet's shard count.
+pub type FleetReport = GridReport<FleetPointReport>;
 
 impl FleetReport {
     /// The `BENCH_fleet.json` snapshot of this run.
     pub fn snapshot(&self, mode: &str) -> Json {
-        let point = |p: &FleetPointReport| {
+        self.render("mar-bench-fleet/2", mode, |p| {
             Json::Obj(vec![
                 ("replicas", Json::Bool(p.point.replicas)),
                 ("period", p.point.period.into()),
@@ -238,254 +198,180 @@ impl FleetReport {
                 ("bytes", Json::Num(p.bytes, 1)),
                 ("io", p.io.into()),
             ])
-        };
-        Json::Obj(vec![
-            ("schema", "mar-bench-fleet/2".into()),
-            ("mode", mode.into()),
-            ("sessions", self.sessions.into()),
-            ("ticks", self.ticks.into()),
-            ("shards", u64::from(self.shards).into()),
-            ("invariant_ok", Json::Bool(self.invariant_ok)),
-            ("grid", Json::Arr(self.points.iter().map(point).collect())),
-            ("transcript_fnv64", fnv_hex(&self.transcript)),
-        ])
+        })
     }
 }
 
-/// One session's replay across its grid point's ticks.
-struct SessionRun {
-    session: u64,
-    tour: TourSession,
-    rows: String,
-    /// This session's share of its grid point's report.
-    tally: FleetPointReport,
+/// The fleet fault: a tick-keyed shard-outage schedule over the one fleet
+/// every session shares.
+struct ShardOutages {
+    data: Arc<SceneIndexData>,
+    space: Rect2,
+    nx: u32,
+    ny: u32,
 }
 
-/// The transcript column header.
-pub const FLEET_TRANSCRIPT_HEADER: &str =
-    "replicas,period,session,tick,coeffs,new_objects,bytes,io,tasks,promotions,degraded,unserved,complete\n";
+/// The fleet behind `server`.
+fn fleet(server: &Server) -> &Fleet {
+    // mar-lint: allow(D004) — every grid point's core is built as a fleet
+    server.index().fleet().expect("a fleet index")
+}
+
+impl FaultSource for ShardOutages {
+    type Point = FleetGridPoint;
+    /// A server session and its share of the point's report.
+    type Client = (u64, FleetPointReport);
+    type Report = FleetPointReport;
+    const HEADER: &'static str =
+        "replicas,period,session,tick,coeffs,new_objects,bytes,io,tasks,promotions,degraded,unserved,complete\n";
+    const TOUR_SEED: u64 = 1201;
+
+    fn is_reference(&self, gp: &FleetGridPoint) -> bool {
+        gp.period == 0
+    }
+
+    fn key(&self, gp: &FleetGridPoint) -> String {
+        format!("{},{}", u8::from(gp.replicas), gp.period)
+    }
+
+    fn core(&self, gp: &FleetGridPoint) -> ServerCore {
+        // The replica policy differs per point; the scene data is shared.
+        let cfg = FleetConfig::ram(self.nx, self.ny, gp.replicas);
+        let index = WaveletIndex::build_fleet(&self.data, self.space, &cfg)
+            // mar-lint: allow(D004) — the shard grid is validated static configuration
+            .expect("fleet grid is valid");
+        ServerCore::from_parts(Arc::clone(&self.data), Arc::new(index))
+    }
+
+    fn before(&self, server: &Server, gp: &FleetGridPoint, tick: Option<usize>) {
+        // Health is fleet state every session shares, keyed by tick; the
+        // finish pass runs after recovery, on an all-up fleet.
+        let down = tick.map_or(0, |tick| {
+            ShardOutagePlan::new(OUTAGE_SEED, gp.period, gp.outage)
+                // mar-lint: allow(D004) — the outage grid is validated static configuration
+                .expect("outage plan is valid")
+                .down_mask(tick as u64, self.nx * self.ny)
+        });
+        fleet(server).set_health(FleetHealth::from_down_mask(down));
+    }
+
+    fn connect(&self, server: &Server, _: &FleetGridPoint, _: usize) -> Self::Client {
+        (server.connect(), FleetPointReport::default())
+    }
+
+    fn session(&self, client: &Self::Client) -> u64 {
+        client.0
+    }
+
+    /// Serves `view` one region per [`Server::query`] call, so byte totals
+    /// sum in region order, each routed under the fleet's current health.
+    fn step(
+        &self,
+        server: &Server,
+        (session, out): &mut Self::Client,
+        tour: &mut TourSession,
+        view: &View,
+        tick: Option<usize>,
+    ) -> String {
+        let fleet = fleet(server);
+        let health = fleet.health();
+        // This view's share of the session's tally.
+        let mut t = FleetPointReport {
+            queries: 1,
+            ..FleetPointReport::default()
+        };
+        let (mut coeffs, mut new_objects, mut complete) = (0, 0, true);
+        for r in &tour.plan(view) {
+            let plan = fleet.router().plan(health, &r.region, r.band);
+            let result = server
+                .query(*session, std::slice::from_ref(r))
+                // mar-lint: allow(D004) — outages degrade answers, they never error; an error here is the bug this harness exists to catch
+                .expect("fleet never errors a live session");
+            coeffs += result.coeffs;
+            new_objects += result.new_objects;
+            t.bytes += result.bytes;
+            t.io += result.io;
+            t.tasks += plan.tasks.len() as u64;
+            t.replica_promotions += u64::from(plan.replica_promotions());
+            t.degraded_subqueries += u64::from(plan.degraded_subqueries);
+            t.unserved_subqueries += u64::from(plan.unserved_subqueries);
+            complete &= plan.complete();
+        }
+        if complete {
+            // Only a fully-served view advances the planner: degraded
+            // coverage is refetched after recovery.
+            tour.commit(view);
+        }
+        if health.down_count() > 0 {
+            t.outage_queries = 1;
+            t.complete_outage_queries = u64::from(complete);
+        }
+        out.absorb(&t);
+        let (bytes, io, complete) = (t.bytes, t.io, u8::from(complete));
+        let (tasks, promoted) = (t.tasks, t.replica_promotions);
+        let (degraded, unserved) = (t.degraded_subqueries, t.unserved_subqueries);
+        match tick {
+            Some(_) => format!("{coeffs},{new_objects},{bytes},{io},{tasks},{promoted},{degraded},{unserved},{complete}"),
+            None => format!("{coeffs},0,{bytes},0,0,0,0,0,{complete}"),
+        }
+    }
+
+    fn report(
+        &self,
+        gp: &FleetGridPoint,
+        clients: Vec<Self::Client>,
+        fingerprints: Vec<u64>,
+    ) -> (FleetPointReport, bool) {
+        let mut report = FleetPointReport {
+            point: *gp,
+            fingerprints,
+            ..FleetPointReport::default()
+        };
+        for (_, tally) in &clients {
+            report.absorb(tally);
+        }
+        // Availability stays strictly positive whenever an outage bit.
+        let held = report.outage_queries == 0 || report.complete_outage_queries > 0;
+        (report, held)
+    }
+}
 
 /// Runs the fleet workload. The report is identical for any `cfg.jobs`.
-///
-/// Tick-major, like `serve`: the fleet's health is set for a tick, then
-/// every session runs that tick (in parallel over the engine), so the
-/// outage schedule is fleet state shared by every session, not something
-/// each query carries. A session's `tasks` / `promotions` / `degraded` /
-/// `unserved` / `complete` columns are the router's plan for each of its
-/// sub-queries under that health; its answers are [`Server::query`]'s,
-/// one region per call, so its byte totals sum in region order.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, outaged grid
 /// point 0, zero ticks, outage outliving its period, too many shards) —
 /// configuration bugs, not runtime faults.
 pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
-    assert!(
-        matches!(cfg.grid.first(), Some(p) if p.period == 0),
-        "grid point 0 must be the outage-free reference"
-    );
     let scene = serve_scene(cfg.objects, cfg.levels);
     let space = scene.config.space;
-    let data = Arc::new(SceneIndexData::build(&scene));
-    let engine = Engine::new(cfg.jobs);
-    let shards = cfg.shards();
-
-    let mut transcript = String::from(FLEET_TRANSCRIPT_HEADER);
-    let mut points: Vec<FleetPointReport> = Vec::with_capacity(cfg.grid.len());
-    let mut invariant_ok = true;
-
-    for gp in &cfg.grid {
-        // A fresh fleet per grid point (replica policy differs and filter
-        // state must never leak between points) over the shared scene data.
-        let fleet_cfg = FleetConfig::ram(cfg.nx, cfg.ny, gp.replicas);
-        let index = WaveletIndex::build_fleet(&data, space, &fleet_cfg)
-            // mar-lint: allow(D004) — the shard grid is validated static configuration
-            .expect("fleet grid is valid");
-        let server = Server::from_core(ServerCore::from_parts(Arc::clone(&data), Arc::new(index)));
-        // mar-lint: allow(D004) — built as a fleet two lines up
-        let fleet = server.index().fleet().expect("a fleet index");
-        let outage = if gp.period == 0 {
-            ShardOutagePlan::none(OUTAGE_SEED)
-        } else {
-            ShardOutagePlan::new(OUTAGE_SEED, gp.period, gp.outage)
-                // mar-lint: allow(D004) — the outage grid is validated static configuration
-                .expect("outage plan is valid")
-        };
-        let replicas_col = u8::from(gp.replicas);
-        let runs: Vec<Mutex<SessionRun>> = (0..cfg.sessions)
-            .map(|k| {
-                Mutex::new(SessionRun {
-                    session: server.connect(),
-                    tour: TourSession::new(space, cfg.ticks, TOUR_SEED, cfg.frame_frac, k),
-                    rows: String::new(),
-                    tally: FleetPointReport::default(),
-                })
-            })
-            .collect();
-        // mar-lint: allow(D004) — poisoning implies a sibling worker panicked; propagate
-        let run_of = |k: usize| runs[k].lock().expect("session run poisoned");
-
-        for tick in 0..cfg.ticks {
-            let health = FleetHealth::from_down_mask(outage.down_mask(tick as u64, shards));
-            fleet.set_health(health);
-            engine.run(
-                (0..cfg.sessions).collect(),
-                || (),
-                |_, &k| {
-                    let mut run = run_of(k);
-                    let SessionRun {
-                        session,
-                        tour,
-                        rows,
-                        tally: out,
-                    } = &mut *run;
-                    let view = tour.view(tick);
-                    let mut coeffs = 0usize;
-                    let mut new_objects = 0usize;
-                    let mut bytes = 0.0f64;
-                    let mut io = 0u64;
-                    let mut tasks = 0u32;
-                    let mut promotions = 0u32;
-                    let mut degraded = 0u32;
-                    let mut unserved = 0u32;
-                    let mut complete = true;
-                    for r in &tour.plan(&view) {
-                        let plan = fleet.router().plan(health, &r.region, r.band);
-                        let result = server
-                            .query(*session, std::slice::from_ref(r))
-                            // mar-lint: allow(D004) — outages degrade answers, they never error; an error here is the bug this harness exists to catch
-                            .expect("fleet never errors a live session");
-                        coeffs += result.coeffs;
-                        new_objects += result.new_objects;
-                        bytes += result.bytes;
-                        io += result.io;
-                        tasks += plan.tasks.len() as u32;
-                        promotions += plan.replica_promotions();
-                        degraded += plan.degraded_subqueries;
-                        unserved += plan.unserved_subqueries;
-                        complete &= plan.complete();
-                    }
-                    if complete {
-                        // Only a fully-served tick advances the planner:
-                        // degraded coverage is refetched after recovery.
-                        tour.commit(&view);
-                    }
-                    out.queries += 1;
-                    out.tasks += u64::from(tasks);
-                    out.replica_promotions += u64::from(promotions);
-                    out.degraded_subqueries += u64::from(degraded);
-                    out.unserved_subqueries += u64::from(unserved);
-                    out.bytes += bytes;
-                    out.io += io;
-                    if health.down_count() > 0 {
-                        out.outage_queries += 1;
-                        out.complete_outage_queries += u64::from(complete);
-                    }
-                    rows.push_str(&format!(
-                        "{replicas_col},{},{k},{tick},{coeffs},{new_objects},{bytes},{io},{tasks},{promotions},{degraded},{unserved},{}\n",
-                        gp.period,
-                        u8::from(complete),
-                    ));
-                },
-            );
-        }
-
-        // Recovery pass: the shard is back (all-up health); every session
-        // refetches whatever its uncommitted planner coverage still owes
-        // over the final frame at the final band, and reports whether it
-        // then holds all of it.
-        fleet.set_health(FleetHealth::all_up());
-        let covered = engine.run(
-            (0..cfg.sessions).collect(),
-            || (),
-            |_, &k| {
-                let mut run = run_of(k);
-                let SessionRun {
-                    session,
-                    tour,
-                    rows,
-                    tally: out,
-                } = &mut *run;
-                let last = tour.view(cfg.ticks - 1);
-                let mut fin_coeffs = 0usize;
-                let mut fin_bytes = 0.0f64;
-                for r in &tour.plan(&last) {
-                    let plan = fleet
-                        .router()
-                        .plan(FleetHealth::all_up(), &r.region, r.band);
-                    debug_assert!(plan.complete());
-                    let result = server
-                        .query(*session, std::slice::from_ref(r))
-                        // mar-lint: allow(D004) — all-up health cannot degrade or error
-                        .expect("recovered fleet serves everything");
-                    fin_coeffs += result.coeffs;
-                    fin_bytes += result.bytes;
-                    out.bytes += result.bytes;
-                    out.io += result.io;
-                    out.tasks += plan.tasks.len() as u64;
-                }
-                out.queries += 1;
-                rows.push_str(&format!(
-                    "{replicas_col},{},{k},finish,{fin_coeffs},0,{fin_bytes},0,0,0,0,0,1\n",
-                    gp.period,
-                ));
-                // The invariant's object: the resident set over the final
-                // frame at the final band.
-                let (mut want, _) = server.query_stateless(&last.frame, last.band);
-                want.sort_unstable();
-                want.dedup();
-                let sent = server
-                    .sessions()
-                    .session_sent_set(*session)
-                    // mar-lint: allow(D004) — the session is live until teardown
-                    .expect("fleet session is live");
-                let (fingerprint, covered) = resident_fingerprint(&want, &sent);
-                out.fingerprints.push(fingerprint);
-                covered
-            },
-        );
-
-        let mut report = FleetPointReport {
-            point: *gp,
-            ..FleetPointReport::default()
-        };
-        for (k, covered) in covered.into_iter().enumerate() {
-            let run = run_of(k);
-            transcript.push_str(&run.rows);
-            report.absorb(&run.tally);
-            invariant_ok &= covered;
-            // Tear the session down; its filter state must go too.
-            server
-                .disconnect(run.session)
-                // mar-lint: allow(D004) — each session is live until this teardown
-                .expect("fleet session vanished");
-        }
-        assert_released(server.sessions());
-        // Against the outage-free reference: identical resident sets, and
-        // availability strictly positive whenever an outage actually bit.
-        if let Some(reference) = points.first() {
-            invariant_ok &= reference.fingerprints == report.fingerprints;
-        }
-        if report.outage_queries > 0 {
-            invariant_ok &= report.complete_outage_queries > 0;
-        }
-        points.push(report);
-    }
-
+    let source = ShardOutages {
+        data: Arc::new(SceneIndexData::build(&scene)),
+        space,
+        nx: cfg.nx,
+        ny: cfg.ny,
+    };
+    let run = run_grid(
+        &source,
+        &cfg.grid,
+        space,
+        cfg.sessions,
+        cfg.ticks,
+        cfg.frame_frac,
+        cfg.jobs,
+    );
     FleetReport {
-        sessions: cfg.sessions,
-        ticks: cfg.ticks,
-        shards,
-        points,
-        transcript,
-        invariant_ok,
+        shards: Some(cfg.shards()),
+        ..run
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::tests::{check_jobs_invariant, check_shape};
 
+    /// A seconds-scale 4×2 fleet over the three failure-policy points.
     fn tiny(jobs: usize) -> FleetBenchConfig {
         FleetBenchConfig {
             sessions: 4,
@@ -496,23 +382,7 @@ mod tests {
             levels: 2,
             frame_frac: 0.15,
             jobs,
-            grid: vec![
-                FleetGridPoint {
-                    replicas: false,
-                    period: 0,
-                    outage: 0,
-                },
-                FleetGridPoint {
-                    replicas: true,
-                    period: 5,
-                    outage: 2,
-                },
-                FleetGridPoint {
-                    replicas: false,
-                    period: 5,
-                    outage: 2,
-                },
-            ],
+            grid: grid(5, 2),
         }
     }
 
@@ -524,7 +394,7 @@ mod tests {
             "resident sets diverged from outage-free run"
         );
         assert_eq!(r.points.len(), 3);
-        assert_eq!(r.shards, 8);
+        assert_eq!(r.shards, Some(8));
 
         let clean = &r.points[0];
         assert_eq!(clean.outage_queries, 0);
@@ -557,25 +427,16 @@ mod tests {
 
     #[test]
     fn transcript_is_jobs_invariant() {
-        let serial = run_fleet(&tiny(1));
-        let parallel = run_fleet(&tiny(3));
-        assert_eq!(serial.transcript, parallel.transcript);
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a, b, "grid-point aggregates must be jobs-invariant");
-            assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
-        }
+        check_jobs_invariant(|jobs| run_fleet(&tiny(jobs)));
     }
 
     #[test]
     fn transcript_shape() {
-        let r = run_fleet(&tiny(1));
-        // Header + per grid point: sessions × (ticks + finish row).
-        assert_eq!(r.transcript.lines().count(), 1 + 3 * 4 * (12 + 1));
-        assert!(r.transcript.starts_with(FLEET_TRANSCRIPT_HEADER));
+        check_shape(&run_fleet(&tiny(1)));
     }
 
     #[test]
-    #[should_panic(expected = "outage-free reference")]
+    #[should_panic(expected = "fault-free reference")]
     fn grid_must_lead_with_the_outage_free_point() {
         let mut cfg = tiny(1);
         cfg.grid[0].period = 5;

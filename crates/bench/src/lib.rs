@@ -17,6 +17,7 @@ pub mod cli;
 pub mod engine;
 pub mod figs;
 pub mod fleet;
+pub mod grid;
 pub mod harness;
 pub mod report;
 pub mod serve;

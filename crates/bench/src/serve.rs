@@ -23,7 +23,7 @@ use crate::engine::Engine;
 use crate::report::Json;
 use crate::{figs, Scale};
 use mar_core::{
-    CachePolicy, CoeffRef, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, QueryResult,
+    CachePolicy, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, QueryResult,
     SceneIndexData, Server, ServerCore, Sessions, SmoothedSpeed, SpeedResolutionMap, StoreError,
     WaveletIndex,
 };
@@ -448,24 +448,6 @@ pub fn assert_released(sessions: &Sessions) {
         0,
         "disconnect must release filter state"
     );
-}
-
-/// The chaos and fleet invariants' object: the fingerprint of the part of
-/// `want` — the stateless answer over a session's final frame at its final
-/// band — that the session holds (`sent`, sorted), and whether it holds
-/// all of it. Equal fingerprints with full cover mean a faulted session
-/// ended up with exactly the reference run's resident set.
-pub fn resident_fingerprint(want: &[CoeffRef], sent: &[CoeffRef]) -> (u64, bool) {
-    let mut covered = true;
-    let mut held = String::new();
-    for id in want {
-        if sent.binary_search(id).is_ok() {
-            held.push_str(&format!("{}:{};", id.object, id.coeff));
-        } else {
-            covered = false;
-        }
-    }
-    (fnv1a64(&held), covered)
 }
 
 #[cfg(test)]

@@ -59,3 +59,27 @@ fn chaos_smoke_holds_the_invariant_at_every_grid_point() {
     assert_eq!(clean.metrics.retries + clean.metrics.drops, 0);
     assert!((clean.goodput() - 1.0).abs() < 1e-9);
 }
+
+#[test]
+fn paged_chaos_smoke_reproduces_the_pinned_transcript() {
+    // The out-of-core server must answer the smoke grid byte for byte like
+    // RAM, under a pool small enough that the sessions' page reads evict
+    // one another.
+    let path = std::env::temp_dir().join(format!(
+        "mar-bench-chaos-smoke-paged-{}.pages",
+        std::process::id()
+    ));
+    let backend = mar_bench::serve::ServeBackend::Paged {
+        path: path.clone(),
+        budget_bytes: 64 * 1024,
+        policy: mar_core::CachePolicy::MotionAware,
+    };
+    let r = mar_bench::chaos::run_chaos_backend(&ChaosConfig::smoke(2), &backend);
+    let _ = std::fs::remove_file(&path);
+    assert!(r.invariant_ok, "the chaos invariant must hold out of core");
+    assert_eq!(
+        fnv1a64(&r.transcript),
+        CHAOS_SMOKE_TRANSCRIPT_FNV64,
+        "the paged chaos smoke transcript differs from RAM's"
+    );
+}

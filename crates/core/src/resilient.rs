@@ -139,6 +139,25 @@ pub struct ResilienceMetrics {
     pub ideal_time_s: f64,
 }
 
+impl ResilienceMetrics {
+    /// Adds another client's metrics: counts, bytes and times sum,
+    /// `max_level` keeps the higher. Summing clients in a fixed order
+    /// gives a fixed total.
+    pub fn absorb(&mut self, other: &Self) {
+        self.ticks += other.ticks;
+        self.contact_ticks += other.contact_ticks;
+        self.retries += other.retries;
+        self.drops += other.drops;
+        self.resumed += other.resumed;
+        self.reconnects += other.reconnects;
+        self.degraded_ticks += other.degraded_ticks;
+        self.max_level = self.max_level.max(other.max_level);
+        self.bytes += other.bytes;
+        self.link_time_s += other.link_time_s;
+        self.ideal_time_s += other.ideal_time_s;
+    }
+}
+
 /// Algorithm 1 over a faulty link: retry, resume, degrade.
 #[derive(Debug)]
 pub struct ResilientClient {

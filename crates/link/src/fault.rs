@@ -195,11 +195,6 @@ impl FaultPlan {
         Ok(Self { cfg })
     }
 
-    /// The plan's parameters.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// One uniform draw for `(stream, index, salt)`.
     fn draw(&self, stream: u64, index: u64, salt: u64) -> f64 {
         let mut h = self.cfg.seed;
@@ -300,41 +295,23 @@ impl ShardOutagePlan {
         })
     }
 
-    /// The outage-free plan: no shard ever goes down.
-    pub fn none(seed: u64) -> Self {
-        Self {
-            seed,
-            period: 0,
-            outage_ticks: 0,
-        }
-    }
-
     /// True when this plan never takes a shard down.
-    pub fn is_none(&self) -> bool {
+    fn is_none(&self) -> bool {
         self.period == 0 || self.outage_ticks == 0
     }
 
     /// The victim shard of event `event` (pure hash; the same event always
     /// kills the same shard on every machine and thread count).
-    pub fn victim(&self, event: u64, nshards: u32) -> u32 {
+    fn victim(&self, event: u64, nshards: u32) -> u32 {
         let h = splitmix64(self.seed ^ event.wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
         (h % u64::from(nshards.max(1))) as u32
     }
 
-    /// Whether `shard` is down at `tick` in a fleet of `nshards`.
+    /// The down-shard bitmask at `tick`: bit `s` set iff shard `s` is
+    /// down. `nshards` must be ≤ 64 (the fleet enforces this bound).
     /// Event 0 (the first `period` ticks) is always outage-free, so every
     /// run starts from a healthy fleet — the warm-up the availability
     /// accounting baselines against.
-    pub fn is_down(&self, tick: u64, shard: u32, nshards: u32) -> bool {
-        if self.is_none() || nshards == 0 {
-            return false;
-        }
-        let event = tick / self.period;
-        event > 0 && tick % self.period < self.outage_ticks && self.victim(event, nshards) == shard
-    }
-
-    /// The down-shard bitmask at `tick`: bit `s` set iff shard `s` is
-    /// down. `nshards` must be ≤ 64 (the fleet enforces this bound).
     pub fn down_mask(&self, tick: u64, nshards: u32) -> u64 {
         debug_assert!(nshards <= 64, "down_mask is a 64-bit health word");
         if self.is_none() || nshards == 0 {
@@ -587,30 +564,30 @@ mod tests {
         }
         // Every later event: one victim down for exactly outage_ticks,
         // then the whole fleet is back up before the window ends.
-        for event in 1..10u64 {
-            let victim = a.victim(event, 8);
+        let mut victims = std::collections::BTreeSet::new();
+        for event in 1..50u64 {
+            let victim = a.down_mask(event * 10, 8);
+            assert_eq!(victim.count_ones(), 1, "exactly one shard down");
+            victims.insert(victim);
             for off in 0..10u64 {
                 let t = event * 10 + off;
-                let mask = a.down_mask(t, 8);
-                if off < 4 {
-                    assert_eq!(mask, 1 << victim, "tick {t}");
-                    assert!(a.is_down(t, victim, 8));
-                    assert_eq!(mask.count_ones(), 1, "exactly one shard down");
-                } else {
-                    assert_eq!(mask, 0, "tick {t} must have recovered");
-                }
+                let want = if off < 4 { victim } else { 0 };
+                assert_eq!(a.down_mask(t, 8), want, "tick {t}");
             }
         }
         // Victims spread over the fleet rather than pinning one shard.
-        let victims: std::collections::BTreeSet<u32> = (1..50).map(|e| a.victim(e, 8)).collect();
         assert!(victims.len() > 3, "victim choice must vary: {victims:?}");
     }
 
     #[test]
     fn shard_outage_none_and_validation() {
-        let none = ShardOutagePlan::none(7);
-        assert!(none.is_none());
-        assert!((0..1000).all(|t| none.down_mask(t, 64) == 0));
+        // No period, or zero-length outages: no shard ever goes down.
+        for none in [
+            ShardOutagePlan::new(7, 0, 0).unwrap(),
+            ShardOutagePlan::new(7, 10, 0).unwrap(),
+        ] {
+            assert!((0..1000).all(|t| none.down_mask(t, 64) == 0));
+        }
         assert_eq!(
             ShardOutagePlan::new(7, 10, 10),
             Err(ShardOutageError::OutageOutlivesPeriod {
@@ -620,9 +597,6 @@ mod tests {
             "an outage must end before its event window does"
         );
         assert!(ShardOutagePlan::new(7, 10, 9).is_ok());
-        // Zero-length outages are legal and equivalent to none.
-        let zero = ShardOutagePlan::new(7, 10, 0).unwrap();
-        assert!(zero.is_none());
     }
 
     #[test]
