@@ -552,7 +552,7 @@ const POOL_PAGES: usize = 1199;
 
 /// The out-of-core read path (`io` group): cold and warm page reads
 /// through the buffer pool, the checksum of one page (ns per 4 KB), one
-/// pool hit, the motion-aware victim
+/// pool hit alone and the serving hit on two threads, the motion-aware victim
 /// ranking after one and after five session steps (ns per ranked
 /// candidate), then the tour-workload hit ratio of the
 /// motion-aware eviction policy against plain LRU at the same byte
@@ -646,10 +646,11 @@ fn bench_io(
             hit_ratio: None,
         });
     }
-    // Pool hit: one `lookup` of a resident page — what 97 % of the page
-    // touches under the pager mutex are. The look-ups stride through the
-    // residents, so the relink moves a page from the middle of the
-    // recency list, not the one already at its tail.
+    // Pool hit: one `lookup` of a resident page — the pool's own hit
+    // bookkeeping, which the serving path replays later under the pager
+    // (`pool_hit_2t` below times the serving hit). The look-ups stride
+    // through the residents, so the relink moves a page from the middle
+    // of the recency list, not the one already at its tail.
     let residents = file.page_count().min(POOL_PAGES as u32);
     let mut pool = PageCache::new(file, POOL_PAGES * PAGE_SIZE, CachePolicy::MotionAware);
     for page in 0..residents {
@@ -668,6 +669,45 @@ fn bench_io(
             name: "pool_hit".into(),
             m,
             ops_per_iter: 1,
+            hit_ratio: None,
+        });
+    }
+    // Serving pool hit, two threads at once: `touch_payload` on records
+    // whose pages are resident, one record per payload page, the threads
+    // half the pages apart — the hit a query's node visits and payload
+    // touches take, served from the residency record and logged for a
+    // later replay. Wall time per hit over both threads.
+    const HITS_PER_THREAD: usize = 8192;
+    let resident = open(64 << 20, CachePolicy::MotionAware);
+    let per_page = resident
+        .paged()
+        .map_or(1, |p| p.meta().records_per_page as usize);
+    let ids: Vec<_> = data
+        .records
+        .iter()
+        .step_by(per_page)
+        .map(|r| r.id)
+        .collect();
+    ids.iter().for_each(|&id| resident.touch_payload(id));
+    if let Some(m) = group.bench_function_measured("pool_hit_2t", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for start in [0, ids.len() / 2] {
+                    let (resident, ids) = (&resident, &ids);
+                    scope.spawn(move || {
+                        for k in 0..HITS_PER_THREAD {
+                            resident.touch_payload(black_box(ids[(start + k) % ids.len()]));
+                        }
+                    });
+                }
+            })
+        })
+    }) {
+        entries.push(Entry {
+            group: "io",
+            name: "pool_hit_2t".into(),
+            m,
+            ops_per_iter: 2 * HITS_PER_THREAD as u64,
             hit_ratio: None,
         });
     }

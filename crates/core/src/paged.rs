@@ -21,15 +21,24 @@
 //!
 //! # Locking (DESIGN.md §13)
 //!
-//! The pager mutex (pool + heat field) is a **leaf** lock: no code
-//! holding it acquires any other lock, so the `session filter → pager`
-//! edge the server adds keeps the global lock-order graph acyclic. A
-//! page fetch takes it once on a hit, twice on a miss the pool can place
-//! at once, and three times — each hold short — on a miss that has to
-//! rank a victim.
+//! The pager mutex (pool + heat field) is taken under nothing but a
+//! session's filter lock, and under it only the pool's own leaf locks —
+//! a page's residency record and a pending-hit shard
+//! ([`mar_store::HitPath`]) — so the global lock-order graph stays
+//! acyclic. A hit does not take the pager: it reads the page's residency
+//! record and logs itself in the calling thread's pending-hit shard
+//! ([`mar_store::HitPath::lookup`]), and the pool replays the shard's hits
+//! — stats, trace, stamp, relink — under the pager before that thread's
+//! next admission plan ([`PageCache::plan`]), when the shard fills, and,
+//! every shard, before [`PagedIndex::cache_stats`] reads the pool.
+//! On one thread the pool therefore sees the operations a locked look-up
+//! per fetch would have made, in the same order. A miss takes the pager
+//! once when the pool can place the page at once, and twice — each hold
+//! short — when it has to rank a victim.
 //!
-//! *Under* the mutex, each hold O(1): the pool look-up — one table read
-//! and a list relink; after a miss, the plan of the admission
+//! *Under* the mutex, each hold O(1) per replayed hit: the replay of the
+//! thread's pending hits — a table read and a list relink each; the plan
+//! of the admission
 //! ([`PageCache::plan`]: room, LRU and "admitted meanwhile" finish there,
 //! a full motion-aware pool copies the array of its eviction candidates
 //! it keeps beside the recency list), the refresh of the ranker's
@@ -44,9 +53,9 @@
 //! observation ([`mar_buffer::MotionStep::compute`]); a write half that
 //! finds the session's row changed since it was read — another thread
 //! observed or forgot the same session — observes again in place, so
-//! concurrent observations land in some serial order. A miss releases
-//! the guard, reads and checksums the page through a shared [`PageFile`]
-//! (one positioned read, no cursor to race on) and locks again to plan
+//! concurrent observations land in some serial order. A miss reads and
+//! checksums the page through a shared [`PageFile`] (one positioned
+//! read, no cursor to race on) with no guard live, then locks to plan
 //! the admission. When the plan asks for a ranking, the guard is released
 //! again and the unprotected quarter of the pool is ranked by Eq. 2 heat
 //! against the snapshot, in one call: a candidate's heat comes from its
@@ -60,8 +69,11 @@
 //! slot was used — so one fault costs one ranking. The snapshot, the rows
 //! and the candidate buffer are a `Ranker`, checked out of a small pool
 //! (`rankers`, a mutex of its own, taken with no other guard live and
-//! held for a `pop` or a `push`) — the daemon is thread-per-connection,
-//! so a thread-local would cost one row cache per connection.
+//! held for a take or a return). A thread gets back the ranker it
+//! returned last while that one is idle — its rows, a few hundred KB, are
+//! then still in that core's cache — and another idle one otherwise; the
+//! daemon is thread-per-connection, so a thread-local would cost one row
+//! cache per connection.
 //!
 //! Two threads may miss the same page and both read it: the second
 //! admission finds it resident, serves that copy and counts a fault, so
@@ -69,7 +81,7 @@
 //! count. Page payloads come back as shared `Arc`s, so node parsing, the
 //! walk's window tests and record decoding never hold the lock either —
 //! and neither does the panic on a corrupt page: a failed read leaves the
-//! pool consistent (only its look-up counter moved), no guard is live,
+//! pool consistent (only its look-up is logged), no guard is live,
 //! and the panic unwinds the one query that hit the bad page without
 //! poisoning the pager for every other session.
 
@@ -78,7 +90,9 @@ use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SI
 use mar_buffer::{MotionHeat, SlotHeats};
 use mar_geom::{Point2, Rect2};
 use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, PageSource};
-use mar_store::{CachePolicy, PageCache, PageCacheStats, PageFile, StoreError, VictimPlan};
+use mar_store::{
+    CachePolicy, HitPath, Lookup, PageCache, PageCacheStats, PageFile, StoreError, VictimPlan,
+};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -139,8 +153,12 @@ const MAX_IDLE_RANKERS: usize = 4;
 #[derive(Debug)]
 pub struct PagedIndex {
     pager: Mutex<Pager>,
-    /// Idle rankers; taken and returned with no other guard live.
-    rankers: Mutex<Vec<Ranker>>,
+    /// The pool's residency records and pending-hit shards: hits are
+    /// served from it without the pager.
+    hits: Arc<HitPath>,
+    /// Idle rankers, each beside the pending-hit shard of the thread that
+    /// returned it; taken and returned with no other guard live.
+    rankers: Mutex<Vec<(usize, Ranker)>>,
     /// The heat field's half-distance, for the snapshot of a new ranker.
     heat_scale: f64,
     /// The pool's file, read on a miss while the pager is unlocked.
@@ -156,6 +174,7 @@ impl PagedIndex {
         let (file, meta) = open_store(path)?;
         let cache = PageCache::new(file, budget_bytes, policy);
         let file = Arc::clone(cache.file());
+        let hits = Arc::clone(cache.hit_path());
         // Heat half-distance: an eighth of the scene's mean extent (the
         // root page region spans the whole indexed scene).
         let scale = meta
@@ -167,6 +186,7 @@ impl PagedIndex {
         let heat = MotionHeat::server_default(scale);
         Ok(Self {
             pager: Mutex::new(Pager { cache, heat }),
+            hits,
             rankers: Mutex::new(Vec::new()),
             heat_scale: scale,
             file,
@@ -200,9 +220,12 @@ impl PagedIndex {
         crate::store::store_file_bytes(self.file.page_count())
     }
 
-    /// Buffer-pool counters (hits, faults, evictions, bypasses).
+    /// Buffer-pool counters (hits, faults, evictions, bypasses), every
+    /// thread's pending hits replayed first.
     pub fn cache_stats(&self) -> PageCacheStats {
-        self.lock_pager().cache.stats()
+        let mut pager = self.lock_pager();
+        pager.cache.replay_all();
+        pager.cache.stats()
     }
 
     /// Cumulative node-access counters (logical / unique / physical).
@@ -250,37 +273,56 @@ impl PagedIndex {
         self.pager.lock().expect("pager poisoned")
     }
 
-    /// An idle ranker, or a new one over an empty snapshot.
-    fn checkout_ranker(&self) -> Ranker {
-        // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-        let idle = self.rankers.lock().expect("ranker pool poisoned").pop();
-        idle.unwrap_or_else(|| Ranker {
-            scan: VictimPlan::default(),
-            heats: SlotHeats::new(&MotionHeat::server_default(self.heat_scale)),
-        })
+    /// The ranker the thread on pending-hit `shard` ([`HitPath::shard`])
+    /// returned last if it is idle, else the one returned last by anyone,
+    /// else a new one over an empty snapshot.
+    fn checkout_ranker(&self, shard: usize) -> Ranker {
+        let idle = {
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            let mut idle = self.rankers.lock().expect("ranker pool poisoned");
+            match idle.iter().rposition(|&(owner, _)| owner == shard) {
+                Some(own) => Some(idle.remove(own)),
+                None => idle.pop(),
+            }
+        };
+        idle.map_or_else(
+            || Ranker {
+                scan: VictimPlan::default(),
+                heats: SlotHeats::new(&MotionHeat::server_default(self.heat_scale)),
+            },
+            |(_, ranker)| ranker,
+        )
     }
 
-    fn checkin_ranker(&self, ranker: Ranker) {
+    fn checkin_ranker(&self, shard: usize, ranker: Ranker) {
         // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
         let mut idle = self.rankers.lock().expect("ranker pool poisoned");
         if idle.len() < MAX_IDLE_RANKERS {
-            idle.push(ranker);
+            idle.push((shard, ranker));
         }
     }
 
-    /// Fetches one page through the pool: one short hold of the pager on
-    /// a hit, [`Self::fault`] on a miss.
+    /// Fetches one page through the pool: a hit is served from the page's
+    /// residency record without the pager (which is taken only when the
+    /// thread's pending-hit shard is full, to replay it), a miss goes to
+    /// [`Self::fault`].
     fn page(&self, page: u32) -> Arc<Vec<u8>> {
-        let hit = self.lock_pager().cache.lookup(page);
-        hit.unwrap_or_else(|| self.fault(page))
+        match self.hits.lookup(page) {
+            Lookup::Hit(bytes) => bytes,
+            Lookup::HitReplayDue(bytes) => {
+                self.lock_pager().cache.replay();
+                bytes
+            }
+            Lookup::Miss => self.fault(page),
+        }
     }
 
     /// The miss half of [`Self::page`]: reads `page`, tallies the physical
     /// access and admits it. The pager is locked for the admission's plan
-    /// and for its commit — never across the read before them or the
-    /// victim ranking between them. Kept out of line: inlined, its frame
-    /// and spills are paid by every hit (`io/page_read_warm` read 4–17 %
-    /// slower).
+    /// (which replays the thread's pending hits first) and for its commit
+    /// — never across the read before them or the victim ranking between
+    /// them. Kept out of line: inlined, its frame and spills are paid by
+    /// every hit (`io/page_read_warm` read 4–17 % slower).
     #[inline(never)]
     fn fault(&self, page: u32) -> Arc<Vec<u8>> {
         // No guard is live: a corrupt page panics this query only, and
@@ -292,7 +334,8 @@ impl PagedIndex {
             .expect("store page read failed");
         self.io.add(IoKind::Physical, 1);
         let data = Arc::new(data);
-        let mut ranker = self.checkout_ranker();
+        let shard = self.hits.shard();
+        let mut ranker = self.checkout_ranker(shard);
         let mut ranked = false;
         let served = loop {
             let mut pager = self.lock_pager();
@@ -310,7 +353,7 @@ impl PagedIndex {
             ranker.rank(&self.meta.regions);
             ranked = true;
         };
-        self.checkin_ranker(ranker);
+        self.checkin_ranker(shard, ranker);
         served
     }
 
@@ -833,6 +876,69 @@ mod tests {
         pager.cache.validate().expect("pool structure");
         let resident = (0..pages).filter(|&p| pager.cache.contains(p)).count();
         assert!(resident <= pager.cache.capacity_pages());
+    }
+
+    /// Four threads walk moving windows over an 8-page motion-aware pool
+    /// and touch the payload pages of what they find, so hits are served
+    /// from residency records while other threads' faults evict pages
+    /// under them; each thread exits right after its last query, leaving
+    /// its pending hits unreplayed. After the join every look-up is a hit
+    /// or a fault, every fault one physical read, every node visit and
+    /// payload touch one look-up, the pool is sound and every page served
+    /// was the file's.
+    #[test]
+    fn four_threads_walking_and_touching_payloads_balance_the_pool() {
+        const THREADS: u32 = 4;
+        const QUERIES: u32 = 400;
+        let (paged, _, _, path) = open_small_at("walk.pages", 8, CachePolicy::MotionAware);
+        let mut raw = PageFile::open(&path).expect("open raw");
+        let want: Vec<Vec<u8>> = (0..paged.meta().data_pages())
+            .map(|p| raw.read_page_vec(p).expect("raw"))
+            .collect();
+        let touches = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (paged, want, touches, start) = (&paged, &want, &touches, &start);
+                s.spawn(move || {
+                    let served = |page: u32| {
+                        let bytes = paged.page(page);
+                        assert_eq!(*bytes, want[page as usize], "page {page}");
+                        bytes
+                    };
+                    let nodes = PageSource {
+                        fetch: |id| NodePage::parse(served(id), REF_SIZE).expect("node page"),
+                        io: &paged.io,
+                    };
+                    let half = Vector::new([90.0, 90.0]);
+                    let phase = f64::from(t) / f64::from(THREADS);
+                    start.wait();
+                    for q in 0..QUERIES {
+                        let f = f64::from(q) / f64::from(QUERIES);
+                        let at = Point2::new([
+                            100.0 + 800.0 * ((f + phase) % 1.0),
+                            100.0 + 800.0 * ((3.0 * f + phase) % 1.0),
+                        ]);
+                        paged.observe_motion(u64::from(t), at);
+                        let window = Rect2::new(at - half, at + half).lift(0.0, 1.0);
+                        let mut hits = Vec::new();
+                        search(&nodes, &window, |leaf, i| hits.push(coeff_ref(leaf, i)));
+                        for &id in hits.iter().step_by(5) {
+                            let rec = paged.meta().record_index(id).expect("a stored record");
+                            served(paged.meta().record_page(rec).0);
+                            touches.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = paged.cache_stats();
+        let io = paged.io_snapshot();
+        assert_eq!(stats.lookups, stats.hits + stats.faults);
+        assert_eq!(io.physical, stats.faults);
+        assert_eq!(stats.lookups, io.logical + touches.into_inner());
+        assert!(stats.evictions > 0 && stats.hits > 0);
+        paged.lock_pager().cache.validate().expect("pool structure");
     }
 
     /// Four threads observe and forget motion at once through the split

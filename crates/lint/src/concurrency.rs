@@ -36,7 +36,12 @@
 //!    denylist of ubiquitous std-colliding names (`len`, `insert`,
 //!    `join`, …) that would otherwise wire unrelated code together. A
 //!    fixpoint then computes each function's **transitive lock set** with
-//!    a human-readable witness trace per lock.
+//!    a human-readable witness trace per lock. A call made with no guard
+//!    live resolves only within the caller's file, so a type's private
+//!    helper chain (`PageCache::plan` → `plan_uncounted` → `install` →
+//!    `set_resident`, which writes a residency record) passes its locks
+//!    up to the public entry a guard holder calls, without wiring every
+//!    same-named function of the workspace into every lock-free chain.
 //!
 //! On top of that state, three rules:
 //!
@@ -245,7 +250,8 @@ struct Call {
 struct FnFacts {
     /// First acquisition site per lock (for the transitive traces).
     direct: BTreeMap<String, (u32, u32)>,
-    /// Workspace-resolvable call sites with the guards held at each.
+    /// Workspace-resolvable call sites with the guards held at each (none
+    /// at most).
     calls: Vec<Call>,
     /// `(held_lock, acquired_lock, line, col)` direct-nesting events.
     nests: Vec<(String, String, u32, u32)>,
@@ -684,14 +690,15 @@ fn scan_fn(
                     && fns.contains_key(name.as_str())
                     && (i == 0 || ident(&toks[i - 1]) != Some("fn"))
                 {
-                    if !guards.is_empty() {
-                        facts.calls.push(Call {
-                            callee: name.clone(),
-                            line: t.line,
-                            col: t.col,
-                            held: guards.clone(),
-                        });
-                    }
+                    // Recorded with or without guards: an unguarded call
+                    // still passes the callee's locks on to this
+                    // function's transitive set.
+                    facts.calls.push(Call {
+                        callee: name.clone(),
+                        line: t.line,
+                        col: t.col,
+                        held: guards.clone(),
+                    });
                     // A closure literal among the arguments runs under
                     // what the callee holds when it uses its closure
                     // parameter: lend those guards for the span of the
@@ -877,63 +884,80 @@ fn is_blocking(toks: &[Token], i: usize, name: &str) -> bool {
 
 /// Per function name: the locks it (transitively) acquires, each with a
 /// readable witness trace ("calls `b`, which locks `x` (file:line)").
+///
+/// The fixpoint runs per definition. A call made under a guard resolves
+/// to every workspace function of its name; a call made under none only
+/// to those in the caller's own file — enough to follow a type's private
+/// helpers down to the lock one of them takes (`plan` → `plan_uncounted`
+/// → `install` → `set_resident`), without wiring every same-named
+/// function of the workspace into every lock-free call chain.
 fn transitive_locks(
     ctxs: &[FileCtx],
     defs: &[FnDef],
     facts: &[FnFacts],
     by_name: &BTreeMap<&str, Vec<usize>>,
 ) -> BTreeMap<String, BTreeMap<String, String>> {
-    let mut trans: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    for (name, idxs) in by_name {
-        let entry = trans.entry((*name).to_string()).or_default();
-        for &di in idxs {
-            for (lock, &(line, _)) in &facts[di].direct {
-                entry.entry(lock.clone()).or_insert_with(|| {
-                    format!("locks `{lock}` ({}:{line})", ctxs[defs[di].file].rel)
-                });
+    let mut trans: Vec<BTreeMap<String, String>> = defs
+        .iter()
+        .zip(facts)
+        .map(|(def, f)| {
+            f.direct
+                .iter()
+                .map(|(lock, &(line, _))| {
+                    let trace = format!("locks `{lock}` ({}:{line})", ctxs[def.file].rel);
+                    (lock.clone(), trace)
+                })
+                .collect()
+        })
+        .collect();
+    // Per definition, its resolved callees (deduped, sorted — the
+    // fixpoint is deterministic).
+    let callees: Vec<BTreeSet<(&str, usize)>> = defs
+        .iter()
+        .zip(facts)
+        .map(|(def, f)| {
+            let mut out = BTreeSet::new();
+            for c in &f.calls {
+                for &dj in by_name.get(c.callee.as_str()).into_iter().flatten() {
+                    if !c.held.is_empty() || defs[dj].file == def.file {
+                        out.insert((c.callee.as_str(), dj));
+                    }
+                }
             }
-        }
-    }
-    // Per-name call lists (deduped, sorted — the fixpoint is deterministic).
-    let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (name, idxs) in by_name {
-        let entry = calls.entry((*name).to_string()).or_default();
-        for &di in idxs {
-            for c in &facts[di].calls {
-                entry.insert(c.callee.clone());
-            }
-        }
-    }
+            out
+        })
+        .collect();
     loop {
         let mut grew = false;
-        let names: Vec<String> = trans.keys().cloned().collect();
-        for name in &names {
-            let callees = match calls.get(name) {
-                Some(c) => c.clone(),
-                None => continue,
-            };
-            for callee in callees {
-                let inherited: Vec<(String, String)> = match trans.get(&callee) {
-                    Some(set) => set
-                        .iter()
-                        .map(|(l, tr)| (l.clone(), format!("calls `{callee}`, which {tr}")))
-                        .collect(),
-                    None => continue,
-                };
-                if let Some(own) = trans.get_mut(name) {
-                    for (lock, trace) in inherited {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = own.entry(lock) {
-                            slot.insert(trace);
-                            grew = true;
-                        }
+        for (di, calls) in callees.iter().enumerate() {
+            for &(callee, dj) in calls {
+                let inherited: Vec<(String, String)> = trans[dj]
+                    .iter()
+                    .map(|(l, tr)| (l.clone(), format!("calls `{callee}`, which {tr}")))
+                    .collect();
+                for (lock, trace) in inherited {
+                    if let std::collections::btree_map::Entry::Vacant(slot) = trans[di].entry(lock)
+                    {
+                        slot.insert(trace);
+                        grew = true;
                     }
                 }
             }
         }
         if !grew {
-            return trans;
+            break;
         }
     }
+    let mut by: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
+    for (name, idxs) in by_name {
+        let entry = by.entry((*name).to_string()).or_default();
+        for &di in idxs {
+            for (lock, trace) in &trans[di] {
+                entry.entry(lock.clone()).or_insert_with(|| trace.clone());
+            }
+        }
+    }
+    by
 }
 
 // ---------------------------------------------------------------------------

@@ -170,6 +170,27 @@ fn d006_d008_know_the_session_filter_lock() {
     assert!(lint_concurrency("d006_filter_lock_pass.rs").is_empty());
 }
 
+/// The pool's residency record (DESIGN.md §13.1), reached through an
+/// accessor returning `&RwLock<..>` and written by a private helper chain
+/// the pager's holder calls: taking the pager under a record guard closes
+/// a cycle; read with no other guard live, the record is a leaf and the
+/// fixture is clean.
+#[test]
+fn d006_knows_the_residency_record() {
+    let f = lint_concurrency("d006_residency_fail.rs");
+    assert_eq!(
+        f.iter().map(|x| x.rule).collect::<Vec<_>>(),
+        vec![Rule::D006],
+        "{f:#?}"
+    );
+    let cycle = &f[0].message;
+    assert!(cycle.contains("`pager`"), "{cycle}");
+    assert!(cycle.contains("`residency`"), "{cycle}");
+    assert!(cycle.contains("serve_and_count"), "{cycle}");
+    assert!(cycle.contains("set_resident"), "{cycle}");
+    assert!(lint_concurrency("d006_residency_pass.rs").is_empty());
+}
+
 #[test]
 fn d007_failing_fixture() {
     let f = lint_concurrency("d007_fail.rs");

@@ -48,6 +48,24 @@
 //! popped at once, so every use costs O(1) amortised; a pool with room,
 //! or an LRU pool, keeps no quarter at all.
 //!
+//! A resident page's bytes live in its *residency record*, one
+//! `RwLock<Option<Arc<Vec<u8>>>>` per file page in the pool's
+//! [`HitPath`], which only the pool writes (when it admits or evicts the
+//! page) and which anybody holding the [`HitPath`] reads without the
+//! pool. A caller that shares the pool between threads behind a mutex
+//! serves a hit from the record with [`HitPath::lookup`], off its lock:
+//! the look-up lands in the calling thread's *pending-hit shard* (one of
+//! 16, each of at most [`HIT_SHARD_CAPACITY`] entries before it asks to be
+//! replayed), and [`PageCache::replay`] later runs the hits in
+//! order through the same bookkeeping [`PageCache::lookup`] does — stats,
+//! [`TraceEvent::Hit`], stamp, relink, quarter. [`PageCache::plan`]
+//! replays the calling thread's shard before it plans, the caller replays
+//! it when it fills, and every shard ([`PageCache::replay_all`]) before it
+//! reads the counters; so on one thread the pool
+//! sees exactly the operation sequence of a locked look-up per read. A
+//! replayed hit on a page evicted meanwhile counts as a hit and relinks
+//! nothing.
+//!
 //! A read is two halves, both `&mut self` and neither touching the file:
 //! [`PageCache::lookup`] (count, relink, clone the `Arc`) and, after a
 //! miss, the admission of the bytes the caller read. An admission is
@@ -90,7 +108,8 @@
 //! read sequences yield identical hit/fault/evict/bypass traces on every
 //! run.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::page::{PageFile, StoreError, PAGE_SIZE};
 
@@ -159,6 +178,7 @@ pub enum TraceEvent {
 const NIL: u32 = u32::MAX;
 
 /// One slab slot: a resident page and its links in the recency list.
+/// Its bytes are the page's residency record in the [`HitPath`].
 #[derive(Debug)]
 struct Resident {
     page: u32,
@@ -170,7 +190,151 @@ struct Resident {
     member: u32,
     /// The pool's use counter when this slot was last used or filled.
     used: u64,
-    data: Arc<Vec<u8>>,
+}
+
+/// Pending-hit shards per pool. Threads are dealt out to them round
+/// robin in the order they first look a page up, so up to this many
+/// threads log their hits without sharing a shard.
+const HIT_SHARDS: usize = 16;
+
+/// Entries a pending-hit shard holds before [`HitPath::lookup`] asks for
+/// its replay.
+pub const HIT_SHARD_CAPACITY: usize = 64;
+
+/// Hands out thread ordinals, dense from 0 in order of first look-up.
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's pending-hit shard.
+    static SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % HIT_SHARDS;
+}
+
+/// Look-ups one thread made off the pool's lock, not yet replayed; a
+/// shard, alone on its cache lines.
+#[derive(Debug)]
+#[repr(align(128))]
+struct PendingHits {
+    /// Pages served from their residency record, in order.
+    hits: Vec<u32>,
+    /// Look-ups that found no record (each one's fault is counted by the
+    /// admission that follows it).
+    misses: u64,
+}
+
+/// A page's residency record: its bytes while it is resident.
+type Record = RwLock<Option<Arc<Vec<u8>>>>;
+
+/// What [`HitPath::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// Resident: the page's bytes, hit logged.
+    Hit(Arc<Vec<u8>>),
+    /// Resident, and the calling thread's shard is now full: replay it
+    /// ([`PageCache::replay`]) before its next look-up.
+    HitReplayDue(Arc<Vec<u8>>),
+    /// Not resident: the miss is logged; read the page and admit it
+    /// ([`PageCache::plan`] replays the shard first).
+    Miss,
+}
+
+/// The half of a [`PageCache`] its users reach without the pool's lock:
+/// one residency record per file page — an
+/// `RwLock<Option<Arc<Vec<u8>>>>`, the bytes of a resident page and
+/// `None` for any other — and the pending-hit shards. Shared through
+/// [`PageCache::hit_path`]; only the pool writes a record, and a record
+/// is a leaf lock (nothing is acquired under it).
+#[derive(Debug)]
+pub struct HitPath {
+    records: Box<[Record]>,
+    pending_hits: Box<[Mutex<PendingHits>]>,
+}
+
+impl HitPath {
+    fn new(pages: usize) -> Self {
+        Self {
+            records: (0..pages).map(|_| RwLock::new(None)).collect(),
+            pending_hits: (0..HIT_SHARDS)
+                .map(|_| {
+                    Mutex::new(PendingHits {
+                        hits: Vec::with_capacity(HIT_SHARD_CAPACITY),
+                        misses: 0,
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// The calling thread's pending-hit shard, below 16: a small number
+    /// that names the thread to the pool (threads beyond the sixteenth
+    /// share one).
+    pub fn shard(&self) -> usize {
+        SHARD.with(|&s| s)
+    }
+
+    /// `page`'s residency record.
+    fn residency(&self, page: u32) -> &Record {
+        &self.records[page as usize]
+    }
+
+    /// The bytes of `page` if it is resident, without any bookkeeping.
+    /// A record's one update is an assignment, and a shard's leave it
+    /// whole too, so a guard poisoned by a panicking holder is recovered.
+    fn resident(&self, page: u32) -> Option<Arc<Vec<u8>>> {
+        let record = self
+            .residency(page)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        record.clone()
+    }
+
+    /// Sets `page`'s residency record and hands back what it held, to be
+    /// dropped once the record is released.
+    fn set_resident(&self, page: u32, bytes: Option<Arc<Vec<u8>>>) -> Option<Arc<Vec<u8>>> {
+        let mut record = self
+            .residency(page)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *record, bytes)
+    }
+
+    fn pending_hits(&self, shard: usize) -> std::sync::MutexGuard<'_, PendingHits> {
+        self.pending_hits[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks `page` up without the pool: serves it from its residency
+    /// record and logs the look-up in the calling thread's shard for
+    /// [`PageCache::replay`].
+    ///
+    /// # Panics
+    /// If `page` is not a page of the file.
+    pub fn lookup(&self, page: u32) -> Lookup {
+        let bytes = self.resident(page);
+        let mut pending = self.pending_hits(self.shard());
+        match bytes {
+            Some(bytes) => {
+                pending.hits.push(page);
+                if pending.hits.len() >= HIT_SHARD_CAPACITY {
+                    Lookup::HitReplayDue(bytes)
+                } else {
+                    Lookup::Hit(bytes)
+                }
+            }
+            None => {
+                pending.misses += 1;
+                Lookup::Miss
+            }
+        }
+    }
+
+    /// Moves `shard`'s pending hits into the empty `into` (their order
+    /// kept) and returns its pending misses, leaving the shard empty.
+    fn take_pending(&self, shard: usize, into: &mut Vec<u32>) -> u64 {
+        let mut pending = self.pending_hits(shard);
+        std::mem::swap(&mut pending.hits, into);
+        std::mem::take(&mut pending.misses)
+    }
 }
 
 /// One victim scan of a full motion-aware pool, split off the pool so
@@ -299,6 +463,10 @@ pub struct PageCache {
     uses: u64,
     stats: PageCacheStats,
     trace: Option<Vec<TraceEvent>>,
+    /// The residency records and pending-hit shards.
+    hit_path: Arc<HitPath>,
+    /// The hits of the shard being replayed; empty between replays.
+    replaying: Vec<u32>,
 }
 
 impl PageCache {
@@ -307,6 +475,7 @@ impl PageCache {
     pub fn new(file: PageFile, budget_bytes: usize, policy: CachePolicy) -> Self {
         let capacity_pages = (budget_bytes / PAGE_SIZE).max(1);
         let slot_of = vec![NIL; file.page_count() as usize];
+        let hit_path = Arc::new(HitPath::new(slot_of.len()));
         Self {
             file: Arc::new(file),
             policy,
@@ -324,6 +493,8 @@ impl PageCache {
             uses: 0,
             stats: PageCacheStats::default(),
             trace: None,
+            hit_path,
+            replaying: Vec::with_capacity(HIT_SHARD_CAPACITY),
         }
     }
 
@@ -344,7 +515,14 @@ impl PageCache {
         &self.file
     }
 
-    /// Current counters.
+    /// The residency records and pending-hit shards, for look-ups
+    /// without the pool ([`HitPath::lookup`]).
+    pub fn hit_path(&self) -> &Arc<HitPath> {
+        &self.hit_path
+    }
+
+    /// Current counters. Hits still pending in a shard are not in them:
+    /// [`Self::replay_all`] first.
     pub fn stats(&self) -> PageCacheStats {
         self.stats
     }
@@ -447,8 +625,8 @@ impl PageCache {
         self.slots[slot as usize].used = self.uses;
     }
 
-    /// Marks the resident in `slot` as just used and returns its bytes.
-    fn touch(&mut self, slot: u32) -> Arc<Vec<u8>> {
+    /// Marks the resident in `slot` as just used.
+    fn touch(&mut self, slot: u32) {
         self.stamp(slot);
         if slot != self.tail {
             // Relinking a slot past the quarter leaves the quarter as it is.
@@ -459,7 +637,51 @@ impl PageCache {
                 self.top_up();
             }
         }
-        Arc::clone(&self.slots[slot as usize].data)
+    }
+
+    /// The residency record of the resident `page`.
+    fn resident_bytes(&self, page: u32) -> Arc<Vec<u8>> {
+        self.hit_path
+            .resident(page)
+            // mar-lint: allow(D004) — a record is written with its slot, under `&mut self`: a resident page has bytes
+            .expect("resident page without a residency record")
+    }
+
+    /// The bookkeeping of one hit on `page`: counts it and, while `page`
+    /// is resident, marks it most recently used.
+    fn hit(&mut self, page: u32) {
+        self.stats.hits += 1;
+        self.record(TraceEvent::Hit(page));
+        let slot = self.slot_of[page as usize];
+        if slot != NIL {
+            self.touch(slot);
+        }
+    }
+
+    /// Replays the look-ups pending in the calling thread's shard
+    /// ([`HitPath::lookup`]), in the order they were made: each counts a
+    /// look-up, each hit the bookkeeping of [`Self::lookup`]. A hit on a
+    /// page evicted since is counted and relinks nothing.
+    pub fn replay(&mut self) {
+        self.replay_shard(self.hit_path.shard());
+    }
+
+    /// [`Self::replay`] of every shard.
+    pub fn replay_all(&mut self) {
+        for shard in 0..HIT_SHARDS {
+            self.replay_shard(shard);
+        }
+    }
+
+    fn replay_shard(&mut self, shard: usize) {
+        let mut pending = std::mem::take(&mut self.replaying);
+        let misses = self.hit_path.take_pending(shard, &mut pending);
+        self.stats.lookups += misses + pending.len() as u64;
+        for &page in &pending {
+            self.hit(page);
+        }
+        pending.clear();
+        self.replaying = pending;
     }
 
     /// Reads `page` under a uniform heat function (policy degenerates to
@@ -491,13 +713,11 @@ impl PageCache {
     /// itself.
     pub fn lookup(&mut self, page: u32) -> Option<Arc<Vec<u8>>> {
         self.stats.lookups += 1;
-        let slot = *self.slot_of.get(page as usize)?;
-        if slot == NIL {
+        if *self.slot_of.get(page as usize)? == NIL {
             return None;
         }
-        self.stats.hits += 1;
-        self.record(TraceEvent::Hit(page));
-        Some(self.touch(slot))
+        self.hit(page);
+        Some(self.resident_bytes(page))
     }
 
     /// The fault half of a read in one call: `data` is `page` as just read
@@ -525,7 +745,9 @@ impl PageCache {
         }
     }
 
-    /// First step of an admission: counts the fault and, unless a victim
+    /// First step of an admission: replays the calling thread's pending
+    /// hits ([`Self::replay`]) — so that a thread's hits are in the pool
+    /// before its next plan — counts the fault and, unless a victim
     /// has to be ranked, finishes — `Some` is the bytes to serve. `None`
     /// means the pool is full and motion-aware: `scan` now holds the
     /// candidates (the quarter: the least recent `max(capacity / 4, 1)`
@@ -546,6 +768,7 @@ impl PageCache {
         data: &Arc<Vec<u8>>,
         scan: &mut VictimPlan,
     ) -> Option<Arc<Vec<u8>>> {
+        self.replay();
         self.stats.faults += 1;
         self.plan_uncounted(page, data, scan)
     }
@@ -560,7 +783,8 @@ impl PageCache {
     ) -> Option<Arc<Vec<u8>>> {
         let resident = self.slot_of[page as usize];
         if resident != NIL {
-            return Some(self.touch(resident));
+            self.touch(resident);
+            return Some(self.resident_bytes(page));
         }
         if self.slots.len() < self.capacity_pages {
             self.slots.push(Resident {
@@ -569,9 +793,8 @@ impl PageCache {
                 next: NIL,
                 member: NIL,
                 used: 0,
-                data: Arc::clone(data),
             });
-            self.install((self.slots.len() - 1) as u32, page);
+            self.install((self.slots.len() - 1) as u32, page, data);
             if self.slots.len() == self.capacity_pages {
                 // Full: the first quarter's links become the candidates.
                 for _ in 0..self.quarter_len {
@@ -618,7 +841,8 @@ impl PageCache {
         let page = scan.page;
         let resident = self.slot_of[page as usize];
         if resident != NIL {
-            return Some(self.touch(resident));
+            self.touch(resident);
+            return Some(self.resident_bytes(page));
         }
         // A slot's page changes only by a fill, and a fill is a use: an
         // unused slot still holds the page that was ranked.
@@ -642,22 +866,22 @@ impl PageCache {
     fn replace(&mut self, slot: u32, page: u32, data: &Arc<Vec<u8>>) -> Arc<Vec<u8>> {
         let evicted = self.slots[slot as usize].page;
         self.slot_of[evicted as usize] = NIL;
+        self.hit_path.set_resident(evicted, None);
         self.stats.evictions += 1;
         self.record(TraceEvent::Evict(evicted));
         self.leave(slot);
         self.unlink(slot);
-        let s = &mut self.slots[slot as usize];
-        s.page = page;
-        s.data = Arc::clone(data);
-        self.install(slot, page);
+        self.slots[slot as usize].page = page;
+        self.install(slot, page, data);
         self.top_up();
         Arc::clone(data)
     }
 
     /// Makes the unlinked `slot`, already holding `page` and out of the
-    /// quarter, resident and most recently used.
-    fn install(&mut self, slot: u32, page: u32) {
+    /// quarter, resident with `data` and most recently used.
+    fn install(&mut self, slot: u32, page: u32, data: &Arc<Vec<u8>>) {
         self.slot_of[page as usize] = slot;
+        self.hit_path.set_resident(page, Some(Arc::clone(data)));
         self.stamp(slot);
         self.link_most_recent(slot);
         self.record(TraceEvent::Fault(page));
@@ -669,7 +893,8 @@ impl PageCache {
     /// claiming a slot, and — in a full pool — the quarter array's live
     /// entries are the first quarter's links, pages and slot indices
     /// included, with a live last entry and no more tombstones than
-    /// members.
+    /// members; a page has bytes in its residency record exactly while it
+    /// is resident.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.slots.len();
         if n > self.capacity_pages {
@@ -743,6 +968,13 @@ impl PageCache {
         let mapped = self.slot_of.iter().filter(|&&s| s != NIL).count();
         if mapped != n {
             return Err(format!("{mapped} pages map to {n} slots"));
+        }
+        for (page, &slot) in (0u32..).zip(&self.slot_of) {
+            if self.hit_path.resident(page).is_some() != (slot != NIL) {
+                return Err(format!(
+                    "page {page}: residency record disagrees with slot {slot}"
+                ));
+            }
         }
         Ok(())
     }

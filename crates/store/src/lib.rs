@@ -31,6 +31,9 @@ mod cache;
 mod page;
 mod recency;
 
-pub use cache::{CachePolicy, PageCache, PageCacheStats, TraceEvent, VictimPlan};
+pub use cache::{
+    CachePolicy, HitPath, Lookup, PageCache, PageCacheStats, TraceEvent, VictimPlan,
+    HIT_SHARD_CAPACITY,
+};
 pub use page::{page_checksum, PageFile, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
 pub use recency::RecencyIndex;

@@ -12,7 +12,9 @@
 //! drives the pool the way a caller that ranks outside a lock does
 //! (`lookup`, then `plan` → `rank` → `commit` as separate calls) against
 //! the same reference; the example tests after it put other work between
-//! a plan and its commit, on one thread and on four.
+//! a plan and its commit, on one thread and on four. A fifth serves hits
+//! off the lock (`HitPath::lookup`) and replays them in batches before
+//! each admission, against the same reference.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,8 +23,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mar_store::{
-    CachePolicy, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, VictimPlan,
-    PAGE_SIZE,
+    CachePolicy, Lookup, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, VictimPlan,
+    HIT_SHARD_CAPACITY, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -384,6 +386,85 @@ proptest! {
                 prop_assert_eq!(staged.take_trace(), trace, "decision on page {}", p);
             }
             prop_assert_eq!(staged.lock().expect("pool").stats(), tree.stats);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One thread, some hits served off the lock through the pool's
+    /// `HitPath` and replayed in batches of 1 up to the shard capacity —
+    /// whatever a batch leaves pending is replayed by the next admission's
+    /// plan, or before the next locked read — and the trace, counters and
+    /// bytes are those of the pool that took every look-up under its lock:
+    /// the [`TreePool`] reference, for both policies, NaN heats and ties
+    /// included, at every [`pool_shape`]. An off-lock look-up finds a page
+    /// exactly when the reference hits it.
+    #[test]
+    fn hits_replayed_before_each_admission_equal_the_locked_pool(
+        (cap, n_pages) in pool_shape(),
+        raw_reads in prop::collection::vec((0u32..256, 0u32..2), 1..400),
+        raw_heats in prop::collection::vec(0u32..5, 104..105),
+        batches in prop::collection::vec(1usize..HIT_SHARD_CAPACITY + 1, 1..16),
+    ) {
+        let heats: Vec<f64> = raw_heats
+            .iter()
+            .map(|&h| if h == 4 { f64::NAN } else { h as f64 })
+            .collect();
+        let heat = |p: u32| heats[p as usize];
+        let path = build_store(n_pages);
+        for policy in [CachePolicy::Lru, CachePolicy::MotionAware] {
+            let mut pool = PageCache::new(PageFile::open(&path).expect("open"), cap * PAGE_SIZE, policy);
+            pool.set_trace(true);
+            let hits = Arc::clone(pool.hit_path());
+            let mut tree = TreePool::new(PageFile::open(&path).expect("open"), cap, policy);
+            let mut trace = Vec::new();
+            let mut batch = batches.iter().cycle();
+            let mut due = batch.next().copied().unwrap_or(1);
+            let mut pending = 0;
+            for &(raw, off_lock) in &raw_reads {
+                let p = raw % n_pages as u32;
+                let (want, want_hit) = tree.read(p, &heat);
+                let got = if off_lock == 1 {
+                    match hits.lookup(p) {
+                        Lookup::Hit(bytes) | Lookup::HitReplayDue(bytes) => {
+                            prop_assert!(want_hit, "off-lock hit on page {} the reference misses", p);
+                            pending += 1;
+                            bytes
+                        }
+                        Lookup::Miss => {
+                            prop_assert!(!want_hit, "off-lock miss on page {} the reference hits", p);
+                            let data = Arc::new(pool.file().read_at(p).expect("file read"));
+                            pending = 0;
+                            pool.admit(p, data, &mut |_, p| heat(p))
+                        }
+                    }
+                } else {
+                    pool.replay();
+                    pending = 0;
+                    let (bytes, hit) = pool.read_with_heat(p, &mut |_, p| heat(p)).expect("read");
+                    prop_assert_eq!(hit, want_hit, "hit on page {}", p);
+                    bytes
+                };
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "bytes of page {}", p);
+                if pending >= due {
+                    pool.replay();
+                    pending = 0;
+                    due = batch.next().copied().unwrap_or(1);
+                }
+                if pending == 0 {
+                    pool.validate().map_err(TestCaseError::Fail)?;
+                    trace.extend(pool.take_trace());
+                    prop_assert_eq!(&trace, &tree.trace, "decisions up to page {}", p);
+                }
+            }
+            pool.replay_all();
+            trace.extend(pool.take_trace());
+            prop_assert_eq!(&trace, &tree.trace);
+            prop_assert_eq!(pool.stats(), tree.stats);
+            pool.validate().map_err(TestCaseError::Fail)?;
         }
         std::fs::remove_file(&path).ok();
     }
