@@ -2,7 +2,7 @@
 //!
 //! One `mar-store` page file holds everything the out-of-core query path
 //! needs: the R*-tree node pages (the fixed-stride images of
-//! [`mar_rtree::RTree::export_pages`], breadth-first, root = page 0),
+//! [`mar_rtree::RTree::stream_pages`], breadth-first, root = page 0),
 //! the coefficient records themselves (the payload a hit transmits),
 //! and enough metadata to reconstruct the mapping from [`CoeffRef`] to
 //! record page — all little-endian, all checksummed by the page layer.
@@ -29,11 +29,18 @@
 //! fit one page. Because [`SceneIndexData::build`] orders records by
 //! object then coefficient index, `CoeffRef → record index` is just
 //! `obj_offsets[object] + coeff` — no per-record directory needed.
+//!
+//! [`write_store_with`] streams the image: each page goes to one
+//! [`PageWriter`] as soon as it is encoded, in page-id order, so writing
+//! a store of any size takes one page of buffer plus the metadata it
+//! returns — 32 B of region per data page and 4 B per object — instead
+//! of the whole image. A write that fails part-way leaves a file
+//! [`open_store`] refuses (the page header is written last).
 
 use crate::coeff::{CoeffRecord, CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
 use mar_geom::{Point2, Rect2};
-use mar_store::{PageFile, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
+use mar_store::{PageFile, PageWriter, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
 use std::path::Path;
 
 /// Superblock magic (last page of the file).
@@ -162,7 +169,9 @@ pub fn write_store(path: &Path, data: &SceneIndexData) -> Result<StoreMeta, Stor
 
 /// Writes the store image for an already-built (in-RAM) `index` — the
 /// tree shape on disk is exactly the shape in memory, which is what makes
-/// the paged descent byte-identical to the RAM one.
+/// the paged descent byte-identical to the RAM one. Streams every page
+/// through one [`PageWriter`]: besides a page of buffer it holds only the
+/// returned metadata (the per-page regions and the object offsets).
 pub fn write_store_with(
     path: &Path,
     data: &SceneIndexData,
@@ -171,16 +180,18 @@ pub fn write_store_with(
     let tree = index
         .ram_tree()
         .ok_or_else(|| invalid("cannot export a paged index"))?;
-    let export = tree.export_pages(REF_SIZE, |id: &CoeffRef, buf| {
-        buf.extend_from_slice(&id.object.to_le_bytes());
-        buf.extend_from_slice(&id.coeff.to_le_bytes());
-    });
-    let node_pages = export.pages.len() as u32;
-    let mut pages: Vec<Vec<u8>> = export.pages;
+    let mut writer = PageWriter::create(path)?;
     // Data-page regions: node subtree MBRs projected to the ground plane,
     // then one MBR per coefficient page.
-    let mut regions: Vec<Rect2> = export
-        .regions
+    let mut regions: Vec<Rect2> = tree
+        .stream_pages(
+            REF_SIZE,
+            |id: &CoeffRef, buf| {
+                buf.extend_from_slice(&id.object.to_le_bytes());
+                buf.extend_from_slice(&id.coeff.to_le_bytes());
+            },
+            |page| writer.push(page),
+        )?
         .iter()
         .map(|r| {
             Rect2::from_corners(
@@ -189,9 +200,10 @@ pub fn write_store_with(
             )
         })
         .collect();
-    let mut coeff_pages = 0u32;
+    let node_pages = regions.len() as u32;
+    let mut buf = Vec::with_capacity(RECORDS_PER_PAGE * RECORD_SIZE);
     for chunk in data.records.chunks(RECORDS_PER_PAGE) {
-        let mut buf = Vec::with_capacity(chunk.len() * RECORD_SIZE);
+        buf.clear();
         let mut lo = [f64::INFINITY; 2];
         let mut hi = [f64::NEG_INFINITY; 2];
         for r in chunk {
@@ -202,41 +214,39 @@ pub fn write_store_with(
             }
         }
         regions.push(Rect2::from_corners(Point2::new(lo), Point2::new(hi)));
-        pages.push(buf);
-        coeff_pages += 1;
+        writer.push(&buf)?;
     }
-    // Object record offsets: records are grouped by object in id order.
+    let coeff_pages = regions.len() as u32 - node_pages;
+    // Object record offsets: records are grouped by object in id order,
+    // so each object's offset is the count of the records before it.
     let n_objects = data.footprints.len();
-    let mut counts = vec![0u32; n_objects];
+    let mut obj_offsets = vec![0u32; n_objects];
     for r in &data.records {
-        if let Some(c) = counts.get_mut(r.id.object as usize) {
+        if let Some(c) = obj_offsets.get_mut(r.id.object as usize) {
             *c += 1;
         }
     }
-    let mut obj_offsets = vec![0u32; n_objects];
     let mut acc = 0u32;
-    for (o, &c) in counts.iter().enumerate() {
-        obj_offsets[o] = acc;
-        acc += c;
+    for o in &mut obj_offsets {
+        let count = *o;
+        *o = acc;
+        acc += count;
     }
     // Metadata stream → pages.
-    let mut stream = Vec::with_capacity(n_objects * 4 + regions.len() * 32);
+    let mut stream = MetaStream {
+        writer: &mut writer,
+        page: Vec::with_capacity(PAGE_PAYLOAD),
+    };
     for &o in &obj_offsets {
-        stream.extend_from_slice(&o.to_le_bytes());
+        stream.put(&o.to_le_bytes())?;
     }
     for r in &regions {
-        for d in 0..2 {
-            stream.extend_from_slice(&r.lo[d].to_le_bytes());
-        }
-        for d in 0..2 {
-            stream.extend_from_slice(&r.hi[d].to_le_bytes());
+        for v in [r.lo[0], r.lo[1], r.hi[0], r.hi[1]] {
+            stream.put(&v.to_le_bytes())?;
         }
     }
-    let mut meta_pages = 0u32;
-    for chunk in stream.chunks(PAGE_PAYLOAD) {
-        pages.push(chunk.to_vec());
-        meta_pages += 1;
-    }
+    stream.finish()?;
+    let meta_pages = writer.page_count() - node_pages - coeff_pages;
     // Superblock, last page.
     let meta = StoreMeta {
         node_pages,
@@ -254,9 +264,40 @@ pub fn write_store_with(
     sb.extend_from_slice(&meta.records_per_page.to_le_bytes());
     sb.extend_from_slice(&(n_objects as u32).to_le_bytes());
     sb.extend_from_slice(&meta.n_records.to_le_bytes());
-    pages.push(sb);
-    PageFile::create(path, &pages)?;
+    writer.push(&sb)?;
+    writer.finish()?;
     Ok(meta)
+}
+
+/// The metadata stream, cut into [`PAGE_PAYLOAD`]-byte pages as it is
+/// written (a value may straddle two pages).
+struct MetaStream<'w> {
+    writer: &'w mut PageWriter,
+    /// The page being filled.
+    page: Vec<u8>,
+}
+
+impl MetaStream<'_> {
+    fn put(&mut self, mut bytes: &[u8]) -> Result<(), StoreError> {
+        while !bytes.is_empty() {
+            let take = bytes.len().min(PAGE_PAYLOAD - self.page.len());
+            self.page.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if self.page.len() == PAGE_PAYLOAD {
+                self.writer.push(&self.page)?;
+                self.page.clear();
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the last, partly filled page, if any.
+    fn finish(self) -> Result<(), StoreError> {
+        if !self.page.is_empty() {
+            self.writer.push(&self.page)?;
+        }
+        Ok(())
+    }
 }
 
 /// Opens a store image, validating the superblock and reconstructing the
@@ -422,6 +463,39 @@ mod tests {
         PageFile::create(&path2, &pages).expect("rewrite");
         assert!(matches!(open_store(&path2), Err(StoreError::BadMagic)));
         drop(meta);
+    }
+
+    /// A store image whose write stopped part-way — a push refused at
+    /// page `k`, or the writer dropped before `finish` — is refused by
+    /// `open_store` with a typed error, never opened with fewer pages.
+    #[test]
+    fn open_refuses_a_partly_written_image() {
+        let d = data();
+        let path = tmp("whole.pages");
+        write_store(&path, &d).expect("write");
+        let (file, _) = open_store(&path).expect("open");
+        let n = file.page_count();
+        for k in [0, 1, n / 2, n - 1] {
+            for oversize in [false, true] {
+                let path2 = tmp("partial.pages");
+                let mut writer = PageWriter::create(&path2).expect("create");
+                for p in 0..k {
+                    writer.push(&file.read_at(p).expect("page")).expect("push");
+                }
+                if oversize {
+                    let refused = writer.push(&[0u8; PAGE_PAYLOAD + 1]);
+                    assert!(matches!(refused, Err(StoreError::Oversize)));
+                }
+                drop(writer);
+                assert!(
+                    matches!(
+                        open_store(&path2),
+                        Err(StoreError::BadMagic | StoreError::ShortFile { .. })
+                    ),
+                    "k = {k}, oversize = {oversize}"
+                );
+            }
+        }
     }
 
     #[test]

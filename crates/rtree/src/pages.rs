@@ -1,15 +1,16 @@
 //! Fixed-stride page images of an arena tree (the out-of-core format).
 //!
-//! [`RTree::export_pages`] serializes every node into a self-contained
-//! little-endian page payload, numbering nodes breadth-first from the
-//! root (**page 0**), so internal entries reference children by page id
-//! rather than arena slot. The images slot directly into `mar-store`'s
-//! fixed-size page file. Everything that knows the layout lives here:
-//! the writer, the zero-copy decoder [`NodePage`], its window test (it
-//! is a [`NodeView`]), and [`PageSource`] — the [`NodeSource`] that lets
-//! the one window walk of [`crate::search`] run over page images. A
-//! backend supplies only how a page is fetched (a buffer pool, a slice
-//! of images in a test) and how a leaf item's bytes decode.
+//! [`RTree::stream_pages`] serializes every node into a self-contained
+//! little-endian page payload, one page at a time, numbering nodes
+//! breadth-first from the root (**page 0**), so internal entries
+//! reference children by page id rather than arena slot. The images
+//! slot directly into `mar-store`'s fixed-size page file. Everything
+//! that knows the layout lives here: the writer, the zero-copy decoder
+//! [`NodePage`], its window test (it is a [`NodeView`]), and
+//! [`PageSource`] — the [`NodeSource`] that lets the one window walk of
+//! [`crate::search`] run over page images. A backend supplies only how
+//! a page is fetched (a buffer pool, a slice of images in a test) and
+//! how a leaf item's bytes decode.
 //!
 //! Page payload layout (all integers little-endian):
 //!
@@ -30,7 +31,6 @@ use crate::node::Kind;
 use crate::query::{NodeSource, NodeView};
 use crate::{IoCounters, RTree};
 use mar_geom::{Point, Rect};
-use std::collections::VecDeque;
 use std::ops::Deref;
 
 /// Byte offset where the rectangle lanes start.
@@ -52,32 +52,28 @@ pub struct PageExport<const N: usize> {
 
 impl<const N: usize, T> RTree<N, T> {
     /// Serializes the tree into fixed-stride page images, breadth-first
-    /// from the root (page 0). `encode_item` appends exactly `item_size`
-    /// bytes per leaf item (checked per entry).
-    pub fn export_pages(
+    /// from the root (page 0), handing each to `sink` in page-id order as
+    /// soon as it is written. `encode_item` appends exactly `item_size`
+    /// bytes per leaf item (checked per entry). Every page is written into
+    /// one reused buffer, so the working memory is one page plus the
+    /// breadth-first order (4 B per node). Returns each page's region (as
+    /// in [`PageExport::regions`]), or the first error `sink` returns.
+    pub fn stream_pages<E>(
         &self,
         item_size: usize,
         mut encode_item: impl FnMut(&T, &mut Vec<u8>),
-    ) -> PageExport<N> {
-        // First pass: BFS numbering of arena slots.
-        let mut order: Vec<u32> = Vec::new();
-        let mut page_of: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        queue.push_back(self.root);
-        page_of.insert(self.root, 0);
-        while let Some(slot) = queue.pop_front() {
-            order.push(slot);
-            for child in self.arena.node(slot).children() {
-                let id = page_of.len() as u32;
-                page_of.insert(child, id);
-                queue.push_back(child);
-            }
-        }
-        // Second pass: serialize each node in page-id order.
-        let mut pages = Vec::with_capacity(order.len());
-        let mut regions = Vec::with_capacity(order.len());
-        for &slot in &order {
-            let mut buf: Vec<u8> = Vec::new();
+        mut sink: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<Vec<Rect<N>>, E> {
+        // `order[page]` is the arena slot exported as `page`: a child's
+        // page id is its position in the queue, taken when its parent is
+        // written — which is the breadth-first numbering.
+        let mut order: Vec<u32> = vec![self.root];
+        let mut regions = Vec::new();
+        let mut buf: Vec<u8> = Vec::new();
+        let mut page = 0;
+        while let Some(&slot) = order.get(page) {
+            page += 1;
+            buf.clear();
             let node = self.arena.node(slot);
             let kind = if node.kind() == Kind::Leaf {
                 KIND_LEAF
@@ -98,19 +94,35 @@ impl<const N: usize, T> RTree<N, T> {
                         "encode_item must append exactly item_size bytes"
                     );
                 } else {
-                    // BFS numbered every reachable child above.
-                    let id = page_of.get(&node.child(i)).copied().unwrap_or(u32::MAX);
-                    buf.extend_from_slice(&id.to_le_bytes());
+                    buf.extend_from_slice(&(order.len() as u32).to_le_bytes());
+                    order.push(node.child(i));
                 }
             }
             regions.push(
-                self.arena
-                    .mbr(slot)
+                node.mbr()
                     .unwrap_or_else(|| Rect::point(Point::new([0.0; N]))),
             );
-            pages.push(buf);
+            sink(&buf)?;
         }
-        PageExport { pages, regions }
+        Ok(regions)
+    }
+
+    /// [`RTree::stream_pages`] collected in memory: every page image at
+    /// once, for tests and small trees.
+    pub fn export_pages(
+        &self,
+        item_size: usize,
+        encode_item: impl FnMut(&T, &mut Vec<u8>),
+    ) -> PageExport<N> {
+        let mut pages = Vec::new();
+        let regions = self.stream_pages(item_size, encode_item, |page| {
+            pages.push(page.to_vec());
+            Ok::<(), std::convert::Infallible>(())
+        });
+        match regions {
+            Ok(regions) => PageExport { pages, regions },
+            Err(never) => match never {},
+        }
     }
 }
 

@@ -197,3 +197,132 @@ proptest! {
         prop_assert!(widest > 64, "widest page holds {} entries", widest);
     }
 }
+
+/// `mar-store`'s page payload: a 4 KB page less its 8-byte checksum.
+const PAGE_PAYLOAD: usize = 4096 - 8;
+
+/// A page image rebuilt from what [`NodePage`] decodes out of it, in the
+/// layout of the module docs of `pages.rs`: equal to the exported bytes
+/// only if the decoder reads every byte the writer wrote, and the writer
+/// wrote nothing else.
+fn reencode(page: &NodePage<&[u8], 2>) -> Vec<u8> {
+    let n = page.entry_count();
+    let mut bytes = vec![if page.is_leaf() { 1 } else { 2 }, 0];
+    bytes.extend_from_slice(&(n as u16).to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    for i in 0..n {
+        let r = page.rect(i);
+        for v in [r.lo[0], r.lo[1], r.hi[0], r.hi[1]] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    for i in 0..n {
+        if page.is_leaf() {
+            bytes.extend_from_slice(page.item_bytes(i));
+        } else {
+            bytes.extend_from_slice(&page.child(i).to_le_bytes());
+        }
+    }
+    bytes
+}
+
+/// The streaming export's contract: one payload per node, handed over in
+/// dense breadth-first page order, each within one page and decoding
+/// through [`NodePage`] to the tree's entries, and one returned region
+/// per page equal to that node's MBR.
+fn assert_export_contract(tree: &RTree<2, u64>) {
+    let mut payloads: Vec<Vec<u8>> = Vec::new();
+    let regions = tree
+        .stream_pages(
+            8,
+            |item, buf| buf.extend_from_slice(&item.to_le_bytes()),
+            |page| {
+                payloads.push(page.to_vec());
+                Ok::<(), ()>(())
+            },
+        )
+        .expect("the sink never fails");
+    assert_eq!(payloads.len(), tree.node_count(), "one payload per node");
+    assert_eq!(regions.len(), payloads.len(), "one region per page");
+    let mut next_child = 1;
+    let mut leaf_items = Vec::new();
+    for (id, (bytes, region)) in payloads.iter().zip(&regions).enumerate() {
+        assert!(bytes.len() <= PAGE_PAYLOAD, "page {id}: {} B", bytes.len());
+        let page = NodePage::<_, 2>::parse(bytes.as_slice(), 8).expect("valid page");
+        assert_eq!(&reencode(&page), bytes, "page {id} decodes as written");
+        let n = page.entry_count();
+        let mbr = (0..n).map(|i| page.rect(i)).reduce(|a, b| a.union(&b));
+        assert_eq!(
+            *region,
+            mbr.unwrap_or_else(|| Rect2::point(Point2::new([0.0; 2]))),
+            "page {id}'s region"
+        );
+        for i in 0..n {
+            if page.is_leaf() {
+                let item = u64::from_le_bytes(page.item_bytes(i).try_into().expect("8 B"));
+                leaf_items.push((item, page.rect(i)));
+            } else {
+                // Breadth-first and dense: the children of the pages, in
+                // page order, are exactly pages 1, 2, 3, ...
+                assert_eq!(page.child(i), next_child, "page {id} entry {i}");
+                next_child += 1;
+            }
+        }
+    }
+    assert_eq!(
+        next_child as usize,
+        payloads.len(),
+        "every page but the root is a child"
+    );
+    let mut stored: Vec<(u64, Rect2)> = tree.iter().map(|(r, &item)| (item, r)).collect();
+    stored.sort_by_key(|&(item, _)| item);
+    leaf_items.sort_by_key(|&(item, _)| item);
+    assert_eq!(leaf_items, stored, "the leaf pages hold the tree's entries");
+
+    // The collecting export is the same stream, kept.
+    let export = tree.export_pages(8, |item, buf| buf.extend_from_slice(&item.to_le_bytes()));
+    assert_eq!(export.pages, payloads);
+    assert_eq!(export.regions, regions);
+
+    // A failing sink stops the export at the page it refused.
+    let stop = payloads.len() / 2;
+    let mut seen = 0;
+    let refused = tree.stream_pages(
+        8,
+        |item, buf| buf.extend_from_slice(&item.to_le_bytes()),
+        |_| {
+            seen += 1;
+            if seen > stop {
+                Err(seen)
+            } else {
+                Ok(())
+            }
+        },
+    );
+    assert_eq!(refused, Err(stop + 1));
+    assert_eq!(seen, stop + 1, "no page is handed over after a refusal");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Paper-capacity bulk-loaded trees and capacity-5 incremental ones,
+    /// from the empty tree (one empty leaf page) up to four levels.
+    #[test]
+    fn the_streaming_export_keeps_its_contract(
+        boxes in prop::collection::vec(
+            (0.0f64..100.0, 0.0f64..100.0, 0.0f64..8.0, 0.0f64..8.0), 0..400),
+        incremental in 0usize..2,
+    ) {
+        let tree = if incremental == 1 {
+            let mut tree: RTree<2, u64> = RTree::new(RTreeConfig::new(5, Variant::RStar));
+            for (r, id) in items(&boxes) {
+                tree.insert(r, id);
+            }
+            tree
+        } else {
+            RTree::bulk_load(RTreeConfig::paper(), items(&boxes))
+        };
+        assert_export_contract(&tree);
+    }
+}

@@ -8,6 +8,7 @@
 //!   deterministic little-endian layout). The file header and every page
 //!   carry a checksum ([`page_checksum`]), so torn writes and bit rot surface as a
 //!   typed [`StoreError`] instead of silently corrupt query answers.
+//!   [`PageWriter`] writes one, a page at a time, in bounded memory.
 //! * [`RecencyIndex`] — the deterministic recency structure the client
 //!   caches share (`mar_buffer::LruCache`, `mar_buffer::BlockCache`): a
 //!   monotone logical clock plus a `BTreeMap` from unique recency stamps
@@ -35,5 +36,5 @@ pub use cache::{
     CachePolicy, HitPath, Lookup, PageCache, PageCacheStats, TraceEvent, VictimPlan,
     HIT_SHARD_CAPACITY,
 };
-pub use page::{page_checksum, PageFile, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
+pub use page::{page_checksum, PageFile, PageWriter, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
 pub use recency::RecencyIndex;

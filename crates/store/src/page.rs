@@ -25,7 +25,7 @@
 //! its failure modes) trivial.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Size of one page on disk, matching the paper's §VII-D page geometry
@@ -171,30 +171,18 @@ pub struct PageFile {
 impl PageFile {
     /// Writes a new page file at `path` from in-memory page payloads.
     /// Each payload may be up to [`PAGE_PAYLOAD`] bytes; shorter payloads
-    /// are zero-padded. Overwrites any existing file at `path`.
+    /// are zero-padded. Overwrites any existing file at `path`. A loop
+    /// over [`PageWriter`], after checking every payload up front so an
+    /// oversize one fails before the file is touched.
     pub fn create(path: &Path, pages: &[Vec<u8>]) -> Result<(), StoreError> {
         if pages.len() > u32::MAX as usize || pages.iter().any(|p| p.len() > PAGE_PAYLOAD) {
             return Err(StoreError::Oversize);
         }
-        let mut header = [0u8; PAGE_SIZE];
-        header[..8].copy_from_slice(MAGIC);
-        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        header[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-        header[16..20].copy_from_slice(&(pages.len() as u32).to_le_bytes());
-        let sum = page_checksum(&header[..20]);
-        header[20..28].copy_from_slice(&sum.to_le_bytes());
-        let mut file = File::create(path)?;
-        file.write_all(&header)?;
-        let mut block = [0u8; PAGE_SIZE];
+        let mut writer = PageWriter::create(path)?;
         for payload in pages {
-            block[..PAGE_PAYLOAD].fill(0);
-            block[..payload.len()].copy_from_slice(payload);
-            let sum = page_checksum(&block[..PAGE_PAYLOAD]);
-            block[PAGE_PAYLOAD..].copy_from_slice(&sum.to_le_bytes());
-            file.write_all(&block)?;
+            writer.push(payload)?;
         }
-        file.sync_all()?;
-        Ok(())
+        writer.finish()
     }
 
     /// Opens an existing page file, validating its header.
@@ -275,6 +263,107 @@ impl PageFile {
     /// Reads page `id` into a fresh heap buffer.
     pub fn read_page_vec(&mut self, id: u32) -> Result<Vec<u8>, StoreError> {
         self.read_at(id)
+    }
+}
+
+/// Bytes [`PageWriter`] gathers before it writes: 16 pages.
+const WRITE_BUFFER: usize = 16 * PAGE_SIZE;
+
+/// Writes a page file one page at a time, in page-id order, through one
+/// fixed 64 KiB buffer (`WRITE_BUFFER`): a store of any size is written
+/// in the same few pages of memory.
+///
+/// The header goes in last. Until [`PageWriter::finish`] the file starts
+/// with a zeroed header block (or is shorter than one), so a writer that
+/// failed or was dropped part-way leaves a file that [`PageFile::open`]
+/// refuses as [`StoreError::BadMagic`] or [`StoreError::ShortFile`] —
+/// never one that opens with fewer pages. A failed
+/// [`push`](PageWriter::push) poisons the writer: every later call fails.
+#[derive(Debug)]
+pub struct PageWriter {
+    file: File,
+    /// Whole pages not yet written (the zeroed header block first).
+    buf: Vec<u8>,
+    pages: u32,
+    poisoned: bool,
+}
+
+impl PageWriter {
+    /// Creates (or truncates) the file at `path` for writing.
+    pub fn create(path: &Path) -> Result<Self, StoreError> {
+        let file = File::create(path)?;
+        let mut buf = Vec::with_capacity(WRITE_BUFFER);
+        buf.resize(PAGE_SIZE, 0);
+        Ok(Self {
+            file,
+            buf,
+            pages: 0,
+            poisoned: false,
+        })
+    }
+
+    /// Appends the next page: `payload` zero-padded to [`PAGE_PAYLOAD`]
+    /// bytes, then its checksum.
+    pub fn push(&mut self, payload: &[u8]) -> Result<(), StoreError> {
+        self.check()?;
+        if payload.len() > PAGE_PAYLOAD || self.pages == u32::MAX {
+            self.poisoned = true;
+            return Err(StoreError::Oversize);
+        }
+        let start = self.buf.len();
+        self.buf.extend_from_slice(payload);
+        self.buf.resize(start + PAGE_PAYLOAD, 0);
+        let sum = page_checksum(&self.buf[start..]);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        if self.buf.len() >= WRITE_BUFFER {
+            self.flush()?;
+        }
+        self.pages += 1;
+        Ok(())
+    }
+
+    /// Pages pushed so far.
+    pub fn page_count(&self) -> u32 {
+        self.pages
+    }
+
+    /// Writes the buffered pages, then the header with the final page
+    /// count, and syncs the file to disk.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        self.flush()?;
+        let mut header = [0u8; PAGE_SIZE];
+        header[..8].copy_from_slice(MAGIC);
+        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        header[16..20].copy_from_slice(&self.pages.to_le_bytes());
+        let sum = page_checksum(&header[..20]);
+        header[20..28].copy_from_slice(&sum.to_le_bytes());
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(&header)?;
+        self.file.sync_all()?;
+        Ok(())
+    }
+
+    /// Fails if an earlier call did.
+    fn check(&self) -> Result<(), StoreError> {
+        if self.poisoned {
+            return Err(StoreError::Io(std::io::Error::other(
+                "page writer failed earlier; its file is incomplete",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes out the buffer; a failure poisons the writer, since part
+    /// of the buffer may have reached the file.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        self.check()?;
+        if let Err(e) = self.file.write_all(&self.buf) {
+            self.poisoned = true;
+            return Err(e.into());
+        }
+        self.buf.clear();
+        Ok(())
     }
 }
 
@@ -491,6 +580,87 @@ mod tests {
         let path = tmp("notastore.pages");
         std::fs::write(&path, vec![0u8; PAGE_SIZE]).expect("write");
         assert!(matches!(PageFile::open(&path), Err(StoreError::BadMagic)));
+    }
+
+    /// Pages of every length from empty to full, across several write
+    /// buffers, read back as pushed.
+    #[test]
+    fn the_writer_round_trips_across_buffer_flushes() {
+        let path = tmp("writer.pages");
+        let pages: Vec<Vec<u8>> = (0..3 * WRITE_BUFFER / PAGE_SIZE + 5)
+            .map(|i| page(i as u8, i * 97 % (PAGE_PAYLOAD + 1)))
+            .collect();
+        let mut writer = PageWriter::create(&path).expect("create");
+        for p in &pages {
+            writer.push(p).expect("push");
+        }
+        assert_eq!(writer.page_count(), pages.len() as u32);
+        writer.finish().expect("finish");
+        let f = PageFile::open(&path).expect("open");
+        assert_eq!(f.page_count(), pages.len() as u32);
+        for (i, p) in pages.iter().enumerate() {
+            let got = f.read_at(i as u32).expect("read");
+            assert_eq!(&got[..p.len()], p.as_slice(), "page {i} payload");
+            assert!(got[p.len()..].iter().all(|&b| b == 0), "page {i} padding");
+        }
+    }
+
+    /// What a partial write leaves behind: refused with a typed error.
+    fn assert_refused(path: &Path, case: &str) {
+        assert!(
+            matches!(
+                PageFile::open(path),
+                Err(StoreError::BadMagic | StoreError::ShortFile { .. })
+            ),
+            "{case}: a partial file must not open"
+        );
+    }
+
+    /// A payload too large for a page at page `k` fails the push and
+    /// poisons the writer; the file it leaves never opens — before the
+    /// first flush (nothing on disk) or after some (a zeroed header).
+    #[test]
+    fn a_writer_failing_mid_stream_leaves_a_file_open_refuses() {
+        for k in [
+            0,
+            1,
+            WRITE_BUFFER / PAGE_SIZE,
+            2 * WRITE_BUFFER / PAGE_SIZE + 3,
+        ] {
+            let path = tmp(&format!("failed-{k}.pages"));
+            let mut writer = PageWriter::create(&path).expect("create");
+            for i in 0..k {
+                writer.push(&page(i as u8, 64)).expect("push");
+            }
+            assert!(matches!(
+                writer.push(&[0u8; PAGE_PAYLOAD + 1]),
+                Err(StoreError::Oversize)
+            ));
+            assert!(writer.push(&page(1, 64)).is_err(), "k = {k}: poisoned");
+            assert_refused(&path, &format!("k = {k}, abandoned"));
+            assert!(writer.finish().is_err(), "k = {k}: finish after a failure");
+            assert_refused(&path, &format!("k = {k}, finished"));
+        }
+    }
+
+    /// A writer dropped before `finish` writes no header, whatever it
+    /// had flushed.
+    #[test]
+    fn a_writer_dropped_before_finish_leaves_a_file_open_refuses() {
+        for k in [
+            0,
+            3,
+            WRITE_BUFFER / PAGE_SIZE,
+            3 * WRITE_BUFFER / PAGE_SIZE + 1,
+        ] {
+            let path = tmp(&format!("dropped-{k}.pages"));
+            let mut writer = PageWriter::create(&path).expect("create");
+            for i in 0..k {
+                writer.push(&page(i as u8, PAGE_PAYLOAD)).expect("push");
+            }
+            drop(writer);
+            assert_refused(&path, &format!("k = {k}"));
+        }
     }
 
     #[test]
