@@ -393,16 +393,3 @@ pub fn abl_direction(engine: &Engine, scale: &Scale) -> Table {
         },
     )
 }
-
-/// Every ablation table on the given engine.
-pub fn all_ablations(engine: &Engine, scale: &Scale) -> Vec<Table> {
-    vec![
-        abl_index(engine, scale),
-        abl_alloc(engine, scale),
-        abl_sectors(engine, scale),
-        abl_multires(engine, scale),
-        abl_smoothing(engine, scale),
-        abl_direction(engine, scale),
-        abl_store(engine, scale),
-    ]
-}

@@ -16,7 +16,7 @@
 //! numbers it writes are *not* meaningful measurements and are flagged as
 //! `"mode": "smoke"`.
 
-use criterion::{black_box, Criterion, Measurement};
+use criterion::{black_box, BenchmarkGroup, Criterion, Measurement};
 use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::figs;
 use mar_bench::report::{gate_entries, render, Json};
@@ -128,6 +128,61 @@ impl MicroScale {
     }
 }
 
+/// One criterion group timed at the run's [`MicroScale`], and the entries
+/// its points are recorded into.
+struct Recorder<'a> {
+    group: BenchmarkGroup<'a>,
+    name: &'static str,
+    entries: &'a mut Vec<Entry>,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(
+        c: &'a mut Criterion,
+        ms: &MicroScale,
+        name: &'static str,
+        entries: &'a mut Vec<Entry>,
+    ) -> Self {
+        let mut group = c.benchmark_group(name);
+        group
+            .sample_size(ms.sample_size)
+            .measurement_time(ms.measurement)
+            .warm_up_time(ms.warm_up);
+        Self {
+            group,
+            name,
+            entries,
+        }
+    }
+
+    /// Times `routine` as this group's point `name`, `ops_per_iter`
+    /// operations per call.
+    fn time<R>(
+        &mut self,
+        name: impl Into<String>,
+        ops_per_iter: u64,
+        mut routine: impl FnMut() -> R,
+    ) {
+        let name = name.into();
+        if let Some(m) = self
+            .group
+            .bench_function_measured(&name, |b| b.iter(&mut routine))
+        {
+            self.record(name, m, ops_per_iter, None);
+        }
+    }
+
+    fn record(&mut self, name: String, m: Measurement, ops_per_iter: u64, hit_ratio: Option<f64>) {
+        self.entries.push(Entry {
+            group: self.name,
+            name,
+            m,
+            ops_per_iter,
+            hit_ratio,
+        });
+    }
+}
+
 /// Lifted `(rect, id)` items for the 3-D support index.
 fn index_items(data: &SceneIndexData) -> Vec<(Rect3, mar_core::CoeffRef)> {
     data.records
@@ -163,48 +218,25 @@ fn bench_index_build(
     data: &SceneIndexData,
     entries: &mut Vec<Entry>,
 ) {
-    let mut group = c.benchmark_group("index_build");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
-    if let Some(m) = group.bench_function_measured("wavelet_str_bulk", |b| {
-        b.iter(|| WaveletIndex::build(black_box(data)))
-    }) {
-        entries.push(Entry {
-            group: "index_build",
-            name: "wavelet_str_bulk".into(),
-            m,
-            ops_per_iter: 1,
-            hit_ratio: None,
-        });
-    }
+    let mut rec = Recorder::new(c, ms, "index_build", entries);
+    rec.time("wavelet_str_bulk", 1, || {
+        WaveletIndex::build(black_box(data))
+    });
     let paper = RTreeConfig::paper();
     for (label, variant) in [
         ("guttman_insert", Variant::Guttman),
         ("rstar_insert", Variant::RStar),
     ] {
         let items = index_items(data);
-        if let Some(m) = group.bench_function_measured(label, |b| {
-            b.iter(|| {
-                let mut tree: RTree<3, mar_core::CoeffRef> =
-                    RTree::new(RTreeConfig::new(paper.max_entries, variant));
-                for (rect, id) in &items {
-                    tree.insert(*rect, *id);
-                }
-                tree
-            })
-        }) {
-            entries.push(Entry {
-                group: "index_build",
-                name: label.into(),
-                m,
-                ops_per_iter: 1,
-                hit_ratio: None,
-            });
-        }
+        rec.time(label, 1, || {
+            let mut tree: RTree<3, mar_core::CoeffRef> =
+                RTree::new(RTreeConfig::new(paper.max_entries, variant));
+            for (rect, id) in &items {
+                tree.insert(*rect, *id);
+            }
+            tree
+        });
     }
-    group.finish();
 }
 
 fn bench_window_queries(
@@ -220,11 +252,7 @@ fn bench_window_queries(
         ("half", ResolutionBand::new(0.5, 1.0)),
         ("top", ResolutionBand::new(0.9, 1.0)),
     ];
-    let mut group = c.benchmark_group("window_query");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
+    let mut rec = Recorder::new(c, ms, "window_query", entries);
     for frac in [0.01, 0.05, 0.10, 0.20, 0.25] {
         for (band_label, band) in bands {
             let name = format!("frac{:02}_{band_label}", (frac * 100.0) as u32);
@@ -232,26 +260,15 @@ fn bench_window_queries(
                 .iter()
                 .map(|p| frame_at(&scene.config.space, p, frac))
                 .collect();
-            if let Some(m) = group.bench_function_measured(&name, |b| {
-                b.iter(|| {
-                    let mut total = 0usize;
-                    for w in &windows {
-                        index.for_each(black_box(w), band, |_| total += 1);
-                    }
-                    total
-                })
-            }) {
-                entries.push(Entry {
-                    group: "window_query",
-                    name,
-                    m,
-                    ops_per_iter: windows.len() as u64,
-                    hit_ratio: None,
-                });
-            }
+            rec.time(name, windows.len() as u64, || {
+                let mut total = 0usize;
+                for w in &windows {
+                    index.for_each(black_box(w), band, |_| total += 1);
+                }
+                total
+            });
         }
     }
-    group.finish();
 }
 
 /// The batched group-descent kernel at batch sizes K ∈ {1, 4, 16}: the
@@ -271,32 +288,16 @@ fn bench_window_query_batch(
         .iter()
         .map(|p| (frame_at(&scene.config.space, p, 0.05), ResolutionBand::FULL))
         .collect();
-    let mut group = c.benchmark_group("window_query_batch");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
+    let mut rec = Recorder::new(c, ms, "window_query_batch", entries);
     for k in [1usize, 4, 16] {
-        let name = format!("k{k:02}_frac05_full");
-        if let Some(m) = group.bench_function_measured(&name, |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for chunk in queries.chunks(k) {
-                    index.for_each_batch(black_box(chunk), |_, _| total += 1);
-                }
-                total
-            })
-        }) {
-            entries.push(Entry {
-                group: "window_query_batch",
-                name,
-                m,
-                ops_per_iter: queries.len() as u64,
-                hit_ratio: None,
-            });
-        }
+        rec.time(format!("k{k:02}_frac05_full"), queries.len() as u64, || {
+            let mut total = 0usize;
+            for chunk in queries.chunks(k) {
+                index.for_each_batch(black_box(chunk), |_, _| total += 1);
+            }
+            total
+        });
     }
-    group.finish();
 }
 
 /// The session filter alone (`session_filter` group): the hit list of one
@@ -322,11 +323,8 @@ fn bench_session_filter(
     let space = scene.config.space;
     let frame = frame_at(&space, &space.center(), 0.25);
     let (hits, _) = index.query(&frame, ResolutionBand::FULL);
-    let mut group = c.benchmark_group("session_filter");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
+    let per_hit = hits.len().max(1) as u64;
+    let mut rec = Recorder::new(c, ms, "session_filter", entries);
     let mut warm = SentFilter::default();
     warm.admit(data, index, &hits, &mut QueryResult::default());
     let admit = |filter: &mut SentFilter| {
@@ -334,10 +332,8 @@ fn bench_session_filter(
         filter.admit(data, index, black_box(&hits), &mut out);
         out
     };
-    let cold = group.bench_function_measured("admit_cold", |b| {
-        b.iter(|| admit(&mut SentFilter::default()))
-    });
-    let warm = group.bench_function_measured("admit_warm", |b| b.iter(|| admit(&mut warm)));
+    rec.time("admit_cold", per_hit, || admit(&mut SentFilter::default()));
+    rec.time("admit_warm", per_hit, || admit(&mut warm));
     // Queries per thread per iteration: enough that the two thread
     // spawns are a few per cent of it.
     const COLLIDING_QUERIES: u64 = 256;
@@ -356,32 +352,13 @@ fn bench_session_filter(
     };
     // Warm both filters: the measured queries send nothing new.
     pair.into_iter().for_each(query);
-    let colliding = group.bench_function_measured("with_colliding_2t", |b| {
-        b.iter(|| {
-            std::thread::scope(|scope| {
-                for id in pair {
-                    scope.spawn(move || (0..COLLIDING_QUERIES).for_each(|_| query(id)));
-                }
-            })
+    rec.time("with_colliding_2t", 2 * COLLIDING_QUERIES, || {
+        std::thread::scope(|scope| {
+            for id in pair {
+                scope.spawn(move || (0..COLLIDING_QUERIES).for_each(|_| query(id)));
+            }
         })
     });
-    let per_hit = hits.len().max(1) as u64;
-    for (name, m, ops_per_iter) in [
-        ("admit_cold", cold, per_hit),
-        ("admit_warm", warm, per_hit),
-        ("with_colliding_2t", colliding, 2 * COLLIDING_QUERIES),
-    ] {
-        if let Some(m) = m {
-            entries.push(Entry {
-                group: "session_filter",
-                name: name.into(),
-                m,
-                ops_per_iter,
-                hit_ratio: None,
-            });
-        }
-    }
-    group.finish();
 }
 
 /// The arriving client's first frame — a whole 10 % window at
@@ -419,50 +396,28 @@ fn bench_cold_frames(
     let hits_per_batch = (hits * COLD_BATCH as u64 / frames.len() as u64).max(1);
 
     let mut batches = frames.chunks_exact(COLD_BATCH).cycle();
-    let mut group = c.benchmark_group("cold_frame");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
-    let walk = group.bench_function_measured("window_query/cold_frame10_full", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for w in batches.next().into_iter().flatten() {
-                index.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
-            }
-            total
-        })
-    });
-    let stream = group.bench_function_measured("session_filter/stream_cold", |b| {
-        b.iter(|| {
-            let mut coeffs = 0usize;
-            for w in batches.next().into_iter().flatten() {
-                let session = server.connect();
-                let query = [QueryRegion {
-                    region: *black_box(w),
-                    band: ResolutionBand::FULL,
-                }];
-                coeffs += server.query(session, &query).map_or(0, |r| r.coeffs);
-                let _ = server.disconnect(session);
-            }
-            coeffs
-        })
-    });
-    group.finish();
-    for (group, name, m, ops_per_iter) in [
-        ("window_query", "cold_frame10_full", walk, COLD_BATCH as u64),
-        ("session_filter", "stream_cold", stream, hits_per_batch),
-    ] {
-        if let Some(m) = m {
-            entries.push(Entry {
-                group,
-                name: name.into(),
-                m,
-                ops_per_iter,
-                hit_ratio: None,
-            });
+    let mut rec = Recorder::new(c, ms, "window_query", entries);
+    rec.time("cold_frame10_full", COLD_BATCH as u64, || {
+        let mut total = 0usize;
+        for w in batches.next().into_iter().flatten() {
+            index.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
         }
-    }
+        total
+    });
+    let mut rec = Recorder::new(c, ms, "session_filter", entries);
+    rec.time("stream_cold", hits_per_batch, || {
+        let mut coeffs = 0usize;
+        for w in batches.next().into_iter().flatten() {
+            let session = server.connect();
+            let query = [QueryRegion {
+                region: *black_box(w),
+                band: ResolutionBand::FULL,
+            }];
+            coeffs += server.query(session, &query).map_or(0, |r| r.coeffs);
+            let _ = server.disconnect(session);
+        }
+        coeffs
+    });
 }
 
 /// The wire codec alone (`wire` group), on the buffers a connection
@@ -489,52 +444,26 @@ fn bench_wire(c: &mut Criterion, ms: &MicroScale, scene: &Scene, entries: &mut V
         codec::encode_query_into(&regions, &mut burst).expect("micro: tour-sized QUERY fits");
     }
 
-    let mut group = c.benchmark_group("wire");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
+    let mut rec = Recorder::new(c, ms, "wire", entries);
     let mut out = Vec::new();
-    let encode_query = group.bench_function_measured("encode_query", |b| {
-        b.iter(|| {
-            out.clear();
-            codec::encode_query_into(black_box(&regions), &mut out)
-        })
+    rec.time("encode_query", 1, || {
+        out.clear();
+        codec::encode_query_into(black_box(&regions), &mut out)
     });
-    let encode_result = group.bench_function_measured("encode_result", |b| {
-        b.iter(|| {
-            out.clear();
-            codec::encode_into(black_box(&result), &mut out)
-        })
+    rec.time("encode_result", 1, || {
+        out.clear();
+        codec::encode_into(black_box(&result), &mut out)
     });
     let mut reader = codec::FrameReader::new();
-    let burst8 = group.bench_function_measured("frame_reader_burst8", |b| {
-        b.iter(|| {
-            let read = reader.fill(&mut black_box(&burst[..]));
-            let mut frames = 0;
-            while let Ok(Some(frame)) = reader.next_frame() {
-                black_box(frame);
-                frames += 1;
-            }
-            (read.ok(), frames)
-        })
-    });
-    for (name, m, ops_per_iter) in [
-        ("encode_query", encode_query, 1),
-        ("encode_result", encode_result, 1),
-        ("frame_reader_burst8", burst8, 8),
-    ] {
-        if let Some(m) = m {
-            entries.push(Entry {
-                group: "wire",
-                name: name.into(),
-                m,
-                ops_per_iter,
-                hit_ratio: None,
-            });
+    rec.time("frame_reader_burst8", 8, || {
+        let read = reader.fill(&mut black_box(&burst[..]));
+        let mut frames = 0;
+        while let Ok(Some(frame)) = reader.next_frame() {
+            black_box(frame);
+            frames += 1;
         }
-    }
-    group.finish();
+        (read.ok(), frames)
+    });
 }
 
 /// Byte budget of the `io` tour-workload pool: small enough that the
@@ -580,54 +509,30 @@ fn bench_io(
             // mar-lint: allow(D004) — the store was just written by this process; failing to reopen it is fatal
             .expect("micro: cannot reopen the page file")
     };
-    let mut group = c.benchmark_group("io");
-    group
-        .sample_size(ms.sample_size)
-        .measurement_time(ms.measurement)
-        .warm_up_time(ms.warm_up);
+    let mut rec = Recorder::new(c, ms, "io", entries);
     // Cold: a single-page pool, so nearly every node access faults and
     // each query pays the full read-and-decode path.
     let cold = open(4096, CachePolicy::Lru);
-    if let Some(m) = group.bench_function_measured("page_read_cold", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for w in &windows {
-                cold.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
-            }
-            total
-        })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "page_read_cold".into(),
-            m,
-            ops_per_iter: windows.len() as u64,
-            hit_ratio: None,
-        });
-    }
+    rec.time("page_read_cold", windows.len() as u64, || {
+        let mut total = 0usize;
+        for w in &windows {
+            cold.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
+        }
+        total
+    });
     // Warm: a pool big enough for the whole file; after one priming sweep
     // every read hits, so this is the pure pool-lookup overhead.
     let warm = open(64 << 20, CachePolicy::Lru);
     for w in &windows {
         warm.for_each(w, ResolutionBand::FULL, |_| {});
     }
-    if let Some(m) = group.bench_function_measured("page_read_warm", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for w in &windows {
-                warm.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
-            }
-            total
-        })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "page_read_warm".into(),
-            m,
-            ops_per_iter: windows.len() as u64,
-            hit_ratio: None,
-        });
-    }
+    rec.time("page_read_warm", windows.len() as u64, || {
+        let mut total = 0usize;
+        for w in &windows {
+            warm.for_each(black_box(w), ResolutionBand::FULL, |_| total += 1);
+        }
+        total
+    });
     // The checksum every page read verifies, over one page's payload as
     // it comes off the file.
     let file = PageFile::open(std::path::Path::new(&store_path))
@@ -635,17 +540,7 @@ fn bench_io(
         .expect("micro: cannot reopen the page file");
     // mar-lint: allow(D004) — every page of the store just written reads back
     let payload = file.read_at(0).expect("micro: cannot read the page file");
-    if let Some(m) = group.bench_function_measured("page_checksum", |b| {
-        b.iter(|| page_checksum(black_box(&payload)))
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "page_checksum".into(),
-            m,
-            ops_per_iter: 1,
-            hit_ratio: None,
-        });
-    }
+    rec.time("page_checksum", 1, || page_checksum(black_box(&payload)));
     // Pool hit: one `lookup` of a resident page — the pool's own hit
     // bookkeeping, which the serving path replays later under the pager
     // (`pool_hit_2t` below times the serving hit). The look-ups stride
@@ -658,20 +553,10 @@ fn bench_io(
         pool.read(page).expect("micro: cannot read the page file");
     }
     let mut next = 0u32;
-    if let Some(m) = group.bench_function_measured("pool_hit", |b| {
-        b.iter(|| {
-            next = (next + 389) % residents;
-            pool.lookup(black_box(next))
-        })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "pool_hit".into(),
-            m,
-            ops_per_iter: 1,
-            hit_ratio: None,
-        });
-    }
+    rec.time("pool_hit", 1, || {
+        next = (next + 389) % residents;
+        pool.lookup(black_box(next))
+    });
     // Serving pool hit, two threads at once: `touch_payload` on records
     // whose pages are resident, one record per payload page, the threads
     // half the pages apart — the hit a query's node visits and payload
@@ -689,28 +574,18 @@ fn bench_io(
         .map(|r| r.id)
         .collect();
     ids.iter().for_each(|&id| resident.touch_payload(id));
-    if let Some(m) = group.bench_function_measured("pool_hit_2t", |b| {
-        b.iter(|| {
-            std::thread::scope(|scope| {
-                for start in [0, ids.len() / 2] {
-                    let (resident, ids) = (&resident, &ids);
-                    scope.spawn(move || {
-                        for k in 0..HITS_PER_THREAD {
-                            resident.touch_payload(black_box(ids[(start + k) % ids.len()]));
-                        }
-                    });
-                }
-            })
+    rec.time("pool_hit_2t", 2 * HITS_PER_THREAD as u64, || {
+        std::thread::scope(|scope| {
+            for start in [0, ids.len() / 2] {
+                let (resident, ids) = (&resident, &ids);
+                scope.spawn(move || {
+                    for k in 0..HITS_PER_THREAD {
+                        resident.touch_payload(black_box(ids[(start + k) % ids.len()]));
+                    }
+                });
+            }
         })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "pool_hit_2t".into(),
-            m,
-            ops_per_iter: 2 * HITS_PER_THREAD as u64,
-            hit_ratio: None,
-        });
-    }
+    });
     // Victim plan: the two steps of an admission the pager takes under its
     // mutex — `plan`, which copies the unprotected quarter out of a full
     // motion-aware pool, and `commit` — with a uniform ranking between
@@ -740,28 +615,18 @@ fn bench_io(
     }
     let mut missing = pages.len() as u32 - 1;
     let mut scan = VictimPlan::default();
-    if let Some(m) = group.bench_function_measured("victim_plan", |b| {
-        b.iter(|| {
-            let data = &pages[missing as usize];
-            let planned = pool.plan(black_box(missing), data, &mut scan);
-            debug_assert!(planned.is_none(), "a full motion-aware pool ranks");
-            scan.rank_with(
-                |candidates, heats| heats.resize(candidates.len(), 0.0),
-                f64::INFINITY,
-            );
-            let committed = pool.commit(data, &mut scan);
-            missing = scan.candidates()[0].1;
-            committed
-        })
-    }) {
-        entries.push(Entry {
-            group: "io",
-            name: "victim_plan".into(),
-            m,
-            ops_per_iter: 1,
-            hit_ratio: None,
-        });
-    }
+    rec.time("victim_plan", 1, || {
+        let data = &pages[missing as usize];
+        let planned = pool.plan(black_box(missing), data, &mut scan);
+        debug_assert!(planned.is_none(), "a full motion-aware pool ranks");
+        scan.rank_with(
+            |candidates, heats| heats.resize(candidates.len(), 0.0),
+            f64::INFINITY,
+        );
+        let committed = pool.commit(data, &mut scan);
+        missing = scan.candidates()[0].1;
+        committed
+    });
     // Victim ranking: one motion-aware eviction scan as the pager runs
     // it — the ranker's snapshot synced to the field, then every
     // candidate's Eq. 2 heat in one batch through the per-slot
@@ -791,30 +656,18 @@ fn bench_io(
     let mut heats = Vec::new();
     let mut step = 0usize;
     for (name, movers) in [("victim_rank", 1), ("victim_rank_burst", 5)] {
-        let measured = group.bench_function_measured(name, |b| {
-            b.iter(|| {
-                for _ in 0..movers {
-                    let (k, tick) = (step % RANK_SESSIONS, step / RANK_SESSIONS);
-                    step += 1;
-                    let samples = &walks[k].samples;
-                    heat.observe(k as u64, samples[tick % samples.len()].pos);
-                }
-                rows.sync(&heat);
-                rows.heat_slots(black_box(&candidates), &regions, &mut heats);
-                heats.iter().copied().fold(f64::INFINITY, f64::min)
-            })
+        rec.time(name, candidates.len() as u64, || {
+            for _ in 0..movers {
+                let (k, tick) = (step % RANK_SESSIONS, step / RANK_SESSIONS);
+                step += 1;
+                let samples = &walks[k].samples;
+                heat.observe(k as u64, samples[tick % samples.len()].pos);
+            }
+            rows.sync(&heat);
+            rows.heat_slots(black_box(&candidates), &regions, &mut heats);
+            heats.iter().copied().fold(f64::INFINITY, f64::min)
         });
-        if let Some(m) = measured {
-            entries.push(Entry {
-                group: "io",
-                name: name.into(),
-                m,
-                ops_per_iter: candidates.len() as u64,
-                hit_ratio: None,
-            });
-        }
     }
-    group.finish();
 
     // Tour hit ratio: replay the serving tours through a starved pool
     // under each policy. One deterministic replay per policy — the ratio
@@ -863,18 +716,14 @@ fn bench_io(
         let reads = (stats.hits + stats.faults).max(1);
         let ratio = stats.hits as f64 / reads as f64;
         ratios.push(ratio);
-        entries.push(Entry {
-            group: "io",
-            name: name.into(),
-            m: Measurement {
-                mean_ns: ns,
-                min_ns: ns,
-                max_ns: ns,
-                iters: 1,
-            },
-            ops_per_iter: (TOUR_SESSIONS * ms.io_ticks) as u64,
-            hit_ratio: Some(ratio),
-        });
+        let m = Measurement {
+            mean_ns: ns,
+            min_ns: ns,
+            max_ns: ns,
+            iters: 1,
+        };
+        let ops_per_iter = (TOUR_SESSIONS * ms.io_ticks) as u64;
+        rec.record(name.into(), m, ops_per_iter, Some(ratio));
         eprintln!(
             "  io/{name}: hit ratio {ratio:.4} ({} hits / {} faults)",
             stats.hits, stats.faults

@@ -15,140 +15,15 @@
 //! **as soon as it completes**, so a crash or interrupt in a later figure
 //! cannot lose earlier results.
 //!
-//! Positional arguments select experiments by exact table id (`fig9a`,
-//! `fig10b`, `abl_sectors`), experiment name (`fig10` = both of its
-//! tables), or group (`fig9`, `fig13`, `abl`). Unknown selectors are an
-//! error, not a silent no-op.
+//! The experiments are [`mar_bench::EXPERIMENTS`]. Positional arguments
+//! select them by exact table id (`fig9a`, `fig10b`, `abl_sectors`),
+//! experiment name (`fig10` = both of its tables), or group (`fig9`,
+//! `fig13`, `abl`). Unknown selectors are an error, not a silent no-op.
 
 use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::engine::Engine;
-use mar_bench::{ablations, figs, Scale, Table};
-use mar_workload::Placement;
+use mar_bench::{Experiment, Scale, EXPERIMENTS};
 use std::io::Write as _;
-
-/// One runnable unit: an experiment producing one or two tables.
-struct Experiment {
-    /// Experiment name (also a valid selector).
-    name: &'static str,
-    /// Table ids the experiment produces (each a valid selector).
-    ids: &'static [&'static str],
-    /// True for the ablation studies (excluded from the default run).
-    ablation: bool,
-    run: fn(&Engine, &Scale) -> Vec<Table>,
-}
-
-fn one(t: Table) -> Vec<Table> {
-    vec![t]
-}
-
-fn two((a, b): (Table, Table)) -> Vec<Table> {
-    vec![a, b]
-}
-
-const EXPERIMENTS: &[Experiment] = &[
-    Experiment {
-        name: "fig8",
-        ids: &["fig8"],
-        ablation: false,
-        run: |e, s| one(figs::fig8(e, s)),
-    },
-    Experiment {
-        name: "fig9a",
-        ids: &["fig9a"],
-        ablation: false,
-        run: |e, s| one(figs::fig9a(e, s)),
-    },
-    Experiment {
-        name: "fig9b",
-        ids: &["fig9b"],
-        ablation: false,
-        run: |e, s| one(figs::fig9b(e, s)),
-    },
-    Experiment {
-        name: "fig10",
-        ids: &["fig10a", "fig10b"],
-        ablation: false,
-        run: |e, s| two(figs::fig10(e, s)),
-    },
-    Experiment {
-        name: "fig11",
-        ids: &["fig11a", "fig11b"],
-        ablation: false,
-        run: |e, s| two(figs::fig11(e, s)),
-    },
-    Experiment {
-        name: "fig12",
-        ids: &["fig12"],
-        ablation: false,
-        run: |e, s| one(figs::fig12(e, s)),
-    },
-    Experiment {
-        name: "fig13a",
-        ids: &["fig13a"],
-        ablation: false,
-        run: |e, s| one(figs::fig13a(e, s)),
-    },
-    Experiment {
-        name: "fig13b",
-        ids: &["fig13b"],
-        ablation: false,
-        run: |e, s| one(figs::fig13b(e, s)),
-    },
-    Experiment {
-        name: "fig14",
-        ids: &["fig14"],
-        ablation: false,
-        run: |e, s| one(figs::fig14_15(e, s, Placement::Uniform)),
-    },
-    Experiment {
-        name: "fig15",
-        ids: &["fig15"],
-        ablation: false,
-        run: |e, s| one(figs::fig14_15(e, s, Placement::Zipf { theta: 0.8 })),
-    },
-    Experiment {
-        name: "abl_index",
-        ids: &["abl_index"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_index(e, s)),
-    },
-    Experiment {
-        name: "abl_alloc",
-        ids: &["abl_alloc"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_alloc(e, s)),
-    },
-    Experiment {
-        name: "abl_sectors",
-        ids: &["abl_sectors"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_sectors(e, s)),
-    },
-    Experiment {
-        name: "abl_multires",
-        ids: &["abl_multires"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_multires(e, s)),
-    },
-    Experiment {
-        name: "abl_smoothing",
-        ids: &["abl_smoothing"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_smoothing(e, s)),
-    },
-    Experiment {
-        name: "abl_direction",
-        ids: &["abl_direction"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_direction(e, s)),
-    },
-    Experiment {
-        name: "abl_store",
-        ids: &["abl_store"],
-        ablation: true,
-        run: |e, s| one(ablations::abl_store(e, s)),
-    },
-];
 
 /// Predicate deciding whether a group selector covers an experiment.
 type GroupPred = fn(&Experiment) -> bool;

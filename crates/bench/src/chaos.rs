@@ -23,7 +23,7 @@
 
 use crate::grid::{run_grid, FaultSource, GridReport};
 use crate::report::Json;
-use crate::serve::{serve_scene, ServeBackend, TourSession, View, TOUR_SEED};
+use crate::serve::{serve_scene, ServeBackend, ServeConfig, TourSession, View, TOUR_SEED};
 use mar_core::{ResilienceMetrics, ResilientClient, Server, ServerCore};
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
 
@@ -42,18 +42,8 @@ pub struct GridPoint {
 /// Chaos-workload parameters.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Concurrent client sessions per grid point.
-    pub sessions: usize,
-    /// Ticks each session replays.
-    pub ticks: usize,
-    /// Objects in the generated scene.
-    pub objects: usize,
-    /// Subdivision levels per object.
-    pub levels: usize,
-    /// Query frame fraction of the space.
-    pub frame_frac: f64,
-    /// Worker threads (`<= 1` = serial reference execution).
-    pub jobs: usize,
+    /// The tour workload every grid point replays.
+    pub serve: ServeConfig,
     /// The fault grid. The first point must be fault-free — it is the
     /// reference every other point's resident sets are compared against.
     pub grid: Vec<GridPoint>,
@@ -63,26 +53,24 @@ impl ChaosConfig {
     /// The full measurement grid: 16 sessions × 240 ticks under
     /// loss ∈ {0, 1, 5, 20 %} with periodic transport drops.
     pub fn full(jobs: usize) -> Self {
-        Self {
+        let serve = ServeConfig {
             sessions: 16,
             ticks: 240,
             objects: 40,
             levels: 3,
             frame_frac: 0.05,
             jobs,
+        };
+        Self {
+            serve,
             grid: grid(&[0.01, 0.05, 0.20], 60),
         }
     }
 
-    /// A seconds-scale CI smoke grid.
+    /// A seconds-scale CI smoke grid over the serve smoke workload.
     pub fn smoke(jobs: usize) -> Self {
         Self {
-            sessions: 4,
-            ticks: 40,
-            objects: 12,
-            levels: 2,
-            frame_frac: 0.1,
-            jobs,
+            serve: ServeConfig::smoke(jobs),
             grid: grid(&[0.05, 0.20], 15),
         }
     }
@@ -247,7 +235,7 @@ impl FaultSource for LinkFaults {
     }
 }
 
-/// Runs the chaos workload. The report is identical for any `cfg.jobs`.
+/// Runs the chaos workload. The report is identical for any `cfg.serve.jobs`.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, faulted grid
@@ -264,20 +252,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 /// Panics on a miswired workload (see [`run_chaos`]) or when the page
 /// file backing a [`ServeBackend::Paged`] run cannot be written.
 pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosReport {
-    let scene = serve_scene(cfg.objects, cfg.levels);
+    let serve = &cfg.serve;
+    let scene = serve_scene(serve.objects, serve.levels);
     let core = backend
-        .build_core(&scene, cfg.jobs)
+        .build_core(&scene, serve.jobs)
         // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
         .expect("chaos: cannot build the page-file backend");
-    run_grid(
-        &LinkFaults(core),
-        &cfg.grid,
-        scene.config.space,
-        cfg.sessions,
-        cfg.ticks,
-        cfg.frame_frac,
-        cfg.jobs,
-    )
+    run_grid(&LinkFaults(core), &cfg.grid, scene.config.space, serve)
 }
 
 #[cfg(test)]
@@ -287,13 +268,16 @@ mod tests {
 
     /// A seconds-scale grid: one clean point, one hostile one.
     fn tiny(jobs: usize) -> ChaosConfig {
-        ChaosConfig {
+        let serve = ServeConfig {
             sessions: 3,
             ticks: 12,
             objects: 8,
             levels: 2,
             frame_frac: 0.15,
             jobs,
+        };
+        ChaosConfig {
+            serve,
             grid: grid(&[0.2], 5),
         }
     }

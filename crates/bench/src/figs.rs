@@ -547,24 +547,3 @@ pub fn fig14_15(engine: &Engine, scale: &Scale, placement: Placement) -> Table {
     }
     t
 }
-
-/// Every figure at the given scale on the given engine, in paper order.
-/// `fig10`/`fig11` each contribute two tables.
-pub fn all_figures(engine: &Engine, scale: &Scale) -> Vec<Table> {
-    let mut out = Vec::new();
-    out.push(fig8(engine, scale));
-    out.push(fig9a(engine, scale));
-    out.push(fig9b(engine, scale));
-    let (a, b) = fig10(engine, scale);
-    out.push(a);
-    out.push(b);
-    let (a, b) = fig11(engine, scale);
-    out.push(a);
-    out.push(b);
-    out.push(fig12(engine, scale));
-    out.push(fig13a(engine, scale));
-    out.push(fig13b(engine, scale));
-    out.push(fig14_15(engine, scale, Placement::Uniform));
-    out.push(fig14_15(engine, scale, Placement::Zipf { theta: 0.8 }));
-    out
-}

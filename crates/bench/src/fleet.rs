@@ -24,7 +24,7 @@
 
 use crate::grid::{run_grid, FaultSource, GridReport};
 use crate::report::Json;
-use crate::serve::{serve_scene, TourSession, View};
+use crate::serve::{serve_scene, ServeConfig, TourSession, View};
 use mar_core::{Fleet, FleetConfig, FleetHealth, SceneIndexData, Server, ServerCore, WaveletIndex};
 use mar_geom::Rect2;
 use mar_link::ShardOutagePlan;
@@ -47,22 +47,12 @@ pub struct FleetGridPoint {
 /// Fleet-workload parameters.
 #[derive(Debug, Clone)]
 pub struct FleetBenchConfig {
-    /// Concurrent client sessions per grid point.
-    pub sessions: usize,
-    /// Ticks each session replays.
-    pub ticks: usize,
+    /// The tour workload every grid point replays.
+    pub serve: ServeConfig,
     /// Shard grid columns.
     pub nx: u32,
     /// Shard grid rows.
     pub ny: u32,
-    /// Objects in the generated scene.
-    pub objects: usize,
-    /// Subdivision levels per object.
-    pub levels: usize,
-    /// Query frame fraction of the space.
-    pub frame_frac: f64,
-    /// Worker threads (`<= 1` = serial reference execution).
-    pub jobs: usize,
     /// The grid. The first point must be outage-free — it is the
     /// reference every other point's resident sets are compared against.
     pub grid: Vec<FleetGridPoint>,
@@ -72,15 +62,18 @@ impl FleetBenchConfig {
     /// The full measurement: 10 000 sessions × 24 ticks over an 8×4 fleet
     /// (32 shards), outage-free vs shard-kill with and without replicas.
     pub fn full(jobs: usize) -> Self {
-        Self {
+        let serve = ServeConfig {
             sessions: 10_000,
             ticks: 24,
-            nx: 8,
-            ny: 4,
             objects: 48,
             levels: 3,
             frame_frac: 0.05,
             jobs,
+        };
+        Self {
+            serve,
+            nx: 8,
+            ny: 4,
             grid: grid(8, 3),
         }
     }
@@ -88,15 +81,18 @@ impl FleetBenchConfig {
     /// A seconds-scale CI smoke grid: 32 sessions × 16 ticks over a 4×2
     /// fleet, same three failure-policy points.
     pub fn smoke(jobs: usize) -> Self {
-        Self {
+        let serve = ServeConfig {
             sessions: 32,
             ticks: 16,
-            nx: 4,
-            ny: 2,
             objects: 12,
             levels: 2,
             frame_frac: 0.1,
             jobs,
+        };
+        Self {
+            serve,
+            nx: 4,
+            ny: 2,
             grid: grid(6, 2),
         }
     }
@@ -336,14 +332,14 @@ impl FaultSource for ShardOutages {
     }
 }
 
-/// Runs the fleet workload. The report is identical for any `cfg.jobs`.
+/// Runs the fleet workload. The report is identical for any `cfg.serve.jobs`.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, outaged grid
 /// point 0, zero ticks, outage outliving its period, too many shards) —
 /// configuration bugs, not runtime faults.
 pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
-    let scene = serve_scene(cfg.objects, cfg.levels);
+    let scene = serve_scene(cfg.serve.objects, cfg.serve.levels);
     let space = scene.config.space;
     let source = ShardOutages {
         data: Arc::new(SceneIndexData::build(&scene)),
@@ -351,15 +347,7 @@ pub fn run_fleet(cfg: &FleetBenchConfig) -> FleetReport {
         nx: cfg.nx,
         ny: cfg.ny,
     };
-    let run = run_grid(
-        &source,
-        &cfg.grid,
-        space,
-        cfg.sessions,
-        cfg.ticks,
-        cfg.frame_frac,
-        cfg.jobs,
-    );
+    let run = run_grid(&source, &cfg.grid, space, &cfg.serve);
     FleetReport {
         shards: Some(cfg.shards()),
         ..run
@@ -373,15 +361,18 @@ mod tests {
 
     /// A seconds-scale 4×2 fleet over the three failure-policy points.
     fn tiny(jobs: usize) -> FleetBenchConfig {
-        FleetBenchConfig {
+        let serve = ServeConfig {
             sessions: 4,
             ticks: 12,
-            nx: 4,
-            ny: 2,
             objects: 8,
             levels: 2,
             frame_frac: 0.15,
             jobs,
+        };
+        FleetBenchConfig {
+            serve,
+            nx: 4,
+            ny: 2,
             grid: grid(5, 2),
         }
     }

@@ -11,7 +11,7 @@
 
 use crate::engine::Engine;
 use crate::report::Json;
-use crate::serve::{assert_released, fnv1a64, fnv_hex, TourSession, View};
+use crate::serve::{assert_released, fnv1a64, snapshot, ServeConfig, TourSession, View};
 use mar_core::{CoeffRef, Server, ServerCore};
 use mar_geom::Rect2;
 use std::sync::Mutex;
@@ -62,29 +62,28 @@ pub(crate) trait FaultSource: Sync {
     ) -> (Self::Report, bool);
 }
 
-/// Runs `source` over `grid`: per point, `sessions` tours of `ticks` ticks
-/// over `space` with frames `frame_frac` of it, on `jobs` workers.
+/// Runs `source` over `grid`: per point, `cfg.sessions` tours of
+/// `cfg.ticks` ticks over `space`, the extent of the scene the caller
+/// built from `cfg`, with frames `cfg.frame_frac` of it, on `cfg.jobs`
+/// workers.
 ///
 /// # Panics
-/// Panics when grid point 0 injects a fault or `ticks` is zero —
+/// Panics when grid point 0 injects a fault or `cfg.ticks` is zero —
 /// miswired configuration, not runtime faults.
 pub(crate) fn run_grid<S: FaultSource>(
     source: &S,
     grid: &[S::Point],
     space: Rect2,
-    sessions: usize,
-    ticks: usize,
-    frame_frac: f64,
-    jobs: usize,
+    cfg: &ServeConfig,
 ) -> GridReport<S::Report> {
     assert!(
         grid.first().is_some_and(|p| source.is_reference(p)),
         "grid point 0 must be the fault-free reference"
     );
-    let engine = Engine::new(jobs);
+    let engine = Engine::new(cfg.jobs);
     let mut run = GridReport {
-        sessions,
-        ticks,
+        sessions: cfg.sessions,
+        ticks: cfg.ticks,
         shards: None,
         points: Vec::with_capacity(grid.len()),
         transcript: String::from(S::HEADER),
@@ -95,22 +94,22 @@ pub(crate) fn run_grid<S: FaultSource>(
         // A fresh server per point: no filter state leaks between points.
         let server = Server::from_core(source.core(point));
         let key = source.key(point);
-        let slots: Vec<_> = (0..sessions)
+        let slots: Vec<_> = (0..cfg.sessions)
             .map(|k| {
-                let tour = TourSession::new(space, ticks, S::TOUR_SEED, frame_frac, k);
+                let tour = TourSession::new(space, cfg.ticks, S::TOUR_SEED, cfg.frame_frac, k);
                 Mutex::new((source.connect(&server, point, k), tour, String::new()))
             })
             .collect();
-        for tick in (0..ticks).map(Some).chain([None]) {
+        for tick in (0..cfg.ticks).map(Some).chain([None]) {
             source.before(&server, point, tick);
             engine.run(
-                (0..sessions).collect(),
+                (0..cfg.sessions).collect(),
                 || (),
                 |_, &k| {
                     // mar-lint: allow(D004) — poisoning implies a sibling worker panicked; propagate
                     let mut slot = slots[k].lock().expect("grid session poisoned");
                     let (client, tour, rows) = &mut *slot;
-                    let view = tour.view(tick.unwrap_or(ticks - 1));
+                    let view = tour.view(tick.unwrap_or(cfg.ticks - 1));
                     let cols = source.step(&server, client, tour, &view, tick);
                     let tick = tick.map_or_else(|| "finish".to_string(), |t| t.to_string());
                     rows.push_str(&format!("{key},{k},{tick},{cols}\n"));
@@ -124,7 +123,7 @@ pub(crate) fn run_grid<S: FaultSource>(
             run.transcript.push_str(&rows);
             // The invariant's object: the resident set over the final frame
             // at the final band.
-            let last = tour.view(ticks - 1);
+            let last = tour.view(cfg.ticks - 1);
             let (want, _) = server.query_stateless(&last.frame, last.band);
             let session = source.session(&client);
             let sent = server
@@ -188,22 +187,16 @@ pub struct GridReport<P> {
 }
 
 impl<P> GridReport<P> {
-    /// The run's snapshot: the shared header around `point` of every grid
-    /// point, then the transcript's fingerprint.
+    /// The run's snapshot: the shard count, the invariant and `point` of
+    /// every grid point, in the frame `serve::snapshot` writes.
     pub(crate) fn render(&self, schema: &str, mode: &str, point: impl Fn(&P) -> Json) -> Json {
-        let mut doc = vec![
-            ("schema", schema.into()),
-            ("mode", mode.into()),
-            ("sessions", self.sessions.into()),
-            ("ticks", self.ticks.into()),
-        ];
-        doc.extend(self.shards.map(|s| ("shards", u64::from(s).into())));
-        doc.extend([
+        let shards = self.shards.map(|s| ("shards", u64::from(s).into()));
+        let fields = shards.into_iter().chain([
             ("invariant_ok", Json::Bool(self.invariant_ok)),
             ("grid", Json::Arr(self.points.iter().map(point).collect())),
-            ("transcript_fnv64", fnv_hex(&self.transcript)),
         ]);
-        Json::Obj(doc)
+        let run = (self.sessions, self.ticks);
+        snapshot(schema, mode, run, fields.collect(), &self.transcript)
     }
 }
 

@@ -3,7 +3,8 @@
 //! Shared machinery for regenerating every figure of the paper's
 //! evaluation (§VII). Each `figN` function in [`figs`] produces a
 //! [`Table`] — the same series the paper plots — on an
-//! [`engine::Engine`]; the `reproduce` binary runs them all.
+//! [`engine::Engine`]; [`EXPERIMENTS`] lists every figure and ablation,
+//! and the `reproduce` binary runs that list.
 //!
 //! Determinism: every experiment is seeded; two runs of `reproduce`
 //! produce byte-identical tables.
@@ -21,6 +22,9 @@ pub mod grid;
 pub mod harness;
 pub mod report;
 pub mod serve;
+
+use engine::Engine;
+use mar_workload::Placement;
 
 /// A result table: one labelled x column plus named data series.
 #[derive(Debug, Clone)]
@@ -156,6 +160,66 @@ impl Scale {
         }
     }
 }
+
+/// One runnable unit of §VII: an experiment producing one or two tables.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Experiment name (also a `reproduce` selector).
+    pub name: &'static str,
+    /// The ids of the tables it produces, in order (each a selector).
+    pub ids: &'static [&'static str],
+    /// True for the ablation studies (excluded from the default run).
+    pub ablation: bool,
+    /// Runs the experiment at a scale on an engine.
+    pub run: Run,
+}
+
+/// How an [`Experiment`] runs.
+pub type Run = fn(&Engine, &Scale) -> Vec<Table>;
+
+const fn figure(name: &'static str, ids: &'static [&'static str], run: Run) -> Experiment {
+    Experiment {
+        name,
+        ids,
+        ablation: false,
+        run,
+    }
+}
+
+const fn ablation(name: &'static str, ids: &'static [&'static str], run: Run) -> Experiment {
+    Experiment {
+        ablation: true,
+        ..figure(name, ids, run)
+    }
+}
+
+fn two((a, b): (Table, Table)) -> Vec<Table> {
+    vec![a, b]
+}
+
+/// Every experiment, figures in paper order and then the ablations: the
+/// one list `reproduce` runs and its tests iterate, one table per
+/// `results/<id>.csv`.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[Experiment] = &[
+    figure("fig8", &["fig8"], |e, s| vec![figs::fig8(e, s)]),
+    figure("fig9a", &["fig9a"], |e, s| vec![figs::fig9a(e, s)]),
+    figure("fig9b", &["fig9b"], |e, s| vec![figs::fig9b(e, s)]),
+    figure("fig10", &["fig10a", "fig10b"], |e, s| two(figs::fig10(e, s))),
+    figure("fig11", &["fig11a", "fig11b"], |e, s| two(figs::fig11(e, s))),
+    figure("fig12", &["fig12"], |e, s| vec![figs::fig12(e, s)]),
+    figure("fig13a", &["fig13a"], |e, s| vec![figs::fig13a(e, s)]),
+    figure("fig13b", &["fig13b"], |e, s| vec![figs::fig13b(e, s)]),
+    figure("fig14", &["fig14"], |e, s| vec![figs::fig14_15(e, s, Placement::Uniform)]),
+    figure("fig15", &["fig15"], |e, s| vec![figs::fig14_15(e, s, Placement::Zipf { theta: 0.8 })]),
+    ablation("abl_index", &["abl_index"], |e, s| vec![ablations::abl_index(e, s)]),
+    ablation("abl_alloc", &["abl_alloc"], |e, s| vec![ablations::abl_alloc(e, s)]),
+    ablation("abl_sectors", &["abl_sectors"], |e, s| vec![ablations::abl_sectors(e, s)]),
+    ablation("abl_multires", &["abl_multires"], |e, s| vec![ablations::abl_multires(e, s)]),
+    ablation("abl_smoothing", &["abl_smoothing"], |e, s| vec![ablations::abl_smoothing(e, s)]),
+    ablation("abl_direction", &["abl_direction"], |e, s| vec![ablations::abl_direction(e, s)]),
+    ablation("abl_store", &["abl_store"], |e, s| vec![ablations::abl_store(e, s)]),
+];
 
 #[cfg(test)]
 mod tests {

@@ -302,18 +302,15 @@ pub struct ServeReport {
 impl ServeReport {
     /// The `BENCH_serve.json` snapshot of this run.
     pub fn snapshot(&self, mode: &str) -> Json {
-        Json::Obj(vec![
-            ("schema", "mar-bench-serve/3".into()),
-            ("mode", mode.into()),
-            ("sessions", self.sessions.into()),
-            ("ticks", self.ticks.into()),
+        let fields = vec![
             ("queries", self.queries.into()),
             ("bytes_served", Json::Num(self.bytes, 1)),
             ("coeffs_served", self.coeffs.into()),
             ("index_io", self.io.into()),
             ("index_unique_io", self.unique_io.into()),
-            ("transcript_fnv64", fnv_hex(&self.transcript)),
-        ])
+        ];
+        let run = (self.sessions, self.ticks);
+        snapshot("mar-bench-serve/3", mode, run, fields, &self.transcript)
     }
 }
 
@@ -430,10 +427,26 @@ pub fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// A transcript's [`fnv1a64`] as every snapshot's `transcript_fnv64` field
-/// spells it.
-pub fn fnv_hex(transcript: &str) -> Json {
-    Json::Str(format!("{:016x}", fnv1a64(transcript)))
+/// The frame every tour replay's snapshot shares: `schema`, `mode` and
+/// the run's `(sessions, ticks)` first, then `fields`, then the
+/// transcript's [`fnv1a64`] as `transcript_fnv64`.
+pub fn snapshot(
+    schema: &str,
+    mode: &str,
+    (sessions, ticks): (usize, usize),
+    fields: Vec<(&'static str, Json)>,
+    transcript: &str,
+) -> Json {
+    let mut doc = vec![
+        ("schema", schema.into()),
+        ("mode", mode.into()),
+        ("sessions", sessions.into()),
+        ("ticks", ticks.into()),
+    ];
+    doc.extend(fields);
+    let fnv64 = format!("{:016x}", fnv1a64(transcript));
+    doc.push(("transcript_fnv64", Json::Str(fnv64)));
+    Json::Obj(doc)
 }
 
 /// How every harness ends a server's life: once each session has been

@@ -39,12 +39,12 @@ fn chaos_smoke_holds_the_invariant_at_every_grid_point() {
         r.invariant_ok,
         "a faulted session's final resident set diverged from the fault-free run"
     );
-    assert_eq!(r.sessions, cfg.sessions);
-    assert_eq!(r.ticks, cfg.ticks);
+    assert_eq!(r.sessions, cfg.serve.sessions);
+    assert_eq!(r.ticks, cfg.serve.ticks);
     assert_eq!(r.points.len(), cfg.grid.len());
     assert_eq!(
         r.transcript.lines().count(),
-        1 + cfg.grid.len() * cfg.sessions * (cfg.ticks + 1),
+        1 + cfg.grid.len() * cfg.serve.sessions * (cfg.serve.ticks + 1),
         "one row per (grid point, session, tick) plus finish rows and header"
     );
     // The faulted points actually exercised the protocol.

@@ -2,7 +2,7 @@
 //! changes wall-clock time only, never a single output byte.
 
 use mar_bench::engine::Engine;
-use mar_bench::{ablations, figs, Scale, Table};
+use mar_bench::{figs, Scale, EXPERIMENTS};
 use mar_workload::Placement;
 use std::sync::Arc;
 
@@ -20,9 +20,22 @@ fn tiny() -> Scale {
     }
 }
 
-fn csv_of(tables: &[Table]) -> Vec<(String, String)> {
-    tables
+/// `(id, CSV)` of every table the registry's figures (`ablation` false)
+/// or ablations (`ablation` true) produce on `engine`, in registry order.
+fn csv_of(ablation: bool, engine: &Engine, scale: &Scale) -> Vec<(String, String)> {
+    EXPERIMENTS
         .iter()
+        .filter(|e| e.ablation == ablation)
+        .flat_map(|e| {
+            let tables = (e.run)(engine, scale);
+            let ids: Vec<&str> = tables.iter().map(|t| t.id).collect();
+            assert_eq!(
+                ids, e.ids,
+                "{} writes other tables than it registers",
+                e.name
+            );
+            tables
+        })
         .map(|t| (t.id.to_string(), t.to_csv()))
         .collect()
 }
@@ -30,8 +43,8 @@ fn csv_of(tables: &[Table]) -> Vec<(String, String)> {
 #[test]
 fn figures_are_byte_identical_serial_vs_parallel() {
     let scale = tiny();
-    let serial = csv_of(&figs::all_figures(&Engine::serial(), &scale));
-    let parallel = csv_of(&figs::all_figures(&Engine::new(4), &scale));
+    let serial = csv_of(false, &Engine::serial(), &scale);
+    let parallel = csv_of(false, &Engine::new(4), &scale);
     assert_eq!(serial.len(), parallel.len());
     for ((sid, scsv), (pid, pcsv)) in serial.iter().zip(&parallel) {
         assert_eq!(sid, pid, "table order must not depend on worker count");
@@ -45,8 +58,8 @@ fn figures_are_byte_identical_serial_vs_parallel() {
 #[test]
 fn ablations_are_byte_identical_serial_vs_parallel() {
     let scale = tiny();
-    let serial = csv_of(&ablations::all_ablations(&Engine::serial(), &scale));
-    let parallel = csv_of(&ablations::all_ablations(&Engine::new(4), &scale));
+    let serial = csv_of(true, &Engine::serial(), &scale);
+    let parallel = csv_of(true, &Engine::new(4), &scale);
     assert_eq!(serial.len(), parallel.len());
     for ((sid, scsv), (pid, pcsv)) in serial.iter().zip(&parallel) {
         assert_eq!(sid, pid);

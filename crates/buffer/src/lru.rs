@@ -65,16 +65,6 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// True when `k` is cached; does *not* refresh recency or count as a
-    /// lookup.
-    pub fn peek<Q>(&self, k: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.map.contains_key(k)
-    }
-
     /// Inserts `k → v`, evicting the least recently used entry if full.
     pub fn put(&mut self, k: K, v: V) {
         let stamp = self.recency.tick();
@@ -123,9 +113,9 @@ mod tests {
         c.put("b", 2);
         c.get("a"); // refresh a; b is now LRU
         c.put("c", 3);
-        assert!(c.peek("a"));
-        assert!(!c.peek("b"));
-        assert!(c.peek("c"));
+        assert!(c.map.contains_key("a"));
+        assert!(!c.map.contains_key("b"));
+        assert!(c.map.contains_key("c"));
     }
 
     #[test]
@@ -145,9 +135,9 @@ mod tests {
         c.put("b", 2);
         c.put("a", 10); // "a" is now the most recent entry
         c.put("c", 3); // so "b" is the victim
-        assert!(c.peek("a"));
-        assert!(!c.peek("b"));
-        assert!(c.peek("c"));
+        assert!(c.map.contains_key("a"));
+        assert!(!c.map.contains_key("b"));
+        assert!(c.map.contains_key("c"));
     }
 
     #[test]
@@ -164,7 +154,7 @@ mod tests {
         let mut c = LruCache::new(1);
         c.put(1, "one");
         c.put(2, "two");
-        assert!(!c.peek(&1));
-        assert!(c.peek(&2));
+        assert!(!c.map.contains_key(&1));
+        assert!(c.map.contains_key(&2));
     }
 }

@@ -1,22 +1,12 @@
 //! CLI for `mar-lint`: lints the workspace and exits 1 on any finding.
 //!
-//! Usage: `cargo run -p mar-lint [-- --format json] [--root PATH]
-//! [--baseline FILE | --record-baseline FILE]`
-//!
-//! The baseline mode lets a new rule land before the workspace is clean:
-//! `--record-baseline` writes the current findings to a file, and
-//! `--baseline` fails only on findings *not* in that file. Baseline
-//! entries match on `(file, rule, message)` — line/column drift from
-//! unrelated edits does not resurrect a recorded finding.
+//! Usage: `cargo run -p mar-lint [-- --format json] [--root PATH]`
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-use mar_lint::Finding;
 
 /// Writes to stdout ignoring `EPIPE`, so `mar-lint | head` exits quietly
 /// instead of panicking (Rust leaves `SIGPIPE` ignored by default).
@@ -31,69 +21,16 @@ fn usage() -> &'static str {
      \n\
      USAGE:\n\
      \tmar-lint [--format text|json] [--root PATH]\n\
-     \t         [--baseline FILE | --record-baseline FILE]\n\
      \n\
      OPTIONS:\n\
      \t--format text|json\toutput format (default: text)\n\
      \t--root PATH\t\tworkspace root (default: ascend from cwd)\n\
-     \t--baseline FILE\t\tfail only on findings not recorded in FILE\n\
-     \t--record-baseline FILE\twrite current findings to FILE and exit 0\n\
      \t-h, --help\t\tprint this help\n\
      \n\
      EXIT CODES:\n\
-     \t0  no findings (or none beyond the baseline)\n\
+     \t0  no findings\n\
      \t1  findings reported\n\
      \t2  usage or I/O error"
-}
-
-/// The baseline identity of a finding: file, rule, and message — line and
-/// column are deliberately excluded so unrelated edits that shift code
-/// around do not resurrect recorded findings.
-fn baseline_key(f: &Finding) -> String {
-    format!("{}\t{}\t{}", f.file, f.rule, f.message)
-}
-
-/// Renders findings in the baseline file format (one text finding per
-/// line, same as `--format text`).
-fn baseline_document(findings: &[Finding]) -> String {
-    let mut doc = String::from(
-        "# mar-lint baseline — findings recorded here do not fail the lint.\n\
-         # Regenerate with: cargo run -p mar-lint -- --record-baseline <this file>\n",
-    );
-    for f in findings {
-        doc.push_str(&f.to_string());
-        doc.push('\n');
-    }
-    doc
-}
-
-/// Parses a baseline file back into match keys. Lines are the `Display`
-/// form (`file:line:col [RULE] message`); blank lines and `#` comments
-/// are skipped. Unparseable lines are ignored (they can never match, so
-/// a corrupted baseline fails closed).
-fn parse_baseline(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // `file:line:col [RULE] message`
-        let Some(bracket) = line.find(" [") else {
-            continue;
-        };
-        let Some(close) = line[bracket..].find("] ") else {
-            continue;
-        };
-        let rule = &line[bracket + 2..bracket + close];
-        let message = &line[bracket + close + 2..];
-        let mut loc = line[..bracket].rsplitn(3, ':');
-        let _col = loc.next();
-        let _line = loc.next();
-        let Some(file) = loc.next() else { continue };
-        keys.insert(format!("{file}\t{rule}\t{message}"));
-    }
-    keys
 }
 
 /// Ascends from `start` to the first directory that looks like the
@@ -113,25 +50,9 @@ fn find_root(start: PathBuf) -> Option<PathBuf> {
 fn main() -> ExitCode {
     let mut format_json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut record_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("mar-lint: --baseline expects a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--record-baseline" => match args.next() {
-                Some(p) => record_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("mar-lint: --record-baseline expects a file path");
-                    return ExitCode::from(2);
-                }
-            },
             "--format" => match args.next().as_deref() {
                 Some("json") => format_json = true,
                 Some("text") => format_json = false,
@@ -184,43 +105,13 @@ fn main() -> ExitCode {
         }
     };
 
-    if baseline.is_some() && record_baseline.is_some() {
-        eprintln!("mar-lint: --baseline and --record-baseline are mutually exclusive");
-        return ExitCode::from(2);
-    }
-
-    let mut findings = match mar_lint::lint_workspace(&root) {
+    let findings = match mar_lint::lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("mar-lint: I/O error while linting {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = record_baseline {
-        if let Err(e) = std::fs::write(&path, baseline_document(&findings)) {
-            eprintln!("mar-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        emit(&format!(
-            "mar-lint: recorded {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        ));
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("mar-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let known = parse_baseline(&text);
-        findings.retain(|f| !known.contains(&baseline_key(f)));
-    }
 
     if format_json {
         emit(&mar_lint::to_json(&findings));

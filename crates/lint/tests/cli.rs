@@ -75,65 +75,34 @@ fn json_format_is_machine_readable() {
 }
 
 #[test]
-fn baseline_record_then_compare_then_new_finding() {
-    // Two violations: a missing forbid and a library unwrap.
-    let root = fake_workspace(
-        "cli-baseline",
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-    );
-    let baseline = root.join("lint-baseline.txt");
-    let bl = baseline.to_str().expect("utf-8 tmpdir");
-
-    // Record: exits 0 and writes both findings.
-    let (code, stdout, stderr) = run_lint(&root, &["--record-baseline", bl]);
-    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.contains("recorded 2 finding(s)"), "{stdout}");
-    let doc = fs::read_to_string(&baseline).expect("read recorded baseline");
-    assert!(doc.contains("[D004]"), "{doc}");
-    assert!(doc.contains("[D005]"), "{doc}");
-
-    // Compare against the fresh baseline: everything known, exit 0.
-    let (code, stdout, _) = run_lint(&root, &["--baseline", bl]);
-    assert_eq!(code, Some(0), "{stdout}");
-    assert!(stdout.contains("0 findings"), "{stdout}");
-
-    // Introduce a new violation above the old ones (shifting their lines):
-    // only the new finding fails the run.
-    fs::write(
-        root.join("crates/demo/src/lib.rs"),
-        "pub fn g() {\n    panic!(\"new\")\n}\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-    )
-    .expect("rewrite lib.rs");
-    let (code, stdout, stderr) = run_lint(&root, &["--baseline", bl]);
-    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.contains("panic"), "{stdout}");
-    assert!(
-        !stdout.contains("unwrap"),
-        "baselined finding resurfaced despite its line shifting: {stdout}"
-    );
-    assert!(stderr.contains("1 finding(s)"), "{stderr}");
-}
-
-#[test]
 fn missing_baseline_file_exits_two() {
+    // The baseline mode is gone: `--baseline` is an unknown argument, so it
+    // still exits 2 whether or not the file exists.
     let root = fake_workspace(
         "cli-baseline-missing",
         "#![forbid(unsafe_code)]\npub fn f() {}\n",
     );
     let (code, _, stderr) = run_lint(&root, &["--baseline", "does-not-exist.txt"]);
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("cannot read baseline"), "{stderr}");
+    assert!(stderr.contains("unknown argument `--baseline`"), "{stderr}");
 }
 
 #[test]
 fn baseline_and_record_baseline_are_mutually_exclusive() {
+    // Both baseline flags are gone; together they exit 2 on the first one.
     let root = fake_workspace(
         "cli-baseline-excl",
         "#![forbid(unsafe_code)]\npub fn f() {}\n",
     );
     let (code, _, stderr) = run_lint(&root, &["--baseline", "a", "--record-baseline", "b"]);
     assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("mutually exclusive"), "{stderr}");
+    assert!(stderr.contains("unknown argument `--baseline`"), "{stderr}");
+    let (code, _, stderr) = run_lint(&root, &["--record-baseline", "b"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown argument `--record-baseline`"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ use crate::codec::{
     encode_into, encode_query_into, ErrCode, Frame, FrameReader, WireError, PROTOCOL_VERSION,
 };
 use mar_bench::report::Json;
-use mar_bench::serve::{fnv_hex, serve_scene, ServeConfig, TourSession, Transcript, TOUR_SEED};
+use mar_bench::serve::{serve_scene, snapshot, ServeConfig, TourSession, Transcript, TOUR_SEED};
 use mar_core::{QueryRegion, QueryResult};
 use std::collections::VecDeque;
 use std::fmt;
@@ -351,11 +351,7 @@ impl ReplayReport {
             probe.push(("outstanding", Json::Num(outstanding, 1)));
             probe.push(("cap", Json::Num(cap, 1)));
         }
-        Json::Obj(vec![
-            ("schema", "mar-load-wire/3".into()),
-            ("mode", mode.into()),
-            ("sessions", self.sessions.into()),
-            ("ticks", self.ticks.into()),
+        let fields = vec![
             ("queries", self.queries.into()),
             ("pipeline", self.pipeline.into()),
             ("bytes_served", Json::Num(self.bytes, 1)),
@@ -364,8 +360,9 @@ impl ReplayReport {
             ("wire_bytes", self.wire_bytes.into()),
             ("overload", Json::Obj(probe)),
             ("check", check.into()),
-            ("transcript_fnv64", fnv_hex(&self.transcript)),
-        ])
+        ];
+        let run = (self.sessions, self.ticks);
+        snapshot("mar-load-wire/3", mode, run, fields, &self.transcript)
     }
 }
 
