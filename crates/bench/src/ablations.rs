@@ -12,28 +12,23 @@
 //! * `abl_store` — out-of-core buffer-pool policy: the Eq. 2 motion-aware
 //!   eviction vs plain LRU across pool budgets (DESIGN.md §15).
 //!
-//! Like the figures, every ablation fans its sweep points through
-//! [`Engine::run`](crate::engine::Engine::run) and reassembles them in a
-//! fixed order, so serial and parallel runs agree byte-for-byte.
+//! Each is one `figs::sweep` over its axes with the figures' per-point
+//! measurements, so serial and parallel runs agree byte-for-byte.
 
 use crate::engine::Engine;
-use crate::figs::mean;
-use crate::serve::session_tour;
+use crate::figs::{buffer_stats, io_per_query, retrieval_kb_per_kdist, sweep, table, tour};
+use crate::serve::replay_pool_tours;
 use crate::{Scale, Table};
 use mar_buffer::{AllocationStrategy, MotionAwarePrefetcher};
-use mar_core::system::{run_motion_aware_system, SystemConfig};
-use mar_core::{
-    CachePolicy, IncrementalClient, LinearSpeedMap, QueryRegion, SceneIndexData, Server,
-    ServerCore, SmoothedSpeed, SpeedResolutionMap, WaveletIndex,
-};
-use mar_mesh::ResolutionBand;
+use mar_core::system::SystemConfig;
+use mar_core::{CachePolicy, SceneIndexData, Server, WaveletIndex};
 use mar_rtree::{RTree, RTreeConfig, Variant};
-use mar_workload::{frame_at, paper_space, tram_tour, Placement, TourConfig};
+use mar_workload::Placement;
 use std::sync::Arc;
 
-/// Index ablation: average I/O per tram-tour query for four ways of
-/// building the same support-region index. The four index variants are
-/// built once and shared read-only; one sweep point per speed.
+/// Index ablation: average I/O per tram-tour query (first tour seed) for
+/// four ways of building the same support-region index. The four index
+/// variants are built once and shared read-only.
 pub fn abl_index(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = SceneIndexData::build(&scene);
@@ -50,49 +45,34 @@ pub fn abl_index(engine: &Engine, scale: &Scale) -> Table {
             WaveletIndex::from_tree(tree)
         }
     };
-    let variants: Vec<(&str, WaveletIndex)> = vec![
+    let variants = [
         ("rstar_bulk", build(Variant::RStar, true)),
         ("rstar_insert", build(Variant::RStar, false)),
         ("guttman_bulk", build(Variant::Guttman, true)),
         ("guttman_insert", build(Variant::Guttman, false)),
     ];
-    let rows = engine.run(
-        scale.speeds.clone(),
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &variants,
+        &scale.tour_seeds[..1],
         || (),
-        |_, &speed| {
-            let tour = tram_tour(&TourConfig::new(
-                paper_space(),
-                scale.ticks,
-                scale.tour_seeds[0],
-                speed,
-            ));
-            variants
-                .iter()
-                .map(|(_, idx)| {
-                    let mut io = 0u64;
-                    for s in &tour.samples {
-                        let frame = frame_at(&paper_space(), &s.pos, 0.1);
-                        io += idx.query(&frame, ResolutionBand::new(s.speed, 1.0)).1;
-                    }
-                    io as f64 / tour.len() as f64
-                })
-                .collect::<Vec<f64>>()
+        |_, &speed, (_, index), seed| {
+            let tour = tour(scale.ticks, speed, seed, true);
+            [io_per_query(&tour, 0.1, |w, band| index.query(w, band).1)]
         },
     );
-    let mut t = Table::new(
+    table(
         "abl_index",
         "index I/O per query: build strategy ablation",
         "speed",
-        variants.iter().map(|(n, _)| n.to_string()).collect(),
-    );
-    for (&speed, row) in scale.speeds.iter().zip(rows) {
-        t.push(speed, row);
-    }
-    t
+        variants.iter().map(|(n, _)| n),
+        scale.speeds.iter().copied(),
+        rows,
+    )
 }
 
-/// Allocation ablation: hit rate under the three strategies. One point
-/// per (buffer size, strategy, seed).
+/// Allocation ablation: hit rate under the three strategies.
 pub fn abl_alloc(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let strategies = [
@@ -101,45 +81,33 @@ pub fn abl_alloc(engine: &Engine, scale: &Scale) -> Table {
         ("best_ordering", AllocationStrategy::BestOrdering),
     ];
     let kbs = [16.0, 64.0];
-    let points: Vec<(f64, usize, u64)> = kbs
-        .iter()
-        .flat_map(|&kb| {
-            (0..strategies.len())
-                .flat_map(move |si| scale.tour_seeds.iter().map(move |&sd| (kb, si, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &kbs,
+        &strategies,
+        &scale.tour_seeds,
         || Server::new(&scene),
-        |server, &(kb, si, seed)| {
+        |server, &kb, &(_, strategy), seed| {
             let cfg = SystemConfig {
                 buffer_bytes: kb * 1024.0,
                 ..Default::default()
             };
-            let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, 0.5));
-            let mut p = MotionAwarePrefetcher::with_strategy(4, strategies[si].1);
-            run_motion_aware_system(server, &scene, &tour, &mut p, &cfg)
-                .cache
-                .hit_rate()
+            let mut p = MotionAwarePrefetcher::with_strategy(4, strategy);
+            let tour = tour(scale.ticks, 0.5, seed, true);
+            [buffer_stats(server, &scene, &tour, &mut p, &cfg)[0]]
         },
     );
-    let mut t = Table::new(
+    table(
         "abl_alloc",
         "cache hit rate: buffer allocation strategy ablation",
         "buffer_kb",
-        strategies.iter().map(|(n, _)| n.to_string()).collect(),
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_kb = strategies.len() * seeds;
-    for (i, &kb) in kbs.iter().enumerate() {
-        let chunk = &results[i * per_kb..(i + 1) * per_kb];
-        t.push(kb, chunk.chunks(seeds).map(mean).collect());
-    }
-    t
+        strategies.iter().map(|(n, _)| n),
+        kbs,
+        rows,
+    )
 }
 
-/// Sector-count ablation: hit rate for k ∈ {2, 4, 8, 16}. One point per
-/// (k, seed).
+/// Sector-count ablation: hit rate and utilization for k ∈ {2, 4, 8, 16}.
 pub fn abl_sectors(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let ks = [2usize, 4, 8, 16];
@@ -147,160 +115,91 @@ pub fn abl_sectors(engine: &Engine, scale: &Scale) -> Table {
         buffer_bytes: 32.0 * 1024.0,
         ..Default::default()
     };
-    let points: Vec<(usize, u64)> = ks
-        .iter()
-        .flat_map(|&k| scale.tour_seeds.iter().map(move |&sd| (k, sd)))
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &ks,
+        &[()],
+        &scale.tour_seeds,
         || Server::new(&scene),
-        |server, &(k, seed)| {
-            let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, 0.5));
+        |server, &k, _, seed| {
+            let tour = tour(scale.ticks, 0.5, seed, true);
             let mut p = MotionAwarePrefetcher::new(k);
-            let m = run_motion_aware_system(server, &scene, &tour, &mut p, &cfg).cache;
-            (m.hit_rate(), m.utilization())
+            buffer_stats(server, &scene, &tour, &mut p, &cfg)
         },
     );
-    let mut t = Table::new(
+    table(
         "abl_sectors",
         "cache hit rate vs number of direction sectors",
         "k",
-        vec!["hit_rate".into(), "utilization".into()],
-    );
-    let seeds = scale.tour_seeds.len();
-    for (i, &k) in ks.iter().enumerate() {
-        let chunk = &results[i * seeds..(i + 1) * seeds];
-        let hits: Vec<f64> = chunk.iter().map(|r| r.0).collect();
-        let utils: Vec<f64> = chunk.iter().map(|r| r.1).collect();
-        t.push(k as f64, vec![mean(&hits), mean(&utils)]);
-    }
-    t
-}
-
-/// Shared engine runner for the two-column on/off buffer ablations: for
-/// each speed, columns `[variant_a, variant_b]` where the variant flag
-/// feeds `cfg_of`; one point per (speed, variant, seed).
-fn on_off_buffer_ablation(
-    engine: &Engine,
-    scale: &Scale,
-    id: &'static str,
-    title: &'static str,
-    columns: [&str; 2],
-    cfg_of: impl Fn(bool) -> SystemConfig + Sync,
-) -> Table {
-    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let points: Vec<(f64, bool, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| {
-            [true, false]
-                .into_iter()
-                .flat_map(move |flag| scale.tour_seeds.iter().map(move |&sd| (sp, flag, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
-        || Server::new(&scene),
-        |server, &(speed, flag, seed)| {
-            let cfg = cfg_of(flag);
-            let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, speed));
-            let mut p = MotionAwarePrefetcher::new(4);
-            run_motion_aware_system(server, &scene, &tour, &mut p, &cfg)
-                .cache
-                .hit_rate()
-        },
-    );
-    let mut t = Table::new(
-        id,
-        title,
-        "speed",
-        columns.iter().map(|c| c.to_string()).collect(),
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_speed = 2 * seeds;
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * per_speed..(i + 1) * per_speed];
-        t.push(speed, chunk.chunks(seeds).map(mean).collect());
-    }
-    t
+        ["hit_rate", "utilization"],
+        ks.iter().map(|&k| k as f64),
+        rows,
+    )
 }
 
 /// Multiresolution-buffering ablation (§V final ¶) across speeds.
 pub fn abl_multires(engine: &Engine, scale: &Scale) -> Table {
-    on_off_buffer_ablation(
+    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
+    let rows = sweep(
         engine,
-        scale,
+        &scale.speeds,
+        &[true, false],
+        &scale.tour_seeds,
+        || Server::new(&scene),
+        |server, &speed, &multires, seed| {
+            let cfg = SystemConfig {
+                buffer_bytes: 32.0 * 1024.0,
+                multires,
+                ..Default::default()
+            };
+            let tour = tour(scale.ticks, speed, seed, true);
+            let mut p = MotionAwarePrefetcher::new(4);
+            [buffer_stats(server, &scene, &tour, &mut p, &cfg)[0]]
+        },
+    );
+    table(
         "abl_multires",
         "cache hit rate: speed-scaled resolutions on/off (32 KB)",
+        "speed",
         ["multires", "full_res_only"],
-        |multires| SystemConfig {
-            buffer_bytes: 32.0 * 1024.0,
-            multires,
-            ..Default::default()
-        },
+        scale.speeds.iter().copied(),
+        rows,
     )
 }
 
 /// Speed-smoothing ablation: total KB retrieved per 1000 units on a
-/// station-heavy tram tour, with raw vs smoothed MapSpeedToResolution
-/// input. One point per (speed, smoothed, seed).
+/// station-heavy tram tour, with smoothed vs raw MapSpeedToResolution
+/// input.
 pub fn abl_smoothing(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let points: Vec<(f64, bool, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| {
-            [true, false]
-                .into_iter()
-                .flat_map(move |sm| scale.tour_seeds.iter().map(move |&sd| (sp, sm, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &[true, false],
+        &scale.tour_seeds,
         || Server::new(&scene),
-        |server, &(speed, smoothed, seed)| {
-            let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, speed));
-            let mut client = IncrementalClient::connect(server);
-            let mut smoother = SmoothedSpeed::default();
-            let mut first = 0.0;
-            for (i, s) in tour.samples.iter().enumerate() {
-                let sp = if smoothed {
-                    smoother.update(s.speed)
-                } else {
-                    s.speed
-                };
-                let frame = frame_at(&paper_space(), &s.pos, 0.1);
-                let r = client.tick(server, frame, sp);
-                if i == 0 {
-                    first = r.bytes;
-                }
-            }
-            let dist = tour.distance().max(1.0);
-            (client.metrics().bytes - first) / 1024.0 * 1000.0 / dist
+        |server, &speed, &smoothed, seed| {
+            let tour = tour(scale.ticks, speed, seed, true);
+            [retrieval_kb_per_kdist(&scene, server, &tour, 0.1, smoothed)]
         },
     );
-    let mut t = Table::new(
+    table(
         "abl_smoothing",
         "retrieval (KB/1000 units): raw vs smoothed speed mapping (tram)",
         "speed",
-        vec!["smoothed_kb".into(), "raw_kb".into()],
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_speed = 2 * seeds;
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * per_speed..(i + 1) * per_speed];
-        t.push(speed, chunk.chunks(seeds).map(mean).collect());
-    }
-    t
+        ["smoothed_kb", "raw_kb"],
+        scale.speeds.iter().copied(),
+        rows,
+    )
 }
 
 /// Out-of-core buffer-pool ablation: tour-workload hit rate of the
 /// Eq. 2 motion-aware eviction policy vs plain LRU across pool budgets.
 /// The index is serialized to a scratch page file once, and every
 /// (budget, policy, seed) point reopens it with its own pool and replays
-/// the serve-style tour workload against it. One point per (budget,
-/// policy, seed); the transcript-level answers are backend-invariant, so
-/// only the pool's hit rate distinguishes the columns.
+/// the serve-style tour workload against it. The transcript-level answers
+/// are backend-invariant, so only the pool's hit rate distinguishes the
+/// columns.
 pub fn abl_store(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = Arc::new(SceneIndexData::build(&scene));
@@ -315,81 +214,58 @@ pub fn abl_store(engine: &Engine, scale: &Scale) -> Table {
         ("lru", CachePolicy::Lru),
     ];
     let budgets_kb = [16usize, 32, 64, 128];
-    let points: Vec<(usize, usize, u64)> = budgets_kb
-        .iter()
-        .flat_map(|&kb| {
-            (0..policies.len())
-                .flat_map(move |pi| scale.tour_seeds.iter().map(move |&sd| (kb, pi, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &budgets_kb,
+        &policies,
+        &scale.tour_seeds,
         || (),
-        |_, &(kb, pi, seed)| {
-            let index = WaveletIndex::open_paged(&path, kb * 1024, policies[pi].1)
+        |_, &kb, &(_, policy), seed| {
+            let index = WaveletIndex::open_paged(&path, kb * 1024, policy)
                 // mar-lint: allow(D004) — the file was written above; failing to reopen it is fatal
                 .expect("reopen page file");
-            let server =
-                Server::from_core(ServerCore::from_parts(Arc::clone(&data), Arc::new(index)));
-            const SESSIONS: usize = 4;
-            const FRAME_FRAC: f64 = 0.1;
-            let tours: Vec<_> = (0..SESSIONS)
-                .map(|k| session_tour(scene.config.space, scale.ticks, seed, k))
-                .collect();
-            let sessions: Vec<u64> = (0..SESSIONS).map(|_| server.connect()).collect();
-            for tick in 0..scale.ticks {
-                for (k, &c) in sessions.iter().enumerate() {
-                    let s = &tours[k].samples[tick];
-                    let frame = frame_at(&scene.config.space, &s.pos, FRAME_FRAC);
-                    let q = [QueryRegion {
-                        region: frame,
-                        band: LinearSpeedMap.band_for(s.speed),
-                    }];
-                    server
-                        .query(c, &q)
-                        // mar-lint: allow(D004) — sessions were minted by the connect loop above
-                        .expect("abl_store session vanished");
-                }
-            }
-            let stats = server
-                .index()
-                .cache_stats()
-                // mar-lint: allow(D004) — the index was opened paged above
-                .expect("paged index has a pool");
-            stats.hit_ratio()
+            let space = scene.config.space;
+            [replay_pool_tours(&data, index, space, scale.ticks, seed).hit_ratio()]
         },
     );
     let _ = std::fs::remove_file(&path);
-    let mut t = Table::new(
+    table(
         "abl_store",
         "buffer-pool hit rate: motion-aware vs LRU eviction (paged store)",
         "pool_kb",
-        policies.iter().map(|(n, _)| n.to_string()).collect(),
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_kb = policies.len() * seeds;
-    for (i, &kb) in budgets_kb.iter().enumerate() {
-        let chunk = &results[i * per_kb..(i + 1) * per_kb];
-        t.push(kb as f64, chunk.chunks(seeds).map(mean).collect());
-    }
-    t
+        policies.iter().map(|(n, _)| n),
+        budgets_kb.iter().map(|&kb| kb as f64),
+        rows,
+    )
 }
 
 /// Direction-estimator ablation: Kalman/RLS block probabilities vs the
 /// \[15\]-style empirical Markov direction model.
 pub fn abl_direction(engine: &Engine, scale: &Scale) -> Table {
-    // Column order is (kalman, markov) = (flag false, flag true), so the
-    // on/off runner's `[true, false]` order is inverted via the flag.
-    on_off_buffer_ablation(
+    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
+    let rows = sweep(
         engine,
-        scale,
+        &scale.speeds,
+        &[false, true],
+        &scale.tour_seeds,
+        || Server::new(&scene),
+        |server, &speed, &markov_directions, seed| {
+            let cfg = SystemConfig {
+                buffer_bytes: 32.0 * 1024.0,
+                markov_directions,
+                ..Default::default()
+            };
+            let tour = tour(scale.ticks, speed, seed, true);
+            let mut p = MotionAwarePrefetcher::new(4);
+            [buffer_stats(server, &scene, &tour, &mut p, &cfg)[0]]
+        },
+    );
+    table(
         "abl_direction",
         "cache hit rate: Kalman/RLS vs Markov direction estimation (32 KB)",
+        "speed",
         ["kalman_rls", "markov"],
-        |kalman_first| SystemConfig {
-            buffer_bytes: 32.0 * 1024.0,
-            markov_directions: !kalman_first,
-            ..Default::default()
-        },
+        scale.speeds.iter().copied(),
+        rows,
     )
 }

@@ -20,13 +20,12 @@ use criterion::{black_box, BenchmarkGroup, Criterion, Measurement};
 use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::figs;
 use mar_bench::report::{gate_entries, render, Json};
-use mar_bench::serve::{session_tour, TOUR_SEED};
+use mar_bench::serve::{replay_pool_tours, session_tour, POOL_SESSIONS, TOUR_SEED};
 use mar_bench::Scale;
 use mar_buffer::{MotionHeat, SlotHeats};
 use mar_core::{
-    page_checksum, CachePolicy, LinearSpeedMap, PageCache, PageFile, QueryRegion, QueryResult,
-    SceneIndexData, SentFilter, Server, ServerCore, Sessions, SpeedResolutionMap, VictimPlan,
-    WaveletIndex, PAGE_SIZE, SESSION_STRIPES,
+    page_checksum, CachePolicy, PageCache, PageFile, QueryRegion, QueryResult, SceneIndexData,
+    SentFilter, Server, ServerCore, Sessions, VictimPlan, WaveletIndex, PAGE_SIZE, SESSION_STRIPES,
 };
 use mar_geom::{Point2, Rect2, Rect3};
 use mar_mesh::ResolutionBand;
@@ -672,69 +671,36 @@ fn bench_io(
     // Tour hit ratio: replay the serving tours through a starved pool
     // under each policy. One deterministic replay per policy — the ratio
     // is exact, not sampled; the wall time rides along as `mean_ns`.
-    const TOUR_SESSIONS: usize = 4;
-    const TOUR_FRAME_FRAC: f64 = 0.1;
-    let tours: Vec<_> = (0..TOUR_SESSIONS)
-        .map(|k| session_tour(scene.config.space, ms.io_ticks, TOUR_SEED, k))
-        .collect();
-    let mut ratios = Vec::new();
+    let mut summary = Vec::new();
     for (name, policy) in [
         ("tour_hit_ratio_motion", CachePolicy::MotionAware),
         ("tour_hit_ratio_lru", CachePolicy::Lru),
     ] {
         let index = open(IO_TOUR_BUDGET, policy);
-        let server = Server::from_core(ServerCore::from_parts(data.clone(), Arc::new(index)));
-        let sessions: Vec<u64> = (0..TOUR_SESSIONS).map(|_| server.connect()).collect();
         // mar-lint: allow(D003) — wall-time measurement is this harness's job
         let t0 = std::time::Instant::now();
-        for tick in 0..ms.io_ticks {
-            for (k, &c) in sessions.iter().enumerate() {
-                let s = &tours[k].samples[tick];
-                let frame = frame_at(&scene.config.space, &s.pos, TOUR_FRAME_FRAC);
-                let q = [QueryRegion {
-                    region: frame,
-                    band: LinearSpeedMap.band_for(s.speed),
-                }];
-                server
-                    .query(c, &q)
-                    // mar-lint: allow(D004) — sessions were minted by the connect loop above and live until teardown
-                    .expect("micro: io tour session vanished");
-            }
-        }
+        let stats = replay_pool_tours(data, index, scene.config.space, ms.io_ticks, TOUR_SEED);
         let ns = t0.elapsed().as_nanos() as f64;
-        for &c in &sessions {
-            server
-                .disconnect(c)
-                // mar-lint: allow(D004) — sessions were minted by the connect loop above
-                .expect("micro: io tour session vanished");
-        }
-        let stats = server
-            .index()
-            .cache_stats()
-            // mar-lint: allow(D004) — the index was opened paged three lines up
-            .expect("micro: paged index has a pool");
         let reads = (stats.hits + stats.faults).max(1);
         let ratio = stats.hits as f64 / reads as f64;
-        ratios.push(ratio);
+        summary.push(format!(
+            "{policy:?} {ratio:.4} ({} evictions)",
+            stats.evictions
+        ));
         let m = Measurement {
             mean_ns: ns,
             min_ns: ns,
             max_ns: ns,
             iters: 1,
         };
-        let ops_per_iter = (TOUR_SESSIONS * ms.io_ticks) as u64;
+        let ops_per_iter = (POOL_SESSIONS * ms.io_ticks) as u64;
         rec.record(name.into(), m, ops_per_iter, Some(ratio));
         eprintln!(
             "  io/{name}: hit ratio {ratio:.4} ({} hits / {} faults)",
             stats.hits, stats.faults
         );
     }
-    if ratios[0] <= ratios[1] {
-        eprintln!(
-            "micro: WARNING — motion-aware hit ratio {:.4} does not beat LRU {:.4} on this scene",
-            ratios[0], ratios[1]
-        );
-    }
+    eprintln!("micro: tour hit ratio {}", summary.join(", "));
 }
 
 /// The CI perf smoke gate: every `window_query`, `io`, `session_filter`

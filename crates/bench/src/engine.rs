@@ -23,8 +23,8 @@
 //! session computes the same numbers on a fresh server as on one that has
 //! served other sweep points before.
 
-use crate::Scale;
-use mar_workload::{Placement, Scene, SceneConfig};
+use crate::{figs, Scale};
+use mar_workload::{Placement, Scene};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,13 +86,11 @@ impl SceneCache {
         let key = SceneKey::new(scale, objects, placement);
         // mar-lint: allow(D004) — poisoning implies a worker already panicked; propagate
         let mut scenes = self.scenes.lock().expect("scene cache poisoned");
-        Arc::clone(scenes.entry(key).or_insert_with(|| {
-            let mut cfg = SceneConfig::paper(objects, scale.scene_seed);
-            cfg.levels = scale.levels;
-            cfg.target_bytes = objects as f64 * scale.bytes_per_object;
-            cfg.placement = placement;
-            Arc::new(Scene::generate(cfg))
-        }))
+        Arc::clone(
+            scenes
+                .entry(key)
+                .or_insert_with(|| Arc::new(figs::build_scene(scale, objects, placement))),
+        )
     }
 
     /// Number of distinct scenes currently cached.

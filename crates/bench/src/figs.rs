@@ -1,18 +1,19 @@
 //! One row-generator per figure of §VII. See DESIGN.md §3 for the mapping
 //! and EXPERIMENTS.md for paper-vs-measured results.
 //!
-//! Every figure is expressed as a sweep over independent points (speed ×
-//! tour seed × size/fraction/combination) dispatched through
-//! [`Engine::run`](crate::engine::Engine::run): the points are enumerated
-//! in a fixed order, computed on however many workers the engine has, and
-//! reassembled in that order — so the tables are byte-identical whether
-//! the engine is serial or parallel (`crates/bench/tests/parallel.rs`).
+//! Every figure and ablation but fig13b is one `sweep`: its rows (the x
+//! axis), its columns and the tour seeds span the points, one measurement
+//! closure computes a point on [`Engine::run`](crate::engine::Engine::run)'s
+//! workers, and each (row, column) is the mean over its seeds, summed in
+//! seed order — so the tables are byte-identical whether the engine is
+//! serial or parallel (`crates/bench/tests/parallel.rs`).
 
 use crate::engine::Engine;
 use crate::{Scale, Table};
 use mar_buffer::{MotionAwarePrefetcher, NaivePrefetcher, Prefetcher};
 use mar_core::system::{run_motion_aware_system, run_naive_system, SystemConfig};
 use mar_core::{IncrementalClient, NaivePointIndex, SceneIndexData, Server, WaveletIndex};
+use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 use mar_workload::{
     frame_at, paper_space, pedestrian_tour, tram_tour, Placement, Scene, SceneConfig, Tour,
@@ -30,11 +31,72 @@ pub fn build_scene(scale: &Scale, objects: usize, placement: Placement) -> Scene
     Scene::generate(cfg)
 }
 
-pub(crate) fn mean(v: &[f64]) -> f64 {
+fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
         0.0
     } else {
         v.iter().sum::<f64>() / v.len() as f64
+    }
+}
+
+/// Per-metric means of one (row, column)'s results, one per tour seed in
+/// seed order.
+fn seed_mean<const M: usize>(per_seed: &[[f64; M]]) -> [f64; M] {
+    std::array::from_fn(|m| mean(&per_seed.iter().map(|v| v[m]).collect::<Vec<_>>()))
+}
+
+/// The sweep behind every table: runs `measure` at each (row, column,
+/// tour seed) point, enumerated in that order, on the engine's workers
+/// (each owning one `init()` state), and returns per row and per metric
+/// the column values, each the [`seed_mean`] of its points.
+pub(crate) fn sweep<X: Sync, C: Sync, S, const M: usize>(
+    engine: &Engine,
+    rows: &[X],
+    cols: &[C],
+    seeds: &[u64],
+    init: impl Fn() -> S + Sync,
+    measure: impl Fn(&mut S, &X, &C, u64) -> [f64; M] + Sync,
+) -> Vec<[Vec<f64>; M]> {
+    let points: Vec<(usize, usize, u64)> = (0..rows.len())
+        .flat_map(|r| (0..cols.len()).flat_map(move |c| seeds.iter().map(move |&s| (r, c, s))))
+        .collect();
+    let results = engine.run(points, init, |state, &(r, c, seed)| {
+        measure(state, &rows[r], &cols[c], seed)
+    });
+    results
+        .chunks(cols.len() * seeds.len())
+        .map(|row| {
+            let means: Vec<[f64; M]> = row.chunks(seeds.len()).map(seed_mean).collect();
+            std::array::from_fn(|m| means.iter().map(|c| c[m]).collect())
+        })
+        .collect()
+}
+
+/// The table of `sweep` rows at x values `xs`: each row lists every
+/// metric's columns in turn.
+pub(crate) fn table<const M: usize>(
+    id: &'static str,
+    title: &'static str,
+    xlabel: &'static str,
+    columns: impl IntoIterator<Item = impl ToString>,
+    xs: impl IntoIterator<Item = f64>,
+    rows: Vec<[Vec<f64>; M]>,
+) -> Table {
+    let columns = columns.into_iter().map(|c| c.to_string()).collect();
+    let mut t = Table::new(id, title, xlabel, columns);
+    for (x, row) in xs.into_iter().zip(rows) {
+        t.push(x, row.concat());
+    }
+    t
+}
+
+/// The `ticks`-long tram (or pedestrian) tour at `speed`, seeded `seed`.
+pub(crate) fn tour(ticks: usize, speed: f64, seed: u64, tram: bool) -> Tour {
+    let cfg = TourConfig::new(paper_space(), ticks, seed, speed);
+    if tram {
+        tram_tour(&cfg)
+    } else {
+        pedestrian_tour(&cfg)
     }
 }
 
@@ -53,15 +115,27 @@ fn ticks_for_distance(scale: &Scale, speed: f64) -> usize {
 }
 
 /// KB retrieved per 1000 units of distance traveled by the incremental
-/// client (the initial frame fill is excluded — the paper's tours are long
-/// enough to amortise it away, ours are capped).
-fn retrieval_kb_per_kdist(scene: &Scene, server: &Server, tour: &Tour, frac: f64) -> f64 {
+/// client, which maps the smoothed (or, `smoothed` false, the raw) speed
+/// to a resolution. The initial frame fill is excluded — the paper's
+/// tours are long enough to amortise it away, ours are capped.
+pub(crate) fn retrieval_kb_per_kdist(
+    scene: &Scene,
+    server: &Server,
+    tour: &Tour,
+    frac: f64,
+    smoothed: bool,
+) -> f64 {
     let mut client = IncrementalClient::connect(server);
     let mut smooth = mar_core::SmoothedSpeed::default();
     let mut first_bytes = 0.0;
     for (i, s) in tour.samples.iter().enumerate() {
         let frame = frame_at(&scene.config.space, &s.pos, frac);
-        let r = client.tick(server, frame, smooth.update(s.speed));
+        let speed = if smoothed {
+            smooth.update(s.speed)
+        } else {
+            s.speed
+        };
+        let r = client.tick(server, frame, speed);
         if i == 0 {
             first_bytes = r.bytes;
         }
@@ -70,413 +144,299 @@ fn retrieval_kb_per_kdist(scene: &Scene, server: &Server, tour: &Tour, frac: f64
     (client.metrics().bytes - first_bytes) / 1024.0 * 1000.0 / distance
 }
 
-/// Means of per-seed results, regrouped row-by-row: `results` is laid out
-/// `[outer0: seed0..seedN, outer1: seed0..seedN, ...]` and each chunk of
-/// `seeds` consecutive values is averaged. Accumulation order equals the
-/// point order, so the output is schedule-independent.
-fn mean_per_chunk(results: &[f64], seeds: usize) -> Vec<f64> {
-    results.chunks(seeds).map(mean).collect()
-}
-
-/// Fig. 8 — effect of speed on data retrieval (tram vs pedestrian). One
-/// sweep point per (speed, tour seed), each worker owning its own
-/// [`Server`] over the shared scene.
-pub fn fig8(engine: &Engine, scale: &Scale) -> Table {
-    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let points: Vec<(f64, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| scale.tour_seeds.iter().map(move |&sd| (sp, sd)))
-        .collect();
-    let results = engine.run(
-        points,
-        || Server::new(&scene),
-        |server, &(speed, seed)| {
-            let ticks = ticks_for_distance(scale, speed);
-            let tcfg = TourConfig::new(paper_space(), ticks, seed, speed);
-            (
-                retrieval_kb_per_kdist(&scene, server, &tram_tour(&tcfg), 0.1),
-                retrieval_kb_per_kdist(&scene, server, &pedestrian_tour(&tcfg), 0.1),
-            )
-        },
-    );
-    let mut t = Table::new(
-        "fig8",
-        "data retrieved (KB per 1000 units traveled) vs speed",
-        "speed",
-        vec!["tram_kb_per_kdist".into(), "walk_kb_per_kdist".into()],
-    );
-    let seeds = scale.tour_seeds.len();
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * seeds..(i + 1) * seeds];
-        let tram: Vec<f64> = chunk.iter().map(|r| r.0).collect();
-        let walk: Vec<f64> = chunk.iter().map(|r| r.1).collect();
-        t.push(speed, vec![mean(&tram), mean(&walk)]);
-    }
-    t
-}
-
-/// Fig. 9(a) — retrieval vs speed for query sizes 5–20 % (tram tours).
-/// One point per (speed, query fraction, seed).
-pub fn fig9a(engine: &Engine, scale: &Scale) -> Table {
-    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let fracs = [0.05, 0.10, 0.15, 0.20];
-    let points: Vec<(f64, f64, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| {
-            fracs
-                .iter()
-                .flat_map(move |&f| scale.tour_seeds.iter().map(move |&sd| (sp, f, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
-        || Server::new(&scene),
-        |server, &(speed, frac, seed)| {
-            let ticks = ticks_for_distance(scale, speed);
-            let tour = tram_tour(&TourConfig::new(paper_space(), ticks, seed, speed));
-            retrieval_kb_per_kdist(&scene, server, &tour, frac)
-        },
-    );
-    let mut t = Table::new(
-        "fig9a",
-        "KB per 1000 units vs speed, per query size (tram)",
-        "speed",
-        fracs
-            .iter()
-            .map(|f| format!("q{:.0}%_kb", f * 100.0))
-            .collect(),
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_speed = fracs.len() * seeds;
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * per_speed..(i + 1) * per_speed];
-        t.push(speed, mean_per_chunk(chunk, seeds));
-    }
-    t
-}
-
-/// Fig. 9(b) — retrieval vs speed for dataset sizes 20–80 MB (tram tours).
-/// One point per (speed, dataset size, seed); each worker lazily builds a
-/// server per size it encounters, over the engine-cached scenes.
-pub fn fig9b(engine: &Engine, scale: &Scale) -> Table {
-    let sizes = [100usize, 200, 300, 400];
-    let scaled: Vec<usize> = sizes
-        .iter()
-        .map(|&n| (n * scale.objects_default / 300).max(4))
-        .collect();
-    let scenes: Vec<Arc<Scene>> = scaled
-        .iter()
-        .map(|&n| engine.scene(scale, n, Placement::Uniform))
-        .collect();
-    let points: Vec<(f64, usize, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| {
-            (0..scenes.len())
-                .flat_map(move |si| scale.tour_seeds.iter().map(move |&sd| (sp, si, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
-        || scenes.iter().map(|_| None).collect::<Vec<Option<Server>>>(),
-        |servers, &(speed, si, seed)| {
-            let server = servers[si].get_or_insert_with(|| Server::new(&scenes[si]));
-            let ticks = ticks_for_distance(scale, speed);
-            let tour = tram_tour(&TourConfig::new(paper_space(), ticks, seed, speed));
-            retrieval_kb_per_kdist(&scenes[si], server, &tour, 0.1)
-        },
-    );
-    let mut t = Table::new(
-        "fig9b",
-        "KB per 1000 units vs speed, per dataset size (tram)",
-        "speed",
-        sizes.iter().map(|n| format!("{}MB_kb", n / 5)).collect(),
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_speed = scenes.len() * seeds;
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * per_speed..(i + 1) * per_speed];
-        t.push(speed, mean_per_chunk(chunk, seeds));
-    }
-    t
-}
-
-/// The four prefetcher/tour combinations every buffer experiment sweeps.
-const BUFFER_COMBOS: [(bool, bool); 4] = [
-    (true, true),   // motion-aware, tram
-    (true, false),  // motion-aware, pedestrian
-    (false, true),  // naive, tram
-    (false, false), // naive, pedestrian
-];
-
-/// Runs one buffer-experiment sweep point: the given tour kind under the
-/// given prefetcher. Returns `(hit_rate, utilization)`.
-fn buffer_sim_point(
+/// The buffered client's cache `[hit rate, utilization]` over `tour`
+/// under `prefetcher`.
+pub(crate) fn buffer_stats(
     server: &Server,
     scene: &Scene,
     tour: &Tour,
-    motion_aware: bool,
+    prefetcher: &mut dyn Prefetcher,
     cfg: &SystemConfig,
-) -> (f64, f64) {
-    let (mut ma, mut naive) = (MotionAwarePrefetcher::new(4), NaivePrefetcher);
-    let p: &mut dyn Prefetcher = if motion_aware { &mut ma } else { &mut naive };
-    let m = run_motion_aware_system(server, scene, tour, p, cfg).cache;
-    (m.hit_rate(), m.utilization())
+) -> [f64; 2] {
+    let m = run_motion_aware_system(server, scene, tour, prefetcher, cfg).cache;
+    [m.hit_rate(), m.utilization()]
 }
 
-/// Shared engine runner for the buffer experiments: for each x, a
-/// `(SystemConfig, speed)` pair; points fan out over
-/// (x, combo, seed) and each worker reuses one server (simulations open
+/// Average index I/O per query frame of `tour`, `io` counting the node
+/// accesses of one frame at the sample's speed band.
+pub(crate) fn io_per_query(
+    tour: &Tour,
+    frac: f64,
+    io: impl Fn(&Rect2, ResolutionBand) -> u64,
+) -> f64 {
+    let total: u64 = tour
+        .samples
+        .iter()
+        .map(|s| {
+            let frame = frame_at(&paper_space(), &s.pos, frac);
+            io(&frame, ResolutionBand::new(s.speed, 1.0))
+        })
+        .sum();
+    total as f64 / tour.len() as f64
+}
+
+/// Fig. 8 — effect of speed on data retrieval (tram vs pedestrian). Each
+/// worker owns its own [`Server`] over the shared scene.
+pub fn fig8(engine: &Engine, scale: &Scale) -> Table {
+    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &[true, false],
+        &scale.tour_seeds,
+        || Server::new(&scene),
+        |server, &speed, &tram, seed| {
+            let tour = tour(ticks_for_distance(scale, speed), speed, seed, tram);
+            [retrieval_kb_per_kdist(&scene, server, &tour, 0.1, true)]
+        },
+    );
+    table(
+        "fig8",
+        "data retrieved (KB per 1000 units traveled) vs speed",
+        "speed",
+        ["tram_kb_per_kdist", "walk_kb_per_kdist"],
+        scale.speeds.iter().copied(),
+        rows,
+    )
+}
+
+/// Fig. 9(a) — retrieval vs speed for query sizes 5–20 % (tram tours).
+pub fn fig9a(engine: &Engine, scale: &Scale) -> Table {
+    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
+    let fracs = [0.05, 0.10, 0.15, 0.20];
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &fracs,
+        &scale.tour_seeds,
+        || Server::new(&scene),
+        |server, &speed, &frac, seed| {
+            let tour = tour(ticks_for_distance(scale, speed), speed, seed, true);
+            [retrieval_kb_per_kdist(&scene, server, &tour, frac, true)]
+        },
+    );
+    table(
+        "fig9a",
+        "KB per 1000 units vs speed, per query size (tram)",
+        "speed",
+        fracs.iter().map(|f| format!("q{:.0}%_kb", f * 100.0)),
+        scale.speeds.iter().copied(),
+        rows,
+    )
+}
+
+/// The dataset sizes fig9b and fig13b sweep: paper-scale object counts
+/// (0.2 MB each, so 20–80 MB), scaled to the scale's default dataset.
+const DATASETS: [usize; 4] = [100, 200, 300, 400];
+
+/// The engine-cached uniform scene of paper-scale dataset size `n`.
+fn dataset_scene(engine: &Engine, scale: &Scale, n: usize) -> Arc<Scene> {
+    let objects = (n * scale.objects_default / 300).max(4);
+    engine.scene(scale, objects, Placement::Uniform)
+}
+
+/// Fig. 9(b) — retrieval vs speed for dataset sizes 20–80 MB (tram tours).
+/// Each worker lazily builds a server per size it encounters, over the
+/// engine-cached scenes.
+pub fn fig9b(engine: &Engine, scale: &Scale) -> Table {
+    let scenes = DATASETS.map(|n| dataset_scene(engine, scale, n));
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &(0..scenes.len()).collect::<Vec<_>>(),
+        &scale.tour_seeds,
+        || scenes.iter().map(|_| None).collect::<Vec<Option<Server>>>(),
+        |servers, &speed, &si, seed| {
+            let scene = &scenes[si];
+            let server = servers[si].get_or_insert_with(|| Server::new(scene));
+            let tour = tour(ticks_for_distance(scale, speed), speed, seed, true);
+            [retrieval_kb_per_kdist(scene, server, &tour, 0.1, true)]
+        },
+    );
+    table(
+        "fig9b",
+        "KB per 1000 units vs speed, per dataset size (tram)",
+        "speed",
+        DATASETS.map(|n| format!("{}MB_kb", n / 5)),
+        scale.speeds.iter().copied(),
+        rows,
+    )
+}
+
+/// The `(motion-aware, tram)` prefetcher/tour combinations every buffer
+/// figure sweeps, in column order.
+const BUFFER_COMBOS: [(bool, bool); 4] =
+    [(true, true), (true, false), (false, true), (false, false)];
+
+/// The two tables of a buffer figure, `(id, title)` each: cache hit rate
+/// and data utilization at each x, where `at` gives the point's buffer
+/// size (KB) and speed. Each worker reuses one server (simulations open
 /// their own sessions, so reuse is exact).
-#[allow(clippy::too_many_arguments)] // two parallel tables share one sweep
 fn buffer_tables(
     engine: &Engine,
     scale: &Scale,
-    xs: &[f64],
-    mut cfg_of: impl FnMut(f64) -> (SystemConfig, f64),
-    id_hit: &'static str,
-    id_util: &'static str,
-    title_hit: &'static str,
-    title_util: &'static str,
+    tables: [(&'static str, &'static str); 2],
     xlabel: &'static str,
+    xs: &[f64],
+    at: impl Fn(f64) -> (f64, f64) + Sync,
 ) -> (Table, Table) {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let configs: Vec<(SystemConfig, f64)> = xs.iter().map(|&x| cfg_of(x)).collect();
-    let points: Vec<(usize, usize, u64)> = (0..xs.len())
-        .flat_map(|xi| {
-            (0..BUFFER_COMBOS.len())
-                .flat_map(move |ci| scale.tour_seeds.iter().map(move |&sd| (xi, ci, sd)))
-        })
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        xs,
+        &BUFFER_COMBOS,
+        &scale.tour_seeds,
         || Server::new(&scene),
-        |server, &(xi, ci, seed)| {
-            let (cfg, speed) = &configs[xi];
-            let (motion_aware, tram) = BUFFER_COMBOS[ci];
-            let tcfg = TourConfig::new(paper_space(), scale.ticks, seed, *speed);
-            let tour = if tram {
-                tram_tour(&tcfg)
-            } else {
-                pedestrian_tour(&tcfg)
+        |server, &x, &(motion_aware, tram), seed| {
+            let (kb, speed) = at(x);
+            let cfg = SystemConfig {
+                buffer_bytes: kb * 1024.0,
+                ..Default::default()
             };
-            buffer_sim_point(server, &scene, &tour, motion_aware, cfg)
+            let (mut ma, mut naive) = (MotionAwarePrefetcher::new(4), NaivePrefetcher);
+            let p: &mut dyn Prefetcher = if motion_aware { &mut ma } else { &mut naive };
+            let tour = tour(scale.ticks, speed, seed, tram);
+            buffer_stats(server, &scene, &tour, p, &cfg)
         },
     );
-    let cols = vec![
-        "ma_tram".to_string(),
-        "ma_walk".to_string(),
-        "naive_tram".to_string(),
-        "naive_walk".to_string(),
-    ];
-    let mut t_hit = Table::new(id_hit, title_hit, xlabel, cols.clone());
-    let mut t_util = Table::new(id_util, title_util, xlabel, cols);
-    let seeds = scale.tour_seeds.len();
-    let per_x = BUFFER_COMBOS.len() * seeds;
-    for (xi, &x) in xs.iter().enumerate() {
-        let chunk = &results[xi * per_x..(xi + 1) * per_x];
-        let hits: Vec<f64> = chunk.iter().map(|r| r.0).collect();
-        let utils: Vec<f64> = chunk.iter().map(|r| r.1).collect();
-        t_hit.push(x, mean_per_chunk(&hits, seeds));
-        t_util.push(x, mean_per_chunk(&utils, seeds));
-    }
-    (t_hit, t_util)
+    let (hit, util) = rows.into_iter().map(|[h, u]| ([h], [u])).unzip();
+    let columns = ["ma_tram", "ma_walk", "naive_tram", "naive_walk"];
+    let [hit_table, util_table] = [(tables[0], hit), (tables[1], util)]
+        .map(|((id, title), rows)| table(id, title, xlabel, columns, xs.iter().copied(), rows));
+    (hit_table, util_table)
 }
 
 /// Fig. 10(a)+(b) — cache hit rate and data utilization vs buffer size
 /// (16–128 KB), motion-aware vs naive, tram & pedestrian.
 pub fn fig10(engine: &Engine, scale: &Scale) -> (Table, Table) {
-    let sizes = [16.0, 32.0, 64.0, 128.0];
     buffer_tables(
         engine,
         scale,
-        &sizes,
-        |kb| {
-            (
-                SystemConfig {
-                    buffer_bytes: kb * 1024.0,
-                    ..Default::default()
-                },
-                0.5,
-            )
-        },
-        "fig10a",
-        "fig10b",
-        "cache hit rate vs buffer size (KB)",
-        "data utilization vs buffer size (KB)",
+        [
+            ("fig10a", "cache hit rate vs buffer size (KB)"),
+            ("fig10b", "data utilization vs buffer size (KB)"),
+        ],
         "buffer_kb",
+        &[16.0, 32.0, 64.0, 128.0],
+        |kb| (kb, 0.5),
     )
 }
 
 /// Fig. 11(a)+(b) — cache hit rate and data utilization vs speed
 /// (multiresolution buffering), 64 KB buffer.
 pub fn fig11(engine: &Engine, scale: &Scale) -> (Table, Table) {
-    let speeds = scale.speeds.clone();
     buffer_tables(
         engine,
         scale,
-        &speeds,
-        |speed| {
-            (
-                SystemConfig {
-                    buffer_bytes: 64.0 * 1024.0,
-                    ..Default::default()
-                },
-                speed,
-            )
-        },
-        "fig11a",
-        "fig11b",
-        "cache hit rate vs speed (64 KB buffer)",
-        "data utilization vs speed (64 KB buffer)",
+        [
+            ("fig11a", "cache hit rate vs speed (64 KB buffer)"),
+            ("fig11b", "data utilization vs speed (64 KB buffer)"),
+        ],
         "speed",
+        &scale.speeds,
+        |speed| (64.0, speed),
     )
 }
 
-/// Average index I/O per query frame over one tram tour for both access
-/// methods. Queries are read-only — the indexes are shared across workers.
+/// The support-region index and the naive point index over `scene`.
+fn index_pair(scene: &Scene) -> (WaveletIndex, NaivePointIndex) {
+    let data = SceneIndexData::build(scene);
+    (WaveletIndex::build(&data), NaivePointIndex::build(&data))
+}
+
+/// Average I/O per query frame of one tram tour, `[support-region index,
+/// naive point index]`. Queries are read-only — the indexes are shared
+/// across workers.
 fn index_io_seed(
-    good: &WaveletIndex,
-    naive: &NaivePointIndex,
+    (good, naive): &(WaveletIndex, NaivePointIndex),
     scale: &Scale,
     speed: f64,
     frac: f64,
     seed: u64,
-) -> (f64, f64) {
-    let tour = tram_tour(&TourConfig::new(paper_space(), scale.ticks, seed, speed));
-    let mut g = 0u64;
-    let mut n = 0u64;
-    for s in &tour.samples {
-        let frame = frame_at(&paper_space(), &s.pos, frac);
-        let band = ResolutionBand::new(s.speed, 1.0);
-        g += good.query(&frame, band).1;
-        n += naive.query(&frame, band).1;
-    }
-    (g as f64 / tour.len() as f64, n as f64 / tour.len() as f64)
+) -> [f64; 2] {
+    let tour = tour(scale.ticks, speed, seed, true);
+    [
+        io_per_query(&tour, frac, |frame, band| good.query(frame, band).1),
+        io_per_query(&tour, frac, |frame, band| naive.query(frame, band).1),
+    ]
 }
 
-/// Regroups per-seed `(good, naive)` I/O pairs into per-x mean rows.
-fn index_io_rows(results: &[(f64, f64)], seeds: usize) -> Vec<Vec<f64>> {
-    results
-        .chunks(seeds)
-        .map(|chunk| {
-            let g: Vec<f64> = chunk.iter().map(|r| r.0).collect();
-            let n: Vec<f64> = chunk.iter().map(|r| r.1).collect();
-            vec![mean(&g), mean(&n)]
-        })
-        .collect()
-}
+/// Column names of the index I/O figures.
+const IO_COLUMNS: [&str; 2] = ["motion_aware_io", "naive_io"];
 
 /// Fig. 12 — index I/O vs speed: support-region index vs naive point
-/// index. Indexes built once, shared read-only across workers; one point
-/// per (speed, seed).
+/// index, both built once.
 pub fn fig12(engine: &Engine, scale: &Scale) -> Table {
-    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let data = SceneIndexData::build(&scene);
-    let good = WaveletIndex::build(&data);
-    let naive = NaivePointIndex::build(&data);
-    let points: Vec<(f64, u64)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| scale.tour_seeds.iter().map(move |&sd| (sp, sd)))
-        .collect();
-    let results = engine.run(
-        points,
+    let indexes = index_pair(&engine.scene(scale, scale.objects_default, Placement::Uniform));
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &[()],
+        &scale.tour_seeds,
         || (),
-        |_, &(speed, seed)| index_io_seed(&good, &naive, scale, speed, 0.1, seed),
+        |_, &speed, _, seed| index_io_seed(&indexes, scale, speed, 0.1, seed),
     );
-    let mut t = Table::new(
+    table(
         "fig12",
         "index node accesses per query vs speed",
         "speed",
-        vec!["motion_aware_io".into(), "naive_io".into()],
-    );
-    for (&speed, row) in scale
-        .speeds
-        .iter()
-        .zip(index_io_rows(&results, scale.tour_seeds.len()))
-    {
-        t.push(speed, row);
-    }
-    t
+        IO_COLUMNS,
+        scale.speeds.iter().copied(),
+        rows,
+    )
 }
 
 /// Fig. 13(a) — index I/O vs query size at speed 0.5.
-/// One point per (query fraction, seed).
 pub fn fig13a(engine: &Engine, scale: &Scale) -> Table {
-    let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
-    let data = SceneIndexData::build(&scene);
-    let good = WaveletIndex::build(&data);
-    let naive = NaivePointIndex::build(&data);
+    let indexes = index_pair(&engine.scene(scale, scale.objects_default, Placement::Uniform));
     let fracs = [0.05, 0.10, 0.15, 0.20];
-    let points: Vec<(f64, u64)> = fracs
-        .iter()
-        .flat_map(|&f| scale.tour_seeds.iter().map(move |&sd| (f, sd)))
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &fracs,
+        &[()],
+        &scale.tour_seeds,
         || (),
-        |_, &(frac, seed)| index_io_seed(&good, &naive, scale, 0.5, frac, seed),
+        |_, &frac, _, seed| index_io_seed(&indexes, scale, 0.5, frac, seed),
     );
-    let mut t = Table::new(
+    table(
         "fig13a",
         "index node accesses per query vs query size (speed 0.5)",
         "query_pct",
-        vec!["motion_aware_io".into(), "naive_io".into()],
-    );
-    for (&frac, row) in fracs
-        .iter()
-        .zip(index_io_rows(&results, scale.tour_seeds.len()))
-    {
-        t.push(frac * 100.0, row);
-    }
-    t
+        IO_COLUMNS,
+        fracs.iter().map(|f| f * 100.0),
+        rows,
+    )
 }
 
 /// Fig. 13(b) — index I/O vs dataset size at speed 0.5, 10 % frames. One
-/// point per dataset size; each point builds its indexes over the
-/// engine-cached scene of that size.
+/// point per dataset size, which builds its indexes over the engine-cached
+/// scene of that size and runs every tour seed on them.
 pub fn fig13b(engine: &Engine, scale: &Scale) -> Table {
-    let sizes = [100usize, 200, 300, 400];
-    let scaled: Vec<usize> = sizes
-        .iter()
-        .map(|&n| (n * scale.objects_default / 300).max(4))
-        .collect();
-    let results = engine.run(
-        scaled.clone(),
+    let rows = engine.run(
+        DATASETS.to_vec(),
         || (),
         |_, &n| {
-            let scene = engine.scene(scale, n, Placement::Uniform);
-            let data = SceneIndexData::build(&scene);
-            let good = WaveletIndex::build(&data);
-            let naive = NaivePointIndex::build(&data);
-            let per_seed: Vec<(f64, f64)> = scale
+            let indexes = index_pair(&dataset_scene(engine, scale, n));
+            let per_seed: Vec<[f64; 2]> = scale
                 .tour_seeds
                 .iter()
-                .map(|&sd| index_io_seed(&good, &naive, scale, 0.5, 0.1, sd))
+                .map(|&seed| index_io_seed(&indexes, scale, 0.5, 0.1, seed))
                 .collect();
-            let g: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
-            let nv: Vec<f64> = per_seed.iter().map(|r| r.1).collect();
-            (mean(&g), mean(&nv))
+            seed_mean(&per_seed).map(|v| vec![v])
         },
     );
-    let mut t = Table::new(
+    table(
         "fig13b",
         "index node accesses per query vs dataset size (speed 0.5)",
         "dataset_mb",
-        vec!["motion_aware_io".into(), "naive_io".into()],
-    );
-    for (&label, &(g, n)) in sizes.iter().zip(&results) {
-        t.push((label / 5) as f64, vec![g, n]);
-    }
-    t
+        IO_COLUMNS,
+        DATASETS.map(|n| (n / 5) as f64),
+        rows,
+    )
 }
 
 /// Figs. 14 & 15 — end-to-end query response time vs speed, motion-aware
 /// vs naive system, for uniform (fig14) or Zipfian (fig15) data.
-/// One point per (speed, seed, tour kind).
 pub fn fig14_15(engine: &Engine, scale: &Scale, placement: Placement) -> Table {
     let (id, title): (&'static str, &'static str) = match placement {
         Placement::Uniform => ("fig14", "query response time (s) vs speed (uniform)"),
@@ -488,62 +448,26 @@ pub fn fig14_15(engine: &Engine, scale: &Scale, placement: Placement) -> Table {
         frame_frac: 0.05,
         ..Default::default()
     };
-    // Point order: speed → seed → (tram, walk).
-    let points: Vec<(f64, u64, bool)> = scale
-        .speeds
-        .iter()
-        .flat_map(|&sp| {
-            scale
-                .tour_seeds
-                .iter()
-                .flat_map(move |&sd| [(sp, sd, true), (sp, sd, false)])
-        })
-        .collect();
-    let results = engine.run(
-        points,
+    let rows = sweep(
+        engine,
+        &scale.speeds,
+        &[true, false],
+        &scale.tour_seeds,
         || Server::new(&scene),
-        |server, &(speed, seed, tram)| {
-            let tcfg = TourConfig::new(paper_space(), scale.ticks, seed, speed);
-            let tour = if tram {
-                tram_tour(&tcfg)
-            } else {
-                pedestrian_tour(&tcfg)
-            };
+        |server, &speed, &tram, seed| {
+            let tour = tour(scale.ticks, speed, seed, tram);
             let mut p = MotionAwarePrefetcher::new(4);
             let ma = run_motion_aware_system(server, &scene, &tour, &mut p, &cfg);
-            let nv = run_naive_system(server, &scene, &tour, &cfg);
-            (ma.mean_response(), nv.mean_response())
+            let naive = run_naive_system(server, &scene, &tour, &cfg);
+            [ma.mean_response(), naive.mean_response()]
         },
     );
-    let mut t = Table::new(
+    table(
         id,
         title,
         "speed",
-        vec![
-            "ma_tram_s".into(),
-            "ma_walk_s".into(),
-            "naive_tram_s".into(),
-            "naive_walk_s".into(),
-        ],
-    );
-    let seeds = scale.tour_seeds.len();
-    let per_speed = seeds * 2;
-    for (i, &speed) in scale.speeds.iter().enumerate() {
-        let chunk = &results[i * per_speed..(i + 1) * per_speed];
-        // chunk is [seed0 tram, seed0 walk, seed1 tram, ...].
-        let col = |kind: usize, which: fn(&(f64, f64)) -> f64| -> f64 {
-            let vals: Vec<f64> = chunk.iter().skip(kind).step_by(2).map(which).collect();
-            mean(&vals)
-        };
-        t.push(
-            speed,
-            vec![
-                col(0, |r| r.0),
-                col(1, |r| r.0),
-                col(0, |r| r.1),
-                col(1, |r| r.1),
-            ],
-        );
-    }
-    t
+        ["ma_tram_s", "ma_walk_s", "naive_tram_s", "naive_walk_s"],
+        scale.speeds.iter().copied(),
+        rows,
+    )
 }

@@ -166,6 +166,48 @@ pub fn session_tour(space: Rect2, ticks: usize, tour_seed: u64, k: usize) -> Tou
     }
 }
 
+/// Sessions replaying tours in [`replay_pool_tours`].
+pub const POOL_SESSIONS: usize = 4;
+
+/// The buffer-pool counters after [`POOL_SESSIONS`] sessions replay their
+/// [`session_tour`]s, `ticks` long and seeded from `tour_seed`, against
+/// a fresh server over the paged `index`: one query per session per tick,
+/// a 10 % frame at the [`LinearSpeedMap`] band of the tour's speed.
+///
+/// # Panics
+/// When `index` is not paged.
+pub fn replay_pool_tours(
+    data: &Arc<SceneIndexData>,
+    index: WaveletIndex,
+    space: Rect2,
+    ticks: usize,
+    tour_seed: u64,
+) -> PageCacheStats {
+    let server = Server::from_core(ServerCore::from_parts(Arc::clone(data), Arc::new(index)));
+    let tours: Vec<Tour> = (0..POOL_SESSIONS)
+        .map(|k| session_tour(space, ticks, tour_seed, k))
+        .collect();
+    let sessions: Vec<u64> = tours.iter().map(|_| server.connect()).collect();
+    for tick in 0..ticks {
+        for (tour, &session) in tours.iter().zip(&sessions) {
+            let s = &tour.samples[tick];
+            let q = [QueryRegion {
+                region: frame_at(&space, &s.pos, 0.1),
+                band: LinearSpeedMap.band_for(s.speed),
+            }];
+            server
+                .query(session, &q)
+                // mar-lint: allow(D004) — sessions were minted by the connect loop above
+                .expect("replay session vanished");
+        }
+    }
+    server
+        .index()
+        .cache_stats()
+        // mar-lint: allow(D004) — documented contract: the caller passes a paged index
+        .expect("replayed index is paged")
+}
+
 /// What a client looks at in one tick, and how fast it is moving.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct View {

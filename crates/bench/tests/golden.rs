@@ -1,13 +1,15 @@
-//! Golden-output regression test: regenerates three small figure tables
-//! and asserts each CSV is byte-identical to its committed fixture.
+//! Golden-output regression test: regenerates every table of
+//! `EXPERIMENTS` at a reduced scale and asserts each CSV is byte-identical
+//! to its committed fixture.
 //!
 //! The full reproduction (`results/*.csv`) is the real determinism
-//! contract, but it takes too long for the test suite. This pins a scaled
-//! down fig13a (the index path), fig10a and fig14 (the buffered client's
-//! two gauges: cache hit rate and response time) instead: any change that
-//! perturbs float operation order or values anywhere along the pipeline
-//! (scene generation, prediction, indexing, query counting, prefetch
-//! planning) shows up here as a one-line diff.
+//! contract, but it takes too long for the test suite. This pins all 19
+//! tables scaled down instead, and fig13a (the index path), fig10a and
+//! fig14 (the buffered client's two gauges: cache hit rate and response
+//! time) in tests of their own: any change that perturbs float operation
+//! order or values anywhere along the pipeline (scene generation,
+//! prediction, indexing, query counting, prefetch planning, the sweep's
+//! seed means) shows up here as a one-line diff.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -18,7 +20,7 @@
 //! then re-run without the variable and commit the updated fixture.
 
 use mar_bench::engine::Engine;
-use mar_bench::{figs, Scale, Table};
+use mar_bench::{figs, Scale, Table, EXPERIMENTS};
 use mar_workload::Placement;
 
 /// The reduced scale: same shape as `Scale::quick` but small enough that
@@ -75,4 +77,17 @@ fn fig14_small_matches_golden_csv() {
         &small_scale(),
         Placement::Uniform,
     ));
+}
+
+/// Every table of the registry, figures and ablations, at the reduced
+/// scale. The only test in this binary that runs `abl_store`, whose
+/// scratch page file is named per process.
+#[test]
+fn every_experiment_small_matches_golden_csv() {
+    let (engine, scale) = (Engine::serial(), small_scale());
+    for experiment in EXPERIMENTS {
+        for table in (experiment.run)(&engine, &scale) {
+            check_golden(&table);
+        }
+    }
 }
