@@ -16,9 +16,9 @@
 //! CI turns red on any resilience regression. The snapshot is a value:
 //! byte-identical for any `--jobs` and with or without `--paged`.
 
-use mar_bench::chaos::{run_chaos_backend, ChaosConfig};
+use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::harness::harness_main;
-use mar_bench::serve::ServeBackend;
+use mar_core::Residence;
 
 fn main() {
     harness_main("chaos", true, |opts, mode| {
@@ -28,19 +28,18 @@ fn main() {
             ChaosConfig::full(opts.jobs)
         };
         // Out-of-core mode replays the same grid over a store-backed core —
-        // the transcript must not change (DESIGN.md §15), only the backend.
+        // the transcript must not change (DESIGN.md §15), only the residence.
         let store_path =
             std::env::temp_dir().join(format!("mar-chaos-{}.pages", std::process::id()));
-        let backend = if opts.paged {
-            ServeBackend::Paged {
+        let residence = if opts.paged {
+            Residence::Paged {
                 path: store_path.clone(),
                 budget_bytes: 256 * 1024,
-                policy: mar_core::CachePolicy::MotionAware,
             }
         } else {
-            ServeBackend::Ram
+            Residence::Ram
         };
-        let report = run_chaos_backend(&cfg, &backend);
+        let report = run_chaos(&cfg, &residence);
         if opts.paged {
             let _ = std::fs::remove_file(&store_path);
         }

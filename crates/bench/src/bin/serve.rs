@@ -16,6 +16,7 @@
 
 use mar_bench::harness::harness_main;
 use mar_bench::serve::{run_serve, ServeConfig};
+use mar_core::Residence;
 
 fn main() {
     harness_main("serve", false, |opts, mode| {
@@ -24,6 +25,6 @@ fn main() {
         } else {
             ServeConfig::full(opts.jobs)
         };
-        (run_serve(&cfg).snapshot(mode), true)
+        (run_serve(&cfg, &Residence::Ram).snapshot(mode), true)
     });
 }

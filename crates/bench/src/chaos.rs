@@ -23,8 +23,8 @@
 
 use crate::grid::{run_grid, FaultSource, GridReport};
 use crate::report::Json;
-use crate::serve::{serve_scene, ServeBackend, ServeConfig, TourSession, View, TOUR_SEED};
-use mar_core::{ResilienceMetrics, ResilientClient, Server, ServerCore};
+use crate::serve::{serve_scene, ServeConfig, TourSession, View, TOUR_SEED};
+use mar_core::{Residence, ResilienceMetrics, ResilientClient, Server, ServerCore};
 use mar_link::{FaultConfig, FaultPlan, FaultyLink, LinkConfig};
 
 /// Fault-plan seed shared by every grid point (streams differ by `k`).
@@ -235,27 +235,19 @@ impl FaultSource for LinkFaults {
     }
 }
 
-/// Runs the chaos workload. The report is identical for any `cfg.serve.jobs`.
+/// Runs the chaos workload with the index on `residence`. The report is
+/// identical for any `cfg.serve.jobs` and either residence: the paged
+/// store answers byte-identically to RAM (DESIGN.md §15), so the
+/// invariant carries over out of core.
 ///
 /// # Panics
 /// Panics when the workload itself is miswired (empty grid, faulted grid
-/// point 0, zero ticks) — configuration bugs, not runtime faults.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    run_chaos_backend(cfg, &ServeBackend::Ram)
-}
-
-/// [`run_chaos`] against a chosen index backend. The report does not
-/// depend on the backend: the paged store answers byte-identically to RAM
-/// (DESIGN.md §15), so the invariant carries over out of core.
-///
-/// # Panics
-/// Panics on a miswired workload (see [`run_chaos`]) or when the page
-/// file backing a [`ServeBackend::Paged`] run cannot be written.
-pub fn run_chaos_backend(cfg: &ChaosConfig, backend: &ServeBackend) -> ChaosReport {
+/// point 0, zero ticks) — configuration bugs, not runtime faults — or
+/// when a [`Residence::Paged`] page file cannot be written.
+pub fn run_chaos(cfg: &ChaosConfig, residence: &Residence) -> ChaosReport {
     let serve = &cfg.serve;
     let scene = serve_scene(serve.objects, serve.levels);
-    let core = backend
-        .build_core(&scene, serve.jobs)
+    let core = ServerCore::build(&scene, residence, serve.jobs)
         // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
         .expect("chaos: cannot build the page-file backend");
     run_grid(&LinkFaults(core), &cfg.grid, scene.config.space, serve)
@@ -284,7 +276,7 @@ mod tests {
 
     #[test]
     fn chaos_invariant_holds_under_heavy_faults() {
-        let r = run_chaos(&tiny(1));
+        let r = run_chaos(&tiny(1), &Residence::Ram);
         assert!(r.invariant_ok, "resident sets diverged from fault-free run");
         assert_eq!(r.points.len(), 2);
         let faulted = &r.points[1];
@@ -307,13 +299,12 @@ mod tests {
             "mar-bench-chaos-paged-{}.pages",
             std::process::id()
         ));
-        let ram = run_chaos(&tiny(1));
-        let paged = run_chaos_backend(
+        let ram = run_chaos(&tiny(1), &Residence::Ram);
+        let paged = run_chaos(
             &tiny(1),
-            &ServeBackend::Paged {
+            &Residence::Paged {
                 path: path.clone(),
                 budget_bytes: 64 * 1024,
-                policy: mar_core::CachePolicy::MotionAware,
             },
         );
         let _ = std::fs::remove_file(&path);
@@ -329,12 +320,12 @@ mod tests {
 
     #[test]
     fn transcript_is_jobs_invariant() {
-        check_jobs_invariant(|jobs| run_chaos(&tiny(jobs)));
+        check_jobs_invariant(|jobs| run_chaos(&tiny(jobs), &Residence::Ram));
     }
 
     #[test]
     fn transcript_shape() {
-        check_shape(&run_chaos(&tiny(1)));
+        check_shape(&run_chaos(&tiny(1), &Residence::Ram));
     }
 
     #[test]
@@ -342,6 +333,6 @@ mod tests {
     fn grid_must_lead_with_the_fault_free_point() {
         let mut cfg = tiny(1);
         cfg.grid[0].loss = 0.1;
-        run_chaos(&cfg);
+        run_chaos(&cfg, &Residence::Ram);
     }
 }

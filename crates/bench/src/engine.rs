@@ -14,7 +14,7 @@
 //!   scheduling — `jobs = 1` and `jobs = N` produce the same tables
 //!   (enforced by `crates/bench/tests/parallel.rs`).
 //! * [`SceneCache`] memoises generated scenes by
-//!   `(objects, placement, levels, seed, target bytes)` so figures that
+//!   `(objects, levels, placement)` so figures that
 //!   sweep dataset sizes (fig9b, fig13b) or share the default dataset
 //!   (fig8–fig14) stop regenerating identical scenes.
 //!
@@ -29,38 +29,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cache key identifying a generated scene. `theta` and the byte target
-/// are stored as IEEE bit patterns so the key can be compared exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SceneKey {
-    /// Object count.
-    pub objects: usize,
-    /// Subdivision levels.
-    pub levels: usize,
-    /// Scene seed.
-    pub seed: u64,
-    /// Placement discriminant: `None` = uniform, `Some(bits)` = Zipf with
-    /// `theta = f64::from_bits(bits)`.
-    pub zipf_theta_bits: Option<u64>,
-    /// `target_bytes` as bits.
-    pub target_bytes_bits: u64,
-}
-
-impl SceneKey {
-    /// The key for `objects` objects under `scale`'s parameters.
-    pub fn new(scale: &Scale, objects: usize, placement: Placement) -> Self {
-        Self {
-            objects,
-            levels: scale.levels,
-            seed: scale.scene_seed,
-            zipf_theta_bits: match placement {
-                Placement::Uniform => None,
-                Placement::Zipf { theta } => Some(theta.to_bits()),
-            },
-            target_bytes_bits: (objects as f64 * scale.bytes_per_object).to_bits(),
-        }
-    }
-}
+/// What identifies a generated scene: [`figs::build_scene`]'s object
+/// count, the scale's subdivision levels and the placement, Zipf's
+/// `theta` as an IEEE bit pattern (`None` = uniform) so keys compare
+/// exactly. The seed and the bytes per object are constants.
+type SceneKey = (usize, usize, Option<u64>);
 
 /// Memoises [`Scene::generate`] results. Generation is deterministic, so a
 /// cached scene is indistinguishable from a fresh one (enforced by
@@ -83,7 +56,11 @@ impl SceneCache {
     /// contention to optimise for, and holding the lock keeps a racing
     /// second builder from wasting a multi-second generation.
     pub fn scene(&self, scale: &Scale, objects: usize, placement: Placement) -> Arc<Scene> {
-        let key = SceneKey::new(scale, objects, placement);
+        let theta = match placement {
+            Placement::Uniform => None,
+            Placement::Zipf { theta } => Some(theta.to_bits()),
+        };
+        let key = (objects, scale.levels, theta);
         // mar-lint: allow(D004) — poisoning implies a worker already panicked; propagate
         let mut scenes = self.scenes.lock().expect("scene cache poisoned");
         Arc::clone(

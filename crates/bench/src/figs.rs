@@ -21,12 +21,19 @@ use mar_workload::{
 };
 use std::sync::Arc;
 
+/// The seed of every generated scene.
+pub const SCENE_SEED: u64 = 42;
+
+/// Bytes per object: the paper's 0.2 MB (§VII-A), so 300 objects are its
+/// 60 MB default dataset.
+pub const BYTES_PER_OBJECT: f64 = 0.2 * 1024.0 * 1024.0;
+
 /// Builds the scene for `objects` objects under the scale's parameters.
 /// Prefer [`Engine::scene`] where an engine is available — it memoises.
 pub fn build_scene(scale: &Scale, objects: usize, placement: Placement) -> Scene {
-    let mut cfg = SceneConfig::paper(objects, scale.scene_seed);
+    let mut cfg = SceneConfig::paper(objects, SCENE_SEED);
     cfg.levels = scale.levels;
-    cfg.target_bytes = objects as f64 * scale.bytes_per_object;
+    cfg.target_bytes = objects as f64 * BYTES_PER_OBJECT;
     cfg.placement = placement;
     Scene::generate(cfg)
 }

@@ -124,7 +124,7 @@ pub(crate) fn run_grid<S: FaultSource>(
             // The invariant's object: the resident set over the final frame
             // at the final band.
             let last = tour.view(cfg.ticks - 1);
-            let (want, _) = server.query_stateless(&last.frame, last.band);
+            let (want, _) = server.index().query(&last.frame, last.band);
             let session = source.session(&client);
             let sent = server
                 .sessions()

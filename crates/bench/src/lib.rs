@@ -120,16 +120,13 @@ pub struct Scale {
     pub ticks: usize,
     /// Normalised speeds to sweep (the paper's 0.001–1.0).
     pub speeds: Vec<f64>,
-    /// Objects in the default (60 MB-equivalent) dataset.
+    /// Objects in the default dataset (300, the paper's 60 MB, at
+    /// [`figs::BYTES_PER_OBJECT`]).
     pub objects_default: usize,
-    /// Bytes per object (0.2 MB in the paper).
-    pub bytes_per_object: f64,
     /// Subdivision levels per object.
     pub levels: usize,
     /// Tour seeds averaged per data point.
     pub tour_seeds: Vec<u64>,
-    /// Scene seed.
-    pub scene_seed: u64,
 }
 
 impl Scale {
@@ -139,10 +136,8 @@ impl Scale {
             ticks: 200,
             speeds: vec![0.001, 0.25, 0.5, 1.0],
             objects_default: 60,
-            bytes_per_object: 0.2 * 1024.0 * 1024.0,
             levels: 3,
             tour_seeds: vec![101],
-            scene_seed: 42,
         }
     }
 
@@ -153,10 +148,8 @@ impl Scale {
             ticks: 500,
             speeds: vec![0.001, 0.1, 0.25, 0.5, 0.75, 1.0],
             objects_default: 300,
-            bytes_per_object: 0.2 * 1024.0 * 1024.0,
             levels: 4,
             tour_seeds: vec![101, 202, 303],
-            scene_seed: 42,
         }
     }
 }

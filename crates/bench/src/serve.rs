@@ -23,9 +23,8 @@ use crate::engine::Engine;
 use crate::report::Json;
 use crate::{figs, Scale};
 use mar_core::{
-    CachePolicy, FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, QueryResult,
-    SceneIndexData, Server, ServerCore, Sessions, SmoothedSpeed, SpeedResolutionMap, StoreError,
-    WaveletIndex,
+    FramePlanner, LinearSpeedMap, PageCacheStats, QueryRegion, QueryResult, Residence,
+    SceneIndexData, Server, ServerCore, Sessions, SmoothedSpeed, SpeedResolutionMap, WaveletIndex,
 };
 use mar_geom::Rect2;
 use mar_link::LinkConfig;
@@ -33,7 +32,6 @@ use mar_mesh::ResolutionBand;
 use mar_workload::{
     frame_at, pedestrian_tour, tram_tour, Placement, Scene, Tour, TourConfig, TourSample,
 };
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Serving-workload parameters.
@@ -271,48 +269,6 @@ impl TourSession {
     }
 }
 
-/// Where the serving replay reads its index from.
-///
-/// `Ram` is the all-in-memory build every prior harness used. `Paged`
-/// serializes the same index into a page file and serves it through the
-/// motion-aware buffer pool (DESIGN.md §15) — the transcript must be
-/// byte-identical either way, which `crates/bench/tests/serve.rs` pins.
-#[derive(Debug, Clone)]
-pub enum ServeBackend {
-    /// In-memory index (the default).
-    Ram,
-    /// Out-of-core index: node pages + coefficient records in a page
-    /// file at `path`, read through a pool of `budget_bytes` bytes.
-    Paged {
-        /// Where to write (and then serve) the page file.
-        path: PathBuf,
-        /// Hard buffer-pool byte budget.
-        budget_bytes: usize,
-        /// Eviction policy under that budget.
-        policy: CachePolicy,
-    },
-}
-
-impl ServeBackend {
-    /// Builds the immutable serving core for `scene` on this backend; the
-    /// in-RAM index bulk-load fans out over `jobs` workers, the paged one
-    /// writes (then serves) its page file.
-    pub fn build_core(&self, scene: &Scene, jobs: usize) -> Result<ServerCore, StoreError> {
-        match self {
-            Self::Ram => {
-                let data = SceneIndexData::build(scene);
-                let index = WaveletIndex::build_jobs(&data, jobs);
-                Ok(ServerCore::from_parts(Arc::new(data), Arc::new(index)))
-            }
-            Self::Paged {
-                path,
-                budget_bytes,
-                policy,
-            } => ServerCore::new_paged(scene, path, *budget_bytes, *policy),
-        }
-    }
-}
-
 /// What one serve run produced.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
@@ -356,20 +312,13 @@ impl ServeReport {
     }
 }
 
-/// Runs the serving workload on the in-RAM backend. The report is
-/// identical for any `cfg.jobs`.
-pub fn run_serve(cfg: &ServeConfig) -> ServeReport {
-    run_serve_backend(cfg, &ServeBackend::Ram)
-}
-
-/// Runs the serving workload against the chosen index backend. The
-/// transcript does not depend on the backend (or on `cfg.jobs`): the
+/// Runs the serving workload with the index on `residence`. The
+/// transcript depends on neither the residence nor `cfg.jobs`: the
 /// out-of-core path answers byte-identically and only the store-size and
 /// cache-statistics fields differ.
-pub fn run_serve_backend(cfg: &ServeConfig, backend: &ServeBackend) -> ServeReport {
+pub fn run_serve(cfg: &ServeConfig, residence: &Residence) -> ServeReport {
     let scene = serve_scene(cfg.objects, cfg.levels);
-    let core = backend
-        .build_core(&scene, cfg.jobs)
+    let core = ServerCore::build(&scene, residence, cfg.jobs)
         // mar-lint: allow(D004) — the harness cannot proceed without its store file; surface the I/O error
         .expect("serve: cannot build the page-file backend");
     let server = Server::from_core(core);
@@ -522,7 +471,7 @@ mod tests {
 
     #[test]
     fn serve_produces_complete_transcript() {
-        let r = run_serve(&tiny(1));
+        let r = run_serve(&tiny(1), &Residence::Ram);
         assert_eq!(r.queries, 30);
         assert!(r.bytes > 0.0, "clients must retrieve data");
         assert!(
@@ -540,8 +489,8 @@ mod tests {
 
     #[test]
     fn transcript_is_jobs_invariant() {
-        let serial = run_serve(&tiny(1));
-        let parallel = run_serve(&tiny(3));
+        let serial = run_serve(&tiny(1), &Residence::Ram);
+        let parallel = run_serve(&tiny(3), &Residence::Ram);
         assert_eq!(serial.transcript, parallel.transcript);
         assert_eq!(serial.bytes, parallel.bytes);
         assert_eq!(serial.coeffs, parallel.coeffs);

@@ -4,6 +4,7 @@
 
 use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::serve::fnv1a64;
+use mar_core::Residence;
 
 /// The smoke transcript's FNV-1a fingerprint, pinned like
 /// `SMOKE_TRANSCRIPT_FNV64` in `tests/serve.rs`: any byte of drift in the
@@ -13,8 +14,8 @@ const CHAOS_SMOKE_TRANSCRIPT_FNV64: u64 = 0x67d5_a7d0_39c1_fea8;
 
 #[test]
 fn chaos_transcript_is_byte_identical_jobs_1_vs_4() {
-    let serial = run_chaos(&ChaosConfig::smoke(1));
-    let parallel = run_chaos(&ChaosConfig::smoke(4));
+    let serial = run_chaos(&ChaosConfig::smoke(1), &Residence::Ram);
+    let parallel = run_chaos(&ChaosConfig::smoke(4), &Residence::Ram);
     assert_eq!(
         serial.transcript, parallel.transcript,
         "chaos transcript differs between --jobs 1 and --jobs 4"
@@ -34,7 +35,7 @@ fn chaos_transcript_is_byte_identical_jobs_1_vs_4() {
 #[test]
 fn chaos_smoke_holds_the_invariant_at_every_grid_point() {
     let cfg = ChaosConfig::smoke(2);
-    let r = run_chaos(&cfg);
+    let r = run_chaos(&cfg, &Residence::Ram);
     assert!(
         r.invariant_ok,
         "a faulted session's final resident set diverged from the fault-free run"
@@ -69,12 +70,11 @@ fn paged_chaos_smoke_reproduces_the_pinned_transcript() {
         "mar-bench-chaos-smoke-paged-{}.pages",
         std::process::id()
     ));
-    let backend = mar_bench::serve::ServeBackend::Paged {
+    let residence = Residence::Paged {
         path: path.clone(),
         budget_bytes: 64 * 1024,
-        policy: mar_core::CachePolicy::MotionAware,
     };
-    let r = mar_bench::chaos::run_chaos_backend(&ChaosConfig::smoke(2), &backend);
+    let r = run_chaos(&ChaosConfig::smoke(2), &residence);
     let _ = std::fs::remove_file(&path);
     assert!(r.invariant_ok, "the chaos invariant must hold out of core");
     assert_eq!(

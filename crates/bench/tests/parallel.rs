@@ -13,10 +13,8 @@ fn tiny() -> Scale {
         ticks: 40,
         speeds: vec![0.25, 1.0],
         objects_default: 12,
-        bytes_per_object: 0.2 * 1024.0 * 1024.0,
         levels: 2,
         tour_seeds: vec![101, 202],
-        scene_seed: 42,
     }
 }
 

@@ -30,6 +30,7 @@
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
+use crate::server::Residence;
 use mar_geom::{BlockId, GridSpec, Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_rtree::IoSnapshot;
@@ -281,23 +282,6 @@ impl Router<'_> {
     }
 }
 
-/// Where each shard's index lives.
-#[derive(Debug, Clone)]
-pub enum FleetBackend {
-    /// Every shard index in RAM.
-    Ram,
-    /// Every shard serves a page file `shard-<id>.pages` under `dir`
-    /// through its own buffer pool (DESIGN.md §15).
-    Paged {
-        /// Directory for the per-shard page files.
-        dir: std::path::PathBuf,
-        /// Buffer-pool byte budget *per shard*.
-        budget_bytes: usize,
-        /// Eviction policy for every shard pool.
-        policy: mar_store::CachePolicy,
-    },
-}
-
 /// Fleet construction parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -307,8 +291,9 @@ pub struct FleetConfig {
     pub ny: u32,
     /// Whether every shard gets a promotable replica.
     pub replicas: bool,
-    /// Shard index backend.
-    pub backend: FleetBackend,
+    /// Where the shard indexes live; a paged fleet derives each shard's
+    /// page file from the one path ([`Residence`]).
+    pub residence: Residence,
 }
 
 impl FleetConfig {
@@ -318,7 +303,7 @@ impl FleetConfig {
             nx,
             ny,
             replicas,
-            backend: FleetBackend::Ram,
+            residence: Residence::Ram,
         }
     }
 }
@@ -383,27 +368,18 @@ impl Fleet {
                 coeff_counts: data.coeff_counts.clone(),
                 sorted_w,
             };
-            let index = WaveletIndex::build(&shard_data);
-            let index = match &cfg.backend {
-                FleetBackend::Ram => index,
-                FleetBackend::Paged {
-                    dir,
-                    budget_bytes,
-                    policy,
-                } => {
-                    let path = dir.join(format!("shard-{s}.pages"));
-                    let store = |e: mar_store::StoreError| FleetError::Store(e.to_string());
-                    crate::store::write_store_with(&path, &shard_data, &index).map_err(store)?;
-                    WaveletIndex::open_paged(&path, *budget_bytes, *policy).map_err(store)?
-                }
-            };
+            let index = cfg
+                .residence
+                .shard(s)
+                .place(&shard_data, WaveletIndex::build(&shard_data))
+                .map_err(|e| FleetError::Store(e.to_string()))?;
             shards.push(Some(index));
         }
         Ok(Self {
             map,
             ids,
             replicas: cfg.replicas,
-            paged: matches!(cfg.backend, FleetBackend::Paged { .. }),
+            paged: matches!(cfg.residence, Residence::Paged { .. }),
             len: data.records.len(),
             health: AtomicU64::new(0),
             shards,
@@ -562,7 +538,7 @@ mod tests {
 
     /// The fleet's raw answer, deduplicated and sorted.
     fn stateless(server: &Server, q: &Rect2, band: ResolutionBand) -> Vec<CoeffRef> {
-        let (mut ids, _) = server.query_stateless(q, band);
+        let (mut ids, _) = server.index().query(q, band);
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -792,10 +768,9 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create shard store dir");
         let (ram, _, space) = fleet(2, 2, true);
         let (paged, _, _) = fleet_with(&FleetConfig {
-            backend: FleetBackend::Paged {
-                dir: dir.clone(),
+            residence: Residence::Paged {
+                path: dir.join("fleet.pages"),
                 budget_bytes: 64 * 1024,
-                policy: mar_store::CachePolicy::MotionAware,
             },
             ..FleetConfig::ram(2, 2, true)
         });

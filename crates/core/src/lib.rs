@@ -56,8 +56,7 @@ pub mod system;
 
 pub use coeff::{CoeffRecord, CoeffRef, SceneIndexData};
 pub use fleet::{
-    Fleet, FleetBackend, FleetConfig, FleetError, FleetHealth, RoutePlan, Router, ShardMap,
-    ShardRole, ShardTask,
+    Fleet, FleetConfig, FleetError, FleetHealth, RoutePlan, Router, ShardMap, ShardRole, ShardTask,
 };
 pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};
@@ -70,7 +69,7 @@ pub use naive_index::NaivePointIndex;
 pub use paged::PagedIndex;
 pub use resilient::{ProtocolError, ResilienceMetrics, ResilientClient, ResilientTick};
 pub use retrieval::{FramePlanner, IncrementalClient};
-pub use server::{QueryRegion, QueryResult, Server, ServerCore};
+pub use server::{QueryRegion, QueryResult, Residence, Server, ServerCore, POOL_POLICY};
 pub use session::{Delivery, ResumeInfo, SentFilter, SessionError, Sessions, SESSION_STRIPES};
 pub use speedmap::{LinearSpeedMap, SmoothedSpeed, SpeedResolutionMap};
 pub use store::{open_store, write_store, write_store_with, StoreMeta, StoredRecord};

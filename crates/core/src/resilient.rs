@@ -533,7 +533,7 @@ mod tests {
         // Every coefficient of the final frame at the undegraded band is
         // resident.
         let band = LinearSpeedMap.band_for(0.5);
-        let (want, _) = srv.query_stateless(&last, band);
+        let (want, _) = srv.index().query(&last, band);
         let sent = srv.sessions().session_sent_set(res.session()).unwrap();
         for id in want {
             assert!(

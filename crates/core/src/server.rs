@@ -23,11 +23,14 @@
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
 use crate::session::{SentFilter, SessionError, Sessions};
+use crate::store::write_store_with;
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
+use mar_store::{CachePolicy, StoreError};
 use mar_workload::Scene;
 use std::cell::Cell;
 use std::ops::Range;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Per-thread buffers of the buffered query paths: taken for one call,
@@ -98,6 +101,59 @@ pub struct QueryResult {
     pub io: u64,
 }
 
+/// The eviction policy of every buffer pool a [`Residence::Paged`] index
+/// is served through ([`ServerCore::build`], a paged fleet's shards):
+/// motion-aware, Eq. 2 promoted to a server-side policy (DESIGN.md
+/// §15.3). Only the store ablation and `micro`, which open their pools
+/// through [`WaveletIndex::open_paged`], compare it with LRU.
+pub const POOL_POLICY: CachePolicy = CachePolicy::MotionAware;
+
+/// Where an index lives (DESIGN.md §10).
+#[derive(Debug, Clone)]
+pub enum Residence {
+    /// All nodes in the in-RAM arena.
+    Ram,
+    /// Node pages and coefficient records in a page file at `path`, read
+    /// through a [`POOL_POLICY`] pool of `budget_bytes`. A fleet's shard
+    /// `s` writes `path` with its extension replaced by `shard-<s>.pages`,
+    /// behind a pool of its own of `budget_bytes`.
+    Paged {
+        /// Where to write, then serve, the page file.
+        path: PathBuf,
+        /// Hard buffer-pool byte budget.
+        budget_bytes: usize,
+    },
+}
+
+impl Residence {
+    /// Shard `s`'s residence in a fleet.
+    pub(crate) fn shard(&self, s: u32) -> Self {
+        match self {
+            Self::Ram => Self::Ram,
+            Self::Paged { path, budget_bytes } => Self::Paged {
+                path: path.with_extension(format!("shard-{s}.pages")),
+                budget_bytes: *budget_bytes,
+            },
+        }
+    }
+
+    /// Moves `index`, built in RAM over `data`, here: kept as it is, or
+    /// written to the page file and reopened from it.
+    pub(crate) fn place(
+        &self,
+        data: &SceneIndexData,
+        index: WaveletIndex,
+    ) -> Result<WaveletIndex, StoreError> {
+        match self {
+            Self::Ram => Ok(index),
+            Self::Paged { path, budget_bytes } => {
+                write_store_with(path, data, &index)?;
+                WaveletIndex::open_paged(path, *budget_bytes, POOL_POLICY)
+            }
+        }
+    }
+}
+
 /// The shared immutable half of the server: scene-derived index data plus
 /// the wavelet index, both behind `Arc` so clones are cheap handle copies.
 /// Everything here is read-only after construction — safe to share across
@@ -125,24 +181,15 @@ impl ServerCore {
         Self { data, index }
     }
 
-    /// Builds a **disk-backed** core: writes the complete store image
-    /// (tree node pages + coefficient records) to `store_path`, then
-    /// serves every index read through a buffer pool of `budget_bytes`
-    /// with the given eviction policy. Query and fetch answers are
-    /// byte-identical to [`ServerCore::new`] over the same scene.
-    pub fn new_paged(
-        scene: &Scene,
-        store_path: &std::path::Path,
-        budget_bytes: usize,
-        policy: mar_store::CachePolicy,
-    ) -> Result<Self, mar_store::StoreError> {
+    /// Builds the core for `scene` on `residence`: the index is
+    /// bulk-loaded across up to `jobs` threads
+    /// ([`WaveletIndex::build_jobs`]) and, when paged, written to its page
+    /// file and served from there through a [`POOL_POLICY`] pool. Query
+    /// answers are byte-identical on either residence.
+    pub fn build(scene: &Scene, residence: &Residence, jobs: usize) -> Result<Self, StoreError> {
         let data = SceneIndexData::build(scene);
-        crate::store::write_store(store_path, &data)?;
-        let index = WaveletIndex::open_paged(store_path, budget_bytes, policy)?;
-        Ok(Self {
-            data: Arc::new(data),
-            index: Arc::new(index),
-        })
+        let index = residence.place(&data, WaveletIndex::build_jobs(&data, jobs))?;
+        Ok(Self::from_parts(Arc::new(data), Arc::new(index)))
     }
 
     /// The scene-derived index data.
@@ -160,11 +207,6 @@ impl ServerCore {
     /// The wavelet index.
     pub fn index(&self) -> &WaveletIndex {
         &self.index
-    }
-
-    /// A stateless query (no session filtering): the raw index answer.
-    pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
-        self.index.query(region, band)
     }
 
     /// One window through the scalar descent and `filter`, accumulated
@@ -412,11 +454,6 @@ impl Server {
             .collect();
         SCRATCH.set(scratch);
         (out, unique)
-    }
-
-    /// A stateless query (no session filtering): the raw index answer.
-    pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
-        self.core.query_stateless(region, band)
     }
 }
 

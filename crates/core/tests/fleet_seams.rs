@@ -97,7 +97,7 @@ fn scene_data(d: &mut Draws, space: &Rect2, block: f64, grid: (u32, u32)) -> Sce
 }
 
 fn answer(core: &ServerCore, window: &Rect2, band: ResolutionBand) -> Vec<CoeffRef> {
-    let (mut ids, _) = core.query_stateless(window, band);
+    let (mut ids, _) = core.index().query(window, band);
     ids.sort_unstable();
     ids.dedup();
     ids

@@ -4,12 +4,13 @@
 //! of times smaller than the store file.
 
 use mar_core::server::{QueryRegion, Server, ServerCore};
-use mar_core::{CachePolicy, SceneIndexData, WaveletIndex};
+use mar_core::{write_store, CachePolicy, Residence, SceneIndexData, WaveletIndex};
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_workload::{Scene, SceneConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -21,6 +22,12 @@ fn tmp(name: &str) -> PathBuf {
         std::process::id(),
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+/// A core serving `sc` from a page file at `path` behind a pool of
+/// `budget_bytes`.
+fn paged_core(sc: &Scene, path: PathBuf, budget_bytes: usize) -> ServerCore {
+    ServerCore::build(sc, &Residence::Paged { path, budget_bytes }, 1).expect("paged core")
 }
 
 fn scene() -> Scene {
@@ -74,11 +81,16 @@ fn run_workload(server: &Server) -> Vec<(usize, usize, mar_core::server::QueryRe
 fn paged_server_is_byte_identical_to_ram_server() {
     let sc = scene();
     let ram = Server::new(&sc);
+    let data = Arc::new(SceneIndexData::build(&sc));
     for policy in [CachePolicy::Lru, CachePolicy::MotionAware] {
         let path = tmp(&format!("{}.pages", policy.name()));
         // A deliberately starved pool: 2 pages (8 KiB).
         let budget = 2 * 4096;
-        let core = ServerCore::new_paged(&sc, &path, budget, policy).expect("paged core");
+        // Built the way the benchmark builds its paged core: the policy is
+        // an argument of `open_paged` alone.
+        write_store(&path, &data).expect("write store");
+        let index = WaveletIndex::open_paged(&path, budget, policy).expect("open");
+        let core = ServerCore::from_parts(Arc::clone(&data), Arc::new(index));
         let file_bytes = core.index().paged().expect("paged").file_bytes();
         assert!(
             file_bytes >= 50 * budget as u64,
@@ -105,8 +117,7 @@ fn paged_server_is_byte_identical_to_ram_server() {
 fn paged_batch_query_matches_scalar_across_backends() {
     let sc = scene();
     let path = tmp("batch.pages");
-    let core =
-        ServerCore::new_paged(&sc, &path, 16 * 4096, CachePolicy::MotionAware).expect("paged core");
+    let core = paged_core(&sc, path, 16 * 4096);
     let batched = Server::from_core(core);
     let scalar = Server::new(&sc);
     let sa: Vec<u64> = (0..5).map(|_| scalar.connect()).collect();
@@ -140,8 +151,7 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
     // other.
     let sc = scene();
     let path = tmp("single.pages");
-    let paged =
-        ServerCore::new_paged(&sc, &path, 4 * 4096, CachePolicy::MotionAware).expect("paged core");
+    let paged = paged_core(&sc, path, 4 * 4096);
     let mut logs = Vec::new();
     for core in [ServerCore::new(&sc), paged] {
         let scalar = Server::from_core(core.clone());
@@ -174,7 +184,7 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
 fn disconnect_clears_motion_state() {
     let sc = scene();
     let path = tmp("motion.pages");
-    let core = ServerCore::new_paged(&sc, &path, 8 * 4096, CachePolicy::MotionAware).expect("core");
+    let core = paged_core(&sc, path, 8 * 4096);
     let server = Server::from_core(core);
     let c = server.connect();
     server.query(c, &tour(0, 0)).expect("query");

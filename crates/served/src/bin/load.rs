@@ -18,7 +18,7 @@
 use mar_bench::cli::{ensure_out_dir, exit_usage, Args, CliError};
 use mar_bench::report::render;
 use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
-use mar_core::QueryRegion;
+use mar_core::{QueryRegion, Residence};
 use mar_geom::Rect2;
 use mar_mesh::ResolutionBand;
 use mar_served::{run_wire_replay, QueryReply, WireClient};
@@ -151,7 +151,7 @@ fn run(opts: &Options, addr: SocketAddr) -> Result<(), String> {
 
     let check = if opts.check {
         eprintln!("mar-load: --check: replaying the same config in-process");
-        let reference = run_serve(&cfg);
+        let reference = run_serve(&cfg, &Residence::Ram);
         if reference.transcript != report.transcript {
             return Err(format!(
                 "TRANSCRIPT MISMATCH — wire fnv64 {:016x}, in-process fnv64 {:016x}",

@@ -25,8 +25,8 @@
 
 use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::engine::default_jobs;
-use mar_bench::serve::{serve_scene, ServeBackend, ServeConfig};
-use mar_core::{CachePolicy, Server};
+use mar_bench::serve::{serve_scene, ServeConfig};
+use mar_core::{Residence, Server, ServerCore, POOL_POLICY};
 use mar_served::{spawn_daemon, DaemonConfig, DEFAULT_OUTBOX_CAP};
 use std::net::TcpListener;
 use std::num::NonZeroUsize;
@@ -117,22 +117,22 @@ fn main() {
         cfg.objects, cfg.levels, cfg.jobs
     );
     let scene = serve_scene(cfg.objects, cfg.levels);
-    let backend = match &opts.store {
-        None => ServeBackend::Ram,
+    let residence = match &opts.store {
+        None => Residence::Ram,
         Some(path) => {
             let budget_bytes = opts.cache_bytes.unwrap_or(64 << 20);
             eprintln!(
-                "mar-served: out-of-core — store {path}, pool {} MiB, motion-aware eviction",
-                budget_bytes >> 20
+                "mar-served: out-of-core — store {path}, pool {} MiB, {} eviction policy",
+                budget_bytes >> 20,
+                POOL_POLICY.name()
             );
-            ServeBackend::Paged {
+            Residence::Paged {
                 path: path.into(),
                 budget_bytes,
-                policy: CachePolicy::MotionAware,
             }
         }
     };
-    let core = backend.build_core(&scene, cfg.jobs).unwrap_or_else(|e| {
+    let core = ServerCore::build(&scene, &residence, cfg.jobs).unwrap_or_else(|e| {
         let path = opts.store.as_deref().unwrap_or_default();
         eprintln!("mar-served: cannot build page store at {path}: {e}");
         std::process::exit(1);

@@ -6,7 +6,8 @@
 use mar_bench::report::render;
 use mar_bench::serve::{fnv1a64, run_serve, serve_scene, ServeConfig};
 use mar_core::{
-    FleetConfig, FleetHealth, QueryRegion, SceneIndexData, Server, ServerCore, WaveletIndex,
+    FleetConfig, FleetHealth, QueryRegion, Residence, SceneIndexData, Server, ServerCore,
+    WaveletIndex,
 };
 use mar_mesh::ResolutionBand;
 use mar_served::{
@@ -82,7 +83,7 @@ fn wire_transcript_is_byte_identical_to_in_process() {
     let wire = run_wire_replay(handle.addr, &cfg, 1).expect("wire replay");
     let stats = handle.join();
 
-    let reference = run_serve(&cfg);
+    let reference = run_serve(&cfg, &Residence::Ram);
     assert_eq!(
         wire.transcript, reference.transcript,
         "the wire layer must be unobservable in the transcript"
@@ -157,7 +158,7 @@ fn pipelined_replay_transcript_is_depth_invariant() {
     // daemon must never refuse admission (in-flight queries are always
     // on distinct sessions, each with at most one unacked RESULT).
     let cfg = tiny_cfg();
-    let reference = run_serve(&cfg);
+    let reference = run_serve(&cfg, &Residence::Ram);
     let mut snapshots = Vec::new();
     for depth in [1, 2, 64] {
         let (handle, server) = boot(

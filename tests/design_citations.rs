@@ -1,6 +1,8 @@
 //! Every `DESIGN.md §N` or `§N.M` citation in the code, the examples, the
-//! tests, the README and CI names a section DESIGN.md has, so renumbering
-//! or folding a section cannot leave a pointer to nothing behind.
+//! tests, the README, EXPERIMENTS.md, CI and the verification notes names
+//! a section DESIGN.md has, so renumbering or folding a section cannot
+//! leave a pointer to nothing behind; and DESIGN.md stays within its line
+//! budget, so the document can only shrink.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -47,6 +49,15 @@ fn citations(text: &str) -> Vec<String> {
     out
 }
 
+/// DESIGN.md's most lines.
+const DESIGN_MAX_LINES: usize = 1_300;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("the workspace root")
+}
+
 /// Every file under `dir`, skipping build output and hidden directories.
 fn files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -68,14 +79,28 @@ fn files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 #[test]
 fn every_design_citation_names_a_design_heading() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("the workspace root");
+    let root = root();
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
     let known = sections(&design);
-    let mut paths = vec![root.join("README.md")];
-    for dir in ["crates", "examples", "tests", ".github"] {
+    let mut paths = vec![root.join("README.md"), root.join("EXPERIMENTS.md")];
+    for dir in ["crates", "examples", "tests"] {
         files(&root.join(dir), &mut paths);
+    }
+    // `files` skips hidden directories below the ones it is given, so the
+    // top-level ones — CI and the verification notes — are walked here,
+    // all but git's own and the benchmark's build output.
+    for entry in std::fs::read_dir(root)
+        .expect("the workspace root")
+        .flatten()
+    {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if entry.path().is_dir()
+            && name.starts_with('.')
+            && ![".git", ".bench_build"].contains(&&*name)
+        {
+            files(&entry.path(), &mut paths);
+        }
     }
     let (mut cited, mut dangling) = (BTreeSet::new(), Vec::new());
     for path in &paths {
@@ -98,6 +123,16 @@ fn every_design_citation_names_a_design_heading() {
         dangling.is_empty(),
         "citations of missing sections:\n{}",
         dangling.join("\n")
+    );
+}
+
+#[test]
+fn design_md_stays_within_its_line_budget() {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let lines = design.lines().count();
+    assert!(
+        lines <= DESIGN_MAX_LINES,
+        "DESIGN.md has {lines} lines, over its budget of {DESIGN_MAX_LINES}"
     );
 }
 
