@@ -21,7 +21,7 @@ use crate::serve::replay_pool_tours;
 use crate::{Scale, Table};
 use mar_buffer::{AllocationStrategy, MotionAwarePrefetcher};
 use mar_core::system::SystemConfig;
-use mar_core::{CachePolicy, SceneIndexData, Server, WaveletIndex};
+use mar_core::{CachePolicy, SceneIndexData, ScratchPath, Server, WaveletIndex};
 use mar_rtree::{RTree, RTreeConfig, Variant};
 use mar_workload::Placement;
 use std::sync::Arc;
@@ -203,10 +203,8 @@ pub fn abl_smoothing(engine: &Engine, scale: &Scale) -> Table {
 pub fn abl_store(engine: &Engine, scale: &Scale) -> Table {
     let scene = engine.scene(scale, scale.objects_default, Placement::Uniform);
     let data = Arc::new(SceneIndexData::build(&scene));
-    let dir = std::env::temp_dir().join("mar-bench-abl-store");
     // mar-lint: allow(D004) — a scratch dir the ablation cannot run without
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let path = dir.join(format!("{}.pages", std::process::id()));
+    let path = ScratchPath::new("bench-abl-store", "abl_store.pages").expect("create scratch dir");
     // mar-lint: allow(D004) — the ablation cannot run without its page file
     mar_core::write_store(&path, &data).expect("write page file");
     let policies = [
@@ -228,7 +226,6 @@ pub fn abl_store(engine: &Engine, scale: &Scale) -> Table {
             [replay_pool_tours(&data, index, space, scale.ticks, seed).hit_ratio()]
         },
     );
-    let _ = std::fs::remove_file(&path);
     table(
         "abl_store",
         "buffer-pool hit rate: motion-aware vs LRU eviction (paged store)",

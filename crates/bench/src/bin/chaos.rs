@@ -18,7 +18,7 @@
 
 use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::harness::harness_main;
-use mar_core::Residence;
+use mar_core::{Residence, ScratchPath};
 
 fn main() {
     harness_main("chaos", true, |opts, mode| {
@@ -29,20 +29,17 @@ fn main() {
         };
         // Out-of-core mode replays the same grid over a store-backed core —
         // the transcript must not change (DESIGN.md §15), only the residence.
-        let store_path =
-            std::env::temp_dir().join(format!("mar-chaos-{}.pages", std::process::id()));
-        let residence = if opts.paged {
-            Residence::Paged {
-                path: store_path.clone(),
+        let store = opts
+            .paged
+            .then(|| ScratchPath::new("chaos", "chaos.pages").expect("create a scratch dir"));
+        let residence = match &store {
+            Some(path) => Residence::Paged {
+                path: path.to_path_buf(),
                 budget_bytes: 256 * 1024,
-            }
-        } else {
-            Residence::Ram
+            },
+            None => Residence::Ram,
         };
         let report = run_chaos(&cfg, &residence);
-        if opts.paged {
-            let _ = std::fs::remove_file(&store_path);
-        }
         (report.snapshot(mode), report.invariant_ok)
     });
 }

@@ -295,19 +295,16 @@ mod tests {
 
     #[test]
     fn chaos_invariant_holds_on_the_paged_backend() {
-        let path = std::env::temp_dir().join(format!(
-            "mar-bench-chaos-paged-{}.pages",
-            std::process::id()
-        ));
+        let path =
+            mar_core::ScratchPath::new("bench-chaos-paged", "chaos.pages").expect("create tmp dir");
         let ram = run_chaos(&tiny(1), &Residence::Ram);
         let paged = run_chaos(
             &tiny(1),
             &Residence::Paged {
-                path: path.clone(),
+                path: path.to_path_buf(),
                 budget_bytes: 64 * 1024,
             },
         );
-        let _ = std::fs::remove_file(&path);
         assert!(paged.invariant_ok, "chaos invariant must hold out-of-core");
         assert_eq!(
             ram.transcript, paged.transcript,

@@ -4,7 +4,7 @@
 
 use mar_bench::chaos::{run_chaos, ChaosConfig};
 use mar_bench::serve::fnv1a64;
-use mar_core::Residence;
+use mar_core::{Residence, ScratchPath};
 
 /// The smoke transcript's FNV-1a fingerprint, pinned like
 /// `SMOKE_TRANSCRIPT_FNV64` in `tests/serve.rs`: any byte of drift in the
@@ -66,16 +66,12 @@ fn paged_chaos_smoke_reproduces_the_pinned_transcript() {
     // The out-of-core server must answer the smoke grid byte for byte like
     // RAM, under a pool small enough that the sessions' page reads evict
     // one another.
-    let path = std::env::temp_dir().join(format!(
-        "mar-bench-chaos-smoke-paged-{}.pages",
-        std::process::id()
-    ));
+    let path = ScratchPath::new("bench-chaos-smoke-paged", "chaos.pages").expect("create tmp dir");
     let residence = Residence::Paged {
-        path: path.clone(),
+        path: path.to_path_buf(),
         budget_bytes: 64 * 1024,
     };
     let r = run_chaos(&ChaosConfig::smoke(2), &residence);
-    let _ = std::fs::remove_file(&path);
     assert!(r.invariant_ok, "the chaos invariant must hold out of core");
     assert_eq!(
         fnv1a64(&r.transcript),

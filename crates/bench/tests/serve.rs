@@ -5,7 +5,7 @@
 //! fingerprint as the in-RAM one.
 
 use mar_bench::serve::{fnv1a64, run_serve, ServeConfig};
-use mar_core::Residence;
+use mar_core::{Residence, ScratchPath};
 
 #[test]
 fn serve_transcript_is_byte_identical_jobs_1_vs_4() {
@@ -58,15 +58,14 @@ fn paged_serve_transcript_is_byte_identical_to_ram() {
     // single byte. (LRU and motion-aware pools are held to the same
     // answers at the server level, in `crates/core/tests/paged_server.rs`.)
     let budget_bytes = 4096;
-    let path = std::env::temp_dir().join(format!("mar-bench-serve-{}.pages", std::process::id()));
+    let path = ScratchPath::new("bench-serve", "serve.pages").expect("create tmp dir");
     let paged = run_serve(
         &cfg,
         &Residence::Paged {
-            path: path.clone(),
+            path: path.to_path_buf(),
             budget_bytes,
         },
     );
-    let _ = std::fs::remove_file(&path);
     assert_eq!(
         paged.transcript, ram.transcript,
         "paged transcript differs from RAM"

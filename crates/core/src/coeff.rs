@@ -1,7 +1,7 @@
 //! Scene-wide coefficient records: the unit of indexing and transmission.
 
 use mar_geom::{Point2, Rect2};
-use mar_mesh::support::compute_support_regions;
+use mar_mesh::support::for_each_support;
 use mar_workload::Scene;
 
 /// Identity of one wavelet coefficient within a scene.
@@ -27,9 +27,6 @@ pub struct CoeffRecord {
     /// Ground-plane position of the coefficient's vertex (what the naive
     /// point index stores).
     pub vertex_xy: Point2,
-    /// Ground-plane MBR of the vertex's 1-ring (the "neighbouring
-    /// vertices" the naive access method must chase).
-    pub ring_xy: Rect2,
 }
 
 /// Per-scene derived data shared by every index and the server: one record
@@ -69,18 +66,10 @@ impl SceneIndexData {
         let mut object_bytes = Vec::with_capacity(scene.objects.len());
         let mut coeff_counts = Vec::with_capacity(scene.objects.len());
         for obj in &scene.objects {
-            let supports = compute_support_regions(&obj.mesh);
-            for (ci, (c, s)) in obj.mesh.coeffs.iter().zip(&supports).enumerate() {
-                debug_assert_eq!(s.coeff_index, ci);
-                let v = obj.mesh.vertex_position(c.vertex);
-                // Ring MBR over the support polygon's vertices.
-                let mut lo = v;
-                let mut hi = v;
-                for &rv in &s.ring {
-                    let p = obj.mesh.vertex_position(rv);
-                    lo = lo.min(&p);
-                    hi = hi.max(&p);
-                }
+            let mesh = &obj.mesh;
+            for_each_support(mesh, |ci, _, mbb| {
+                let c = &mesh.coeffs[ci];
+                let v = mesh.vertex_position(c.vertex);
                 records.push(CoeffRecord {
                     id: CoeffRef {
                         object: obj.id,
@@ -88,14 +77,13 @@ impl SceneIndexData {
                     },
                     w: c.w,
                     level: c.level,
-                    support_xy: s.mbr_xy(),
-                    vertex_xy: Point2::new([v[0], v[1]]),
-                    ring_xy: Rect2::from_corners(
-                        Point2::new([lo[0], lo[1]]),
-                        Point2::new([hi[0], hi[1]]),
+                    support_xy: Rect2::from_corners(
+                        Point2::new([mbb.lo[0], mbb.lo[1]]),
+                        Point2::new([mbb.hi[0], mbb.hi[1]]),
                     ),
+                    vertex_xy: Point2::new([v[0], v[1]]),
                 });
-            }
+            });
             footprints.push(obj.footprint());
             base_bytes.push(scene.size_model.base_bytes(&obj.mesh));
             object_bytes.push(scene.size_model.object_bytes(&obj.mesh));
@@ -157,12 +145,25 @@ mod tests {
     }
 
     #[test]
-    fn support_contains_vertex_and_ring_contains_support_vertex() {
+    fn support_contains_every_ring_vertex() {
+        // The support polygon is the union of the faces of M^{j+1} around
+        // the vertex: its MBR is also the naive index's "neighbouring
+        // vertices" box.
         let scene = tiny_scene();
         let data = SceneIndexData::build(&scene);
-        for r in &data.records {
-            assert!(r.support_xy.contains_point(&r.vertex_xy));
-            assert!(r.ring_xy.contains_point(&r.vertex_xy));
+        let mut records = data.records.iter();
+        for obj in &scene.objects {
+            for c in &obj.mesh.coeffs {
+                let r = records.next().unwrap();
+                assert!(r.support_xy.contains_point(&r.vertex_xy));
+                let faces = obj.mesh.hierarchy.faces_at(usize::from(c.level) + 1);
+                for f in faces.iter().filter(|f| f.contains(&c.vertex)) {
+                    for &v in f {
+                        let p = obj.mesh.vertex_position(v);
+                        assert!(r.support_xy.contains_point(&Point2::new([p[0], p[1]])));
+                    }
+                }
+            }
         }
     }
 

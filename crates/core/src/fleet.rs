@@ -764,12 +764,12 @@ mod tests {
     /// sent — including the coefficients a promoted replica served.
     #[test]
     fn paged_shards_answer_identically_to_ram() {
-        let dir = std::env::temp_dir().join(format!("mar-core-fleet-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create shard store dir");
+        let path = mar_store::ScratchPath::new("core-fleet-tests", "fleet.pages")
+            .expect("create shard store dir");
         let (ram, _, space) = fleet(2, 2, true);
         let (paged, _, _) = fleet_with(&FleetConfig {
             residence: Residence::Paged {
-                path: dir.join("fleet.pages"),
+                path: path.to_path_buf(),
                 budget_bytes: 64 * 1024,
             },
             ..FleetConfig::ram(2, 2, true)
@@ -803,7 +803,6 @@ mod tests {
         assert_eq!(lookups, io + sent, "one payload read per sent coefficient");
         ram.disconnect(a).unwrap();
         paged.disconnect(b).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

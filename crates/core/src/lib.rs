@@ -61,8 +61,8 @@ pub use fleet::{
 pub use index::WaveletIndex;
 pub use mar_rtree::{BatchAccesses, IoSnapshot};
 pub use mar_store::{
-    page_checksum, CachePolicy, PageCache, PageCacheStats, PageFile, StoreError, VictimPlan,
-    PAGE_SIZE,
+    page_checksum, CachePolicy, PageCache, PageCacheStats, PageFile, ScratchPath, StoreError,
+    VictimPlan, PAGE_SIZE,
 };
 pub use metrics::{RetrievalMetrics, SystemMetrics};
 pub use naive_index::NaivePointIndex;

@@ -17,7 +17,10 @@ use mar_geom::{Rect2, Rect3};
 use mar_mesh::ResolutionBand;
 use mar_rtree::{RTree, RTreeConfig};
 
-/// Per-entry payload: the coefficient plus its stored neighbour box.
+/// Per-entry payload: the coefficient plus its stored neighbour box, the
+/// MBR of its vertex's 1-ring. That box is the coefficient's support MBR:
+/// the support polygon is the union of the faces around the vertex, whose
+/// vertex set is exactly the 1-ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PointEntry {
     id: CoeffRef,
@@ -46,7 +49,7 @@ impl NaivePointIndex {
                     Rect2::point(r.vertex_xy).lift(r.w, r.w),
                     PointEntry {
                         id: r.id,
-                        ring_xy: r.ring_xy,
+                        ring_xy: r.support_xy,
                     },
                 )
             })

@@ -422,21 +422,12 @@ mod tests {
     use mar_geom::{Point2, Rect2, Rect3, Vector};
     use mar_mesh::ResolutionBand;
     use mar_rtree::{search, search_batch_into};
-    use mar_store::TraceEvent;
+    use mar_store::{ScratchPath, TraceEvent};
     use mar_workload::{Scene, SceneConfig};
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mar-core-paged-tests");
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir.join(format!(
-            "{}-{}-{name}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ))
+    fn tmp(name: &str) -> ScratchPath {
+        ScratchPath::new("core-paged-tests", name).expect("create tmp dir")
     }
 
     fn data() -> SceneIndexData {
@@ -472,6 +463,8 @@ mod tests {
         budget_pages: usize,
         policy: CachePolicy,
     ) -> (PagedIndex, WaveletIndex, SceneIndexData) {
+        // The store's directory goes here; the index reads on through its
+        // open file.
         let (paged, ram, d, _) = open_small_at(name, budget_pages, policy);
         (paged, ram, d)
     }
@@ -481,7 +474,7 @@ mod tests {
         name: &str,
         budget_pages: usize,
         policy: CachePolicy,
-    ) -> (PagedIndex, WaveletIndex, SceneIndexData, PathBuf) {
+    ) -> (PagedIndex, WaveletIndex, SceneIndexData, ScratchPath) {
         let d = data();
         let ram = WaveletIndex::build(&d);
         let path = tmp(name);

@@ -381,20 +381,11 @@ pub fn store_file_bytes(page_count: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mar_store::ScratchPath;
     use mar_workload::{Scene, SceneConfig};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mar-core-store-tests");
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir.join(format!(
-            "{}-{}-{name}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ))
+    fn tmp(name: &str) -> ScratchPath {
+        ScratchPath::new("core-store-tests", name).expect("create tmp dir")
     }
 
     fn data() -> SceneIndexData {

@@ -79,7 +79,6 @@ fn scene_data(d: &mut Draws, space: &Rect2, block: f64, grid: (u32, u32)) -> Sce
                 level: 1,
                 support_xy,
                 vertex_xy: support_xy.center(),
-                ring_xy: support_xy,
             });
         }
     }

@@ -4,29 +4,21 @@
 //! of times smaller than the store file.
 
 use mar_core::server::{QueryRegion, Server, ServerCore};
-use mar_core::{write_store, CachePolicy, Residence, SceneIndexData, WaveletIndex};
+use mar_core::{write_store, CachePolicy, Residence, SceneIndexData, ScratchPath, WaveletIndex};
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_workload::{Scene, SceneConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 
-static COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("mar-core-paged-server-tests");
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    dir.join(format!(
-        "{}-{}-{name}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
+fn tmp(name: &str) -> ScratchPath {
+    ScratchPath::new("core-paged-server-tests", name).expect("create tmp dir")
 }
 
 /// A core serving `sc` from a page file at `path` behind a pool of
 /// `budget_bytes`.
-fn paged_core(sc: &Scene, path: PathBuf, budget_bytes: usize) -> ServerCore {
+fn paged_core(sc: &Scene, path: &Path, budget_bytes: usize) -> ServerCore {
+    let path = path.to_path_buf();
     ServerCore::build(sc, &Residence::Paged { path, budget_bytes }, 1).expect("paged core")
 }
 
@@ -117,7 +109,7 @@ fn paged_server_is_byte_identical_to_ram_server() {
 fn paged_batch_query_matches_scalar_across_backends() {
     let sc = scene();
     let path = tmp("batch.pages");
-    let core = paged_core(&sc, path, 16 * 4096);
+    let core = paged_core(&sc, &path, 16 * 4096);
     let batched = Server::from_core(core);
     let scalar = Server::new(&sc);
     let sa: Vec<u64> = (0..5).map(|_| scalar.connect()).collect();
@@ -151,7 +143,7 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
     // other.
     let sc = scene();
     let path = tmp("single.pages");
-    let paged = paged_core(&sc, path, 4 * 4096);
+    let paged = paged_core(&sc, &path, 4 * 4096);
     let mut logs = Vec::new();
     for core in [ServerCore::new(&sc), paged] {
         let scalar = Server::from_core(core.clone());
@@ -184,7 +176,7 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
 fn disconnect_clears_motion_state() {
     let sc = scene();
     let path = tmp("motion.pages");
-    let core = paged_core(&sc, path, 8 * 4096);
+    let core = paged_core(&sc, &path, 8 * 4096);
     let server = Server::from_core(core);
     let c = server.connect();
     server.query(c, &tour(0, 0)).expect("query");

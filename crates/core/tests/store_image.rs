@@ -4,7 +4,7 @@
 //! written) produced before the writer streamed. A change that moves a
 //! pin changes the on-disk format or the tree it encodes.
 
-use mar_core::{write_store, SceneIndexData};
+use mar_core::{write_store, SceneIndexData, ScratchPath};
 use mar_workload::{Scene, SceneConfig};
 
 /// FNV-1a 64 over every byte of the file, then its length.
@@ -19,13 +19,11 @@ fn digest(bytes: &[u8]) -> u64 {
 /// Writes the store of the paper-configured scene of `objects` objects
 /// at `seed` and returns the file's length and digest.
 fn image(objects: usize, seed: u64) -> (usize, u64) {
-    let dir = std::env::temp_dir().join("mar-core-store-image-tests");
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    let path = dir.join(format!("{}-{objects}-{seed}.pages", std::process::id()));
+    let path = ScratchPath::new("core-store-image-tests", &format!("{objects}-{seed}.pages"))
+        .expect("create tmp dir");
     let data = SceneIndexData::build(&Scene::generate(SceneConfig::paper(objects, seed)));
     write_store(&path, &data).expect("write store");
     let bytes = std::fs::read(&path).expect("read store");
-    std::fs::remove_file(&path).expect("remove store");
     (bytes.len(), digest(&bytes))
 }
 

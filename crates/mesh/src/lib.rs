@@ -41,5 +41,4 @@ pub use generate::{ObjectKind, ObjectParams};
 pub use mesh::TriMesh;
 pub use size::SizeModel;
 pub use subdivision::{SubdivisionHierarchy, SubdivisionStep};
-pub use support::SupportRegion;
 pub use wavelet::{ResolutionBand, WaveletCoeff, WaveletMesh};

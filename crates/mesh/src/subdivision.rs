@@ -13,7 +13,7 @@
 //! exists.
 
 use crate::mesh::TriMesh;
-use std::collections::BTreeMap;
+use mar_geom::Point3;
 
 /// The connectivity delta of one subdivision step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,40 +50,88 @@ impl SubdivisionStep {
 ///
 /// Returns the refined mesh and the connectivity step.
 pub fn subdivide(mesh: &TriMesh) -> (TriMesh, SubdivisionStep) {
-    let nv = mesh.vertices.len() as u32;
     let mut vertices = mesh.vertices.clone();
-    let mut parents = Vec::new();
-    let mut midpoint_of: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-    let mut faces = Vec::with_capacity(mesh.faces.len() * 4);
+    let step = refine(&mut vertices, &mesh.faces, mesh.faces.len().div_ceil(2) * 3);
+    let faces = step.faces.clone();
+    (TriMesh { vertices, faces }, step)
+}
 
-    let mut midpoint = |a: u32, b: u32, vertices: &mut Vec<mar_geom::Point3>| -> u32 {
+/// One subdivision step in place: appends the midpoint of every edge of
+/// `coarse` to `vertices`, numbered in order of first occurrence, and
+/// returns the step. `edges` is the expected edge count; it sizes the
+/// vertex and parent arrays, which grow past it if it was short.
+fn refine(vertices: &mut Vec<Point3>, coarse: &[[u32; 3]], edges: usize) -> SubdivisionStep {
+    let coarse_vertex_count = vertices.len() as u32;
+    vertices.reserve_exact(edges);
+    let mut parents = Vec::with_capacity(edges);
+    let mut table = EdgeTable::for_faces(coarse.len());
+    let mut faces = Vec::with_capacity(coarse.len() * 4);
+    let mut midpoint = |a: u32, b: u32| -> u32 {
         let key = (a.min(b), a.max(b));
-        *midpoint_of.entry(key).or_insert_with(|| {
-            let idx = vertices.len() as u32;
+        table.get_or_insert(key, || {
             let p = vertices[a as usize].midpoint(&vertices[b as usize]);
             vertices.push(p);
             parents.push(key);
-            idx
+            vertices.len() as u32 - 1
         })
     };
-
-    for f in &mesh.faces {
-        let [a, b, c] = *f;
-        let ab = midpoint(a, b, &mut vertices);
-        let bc = midpoint(b, c, &mut vertices);
-        let ca = midpoint(c, a, &mut vertices);
+    for &[a, b, c] in coarse {
+        let ab = midpoint(a, b);
+        let bc = midpoint(b, c);
+        let ca = midpoint(c, a);
         faces.push([a, ab, ca]);
         faces.push([ab, b, bc]);
         faces.push([ca, bc, c]);
         faces.push([ab, bc, ca]);
     }
-
-    let step = SubdivisionStep {
-        coarse_vertex_count: nv,
+    SubdivisionStep {
+        coarse_vertex_count,
         parents,
-        faces: faces.clone(),
-    };
-    (TriMesh { vertices, faces }, step)
+        faces,
+    }
+}
+
+/// The midpoint vertex of each edge seen so far, keyed by `(min, max)`:
+/// open addressing with linear probing over one array that never grows.
+/// A mesh of `F` faces has at most `3F` edges and the table has at least
+/// `4F` slots, so every probe sequence reaches an empty slot. The hash is
+/// a fixed multiplier, so the probe order is the same on every run (it
+/// decides nothing visible anyway: numbering follows the faces).
+struct EdgeTable {
+    slots: Vec<(u64, u32)>,
+    shift: u32,
+}
+
+impl EdgeTable {
+    /// No edge `(min, max)` packs to this: it would need `min == max == u32::MAX`.
+    const EMPTY: u64 = u64::MAX;
+
+    fn for_faces(faces: usize) -> Self {
+        let len = (4 * faces).next_power_of_two().max(2);
+        Self {
+            slots: vec![(Self::EMPTY, 0); len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The value stored under `(lo, hi)`, storing `fresh()` on first sight.
+    fn get_or_insert(&mut self, (lo, hi): (u32, u32), fresh: impl FnOnce() -> u32) -> u32 {
+        let key = (u64::from(lo) << 32) | u64::from(hi);
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let (k, value) = self.slots[i];
+            if k == key {
+                return value;
+            }
+            if k == Self::EMPTY {
+                let value = fresh();
+                self.slots[i] = (key, value);
+                return value;
+            }
+            i = (i + 1) & mask;
+        }
+    }
 }
 
 /// A base mesh plus `J` recorded subdivision steps.
@@ -103,14 +151,19 @@ impl SubdivisionHierarchy {
     /// Subdivides `base` `levels` times, returning the hierarchy and the
     /// final mesh with all new vertices at exact midpoints (no detail yet).
     pub fn build(base: TriMesh, levels: usize) -> (Self, TriMesh) {
-        let mut steps = Vec::with_capacity(levels);
-        let mut current = base.clone();
+        let mut steps: Vec<SubdivisionStep> = Vec::with_capacity(levels);
+        let mut vertices = base.vertices.clone();
+        // After the first step the edge count is exact: each edge splits in
+        // two and each face gains three inner edges.
+        let mut edges = base.faces.len().div_ceil(2) * 3;
         for _ in 0..levels {
-            let (finer, step) = subdivide(&current);
+            let coarse = steps.last().map_or(&base.faces[..], |s| &s.faces[..]);
+            let step = refine(&mut vertices, coarse, edges);
+            edges = 2 * step.new_vertex_count() + 3 * coarse.len();
             steps.push(step);
-            current = finer;
         }
-        (Self { base, steps }, current)
+        let faces = steps.last().map_or(&base.faces, |s| &s.faces).clone();
+        (Self { base, steps }, TriMesh { vertices, faces })
     }
 
     /// Number of subdivision levels `J`.
@@ -147,6 +200,85 @@ impl SubdivisionHierarchy {
 mod tests {
     use super::*;
     use mar_geom::Point3;
+
+    /// The `BTreeMap` subdivision the edge table replaced, kept as the
+    /// oracle it must match: vertices, `parents` and faces.
+    fn subdivide_btree(mesh: &TriMesh) -> (TriMesh, SubdivisionStep) {
+        use std::collections::BTreeMap;
+        let nv = mesh.vertices.len() as u32;
+        let mut vertices = mesh.vertices.clone();
+        let mut parents = Vec::new();
+        let mut midpoint_of: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        let mut faces = Vec::new();
+        let mut midpoint = |a: u32, b: u32, vertices: &mut Vec<Point3>| -> u32 {
+            let key = (a.min(b), a.max(b));
+            *midpoint_of.entry(key).or_insert_with(|| {
+                let idx = vertices.len() as u32;
+                let p = vertices[a as usize].midpoint(&vertices[b as usize]);
+                vertices.push(p);
+                parents.push(key);
+                idx
+            })
+        };
+        for &[a, b, c] in &mesh.faces {
+            let ab = midpoint(a, b, &mut vertices);
+            let bc = midpoint(b, c, &mut vertices);
+            let ca = midpoint(c, a, &mut vertices);
+            faces.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]);
+        }
+        let step = SubdivisionStep {
+            coarse_vertex_count: nv,
+            parents,
+            faces: faces.clone(),
+        };
+        (TriMesh { vertices, faces }, step)
+    }
+
+    /// Two triangles over a square, as `generate`'s terrain patch builds it.
+    fn terrain_patch() -> TriMesh {
+        let (c, r) = ([3.5, -2.0, 0.25], 40.0);
+        TriMesh::new(
+            vec![
+                Point3::new([c[0] - r, c[1] - r, c[2]]),
+                Point3::new([c[0] + r, c[1] - r, c[2]]),
+                Point3::new([c[0] + r, c[1] + r, c[2]]),
+                Point3::new([c[0] - r, c[1] + r, c[2]]),
+            ],
+            vec![[0, 1, 2], [0, 2, 3]],
+        )
+        .unwrap()
+    }
+
+    /// Two triangles sharing one edge, wound the other way round.
+    fn quad() -> TriMesh {
+        TriMesh::new(
+            vec![
+                Point3::new([0.0, 0.0, 0.0]),
+                Point3::new([1.0, 0.0, 0.0]),
+                Point3::new([1.0, 1.0, 0.0]),
+                Point3::new([0.0, 1.0, 0.0]),
+            ],
+            vec![[0, 1, 2], [2, 3, 0]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn the_edge_table_subdivides_exactly_like_the_btreemap() {
+        for base in [TriMesh::octahedron(), terrain_patch(), quad()] {
+            for levels in 1..=4 {
+                let (h, fine) = SubdivisionHierarchy::build(base.clone(), levels);
+                let mut current = base.clone();
+                for (j, step) in h.steps.iter().enumerate() {
+                    let (finer, expect) = subdivide_btree(&current);
+                    assert_eq!(step, &expect, "level {j} of {levels}");
+                    assert_eq!(subdivide(&current), (finer.clone(), expect));
+                    current = finer;
+                }
+                assert_eq!(fine, current);
+            }
+        }
+    }
 
     #[test]
     fn one_step_counts() {

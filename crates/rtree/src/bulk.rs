@@ -111,9 +111,9 @@ impl<const N: usize, T: Send> RTree<N, T> {
         }
         let mut entries = into_entries(items);
         // The dimension-0 step of `str_tile`, hoisted so the slab
-        // recursions can run concurrently: same stable sort, same
-        // slab count, same balanced split.
-        entries.sort_by(|a, b| center_coord(a.rect(), 0).total_cmp(&center_coord(b.rect(), 0)));
+        // recursions can run concurrently: same sort, same slab count,
+        // same balanced split.
+        sort_by_center(&mut entries, 0);
         let slots: Vec<Mutex<Option<&mut [Entry<N, T>]>>> =
             balanced_split(&mut entries, slab_count(len, cap, N))
                 .into_iter()
@@ -189,7 +189,7 @@ fn str_tile<const N: usize, R: HasRect<N>>(
         out(n);
         return;
     }
-    items.sort_by(|a, b| center_coord(a.rect(), dim).total_cmp(&center_coord(b.rect(), dim)));
+    sort_by_center(items, dim);
     if dim + 1 == N {
         // Last dimension: emit balanced runs of at most `cap`.
         for run in balanced_split(items, n.div_ceil(cap)) {
@@ -242,6 +242,45 @@ fn center_coord<const N: usize>(r: &Rect<N>, dim: usize) -> f64 {
     (r.lo[dim] + r.hi[dim]) * 0.5
 }
 
+/// Sorts `items` by the centre of their rects along `dim` into exactly the
+/// order a stable `sort_by` on `f64::total_cmp` gives, without moving an
+/// entry more than once: `(key, position)` pairs are sorted (unique, so an
+/// unstable sort keeps ties in input order), then the entries are
+/// permuted in place along the permutation's cycles. The pairs, 16 bytes
+/// an entry, are the only scratch.
+fn sort_by_center<const N: usize, R: HasRect<N>>(items: &mut [R], dim: usize) {
+    let mut keys: Vec<(u64, usize)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (total_order_bits(center_coord(r.rect(), dim)), i))
+        .collect();
+    keys.sort_unstable();
+    // Slot `at` takes the entry now at `keys[at].1`; a slot already filled
+    // points at itself.
+    for start in 0..keys.len() {
+        let mut at = start;
+        loop {
+            let from = std::mem::replace(&mut keys[at].1, at);
+            if from == start {
+                break;
+            }
+            items.swap(at, from);
+            at = from;
+        }
+    }
+}
+
+/// `x`'s bits mapped so that unsigned order is `f64::total_cmp` order:
+/// negatives have every bit flipped, the rest only the sign bit.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::{RTree, RTreeConfig, Variant};
@@ -255,6 +294,40 @@ mod tests {
                 (Rect2::point(Point2::new([x, y])), i)
             })
             .collect()
+    }
+
+    #[test]
+    fn the_keyed_sort_is_the_stable_total_cmp_sort() {
+        // Few distinct centres, so most are tied, with both zeros, which
+        // `total_cmp` orders -0.0 < +0.0.
+        let values = [
+            -0.0,
+            0.0,
+            -1.5,
+            1.5,
+            3.0,
+            -3.0,
+            f64::MIN_POSITIVE,
+            -f64::MAX,
+        ];
+        let pick = |i: usize, k: usize| values[(i * (7 + 3 * k) + k) % values.len()];
+        let items: Vec<(Rect3, usize)> = (0..500)
+            .map(|i| {
+                let p = Point3::new([pick(i, 0), pick(i, 1), pick(i, 2)]);
+                (Rect3::point(p), i)
+            })
+            .collect();
+        for dim in 0..3 {
+            let mut expect = super::into_entries(items.clone());
+            expect.sort_by(|a, b| {
+                super::center_coord(&a.rect, dim).total_cmp(&super::center_coord(&b.rect, dim))
+            });
+            let mut got = super::into_entries(items.clone());
+            super::sort_by_center(&mut got, dim);
+            let ids =
+                |v: &[crate::node::Entry<3, usize>]| v.iter().map(|e| e.item).collect::<Vec<_>>();
+            assert_eq!(ids(&got), ids(&expect), "dimension {dim}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!    protocol exists to preserve.
 
 use mar_bench::serve::{serve_scene, ServeConfig};
-use mar_core::{CachePolicy, QueryRegion, SceneIndexData, Server, ServerCore, WaveletIndex};
+use mar_core::{
+    CachePolicy, QueryRegion, SceneIndexData, ScratchPath, Server, ServerCore, WaveletIndex,
+};
 use mar_geom::{Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use mar_served::{
@@ -92,8 +94,7 @@ fn daemon_restart_over_the_same_store_and_token_seed() {
 
     // The persistent half of the deployment: one page-file store, written
     // once, served by every daemon incarnation (`mar-served --store`).
-    let store =
-        std::env::temp_dir().join(format!("mar-served-restart-{}.pages", std::process::id()));
+    let store = ScratchPath::new("served-restart", "restart.pages").expect("create tmp dir");
     mar_core::write_store(&store, &data).expect("write shared store");
     let open_core = || {
         let index = WaveletIndex::open_paged(&store, 256 * 1024, CachePolicy::MotionAware)
@@ -222,5 +223,4 @@ fn daemon_restart_over_the_same_store_and_token_seed() {
     );
     assert_eq!(server2.sessions().resident_filter_entries(), 0);
     drop(handle2);
-    let _ = std::fs::remove_file(&store);
 }

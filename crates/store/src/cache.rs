@@ -984,12 +984,11 @@ impl PageCache {
 mod tests {
     use super::*;
     use crate::page::PAGE_PAYLOAD;
-    use std::path::PathBuf;
 
+    /// An open page file of `pages` pages. Its directory is removed on
+    /// return; the pool reads on through the open handle.
     fn store(name: &str, pages: usize) -> PageFile {
-        let dir = std::env::temp_dir().join("mar-store-tests");
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        let path: PathBuf = dir.join(name);
+        let path = crate::ScratchPath::new("store-tests", name).expect("create tmp dir");
         let payloads: Vec<Vec<u8>> = (0..pages).map(|i| vec![i as u8; 32]).collect();
         PageFile::create(&path, &payloads).expect("create");
         PageFile::open(&path).expect("open")

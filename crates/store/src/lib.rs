@@ -14,6 +14,8 @@
 //!   monotone logical clock plus a `BTreeMap` from unique recency stamps
 //!   to keys, so "least recently used" is a total order and a pure
 //!   function of the operation sequence.
+//! * [`ScratchPath`] — a page-file path in a directory under the system
+//!   temp dir that removes itself, and every file in it, when dropped.
 //! * [`PageCache`] — the server-side buffer pool: a hard byte budget over
 //!   [`PageFile`] reads with two eviction policies — plain
 //!   [`CachePolicy::Lru`], and [`CachePolicy::MotionAware`], which ranks
@@ -31,6 +33,7 @@
 mod cache;
 mod page;
 mod recency;
+mod scratch;
 
 pub use cache::{
     CachePolicy, HitPath, Lookup, PageCache, PageCacheStats, TraceEvent, VictimPlan,
@@ -38,3 +41,4 @@ pub use cache::{
 };
 pub use page::{page_checksum, PageFile, PageWriter, StoreError, PAGE_PAYLOAD, PAGE_SIZE};
 pub use recency::RecencyIndex;
+pub use scratch::ScratchPath;

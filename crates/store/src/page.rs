@@ -395,12 +395,10 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::ScratchPath;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mar-store-tests");
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir.join(name)
+    fn tmp(name: &str) -> ScratchPath {
+        ScratchPath::new("store-tests", name).expect("create tmp dir")
     }
 
     fn page(fill: u8, len: usize) -> Vec<u8> {

@@ -16,27 +16,22 @@
 //! off the lock (`HitPath::lookup`) and replays them in batches before
 //! each admission, against the same reference.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mar_store::{
-    CachePolicy, Lookup, PageCache, PageCacheStats, PageFile, RecencyIndex, TraceEvent, VictimPlan,
-    HIT_SHARD_CAPACITY, PAGE_SIZE,
+    CachePolicy, Lookup, PageCache, PageCacheStats, PageFile, RecencyIndex, ScratchPath,
+    TraceEvent, VictimPlan, HIT_SHARD_CAPACITY, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-/// Builds a fresh page file for one case and returns its path. Names are
-/// unique per process + case so parallel test binaries never collide.
-fn build_store(n_pages: usize) -> PathBuf {
-    let dir = std::env::temp_dir().join("mar-store-model");
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    let id = CASE.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!("model-{}-{id}.pages", std::process::id()));
+/// Builds a fresh page file for one case and returns its path, in a
+/// directory of its own that goes when the path drops (also when a case
+/// fails before its `remove_file`).
+fn build_store(n_pages: usize) -> ScratchPath {
+    let path = ScratchPath::new("store-model", "model.pages").expect("create tmp dir");
     let payloads: Vec<Vec<u8>> = (0..n_pages)
         .map(|i| {
             let mut p = vec![(i % 251) as u8; 48];
