@@ -4,8 +4,14 @@
 //! core: the page-file backend's transcript is pinned to the same
 //! fingerprint as the in-RAM one.
 
-use mar_bench::serve::{fnv1a64, run_serve, ServeConfig};
-use mar_core::{Residence, ScratchPath};
+use mar_bench::serve::{fnv1a64, run_serve, serve_scene, session_tour, ServeConfig, POOL_SESSIONS};
+use mar_core::{
+    CachePolicy, LinearSpeedMap, PageCacheStats, QueryRegion, Residence, ScratchPath, Server,
+    ServerCore, SpeedResolutionMap, WaveletIndex,
+};
+use mar_geom::Rect2;
+use mar_workload::frame_at;
+use std::sync::Arc;
 
 #[test]
 fn serve_transcript_is_byte_identical_jobs_1_vs_4() {
@@ -85,4 +91,55 @@ fn paged_serve_transcript_is_byte_identical_to_ram() {
     let stats = paged.cache.expect("paged run records pool stats");
     assert!(stats.faults > 0, "a starved pool must fault");
     assert!(stats.hits > 0, "even a starved pool re-hits the root");
+}
+
+/// The pool counters after `core` serves the tours `replay_pool_tours`
+/// replays (the store ablation's workload): [`POOL_SESSIONS`] sessions,
+/// one 10 % frame per session per tick.
+fn replay_tours(core: ServerCore, space: Rect2, ticks: usize, tour_seed: u64) -> PageCacheStats {
+    let server = Server::from_core(core);
+    let tours: Vec<_> = (0..POOL_SESSIONS)
+        .map(|k| session_tour(space, ticks, tour_seed, k))
+        .collect();
+    let sessions: Vec<u64> = tours.iter().map(|_| server.connect()).collect();
+    for tick in 0..ticks {
+        for (tour, &session) in tours.iter().zip(&sessions) {
+            let s = &tour.samples[tick];
+            let q = [QueryRegion {
+                region: frame_at(&space, &s.pos, 0.1),
+                band: LinearSpeedMap.band_for(s.speed),
+            }];
+            server.query(session, &q).expect("session is live");
+        }
+    }
+    server.index().cache_stats().expect("the index is paged")
+}
+
+/// Every pool a `Residence::Paged` core opens runs LRU: its counters equal
+/// those of an LRU pool opened on the same store, at a budget where the
+/// motion-aware policy's differ (so the two cannot be confused).
+#[test]
+fn a_paged_residence_serves_through_an_lru_pool() {
+    let scene = serve_scene(12, 2);
+    let space = scene.config.space;
+    let budget_bytes = 32 << 10;
+    let path = ScratchPath::new("bench-serve", "policy.pages").expect("create tmp dir");
+    let residence = Residence::Paged {
+        path: path.to_path_buf(),
+        budget_bytes,
+    };
+    let served = ServerCore::build(&scene, &residence, 1).expect("write the store");
+    let data = served.data_arc();
+    let opened = |policy| {
+        let index = WaveletIndex::open_paged(&path, budget_bytes, policy).expect("open the store");
+        ServerCore::from_parts(Arc::clone(&data), Arc::new(index))
+    };
+    let lru = replay_tours(opened(CachePolicy::Lru), space, 60, 101);
+    let motion = replay_tours(opened(CachePolicy::MotionAware), space, 60, 101);
+    assert_ne!(lru, motion, "the budget must tell the two policies apart");
+    assert_eq!(
+        replay_tours(served, space, 60, 101),
+        lru,
+        "a paged residence's pool must run LRU"
+    );
 }

@@ -6,9 +6,9 @@
 //! own Eq. 2 allocation (smoothed direction probabilities →
 //! [`allocate_directions_into`]), and a page's *heat* is the sum over
 //! sessions of the allocation weight in the sector that page lies in,
-//! attenuated by distance. The server's `PageCache` (mar-store) ranks
+//! attenuated by distance. A motion-aware `PageCache` (mar-store) ranks
 //! admission and eviction by this heat, so pages in front of moving
-//! clients outlive pages behind them.
+//! clients outlive pages behind them; serving pools run LRU instead.
 //!
 //! Layout: the pool ranks every eviction candidate against every
 //! session, so a heat is the innermost loop of the paged backend.

@@ -37,7 +37,7 @@ thread_local! {
 }
 
 /// Where the index's nodes live: the flat in-RAM arena, a page file
-/// read through the motion-aware buffer pool, or a fleet of shard
+/// read through a buffer pool, or a fleet of shard
 /// indexes, each one of the first two. Every query below hands the arena
 /// or the pages to the same walk, so answers, hit order and access counts
 /// are byte-identical: the code is shared, not mirrored.

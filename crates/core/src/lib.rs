@@ -15,7 +15,7 @@
 //!   re-query the extension.
 //! * [`store`] / [`paged`] — the out-of-core backend: the index's node
 //!   pages and coefficient records serialized into one checksummed page
-//!   file, read back through `mar-store`'s motion-aware buffer pool with
+//!   file, read back through `mar-store`'s buffer pool with
 //!   byte-identical query answers (DESIGN.md §15).
 //! * [`fleet`] — the third index backend: the scene partitioned over a
 //!   grid of shard indexes, a stateless scatter-gather router, and shard

@@ -1,5 +1,5 @@
 //! The out-of-core query backend: the store image of [`crate::store`]
-//! read through a motion-aware buffer pool (DESIGN.md §15).
+//! read through a buffer pool of either policy (DESIGN.md §15).
 //!
 //! [`PagedIndex`] answers exactly the queries the in-RAM
 //! [`crate::index::WaveletIndex`] answers, with byte-identical results,

@@ -103,10 +103,11 @@ pub struct QueryResult {
 
 /// The eviction policy of every buffer pool a [`Residence::Paged`] index
 /// is served through ([`ServerCore::build`], a paged fleet's shards):
-/// motion-aware, Eq. 2 promoted to a server-side policy (DESIGN.md
-/// §15.3). Only the store ablation and `micro`, which open their pools
-/// through [`WaveletIndex::open_paged`], compare it with LRU.
-pub const POOL_POLICY: CachePolicy = CachePolicy::MotionAware;
+/// LRU, which outran the motion-aware policy wherever both were measured
+/// (DESIGN.md §15.2). That policy is opened only by name, through
+/// [`WaveletIndex::open_paged`]: by the store ablation, `micro` and the
+/// serving benchmark.
+pub const POOL_POLICY: CachePolicy = CachePolicy::Lru;
 
 /// Where an index lives (DESIGN.md §10).
 #[derive(Debug, Clone)]

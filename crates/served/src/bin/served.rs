@@ -16,8 +16,8 @@
 //! fingerprint-equal.
 //!
 //! `--store PATH` switches the daemon out-of-core: the index is written
-//! to a page file at `PATH` and every descent reads through the
-//! motion-aware buffer pool, capped at `--cache-mb N` MiB (default 64).
+//! to a page file at `PATH` and every descent reads through an LRU
+//! buffer pool, capped at `--cache-mb N` MiB (default 64).
 //! Responses are byte-identical to the in-RAM build (DESIGN.md §15), so
 //! `mar-load --check` passes against either backend. On exit an
 //! out-of-core daemon reports its pool's counters next to the

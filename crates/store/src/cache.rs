@@ -3,8 +3,8 @@
 //!
 //! Two policies share one mechanism:
 //!
-//! * [`CachePolicy::Lru`] — classic least-recently-used, the ablation
-//!   baseline. Victim = the least recently used resident.
+//! * [`CachePolicy::Lru`] — classic least-recently-used, the policy every
+//!   serving pool runs. Victim = the least recently used resident.
 //! * [`CachePolicy::MotionAware`] — the Eq. 2 promotion: an externally
 //!   supplied *heat* function ranks pages by how much of the k-direction
 //!   allocation (aggregated over connected sessions) falls on them.
@@ -116,7 +116,7 @@ use crate::page::{PageFile, StoreError, PAGE_SIZE};
 /// Eviction/admission policy for a [`PageCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicy {
-    /// Plain least-recently-used (ablation baseline).
+    /// Plain least-recently-used (the serving policy).
     Lru,
     /// Heat-ranked admission and eviction (Eq. 2 k-direction promotion).
     MotionAware,

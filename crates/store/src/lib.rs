@@ -17,11 +17,11 @@
 //! * [`ScratchPath`] — a page-file path in a directory under the system
 //!   temp dir that removes itself, and every file in it, when dropped.
 //! * [`PageCache`] — the server-side buffer pool: a hard byte budget over
-//!   [`PageFile`] reads with two eviction policies — plain
-//!   [`CachePolicy::Lru`], and [`CachePolicy::MotionAware`], which ranks
-//!   pages by an externally supplied *heat* (the Eq. 2 k-direction
-//!   allocation aggregated over connected sessions, see
-//!   `mar_buffer::MotionHeat`) and admits/evicts coldest-first.
+//!   [`PageFile`] reads with two eviction policies — [`CachePolicy::Lru`],
+//!   which serves, and [`CachePolicy::MotionAware`], which ranks pages by
+//!   an externally supplied *heat* (the Eq. 2 k-direction allocation
+//!   aggregated over connected sessions, see `mar_buffer::MotionHeat`)
+//!   and admits/evicts coldest-first.
 //!
 //! Everything is deterministic: ordered maps and an intrusive recency
 //! list, no wall clocks, no hashing — two runs replaying the same read

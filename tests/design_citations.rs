@@ -50,7 +50,7 @@ fn citations(text: &str) -> Vec<String> {
 }
 
 /// DESIGN.md's most lines.
-const DESIGN_MAX_LINES: usize = 1_300;
+const DESIGN_MAX_LINES: usize = 896;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
