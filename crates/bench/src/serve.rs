@@ -276,21 +276,14 @@ pub struct ServeReport {
     pub sessions: usize,
     /// Ticks per session.
     pub ticks: usize,
-    /// Queries executed (`sessions × ticks`).
-    pub queries: u64,
-    /// Payload bytes served across all sessions.
-    pub bytes: f64,
-    /// Coefficients served across all sessions.
-    pub coeffs: u64,
-    /// Index node accesses across all sessions (logical: what each
-    /// session's query would have cost on its own).
-    pub io: u64,
+    /// The deterministic per-tick, per-session transcript and its totals
+    /// (`io` is logical: what each session's query would have cost on its
+    /// own).
+    pub transcript: Transcript,
     /// Unique physical node visits of the per-tick group descents — the
     /// pages actually read once the tick's sessions share the index walk.
-    /// Always `<= io`; the gap is the cross-session sharing win.
+    /// Always `<= transcript.io`; the gap is the cross-session sharing win.
     pub unique_io: u64,
-    /// The deterministic per-tick, per-session transcript (CSV).
-    pub transcript: String,
     /// Page-file size in bytes (`None` on the in-RAM backend).
     pub store_file_bytes: Option<u64>,
     /// Buffer-pool statistics (`None` on the in-RAM backend).
@@ -298,17 +291,23 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Queries executed: one per session per tick.
+    pub fn queries(&self) -> u64 {
+        (self.sessions * self.ticks) as u64
+    }
+
     /// The `BENCH_serve.json` snapshot of this run.
     pub fn snapshot(&self, mode: &str) -> Json {
+        let t = &self.transcript;
         let fields = vec![
-            ("queries", self.queries.into()),
-            ("bytes_served", Json::Num(self.bytes, 1)),
-            ("coeffs_served", self.coeffs.into()),
-            ("index_io", self.io.into()),
+            ("queries", self.queries().into()),
+            ("bytes_served", Json::Num(t.bytes, 1)),
+            ("coeffs_served", t.coeffs.into()),
+            ("index_io", t.io.into()),
             ("index_unique_io", self.unique_io.into()),
         ];
         let run = (self.sessions, self.ticks);
-        snapshot("mar-bench-serve/3", mode, run, fields, &self.transcript)
+        snapshot("mar-bench-serve/3", mode, run, fields, &t.text)
     }
 }
 
@@ -396,12 +395,8 @@ pub fn run_serve(cfg: &ServeConfig, residence: &Residence) -> ServeReport {
     ServeReport {
         sessions: cfg.sessions,
         ticks: cfg.ticks,
-        queries: (cfg.sessions * cfg.ticks) as u64,
-        bytes: transcript.bytes,
-        coeffs: transcript.coeffs,
-        io: transcript.io,
+        transcript,
         unique_io,
-        transcript: transcript.text,
         store_file_bytes,
         cache,
     }
@@ -472,18 +467,19 @@ mod tests {
     #[test]
     fn serve_produces_complete_transcript() {
         let r = run_serve(&tiny(1), &Residence::Ram);
-        assert_eq!(r.queries, 30);
-        assert!(r.bytes > 0.0, "clients must retrieve data");
+        assert_eq!(r.queries(), 30);
+        assert!(r.transcript.bytes > 0.0, "clients must retrieve data");
         assert!(
-            r.unique_io > 0 && r.unique_io <= r.io,
+            r.unique_io > 0 && r.unique_io <= r.transcript.io,
             "shared descent reads at most the logical page count ({} vs {})",
             r.unique_io,
-            r.io
+            r.transcript.io
         );
         // Header + one line per (tick, session).
-        assert_eq!(r.transcript.lines().count(), 1 + 30);
+        assert_eq!(r.transcript.text.lines().count(), 1 + 30);
         assert!(r
             .transcript
+            .text
             .starts_with("tick,session,coeffs,new_objects,bytes,io,response_s\n"));
     }
 
@@ -491,12 +487,13 @@ mod tests {
     fn transcript_is_jobs_invariant() {
         let serial = run_serve(&tiny(1), &Residence::Ram);
         let parallel = run_serve(&tiny(3), &Residence::Ram);
-        assert_eq!(serial.transcript, parallel.transcript);
-        assert_eq!(serial.bytes, parallel.bytes);
-        assert_eq!(serial.coeffs, parallel.coeffs);
-        assert_eq!(serial.io, parallel.io);
+        let (s, p) = (&serial.transcript, &parallel.transcript);
+        assert_eq!(s.text, p.text);
+        assert_eq!(s.bytes, p.bytes);
+        assert_eq!(s.coeffs, p.coeffs);
+        assert_eq!(s.io, p.io);
         assert_eq!(serial.unique_io, parallel.unique_io);
-        assert_eq!(fnv1a64(&serial.transcript), fnv1a64(&parallel.transcript));
+        assert_eq!(fnv1a64(&s.text), fnv1a64(&p.text));
     }
 
     #[test]

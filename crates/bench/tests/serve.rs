@@ -17,16 +17,17 @@ use std::sync::Arc;
 fn serve_transcript_is_byte_identical_jobs_1_vs_4() {
     let serial = run_serve(&ServeConfig::smoke(1), &Residence::Ram);
     let parallel = run_serve(&ServeConfig::smoke(4), &Residence::Ram);
+    let (s, p) = (&serial.transcript, &parallel.transcript);
     assert_eq!(
-        serial.transcript, parallel.transcript,
+        s.text, p.text,
         "serve transcript differs between --jobs 1 and --jobs 4"
     );
-    assert_eq!(fnv1a64(&serial.transcript), fnv1a64(&parallel.transcript));
+    assert_eq!(fnv1a64(&s.text), fnv1a64(&p.text));
     // Every aggregate derived from the transcript must agree too.
-    assert_eq!(serial.queries, parallel.queries);
-    assert_eq!(serial.bytes, parallel.bytes);
-    assert_eq!(serial.coeffs, parallel.coeffs);
-    assert_eq!(serial.io, parallel.io);
+    assert_eq!(serial.queries(), parallel.queries());
+    assert_eq!(s.bytes, p.bytes);
+    assert_eq!(s.coeffs, p.coeffs);
+    assert_eq!(s.io, p.io);
 }
 
 #[test]
@@ -35,13 +36,13 @@ fn serve_smoke_shape_matches_config() {
     let r = run_serve(&cfg, &Residence::Ram);
     assert_eq!(r.sessions, cfg.sessions);
     assert_eq!(r.ticks, cfg.ticks);
-    assert_eq!(r.queries, (cfg.sessions * cfg.ticks) as u64);
+    assert_eq!(r.queries(), (cfg.sessions * cfg.ticks) as u64);
     assert_eq!(
-        r.transcript.lines().count(),
+        r.transcript.text.lines().count(),
         1 + cfg.sessions * cfg.ticks,
         "one transcript row per (tick, session) plus the header"
     );
-    assert!(r.bytes > 0.0, "smoke workload must serve data");
+    assert!(r.transcript.bytes > 0.0, "smoke workload must serve data");
 }
 
 /// The smoke transcript's FNV-1a fingerprint, pinned so that any byte of
@@ -54,7 +55,7 @@ fn paged_serve_transcript_is_byte_identical_to_ram() {
     let cfg = ServeConfig::smoke(2);
     let ram = run_serve(&cfg, &Residence::Ram);
     assert_eq!(
-        fnv1a64(&ram.transcript),
+        fnv1a64(&ram.transcript.text),
         SMOKE_TRANSCRIPT_FNV64,
         "the smoke transcript fingerprint moved — if intentional, repin"
     );
@@ -72,14 +73,12 @@ fn paged_serve_transcript_is_byte_identical_to_ram() {
             budget_bytes,
         },
     );
-    assert_eq!(
-        paged.transcript, ram.transcript,
-        "paged transcript differs from RAM"
-    );
-    assert_eq!(fnv1a64(&paged.transcript), SMOKE_TRANSCRIPT_FNV64);
-    assert_eq!(paged.bytes, ram.bytes);
-    assert_eq!(paged.coeffs, ram.coeffs);
-    assert_eq!(paged.io, ram.io);
+    let (p, r) = (&paged.transcript, &ram.transcript);
+    assert_eq!(p.text, r.text, "paged transcript differs from RAM");
+    assert_eq!(fnv1a64(&p.text), SMOKE_TRANSCRIPT_FNV64);
+    assert_eq!(p.bytes, r.bytes);
+    assert_eq!(p.coeffs, r.coeffs);
+    assert_eq!(p.io, r.io);
     assert_eq!(paged.unique_io, ram.unique_io);
     let file_bytes = paged
         .store_file_bytes

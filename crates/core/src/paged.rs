@@ -21,6 +21,13 @@
 //!
 //! # Locking (DESIGN.md §13)
 //!
+//! An LRU pool keeps no motion state: observations return before taking
+//! a lock, the heat field stays empty, and a miss is one page read with
+//! no guard live, then one pager hold whose [`PageCache::plan`] places
+//! the page (the fault's ranker lends the plan its candidate buffer,
+//! which LRU leaves empty). The rest of this section is the motion-aware
+//! pool's, which feeds the Eq. 2 heat field and ranks victims against it.
+//!
 //! The pager mutex (pool + heat field) is taken under nothing but a
 //! session's filter lock, and under it only the pool's own leaf locks —
 //! a page's residency record and a pending-hit shard
@@ -29,51 +36,46 @@
 //! record and logs itself in the calling thread's pending-hit shard
 //! ([`mar_store::HitPath::lookup`]), and the pool replays the shard's hits
 //! — stats, trace, stamp, relink — under the pager before that thread's
-//! next admission plan ([`PageCache::plan`]), when the shard fills, and,
-//! every shard, before [`PagedIndex::cache_stats`] reads the pool.
-//! On one thread the pool therefore sees the operations a locked look-up
-//! per fetch would have made, in the same order. A miss takes the pager
-//! once when the pool can place the page at once, and twice — each hold
-//! short — when it has to rank a victim.
+//! next admission plan, when the shard fills, and, every shard, before
+//! [`PagedIndex::cache_stats`] reads the pool. On one thread the pool
+//! therefore sees the operations a locked look-up per fetch would have
+//! made, in the same order.
 //!
-//! *Under* the mutex, each hold O(1) per replayed hit: the replay of the
-//! thread's pending hits — a table read and a list relink each; the plan
-//! of the admission
-//! ([`PageCache::plan`]: room, LRU and "admitted meanwhile" finish there,
-//! a full motion-aware pool copies the array of its eviction candidates
-//! it keeps beside the recency list), the refresh of the ranker's
-//! snapshot of the heat field when a session has moved since its last
-//! one ([`SlotHeats::sync`], a few hundred bytes), and the commit of the
-//! ranked choice ([`PageCache::commit`]); and the two halves of a motion
-//! observation ([`MotionHeat::read_motion`] copies the session's row
-//! out, [`MotionHeat::write_motion`] stores the new one).
+//! *Under* the mutex, each hold O(1) per replayed hit: the replay — a
+//! table read and a list relink per hit; the plan (room, LRU and
+//! "admitted meanwhile" finish there, a full motion-aware pool copies the
+//! eviction candidates it keeps beside the recency list); the refresh of
+//! the ranker's snapshot of the heat field when a session has moved
+//! since its last one ([`SlotHeats::sync`], a few hundred bytes); the
+//! commit of the ranked choice ([`PageCache::commit`]); and the two
+//! halves of a motion observation ([`MotionHeat::read_motion`] copies
+//! the session's row out, [`MotionHeat::write_motion`] stores the new
+//! one).
 //!
-//! *Outside* it: the page read, the victim ranking and the Eq. 2
-//! refresh of a session's allocation between the two halves of an
-//! observation ([`mar_buffer::MotionStep::compute`]); a write half that
-//! finds the session's row changed since it was read — another thread
-//! observed or forgot the same session — observes again in place, so
-//! concurrent observations land in some serial order. A miss reads and
-//! checksums the page through a shared [`PageFile`] (one positioned
-//! read, no cursor to race on) with no guard live, then locks to plan
-//! the admission. When the plan asks for a ranking, the guard is released
-//! again and the unprotected quarter of the pool is ranked by Eq. 2 heat
-//! against the snapshot, in one call: a candidate's heat comes from its
-//! pool slot's cached row of per-session contributions, of which only the
-//! sessions that moved since the slot was last ranked are recomputed,
-//! session by session across the candidates ([`SlotHeats::heat_slots`],
-//! DESIGN.md §15.3) — bit for bit the heat a full pass over the sessions
-//! would give. Hits and other threads' plans proceed meanwhile; if one of
-//! them used the chosen victim's slot, the commit evicts the runner-up by
-//! the same ranking, and the scan is repeated only if every candidate's
-//! slot was used — so one fault costs one ranking. The snapshot, the rows
-//! and the candidate buffer are a `Ranker`, checked out of a small pool
-//! (`rankers`, a mutex of its own, taken with no other guard live and
+//! *Outside* it: the page read — checksummed through a shared
+//! [`PageFile`], one positioned read, no cursor to race on — the victim
+//! ranking and the Eq. 2 refresh of a session's allocation between the
+//! two halves of an observation ([`mar_buffer::MotionStep::compute`]); a
+//! write half that finds the session's row changed since it was read —
+//! another thread observed or forgot the same session — observes again
+//! in place, so concurrent observations land in some serial order. When
+//! the plan asks for a ranking, the guard is released and the
+//! unprotected quarter of the pool is ranked by Eq. 2 heat against the
+//! snapshot, in one call: a candidate's heat comes from its pool slot's
+//! cached row of per-session contributions, of which only the sessions
+//! that moved since the slot was last ranked are recomputed
+//! ([`SlotHeats::heat_slots`], DESIGN.md §15.3) — bit for bit the heat a
+//! full pass would give. If another thread used the chosen victim's slot
+//! meanwhile, the commit evicts the runner-up by the same ranking, and
+//! the scan is repeated only if every candidate's slot was used — so one
+//! fault costs one ranking and at most two pager holds. The snapshot,
+//! the rows and the candidate buffer are a `Ranker`, checked out of
+//! `rankers` (a mutex of its own, taken with no other guard live and
 //! held for a take or a return). A thread gets back the ranker it
-//! returned last while that one is idle — its rows, a few hundred KB, are
-//! then still in that core's cache — and another idle one otherwise; the
-//! daemon is thread-per-connection, so a thread-local would cost one row
-//! cache per connection.
+//! returned last while that one is idle — its rows, a few hundred KB,
+//! are then still in that core's cache — and another idle one otherwise;
+//! the daemon is thread-per-connection, so a thread-local would cost one
+//! row cache per connection.
 //!
 //! Two threads may miss the same page and both read it: the second
 //! admission finds it resident, serves that copy and counts a fault, so
@@ -109,7 +111,7 @@ pub(crate) fn coeff_ref(leaf: &PooledNode, i: usize) -> CoeffRef {
 }
 
 /// The mutable half of the backend: the bounded pool plus the Eq. 2 heat
-/// field its victim ranking consults.
+/// field its victim ranking consults (empty under LRU).
 #[derive(Debug)]
 struct Pager {
     cache: PageCache,
@@ -156,6 +158,9 @@ pub struct PagedIndex {
     /// The pool's residency records and pending-hit shards: hits are
     /// served from it without the pager.
     hits: Arc<HitPath>,
+    /// The pool's eviction policy, read without the pager: an LRU pool
+    /// keeps no motion state.
+    policy: CachePolicy,
     /// Idle rankers, each beside the pending-hit shard of the thread that
     /// returned it; taken and returned with no other guard live.
     rankers: Mutex<Vec<(usize, Ranker)>>,
@@ -187,6 +192,7 @@ impl PagedIndex {
         Ok(Self {
             pager: Mutex::new(Pager { cache, heat }),
             hits,
+            policy,
             rankers: Mutex::new(Vec::new()),
             heat_scale: scale,
             file,
@@ -246,9 +252,9 @@ impl PagedIndex {
     /// session's row out, the Eq. 2 refresh runs unlocked, the other
     /// stores the result (or observes again in place, should this
     /// session's row have moved in between). A non-finite `pos`, which
-    /// the field ignores, takes no lock.
+    /// the field ignores, takes no lock, and neither does an LRU pool.
     pub fn observe_motion(&self, session: u64, pos: Point2) {
-        if !pos.is_finite() {
+        if self.policy == CachePolicy::Lru || !pos.is_finite() {
             return;
         }
         let step = self.lock_pager().heat.read_motion(session, pos);
@@ -258,9 +264,11 @@ impl PagedIndex {
         }
     }
 
-    /// Drops `session`'s contribution to the heat field.
+    /// Drops `session`'s contribution to the heat field (none under LRU).
     pub fn forget_motion(&self, session: u64) {
-        self.lock_pager().heat.forget(session);
+        if self.policy == CachePolicy::MotionAware {
+            self.lock_pager().heat.forget(session);
+        }
     }
 
     /// Sessions currently contributing heat.
@@ -318,10 +326,10 @@ impl PagedIndex {
     }
 
     /// The miss half of [`Self::page`]: reads `page`, tallies the physical
-    /// access and admits it. The pager is locked for the admission's plan
-    /// (which replays the thread's pending hits first) and for its commit
-    /// — never across the read before them or the victim ranking between
-    /// them. Kept out of line: inlined, its frame and spills are paid by
+    /// access and admits it. The pager is locked for the plan (which
+    /// replays the thread's pending hits first, and under LRU places the
+    /// page) and for a motion-aware commit — never across the read or the
+    /// ranking. Kept out of line: inlined, its frame and spills are paid by
     /// every hit (`io/page_read_warm` read 4–17 % slower).
     #[inline(never)]
     fn fault(&self, page: u32) -> Arc<Vec<u8>> {
@@ -786,92 +794,99 @@ mod tests {
 
     /// One corrupt page must cost one query, not the server: the panic
     /// happens after the pager guard is dropped, so the mutex is not
-    /// poisoned and every other session keeps being served.
+    /// poisoned and every other session keeps being served — under either
+    /// policy; only the motion-aware pool keeps the survivor's motion.
     #[test]
     fn a_corrupt_page_panics_one_query_without_poisoning_the_pager() {
-        let (paged, _, d, path) = open_small_at("corrupt.pages", 8, CachePolicy::MotionAware);
-        // Flip one payload byte of the last coefficient page on disk, after
-        // the open-time validation and before anything has read it.
-        let bad_page = paged.meta().data_pages() - 1;
-        let bad_id = d.records.last().expect("records").id;
-        let offset = mar_store::PAGE_SIZE as u64 * (1 + bad_page as u64) + 17;
-        let mut bytes = std::fs::read(&path).expect("read store");
-        bytes[offset as usize] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("rewrite store");
+        for policy in [CachePolicy::MotionAware, CachePolicy::Lru] {
+            let (paged, _, d, path) = open_small_at("corrupt.pages", 8, policy);
+            // Flip one payload byte of the last coefficient page on disk, after
+            // the open-time validation and before anything has read it.
+            let bad_page = paged.meta().data_pages() - 1;
+            let bad_id = d.records.last().expect("records").id;
+            let offset = mar_store::PAGE_SIZE as u64 * (1 + bad_page as u64) + 17;
+            let mut bytes = std::fs::read(&path).expect("read store");
+            bytes[offset as usize] ^= 0x40;
+            std::fs::write(&path, &bytes).expect("rewrite store");
 
-        let before = paged.cache_stats();
-        std::thread::scope(|s| {
-            let victim = s.spawn(|| paged.touch_payload(bad_id));
-            assert!(
-                victim.join().is_err(),
-                "a bad checksum must panic the query"
-            );
-        });
-        let after = paged.cache_stats();
-        assert_eq!(after.lookups, before.lookups + 1);
-        assert_eq!(
-            after.faults, before.faults,
-            "the failed read admitted nothing"
-        );
-        std::thread::scope(|s| {
-            let survivor = s.spawn(|| {
-                paged.observe_motion(9, Point2::new([500.0, 500.0]));
-                search(&paged.nodes(), &windows()[0], |_, _| {})
+            let before = paged.cache_stats();
+            std::thread::scope(|s| {
+                let victim = s.spawn(|| paged.touch_payload(bad_id));
+                assert!(
+                    victim.join().is_err(),
+                    "a bad checksum must panic the query"
+                );
             });
-            assert!(survivor.join().expect("other sessions keep working") > 0);
-        });
-        assert_eq!(paged.motion_sessions(), 1);
+            let after = paged.cache_stats();
+            assert_eq!(after.lookups, before.lookups + 1);
+            assert_eq!(
+                after.faults, before.faults,
+                "the failed read admitted nothing"
+            );
+            std::thread::scope(|s| {
+                let survivor = s.spawn(|| {
+                    paged.observe_motion(9, Point2::new([500.0, 500.0]));
+                    search(&paged.nodes(), &windows()[0], |_, _| {})
+                });
+                assert!(survivor.join().expect("other sessions keep working") > 0);
+            });
+            let motion_aware = policy == CachePolicy::MotionAware;
+            assert_eq!(paged.motion_sessions(), usize::from(motion_aware));
+        }
     }
 
-    /// Four threads hammer an 8-page motion-aware pool — overlapping page
-    /// sets, so concurrent misses of one page, hits during another
-    /// thread's read and evictions under a moving heat field all occur.
+    /// Four threads hammer an 8-page pool of each policy — overlapping
+    /// page sets, so concurrent misses of one page, hits during another
+    /// thread's read and evictions (under a moving heat field, for the
+    /// motion-aware pool) all occur.
     /// Every byte served is the file's, and the accounting identities the
-    /// one-thread path has by construction hold for the two-phase path.
+    /// one-thread path has by construction hold with the read unlocked.
     #[test]
     fn four_threads_share_the_pool_without_losing_a_count_or_a_byte() {
         const THREADS: u32 = 4;
         const READS: u32 = 3000;
-        let (paged, _, _, path) = open_small_at("stress.pages", 8, CachePolicy::MotionAware);
-        let raw = PageFile::open(&path).expect("open raw");
-        let pages = paged.meta().data_pages();
-        let want: Vec<Vec<u8>> = (0..pages).map(|p| raw.read_at(p).expect("raw")).collect();
-        let start = std::sync::Barrier::new(THREADS as usize);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let (paged, want, start) = (&paged, &want, &start);
-                s.spawn(move || {
-                    start.wait();
-                    let mut x = 0x9e37_79b9_u32.wrapping_mul(t + 1);
-                    for i in 0..READS {
-                        // xorshift: a hot dozen pages most of the time, a
-                        // sweep of the whole store otherwise.
-                        x ^= x << 13;
-                        x ^= x >> 17;
-                        x ^= x << 5;
-                        let page = (x >> 2) % if x & 3 == 0 { pages } else { 12 };
-                        if i & 15 == 0 {
-                            let at = f64::from(x % 1000);
-                            paged.observe_motion(u64::from(t), Point2::new([at, 1000.0 - at]));
+        for policy in [CachePolicy::MotionAware, CachePolicy::Lru] {
+            let (paged, _, _, path) = open_small_at("stress.pages", 8, policy);
+            let raw = PageFile::open(&path).expect("open raw");
+            let pages = paged.meta().data_pages();
+            let want: Vec<Vec<u8>> = (0..pages).map(|p| raw.read_at(p).expect("raw")).collect();
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (paged, want, start) = (&paged, &want, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut x = 0x9e37_79b9_u32.wrapping_mul(t + 1);
+                        for i in 0..READS {
+                            // xorshift: a hot dozen pages most of the time, a
+                            // sweep of the whole store otherwise.
+                            x ^= x << 13;
+                            x ^= x >> 17;
+                            x ^= x << 5;
+                            let page = (x >> 2) % if x & 3 == 0 { pages } else { 12 };
+                            if i & 15 == 0 {
+                                let at = f64::from(x % 1000);
+                                paged.observe_motion(u64::from(t), Point2::new([at, 1000.0 - at]));
+                            }
+                            assert_eq!(*paged.page(page), want[page as usize], "page {page}");
                         }
-                        assert_eq!(*paged.page(page), want[page as usize], "page {page}");
-                    }
-                    paged.forget_motion(u64::from(t));
-                });
-            }
-        });
-        let stats = paged.cache_stats();
-        assert_eq!(stats.lookups, u64::from(THREADS * READS));
-        assert_eq!(stats.lookups, stats.hits + stats.faults);
-        assert_eq!(paged.io_snapshot().physical, stats.faults);
-        assert!(stats.evictions > 0 && stats.hits > 0);
-        let pager = paged.lock_pager();
-        pager.cache.validate().expect("pool structure");
-        let resident = (0..pages).filter(|&p| pager.cache.contains(p)).count();
-        assert!(resident <= pager.cache.capacity_pages());
+                        paged.forget_motion(u64::from(t));
+                    });
+                }
+            });
+            let stats = paged.cache_stats();
+            assert_eq!(stats.lookups, u64::from(THREADS * READS));
+            assert_eq!(stats.lookups, stats.hits + stats.faults);
+            assert_eq!(paged.io_snapshot().physical, stats.faults);
+            assert!(stats.evictions > 0 && stats.hits > 0);
+            let pager = paged.lock_pager();
+            pager.cache.validate().expect("pool structure");
+            let resident = (0..pages).filter(|&p| pager.cache.contains(p)).count();
+            assert!(resident <= pager.cache.capacity_pages());
+        }
     }
 
-    /// Four threads walk moving windows over an 8-page motion-aware pool
+    /// Four threads walk moving windows over an 8-page pool of each policy
     /// and touch the payload pages of what they find, so hits are served
     /// from residency records while other threads' faults evict pages
     /// under them; each thread exits right after its last query, leaving
@@ -883,55 +898,57 @@ mod tests {
     fn four_threads_walking_and_touching_payloads_balance_the_pool() {
         const THREADS: u32 = 4;
         const QUERIES: u32 = 400;
-        let (paged, _, _, path) = open_small_at("walk.pages", 8, CachePolicy::MotionAware);
-        let mut raw = PageFile::open(&path).expect("open raw");
-        let want: Vec<Vec<u8>> = (0..paged.meta().data_pages())
-            .map(|p| raw.read_page_vec(p).expect("raw"))
-            .collect();
-        let touches = AtomicU64::new(0);
-        let start = std::sync::Barrier::new(THREADS as usize);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let (paged, want, touches, start) = (&paged, &want, &touches, &start);
-                s.spawn(move || {
-                    let served = |page: u32| {
-                        let bytes = paged.page(page);
-                        assert_eq!(*bytes, want[page as usize], "page {page}");
-                        bytes
-                    };
-                    let nodes = PageSource {
-                        fetch: |id| NodePage::parse(served(id), REF_SIZE).expect("node page"),
-                        io: &paged.io,
-                    };
-                    let half = Vector::new([90.0, 90.0]);
-                    let phase = f64::from(t) / f64::from(THREADS);
-                    start.wait();
-                    for q in 0..QUERIES {
-                        let f = f64::from(q) / f64::from(QUERIES);
-                        let at = Point2::new([
-                            100.0 + 800.0 * ((f + phase) % 1.0),
-                            100.0 + 800.0 * ((3.0 * f + phase) % 1.0),
-                        ]);
-                        paged.observe_motion(u64::from(t), at);
-                        let window = Rect2::new(at - half, at + half).lift(0.0, 1.0);
-                        let mut hits = Vec::new();
-                        search(&nodes, &window, |leaf, i| hits.push(coeff_ref(leaf, i)));
-                        for &id in hits.iter().step_by(5) {
-                            let rec = paged.meta().record_index(id).expect("a stored record");
-                            served(paged.meta().record_page(rec).0);
-                            touches.fetch_add(1, Ordering::Relaxed);
+        for policy in [CachePolicy::MotionAware, CachePolicy::Lru] {
+            let (paged, _, _, path) = open_small_at("walk.pages", 8, policy);
+            let mut raw = PageFile::open(&path).expect("open raw");
+            let want: Vec<Vec<u8>> = (0..paged.meta().data_pages())
+                .map(|p| raw.read_page_vec(p).expect("raw"))
+                .collect();
+            let touches = AtomicU64::new(0);
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (paged, want, touches, start) = (&paged, &want, &touches, &start);
+                    s.spawn(move || {
+                        let served = |page: u32| {
+                            let bytes = paged.page(page);
+                            assert_eq!(*bytes, want[page as usize], "page {page}");
+                            bytes
+                        };
+                        let nodes = PageSource {
+                            fetch: |id| NodePage::parse(served(id), REF_SIZE).expect("node page"),
+                            io: &paged.io,
+                        };
+                        let half = Vector::new([90.0, 90.0]);
+                        let phase = f64::from(t) / f64::from(THREADS);
+                        start.wait();
+                        for q in 0..QUERIES {
+                            let f = f64::from(q) / f64::from(QUERIES);
+                            let at = Point2::new([
+                                100.0 + 800.0 * ((f + phase) % 1.0),
+                                100.0 + 800.0 * ((3.0 * f + phase) % 1.0),
+                            ]);
+                            paged.observe_motion(u64::from(t), at);
+                            let window = Rect2::new(at - half, at + half).lift(0.0, 1.0);
+                            let mut hits = Vec::new();
+                            search(&nodes, &window, |leaf, i| hits.push(coeff_ref(leaf, i)));
+                            for &id in hits.iter().step_by(5) {
+                                let rec = paged.meta().record_index(id).expect("a stored record");
+                                served(paged.meta().record_page(rec).0);
+                                touches.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
-                    }
-                });
-            }
-        });
-        let stats = paged.cache_stats();
-        let io = paged.io_snapshot();
-        assert_eq!(stats.lookups, stats.hits + stats.faults);
-        assert_eq!(io.physical, stats.faults);
-        assert_eq!(stats.lookups, io.logical + touches.into_inner());
-        assert!(stats.evictions > 0 && stats.hits > 0);
-        paged.lock_pager().cache.validate().expect("pool structure");
+                    });
+                }
+            });
+            let stats = paged.cache_stats();
+            let io = paged.io_snapshot();
+            assert_eq!(stats.lookups, stats.hits + stats.faults);
+            assert_eq!(io.physical, stats.faults);
+            assert_eq!(stats.lookups, io.logical + touches.into_inner());
+            assert!(stats.evictions > 0 && stats.hits > 0);
+            paged.lock_pager().cache.validate().expect("pool structure");
+        }
     }
 
     /// Four threads observe and forget motion at once through the split

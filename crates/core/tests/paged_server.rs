@@ -172,18 +172,34 @@ fn single_region_query_matches_one_window_batch_on_both_backends() {
     assert_eq!(logs[0], logs[1], "RAM and paged agree");
 }
 
+/// A motion-aware pool keeps one heat row per live session and drops it
+/// on disconnect; the LRU pool a `Residence::Paged` core serves through
+/// keeps none at any point.
 #[test]
 fn disconnect_clears_motion_state() {
     let sc = scene();
     let path = tmp("motion.pages");
-    let core = paged_core(&sc, &path, 8 * 4096);
-    let server = Server::from_core(core);
+    let data = Arc::new(SceneIndexData::build(&sc));
+    write_store(&path, &data).expect("write store");
+    let index = WaveletIndex::open_paged(&path, 8 * 4096, CachePolicy::MotionAware).expect("open");
+    let server = Server::from_core(ServerCore::from_parts(data, Arc::new(index)));
     let c = server.connect();
     server.query(c, &tour(0, 0)).expect("query");
     server.query(c, &tour(0, 1)).expect("query");
     let paged = server.index().paged().expect("paged");
     assert_eq!(paged.motion_sessions(), 1);
     server.disconnect(c).expect("disconnect");
+    assert_eq!(paged.motion_sessions(), 0);
+
+    let lru_path = tmp("motion-lru.pages");
+    let lru = Server::from_core(paged_core(&sc, &lru_path, 8 * 4096));
+    let paged = lru.index().paged().expect("paged");
+    let c = lru.connect();
+    for tick in 0..2 {
+        lru.query(c, &tour(0, tick)).expect("query");
+        assert_eq!(paged.motion_sessions(), 0, "an LRU pool keeps no motion");
+    }
+    lru.disconnect(c).expect("disconnect");
     assert_eq!(paged.motion_sessions(), 0);
 }
 

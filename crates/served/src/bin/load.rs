@@ -152,16 +152,17 @@ fn run(opts: &Options, addr: SocketAddr) -> Result<(), String> {
     let check = if opts.check {
         eprintln!("mar-load: --check: replaying the same config in-process");
         let reference = run_serve(&cfg, &Residence::Ram);
-        if reference.transcript != report.transcript {
+        let (wire, local) = (&report.transcript.text, &reference.transcript.text);
+        if wire != local {
             return Err(format!(
                 "TRANSCRIPT MISMATCH — wire fnv64 {:016x}, in-process fnv64 {:016x}",
-                fnv1a64(&report.transcript),
-                fnv1a64(&reference.transcript)
+                fnv1a64(wire),
+                fnv1a64(local)
             ));
         }
         eprintln!(
             "mar-load: transcripts byte-identical (fnv64 {:016x})",
-            fnv1a64(&report.transcript)
+            fnv1a64(wire)
         );
         "pass"
     } else {

@@ -323,17 +323,9 @@ pub struct ReplayReport {
     pub sessions: usize,
     /// Ticks per session.
     pub ticks: usize,
-    /// `QUERY` round-trips executed.
-    pub queries: u64,
-    /// Payload bytes served across all sessions.
-    pub bytes: f64,
-    /// Coefficients served across all sessions.
-    pub coeffs: u64,
-    /// Index node accesses across all sessions.
-    pub io: u64,
-    /// The deterministic transcript — byte-identical to the in-process
-    /// harness's for the same [`ServeConfig`].
-    pub transcript: String,
+    /// The deterministic transcript and its totals — byte-identical to
+    /// the in-process harness's for the same [`ServeConfig`].
+    pub transcript: Transcript,
     /// Bytes on the wire, both directions, length prefixes included.
     pub wire_bytes: u64,
     /// Effective pipeline depth the replay ran with (1 = synchronous
@@ -342,6 +334,11 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
+    /// `QUERY` round-trips executed: one per session per tick.
+    pub fn queries(&self) -> u64 {
+        (self.sessions * self.ticks) as u64
+    }
+
     /// The `BENCH_wire.json` snapshot of this replay. `overload` is the
     /// `(outstanding, cap)` a saturation probe was refused at, `check`
     /// the outcome of the in-process comparison.
@@ -351,18 +348,19 @@ impl ReplayReport {
             probe.push(("outstanding", Json::Num(outstanding, 1)));
             probe.push(("cap", Json::Num(cap, 1)));
         }
+        let t = &self.transcript;
         let fields = vec![
-            ("queries", self.queries.into()),
+            ("queries", self.queries().into()),
             ("pipeline", self.pipeline.into()),
-            ("bytes_served", Json::Num(self.bytes, 1)),
-            ("coeffs_served", self.coeffs.into()),
-            ("index_io", self.io.into()),
+            ("bytes_served", Json::Num(t.bytes, 1)),
+            ("coeffs_served", t.coeffs.into()),
+            ("index_io", t.io.into()),
             ("wire_bytes", self.wire_bytes.into()),
             ("overload", Json::Obj(probe)),
             ("check", check.into()),
         ];
         let run = (self.sessions, self.ticks);
-        snapshot("mar-load-wire/3", mode, run, fields, &self.transcript)
+        snapshot("mar-load-wire/3", mode, run, fields, &t.text)
     }
 }
 
@@ -464,11 +462,7 @@ pub fn run_wire_replay(
     Ok(ReplayReport {
         sessions: cfg.sessions,
         ticks: cfg.ticks,
-        queries: (cfg.sessions * cfg.ticks) as u64,
-        bytes: transcript.bytes,
-        coeffs: transcript.coeffs,
-        io: transcript.io,
-        transcript: transcript.text,
+        transcript,
         wire_bytes,
         pipeline: depth,
     })

@@ -84,15 +84,16 @@ fn wire_transcript_is_byte_identical_to_in_process() {
     let stats = handle.join();
 
     let reference = run_serve(&cfg, &Residence::Ram);
+    let (w, r) = (&wire.transcript, &reference.transcript);
     assert_eq!(
-        wire.transcript, reference.transcript,
+        w.text, r.text,
         "the wire layer must be unobservable in the transcript"
     );
-    assert_eq!(fnv1a64(&wire.transcript), fnv1a64(&reference.transcript));
-    assert_eq!(wire.bytes, reference.bytes, "payload accounting bit-exact");
-    assert_eq!(wire.coeffs, reference.coeffs);
-    assert_eq!(wire.io, reference.io);
-    assert!(wire.bytes > 0.0, "the comparison is not vacuous");
+    assert_eq!(fnv1a64(&w.text), fnv1a64(&r.text));
+    assert_eq!(w.bytes, r.bytes, "payload accounting bit-exact");
+    assert_eq!(w.coeffs, r.coeffs);
+    assert_eq!(w.io, r.io);
+    assert!(w.bytes > 0.0, "the comparison is not vacuous");
     assert!(
         wire.wire_bytes > 0,
         "frames actually crossed the loopback socket"
@@ -171,7 +172,7 @@ fn pipelined_replay_transcript_is_depth_invariant() {
         let wire = run_wire_replay(handle.addr, &cfg, depth).expect("pipelined replay");
         let stats = handle.join();
         assert_eq!(
-            wire.transcript, reference.transcript,
+            wire.transcript.text, reference.transcript.text,
             "pipeline depth {depth} must be unobservable in the transcript"
         );
         assert_eq!(wire.pipeline, depth.min(cfg.sessions));

@@ -1,8 +1,10 @@
 //! Every `DESIGN.md §N` or `§N.M` citation in the code, the examples, the
-//! tests, the README, EXPERIMENTS.md, CI and the verification notes names
-//! a section DESIGN.md has, so renumbering or folding a section cannot
-//! leave a pointer to nothing behind; and DESIGN.md stays within its line
-//! budget, so the document can only shrink.
+//! tests, the README, EXPERIMENTS.md, the ROADMAP, CI and the verification
+//! notes names a section DESIGN.md has, and every EXPERIMENTS.md citation
+//! by quoted title there or in DESIGN.md names a heading EXPERIMENTS.md
+//! has, so renumbering, renaming or folding a section cannot leave a
+//! pointer to nothing behind; and both documents stay within their line
+//! budgets, so they can only shrink.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -49,8 +51,35 @@ fn citations(text: &str) -> Vec<String> {
     out
 }
 
+/// The titles `text` cites as the file name EXPERIMENTS.md, an optional
+/// comma, a space or line break and the title in double quotes;
+/// whitespace and comment markers inside a title fold to single spaces.
+fn experiment_citations(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("EXPERIMENTS.md") {
+        let after = &text[at + "EXPERIMENTS.md".len()..];
+        let rest = after.strip_prefix(',').unwrap_or(after);
+        let gap = rest.trim_start_matches(|c: char| c.is_whitespace() || "/!#*".contains(c));
+        let Some(quoted) = gap.strip_prefix('"').filter(|_| gap.len() < rest.len()) else {
+            continue;
+        };
+        let Some(end) = quoted.find('"') else {
+            continue;
+        };
+        let words = quoted[..end].split_whitespace();
+        let words: Vec<&str> = words
+            .filter(|w| !w.chars().all(|c| "/!#*".contains(c)))
+            .collect();
+        out.push(words.join(" "));
+    }
+    out
+}
+
 /// DESIGN.md's most lines.
 const DESIGN_MAX_LINES: usize = 896;
+
+/// EXPERIMENTS.md's most lines.
+const EXPERIMENTS_MAX_LINES: usize = 863;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -77,12 +106,13 @@ fn files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn every_design_citation_names_a_design_heading() {
-    let root = root();
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
-    let known = sections(&design);
-    let mut paths = vec![root.join("README.md"), root.join("EXPERIMENTS.md")];
+/// The files whose citations are checked: the README, EXPERIMENTS.md,
+/// the ROADMAP, the code, the examples, the tests, CI and the
+/// verification notes.
+fn cited_from(root: &Path) -> Vec<PathBuf> {
+    let mut paths = ["README.md", "EXPERIMENTS.md", "ROADMAP.md"]
+        .map(|f| root.join(f))
+        .to_vec();
     for dir in ["crates", "examples", "tests"] {
         files(&root.join(dir), &mut paths);
     }
@@ -102,8 +132,16 @@ fn every_design_citation_names_a_design_heading() {
             files(&entry.path(), &mut paths);
         }
     }
+    paths
+}
+
+#[test]
+fn every_design_citation_names_a_design_heading() {
+    let root = root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let known = sections(&design);
     let (mut cited, mut dangling) = (BTreeSet::new(), Vec::new());
-    for path in &paths {
+    for path in &cited_from(root) {
         let Ok(text) = std::fs::read_to_string(path) else {
             continue;
         };
@@ -127,12 +165,58 @@ fn every_design_citation_names_a_design_heading() {
 }
 
 #[test]
+fn every_experiments_citation_names_an_experiments_heading() {
+    let root = root();
+    let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let headings: Vec<&str> = experiments
+        .lines()
+        .filter(|line| line.starts_with('#'))
+        .map(|line| line.trim_start_matches('#').trim_start())
+        .collect();
+    let mut paths = cited_from(root);
+    paths.push(root.join("DESIGN.md"));
+    let (mut cited, mut dangling) = (0, Vec::new());
+    for path in &paths {
+        let Ok(text) = std::fs::read_to_string(path) else {
+            continue;
+        };
+        for title in experiment_citations(&text) {
+            if !headings.iter().any(|h| h.starts_with(&title)) {
+                let file = path.strip_prefix(root).unwrap_or(path);
+                dangling.push(format!("{}: \"{title}\"", file.display()));
+            }
+            cited += 1;
+        }
+    }
+    assert!(
+        cited > 0,
+        "no quoted EXPERIMENTS.md citation found under {root:?}"
+    );
+    assert!(
+        dangling.is_empty(),
+        "citations of missing EXPERIMENTS.md headings:\n{}",
+        dangling.join("\n")
+    );
+}
+
+#[test]
 fn design_md_stays_within_its_line_budget() {
     let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
     let lines = design.lines().count();
     assert!(
         lines <= DESIGN_MAX_LINES,
         "DESIGN.md has {lines} lines, over its budget of {DESIGN_MAX_LINES}"
+    );
+}
+
+#[test]
+fn experiments_md_stays_within_its_line_budget() {
+    let experiments =
+        std::fs::read_to_string(root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let lines = experiments.lines().count();
+    assert!(
+        lines <= EXPERIMENTS_MAX_LINES,
+        "EXPERIMENTS.md has {lines} lines, over its budget of {EXPERIMENTS_MAX_LINES}"
     );
 }
 
@@ -148,4 +232,11 @@ fn citations_are_read_across_line_breaks_and_sentence_ends() {
         sections(headings),
         BTreeSet::from(["1".into(), "12.1".into()])
     );
+    let e = "EXPERIMENTS.md";
+    let text = format!("({e}, \"Which pool\nserves\") {e}\n//! \"Wire\n//! serving\"; {e}\")");
+    assert_eq!(
+        experiment_citations(&text),
+        ["Which pool serves", "Wire serving"]
+    );
+    assert!(experiment_citations(&format!("see {e}. \"Quoted\" {e}\"x\"")).is_empty());
 }
