@@ -43,7 +43,8 @@ impl FramePlanner {
     /// last *committed* frame. Does not advance the state — a retried or
     /// failed query must not count as delivered.
     pub fn plan(&self, frame: &Rect2, band: ResolutionBand) -> Vec<QueryRegion> {
-        let mut regions = Vec::new();
+        // One overlap band plus at most four difference slabs.
+        let mut regions = Vec::with_capacity(5);
         match self.prev_frame {
             Some(prev) if prev.intersects(frame) => {
                 // mar-lint: allow(D004) — guarded by the `intersects` match arm
@@ -58,9 +59,9 @@ impl FramePlanner {
                         band: ResolutionBand::new(band.w_min, prev_band.w_min),
                     });
                 }
-                for part in frame.difference(&prev) {
-                    regions.push(QueryRegion { region: part, band });
-                }
+                frame.for_each_difference(&prev, |part| {
+                    regions.push(QueryRegion { region: part, band })
+                });
             }
             _ => regions.push(QueryRegion {
                 region: *frame,

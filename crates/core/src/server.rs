@@ -210,11 +210,15 @@ impl ServerCore {
         &self.index
     }
 
-    /// One window through the scalar descent and `filter`, accumulated
-    /// into `out` (`io` included): the single-region path of
-    /// [`Server::query`]. Visit order and logical `io` equal the 1-window
-    /// batch's ([`WaveletIndex::for_each_batch`]'s contract), so the
-    /// result is bit-identical to the buffered path's.
+    /// One window of an in-RAM index through the scalar descent and
+    /// `filter`, accumulated into `out` (`io` included): hits stream
+    /// straight into the filter from inside the one-ahead walk, with no
+    /// hit list in between — the RAM path of [`Server::query`]. Visit
+    /// order and logical `io` equal a batch's for the same window
+    /// ([`WaveletIndex::for_each_batch`]'s contract), so the result is
+    /// bit-identical to the grouped path's. A paged index never comes
+    /// here: a payload touch in mid-descent would reorder its pool's page
+    /// reads.
     pub(crate) fn admit_window(
         &self,
         filter: &mut SentFilter,
@@ -223,30 +227,13 @@ impl ServerCore {
         out: &mut QueryResult,
     ) {
         let (data, index) = (self.data(), self.index());
-        if index.is_paged() {
-            // A payload touch in mid-descent would reorder the pool's page
-            // reads, and with them every cache statistic (`abl_store.csv`
-            // is pinned byte for byte): descend first, then admit.
-            let mut scratch = SCRATCH.take();
-            if scratch.hits.is_empty() {
-                scratch.hits.push(Vec::new());
-            }
-            let hits = &mut scratch.hits[0];
-            hits.clear();
-            out.io += index.for_each(region, band, |id| hits.push(id));
-            filter.admit(data, index, hits, out);
-            SCRATCH.set(scratch);
-        } else {
-            // In RAM the touch is a no-op: hits stream straight into the
-            // filter, with no hit list in between.
-            let io = index.for_each(
-                region,
-                band,
-                #[inline(always)]
-                |id| filter.admit_one(data, index, id, out),
-            );
-            out.io += io;
-        }
+        debug_assert!(!index.is_paged(), "a paged index descends first");
+        out.io += index.for_each(
+            region,
+            band,
+            #[inline(always)]
+            |id| filter.admit_one(data, index, id, out),
+        );
     }
 }
 
@@ -330,17 +317,21 @@ impl Server {
     /// Executes a batch of sub-queries for a session, filtering out data
     /// the client already holds, and returns the transmission accounting.
     ///
-    /// The session's sub-queries run as one grouped index descent
-    /// ([`WaveletIndex::for_each_batch`]): tree nodes shared by several
-    /// sub-query windows are read once physically, while `io` still
-    /// reports the per-sub-query *logical* accesses — exactly what the
-    /// one-window-at-a-time walk would have counted. The per-window hit
-    /// lists are replayed through the session filter in sub-query order,
-    /// so the accounting (including the floating-point byte total) is
-    /// bit-identical to the scalar path — which a single-region query
-    /// (every block fetch of the buffered client) takes directly
-    /// (`ServerCore::admit_window`). Neither path allocates in steady
-    /// state: windows and hits live in per-thread reuse buffers.
+    /// The walk is chosen by residence, not by window count:
+    ///
+    /// * **RAM** (a RAM fleet included): each window in sub-query order
+    ///   takes the scalar one-ahead descent, its hits streamed into the
+    ///   filter (`ServerCore::admit_window`).
+    /// * **Paged**: all windows descend as one group
+    ///   ([`WaveletIndex::for_each_batch`]; a group of one is the scalar
+    ///   walk), then the per-window hit lists are replayed through the
+    ///   filter, so no payload touch reorders the pool's page reads.
+    ///
+    /// Per window both walks produce the scalar search's hits in its order
+    /// and its logical `io`, so the accounting (the floating-point byte
+    /// total included) is bit-identical either way and to
+    /// [`Server::query_batch`]. Neither path allocates in steady state:
+    /// windows and hits live in per-thread reuse buffers.
     ///
     /// Holds only the session's own filter lock (across the descent and
     /// the accounting; no stripe of the session table, so no other
@@ -366,9 +357,11 @@ impl Server {
                 index.observe_motion(session, q.region.center());
             }
             let mut result = QueryResult::default();
-            if let [q] = regions {
-                self.core
-                    .admit_window(filter, &q.region, q.band, &mut result);
+            if !index.is_paged() {
+                for q in regions {
+                    self.core
+                        .admit_window(filter, &q.region, q.band, &mut result);
+                }
                 return result;
             }
             let mut scratch = SCRATCH.take();
@@ -544,6 +537,49 @@ mod tests {
             assert!(sent > 0);
             assert_eq!(out_of_scene > 0, mismatched);
         }
+    }
+
+    /// A RAM `query` streams each window of a tour plan through the
+    /// one-ahead walk; a twin server answers the same plans through the
+    /// grouped `query_batch`. Answers, logical `io` and the index's
+    /// cumulative logical counter must agree query for query.
+    #[test]
+    fn streamed_ram_plans_equal_the_grouped_batch() {
+        use crate::retrieval::FramePlanner;
+        let (streamed, grouped) = (server(), server());
+        assert!(!streamed.index().is_paged());
+        let (a, b) = (streamed.connect(), grouped.connect());
+        let mut planner = FramePlanner::new();
+        let (mut multi, mut sent) = (0, 0);
+        for tick in 0..60u64 {
+            let unit = |salt: u64| (splitmix64(tick * 3 + salt) >> 11) as f64 / (1u64 << 53) as f64;
+            // A 200-unit frame drifting across the scene, its band
+            // widening and narrowing with a jittered speed.
+            let (x, y) = (10.0 * tick as f64 + 20.0 * unit(0), 8.0 * tick as f64);
+            let frame = Rect2::new(Point2::new([x, y]), Point2::new([x + 200.0, y + 200.0]));
+            let band = ResolutionBand::new(0.6 * unit(1), 1.0);
+            let regions = planner.plan(&frame, band);
+            planner.commit(frame, band);
+            multi += usize::from(regions.len() >= 2);
+
+            let (io_a, io_b) = (
+                streamed.index().io_snapshot(),
+                grouped.index().io_snapshot(),
+            );
+            let got = streamed.query(a, &regions).expect("live session");
+            let (batch, _) = grouped.query_batch(&[(b, &regions)]);
+            let want = batch[0].expect("live session");
+            let key = |r: &QueryResult| (r.coeffs, r.new_objects, r.bytes.to_bits(), r.io);
+            assert_eq!(key(&got), key(&want), "tick {tick}");
+            sent += got.coeffs;
+            assert_eq!(
+                streamed.index().io_snapshot().logical - io_a.logical,
+                grouped.index().io_snapshot().logical - io_b.logical,
+                "tick {tick}"
+            );
+        }
+        assert!(multi > 0, "no tick planned two or more windows");
+        assert!(sent > 0, "the tour sent nothing");
     }
 
     #[test]

@@ -164,10 +164,18 @@ impl<const N: usize> Rect<N> {
     /// assert!((area - 7.0).abs() < 1e-12);
     /// ```
     pub fn difference(&self, other: &Self) -> Vec<Self> {
-        if !self.intersects(other) {
-            return vec![*self];
-        }
         let mut out = Vec::with_capacity(2 * N);
+        self.for_each_difference(other, |part| out.push(part));
+        out
+    }
+
+    /// [`Rect::difference`] as a visitor: `emit` receives the same parts
+    /// in the same order, with no vector in between.
+    pub fn for_each_difference(&self, other: &Self, mut emit: impl FnMut(Self)) {
+        if !self.intersects(other) {
+            emit(*self);
+            return;
+        }
         let mut remainder = *self;
         for i in 0..N {
             // Slab strictly below `other` in dimension i.
@@ -176,7 +184,7 @@ impl<const N: usize> Rect<N> {
                 hi[i] = other.lo[i];
                 let slab = Self::from_corners(remainder.lo, hi);
                 if slab.volume() > 0.0 {
-                    out.push(slab);
+                    emit(slab);
                 }
                 remainder.lo[i] = other.lo[i];
             }
@@ -186,13 +194,12 @@ impl<const N: usize> Rect<N> {
                 lo[i] = other.hi[i];
                 let slab = Self::from_corners(lo, remainder.hi);
                 if slab.volume() > 0.0 {
-                    out.push(slab);
+                    emit(slab);
                 }
                 remainder.hi[i] = other.hi[i];
             }
         }
         // What is left of `remainder` is inside `other` and is discarded.
-        out
     }
 
     /// True when every coordinate of both corners is finite.

@@ -17,7 +17,8 @@
 //!
 //! `--store PATH` switches the daemon out-of-core: the index is written
 //! to a page file at `PATH` and every descent reads through an LRU
-//! buffer pool, capped at `--cache-mb N` MiB (default 64).
+//! buffer pool, capped at `--cache-mb N` MiB (default 64; a decimal such
+//! as `0.125` is allowed, a budget below one page is refused).
 //! Responses are byte-identical to the in-RAM build (DESIGN.md §15), so
 //! `mar-load --check` passes against either backend. On exit an
 //! out-of-core daemon reports its pool's counters next to the
@@ -26,10 +27,9 @@
 use mar_bench::cli::{exit_usage, Args, CliError};
 use mar_bench::engine::default_jobs;
 use mar_bench::serve::{serve_scene, ServeConfig};
-use mar_core::{Residence, Server, ServerCore, POOL_POLICY};
+use mar_core::{Residence, Server, ServerCore, PAGE_SIZE, POOL_POLICY};
 use mar_served::{spawn_daemon, DaemonConfig, DEFAULT_OUTBOX_CAP};
 use std::net::TcpListener;
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 struct Options {
@@ -44,8 +44,9 @@ struct Options {
     token_seed: Option<u64>,
     /// `Some(path)` serves out-of-core from a page file at `path`.
     store: Option<String>,
-    /// Buffer-pool budget in bytes (`--cache-mb` MiB); `None` is the
-    /// 64 MiB default. Only accepted with `--store`.
+    /// Buffer-pool budget in bytes (`--cache-mb` MiB, rounded down to a
+    /// whole byte); `None` is the 64 MiB default. Only accepted with
+    /// `--store`, and never below one page.
     cache_bytes: Option<usize>,
 }
 
@@ -78,11 +79,21 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--token-seed" => opts.token_seed = Some(args.parse("u64")?),
             "--store" => opts.store = Some(args.value()?.to_string()),
             "--cache-mb" => {
-                let mb: NonZeroUsize = args.parse("positive number")?;
-                let bytes = mb.get().checked_mul(1 << 20).ok_or_else(|| {
-                    CliError::Invalid(format!("--cache-mb: {mb} MiB overflows a byte count"))
-                })?;
-                opts.cache_bytes = Some(bytes);
+                let mb: f64 = args.parse("number")?;
+                let bytes = mb * f64::from(1u32 << 20);
+                // 2^64 (what `usize::MAX as f64` rounds to) already overflows.
+                if bytes >= usize::MAX as f64 {
+                    return Err(CliError::Invalid(format!(
+                        "--cache-mb: {mb} MiB overflows a byte count"
+                    )));
+                }
+                // Also refuses 0, negatives and NaN.
+                if bytes.is_nan() || bytes < PAGE_SIZE as f64 {
+                    return Err(CliError::Invalid(format!(
+                        "--cache-mb: {mb} MiB is less than one {PAGE_SIZE}-byte page"
+                    )));
+                }
+                opts.cache_bytes = Some(bytes as usize);
             }
             _ => return Err(args.unknown()),
         }
@@ -123,7 +134,7 @@ fn main() {
             let budget_bytes = opts.cache_bytes.unwrap_or(64 << 20);
             eprintln!(
                 "mar-served: out-of-core — store {path}, pool {} MiB, {} eviction policy",
-                budget_bytes >> 20,
+                budget_bytes as f64 / f64::from(1u32 << 20),
                 POOL_POLICY.name()
             );
             Residence::Paged {
@@ -240,6 +251,30 @@ mod tests {
         let opts = parse(&["--store", "x"]).expect("accepted");
         assert_eq!((opts.store.as_deref(), opts.cache_bytes), (Some("x"), None));
         assert_eq!(parse(&[]).expect("defaults").cache_bytes, None);
+    }
+
+    #[test]
+    fn cache_mb_takes_a_decimal_of_at_least_one_page() {
+        let bytes = |mb: &str| parse(&["--store", "x", "--cache-mb", mb]).map(|o| o.cache_bytes);
+        assert_eq!(bytes("0.125"), Ok(Some(32 * PAGE_SIZE)));
+        // One page is the floor; a byte less is refused.
+        let page_mb = PAGE_SIZE as f64 / f64::from(1u32 << 20);
+        assert_eq!(bytes(&page_mb.to_string()), Ok(Some(PAGE_SIZE)));
+        for mb in ["0.0039", "0", "-0", "-1", "nan", "-inf"] {
+            let e = bytes(mb).expect_err("rejected");
+            assert!(
+                matches!(&e, CliError::Invalid(m) if m.ends_with(&format!("less than one {PAGE_SIZE}-byte page"))),
+                "{mb}: {e:?}"
+            );
+        }
+        for mb in ["inf", "1e300"] {
+            let e = bytes(mb).expect_err("rejected");
+            assert!(
+                matches!(&e, CliError::Invalid(m) if m.ends_with("overflows a byte count")),
+                "{mb}: {e:?}"
+            );
+        }
+        assert!(matches!(bytes("lots"), Err(CliError::Invalid(m)) if m.contains("not a number")));
     }
 
     #[test]
