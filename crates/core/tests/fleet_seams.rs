@@ -3,10 +3,11 @@
 //! the RAM index's answer, id for id, for windows and supports whose
 //! edges sit on shard seams or a few ulps either side of them — the
 //! places where a seam computed two ways, or an epsilon sized from the
-//! block instead of the coordinate, drops or strands a sliver.
+//! block instead of the coordinate, drops or strands a sliver. The
+//! client's block grid reads the same seams on spaces of side 10 to 10¹⁰.
 
 use mar_core::{CoeffRecord, CoeffRef, FleetConfig, SceneIndexData, ServerCore, WaveletIndex};
-use mar_geom::{Point2, Rect2};
+use mar_geom::{BlockId, GridSpec, Point2, Rect2};
 use mar_mesh::ResolutionBand;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -138,5 +139,72 @@ proptest! {
             prop_assert_eq!(answer(&fleet, &window, band), want, "window {:?}", window);
         }
         prop_assert!(hits > 0, "vacuous case");
+    }
+}
+
+/// Edge `(i, f)` of a frame along `axis`: `f` blocks past seam `i` of
+/// `grid` (seams past the space continue at the block pitch).
+fn edge(grid: &GridSpec, axis: usize, (i, f): (i64, f64)) -> f64 {
+    let n = i64::from(if axis == 0 { grid.nx } else { grid.ny });
+    let pitch = grid.space.extent(axis) / n as f64;
+    let seam = if (0..=n).contains(&i) {
+        grid.seam(axis, i)
+    } else {
+        grid.space.lo[axis] + i as f64 * pitch
+    };
+    seam + f * pitch
+}
+
+/// The blocks `[a, b]` (in block units, `a <= b`) spans on an axis of
+/// `n` blocks, by exact arithmetic: closed at the space's edges, and an
+/// edge on an interior seam pulls in no block beyond it.
+fn span_model(a: f64, b: f64, n: i64) -> Option<(i64, i64)> {
+    if b < 0.0 || a > n as f64 {
+        return None;
+    }
+    let first = (a.max(0.0).floor() as i64).min(n - 1);
+    let last = (b.min(n as f64).ceil() as i64 - 1).max(first).min(n - 1);
+    Some((first, last))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The client's block grid (`GridSpec::blocks_overlapping`) reads the
+    /// same seams: on a 10 × 10 grid over a space of side 10 to 10¹⁰,
+    /// shifted by up to one side, a frame whose edges lie on a seam, 10⁻⁴
+    /// of a block either side of one, or mid-block gives the blocks the
+    /// exact model gives, whatever the side.
+    #[test]
+    fn block_grid_follows_the_seams_on_rescaled_spaces(
+        log_side in 1i32..11,
+        shift in (-1.0f64..1.0, -1.0f64..1.0),
+        e0 in (-1i64..12, 0usize..5),
+        e1 in (-1i64..12, 0usize..5),
+        e2 in (-1i64..12, 0usize..5),
+        e3 in (-1i64..12, 0usize..5),
+    ) {
+        const FRACTIONS: [f64; 5] = [-0.5, -1e-4, 0.0, 1e-4, 0.5];
+        let side = 10f64.powi(log_side);
+        let lo = Point2::new([shift.0 * side, shift.1 * side]);
+        let grid = GridSpec::new(Rect2::new(lo, Point2::new([lo[0] + side, lo[1] + side])), 10, 10);
+        let edges = [e0, e1, e2, e3].map(|(i, f)| (i, FRACTIONS[f]));
+        let mut frame = Rect2::point(lo);
+        let mut spans = Vec::new();
+        for axis in 0..2 {
+            let (e0, e1) = (edges[2 * axis], edges[2 * axis + 1]);
+            let (a, b) = (edge(&grid, axis, e0), edge(&grid, axis, e1));
+            frame.lo[axis] = a.min(b);
+            frame.hi[axis] = a.max(b);
+            let (u, v) = (e0.0 as f64 + e0.1, e1.0 as f64 + e1.1);
+            spans.push(span_model(u.min(v), u.max(v), 10));
+        }
+        let want: Vec<BlockId> = match (spans[0], spans[1]) {
+            (Some((x0, x1)), Some((y0, y1))) => (y0..=y1)
+                .flat_map(|iy| (x0..=x1).map(move |ix| BlockId::new(ix, iy)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        prop_assert_eq!(grid.blocks_overlapping(&frame), want, "frame {:?}", frame);
     }
 }

@@ -122,32 +122,19 @@ impl GridSpec {
 
     /// Like [`GridSpec::blocks_overlapping`], but reuses `out` (cleared
     /// first) so per-tick simulation loops allocate nothing in steady
-    /// state. Blocks are pushed in the same row-major order.
+    /// state. Blocks are pushed in the same row-major order, and they are
+    /// [`GridSpec::partition_rect`]'s blocks: chosen against the seams, so
+    /// a frame whose edge lies on a block boundary does not pull in the
+    /// next (untouched) block at any coordinate magnitude.
     pub fn blocks_overlapping_into(&self, r: &Rect2, out: &mut Vec<BlockId>) {
         out.clear();
         let Some(clipped) = r.intersection(&self.space) else {
             return;
         };
-        let w = self.block_w();
-        let h = self.block_h();
-        let ix0 = ((clipped.lo[0] - self.space.lo[0]) / w).floor() as i64;
-        let iy0 = ((clipped.lo[1] - self.space.lo[1]) / h).floor() as i64;
-        // Use a tiny epsilon so a frame whose edge coincides with a block
-        // boundary does not pull in the next (untouched) block row.
-        let eps = 1e-9 * (w + h);
-        let ix1 = (((clipped.hi[0] - self.space.lo[0]) / w) - eps)
-            .floor()
-            .max(ix0 as f64) as i64;
-        let iy1 = (((clipped.hi[1] - self.space.lo[1]) / h) - eps)
-            .floor()
-            .max(iy0 as f64) as i64;
+        let (ix0, ix1) = self.seam_span(0, clipped.lo[0], clipped.hi[0]);
+        let (iy0, iy1) = self.seam_span(1, clipped.lo[1], clipped.hi[1]);
         for iy in iy0..=iy1 {
-            for ix in ix0..=ix1 {
-                let b = BlockId::new(ix, iy);
-                if self.in_bounds(&b) {
-                    out.push(b);
-                }
-            }
+            out.extend((ix0..=ix1).map(|ix| BlockId::new(ix, iy)));
         }
     }
 

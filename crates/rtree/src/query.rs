@@ -8,7 +8,12 @@
 //! images of [`crate::PageSource`] are the two sources; visit order, hit
 //! order and every access count are those of the classic
 //! one-rect-at-a-time LIFO descent for both, because both run the code
-//! below — only the node fetch and the window-test kernel differ.
+//! below — only the node fetch, the window-test kernel and when the
+//! scalar walk tests a child differ. The arena tests a child as its
+//! parent pushes it ([`NodeSource::EAGER`]), so a node's matching
+//! children load back to back and overlap; the page source tests it at
+//! the pop, so a pool behind it sees one look-up per visit, in visit
+//! order.
 //!
 //! The walks perform no allocation on the hot path: the traversal stacks
 //! are thread-local scratch buffers that are taken for the duration of
@@ -31,9 +36,10 @@ use mar_geom::Rect;
 use std::cell::Cell;
 
 thread_local! {
-    /// Reusable traversal stack shared by every source on this thread;
-    /// node ids are plain `u32`s, so one buffer serves all `N`/`T`.
-    static SEARCH_STACK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    /// Reusable traversal stack shared by every source on this thread:
+    /// `(node id, first hit mask)` pairs of plain integers, so one buffer
+    /// serves all `N`/`T`.
+    static SEARCH_STACK: Cell<Vec<(u32, u64)>> = const { Cell::new(Vec::new()) };
     /// Reusable `(node, window-bitmask)` stack for the grouped walk.
     static BATCH_STACK: Cell<Vec<(u32, u64)>> = const { Cell::new(Vec::new()) };
 }
@@ -44,12 +50,21 @@ pub trait NodeSource<const N: usize> {
     /// One fetched node.
     type Node: NodeView<N>;
 
+    /// Whether the scalar [`search`] fetches and tests a child when its
+    /// parent pushes it (`true`) or when the walk pops it (`false`).
+    /// Testing at push issues the loads of all of a node's matching
+    /// children back to back, so they overlap; it only suits a source
+    /// whose fetch is a pure memory read. A lazy source is fetched once
+    /// per visit, in visit order.
+    const EAGER: bool = false;
+
     /// Id of the root node.
     fn root(&self) -> u32;
 
-    /// Fetches node `id` — called exactly once per node visit, in visit
-    /// order, so a source backed by a buffer pool sees one look-up per
-    /// unique access.
+    /// Fetches node `id`. A lazy source is called exactly once per node
+    /// visit, in visit order, so a source backed by a buffer pool sees
+    /// one look-up per unique access; an [`NodeSource::EAGER`] one is
+    /// also called when the node is pushed.
     fn node(&self, id: u32) -> Self::Node;
 
     /// The cumulative counters the walks tally logical and unique
@@ -71,7 +86,8 @@ pub trait NodeView<const N: usize> {
     /// Tests up to 64 entries starting at `start` (a multiple of 64,
     /// `< entry_count`, or 0) against `window` and returns `(hit_mask,
     /// tested)`: bit `j` is set iff entry `start + j` intersects `window`
-    /// on closed intervals, exactly [`Rect::intersects`].
+    /// on closed intervals, exactly [`Rect::intersects`], and `tested` is
+    /// `min(entry_count - start, 64)`.
     fn match_bits(&self, window: &Rect<N>, start: usize) -> (u64, usize);
 
     /// Entry `i`'s child id (internal nodes only).
@@ -122,8 +138,12 @@ fn for_each_match<const N: usize>(
 /// The walk runs one node ahead of itself: the next node on the stack is
 /// fetched and its first entries tested *before* the current node's
 /// matches are handed out, so the next node's memory is in flight while
-/// the visitor works. Fetch order, visit order and every count are those
-/// of the plain pop-fetch-test loop.
+/// the visitor works. A stack entry carries its node's first hit mask:
+/// an [`NodeSource::EAGER`] source computes it as the parent pushes the
+/// child, so the loads of a node's matching children overlap one
+/// another; a lazy one leaves it 0 and tests at the pop. Visit order,
+/// hit order and every count are those of the plain pop-fetch-test loop
+/// either way, and a lazy source's fetch order is too.
 pub fn search<const N: usize, S: NodeSource<N>>(
     src: S,
     window: &Rect<N>,
@@ -132,19 +152,32 @@ pub fn search<const N: usize, S: NodeSource<N>>(
     let mut stack = SEARCH_STACK.with(Cell::take);
     stack.clear();
     let mut accesses = 0u64;
-    stack.push(src.root());
+    // An eager source runs a node's first test as the node is pushed.
+    let entry = |id: u32| {
+        let mask = if S::EAGER {
+            src.node(id).match_bits(window, 0).0
+        } else {
+            0
+        };
+        (id, mask)
+    };
+    stack.push(entry(src.root()));
     let mut current: Option<(S::Node, (u64, usize))> = None;
     loop {
         // An internal node pushes its matching children; a leaf leaves
         // the stack alone. Either way the next node to visit is now on top.
         if let Some((node, first)) = &current {
             if !node.is_leaf() {
-                for_each_match_from(node, window, *first, |i| stack.push(node.child(i)));
+                for_each_match_from(node, window, *first, |i| stack.push(entry(node.child(i))));
             }
         }
-        let next = stack.pop().map(|id| {
+        let next = stack.pop().map(|(id, mask)| {
             let node = src.node(id);
-            let first = node.match_bits(window, 0);
+            let first = if S::EAGER {
+                (mask, node.entry_count().min(64))
+            } else {
+                node.match_bits(window, 0)
+            };
             (node, first)
         });
         if let Some((node, first)) = &current {
@@ -268,6 +301,10 @@ fn search_group<const N: usize, S: NodeSource<N>>(
 impl<'a, const N: usize, T> NodeSource<N> for &'a RTree<N, T> {
     type Node = ArenaNode<'a, N, T>;
 
+    /// An arena fetch is a slice of RAM, so a child is tested as it is
+    /// pushed.
+    const EAGER: bool = true;
+
     #[inline]
     fn root(&self) -> u32 {
         self.root
@@ -318,14 +355,6 @@ pub struct BatchAccesses {
     /// node shared by several windows of a 64-wide group counts once).
     /// `max(per_window) <= unique <= sum(per_window)`.
     pub unique: u64,
-}
-
-impl BatchAccesses {
-    /// Sum of the per-window logical accesses (what K scalar searches
-    /// would have cost).
-    pub fn logical_total(&self) -> u64 {
-        self.per_window.iter().sum()
-    }
 }
 
 impl<const N: usize, T> RTree<N, T> {

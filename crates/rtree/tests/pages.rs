@@ -12,6 +12,7 @@ use mar_rtree::{
     Variant,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 fn rect(x: f64, y: f64, w: f64, h: f64) -> Rect2 {
     Rect2::new(Point2::new([x, y]), Point2::new([x + w, y + h]))
@@ -195,6 +196,87 @@ proptest! {
         };
         let widest = assert_pages_equal_arena(&tree, &windows(&wins));
         prop_assert!(widest > 64, "widest page holds {} entries", widest);
+    }
+}
+
+/// The pages the plain pop–fetch–test walk reads for `window`, in order:
+/// a pre-order DFS from the root (page 0) that takes each node's
+/// matching children in descending entry order, as LIFO pops of
+/// children pushed in ascending order do.
+fn preorder_fetches<'p>(page: &impl Fn(u32) -> NodePage<&'p [u8], 2>, window: &Rect2) -> Vec<u32> {
+    fn visit<'p>(
+        page: &impl Fn(u32) -> NodePage<&'p [u8], 2>,
+        window: &Rect2,
+        id: u32,
+        out: &mut Vec<u32>,
+    ) {
+        out.push(id);
+        let node = page(id);
+        if node.is_leaf() {
+            return;
+        }
+        for i in (0..node.entry_count()).rev() {
+            if node.rect(i).intersects(window) {
+                visit(page, window, node.child(i), out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    visit(page, window, 0, &mut out);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The page source is lazy: the scalar walk fetches each node it
+    /// visits exactly once, in visit order — the pre-order model's — so
+    /// a buffer pool behind it sees the look-ups, and makes the eviction
+    /// decisions, of the plain pop–fetch–test loop. Hits and accesses
+    /// still equal the arena's, which tests a child as it pushes it.
+    #[test]
+    fn the_page_source_fetches_in_visit_order(
+        boxes in prop::collection::vec(
+            (0.0f64..100.0, 0.0f64..100.0, 0.0f64..8.0, 0.0f64..8.0), 0..400),
+        wins in prop::collection::vec(
+            (0.0f64..100.0, 0.0f64..100.0, 0.1f64..45.0, 0.1f64..45.0), 1..20),
+        incremental in 0usize..2,
+    ) {
+        let tree = if incremental == 1 {
+            let mut tree: RTree<2, u64> = RTree::new(RTreeConfig::new(5, Variant::RStar));
+            for (r, id) in items(&boxes) {
+                tree.insert(r, id);
+            }
+            tree
+        } else {
+            RTree::bulk_load(RTreeConfig::paper(), items(&boxes))
+        };
+        let export = tree.export_pages(8, |item, buf| buf.extend_from_slice(&item.to_le_bytes()));
+        let page = |id: u32| {
+            NodePage::<_, 2>::parse(export.pages[id as usize].as_slice(), 8).expect("valid page")
+        };
+        let fetched = RefCell::new(Vec::new());
+        let io = IoCounters::new();
+        let pages = PageSource {
+            fetch: |id: u32| {
+                fetched.borrow_mut().push(id);
+                page(id)
+            },
+            io: &io,
+        };
+        for w in &windows(&wins) {
+            fetched.borrow_mut().clear();
+            let mut paged = Vec::new();
+            let paged_io = search(&pages, w, |leaf, i| {
+                paged.push(u64::from_le_bytes(leaf.item_bytes(i).try_into().expect("8 B")))
+            });
+            let mut ram = Vec::new();
+            let ram_io = tree.search(w, |_, &t| ram.push(t));
+            prop_assert_eq!(&*fetched.borrow(), &preorder_fetches(&page, w), "fetches for {:?}", w);
+            prop_assert_eq!(paged_io as usize, fetched.borrow().len());
+            prop_assert_eq!(paged, ram, "hit stream for {:?}", w);
+            prop_assert_eq!(paged_io, ram_io, "accesses for {:?}", w);
+        }
     }
 }
 
